@@ -6,19 +6,17 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/query"
 	"github.com/datacron-project/datacron/internal/synth"
+	"github.com/datacron-project/datacron/internal/wire"
 )
 
 func main() {
@@ -42,30 +40,22 @@ func main() {
 	}
 	p := core.New(core.Config{Domain: dom, Shards: *shards})
 
-	f, err := os.Open(*wirePath)
+	body, err := os.ReadFile(*wirePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lines := 0
-	for sc.Scan() {
-		row := sc.Text()
-		sp := strings.IndexByte(row, ' ')
-		if sp < 0 {
-			continue
+	// The text ingest format of POST /ingest; a line without a timestamp
+	// is stamped 0.
+	if _, err := wire.EachRecord(body, "", 0, func(ts int64, line string) {
+		if line == "" {
+			return
 		}
-		ts, err := strconv.ParseInt(row[:sp], 10, 64)
-		if err != nil {
-			log.Fatalf("bad timestamp on line %d: %v", lines+1, err)
-		}
-		if _, err := p.IngestLine(synth.TimedLine{TS: ts, Line: row[sp+1:]}); err != nil {
+		if _, err := p.IngestLine(synth.TimedLine{TS: ts, Line: line}); err != nil {
 			log.Fatalf("line %d: %v", lines+1, err)
 		}
 		lines++
-	}
-	if err := sc.Err(); err != nil {
+	}); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("ingested %d lines: %s", lines, p.Report())

@@ -99,7 +99,6 @@ func main() {
 		shards  = flag.Int("shards", 4, "store shard count")
 		workers = flag.Int("workers", 0, "ingest worker goroutines (0 = GOMAXPROCS)")
 		queue   = flag.Int("queue", 8192, "per-worker ingest queue bound (full = HTTP 429)")
-		drain   = flag.Int("ingest-batch-drain", core.DefaultBatchDrain, "max queued lines an ingest worker drains and applies as one atomic batch (1 = line-at-a-time)")
 		prime   = flag.Bool("prime", true, "pre-install the generator's areas and entities")
 		seed    = flag.Int64("seed", 42, "world seed used when priming (match datacron-gen)")
 		vessels = flag.Int("vessels", 50, "world vessel count when priming (maritime)")
@@ -291,7 +290,7 @@ func main() {
 	// exists because the cluster node wraps the server it reports for.
 	var cnode *cluster.Node
 	srv := server.New(server.Config{
-		Pipeline: p, Workers: *workers, QueueLen: *queue, BatchDrain: *drain,
+		Pipeline: p, Workers: *workers, QueueLen: *queue,
 		WAL: walLog, DataDir: *dataDir, Recovery: recovery,
 		ExtraMetrics: func(mw *obs.MetricsWriter) {
 			if cnode != nil {

@@ -39,8 +39,7 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 }
 
 // RouteHash returns fnv32a(RoutingKey(line)) without materialising the
-// upper-cased key string, so the batched binary ingest path routes with
-// zero allocations. Idents with non-ASCII bytes (never produced by real
+// upper-cased key string, so ingest routes with zero allocations. Idents with non-ASCII bytes (never produced by real
 // SBS feeds) fall back to hashing the materialised key, keeping the two
 // derivations exactly in lockstep.
 func RouteHash(line string) (h uint32, ok bool) {

@@ -124,7 +124,7 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 
 // RouteHash returns fnv32a(RoutingKey(line)) — the exact worker-selection
 // hash of the parallel ingest front-end — without materialising the key
-// string, so the batched binary ingest path routes with zero allocations.
+// string, so ingest routes with zero allocations.
 // TestRouteHashMatchesKey pins the equivalence.
 func RouteHash(line string) (h uint32, ok bool) {
 	f, ok := splitRoute(line)

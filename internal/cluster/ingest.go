@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -53,26 +52,17 @@ type ownerShare struct {
 }
 
 // ingestScratch carries one coordinator ingest request's reusable buffers —
-// body, decoded lines, per-owner shares — so steady-state re-framing
-// performs no allocations (pinned by TestCoordinatorReframeAllocs). Shares
-// keep their encoder and frame buffers across requests; reset only rewinds
-// lengths.
+// body and per-owner shares — so steady-state re-framing performs no
+// allocations (pinned by TestCoordinatorReframeAllocs). Shares keep their
+// encoder and frame buffers across requests.
 type ingestScratch struct {
 	body   []byte
-	key    []byte // routing-key scratch, reused per line
-	lines  []timedLine
+	key    []byte        // routing-key scratch, reused per line
 	shares []*ownerShare // high-water owner capacity; first n are live
 	n      int
 }
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
-
-// reset rewinds the scratch for reuse, keeping every buffer.
-func (sc *ingestScratch) reset() {
-	sc.body = sc.body[:0]
-	sc.lines = sc.lines[:0]
-	sc.n = 0
-}
 
 // share returns the live share for owner, reviving a recycled one (with its
 // buffers) before allocating. Linear scan: cluster member counts are small,
@@ -97,29 +87,40 @@ func (sc *ingestScratch) share(owner string) *ownerShare {
 	return s
 }
 
-// stageShares routes every decoded line to its owning node through the ring
-// and re-frames each owner's share as one binary wire frame, preserving
-// arrival order within each owner (the per-entity workers there see the
-// same order a direct client would have produced). Shares come out sorted
-// by owner for deterministic dispatch.
-func (n *Node) stageShares(sc *ingestScratch) {
+// stageShares walks the request body (wire.EachRecord: same formats, same
+// receive-time stamping as the single-node endpoint — the forwarded frame
+// carries the stamp, so the owner does not re-stamp on arrival), routes
+// every record to its owning node through the ring and re-frames each
+// owner's share as one binary wire frame, preserving arrival order within
+// each owner (the per-entity workers there see the same order a direct
+// client would have produced). Shares come out sorted by owner for
+// deterministic dispatch. blank counts the blank records, which are not
+// forwarded; on a body fault err is returned and the records before it are
+// staged.
+func (n *Node) stageShares(sc *ingestScratch, contentType string) (blank int, err error) {
 	ring, _ := n.Ring()
-	for _, tl := range sc.lines {
-		sc.key = n.cfg.Pipeline.AppendRoutingKey(sc.key[:0], tl.line)
+	sc.n = 0
+	_, err = wire.EachRecord(sc.body, contentType, time.Now().UnixMilli(), func(ts int64, line string) {
+		if line == "" {
+			blank++
+			return
+		}
+		sc.key = n.cfg.Pipeline.AppendRoutingKey(sc.key[:0], line)
 		owner := n.cfg.Self
 		if len(sc.key) > 0 {
 			owner = ring.OwnerBytes(sc.key)
 		}
-		sc.share(owner).enc.Add(tl.ts, tl.line)
+		sc.share(owner).enc.Add(ts, line)
 		if owner != n.cfg.Self {
 			n.forwardedLines.Add(1)
 		}
-	}
+	})
 	live := sc.shares[:sc.n]
 	slices.SortFunc(live, func(a, b *ownerShare) int { return strings.Compare(a.owner, b.owner) })
 	for _, s := range live {
 		s.frame = s.enc.AppendFrame(s.frame[:0])
 	}
+	return blank, err
 }
 
 // handleIngest is the coordinator ingest path: decode the batch (text lines
@@ -135,22 +136,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := ingestScratchPool.Get().(*ingestScratch)
 	// Safe to recycle at return: the dispatch loop below joins every share
 	// goroutine before the handler exits, so nothing aliases the buffers.
-	defer func() { sc.reset(); ingestScratchPool.Put(sc) }()
+	defer ingestScratchPool.Put(sc)
+	var status int
 	var err error
-	sc.body, err = readAllInto(sc.body[:0], io.LimitReader(r.Body, 256<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, clusterIngestResponse{Error: "read body: " + err.Error()})
+	if sc.body, status, err = wire.ReadBody(w, r, sc.body); err != nil {
+		writeJSON(w, status, clusterIngestResponse{Error: err.Error()})
 		return
 	}
-	var blank int
-	var decodeErr string
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		sc.lines, decodeErr = decodeFrames(sc.lines[:0], sc.body)
-	} else {
-		sc.lines, blank = decodeTextLines(sc.lines[:0], sc.body)
-	}
-
-	n.stageShares(sc)
+	blank, bodyErr := n.stageShares(sc, r.Header.Get("Content-Type"))
 
 	path := "/ingest"
 	if r.URL.Query().Get("wait") == "1" {
@@ -204,15 +197,14 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		resp.Owners[sr.owner] = oi
 	}
 	// Blank lines are coordinator-local no-ops, counted accepted as in
-	// single-node mode; a text decode never fails, but a malformed binary
-	// frame rejects its undecodable remainder.
+	// single-node mode; a malformed body rejects its undecodable remainder.
 	resp.Accepted += blank
-	if decodeErr != "" && resp.Error == "" {
-		resp.Error = decodeErr
+	if bodyErr != nil && resp.Error == "" {
+		resp.Error = bodyErr.Error()
 	}
 
-	status := http.StatusAccepted
-	if decodeErr != "" {
+	status = http.StatusAccepted
+	if bodyErr != nil {
 		status = http.StatusBadRequest
 	}
 	if resp.Rejected > 0 {
@@ -220,87 +212,6 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, resp)
-}
-
-// timedLine is one decoded ingest record.
-type timedLine struct {
-	ts   int64
-	line string
-}
-
-// readAllInto drains r into dst's spare capacity, growing only when full —
-// io.ReadAll with a caller-owned (poolable) buffer.
-func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
-// decodeTextLines appends a newline-delimited ingest body's records to dst,
-// honouring the optional "<unix-ms> " prefix exactly as the single-node
-// endpoint does and stamping bare lines with the coordinator receive time
-// (the forwarded frame carries the stamp, so the owner does not re-stamp on
-// arrival). The whole body is converted to a string once and every line
-// aliases it — one allocation per request, none per line.
-func decodeTextLines(dst []timedLine, body []byte) (lines []timedLine, blank int) {
-	now := time.Now().UnixMilli()
-	text := string(body)
-	lines = dst
-	for len(text) > 0 {
-		raw := text
-		if i := strings.IndexByte(text, '\n'); i >= 0 {
-			raw = text[:i]
-			text = text[i+1:]
-		} else {
-			text = ""
-		}
-		if len(raw) > 0 && raw[len(raw)-1] == '\r' {
-			raw = raw[:len(raw)-1]
-		}
-		if raw == "" {
-			blank++
-			continue
-		}
-		tl := timedLine{ts: now, line: raw}
-		if sp := strings.IndexByte(raw, ' '); sp > 0 {
-			if ts, err := strconv.ParseInt(raw[:sp], 10, 64); err == nil {
-				tl = timedLine{ts: ts, line: raw[sp+1:]}
-			}
-		}
-		lines = append(lines, tl)
-	}
-	return lines, blank
-}
-
-// decodeFrames appends every back-to-back binary frame's records in body to
-// dst. On a structural error the records decoded so far are returned along
-// with the error text; the remainder is undecodable.
-func decodeFrames(dst []timedLine, body []byte) (lines []timedLine, decodeErr string) {
-	lines = dst
-	_, _, err := wire.EachFrameText(body, func(ts int64, line string) error {
-		if line == "" {
-			return nil
-		}
-		if ts == 0 {
-			ts = time.Now().UnixMilli()
-		}
-		lines = append(lines, timedLine{ts: ts, line: line})
-		return nil
-	})
-	if err != nil {
-		return lines, "frame decode: " + err.Error()
-	}
-	return lines, ""
 }
 
 // writeJSON renders v with the given status.

@@ -44,15 +44,11 @@ func TestCoordinatorReframeAllocs(t *testing.T) {
 	}
 	body := enc.AppendFrame(nil)
 
-	scratch := &ingestScratch{}
+	scratch := &ingestScratch{body: body}
 	reframe := func() {
-		scratch.reset()
-		var decodeErr string
-		scratch.lines, decodeErr = decodeFrames(scratch.lines[:0], body)
-		if decodeErr != "" {
-			t.Fatalf("decode: %s", decodeErr)
+		if _, err := n.stageShares(scratch, wire.ContentType); err != nil {
+			t.Fatalf("decode: %v", err)
 		}
-		n.stageShares(scratch)
 		if scratch.n < 2 {
 			t.Fatalf("expected multiple owners, got %d", scratch.n)
 		}
@@ -62,8 +58,8 @@ func TestCoordinatorReframeAllocs(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(100, reframe)
 	// Budget: exactly the per-frame ResetText records copy. Everything else
-	// — line slice, per-owner encoders, frame buffers, share bookkeeping —
-	// must come from the warmed scratch.
+	// — per-owner encoders, frame buffers, share bookkeeping — must come
+	// from the warmed scratch.
 	if allocs > 1 {
 		t.Fatalf("re-frame stage allocates %.1f times per batch, want <= 1 (the per-frame records copy)", allocs)
 	}

@@ -24,10 +24,10 @@ import (
 // (the HTTP layer maps it to 429).
 //
 // For durable ingest the Ingestor also carries the bookkeeping the
-// snapshot/recovery protocol needs: WAL-logged lines flow through
-// Reserve + EnqueueLogged, every worker records the exact WAL offset (LSN)
+// snapshot/recovery protocol needs: SubmitBatch appends lines to the WAL
+// as it hands them off, every worker records the exact WAL offset (LSN)
 // it has fully applied per entity, and Barrier pauses all workers between
-// lines so a snapshot captures an atomic cut — a line is either fully
+// batches so a snapshot captures an atomic cut — a line is either fully
 // reflected in the snapshot (store writes, analytics, counters, applied
 // offset) or not at all.
 type Ingestor struct {
@@ -44,13 +44,10 @@ type Ingestor struct {
 	// "appended to the WAL" and "visible in a worker queue" at the cut.
 	snapGate sync.RWMutex
 
-	mu       sync.RWMutex // guards Reserve/Enqueue vs Close
+	mu       sync.RWMutex // guards SubmitBatch's hand-off vs Close
 	closed   bool
 	rejected atomic.Int64
 	inflight atomic.Int64
-
-	// batchPool recycles Batch values (NewBatch/Flush).
-	batchPool sync.Pool
 }
 
 // worker is one ingest goroutine and its queue-side bookkeeping.
@@ -59,7 +56,8 @@ type worker struct {
 	reserved atomic.Int64 // slots taken: queued + in-process + reserved
 
 	// qmu guards lsns, the FIFO of WAL offsets of logged lines currently
-	// queued (aligned with q's order for logged items).
+	// queued (aligned with q's order for logged items), and orders WAL
+	// appends with queue sends.
 	qmu  sync.Mutex
 	lsns []uint64
 
@@ -69,16 +67,15 @@ type worker struct {
 	snapMu  sync.Mutex
 	front   front
 	applied map[string]uint64 // routing key → highest fully-applied LSN
+	key     []byte            // routing-key scratch for applied updates
 }
 
-// item is one queued wire line (lsn is 0 for non-logged submissions), or —
-// when recs is non-nil — a batch of non-logged lines staged by a Batch,
-// delivered in one channel send.
+// item is one worker's share of a SubmitBatch call, delivered in one
+// channel send. The LSNs of a logged item's lines are the next len(*recs)
+// entries of the worker's FIFO.
 type item struct {
-	tl   synth.TimedLine
-	key  string
-	lsn  uint64
-	recs *[]synth.TimedLine
+	recs   *[]synth.TimedLine
+	logged bool
 }
 
 // DefaultBatchDrain is the per-wakeup batch size used when
@@ -94,8 +91,8 @@ const DefaultBatchDrain = 64
 type IngestorConfig struct {
 	// Workers is the number of ingest goroutines (and decode fronts).
 	Workers int
-	// QueueLen bounds each worker's in-flight lines; exceeding it rejects
-	// Reserve/Submit.
+	// QueueLen bounds each worker's in-flight lines; SubmitBatch stops at
+	// the first line that would exceed it.
 	QueueLen int
 	// BatchDrain caps how many queued lines a worker pulls per wakeup and
 	// processes as one atomic batch (one snapshot critical section, one LSN
@@ -192,14 +189,14 @@ func (p *Pipeline) NewIngestor(cfg IngestorConfig) *Ingestor {
 // one hold of its snapshot lock, so snapshots land between batches, never
 // inside one. A batch is the atomic unit of the snapshot/recovery protocol:
 // its store writes, applied offsets and LSN watermarks become visible
-// together (DESIGN.md §15). itemLines of a staged Batch item count against
-// the drain budget line by line.
+// together (DESIGN.md §15). An item's lines count against the drain budget
+// line by line.
 func (ing *Ingestor) run(w *worker) {
 	defer ing.wg.Done()
 	var batch []item
 	for it := range w.q {
 		batch = append(batch[:0], it)
-		lines := itemLines(it)
+		lines := len(*it.recs)
 	drainLoop:
 		for lines < ing.drain {
 			select {
@@ -210,21 +207,13 @@ func (ing *Ingestor) run(w *worker) {
 					break drainLoop
 				}
 				batch = append(batch, more)
-				lines += itemLines(more)
+				lines += len(*more.recs)
 			default:
 				break drainLoop
 			}
 		}
 		ing.processBatch(w, batch)
 	}
-}
-
-// itemLines returns how many wire lines an item carries.
-func itemLines(it item) int {
-	if it.recs != nil {
-		return len(*it.recs)
-	}
-	return 1
 }
 
 // processBatch runs a drained batch through the pipeline under one hold of
@@ -235,28 +224,35 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 	var evs []model.Event
 	var total int64
 	logged := 0
-	w.snapMu.Lock()
 	for _, it := range batch {
-		if it.recs != nil {
-			for _, tl := range *it.recs {
-				// Errors are already counted in Stats.BadLines; the parallel
-				// path never runs strict (a daemon must survive malformed
-				// input).
-				e, _ := ing.p.ingest(&w.front, tl)
-				evs = append(evs, e...)
-			}
-			total += int64(len(*it.recs))
-			continue
+		if it.logged {
+			logged += len(*it.recs)
 		}
-		e, _ := ing.p.ingest(&w.front, it.tl)
-		evs = append(evs, e...)
-		total++
-		if it.lsn > 0 {
-			if cur := w.applied[it.key]; it.lsn > cur {
-				w.applied[it.key] = it.lsn
+	}
+	w.snapMu.Lock()
+	// Per-worker queue order equals LSN order (SubmitBatch appends and
+	// sends under qmu), so the batch's logged lines own exactly the FIFO's
+	// first entries. The head stays readable outside qmu: appends only
+	// write past it.
+	w.qmu.Lock()
+	lsns := w.lsns[:logged]
+	w.qmu.Unlock()
+	for _, it := range batch {
+		for _, tl := range *it.recs {
+			// Errors are already counted in Stats.BadLines; the parallel
+			// path never runs strict (a daemon must survive malformed
+			// input).
+			e, _ := ing.p.ingest(&w.front, tl)
+			evs = append(evs, e...)
+			if it.logged {
+				w.key = ing.p.AppendRoutingKey(w.key[:0], tl.Line)
+				if lsns[0] > w.applied[string(w.key)] {
+					w.applied[string(w.key)] = lsns[0]
+				}
+				lsns = lsns[1:]
 			}
-			logged++
 		}
+		total += int64(len(*it.recs))
 	}
 	// Store writes must be visible before the batch's LSNs leave the FIFO
 	// and before the snapshot lock is released: a barrier cut then sees
@@ -265,12 +261,6 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 	w.front.bw.Flush()
 	if logged > 0 {
 		w.qmu.Lock()
-		// Per-worker queue order equals LSN order (EnqueueLogged appends
-		// and sends under qmu), so the batch's logged lines are exactly the
-		// FIFO's first entries.
-		if logged > len(w.lsns) {
-			logged = len(w.lsns)
-		}
 		w.lsns = w.lsns[logged:]
 		if len(w.lsns) == 0 {
 			w.lsns = nil // let the drained backlog be collected
@@ -279,10 +269,8 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 	}
 	w.snapMu.Unlock()
 	for _, it := range batch {
-		if it.recs != nil {
-			*it.recs = (*it.recs)[:0]
-			recsPool.Put(it.recs)
-		}
+		*it.recs = (*it.recs)[:0]
+		recsPool.Put(it.recs)
 	}
 	w.reserved.Add(-total)
 	ing.inflight.Add(-total)
@@ -298,7 +286,7 @@ func workerIndex(key string, n int) int {
 }
 
 // FNV-1a, 32-bit — in lockstep with ais.RouteHash / adsb.RouteHash (the
-// hash-only routing used by the batched binary ingest path) and pinned by
+// hash-only routing SubmitBatch uses) and pinned by
 // TestRouteHashMatchesWorkerIndex.
 const (
 	fnvOffset uint32 = 2166136261
@@ -314,9 +302,8 @@ func fnv32a(s string) uint32 {
 }
 
 // routeHash returns fnv32a(routingKey(line)) without materialising the key
-// string — the allocation-free worker selection of the batched binary
-// ingest path. Unrecognisable lines hash the raw line, mirroring
-// routingKey's fallback.
+// string — SubmitBatch's allocation-free worker selection. Unrecognisable
+// lines hash the raw line, mirroring routingKey's fallback.
 func (p *Pipeline) routeHash(line string) uint32 {
 	switch p.cfg.Domain {
 	case model.Maritime:
@@ -340,13 +327,6 @@ func multiSentenceKey(s ais.Sentence) string {
 		seq = strconv.Itoa(s.SeqID)
 	}
 	return ais.FragmentKey(seq, s.Channel)
-}
-
-// Reservation is a claimed queue slot on one worker, obtained from Reserve
-// and consumed by Enqueue/EnqueueLogged (or returned by Release).
-type Reservation struct {
-	w   *worker
-	key string
 }
 
 // routingKey extracts the per-entity routing key for a wire line, falling
@@ -392,195 +372,109 @@ func (p *Pipeline) AppendRoutingKey(dst []byte, line string) []byte {
 	return dst
 }
 
-// Reserve claims — without blocking — a queue slot on the worker that owns
-// line's entity. It returns ok=false when that worker is saturated
-// (backpressure; counted in Rejected) or the ingestor is closed. A
-// successful reservation must be followed by Enqueue, EnqueueLogged or
-// Release.
-func (ing *Ingestor) Reserve(line string) (Reservation, bool) {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	if ing.closed {
-		ing.rejected.Add(1)
-		return Reservation{}, false
-	}
-	key := ing.p.routingKey(line)
-	w := ing.workers[workerIndex(key, len(ing.workers))]
-	if w.reserved.Add(1) > int64(cap(w.q)) {
-		w.reserved.Add(-1)
-		ing.rejected.Add(1)
-		return Reservation{}, false
-	}
-	return Reservation{w: w, key: key}, true
-}
-
-// Release returns an unused reservation (e.g. after a WAL append error).
-func (ing *Ingestor) Release(res Reservation) {
-	if res.w != nil {
-		res.w.reserved.Add(-1)
-	}
-}
-
-// Enqueue delivers a reserved line to its worker. The reserved slot
-// guarantees the channel send cannot block. ok=false only when the
-// ingestor was closed since the reservation (the line is dropped and
-// counted in Rejected).
-func (ing *Ingestor) Enqueue(res Reservation, tl synth.TimedLine) bool {
-	return ing.enqueue(res, tl)
-}
-
-// ErrIngestorClosed reports an Enqueue/EnqueueLogged that lost the race
-// with Close; the line was not logged or queued and counts as rejected.
+// ErrIngestorClosed reports a SubmitBatch that lost the race with Close;
+// none of its lines was logged or queued.
 var ErrIngestorClosed = errors.New("core: ingestor closed")
 
-// EnqueueLogged appends the line to the WAL and delivers it to its worker
-// as one atomic step — atomic with respect to snapshot cuts (no snapshot
-// can observe the LSN as appended but not yet queued) and with respect to
-// other logged lines on the same worker (the append and the queue send
-// happen under the worker's FIFO lock, so per-worker queue order always
-// equals LSN order; without this, two concurrent requests carrying the
-// same entity could invert append and enqueue order and a snapshot's
-// applied offset would skip an acknowledged line on recovery). The record
-// still needs a wal Commit to become durable; the serving layer commits
-// once per HTTP batch before acknowledging. On any error — WAL failure or
-// ErrIngestorClosed — the line was neither logged nor queued, the
-// reservation is consumed and the line counts as rejected.
-func (ing *Ingestor) EnqueueLogged(l *wal.Log, res Reservation, tl synth.TimedLine) (lsn uint64, err error) {
+// recsPool recycles the per-worker staging slices SubmitBatch hands off to
+// workers, so steady-state ingest allocates nothing per line.
+var recsPool = sync.Pool{New: func() any { return new([]synth.TimedLine) }}
+
+// SubmitBatch is the one way lines enter the parallel front-end. It
+// reserves — without blocking — one queue slot per line on the worker that
+// owns the line's entity, in order, stopping at the first line whose worker
+// is saturated (backpressure): accepted is the length of the prefix of recs
+// that was handed off, the rest is dropped and counted in Rejected. The
+// prefix is then delivered with one channel send per destination worker.
+//
+// With log != nil every handed-off line is first appended to the WAL. A
+// worker's share is appended and sent as one step under that worker's FIFO
+// lock, inside the snapshot gate, which makes the step atomic with respect
+// to snapshot cuts (no snapshot can observe an LSN as appended but not yet
+// queued) and to other submissions to the same worker (per-worker queue
+// order always equals LSN order; without this, two concurrent requests
+// carrying the same entity could invert append and enqueue order and a
+// snapshot's applied offset would skip an acknowledged line on recovery).
+// A line outside the accepted prefix is never logged. The records still
+// need a wal Commit to become durable; the serving layer commits once per
+// HTTP batch before acknowledging.
+//
+// On error — ErrIngestorClosed or a WAL append failure — accepted is 0 and
+// nothing must be acknowledged: every line not already logged and queued is
+// dropped and counted in Rejected, and a caller that retries the batch
+// relies on the store to deduplicate the ones that were.
+func (ing *Ingestor) SubmitBatch(log *wal.Log, recs []synth.TimedLine) (accepted int, err error) {
+	// per[i] stages worker i's share of the batch.
+	per := make([]*[]synth.TimedLine, len(ing.workers))
+	for _, tl := range recs {
+		idx := ing.p.routeHash(tl.Line) % uint32(len(ing.workers))
+		w := ing.workers[idx]
+		if w.reserved.Add(1) > int64(cap(w.q)) {
+			w.reserved.Add(-1)
+			break
+		}
+		if per[idx] == nil {
+			per[idx] = recsPool.Get().(*[]synth.TimedLine)
+		}
+		*per[idx] = append(*per[idx], tl)
+		accepted++
+	}
+	ing.rejected.Add(int64(len(recs) - accepted))
+
 	ing.snapGate.RLock()
 	defer ing.snapGate.RUnlock()
 	ing.mu.RLock()
 	defer ing.mu.RUnlock()
-	res.w.qmu.Lock()
-	defer res.w.qmu.Unlock()
 	if ing.closed {
-		ing.Release(res)
-		ing.rejected.Add(1)
-		return 0, ErrIngestorClosed
+		err = ErrIngestorClosed
 	}
-	lsn, err = l.Append(tl.TS, tl.Line)
-	if err != nil {
-		ing.Release(res)
-		ing.rejected.Add(1)
-		return 0, err
-	}
-	ing.inflight.Add(1)
-	res.w.lsns = append(res.w.lsns, lsn)
-	// The reserved slot guarantees the send cannot block under qmu.
-	res.w.q <- item{tl: tl, key: res.key, lsn: lsn}
-	return lsn, nil
-}
-
-func (ing *Ingestor) enqueue(res Reservation, tl synth.TimedLine) bool {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	if ing.closed {
-		ing.Release(res)
-		ing.rejected.Add(1)
-		return false
-	}
-	ing.inflight.Add(1)
-	res.w.q <- item{tl: tl, key: res.key}
-	return true
-}
-
-// Submit routes one wire line to its entity's worker. It returns false —
-// without blocking — when the worker is saturated (backpressure) or the
-// ingestor is closed; the line is then dropped and counted in Rejected.
-func (ing *Ingestor) Submit(tl synth.TimedLine) bool {
-	res, ok := ing.Reserve(tl.Line)
-	if !ok {
-		return false
-	}
-	return ing.Enqueue(res, tl)
-}
-
-// recsPool recycles the per-worker staging slices that Batch hands off to
-// workers, so steady-state batched ingest allocates nothing per line.
-var recsPool = sync.Pool{New: func() any { return new([]synth.TimedLine) }}
-
-// Batch stages many non-logged lines and delivers them with one channel
-// send per destination worker, amortising the per-line submission cost
-// (hashing aside, Submit pays a channel operation and two atomics per
-// line). Routing, per-entity ordering and backpressure semantics are
-// identical to Submit: Add reserves one queue slot per line on the owning
-// worker and fails fast when that worker is saturated. A Batch is not safe
-// for concurrent use and is consumed by Flush.
-type Batch struct {
-	ing   *Ingestor
-	per   []*[]synth.TimedLine // staged lines, indexed by worker
-	count int
-}
-
-// NewBatch returns an empty (pooled) batch.
-func (ing *Ingestor) NewBatch() *Batch {
-	b, _ := ing.batchPool.Get().(*Batch)
-	if b == nil {
-		b = &Batch{ing: ing, per: make([]*[]synth.TimedLine, len(ing.workers))}
-	}
-	return b
-}
-
-// Add stages one line for the worker that owns its entity, reserving the
-// queue slot immediately. It returns false — and drops the line, counted
-// in Rejected — when that worker is saturated.
-func (b *Batch) Add(tl synth.TimedLine) bool {
-	ing := b.ing
-	idx := int(ing.p.routeHash(tl.Line) % uint32(len(ing.workers)))
-	w := ing.workers[idx]
-	if w.reserved.Add(1) > int64(cap(w.q)) {
-		w.reserved.Add(-1)
-		ing.rejected.Add(1)
-		return false
-	}
-	recs := b.per[idx]
-	if recs == nil {
-		recs = recsPool.Get().(*[]synth.TimedLine)
-		b.per[idx] = recs
-	}
-	*recs = append(*recs, tl)
-	b.count++
-	return true
-}
-
-// Flush delivers the staged lines — one channel send per worker — and
-// recycles the batch. It returns the number of lines handed off; when the
-// ingestor has been closed since Add, staged lines are dropped, counted in
-// Rejected, and Flush returns 0. The reserved slots guarantee the sends
-// cannot block (a worker holds at most cap(q) reserved lines, so its
-// channel holds at most cap(q) items).
-func (b *Batch) Flush() int {
-	ing := b.ing
-	ing.mu.RLock()
-	if ing.closed {
-		ing.mu.RUnlock()
-		for i, recs := range b.per {
-			if recs == nil {
-				continue
-			}
-			n := int64(len(*recs))
-			ing.workers[i].reserved.Add(-n)
-			ing.rejected.Add(n)
-			*recs = (*recs)[:0]
-			recsPool.Put(recs)
-			b.per[i] = nil
-		}
-		b.count = 0
-		ing.batchPool.Put(b)
-		return 0
-	}
-	for i, recs := range b.per {
-		if recs == nil {
+	for idx, part := range per {
+		if part == nil {
 			continue
 		}
-		ing.inflight.Add(int64(len(*recs)))
-		ing.workers[i].q <- item{recs: recs}
-		b.per[i] = nil
+		w := ing.workers[idx]
+		staged, sent := len(*part), 0
+		if err == nil {
+			sent, err = ing.deliver(w, log, part)
+		}
+		// Undelivered lines give their slots back.
+		w.reserved.Add(int64(sent - staged))
+		ing.rejected.Add(int64(staged - sent))
+		if sent == 0 {
+			*part = (*part)[:0]
+			recsPool.Put(part)
+		}
 	}
-	ing.mu.RUnlock()
-	n := b.count
-	b.count = 0
-	ing.batchPool.Put(b)
-	return n
+	if err != nil {
+		return 0, err
+	}
+	return accepted, nil
+}
+
+// deliver appends part's lines to log (when non-nil), pushes their LSNs on
+// w's FIFO and sends them to w as one item, all under w.qmu. On an append
+// failure the lines logged so far are still sent — a logged line must reach
+// its worker — and sent reports how many that was. The reserved slots
+// guarantee the send cannot block (a worker holds at most cap(q) reserved
+// lines, so its channel holds at most cap(q) items).
+func (ing *Ingestor) deliver(w *worker, log *wal.Log, part *[]synth.TimedLine) (sent int, err error) {
+	w.qmu.Lock()
+	defer w.qmu.Unlock()
+	if log != nil {
+		for i, tl := range *part {
+			var lsn uint64
+			if lsn, err = log.Append(tl.TS, tl.Line); err != nil {
+				*part = (*part)[:i]
+				break
+			}
+			w.lsns = append(w.lsns, lsn)
+		}
+	}
+	if sent = len(*part); sent > 0 {
+		ing.inflight.Add(int64(sent))
+		w.q <- item{recs: part, logged: log != nil}
+	}
+	return sent, err
 }
 
 // Barrier pauses every worker at a line boundary and returns a release
@@ -696,7 +590,7 @@ func (ing *Ingestor) Quiesce(timeout time.Duration) bool {
 }
 
 // Close stops accepting lines, drains the queues and waits for the
-// workers to finish. Safe to call concurrently with Submit.
+// workers to finish. Safe to call concurrently with SubmitBatch.
 func (ing *Ingestor) Close() {
 	ing.mu.Lock()
 	if ing.closed {

@@ -2,19 +2,23 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/synth"
+	"github.com/datacron-project/datacron/internal/wal"
 )
 
-// The hash-only routing of the batched binary ingest path must select the
-// same worker as the key-string routing of Reserve/Submit, for every line —
+// SubmitBatch's hash-only routing must select the same worker as the
+// key-string routing recovery partitions state by, for every line —
 // including garbage that falls back to hashing the raw line. A mismatch
 // would silently split one entity's reports across two fronts.
 func TestRouteHashMatchesWorkerIndex(t *testing.T) {
@@ -49,56 +53,60 @@ func TestRouteHashMatchesWorkerIndex(t *testing.T) {
 	}
 }
 
-// Batched submission must process exactly the same lines as per-line Submit
-// and deliver identical pipeline counters.
-func TestBatchMatchesSubmit(t *testing.T) {
-	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 31, Vessels: 12, Duration: 30 * time.Minute})
-	run := func(submit func(ing *Ingestor, tls []synth.TimedLine) int) (StatsSnapshot, int) {
-		p := New(Config{Domain: model.Maritime})
-		p.InstallAreas(sc.Areas)
-		p.InstallEntities(sc.Entities)
-		ing := p.NewIngestor(IngestorConfig{Workers: 4, QueueLen: 1 << 16})
-		accepted := submit(ing, sc.WireTimed)
-		if !ing.Quiesce(30 * time.Second) {
-			t.Fatal("quiesce timeout")
+// submitChunks feeds tls through SubmitBatch in chunk-line calls and fails
+// the test on any shed line.
+func submitChunks(t *testing.T, ing *Ingestor, log *wal.Log, tls []synth.TimedLine, chunk int) {
+	t.Helper()
+	for len(tls) > 0 {
+		n := min(chunk, len(tls))
+		if got, err := ing.SubmitBatch(log, tls[:n]); got != n || err != nil {
+			t.Fatalf("SubmitBatch accepted %d of %d lines, err %v", got, n, err)
 		}
-		ing.Close()
-		return p.Stats.Snapshot(), accepted
+		tls = tls[n:]
 	}
-	perLine, nLine := run(func(ing *Ingestor, tls []synth.TimedLine) int {
-		n := 0
-		for _, tl := range tls {
-			if ing.Submit(tl) {
-				n++
-			}
-		}
-		return n
-	})
-	batched, nBatch := run(func(ing *Ingestor, tls []synth.TimedLine) int {
-		n := 0
-		for len(tls) > 0 {
-			chunk := tls
-			if len(chunk) > 97 {
-				chunk = chunk[:97]
-			}
-			tls = tls[len(chunk):]
-			b := ing.NewBatch()
-			for _, tl := range chunk {
-				if b.Add(tl) {
-					n++
-				}
-			}
-			if got := b.Flush(); got != len(chunk) {
-				t.Fatalf("Flush handed off %d of %d staged lines", got, len(chunk))
-			}
-		}
-		return n
-	})
-	if nLine != len(sc.WireTimed) || nBatch != len(sc.WireTimed) {
-		t.Fatalf("accepted %d (submit) / %d (batch) of %d lines", nLine, nBatch, len(sc.WireTimed))
+}
+
+// SubmitBatch must process exactly the lines the serial path does, deliver
+// identical pipeline counters, and hand every line to the worker
+// workerIndex names for its routing key.
+func TestSubmitBatchMatchesSerial(t *testing.T) {
+	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 31, Vessels: 12, Duration: 30 * time.Minute, Rendezvous: -1})
+	serial := newPrimed(sc)
+	for _, tl := range sc.WireTimed {
+		serial.IngestLine(tl)
 	}
-	if perLine != batched {
-		t.Errorf("counters diverge:\nsubmit: %+v\nbatch:  %+v", perLine, batched)
+
+	log, err := wal.Open(WALDir(t.TempDir()), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	p := newPrimed(sc)
+	ing := p.NewIngestor(IngestorConfig{Workers: 4, QueueLen: 1 << 16})
+	submitChunks(t, ing, log, sc.WireTimed, 97)
+	if !ing.Quiesce(30 * time.Second) {
+		t.Fatal("quiesce timeout")
+	}
+	ing.Close()
+	if got, want := p.Stats.Snapshot(), serial.Stats.Snapshot(); got != want {
+		t.Errorf("counters diverge:\nbatched: %+v\nserial:  %+v", got, want)
+	}
+	// A logged line leaves its routing key in its worker's applied map.
+	seen := 0
+	for i, w := range ing.workers {
+		for key := range w.applied {
+			seen++
+			if want := workerIndex(key, len(ing.workers)); want != i {
+				t.Errorf("key %q applied on worker %d, workerIndex says %d", key, i, want)
+			}
+		}
+	}
+	keys := make(map[string]bool)
+	for _, tl := range sc.WireTimed {
+		keys[p.routingKey(tl.Line)] = true
+	}
+	if seen != len(keys) {
+		t.Errorf("workers applied %d distinct keys, stream has %d", seen, len(keys))
 	}
 }
 
@@ -120,7 +128,7 @@ func TestBatchDrainMatchesLineAtATime(t *testing.T) {
 		synopses  string
 		density   float64
 	}
-	run := func(drain int) digest {
+	run := func(drain, chunk int) digest {
 		p := New(Config{
 			Domain:   model.Maritime,
 			Forecast: ForecastConfig{Enabled: true},
@@ -129,11 +137,7 @@ func TestBatchDrainMatchesLineAtATime(t *testing.T) {
 		p.InstallAreas(sc.Areas)
 		p.InstallEntities(sc.Entities)
 		ing := p.NewIngestor(IngestorConfig{Workers: 4, QueueLen: 1 << 16, BatchDrain: drain})
-		for _, tl := range sc.WireTimed {
-			if !ing.Submit(tl) {
-				t.Fatalf("drain=%d: line rejected with an oversized queue", drain)
-			}
-		}
+		submitChunks(t, ing, nil, sc.WireTimed, chunk)
 		if !ing.Quiesce(30 * time.Second) {
 			t.Fatalf("drain=%d: quiesce timeout", drain)
 		}
@@ -166,14 +170,16 @@ func TestBatchDrainMatchesLineAtATime(t *testing.T) {
 		}
 	}
 
-	want := run(1) // line-at-a-time baseline
+	// Line-at-a-time baseline: one line per call, so drain=1 alone decides
+	// the batch boundaries. The other runs also vary the submit size.
+	want := run(1, 1)
 	rng := rand.New(rand.NewSource(91))
 	drains := []int{DefaultBatchDrain}
 	for i := 0; i < 3; i++ {
 		drains = append(drains, 2+rng.Intn(255))
 	}
 	for _, drain := range drains {
-		got := run(drain)
+		got := run(drain, 1+rng.Intn(300))
 		if got.stats != want.stats {
 			t.Errorf("drain=%d: counters diverge:\nbatched: %+v\nserial:  %+v", drain, got.stats, want.stats)
 		}
@@ -192,25 +198,48 @@ func TestBatchDrainMatchesLineAtATime(t *testing.T) {
 	}
 }
 
-// Flush after Close must drop staged lines, release the reserved slots and
-// count them as rejected — never send on a closed channel.
-func TestBatchFlushAfterClose(t *testing.T) {
-	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 33, Vessels: 3, Duration: 5 * time.Minute})
+// SubmitBatch racing Close must never send on a closed channel, and every
+// line must end up either processed or rejected, with no slot left
+// reserved.
+func TestSubmitBatchCloseRace(t *testing.T) {
+	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 33, Vessels: 8, Duration: 30 * time.Minute})
 	p := New(Config{Domain: model.Maritime})
-	ing := p.NewIngestor(IngestorConfig{Workers: 2, QueueLen: 64})
-	b := ing.NewBatch()
-	staged := 0
-	for _, tl := range sc.WireTimed[:20] {
-		if b.Add(tl) {
-			staged++
-		}
+	ing := p.NewIngestor(IngestorConfig{Workers: 2, QueueLen: 1 << 16})
+	const submitters = 4
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	started := make(chan struct{}, submitters)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * 16; i+16 <= len(sc.WireTimed); i += submitters * 16 {
+				n, err := ing.SubmitBatch(nil, sc.WireTimed[i:i+16])
+				accepted.Add(int64(n))
+				if err != nil && (n != 0 || !errors.Is(err, ErrIngestorClosed)) {
+					t.Errorf("SubmitBatch = %d, %v; want 0, ErrIngestorClosed", n, err)
+				}
+				if i == g*16 {
+					started <- struct{}{}
+				}
+			}
+		}(g)
 	}
-	ing.Close()
-	if got := b.Flush(); got != 0 {
-		t.Fatalf("Flush after Close handed off %d lines", got)
+	for g := 0; g < submitters; g++ {
+		<-started
 	}
-	if got := ing.Rejected(); got != int64(staged) {
-		t.Errorf("Rejected = %d, want %d", got, staged)
+	ing.Close() // drains what was handed off
+	wg.Wait()
+
+	if n, err := ing.SubmitBatch(nil, sc.WireTimed[:20]); n != 0 || !errors.Is(err, ErrIngestorClosed) {
+		t.Errorf("SubmitBatch after Close = %d, %v", n, err)
+	}
+	submitted := int64(len(sc.WireTimed)/16*16 + 20)
+	if got := p.Stats.Snapshot().Lines; got != accepted.Load() {
+		t.Errorf("processed %d lines, SubmitBatch accepted %d", got, accepted.Load())
+	}
+	if got := accepted.Load() + ing.Rejected(); got != submitted {
+		t.Errorf("accepted(%d)+rejected(%d) = %d, want %d", accepted.Load(), ing.Rejected(), got, submitted)
 	}
 	for i, w := range ing.workers {
 		if r := w.reserved.Load(); r != 0 {
@@ -219,32 +248,50 @@ func TestBatchFlushAfterClose(t *testing.T) {
 	}
 }
 
-// Batch.Add must respect per-worker backpressure exactly like Reserve.
-func TestBatchBackpressure(t *testing.T) {
+// SubmitBatch must fail fast at the first line whose worker is saturated:
+// the accepted prefix is exact even when later lines belong to a worker
+// with room, and a line outside it is never logged.
+func TestSubmitBatchBackpressure(t *testing.T) {
+	log, err := wal.Open(WALDir(t.TempDir()), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
 	p := New(Config{Domain: model.Maritime})
-	ing := p.NewIngestor(IngestorConfig{Workers: 1, QueueLen: 8})
+	ing := p.NewIngestor(IngestorConfig{Workers: 2, QueueLen: 4})
 	defer ing.Close()
-	// Stall the single worker by saturating it with a held barrier.
-	release := ing.Barrier()
-	b := ing.NewBatch()
-	line := synth.TimedLine{TS: 1, Line: "garbage routes somewhere deterministic"}
-	accepted := 0
-	for i := 0; i < 20; i++ {
-		if b.Add(line) {
-			accepted++
+	// Two garbage lines (they route by raw-line hash) owned by different
+	// workers.
+	var a, b synth.TimedLine
+	for i := 0; a.Line == "" || b.Line == ""; i++ {
+		tl := synth.TimedLine{TS: 1, Line: fmt.Sprintf("garbage %d", i)}
+		if workerIndex(tl.Line, 2) == 0 {
+			a = tl
+		} else {
+			b = tl
 		}
 	}
-	if accepted != 8 {
-		t.Errorf("accepted %d lines into a QueueLen=8 worker, want 8", accepted)
+	// Stall both workers so nothing drains.
+	release := ing.Barrier()
+	batch := []synth.TimedLine{b, b, a, a, a, a, a, b, b}
+	n, err := ing.SubmitBatch(log, batch)
+	if n != 6 || err != nil {
+		t.Errorf("SubmitBatch = %d, %v; want the 6-line prefix before worker 0 saturates", n, err)
 	}
-	if got := ing.Rejected(); got != 12 {
-		t.Errorf("Rejected = %d, want 12", got)
+	if got := ing.Rejected(); got != 3 {
+		t.Errorf("Rejected = %d, want 3", got)
 	}
-	if got := b.Flush(); got != 8 {
-		t.Errorf("Flush handed off %d, want 8", got)
+	if got := log.Appended(); got != 6 {
+		t.Errorf("WAL holds %d records, want only the 6 accepted", got)
+	}
+	if n, err := ing.SubmitBatch(log, batch[2:]); n != 0 || err != nil {
+		t.Errorf("SubmitBatch into a saturated worker = %d, %v; want 0, nil", n, err)
 	}
 	release()
 	if !ing.Quiesce(30 * time.Second) {
 		t.Fatal("quiesce timeout")
+	}
+	if got := p.Stats.Snapshot().Lines; got != 6 {
+		t.Errorf("processed %d lines, want 6", got)
 	}
 }

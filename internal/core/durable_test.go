@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,8 +165,14 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestParallelDurableRecovery drives the parallel logged path (the one the
-// HTTP layer uses) with a snapshot taken while ingest is in flight, then
-// recovers and compares against the uninterrupted run.
+// HTTP layer uses) from four goroutines submitting multi-worker batches
+// that share entities, with a snapshot taken while a backlog is queued and
+// submitters are appending, then recovers and compares against the
+// uninterrupted run. Which goroutine wins the race for an entity's next
+// lines is arbitrary, but each worker's queue order must equal LSN order,
+// so the serial LSN-order replay lands on exactly the live run's state — an
+// applied offset that jumped over a still-queued LSN would skip that line
+// on recovery.
 func TestParallelDurableRecovery(t *testing.T) {
 	sc := durableWorld(t)
 	dataDir := t.TempDir()
@@ -175,21 +183,43 @@ func TestParallelDurableRecovery(t *testing.T) {
 	p1 := newPrimed(sc)
 	ing := p1.NewIngestor(IngestorConfig{Workers: 4, QueueLen: 1 << 16})
 
-	snapAt := len(sc.WireTimed) / 2
-	var snapErr error
-	for i, tl := range sc.WireTimed {
-		res, ok := ing.Reserve(tl.Line)
-		if !ok {
-			t.Fatalf("line %d rejected with oversized queue", i)
-		}
-		if _, err := ing.EnqueueLogged(log, res, tl); err != nil {
-			t.Fatal(err)
-		}
-		if i == snapAt {
-			// Snapshot mid-stream, with queues still draining.
-			_, snapErr = p1.WriteSnapshot(dataDir, ing, log)
+	// submit starts four goroutines that stripe tls between them in
+	// 61-line batches, so every batch spans workers and every entity's
+	// lines arrive from all four.
+	var wg sync.WaitGroup
+	submit := func(tls []synth.TimedLine) {
+		const submitters, chunk = 4, 61
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g * chunk; i < len(tls); i += submitters * chunk {
+					batch := tls[i:min(i+chunk, len(tls))]
+					if n, err := ing.SubmitBatch(log, batch); n != len(batch) || err != nil {
+						t.Errorf("batch at %d: accepted %d of %d with oversized queues, err %v", i, n, len(batch), err)
+						return
+					}
+				}
+			}(g)
 		}
 	}
+	half := len(sc.WireTimed) / 2
+	// First half against stalled workers: everything stays queued, so the
+	// LSN FIFOs show the order the racing appends were enqueued in.
+	release := ing.Barrier()
+	submit(sc.WireTimed[:half])
+	wg.Wait()
+	for i, w := range ing.workers {
+		if !slices.IsSorted(w.lsns) {
+			t.Errorf("worker %d: queue order diverges from LSN order", i)
+		}
+	}
+	// Snapshot mid-stream: the backlog still draining, the second half's
+	// submitters appending.
+	submit(sc.WireTimed[half:])
+	release()
+	_, snapErr := p1.WriteSnapshot(dataDir, ing, log)
+	wg.Wait()
 	if snapErr != nil {
 		t.Fatal(snapErr)
 	}
@@ -210,6 +240,9 @@ func TestParallelDurableRecovery(t *testing.T) {
 	}
 	if rs.SnapshotLSN == 0 {
 		t.Fatal("snapshot not loaded")
+	}
+	if wantSnap.Lines != int64(len(sc.WireTimed)) {
+		t.Fatalf("live run processed %d of %d lines", wantSnap.Lines, len(sc.WireTimed))
 	}
 	if got := p2.Stats.Snapshot(); got != wantSnap {
 		t.Errorf("recovered counters = %+v, want %+v", got, wantSnap)

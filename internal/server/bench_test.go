@@ -122,22 +122,11 @@ func BenchmarkServerIngest(b *testing.B) {
 }
 
 // BenchmarkServerIngestBinary is the same stream through the binary frame
-// format: allocation-free frame decode, hash-only worker routing and one
-// channel send per worker per request. The acceptance bar for this PR is
-// ≥ 2× BenchmarkServerIngest lines/sec.
+// format: one allocation per frame in place of one string copy of the
+// body.
 func BenchmarkServerIngestBinary(b *testing.B) {
 	batches := benchBinaryBatches(b)
 	srv := New(Config{Pipeline: benchPipeline(b), QueueLen: 1 << 16})
-	runIngestBench(b, srv, batches)
-}
-
-// BenchmarkServerIngestBatched is the binary path with an aggressive
-// 256-line worker batch drain (the default is core.DefaultBatchDrain): a
-// saturated worker applies up to 256 queued lines under one snapshot
-// barrier acquisition, one watermark update and one bulk store flush.
-func BenchmarkServerIngestBatched(b *testing.B) {
-	batches := benchBinaryBatches(b)
-	srv := New(Config{Pipeline: benchPipeline(b), QueueLen: 1 << 16, BatchDrain: 256})
 	runIngestBench(b, srv, batches)
 }
 

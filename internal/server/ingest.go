@@ -1,11 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/synth"
@@ -13,9 +12,9 @@ import (
 )
 
 // ingestResponse reports what happened to one POST /ingest batch. Accepted
-// counts body lines consumed (including blank ones, so it is always an
-// exact line offset to resume from); Error carries a mid-body read
-// failure, after which the accepted prefix was still ingested.
+// counts body records consumed (including blank ones, so it is always an
+// exact record offset to resume from); Error carries a body fault — after
+// which the accepted prefix was still ingested — or a durability failure.
 type ingestResponse struct {
 	Accepted int    `json:"accepted"`
 	Rejected int    `json:"rejected"`
@@ -23,130 +22,107 @@ type ingestResponse struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// handleIngest accepts a batch of wire lines in one of two body formats,
-// selected by Content-Type: the binary frame format of internal/wire
-// (application/x-datacron-frame, decoded by handleIngestBinary) or
-// newline-separated text, handled below.
-//
-// Text format: each line
-// is either "<unix-ms> <wire line>" (the datacron-gen wire file format) or
-// a bare wire line, which is stamped with the server receive time. Lines
-// are submitted in order to the per-entity ingest workers; at the first
-// line shed by a full worker queue the server stops submitting and counts
-// the whole remainder as rejected, so `accepted` is an exact resume
-// offset: the client retries the batch from line `accepted` onward (never
-// re-sending already-ingested lines) after the 429's Retry-After.
-//
-// In durable mode every accepted line is appended to the write-ahead log
-// and the whole batch is group-committed before the response is written:
-// an acknowledged line survives kill -9. Rejected lines are never logged,
-// so the resume-offset contract is unchanged — a resent line was never
-// acked and never logged.
-//
-// ?wait=1 blocks until the submitted lines (and any others in flight) have
-// been fully processed — useful when a client wants read-your-writes
-// consistency for a following query.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); ct == wire.ContentType {
-		s.handleIngestBinary(w, r)
-		return
-	}
-	resp := ingestResponse{}
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	now := time.Now().UnixMilli()
-	shedding := false
-	for sc.Scan() {
-		raw := sc.Text()
-		if raw == "" {
-			// Blank lines are no-ops but still count toward the resume
-			// offset — resending one is harmless, misaligning the offset
-			// is not.
-			if shedding {
-				resp.Rejected++
-			} else {
-				resp.Accepted++
-			}
-			continue
-		}
-		if shedding {
-			resp.Rejected++
-			continue
-		}
-		tl := synth.TimedLine{TS: now, Line: raw}
-		// "<unix-ms> <line>" prefix, as written by datacron-gen.
-		if sp := strings.IndexByte(raw, ' '); sp > 0 {
-			if ts, err := strconv.ParseInt(raw[:sp], 10, 64); err == nil {
-				tl = synth.TimedLine{TS: ts, Line: raw[sp+1:]}
-			}
-		}
-		if s.submit(tl, &resp) {
-			resp.Accepted++
-		} else {
-			resp.Rejected++
-			shedding = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// The accepted prefix is already ingested; report it so the client
-		// can resume from there instead of re-sending (and duplicating)
-		// the whole batch.
-		resp.Error = "read body: " + err.Error()
-		resp.Pending = s.ing.Pending()
-		writeJSON(w, http.StatusBadRequest, resp)
-		return
-	}
-	s.finishIngest(w, r, &resp)
+// ingestScratch carries one ingest request's reusable buffers, so a steady
+// stream of requests allocates no per-request body or record storage.
+type ingestScratch struct {
+	body []byte
+	recs []synth.TimedLine
+	pos  []int // pos[i] is the body offset (in records) of recs[i]
 }
 
-// finishIngest is the shared tail of both ingest body formats: group-commit
-// the batch when durable, meter the accepted count, honour ?wait=1 and map
-// any shedding to 429 + Retry-After.
-func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, resp *ingestResponse) {
-	if s.wal != nil && resp.Accepted > 0 {
-		// Group commit: one (usually shared) fsync covers the batch. On
-		// failure nothing is acked — the client must retry the whole batch;
-		// lines already queued will deduplicate in the store.
-		if err := s.wal.Commit(); err != nil {
-			resp.Error = "wal commit: " + err.Error()
-			resp.Rejected += resp.Accepted
-			resp.Accepted = 0
-			resp.Pending = s.ing.Pending()
-			writeJSON(w, http.StatusInternalServerError, resp)
-			return
+var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// handleIngest accepts a batch of wire lines. Content-Type chooses the body
+// format and nothing else: the binary frames of internal/wire
+// (application/x-datacron-frame) or newline-separated text, both walked by
+// wire.EachRecord — each record is a wire line with an optional unix-ms
+// timestamp, stamped with the server receive time when absent.
+//
+// Records are submitted in body order to the per-entity ingest workers; at
+// the first one shed by a full worker queue the server stops and counts the
+// whole remainder as rejected, so `accepted` is an exact resume offset: the
+// client retries the batch from record `accepted` onward (never re-sending
+// already-ingested records) after the 429's Retry-After. Blank records are
+// no-ops but still count toward the offset — resending one is harmless,
+// misaligning the offset is not. A malformed body (bad frame, over-long
+// line) answers 400 with the records before the fault ingested and counted
+// in `accepted`.
+//
+// In durable mode every accepted record is appended to the write-ahead log
+// and the batch is group-committed before any response that reports it: an
+// acknowledged record survives kill -9. Rejected records are never logged,
+// so a resent record was never acked and never logged.
+//
+// ?wait=1 blocks until the submitted records (and any others in flight)
+// have been fully processed — useful when a client wants read-your-writes
+// consistency for a following query.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	resp := ingestResponse{}
+	sc := ingestScratchPool.Get().(*ingestScratch)
+	// Safe to recycle at return: SubmitBatch copies the records it hands to
+	// workers, and lines alias the iterator's own string, not sc.body.
+	defer ingestScratchPool.Put(sc)
+	var status int
+	var err error
+	if sc.body, status, err = wire.ReadBody(w, r, sc.body); err != nil {
+		resp.Error = err.Error()
+		resp.Pending = s.ing.Pending()
+		writeJSON(w, status, resp)
+		return
+	}
+
+	ct := r.Header.Get("Content-Type")
+	recs, pos, total := sc.recs[:0], sc.pos[:0], 0
+	frames, bodyErr := wire.EachRecord(sc.body, ct, time.Now().UnixMilli(), func(ts int64, line string) {
+		if line != "" {
+			recs = append(recs, synth.TimedLine{TS: ts, Line: line})
+			pos = append(pos, total)
+		}
+		total++
+	})
+	sc.recs, sc.pos = recs, pos
+	if ct == wire.ContentType {
+		s.binFrames.Add(int64(frames))
+		s.binRecords.Add(int64(total))
+		if bodyErr != nil {
+			s.binBadFrames.Add(1)
 		}
 	}
+
+	status = http.StatusAccepted
+	n, err := s.ing.SubmitBatch(s.wal, recs)
+	resp.Accepted = total
+	if n < len(recs) {
+		resp.Accepted = pos[n]
+	}
+	if err == nil && s.wal != nil && resp.Accepted > 0 {
+		// Group commit: one (usually shared) fsync covers the batch.
+		if err = s.wal.Commit(); err != nil {
+			err = fmt.Errorf("wal commit: %w", err)
+		}
+	}
+	switch {
+	case err != nil:
+		// Nothing is acked — the client must retry the whole batch; lines
+		// already queued will deduplicate in the store.
+		resp.Error = err.Error()
+		resp.Accepted = 0
+		status = http.StatusInternalServerError
+	case bodyErr != nil:
+		resp.Error = bodyErr.Error()
+		status = http.StatusBadRequest
+	case resp.Accepted < total:
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "1")
+	}
+	resp.Rejected = total - resp.Accepted
+
 	s.meter.Add(int64(resp.Accepted))
 	if r.URL.Query().Get("wait") == "1" {
 		s.ing.Quiesce(30 * time.Second)
 	}
 	resp.Pending = s.ing.Pending()
-	status := http.StatusAccepted
-	if resp.Rejected > 0 {
-		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
-	}
 	writeJSON(w, status, resp)
-}
-
-// submit routes one line to the ingest workers, through the write-ahead
-// log when durable. resp.Error records a WAL append failure (the line is
-// then counted rejected, not acked).
-func (s *Server) submit(tl synth.TimedLine, resp *ingestResponse) bool {
-	if s.wal == nil {
-		return s.ing.Submit(tl)
-	}
-	res, ok := s.ing.Reserve(tl.Line)
-	if !ok {
-		return false
-	}
-	if _, err := s.ing.EnqueueLogged(s.wal, res, tl); err != nil {
-		if resp.Error == "" {
-			resp.Error = "durable submit: " + err.Error()
-		}
-		return false
-	}
-	return true
 }
 
 // writeJSON renders v with the given status.

@@ -144,19 +144,7 @@ func TestServerIngestBinaryBadFrame(t *testing.T) {
 // uninterrupted run — the PR-2 durability guarantee extended to the new
 // wire format. Mirrors TestServerKillRecoverGolden with frame bodies.
 func TestServerIngestBinaryKillRecoverGolden(t *testing.T) {
-	testServerIngestFramesKillRecoverGolden(t, Config{Workers: 4, QueueLen: 1 << 16})
-}
-
-// The same durability guarantee must hold with an aggressive worker batch
-// drain: every accepted record is WAL-committed before the ack, and a crash
-// mid-batch replays to exactly the uninterrupted state. A batch applied as
-// one critical section is atomic against snapshots, never against the WAL
-// — recovery replays individual records.
-func TestServerIngestBatchedKillRecoverGolden(t *testing.T) {
-	testServerIngestFramesKillRecoverGolden(t, Config{Workers: 4, QueueLen: 1 << 16, BatchDrain: 256})
-}
-
-func testServerIngestFramesKillRecoverGolden(t *testing.T, cfg Config) {
+	cfg := Config{Workers: 4, QueueLen: 1 << 16}
 	sc := goldenWorld(t)
 	dataDir := t.TempDir()
 	_, _, srv1, ts1 := durableWorldServer(t, sc, dataDir, cfg)

@@ -50,13 +50,13 @@ func tracedWorld(t testing.TB, cfg Config) (*synth.Scenario, *Server, *httptest.
 	return sc, srv, ts
 }
 
-// ingestAll posts n scenario lines in queue-sized batches so none are shed
-// by backpressure.
+// ingestAll posts n scenario lines in batches smaller than one worker
+// queue, waiting for each to drain, so none are shed by backpressure.
 func ingestAll(t testing.TB, ts *httptest.Server, sc *synth.Scenario, n int) {
 	t.Helper()
 	for i := 0; i < n; i += 500 {
 		end := min(i+500, n)
-		ir := postIngest(t, http.DefaultClient, ts.URL, wireBody(sc.WireTimed[i:end]), end == n)
+		ir := postIngest(t, http.DefaultClient, ts.URL, wireBody(sc.WireTimed[i:end]), true)
 		if ir.Rejected > 0 {
 			t.Fatalf("batch [%d:%d): %d lines rejected", i, end, ir.Rejected)
 		}

@@ -59,10 +59,6 @@ type Config struct {
 	// QueueLen bounds each ingest worker's queue (default 1024); a full
 	// queue surfaces as HTTP 429.
 	QueueLen int
-	// BatchDrain caps how many queued lines an ingest worker pulls per
-	// wakeup and processes as one atomic batch (default
-	// core.DefaultBatchDrain; 1 = line-at-a-time).
-	BatchDrain int
 	// SubscriberBuffer is the per-subscriber event buffer (default 64);
 	// slow subscribers drop events rather than stall ingest.
 	SubscriberBuffer int
@@ -189,10 +185,9 @@ func New(cfg Config) *Server {
 	}
 	s.lastRateTime = s.start
 	s.ing = s.p.NewIngestor(core.IngestorConfig{
-		Workers:    cfg.Workers,
-		QueueLen:   cfg.QueueLen,
-		BatchDrain: cfg.BatchDrain,
-		OnEvents:   s.hub.publishEvents,
+		Workers:  cfg.Workers,
+		QueueLen: cfg.QueueLen,
+		OnEvents: s.hub.publishEvents,
 	})
 	s.handle("POST /ingest", "/ingest", s.handleIngest)
 	s.handle("POST /query", "/query", s.handleQuery)

@@ -28,14 +28,20 @@
 //
 // # Error surfaces
 //
-// Decoder.Reset rejects a frame before any record is surfaced: ErrTruncated
-// (header or records section runs past the buffer), ErrMagic, ErrVersion,
-// ErrFlags, ErrChecksum, ErrCount (record count impossible for the payload
-// length). A CRC-valid frame whose records section is malformed (varint
+// Decoder.ResetText rejects a frame before any record is surfaced:
+// ErrTruncated (header or records section runs past the buffer), ErrMagic,
+// ErrVersion, ErrFlags, ErrChecksum, ErrCount (record count impossible for
+// the payload length). A CRC-valid frame whose records section is malformed (varint
 // overrun, record length past the section, line over MaxLineBytes) fails at
-// the offending record: Next returns ok=false and Err returns ErrRecord —
+// the offending record: NextText returns ok=false and Err returns ErrRecord —
 // records before it are good, which preserves the ingest resume-offset
 // contract.
+//
+// # Request bodies
+//
+// ReadBody and EachRecord are the one way a POST /ingest body — binary
+// frames or newline-separated text — is read and walked, shared by the
+// serving daemon and the cluster coordinator.
 package wire
 
 import (
@@ -53,18 +59,22 @@ const (
 	// ContentType selects the binary frame decoder on POST /ingest.
 	ContentType = "application/x-datacron-frame"
 
-	// MaxLineBytes bounds one record's line, matching the text ingest
-	// path's scanner limit.
+	// MaxLineBytes bounds one record's line, in either body format.
 	MaxLineBytes = 1 << 20
 
+	// MaxBodyBytes bounds one POST /ingest body (ReadBody answers 413 past
+	// it). Bodies are held in memory whole; at typical wire-line sizes this
+	// is on the order of a million lines, far beyond any worker queue.
+	MaxBodyBytes = 64 << 20
+
 	// minRecordBytes is the smallest possible record encoding (1-byte ts
-	// delta + 1-byte zero length); Reset uses it to reject impossible
+	// delta + 1-byte zero length); ResetText uses it to reject impossible
 	// record counts before decoding.
 	minRecordBytes = 2
 )
 
-// Decode errors. Reset and Err wrap these with positional detail; match
-// with errors.Is.
+// Decode errors. ResetText and Err wrap these with positional detail;
+// match with errors.Is.
 var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	ErrMagic     = errors.New("wire: bad magic")
@@ -115,13 +125,11 @@ func (e *Encoder) AppendFrame(dst []byte) []byte {
 	return append(dst, e.recs...)
 }
 
-// Decoder iterates one frame's records. Reset it onto a buffer and drain
-// with Next (zero-copy []byte views into the caller's buffer) or pair
-// ResetText with NextText (string views into one private copy). A Decoder
-// is reusable and performs no per-record allocations.
+// Decoder iterates one frame's records: ResetText it onto a buffer and
+// drain with NextText (string views into one private copy of the records
+// section). A Decoder is reusable and performs no per-record allocations.
 type Decoder struct {
-	buf    []byte // records section, []byte mode
-	text   string // records section, string mode
+	text   string // records section
 	off    int
 	left   int // records not yet surfaced
 	count  int
@@ -129,29 +137,16 @@ type Decoder struct {
 	err    error
 }
 
-// Reset validates one frame at the start of b — magic, version, flags,
+// ResetText validates one frame at the start of b — magic, version, flags,
 // CRC-32C, structural bounds — and positions the decoder on its first
 // record. It returns the total byte length of the frame, so callers decode
-// back-to-back frames by re-invoking Reset at b[consumed:]. On error the
-// decoder is empty and consumed is 0.
+// back-to-back frames by re-invoking ResetText at b[consumed:]. On error
+// the decoder is empty and consumed is 0.
 //
-// Record lines returned by Next alias b; they are valid only until the
-// caller reuses the buffer. Use ResetText/NextText when the lines must
-// outlive it.
-func (d *Decoder) Reset(b []byte) (consumed int, err error) {
-	recs, consumed, count, err := parseHeader(b)
-	if err != nil {
-		*d = Decoder{err: err}
-		return 0, err
-	}
-	*d = Decoder{buf: recs, left: count, count: count}
-	return consumed, nil
-}
-
-// ResetText is Reset, plus one copy of the records section into a fresh
-// string so NextText's line views stay valid after the frame buffer is
-// recycled. That string is the single per-frame allocation of the text
-// decode path (amortised over every record in the frame).
+// The records section is copied into a fresh string so NextText's line
+// views stay valid after the frame buffer is recycled. That string is the
+// single per-frame allocation of the decode path (amortised over every
+// record in the frame).
 func (d *Decoder) ResetText(b []byte) (consumed int, err error) {
 	recs, consumed, count, err := parseHeader(b)
 	if err != nil {
@@ -210,29 +205,44 @@ func parseHeader(b []byte) (recs []byte, consumed, count int, err error) {
 // Count returns the frame's total record count.
 func (d *Decoder) Count() int { return d.count }
 
-// Err returns the first structural record error encountered by
-// Next/NextText, or the Reset error. nil after a fully drained clean frame.
+// Err returns the first structural record error encountered by NextText,
+// or the ResetText error. nil after a fully drained clean frame.
 func (d *Decoder) Err() error { return d.err }
 
-// Next returns the next record. The line aliases the Reset buffer. ok is
-// false when the frame is drained or a malformed record was hit (check
-// Err to distinguish).
-func (d *Decoder) Next() (ts int64, line []byte, ok bool) {
-	start, length, ok := advance(d, d.buf)
-	if !ok {
-		return 0, nil, false
-	}
-	return d.prevTS, d.buf[start : start+length], true
-}
-
-// NextText is Next over the private records copy made by ResetText; the
-// returned line is an ordinary string, safe to retain.
+// NextText returns the next record; the line is an ordinary string, safe
+// to retain. ok is false when the frame is drained or a malformed record
+// was hit (check Err to distinguish).
 func (d *Decoder) NextText() (ts int64, line string, ok bool) {
-	start, length, ok := advance(d, d.text)
-	if !ok {
+	if d.err != nil || d.left == 0 {
 		return 0, "", false
 	}
-	return d.prevTS, d.text[start : start+length], true
+	s, n := d.text, len(d.text)
+	delta, w := varintIn(s, d.off)
+	if w <= 0 {
+		d.fail("timestamp delta")
+		return 0, "", false
+	}
+	d.off += w
+	l, w := uvarintIn(s, d.off)
+	if w <= 0 || l > MaxLineBytes {
+		d.fail("line length")
+		return 0, "", false
+	}
+	d.off += w
+	if uint64(n-d.off) < l {
+		d.fail("line bytes")
+		return 0, "", false
+	}
+	start := d.off
+	d.off += int(l)
+	d.left--
+	if d.left == 0 && d.off != n {
+		// Trailing bytes after the last record would silently vanish.
+		d.err = fmt.Errorf("%w: %d trailing bytes after record %d", ErrRecord, n-d.off, d.count)
+		return 0, "", false
+	}
+	d.prevTS += delta
+	return d.prevTS, s[start:d.off], true
 }
 
 // EachFrameText walks every back-to-back frame in body — the layout a
@@ -269,49 +279,12 @@ func EachFrameText(body []byte, fn func(ts int64, line string) error) (frames, b
 	return frames, 0, nil
 }
 
-// advance decodes one record's varint prefix from s (the records section in
-// either representation), updating the decoder position and timestamp, and
-// returns the line's bounds. Generic over the representation so neither
-// path converts to the other's.
-func advance[T []byte | string](d *Decoder, s T) (start, length int, ok bool) {
-	if d.err != nil || d.left == 0 {
-		return 0, 0, false
-	}
-	n := len(s)
-	delta, w := varintIn(s, d.off)
-	if w <= 0 {
-		d.fail("timestamp delta")
-		return 0, 0, false
-	}
-	d.off += w
-	l, w := uvarintIn(s, d.off)
-	if w <= 0 || l > MaxLineBytes {
-		d.fail("line length")
-		return 0, 0, false
-	}
-	d.off += w
-	if uint64(n-d.off) < l {
-		d.fail("line bytes")
-		return 0, 0, false
-	}
-	start = d.off
-	d.off += int(l)
-	d.left--
-	if d.left == 0 && d.off != n {
-		// Trailing bytes after the last record would silently vanish.
-		d.err = fmt.Errorf("%w: %d trailing bytes after record %d", ErrRecord, n-d.off, d.count)
-		return 0, 0, false
-	}
-	d.prevTS += delta
-	return start, int(l), true
-}
-
 func (d *Decoder) fail(what string) {
 	d.err = fmt.Errorf("%w: %s at record %d, offset %d", ErrRecord, what, d.count-d.left, d.off)
 }
 
-// uvarintIn is binary.Uvarint over either records-section representation.
-func uvarintIn[T []byte | string](s T, off int) (uint64, int) {
+// uvarintIn is binary.Uvarint over the string records section.
+func uvarintIn(s string, off int) (uint64, int) {
 	var v uint64
 	var shift uint
 	for i := 0; off+i < len(s); i++ {
@@ -331,7 +304,7 @@ func uvarintIn[T []byte | string](s T, off int) (uint64, int) {
 	return 0, 0
 }
 
-func varintIn[T []byte | string](s T, off int) (int64, int) {
+func varintIn(s string, off int) (int64, int) {
 	uv, w := uvarintIn(s, off)
 	if w <= 0 {
 		return 0, w

@@ -29,11 +29,11 @@ func drain(t *testing.T, d *Decoder) []rec {
 	t.Helper()
 	var out []rec
 	for {
-		ts, line, ok := d.Next()
+		ts, line, ok := d.NextText()
 		if !ok {
 			break
 		}
-		out = append(out, rec{ts, string(line)})
+		out = append(out, rec{ts, line})
 	}
 	return out
 }
@@ -53,9 +53,9 @@ func TestRoundTrip(t *testing.T) {
 	for ci, recs := range cases {
 		frame := buildFrame(t, recs)
 		var d Decoder
-		consumed, err := d.Reset(frame)
+		consumed, err := d.ResetText(frame)
 		if err != nil {
-			t.Fatalf("case %d: Reset: %v", ci, err)
+			t.Fatalf("case %d: ResetText: %v", ci, err)
 		}
 		if consumed != len(frame) {
 			t.Fatalf("case %d: consumed %d of %d bytes", ci, consumed, len(frame))
@@ -111,8 +111,8 @@ func TestRoundTripText(t *testing.T) {
 	}
 }
 
-// A body may carry several frames back to back; Reset's consumed return
-// walks them.
+// A body may carry several frames back to back; ResetText's consumed
+// return walks them.
 func TestMultiFrameBody(t *testing.T) {
 	var body []byte
 	var all []rec
@@ -129,7 +129,7 @@ func TestMultiFrameBody(t *testing.T) {
 	var got []rec
 	var d Decoder
 	for off := 0; off < len(body); {
-		n, err := d.Reset(body[off:])
+		n, err := d.ResetText(body[off:])
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
@@ -175,15 +175,15 @@ func TestHeaderErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var d Decoder
-		consumed, err := d.Reset(tc.buf)
+		consumed, err := d.ResetText(tc.buf)
 		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: Reset err = %v, want %v", tc.name, err, tc.want)
+			t.Errorf("%s: ResetText err = %v, want %v", tc.name, err, tc.want)
 		}
 		if consumed != 0 {
 			t.Errorf("%s: consumed = %d, want 0", tc.name, consumed)
 		}
-		if _, _, ok := d.Next(); ok {
-			t.Errorf("%s: Next ok after failed Reset", tc.name)
+		if _, _, ok := d.NextText(); ok {
+			t.Errorf("%s: NextText ok after failed ResetText", tc.name)
 		}
 		if !errors.Is(d.Err(), tc.want) {
 			t.Errorf("%s: Err = %v, want %v", tc.name, d.Err(), tc.want)
@@ -229,13 +229,13 @@ func TestRecordErrors(t *testing.T) {
 	for _, tc := range cases {
 		frame := frameFromRaw(tc.count, tc.raw)
 		var d Decoder
-		if _, err := d.Reset(frame); err != nil {
-			t.Errorf("%s: Reset rejected CRC-valid frame: %v", tc.name, err)
+		if _, err := d.ResetText(frame); err != nil {
+			t.Errorf("%s: ResetText rejected CRC-valid frame: %v", tc.name, err)
 			continue
 		}
 		got := 0
 		for {
-			if _, _, ok := d.Next(); !ok {
+			if _, _, ok := d.NextText(); !ok {
 				break
 			}
 			got++
@@ -267,11 +267,11 @@ func TestDecoderRandomCorruption(t *testing.T) {
 			b = b[:rng.Intn(len(b)+1)]
 		}
 		var d Decoder
-		if _, err := d.Reset(b); err != nil {
+		if _, err := d.ResetText(b); err != nil {
 			continue
 		}
 		for {
-			_, line, ok := d.Next()
+			_, line, ok := d.NextText()
 			if !ok {
 				break
 			}
@@ -280,9 +280,9 @@ func TestDecoderRandomCorruption(t *testing.T) {
 	}
 }
 
-// The binary decode path is allocation-free per record — the property the
-// ingest hot path depends on (S3).
-func TestDecodeAllocFree(t *testing.T) {
+// Decoding allocates exactly once per frame (the records copy), regardless
+// of record count — the property the ingest hot path depends on (S3).
+func TestDecodeAllocsPerFrame(t *testing.T) {
 	recs := make([]rec, 256)
 	for i := range recs {
 		recs[i] = rec{int64(1700000000000 + i*100), "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C"}
@@ -290,12 +290,12 @@ func TestDecodeAllocFree(t *testing.T) {
 	frame := buildFrame(t, recs)
 	var d Decoder
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := d.Reset(frame); err != nil {
+		if _, err := d.ResetText(frame); err != nil {
 			t.Fatal(err)
 		}
 		n := 0
 		for {
-			_, _, ok := d.Next()
+			_, _, ok := d.NextText()
 			if !ok {
 				break
 			}
@@ -304,23 +304,8 @@ func TestDecodeAllocFree(t *testing.T) {
 		if n != len(recs) || d.Err() != nil {
 			t.Fatalf("drained %d records, err %v", n, d.Err())
 		}
-	}); avg != 0 {
-		t.Errorf("binary decode allocates %v times per frame, want 0", avg)
-	}
-	// The text path may allocate exactly once per frame (the records copy),
-	// regardless of record count.
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := d.ResetText(frame); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			_, _, ok := d.NextText()
-			if !ok {
-				break
-			}
-		}
 	}); avg > 1 {
-		t.Errorf("text decode allocates %v times per frame, want <= 1", avg)
+		t.Errorf("decode allocates %v times per frame, want <= 1", avg)
 	}
 }
 
