@@ -42,8 +42,10 @@ import (
 // Snapshots are incremental with respect to the tiered store (format v2):
 // sealed segments are serialised once into <data-dir>/segments and
 // hard-linked into each snapshot, so steady-state snapshots rewrite only
-// the head tier and state.json. Format v1 snapshots (flat per-shard files,
-// written by earlier builds) are still read.
+// the head tier and state.json. The byte layout of every store file is
+// internal/store/block.go's. Format v1 snapshots (written by earlier
+// builds, never by this one) are v2 without segment lists and load as the
+// zero-segment case.
 
 // snapshotFormatVersion is the layout this build writes;
 // minSnapshotReadVersion..snapshotFormatVersion are accepted on recovery.

@@ -197,21 +197,20 @@ func TestV1SnapshotRecovery(t *testing.T) {
 	wantSnap := p1.Stats.Snapshot()
 	wantQuery := runFixedQuery(t, p1)
 
-	// Downgrade the snapshot in place to the v1 layout: flat store files,
-	// no segment artifacts, version 1 manifest.
-	ents, err := os.ReadDir(info.Dir)
-	if err != nil {
-		t.Fatal(err)
+	// Downgrade the snapshot in place to the v1 layout. Nothing sealed, so
+	// the store files already are the flat ones; v1 had no segment lists
+	// and said version 1 in its manifest.
+	if info.Segments != 0 {
+		t.Fatalf("fixture snapshot references %d segments, want an unsealed store", info.Segments)
 	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".segments") || strings.HasSuffix(e.Name(), ".seg") {
-			if err := os.Remove(filepath.Join(info.Dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
+	lists, err := filepath.Glob(filepath.Join(info.Dir, "shard-*.segments"))
+	if err != nil || len(lists) != p1.Store.NumShards() {
+		t.Fatalf("segment lists = %v (%v), want one per shard", lists, err)
+	}
+	for _, l := range lists {
+		if err := os.Remove(l); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := p1.Store.WriteSnapshot(info.Dir); err != nil {
-		t.Fatal(err)
 	}
 	var m manifest
 	if err := readJSON(filepath.Join(info.Dir, "MANIFEST.json"), &m); err != nil {
@@ -395,5 +394,58 @@ func TestSnapshotGCSweepsRetiredSegments(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(SegmentsDir(dataDir), name)); err != nil {
 			t.Errorf("live segment %s missing from cache: %v", name, err)
 		}
+	}
+}
+
+// TestFailedStoreSnapshotPublishesNothing: when the store cannot serialise
+// itself (here the segment cache path is occupied by a regular file) the
+// snapshot fails as a whole — no snap-* directory appears and the WAL is not
+// truncated, so the session still recovers in full from the log.
+func TestFailedStoreSnapshotPublishesNothing(t *testing.T) {
+	sc := durableWorld(t)
+	dataDir := t.TempDir()
+	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := newPrimed(sc)
+	for _, tl := range sc.WireTimed {
+		if _, err := p1.IngestLineLogged(log, tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(SegmentsDir(dataDir), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := p1.WriteSnapshot(dataDir, nil, log); err == nil {
+		t.Fatalf("snapshot succeeded (%+v) with an unusable segment cache", info)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(SnapshotsDir(dataDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("failed snapshot left %d entries under snapshots/ (first: %s)", len(ents), ents[0].Name())
+	}
+
+	if err := os.Remove(SegmentsDir(dataDir)); err != nil {
+		t.Fatal(err)
+	}
+	p2 := newPrimed(sc)
+	rs, err := p2.Recover(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.SnapshotLSN != 0 || rs.Replayed != int64(len(sc.WireTimed)) {
+		t.Errorf("recovery used snapshot %d and replayed %d lines, want full replay of %d", rs.SnapshotLSN, rs.Replayed, len(sc.WireTimed))
+	}
+	if got, want := exportNT(t, p2), exportNT(t, p1); !bytes.Equal(got, want) {
+		t.Error("store recovered after the failed snapshot differs")
 	}
 }

@@ -47,7 +47,7 @@ func runBoth(t *testing.T, s *store.Sharded, src string) int {
 	t.Helper()
 	block := NewEngine(s)
 	callback := NewEngine(s)
-	callback.DisableBlockScan = true
+	callback.callbackScan = true
 	a, err := block.Execute(src)
 	if err != nil {
 		t.Fatalf("block: %v", err)
@@ -200,7 +200,7 @@ func BenchmarkQueryBlockScan(b *testing.B) {
 	}{{"block", false}, {"callback", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := NewEngine(s)
-			e.DisableBlockScan = bc.disable
+			e.callbackScan = bc.disable
 			rows := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -26,11 +26,11 @@ type Engine struct {
 	// Parallelism bounds concurrent shard evaluations; 0 means the number
 	// of candidate shards.
 	Parallelism int
-	// DisableBlockScan forces the per-triple FindID callback walk on sealed
-	// segments instead of the block path (numeric-column range scans driven
-	// by FILTER bounds). The flag exists for differential testing and as an
-	// emergency fallback; the block path is on by default.
-	DisableBlockScan bool
+	// callbackScan makes sealed segments take the per-triple FindID callback
+	// walk instead of the block path (numeric-column range scans driven by
+	// FILTER bounds). Only tests set it: the walk is the oracle the block
+	// path is differentially tested and benchmarked against.
+	callbackScan bool
 	// cache memoises parsed queries by canonicalized text (see plancache.go).
 	cache *planCache
 }
@@ -124,7 +124,7 @@ func (e *Engine) scanRelation(q *Query) (rel relation, shardsVisited, segsPruned
 	// Numeric candidate bounds per variable, pushed into sealed-segment
 	// scans by the block path.
 	var bounds map[string]numBound
-	if !e.DisableBlockScan {
+	if !e.callbackScan {
 		bounds = numericBounds(q.Filters)
 	}
 

@@ -160,7 +160,12 @@ func parseTerm(s string) (Term, string, error) {
 			if dtEnd < 0 {
 				return Term{}, "", fmt.Errorf("unterminated datatype in %q", rest)
 			}
-			t.Datatype = rest[3:dtEnd]
+			// xsd:string is the plain literal and String renders it as one:
+			// keep a single Term per rendering, or a graph parsed from both
+			// spellings holds two triples that serialise to one line.
+			if dt := rest[3:dtEnd]; dt != XSDString {
+				t.Datatype = dt
+			}
 			rest = rest[dtEnd+1:]
 		case strings.HasPrefix(rest, "@"):
 			end := strings.IndexAny(rest, " \t")

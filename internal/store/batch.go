@@ -68,9 +68,9 @@ func (bw *BatchWriter) AddPosition(p model.Position) {
 // Flush.
 func (bw *BatchWriter) Staged() int { return bw.staged }
 
-// Flush writes every staged share to its shard — triples through the bulk
-// AddBatch insert, anchors into the spatiotemporal index — holding each
-// touched shard's lock once, then advances the store's stream clock.
+// Flush writes every staged share to its shard through Shard.addLocked,
+// holding each touched shard's lock once, then advances the store's stream
+// clock.
 func (bw *BatchWriter) Flush() {
 	if bw.staged == 0 {
 		return
@@ -79,25 +79,13 @@ func (bw *BatchWriter) Flush() {
 		st := &bw.shards[idx]
 		sh := bw.s.shards[idx]
 		sh.mu.Lock()
-		sh.head.AddBatch(st.triples)
-		for _, a := range st.anchors {
-			id := sh.head.Dict().Encode(a.node)
-			entryIdx := int32(len(sh.entries))
-			sh.entries = append(sh.entries, anchor{pt: a.pt, ts: a.ts, node: id})
-			cell := sh.grid.CellID(a.pt)
-			sh.cells[cell] = append(sh.cells[cell], entryIdx)
-		}
+		sh.addLocked(st.triples, st.anchors)
 		sh.mu.Unlock()
 		st.triples = st.triples[:0]
 		st.anchors = st.anchors[:0]
 	}
 	bw.touched = bw.touched[:0]
 	bw.staged = 0
-	for {
-		cur := bw.s.maxTS.Load()
-		if bw.maxTS <= cur || bw.s.maxTS.CompareAndSwap(cur, bw.maxTS) {
-			break
-		}
-	}
+	bw.s.bumpMaxTS(bw.maxTS)
 	bw.maxTS = 0
 }

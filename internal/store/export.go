@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/datacron-project/datacron/internal/onto"
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
 // ExportNT writes the union graph of all shards as canonical N-Triples.
-// Replicated global triples are emitted once. The result can be re-loaded
-// with ImportNT or by any RDF tool.
+// Replicated global triples are emitted once. The dump is independent of
+// partitioning, tier layout and insertion order, which is what makes it the
+// content-equality probe of the recovery, handoff and cluster goldens.
 func (s *Sharded) ExportNT(w io.Writer) error {
 	union := rdf.NewStore(s.dict)
 	for _, sh := range s.shards {
@@ -26,40 +26,4 @@ func (s *Sharded) ExportNT(w io.Writer) error {
 		return fmt.Errorf("store: export: %w", err)
 	}
 	return nil
-}
-
-// ImportNT bulk-loads an N-Triples dump: semantic position nodes are
-// re-anchored through the partitioner (rebuilding the spatiotemporal
-// index); every other triple is treated as global dimension data and
-// replicated. Returns the number of positions re-anchored.
-func (s *Sharded) ImportNT(r io.Reader) (positions int, err error) {
-	staging := rdf.NewStore(nil)
-	if _, err := rdf.ReadNTriples(r, staging); err != nil {
-		return 0, fmt.Errorf("store: import: %w", err)
-	}
-	// Identify semantic nodes and re-anchor them.
-	nodeType := onto.ClassNode
-	typePred := onto.PredType
-	anchored := map[rdf.Term]bool{}
-	staging.Find(nil, &typePred, &nodeType, func(node, _, _ rdf.Term) bool {
-		p, ok := onto.PositionFromStore(staging, node)
-		if !ok {
-			return true
-		}
-		s.AddPositionRecord(p)
-		anchored[node] = true
-		positions++
-		return true
-	})
-	// Everything not belonging to an anchored node is global.
-	var globals []onto.TripleT
-	staging.Find(nil, nil, nil, func(sub, pred, obj rdf.Term) bool {
-		if anchored[sub] {
-			return true
-		}
-		globals = append(globals, onto.TripleT{S: sub, P: pred, O: obj})
-		return true
-	})
-	s.AddGlobal(globals)
-	return positions, nil
 }

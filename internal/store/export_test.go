@@ -4,59 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/partition"
 )
-
-func TestExportImportRoundTrip(t *testing.T) {
-	src := NewSharded(partition.NewHilbert(box, 6, 4), box)
-	src.AddEntity(model.Entity{ID: "V1", Domain: model.Maritime, Name: "BLUE STAR", Type: "CARGO", LengthM: 100})
-	for i := 0; i < 50; i++ {
-		src.AddPositionRecord(posAt("V1", 23.5+float64(i)*0.01, 37.5, int64(i)*10000))
-	}
-	var buf bytes.Buffer
-	if err := src.ExportNT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dumpSize := buf.Len()
-	if dumpSize == 0 {
-		t.Fatal("empty export")
-	}
-
-	dst := NewSharded(partition.NewGrid(geo.NewGrid(box, 8, 8), 2), box) // different partitioner
-	n, err := dst.ImportNT(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Errorf("re-anchored %d positions, want 50", n)
-	}
-	// Spatiotemporal index rebuilt: range query works on the new store.
-	results, _ := dst.RangeQuery(geo.NewBBox(23.4, 37.4, 24.2, 37.6), 0, 1<<60)
-	if len(results) != 50 {
-		t.Errorf("range hits after import = %d, want 50", len(results))
-	}
-	// Global entity data replicated on every shard of the new store.
-	// Export both and compare canonical graphs.
-	var a, b bytes.Buffer
-	if err := src.ExportNT(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.ExportNT(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("round-tripped graph differs from original")
-	}
-}
-
-func TestImportNTBadInput(t *testing.T) {
-	dst := NewSharded(partition.NewHash(2), box)
-	if _, err := dst.ImportNT(bytes.NewReader([]byte("not ntriples"))); err == nil {
-		t.Error("garbage input must error")
-	}
-}
 
 func TestExportDedupsGlobals(t *testing.T) {
 	s := NewSharded(partition.NewHash(3), box)

@@ -2,11 +2,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/onto"
@@ -15,17 +12,16 @@ import (
 
 // Hash-range handoff for cluster membership changes (DESIGN.md §14).
 //
-// A donor streams its anchored data as a sequence of DATACRON-SEG v1
-// blocks — every sealed segment verbatim, plus one block per shard carrying
-// the mutable head (the "head-replay tail") — over a single writer. The
-// format is the sealed-segment snapshot format, so payloads are canonical
-// N-Triples + anchor lines: dictionary-independent text the receiving node
-// re-encodes into its own dictionary. The target filters each block by
-// anchor-node predicate (only fragments whose entity moved), installs
-// idempotently (a fragment already present is skipped, making retries and
-// re-ships safe), and the donor afterwards drops the moved fragments by
-// rebuilding the affected tiers — rebuilt segments take fresh ids, because
-// segment files are immutable and snapshot caches hard-link them by id.
+// A donor streams its anchored data as a sequence of blocks (block.go) —
+// every sealed segment verbatim, plus one block per shard carrying the
+// mutable head (the "head-replay tail") — over a single writer. A block is
+// dictionary-independent text the receiving node re-encodes into its own
+// dictionary. The target filters each block by anchor-node predicate (only
+// fragments whose entity moved), installs idempotently (a fragment already
+// present is skipped, making retries and re-ships safe), and the donor
+// afterwards drops the moved fragments by rebuilding the affected tiers —
+// rebuilt segments take fresh ids, because segment files are immutable and
+// snapshot caches hard-link them by id.
 
 // HandoffFragment is one anchored graph fragment in transit between nodes:
 // term-level and self-contained (every triple is rooted at Node).
@@ -37,8 +33,8 @@ type HandoffFragment struct {
 }
 
 // WriteHandoff streams every anchored fragment of the store to w as
-// DATACRON-SEG v1 blocks: all sealed segments first, then one head block
-// per non-empty shard. Global (dimension) triples are not shipped — the
+// blocks: per shard, every sealed segment, then one head block (id 0) if
+// the head is non-empty. Global (dimension) triples are not shipped — the
 // receiving node learns its own. Each shard is written under its read lock;
 // for a consistent cut the caller quiesces ingest first (the cluster
 // handoff path does).
@@ -56,117 +52,41 @@ func (s *Sharded) writeShardHandoff(bw *bufio.Writer, sh *Shard) error {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	for _, seg := range sh.segs {
-		if err := writeSegmentBlock(bw, seg.id, seg.g, seg.entries, seg.minTS, seg.maxTS, seg.box, s.dict); err != nil {
+		if err := writeBlock(bw, seg.id, seg.g, seg.idx.entries, nil, s.dict); err != nil {
 			return err
 		}
 	}
-	if sh.head.Len() == 0 && len(sh.entries) == 0 {
+	if sh.head.Len() == 0 && len(sh.idx.entries) == 0 {
 		return nil
 	}
-	minTS, maxTS, box := anchorStats(sh.entries)
-	return writeSegmentBlock(bw, 0, sh.head, sh.entries, minTS, maxTS, box, s.dict)
+	return writeBlock(bw, 0, sh.head, sh.idx.entries, nil, s.dict)
 }
 
-// writeSegmentBlock writes one DATACRON-SEG v1 block (the body of a sealed
-// segment file, shared with writeSegmentFile) for any graph + anchor set.
-func writeSegmentBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entries []anchor, minTS, maxTS int64, box geo.BBox, dict *rdf.Dictionary) error {
-	meta := segMeta{
-		ID: id, Triples: g.Len(), Anchors: len(entries),
-		MinTS: minTS, MaxTS: maxTS,
-		MinLon: box.MinLon, MinLat: box.MinLat,
-		MaxLon: box.MaxLon, MaxLat: box.MaxLat,
-	}
-	mj, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(bw, "DATACRON-SEG v1\nMETA %s\nTRIPLES %d\n", mj, g.Len())
-	if err := rdf.WriteNTriples(bw, g); err != nil {
-		return err
-	}
-	fmt.Fprintf(bw, "ANCHORS %d\n", len(entries))
-	return writeAnchors(bw, entries, dict)
-}
-
-// ReadHandoff parses a handoff block stream, keeping only the fragments
+// ReadHandoff reads a handoff block stream, keeping only the fragments
 // whose anchor-node IRI passes keep. Triples not rooted at a kept anchor
 // (residue, other entities' fragments) are discarded — the donor retains
 // them. Returns the kept fragments; the stream ends at EOF between blocks.
 func ReadHandoff(r io.Reader, keep func(nodeIRI string) bool) ([]HandoffFragment, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	br := newBlockReader(r)
 	var frags []HandoffFragment
-
 	for {
-		// Block header; clean EOF between blocks ends the stream.
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return nil, err
-			}
-			return frags, nil
-		}
-		if line := sc.Text(); line != "DATACRON-SEG v1" {
-			return nil, fmt.Errorf("store: handoff: expected block header, got %q", line)
-		}
-		expect := func(prefix string) (string, error) {
-			if !sc.Scan() {
-				if err := sc.Err(); err != nil {
-					return "", err
-				}
-				return "", fmt.Errorf("store: handoff: truncated block: missing %s", prefix)
-			}
-			line := sc.Text()
-			if !strings.HasPrefix(line, prefix) {
-				return "", fmt.Errorf("store: handoff: expected %q, got %q", prefix, line)
-			}
-			return strings.TrimSpace(strings.TrimPrefix(line, prefix)), nil
-		}
-		if _, err := expect("META "); err != nil {
-			return nil, err
-		}
-		nStr, err := expect("TRIPLES ")
-		if err != nil {
-			return nil, err
-		}
-		nTriples, err := strconv.Atoi(nStr)
-		if err != nil {
-			return nil, fmt.Errorf("store: handoff: triple count: %w", err)
-		}
 		// Group the block's triples by subject IRI; fragments are rooted at
 		// their anchor node, so this is a complete reconstruction.
 		bySubject := make(map[string][]onto.TripleT)
-		for k := 0; k < nTriples; k++ {
-			if !sc.Scan() {
-				return nil, fmt.Errorf("store: handoff: truncated block: %d/%d triples", k, nTriples)
-			}
-			st, pt, ot, perr := rdf.ParseTripleLine(sc.Text())
-			if perr != nil {
-				return nil, fmt.Errorf("store: handoff: triple %d: %w", k+1, perr)
-			}
-			bySubject[st.Value] = append(bySubject[st.Value], onto.TripleT{S: st, P: pt, O: ot})
-		}
-		mStr, err := expect("ANCHORS ")
-		if err != nil {
-			return nil, err
-		}
-		nAnchors, err := strconv.Atoi(mStr)
-		if err != nil {
-			return nil, fmt.Errorf("store: handoff: anchor count: %w", err)
-		}
-		for k := 0; k < nAnchors; k++ {
-			if !sc.Scan() {
-				return nil, fmt.Errorf("store: handoff: truncated block: %d/%d anchors", k, nAnchors)
-			}
-			ts, pt, iri, perr := parseAnchorLine(sc.Text())
-			if perr != nil {
-				return nil, fmt.Errorf("store: handoff: anchor %d: %w", k+1, perr)
-			}
-			if !keep(iri) {
-				continue
-			}
-			frags = append(frags, HandoffFragment{
-				Node: rdf.NewIRI(iri), Pt: pt, TS: ts, Triples: bySubject[iri],
+		_, err := br.readBlock(
+			func(s, p, o rdf.Term) {
+				bySubject[s.Value] = append(bySubject[s.Value], onto.TripleT{S: s, P: p, O: o})
+			},
+			func(ts int64, pt geo.Point, iri string) {
+				if keep(iri) {
+					frags = append(frags, HandoffFragment{Node: rdf.NewIRI(iri), Pt: pt, TS: ts, Triples: bySubject[iri]})
+				}
 			})
+		if err == io.EOF {
+			return frags, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: handoff: %w", err)
 		}
 	}
 }
@@ -231,88 +151,61 @@ func (s *Sharded) dropShard(sh *Shard, drop func(nodeIRI string) bool) (fragment
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	dropID := func(id rdf.ID) bool {
-		t, ok := s.dict.Decode(id)
-		return ok && drop(t.Value)
+	// droppedIn collects the anchored nodes of one tier that are leaving.
+	droppedIn := func(idx anchorIndex) map[rdf.ID]bool {
+		var out map[rdf.ID]bool
+		for _, e := range idx.entries {
+			if t, ok := s.dict.Decode(e.node); ok && drop(t.Value) {
+				if out == nil {
+					out = make(map[rdf.ID]bool)
+				}
+				out[e.node] = true
+			}
+		}
+		return out
 	}
 
 	// Head: rebuild the mutable tier without the dropped fragments. The
 	// anchored set decides; residue triples (non-anchored subjects) stay.
-	droppedHead := make(map[rdf.ID]bool)
-	for _, e := range sh.entries {
-		if dropID(e.node) {
-			droppedHead[e.node] = true
-		}
-	}
-	if len(droppedHead) > 0 {
+	if dropped := droppedIn(sh.idx); dropped != nil {
 		newHead := rdf.NewStore(s.dict)
 		sh.head.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
-			if droppedHead[t.S] {
+			if dropped[t.S] {
 				triples++
 			} else {
 				newHead.AddID(t.S, t.P, t.O)
 			}
 			return true
 		})
-		kept := sh.entries[:0]
-		cells := make(map[int][]int32)
-		for _, e := range sh.entries {
-			if droppedHead[e.node] {
-				fragments++
-				continue
-			}
-			cells[sh.grid.CellID(e.pt)] = append(cells[sh.grid.CellID(e.pt)], int32(len(kept)))
-			kept = append(kept, e)
-		}
-		sh.head = newHead
-		sh.entries = kept
-		sh.cells = cells
+		kept := sh.idx.without(dropped)
+		fragments += len(sh.idx.entries) - len(kept.entries)
+		sh.head, sh.idx = newHead, kept
 	}
 
 	// Sealed segments: untouched segments stay (same id, same file in any
 	// snapshot cache); touched ones are rebuilt under a fresh id or removed.
 	var segs []*segment
 	for _, seg := range sh.segs {
-		droppedSeg := make(map[rdf.ID]bool)
-		for _, e := range seg.entries {
-			if dropID(e.node) {
-				droppedSeg[e.node] = true
-			}
-		}
-		if len(droppedSeg) == 0 {
+		dropped := droppedIn(seg.idx)
+		if dropped == nil {
 			segs = append(segs, seg)
 			continue
 		}
 		var keptTri []rdf.Triple
 		for _, t := range seg.g.Triples() {
-			if droppedSeg[t.S] {
+			if dropped[t.S] {
 				triples++
 			} else {
 				keptTri = append(keptTri, t)
 			}
 		}
-		var keptEntries []anchor
-		cells := make(map[int][]int32)
-		for _, e := range seg.entries {
-			if droppedSeg[e.node] {
-				fragments++
-				continue
-			}
-			cells[sh.grid.CellID(e.pt)] = append(cells[sh.grid.CellID(e.pt)], int32(len(keptEntries)))
-			keptEntries = append(keptEntries, e)
-		}
-		if len(keptTri) == 0 && len(keptEntries) == 0 {
+		kept := seg.idx.without(dropped)
+		fragments += len(seg.idx.entries) - len(kept.entries)
+		if len(keptTri) == 0 && len(kept.entries) == 0 {
 			s.segsDropped.Add(1)
 			continue
 		}
-		ns := &segment{
-			id:      s.nextSegID.Add(1),
-			g:       rdf.NewSegment(s.dict, keptTri),
-			entries: keptEntries,
-			cells:   cells,
-		}
-		ns.minTS, ns.maxTS, ns.box = anchorStats(ns.entries)
-		segs = append(segs, ns)
+		segs = append(segs, newSegment(s.nextSegID.Add(1), s.dict, keptTri, kept))
 	}
 	sh.segs = segs
 	return fragments, triples
@@ -333,9 +226,9 @@ func (s *Sharded) EachAnchorNode(fn func(nodeIRI string)) {
 			}
 		}
 		for _, seg := range sh.segs {
-			emit(seg.entries)
+			emit(seg.idx.entries)
 		}
-		emit(sh.entries)
+		emit(sh.idx.entries)
 		sh.mu.RUnlock()
 	}
 }

@@ -2,37 +2,36 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
-// Snapshot serialisation for the durable serving layer.
+// Snapshot serialisation for the durable serving layer. A snapshot
+// directory holds, per shard:
 //
-// Flat layout (format v1, written by WriteSnapshot, always readable):
+//	shard-NNN.nt        the mutable tiers (global + head) as canonical
+//	                    N-Triples
+//	shard-NNN.anchors   the head's spatiotemporal index, one anchor per line
+//	shard-NNN.segments  the file names of the shard's sealed segments,
+//	                    oldest first
 //
-//	shard-NNN.nt       the shard's full RDF graph as canonical N-Triples
-//	shard-NNN.anchors  the shard's spatiotemporal index, one anchor per
-//	                   line: "<ts> <lon> <lat> <alt> <node IRI>"
+// plus one seg-*.seg file per sealed segment. The byte layout of all of
+// them is the block codec's (block.go); this file only decides which tier
+// goes into which file. Segment files are immutable: they are written once
+// into a shared cache directory and hard-linked into every snapshot that
+// references them, so steady-state snapshots rewrite only the small head
+// files.
 //
-// Tiered layout (format v2, written by WriteSnapshotTiered): the .nt and
-// .anchors files carry only the mutable tiers (global + head), a
-// shard-NNN.segments file lists the shard's sealed segments, and each
-// segment is a self-describing seg-*.seg file. Segment files are immutable:
-// they are written once into a shared cache directory and hard-linked into
-// every snapshot that references them, so steady-state snapshots rewrite
-// only the small head files. LoadSnapshot reads both layouts.
-//
-// Floats use strconv 'g'/-1 formatting, which round-trips exactly. The
-// N-Triples writer sorts lines, so two stores holding the same graph
-// produce byte-identical shard files regardless of insertion order.
+// The flat v1 layout of earlier builds (no .segments file, every tier
+// merged into the .nt/.anchors pair) is no longer written. It needs no
+// reader of its own: it is the zero-segment case of the layout above, and
+// loads into the head tier, from where the first seal re-tiers it.
 
 // shardFile names a per-shard snapshot file.
 func shardFile(dir string, i int, ext string) string {
@@ -42,29 +41,18 @@ func shardFile(dir string, i int, ext string) string {
 // segFileName names a sealed segment's file.
 func segFileName(id uint64) string { return fmt.Sprintf("seg-%016x.seg", id) }
 
-// WriteSnapshot serialises every shard into dir (which must exist) in the
-// flat v1 layout: all tiers merged per shard. Each shard is written under
-// its read lock; for a consistent multi-shard cut the caller must quiesce
-// writers first (the core snapshot barrier does).
-func (s *Sharded) WriteSnapshot(dir string) error {
-	for i, sh := range s.shards {
-		if err := writeShardFlat(dir, i, sh); err != nil {
-			return fmt.Errorf("store: snapshot shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// WriteSnapshotTiered serialises every shard into dir in the tiered v2
-// layout, reusing immutable segment files through segCache (created if
-// missing): a segment already in the cache is hard-linked, not rewritten.
-// Returns the number of segment files referenced.
+// WriteSnapshotTiered serialises every shard into dir, reusing immutable
+// segment files through segCache (created if missing): a segment already in
+// the cache is hard-linked, not rewritten. Each shard is written under its
+// read lock; for a consistent multi-shard cut the caller must quiesce
+// writers first (the core snapshot barrier does). Returns the number of
+// segment files referenced.
 func (s *Sharded) WriteSnapshotTiered(dir, segCache string) (segments int, err error) {
 	if err := os.MkdirAll(segCache, 0o755); err != nil {
 		return 0, fmt.Errorf("store: snapshot: %w", err)
 	}
 	for i, sh := range s.shards {
-		n, err := writeShardTiered(dir, segCache, i, sh)
+		n, err := s.writeShard(dir, segCache, i, sh)
 		if err != nil {
 			return segments, fmt.Errorf("store: snapshot shard %d: %w", i, err)
 		}
@@ -73,208 +61,81 @@ func (s *Sharded) WriteSnapshotTiered(dir, segCache string) (segments int, err e
 	return segments, nil
 }
 
-// writeShardFlat writes the union of all tiers (v1 layout).
-func writeShardFlat(dir string, i int, sh *Shard) error {
+// writeShard writes one shard's mutable tiers and segment list and links
+// its sealed segment files.
+func (s *Sharded) writeShard(dir, segCache string, i int, sh *Shard) (segments int, err error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 
-	v, _ := sh.viewLocked(ViewBounds{})
-	if err := writeFileNT(shardFile(dir, i, "nt"), v); err != nil {
-		return err
-	}
-	af, err := os.Create(shardFile(dir, i, "anchors"))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(af, 1<<16)
-	// Sealed entries oldest first, then the head: the original insertion
-	// order, which is what a flat reload reproduces.
-	for _, seg := range sh.segs {
-		if err := writeAnchors(bw, seg.entries, sh.global.Dict()); err != nil {
-			af.Close()
-			return err
-		}
-	}
-	if err := writeAnchors(bw, sh.entries, sh.global.Dict()); err != nil {
-		af.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		af.Close()
-		return err
-	}
-	return af.Close()
-}
-
-// writeShardTiered writes the mutable tiers plus a segment manifest and
-// links the sealed segment files (v2 layout).
-func writeShardTiered(dir, segCache string, i int, sh *Shard) (segments int, err error) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-
-	mutable := rdf.NewView(sh.global.Dict(), sh.global, sh.head)
-	if err := writeFileNT(shardFile(dir, i, "nt"), mutable); err != nil {
-		return 0, err
-	}
-
-	af, err := os.Create(shardFile(dir, i, "anchors"))
+	err = writeFile(shardFile(dir, i, "nt"), func(bw *bufio.Writer) error {
+		return rdf.WriteNTriples(bw, rdf.NewView(s.dict, sh.global, sh.head))
+	})
 	if err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(af, 1<<16)
-	if err := writeAnchors(bw, sh.entries, sh.global.Dict()); err != nil {
-		af.Close()
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		af.Close()
-		return 0, err
-	}
-	if err := af.Close(); err != nil {
+	err = writeFile(shardFile(dir, i, "anchors"), func(bw *bufio.Writer) error {
+		return writeAnchors(bw, sh.idx.entries, s.dict)
+	})
+	if err != nil {
 		return 0, err
 	}
 
-	var names []string
 	for _, seg := range sh.segs {
 		name := segFileName(seg.id)
 		cached := filepath.Join(segCache, name)
 		if _, statErr := os.Stat(cached); statErr != nil {
-			if err := writeSegmentFile(cached, seg, sh.global.Dict()); err != nil {
+			if err := writeSegmentFile(cached, seg, s.dict); err != nil {
 				return 0, err
 			}
 		}
 		if err := linkOrCopy(cached, filepath.Join(dir, name)); err != nil {
 			return 0, err
 		}
-		names = append(names, name)
 	}
-	lf, err := os.Create(shardFile(dir, i, "segments"))
-	if err != nil {
-		return 0, err
-	}
-	for _, name := range names {
-		fmt.Fprintln(lf, name)
-	}
-	if err := lf.Close(); err != nil {
-		return 0, err
-	}
-	return len(names), nil
+	// The list is what recovery and the segment-cache GC trust: a short
+	// write here must fail the snapshot, not publish a manifest that names
+	// fewer segments than the store holds.
+	err = writeFile(shardFile(dir, i, "segments"), func(bw *bufio.Writer) error {
+		for _, seg := range sh.segs {
+			fmt.Fprintln(bw, segFileName(seg.id))
+		}
+		return nil
+	})
+	return len(sh.segs), err
 }
 
-// writeFileNT writes a graph as canonical N-Triples to path.
-func writeFileNT(path string, g rdf.Graph) error {
+// writeFile creates path and streams body into it through a buffered
+// writer, returning the first error of body, the flush and the close.
+func writeFile(path string, body func(*bufio.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rdf.WriteNTriples(f, g); err != nil {
-		f.Close()
-		return err
+	bw := bufio.NewWriterSize(f, 1<<16)
+	err = body(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// writeAnchors appends anchor lines to bw.
-func writeAnchors(bw *bufio.Writer, entries []anchor, dict *rdf.Dictionary) error {
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, e := range entries {
-		term, ok := dict.Decode(e.node)
-		if !ok {
-			return fmt.Errorf("anchor node id %d not in dictionary", e.node)
-		}
-		fmt.Fprintf(bw, "%d %s %s %s %s\n", e.ts, g(e.pt.Lon), g(e.pt.Lat), g(e.pt.Alt), term.Value)
-	}
-	return nil
-}
-
-// parseAnchorLine parses one "<ts> <lon> <lat> <alt> <node IRI>" line.
-func parseAnchorLine(line string) (ts int64, pt geo.Point, iri string, err error) {
-	parts := strings.SplitN(line, " ", 5)
-	if len(parts) != 5 {
-		return 0, geo.Point{}, "", fmt.Errorf("malformed anchor %q", line)
-	}
-	if ts, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
-		return 0, geo.Point{}, "", err
-	}
-	var coord [3]float64
-	for j := 0; j < 3; j++ {
-		if coord[j], err = strconv.ParseFloat(parts[j+1], 64); err != nil {
-			return 0, geo.Point{}, "", err
-		}
-	}
-	return ts, geo.Point{Lon: coord[0], Lat: coord[1], Alt: coord[2]}, parts[4], nil
-}
-
-// segMeta is the JSON header of a segment file.
-type segMeta struct {
-	ID      uint64  `json:"id"`
-	Triples int     `json:"triples"`
-	Anchors int     `json:"anchors"`
-	MinTS   int64   `json:"minTS"`
-	MaxTS   int64   `json:"maxTS"`
-	MinLon  float64 `json:"minLon"`
-	MinLat  float64 `json:"minLat"`
-	MaxLon  float64 `json:"maxLon"`
-	MaxLat  float64 `json:"maxLat"`
-	// Preds is the predicate histogram keyed by predicate IRI, written for
-	// offline inspection of the self-describing file only — the loader
-	// recomputes live statistics from the triples themselves.
-	Preds map[string]int `json:"preds,omitempty"`
-}
-
-// writeSegmentFile atomically writes one sealed segment:
-//
-//	DATACRON-SEG v1
-//	META <json>
-//	TRIPLES <n>   followed by n canonical N-Triples lines
-//	ANCHORS <m>   followed by m anchor lines
+// writeSegmentFile atomically writes one sealed segment as one block.
 func writeSegmentFile(path string, seg *segment, dict *rdf.Dictionary) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := writeFile(tmp, func(bw *bufio.Writer) error {
+		return writeBlock(bw, seg.id, seg.g, seg.idx.entries, seg.g.PredHistogram(), dict)
+	})
 	if err != nil {
-		return err
-	}
-	err = func() error {
-		bw := bufio.NewWriterSize(f, 1<<16)
-		meta := segMeta{
-			ID: seg.id, Triples: seg.g.Len(), Anchors: len(seg.entries),
-			MinTS: seg.minTS, MaxTS: seg.maxTS,
-			MinLon: seg.box.MinLon, MinLat: seg.box.MinLat,
-			MaxLon: seg.box.MaxLon, MaxLat: seg.box.MaxLat,
-			Preds: make(map[string]int),
-		}
-		for p, n := range seg.g.PredHistogram() {
-			if term, ok := dict.Decode(p); ok {
-				meta.Preds[term.Value] = n
-			}
-		}
-		mj, err := json.Marshal(meta)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(bw, "DATACRON-SEG v1\nMETA %s\nTRIPLES %d\n", mj, seg.g.Len())
-		if err := rdf.WriteNTriples(bw, seg.g); err != nil {
-			return err
-		}
-		fmt.Fprintf(bw, "ANCHORS %d\n", len(seg.entries))
-		if err := writeAnchors(bw, seg.entries, dict); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}()
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
-// readSegmentFile parses a segment file into a live segment over dict and
+// readSegmentFile loads a segment file into a live segment over dict and
 // grid.
 func readSegmentFile(path string, dict *rdf.Dictionary, grid geo.Grid) (*segment, error) {
 	f, err := os.Open(path)
@@ -282,85 +143,19 @@ func readSegmentFile(path string, dict *rdf.Dictionary, grid geo.Grid) (*segment
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-
-	expect := func(prefix string) (string, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return "", err
-			}
-			return "", fmt.Errorf("truncated segment: missing %s", prefix)
-		}
-		line := sc.Text()
-		if !strings.HasPrefix(line, prefix) {
-			return "", fmt.Errorf("expected %q, got %q", prefix, line)
-		}
-		return strings.TrimSpace(strings.TrimPrefix(line, prefix)), nil
-	}
-
-	if _, err := expect("DATACRON-SEG v1"); err != nil {
-		return nil, err
-	}
-	metaStr, err := expect("META ")
+	var triples []rdf.Triple
+	idx := newAnchorIndex(grid)
+	id, err := newBlockReader(f).readBlock(
+		func(s, p, o rdf.Term) {
+			triples = append(triples, rdf.Triple{S: dict.Encode(s), P: dict.Encode(p), O: dict.Encode(o)})
+		},
+		func(ts int64, pt geo.Point, iri string) {
+			idx.add(anchor{pt: pt, ts: ts, node: dict.Encode(rdf.NewIRI(iri))})
+		})
 	if err != nil {
-		return nil, err
+		return nil, err // io.EOF: the file is empty
 	}
-	var meta segMeta
-	if err := json.Unmarshal([]byte(metaStr), &meta); err != nil {
-		return nil, fmt.Errorf("segment meta: %w", err)
-	}
-	nStr, err := expect("TRIPLES ")
-	if err != nil {
-		return nil, err
-	}
-	nTriples, err := strconv.Atoi(nStr)
-	if err != nil {
-		return nil, fmt.Errorf("segment triple count: %w", err)
-	}
-	triples := make([]rdf.Triple, 0, nTriples)
-	for k := 0; k < nTriples; k++ {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("truncated segment: %d/%d triples", k, nTriples)
-		}
-		s, p, o, err := rdf.ParseTripleLine(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("segment triple %d: %w", k+1, err)
-		}
-		triples = append(triples, rdf.Triple{S: dict.Encode(s), P: dict.Encode(p), O: dict.Encode(o)})
-	}
-	mStr, err := expect("ANCHORS ")
-	if err != nil {
-		return nil, err
-	}
-	nAnchors, err := strconv.Atoi(mStr)
-	if err != nil {
-		return nil, fmt.Errorf("segment anchor count: %w", err)
-	}
-	seg := &segment{
-		id:    meta.ID,
-		g:     rdf.NewSegment(dict, triples),
-		cells: make(map[int][]int32),
-	}
-	for k := 0; k < nAnchors; k++ {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("truncated segment: %d/%d anchors", k, nAnchors)
-		}
-		ts, pt, iri, err := parseAnchorLine(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("segment anchor %d: %w", k+1, err)
-		}
-		id := dict.Encode(rdf.NewIRI(iri))
-		seg.cells[grid.CellID(pt)] = append(seg.cells[grid.CellID(pt)], int32(len(seg.entries)))
-		seg.entries = append(seg.entries, anchor{pt: pt, ts: ts, node: id})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	// Stats are recomputed from the anchors rather than trusted from META:
-	// pruning and retention must match the data actually loaded.
-	seg.minTS, seg.maxTS, seg.box = anchorStats(seg.entries)
-	return seg, nil
+	return newSegment(id, dict, triples, idx), nil
 }
 
 // linkOrCopy hard-links src to dst, falling back to a byte copy on
@@ -388,14 +183,14 @@ func linkOrCopy(src, dst string) error {
 	return out.Close()
 }
 
-// LoadSnapshot restores shard contents written by WriteSnapshot or
-// WriteSnapshotTiered into this store, which must have the same shard
-// count (the core manifest checks that before calling). Existing shard
-// contents are kept — triples already present in a shard's global tier
-// (e.g. from priming the world before recovery) are skipped rather than
-// duplicated — and the spatiotemporal index entries are appended in file
-// order. Sealed segments are restored as sealed segments, and the
-// segment-id counter advances past every loaded id.
+// LoadSnapshot restores shard contents written by WriteSnapshotTiered (or
+// the flat v1 writer of earlier builds) into this store, which must have
+// the same shard count (the core manifest checks that before calling).
+// Existing shard contents are kept — triples already present in a shard's
+// global tier (e.g. from priming the world before recovery) are skipped
+// rather than duplicated — and the spatiotemporal index entries are
+// appended in file order. Sealed segments are restored as sealed segments,
+// and the segment-id counter advances past every loaded id.
 func (s *Sharded) LoadSnapshot(dir string) (triples, anchors int, err error) {
 	for i, sh := range s.shards {
 		t, a, err := s.loadShard(dir, i, sh)
@@ -412,37 +207,21 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	// Sealed segments first (v2 layout only).
-	if lf, lerr := os.Open(shardFile(dir, i, "segments")); lerr == nil {
-		sc := bufio.NewScanner(lf)
-		for sc.Scan() {
-			name := strings.TrimSpace(sc.Text())
-			if name == "" {
-				continue
-			}
-			seg, err := readSegmentFile(filepath.Join(dir, name), s.dict, sh.grid)
-			if err != nil {
-				lf.Close()
-				return triples, anchors, fmt.Errorf("segment %s: %w", name, err)
-			}
-			sh.segs = append(sh.segs, seg)
-			triples += seg.g.Len()
-			anchors += len(seg.entries)
-			for {
-				cur := s.nextSegID.Load()
-				if seg.id <= cur || s.nextSegID.CompareAndSwap(cur, seg.id) {
-					break
-				}
-			}
-			s.bumpMaxTS(seg.maxTS)
-		}
-		err := sc.Err()
-		lf.Close()
+	// Sealed segments first; a flat v1 directory has no list and none.
+	list, err := os.ReadFile(shardFile(dir, i, "segments"))
+	if err != nil && !os.IsNotExist(err) {
+		return 0, 0, err
+	}
+	for _, name := range strings.Fields(string(list)) {
+		seg, err := readSegmentFile(filepath.Join(dir, name), s.dict, sh.idx.grid)
 		if err != nil {
-			return triples, anchors, err
+			return triples, anchors, fmt.Errorf("segment %s: %w", name, err)
 		}
-	} else if !os.IsNotExist(lerr) {
-		return 0, 0, lerr
+		sh.segs = append(sh.segs, seg)
+		triples += seg.g.Len()
+		anchors += len(seg.idx.entries)
+		s.bumpSegID(seg.id)
+		s.bumpMaxTS(seg.maxTS)
 	}
 
 	// Mutable tiers: N-Triples into the head, skipping triples the global
@@ -451,31 +230,16 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 	if err != nil {
 		return triples, anchors, err
 	}
-	sc := bufio.NewScanner(ntf)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		st, pt, ot, perr := rdf.ParseTripleLine(line)
-		if perr != nil {
-			ntf.Close()
-			return triples, anchors, fmt.Errorf("nt line %d: %w", lineNo, perr)
-		}
+	defer ntf.Close()
+	err = newBlockReader(ntf).readTriples(untilEOF, func(st, pt, ot rdf.Term) {
 		sid, pid, oid := s.dict.Encode(st), s.dict.Encode(pt), s.dict.Encode(ot)
-		if sh.global.HasID(sid, pid, oid) {
-			continue
+		if !sh.global.HasID(sid, pid, oid) {
+			sh.head.AddID(sid, pid, oid)
+			triples++
 		}
-		sh.head.AddID(sid, pid, oid)
-		triples++
-	}
-	serr := sc.Err()
-	ntf.Close()
-	if serr != nil {
-		return triples, anchors, fmt.Errorf("nt: %w", serr)
+	})
+	if err != nil {
+		return triples, anchors, fmt.Errorf("nt: %w", err)
 	}
 
 	af, err := os.Open(shardFile(dir, i, "anchors"))
@@ -483,40 +247,15 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 		return triples, anchors, err
 	}
 	defer af.Close()
-	asc := bufio.NewScanner(af)
-	asc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo = 0
-	for asc.Scan() {
-		lineNo++
-		line := asc.Text()
-		if line == "" {
-			continue
-		}
-		ts, pt, iri, perr := parseAnchorLine(line)
-		if perr != nil {
-			return triples, anchors, fmt.Errorf("anchors line %d: %w", lineNo, perr)
-		}
-		id := s.dict.Encode(rdf.NewIRI(iri))
-		entryIdx := int32(len(sh.entries))
-		sh.entries = append(sh.entries, anchor{pt: pt, ts: ts, node: id})
-		sh.cells[sh.grid.CellID(pt)] = append(sh.cells[sh.grid.CellID(pt)], entryIdx)
+	err = newBlockReader(af).readAnchors(untilEOF, func(ts int64, pt geo.Point, iri string) {
+		sh.idx.add(anchor{pt: pt, ts: ts, node: s.dict.Encode(rdf.NewIRI(iri))})
 		s.bumpMaxTS(ts)
 		anchors++
-	}
-	if err := asc.Err(); err != nil {
+	})
+	if err != nil {
 		return triples, anchors, fmt.Errorf("anchors: %w", err)
 	}
 	return triples, anchors, nil
-}
-
-// bumpMaxTS advances the stream clock to at least ts.
-func (s *Sharded) bumpMaxTS(ts int64) {
-	for {
-		cur := s.maxTS.Load()
-		if ts <= cur || s.maxTS.CompareAndSwap(cur, ts) {
-			return
-		}
-	}
 }
 
 // SegmentFiles returns the file names of every sealed segment currently

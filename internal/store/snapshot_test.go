@@ -33,7 +33,7 @@ func buildTestStore(t *testing.T) *Sharded {
 func TestStoreSnapshotRoundTrip(t *testing.T) {
 	src := buildTestStore(t)
 	dir := t.TempDir()
-	if err := src.WriteSnapshot(dir); err != nil {
+	if _, err := src.WriteSnapshotTiered(dir, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,7 +78,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 
 	// A second snapshot of the restored store is byte-identical per shard.
 	dir2 := t.TempDir()
-	if err := dst.WriteSnapshot(dir2); err != nil {
+	if _, err := dst.WriteSnapshotTiered(dir2, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < src.NumShards(); i++ {
@@ -93,5 +93,35 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("shard %d .nt differs across snapshot generations", i)
 		}
+	}
+}
+
+// TestSnapshotFailsWhenSegmentListIsNotWritten: the shard-NNN.segments list
+// is what recovery and the segment-cache GC trust, and the caller truncates
+// the WAL below the cut once a snapshot succeeds — so a list that could not
+// be written (here: every write answers ENOSPC) must fail the snapshot, not
+// yield one that silently names fewer segments than it links.
+func TestSnapshotFailsWhenSegmentListIsNotWritten(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	src := buildTestStore(t)
+	src.Maintain(TierPolicy{}, true)
+	dir := t.TempDir()
+	sealedShard := -1
+	for i, n := range src.ShardLoads() {
+		if n > 0 {
+			sealedShard = i
+			break
+		}
+	}
+	if sealedShard < 0 {
+		t.Fatal("nothing sealed")
+	}
+	if err := os.Symlink("/dev/full", shardFile(dir, sealedShard, "segments")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := src.WriteSnapshotTiered(dir, t.TempDir()); err == nil {
+		t.Fatalf("snapshot reported success (%d segments) though shard %d's segment list was never written", n, sealedShard)
 	}
 }

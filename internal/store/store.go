@@ -55,13 +55,12 @@ type Shard struct {
 	// global holds replicated dimension triples (entities, areas,
 	// vocabulary). It is never sealed and never retained away.
 	global *rdf.Store
-	// head is the mutable tier: anchored fragments since the last seal.
-	head    *rdf.Store
-	entries []anchor        // head anchors, in insertion order
-	cells   map[int][]int32 // grid cell → indexes into entries
+	// head is the mutable tier: anchored fragments since the last seal,
+	// indexed by idx.
+	head *rdf.Store
+	idx  anchorIndex
 	// segs are the sealed immutable segments, oldest first.
 	segs []*segment
-	grid geo.Grid
 }
 
 // anchor is one spatiotemporally-anchored node.
@@ -75,13 +74,13 @@ type anchor struct {
 // 64x64 grid over worldBox.
 func NewSharded(part partition.Partitioner, worldBox geo.BBox) *Sharded {
 	dict := rdf.NewDictionary()
+	grid := geo.NewGrid(worldBox, 64, 64)
 	shards := make([]*Shard, part.Shards())
 	for i := range shards {
 		shards[i] = &Shard{
 			global: rdf.NewStore(dict),
 			head:   rdf.NewStore(dict),
-			grid:   geo.NewGrid(worldBox, 64, 64),
-			cells:  make(map[int][]int32),
+			idx:    newAnchorIndex(grid),
 		}
 	}
 	return &Sharded{part: part, dict: dict, shards: shards}
@@ -161,9 +160,9 @@ func (s *Sharded) ShardLoads() []int {
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.RLock()
-		n := len(sh.entries)
+		n := len(sh.idx.entries)
 		for _, seg := range sh.segs {
-			n += len(seg.entries)
+			n += len(seg.idx.entries)
 		}
 		out[i] = n
 		sh.mu.RUnlock()
@@ -185,23 +184,43 @@ func (s *Sharded) AddGlobal(triples []onto.TripleT) {
 
 // AddAnchored places a graph fragment anchored at (key, pt, ts): its
 // triples go to the head tier of the shard the partitioner assigns and
-// node is registered in that shard's spatiotemporal index.
+// node is registered in that shard's spatiotemporal index. It is a
+// one-fragment batch through the same write path BatchWriter.Flush takes.
 func (s *Sharded) AddAnchored(key string, pt geo.Point, ts int64, node rdf.Term, triples []onto.TripleT) {
-	idx := s.part.Assign(key, pt, ts)
-	sh := s.shards[idx]
+	sh := s.shards[s.part.Assign(key, pt, ts)]
 	sh.mu.Lock()
-	for _, t := range triples {
-		sh.head.Add(t.S, t.P, t.O)
-	}
-	id := sh.head.Dict().Encode(node)
-	entryIdx := int32(len(sh.entries))
-	sh.entries = append(sh.entries, anchor{pt: pt, ts: ts, node: id})
-	cell := sh.grid.CellID(pt)
-	sh.cells[cell] = append(sh.cells[cell], entryIdx)
+	sh.addLocked(triples, []stagedAnchor{{pt: pt, ts: ts, node: node}})
 	sh.mu.Unlock()
+	s.bumpMaxTS(ts)
+}
+
+// addLocked is the one anchored-write path: triples go to the head tier in
+// one bulk insert and every anchor is registered in the head's index, under
+// the caller-held shard write lock.
+func (sh *Shard) addLocked(triples []onto.TripleT, anchors []stagedAnchor) {
+	sh.head.AddBatch(triples)
+	dict := sh.head.Dict()
+	for _, a := range anchors {
+		sh.idx.add(anchor{pt: a.pt, ts: a.ts, node: dict.Encode(a.node)})
+	}
+}
+
+// bumpMaxTS advances the stream clock to at least ts.
+func (s *Sharded) bumpMaxTS(ts int64) {
 	for {
 		cur := s.maxTS.Load()
 		if ts <= cur || s.maxTS.CompareAndSwap(cur, ts) {
+			return
+		}
+	}
+}
+
+// bumpSegID advances the segment-id counter to at least id, so ids issued
+// after a load never collide with a loaded segment's.
+func (s *Sharded) bumpSegID(id uint64) {
+	for {
+		cur := s.nextSegID.Load()
+		if id <= cur || s.nextSegID.CompareAndSwap(cur, id) {
 			return
 		}
 	}
@@ -286,10 +305,10 @@ func (sh *Shard) rangeLocal(box geo.BBox, fromTS, toTS int64, shardIdx, max int)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var out []RangeResult
-	scan := func(entries []anchor, cells map[int][]int32) bool {
-		for _, cell := range sh.grid.CellsIn(box) {
-			for _, ei := range cells[cell] {
-				e := entries[ei]
+	scan := func(idx anchorIndex) bool {
+		for _, cell := range idx.grid.CellsIn(box) {
+			for _, ei := range idx.cells[cell] {
+				e := idx.entries[ei]
 				if e.ts < fromTS || e.ts > toTS || !box.Contains(e.pt) {
 					continue
 				}
@@ -302,14 +321,14 @@ func (sh *Shard) rangeLocal(box geo.BBox, fromTS, toTS int64, shardIdx, max int)
 		return true
 	}
 	for _, seg := range sh.segs {
-		if len(seg.entries) == 0 || seg.maxTS < fromTS || seg.minTS > toTS || !seg.box.Intersects(box) {
+		if len(seg.idx.entries) == 0 || seg.maxTS < fromTS || seg.minTS > toTS || !seg.box.Intersects(box) {
 			continue
 		}
-		if !scan(seg.entries, seg.cells) {
+		if !scan(seg.idx) {
 			return out
 		}
 	}
-	scan(sh.entries, sh.cells)
+	scan(sh.idx)
 	return out
 }
 

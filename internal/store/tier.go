@@ -7,26 +7,65 @@ import (
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
+// anchorIndex is one tier's slice of a shard's spatiotemporal index: the
+// anchors in insertion order and the grid cells pointing into them. The
+// head tier owns one and hands it over whole to the segment it seals into.
+type anchorIndex struct {
+	grid    geo.Grid
+	entries []anchor
+	cells   map[int][]int32 // grid cell → indexes into entries
+}
+
+func newAnchorIndex(grid geo.Grid) anchorIndex {
+	return anchorIndex{grid: grid, cells: make(map[int][]int32)}
+}
+
+// add registers one anchor.
+func (ai *anchorIndex) add(a anchor) {
+	cell := ai.grid.CellID(a.pt)
+	ai.cells[cell] = append(ai.cells[cell], int32(len(ai.entries)))
+	ai.entries = append(ai.entries, a)
+}
+
+// without returns a copy of the index minus the anchors of the given nodes.
+func (ai anchorIndex) without(nodes map[rdf.ID]bool) anchorIndex {
+	out := newAnchorIndex(ai.grid)
+	for _, e := range ai.entries {
+		if !nodes[e.node] {
+			out.add(e)
+		}
+	}
+	return out
+}
+
 // segment is one sealed tier of a shard: an immutable rdf.Segment plus the
 // slice of the spatiotemporal index that was sealed with it and the
 // per-segment statistics (anchor time range and bounding box) that drive
 // retention and query pruning.
 type segment struct {
-	id      uint64
-	g       *rdf.Segment
-	entries []anchor
-	cells   map[int][]int32
+	id  uint64
+	g   *rdf.Segment
+	idx anchorIndex
 	// Anchor statistics; zero-anchor segments carry an empty box and are
 	// never pruned or retained away.
 	minTS, maxTS int64
 	box          geo.BBox
 }
 
+// newSegment seals triples and their anchors under id. The statistics are
+// always computed from the anchors present, never trusted from a file:
+// pruning and retention must match the data actually held.
+func newSegment(id uint64, dict *rdf.Dictionary, triples []rdf.Triple, idx anchorIndex) *segment {
+	seg := &segment{id: id, g: rdf.NewSegment(dict, triples), idx: idx}
+	seg.minTS, seg.maxTS, seg.box = anchorStats(idx.entries)
+	return seg
+}
+
 // prunedBy reports whether the segment cannot contribute to a query with
 // the given bounds. Segments without anchors (pure non-anchored residue)
 // are never pruned.
 func (seg *segment) prunedBy(vb ViewBounds) bool {
-	if len(seg.entries) == 0 {
+	if len(seg.idx.entries) == 0 {
 		return false
 	}
 	if vb.HasTime && (seg.maxTS < vb.From || seg.minTS > vb.To) {
@@ -106,7 +145,7 @@ func (s *Sharded) Maintain(pol TierPolicy, force bool) MaintainStats {
 			cutoff := now - pol.Retention.Milliseconds()
 			kept := sh.segs[:0]
 			for _, seg := range sh.segs {
-				if len(seg.entries) > 0 && seg.maxTS < cutoff {
+				if len(seg.idx.entries) > 0 && seg.maxTS < cutoff {
 					st.Dropped++
 					st.DroppedTriples += seg.g.Len()
 					continue
@@ -139,8 +178,8 @@ func (s *Sharded) shouldSeal(sh *Shard, pol TierPolicy, force bool, now int64) b
 	if pol.SealTriples > 0 && n >= pol.SealTriples {
 		return true
 	}
-	if pol.SealAfter > 0 && len(sh.entries) > 0 && now > 0 {
-		oldest, _, _ := anchorStats(sh.entries)
+	if pol.SealAfter > 0 && len(sh.idx.entries) > 0 && now > 0 {
+		oldest, _, _ := anchorStats(sh.idx.entries)
 		if now-oldest >= pol.SealAfter.Milliseconds() {
 			return true
 		}
@@ -152,14 +191,14 @@ func (s *Sharded) shouldSeal(sh *Shard, pol TierPolicy, force bool, now int64) b
 // caller-held write lock and returns the number of triples sealed. Triples
 // whose subject is an anchored node (position and event fragments) form
 // the segment; any residue (dimension triples that reached the head, e.g.
-// from a flat v1 snapshot load) migrates to the never-retained global
+// from a snapshot loaded into an unprimed store) migrates to the never-retained global
 // store, so retention can never age out reference data.
 func (s *Sharded) sealLocked(sh *Shard) int {
 	if sh.head.Len() == 0 {
 		return 0
 	}
-	anchored := make(map[rdf.ID]bool, len(sh.entries))
-	for _, e := range sh.entries {
+	anchored := make(map[rdf.ID]bool, len(sh.idx.entries))
+	for _, e := range sh.idx.entries {
 		anchored[e.node] = true
 	}
 	var sealed []rdf.Triple
@@ -171,23 +210,12 @@ func (s *Sharded) sealLocked(sh *Shard) int {
 		}
 		return true
 	})
-	if len(sealed) > 0 || len(sh.entries) > 0 {
-		minTS, maxTS, box := anchorStats(sh.entries)
-		sh.segs = append(sh.segs, &segment{
-			id:      s.nextSegID.Add(1),
-			g:       rdf.NewSegment(s.dict, sealed),
-			entries: sh.entries,
-			cells:   sh.cells,
-			minTS:   minTS,
-			maxTS:   maxTS,
-			box:     box,
-		})
+	if len(sealed) > 0 || len(sh.idx.entries) > 0 {
+		sh.segs = append(sh.segs, newSegment(s.nextSegID.Add(1), s.dict, sealed, sh.idx))
 	}
-	n := len(sealed)
 	sh.head = rdf.NewStore(s.dict)
-	sh.entries = nil
-	sh.cells = make(map[int][]int32)
-	return n
+	sh.idx = newAnchorIndex(sh.idx.grid)
+	return len(sealed)
 }
 
 // TierSnapshot is a point-in-time summary of the store's tier layout.

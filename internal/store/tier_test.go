@@ -233,14 +233,28 @@ func TestTieredSnapshotRoundTripAndReuse(t *testing.T) {
 	}
 }
 
+// writeFlatV1 writes src, which must hold no sealed segment, in the flat v1
+// layout of earlier builds: the tiered layout of an unsealed store is that
+// layout plus an empty segment list per shard, so dropping the lists is the
+// whole downgrade.
+func writeFlatV1(t *testing.T, src *Sharded, dir string) {
+	t.Helper()
+	if n, err := src.WriteSnapshotTiered(dir, t.TempDir()); err != nil || n != 0 {
+		t.Fatalf("WriteSnapshotTiered = (%d segments, %v), want an unsealed store", n, err)
+	}
+	for i := 0; i < src.NumShards(); i++ {
+		if err := os.Remove(shardFile(dir, i, "segments")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestFlatSnapshotStillLoads(t *testing.T) {
 	// v1 compatibility: a flat snapshot (no .segments files) loads into the
 	// head tier and the first seal re-tiers it.
 	src := buildTestStore(t)
 	dir := t.TempDir()
-	if err := src.WriteSnapshot(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeFlatV1(t, src, dir)
 	box := geo.BBox{MinLon: 20, MinLat: 35, MaxLon: 28, MaxLat: 40}
 	dst := NewSharded(partition.NewHilbert(box, 5, 4), box)
 	if _, _, err := dst.LoadSnapshot(dir); err != nil {
@@ -249,9 +263,15 @@ func TestFlatSnapshotStillLoads(t *testing.T) {
 	if got, want := exportString(t, dst), exportString(t, src); got != want {
 		t.Error("flat round trip changed content")
 	}
+	if st := dst.TierStats(); st.Segments != 0 || st.HeadTriples == 0 {
+		t.Errorf("flat load tiers = %+v, want everything in the head", st)
+	}
 	dst.Maintain(TierPolicy{}, true)
 	if got, want := exportString(t, dst), exportString(t, src); got != want {
 		t.Error("sealing a flat-loaded store changed content")
+	}
+	if st := dst.TierStats(); st.Segments == 0 || st.HeadTriples != 0 {
+		t.Errorf("tiers after first seal = %+v, want the head re-tiered into segments", st)
 	}
 }
 
