@@ -6,18 +6,15 @@ import "strings"
 // without full parsing, for per-entity routing in the parallel ingest
 // front-end. ok is false for lines that are not recognisably SBS.
 func RoutingKey(line string) (key string, ok bool) {
-	id, ok := routeField(line)
-	if !ok {
-		return "", false
-	}
-	return strings.ToUpper(id), true
+	b, ok := AppendRoutingKey(nil, line)
+	return string(b), ok
 }
 
-// AppendRoutingKey appends RoutingKey(line) to dst without materialising
-// the upper-cased key string. Idents with non-ASCII bytes (never produced
-// by real SBS feeds) fall back to appending the materialised key, keeping
-// the two derivations byte-identical (TestAppendRoutingKeyMatches). dst is
-// returned unchanged when ok is false.
+// AppendRoutingKey appends the routing key of line — the upper-cased ident
+// — to dst. It is the one extractor; RoutingKey is its string form. It does
+// not allocate when dst has room, except for idents with non-ASCII bytes
+// (never produced by real SBS feeds), which take strings.ToUpper's Unicode
+// casing. dst is returned unchanged when ok is false.
 func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 	id, ok := routeField(line)
 	if !ok {
@@ -27,8 +24,7 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 	for i := 0; i < len(id); i++ {
 		c := id[i]
 		if c >= 0x80 {
-			key, _ := RoutingKey(line)
-			return append(dst[:start], key...), true
+			return append(dst[:start], strings.ToUpper(id)...), true
 		}
 		if c >= 'a' && c <= 'z' {
 			c -= 'a' - 'A'
@@ -36,30 +32,6 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 		dst = append(dst, c)
 	}
 	return dst, true
-}
-
-// RouteHash returns fnv32a(RoutingKey(line)) without materialising the
-// upper-cased key string, so ingest routes with zero allocations. Idents with non-ASCII bytes (never produced by real
-// SBS feeds) fall back to hashing the materialised key, keeping the two
-// derivations exactly in lockstep.
-func RouteHash(line string) (h uint32, ok bool) {
-	id, ok := routeField(line)
-	if !ok {
-		return 0, false
-	}
-	h = fnvOffset
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c >= 0x80 {
-			key, _ := RoutingKey(line)
-			return fnvString(fnvOffset, key), true
-		}
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		h = (h ^ uint32(c)) * fnvPrime
-	}
-	return h, true
 }
 
 // routeField returns the trimmed raw ident field.
@@ -81,18 +53,4 @@ func routeField(line string) (string, bool) {
 		return "", false
 	}
 	return id, true
-}
-
-// FNV-1a, 32-bit — in lockstep with the key hash in internal/core
-// (workerIndex).
-const (
-	fnvOffset uint32 = 2166136261
-	fnvPrime  uint32 = 16777619
-)
-
-func fnvString(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * fnvPrime
-	}
-	return h
 }

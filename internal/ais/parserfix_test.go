@@ -112,96 +112,6 @@ func TestRoutingKeyFragmentsCanonical(t *testing.T) {
 	}
 }
 
-// RouteHash must equal the FNV-1a hash of RoutingKey for every line the
-// key recogniser accepts, and reject exactly the same lines.
-func TestRouteHashMatchesKey(t *testing.T) {
-	sv := StaticVoyage{MMSI: 999999999, Name: "LONG ENOUGH FOR TWO"}
-	payload, fill, err := sv.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frags := ToSentences(payload, fill, 7, "B")
-	lines := []string{
-		posLine(t, 1),
-		posLine(t, 237000123),
-		posLine(t, 999999999),
-		reframe(t, posLine(t, 42), "01", "01", ""),
-		frags[0],
-		frags[1],
-		reframe(t, frags[0], "02", "01", "07"),
-		"",
-		"garbage",
-		"!AIVDM,1,1",
-		"!AIVDM,1,1,,A,xx,0*00",
-		"!AIVDM,x,1,,A,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00",
-	}
-	for _, line := range lines {
-		key, okKey := RoutingKey(line)
-		h, okHash := RouteHash(line)
-		if okKey != okHash {
-			t.Errorf("RoutingKey ok=%v but RouteHash ok=%v for %q", okKey, okHash, line)
-			continue
-		}
-		if !okKey {
-			continue
-		}
-		if want := fnvString(fnvOffset, key); h != want {
-			t.Errorf("RouteHash(%q) = %d, want fnv(%q) = %d", line, h, key, want)
-		}
-	}
-}
-
-// AppendRoutingKey must append exactly RoutingKey's bytes for every line,
-// reject exactly the same lines, and leave dst's prefix intact either way.
-func TestAppendRoutingKeyMatches(t *testing.T) {
-	sv := StaticVoyage{MMSI: 999999999, Name: "LONG ENOUGH FOR TWO"}
-	payload, fill, err := sv.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frags := ToSentences(payload, fill, 7, "B")
-	lines := []string{
-		posLine(t, 1),
-		posLine(t, 237000123),
-		posLine(t, 999999999),
-		reframe(t, posLine(t, 42), "01", "01", ""),
-		frags[0],
-		frags[1],
-		reframe(t, frags[0], "02", "01", "07"),
-		reframe(t, frags[0], "2", "1", "xx"), // non-numeric seq keeps raw text
-		"",
-		"garbage",
-		"!AIVDM,1,1",
-		"!AIVDM,1,1,,A,xx,0*00",
-		"!AIVDM,x,1,,A,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00",
-	}
-	for _, line := range lines {
-		key, okKey := RoutingKey(line)
-		dst, okApp := AppendRoutingKey([]byte("pfx-"), line)
-		if okKey != okApp {
-			t.Errorf("RoutingKey ok=%v but AppendRoutingKey ok=%v for %q", okKey, okApp, line)
-			continue
-		}
-		want := "pfx-"
-		if okKey {
-			want += key
-		}
-		if string(dst) != want {
-			t.Errorf("AppendRoutingKey(%q) = %q, want %q", line, dst, want)
-		}
-	}
-	// The append form must not allocate once dst has capacity.
-	line := posLine(t, 237000123)
-	buf := make([]byte, 0, 64)
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, ok := AppendRoutingKey(buf[:0], line); !ok {
-			t.Fatal("not ok")
-		}
-	}); avg != 0 {
-		t.Errorf("AppendRoutingKey allocates %v times per line", avg)
-	}
-}
-
 // Trailing bytes after the two checksum hex digits are a framing error:
 // they previously slipped through because only line[star+1:star+3] was
 // compared.
@@ -234,12 +144,5 @@ func TestParseSentenceAllocFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("ParseSentence allocates %v times per line", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, ok := RouteHash(line); !ok {
-			t.Fatal("not ok")
-		}
-	}); avg != 0 {
-		t.Errorf("RouteHash allocates %v times per line", avg)
 	}
 }

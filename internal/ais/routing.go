@@ -72,30 +72,14 @@ func splitRoute(line string) (routeFields, bool) {
 // ok is false when the line is not recognisably AIVDM; such lines can be
 // routed anywhere (they will be counted as bad lines downstream).
 func RoutingKey(line string) (key string, ok bool) {
-	f, ok := splitRoute(line)
-	if !ok {
-		return "", false
-	}
-	total, err := strconv.Atoi(f.total)
-	if err != nil {
-		return "", false
-	}
-	if total != 1 {
-		// Multi-sentence: group fragments by sequence id + channel.
-		return FragmentKey(f.seq, f.channel), true
-	}
-	mmsi, ok := payloadMMSI(f.payload)
-	if !ok {
-		return "", false
-	}
-	return strconv.FormatUint(uint64(mmsi), 10), true
+	b, ok := AppendRoutingKey(nil, line)
+	return string(b), ok
 }
 
-// AppendRoutingKey appends RoutingKey(line) to dst without materialising
-// the key string — the allocation-free form the cluster coordinator uses
-// with a per-request scratch buffer. The appended bytes are byte-identical
-// to RoutingKey's result (TestAppendRoutingKeyMatches pins it); dst is
-// returned unchanged when ok is false.
+// AppendRoutingKey appends the routing key of line to dst — the one
+// extractor; RoutingKey is its string form. It does not allocate when dst
+// has room, so ingest and the cluster coordinator route through a scratch
+// buffer. dst is returned unchanged when ok is false.
 func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 	f, ok := splitRoute(line)
 	if !ok {
@@ -106,14 +90,8 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 		return dst, false
 	}
 	if total != 1 {
-		dst = append(dst, "seq:"...)
-		if n, err := strconv.Atoi(f.seq); err == nil {
-			dst = strconv.AppendInt(dst, int64(n), 10)
-		} else {
-			dst = append(dst, f.seq...)
-		}
-		dst = append(dst, ':')
-		return append(dst, f.channel...), true
+		// Multi-sentence: group fragments by sequence id + channel.
+		return appendFragmentKey(dst, f.seq, f.channel), true
 	}
 	mmsi, ok := payloadMMSI(f.payload)
 	if !ok {
@@ -122,88 +100,25 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 	return strconv.AppendUint(dst, uint64(mmsi), 10), true
 }
 
-// RouteHash returns fnv32a(RoutingKey(line)) — the exact worker-selection
-// hash of the parallel ingest front-end — without materialising the key
-// string, so ingest routes with zero allocations.
-// TestRouteHashMatchesKey pins the equivalence.
-func RouteHash(line string) (h uint32, ok bool) {
-	f, ok := splitRoute(line)
-	if !ok {
-		return 0, false
-	}
-	total, err := strconv.Atoi(f.total)
-	if err != nil {
-		return 0, false
-	}
-	if total != 1 {
-		h = fnvString(fnvOffset, "seq:")
-		if n, err := strconv.Atoi(f.seq); err == nil {
-			h = fnvInt(h, int64(n))
-		} else {
-			h = fnvString(h, f.seq)
-		}
-		h = fnvString(h, ":")
-		return fnvString(h, f.channel), true
-	}
-	mmsi, ok := payloadMMSI(f.payload)
-	if !ok {
-		return 0, false
-	}
-	return fnvInt(fnvOffset, int64(mmsi)), true
-}
-
-// FragmentKey is the routing key of a multi-sentence fragment group. The
-// sequence id is canonicalised through integer parsing so that a key
-// reconstructed from a parsed Sentence (snapshot restore partitioning in
-// internal/core) matches the key extracted from the raw line here even
-// for non-canonical field text like a zero-padded "05".
+// FragmentKey is the routing key of a multi-sentence fragment group, for
+// callers that hold a parsed Sentence rather than the raw line (snapshot
+// restore partitioning in internal/core).
 func FragmentKey(seq, channel string) string {
+	return string(appendFragmentKey(nil, seq, channel))
+}
+
+// appendFragmentKey canonicalises the sequence id through integer parsing,
+// so non-canonical field text like a zero-padded "05" and the "5" a parsed
+// Sentence renders yield one key.
+func appendFragmentKey(dst []byte, seq, channel string) []byte {
+	dst = append(dst, "seq:"...)
 	if n, err := strconv.Atoi(seq); err == nil {
-		seq = strconv.Itoa(n)
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	} else {
+		dst = append(dst, seq...)
 	}
-	return "seq:" + seq + ":" + channel
-}
-
-// FNV-1a, 32-bit — in lockstep with the key hash in internal/core
-// (workerIndex). Inlined rather than hash/fnv so hashing a key never
-// copies it to a []byte.
-const (
-	fnvOffset uint32 = 2166136261
-	fnvPrime  uint32 = 16777619
-)
-
-func fnvString(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * fnvPrime
-	}
-	return h
-}
-
-// fnvInt hashes the canonical strconv.Itoa rendering of v without building
-// the string.
-func fnvInt(h uint32, v int64) uint32 {
-	var buf [20]byte
-	i := len(buf)
-	u := uint64(v)
-	if v < 0 {
-		u = uint64(-v)
-	}
-	for {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-		if u == 0 {
-			break
-		}
-	}
-	if v < 0 {
-		i--
-		buf[i] = '-'
-	}
-	for ; i < len(buf); i++ {
-		h = (h ^ uint32(buf[i])) * fnvPrime
-	}
-	return h
+	dst = append(dst, ':')
+	return append(dst, channel...)
 }
 
 // payloadMMSI unpacks the MMSI (bits 8..37) from the first seven armored

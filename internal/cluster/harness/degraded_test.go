@@ -115,8 +115,11 @@ func TestClusterForwardBackpressure(t *testing.T) {
 	}
 
 	// Resume from the per-owner prefix: re-send only node 1's unaccepted
-	// tail, line by line with wait (the queue holds a single line).
+	// tail, line by line with wait (the queue holds a single line). Node 1
+	// must first drain the line it accepted while paused: until its worker
+	// gives that line's reserved slot back, the next one is shed.
 	unpause()
+	c.QuiesceAll()
 	for _, tl := range shares[addr1][k:] {
 		rir := c.Ingest(0, WireBody([]synth.TimedLine{tl}), true)
 		if rir.Status != http.StatusAccepted || rir.Rejected != 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/datacron-project/datacron/internal/server"
 	"github.com/datacron-project/datacron/internal/wire"
 )
 
@@ -32,15 +33,6 @@ type clusterIngestResponse struct {
 	Pending  int64                  `json:"pending"`
 	Error    string                 `json:"error,omitempty"`
 	Owners   map[string]ownerIngest `json:"owners,omitempty"`
-}
-
-// peerIngestResponse mirrors the single-node ingestResponse for decoding
-// sub-request results.
-type peerIngestResponse struct {
-	Accepted int    `json:"accepted"`
-	Rejected int    `json:"rejected"`
-	Pending  int64  `json:"pending"`
-	Error    string `json:"error,omitempty"`
 }
 
 // ownerShare is one owning node's staged share of a coordinated ingest
@@ -175,7 +167,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			oi.Error = "forward: " + sr.pr.err.Error()
 			n.forwardErrors.Add(1)
 		case sr.pr.status == http.StatusAccepted || sr.pr.status == http.StatusTooManyRequests:
-			var pir peerIngestResponse
+			var pir server.IngestResponse
 			if err := json.Unmarshal(sr.pr.body, &pir); err != nil {
 				oi.Rejected = oi.Lines
 				oi.Error = "forward: bad response: " + err.Error()

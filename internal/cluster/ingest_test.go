@@ -28,19 +28,27 @@ func (endless) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// The coordinator refuses a body over wire.MaxBodyBytes whole with 413,
-// whatever its format, and forwards nothing of it.
-func TestCoordinatorIngestBodyLimit(t *testing.T) {
+// oneNodeCluster is a primed pipeline, its server and the cluster node
+// wrapping it as the ring's only member.
+func oneNodeCluster(t *testing.T) (*synth.Scenario, *core.Pipeline, *server.Server, *Node) {
+	t.Helper()
 	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 7, Vessels: 4, Duration: 5 * time.Minute})
 	p := core.New(core.Config{Domain: model.Maritime})
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
 	srv := server.New(server.Config{Pipeline: p, Workers: 1})
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	n, err := New(Config{Self: "n1:1", Members: []string{"n1:1"}, Server: srv, Pipeline: p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sc, p, srv, n
+}
+
+// The coordinator refuses a body over wire.MaxBodyBytes whole with 413,
+// whatever its format, and forwards nothing of it.
+func TestCoordinatorIngestBodyLimit(t *testing.T) {
+	sc, p, _, n := oneNodeCluster(t)
 	var small strings.Builder
 	var enc wire.Encoder
 	for _, tl := range sc.WireTimed[:10] {
@@ -70,5 +78,35 @@ func TestCoordinatorIngestBodyLimit(t *testing.T) {
 	}
 	if got := p.Stats.Snapshot().Lines; got != 10 {
 		t.Errorf("pipeline processed %d lines, want only the small body's 10", got)
+	}
+}
+
+// A POST /query body over 1 MiB is refused with 413 on a node and on a
+// coordinator — both read it through server.ReadQuery. It used to be cut at
+// the limit and the prefix parsed: the padded bodies here answered 200.
+func TestQueryBodyLimit(t *testing.T) {
+	_, _, srv, n := oneNodeCluster(t)
+	const q = `SELECT COUNT WHERE { ?n rdf:type dat:SemanticNode . }`
+	const limit = 1 << 20
+	for _, entry := range []struct {
+		name string
+		h    http.Handler
+	}{{"node", srv.Handler()}, {"coordinator", n}} {
+		for _, tc := range []struct {
+			name, contentType, body string
+			status                  int
+		}{
+			{"at the limit", "text/plain", q + strings.Repeat(" ", limit-len(q)), http.StatusOK},
+			{"one byte over", "text/plain", q + strings.Repeat(" ", limit-len(q)+1), http.StatusRequestEntityTooLarge},
+			{"json over", "application/json", `{"query":"` + q + `"` + strings.Repeat(" ", limit) + `}`, http.StatusRequestEntityTooLarge},
+		} {
+			req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body))
+			req.Header.Set("Content-Type", tc.contentType)
+			rec := httptest.NewRecorder()
+			entry.h.ServeHTTP(rec, req)
+			if rec.Code != tc.status {
+				t.Errorf("%s, %s: status %d (%.80q), want %d", entry.name, tc.name, rec.Code, rec.Body, tc.status)
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/datacron-project/datacron/internal/onto"
+	"github.com/datacron-project/datacron/internal/server"
 	"github.com/datacron-project/datacron/internal/store"
 )
 
@@ -157,7 +158,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	newMembers := cur.WithJoined(req.Node).Members()
 	for _, donor := range cur.Members() {
 		if err := n.executeOn(donor, req.Node, newMembers); err != nil {
-			writeJSON(w, http.StatusBadGateway, errorResponse{Error: "handoff " + donor + " -> " + req.Node + ": " + err.Error()})
+			writeJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: "handoff " + donor + " -> " + req.Node + ": " + err.Error()})
 			return
 		}
 	}
@@ -188,7 +189,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 	newMembers := newRing.Members()
 	for _, target := range newMembers {
 		if err := n.executeOn(req.Node, target, newMembers); err != nil {
-			writeJSON(w, http.StatusBadGateway, errorResponse{Error: "handoff " + req.Node + " -> " + target + ": " + err.Error()})
+			writeJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: "handoff " + req.Node + " -> " + target + ": " + err.Error()})
 			return
 		}
 	}

@@ -2,154 +2,97 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
+	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/query"
 	"github.com/datacron-project/datacron/internal/server"
 )
 
-// errorResponse is the scatter-gather error body (same {"error": ...} shape
-// as the single-node forecast/synopses error bodies).
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// The coordinator speaks the server's own wire types: it decodes a node's
+// answer into the struct that node encoded it from and encodes its merged
+// answer from that struct again, so a complete cluster merge re-encodes
+// byte-identically to a single node over the same data — the property the
+// golden harness test pins.
 
-// clusterQueryResponse is the coordinator's POST /query body: the
-// single-node queryResponse fields plus Partial, set when one or more nodes
-// could not contribute (their rows are simply absent — a degraded result,
-// never an error, as long as at least one node answered).
-type clusterQueryResponse struct {
-	Vars           []string   `json:"vars"`
-	Rows           [][]string `json:"rows"`
-	ShardsVisited  int        `json:"shardsVisited"`
-	SegmentsPruned int        `json:"segmentsPruned"`
-	ElapsedUS      int64      `json:"elapsedUs"`
-	Partial        bool       `json:"partial,omitempty"`
-}
-
-// peerQueryResponse mirrors the single-node queryResponse for decoding.
-type peerQueryResponse struct {
-	Vars           []string   `json:"vars"`
-	Rows           [][]string `json:"rows"`
-	ShardsVisited  int        `json:"shardsVisited"`
-	SegmentsPruned int        `json:"segmentsPruned"`
+// gather performs one request against every ring member, decodes each 200
+// answer into a T and hands it to each, in membership order. A member that
+// is unreachable, answers another status or sends an undecodable body does
+// not contribute: partial reports that some did not, and when none did,
+// failed is the first failure for the caller to answer with.
+func gather[T any](n *Node, method, pathAndQuery, contentType string, body []byte, header map[string]string, each func(T)) (partial bool, failed *peerResponse) {
+	ring, _ := n.Ring()
+	answered := false
+	for _, pr := range n.fanOut(ring.Members(), method, pathAndQuery, contentType, body, header) {
+		var v T
+		if pr.err == nil && pr.status == http.StatusOK {
+			if err := json.Unmarshal(pr.body, &v); err != nil {
+				pr.err = fmt.Errorf("bad response: %w", err)
+			}
+		}
+		if pr.err != nil || pr.status != http.StatusOK {
+			if failed == nil {
+				failed = &pr
+			}
+			continue
+		}
+		answered = true
+		each(v)
+	}
+	if !answered {
+		return false, failed
+	}
+	return failed != nil, nil
 }
 
 // handleQuery is the coordinator read path: parse the query once for
 // validation and for its final clauses (grouping, aggregates, ordering,
 // LIMIT), fan the query to every node marked partial (PartialQueryHeader —
 // each node runs the StripFinal form and returns its distinct input rows),
-// merge the row sets under the engine's own ordering, and run the final
-// operators once globally (query.Finalize) — the coordinator-side half of
-// the per-shard merge the engine already does node-locally, so a cluster
-// answer is bit-identical to a single node holding the same data.
+// and hand the row sets to query.Finalize, which merges them through the
+// engine's own cross-shard merge and runs the final operators once
+// globally — so a cluster answer is bit-identical to a single node holding
+// the same data.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	src, status, err := server.ReadQuery(w, r)
 	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	src := string(body)
-	if strings.Contains(r.Header.Get("Content-Type"), "application/json") {
-		var req struct {
-			Query string `json:"query"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		src = req.Query
-	}
-	if strings.TrimSpace(src) == "" {
-		http.Error(w, "empty query", http.StatusBadRequest)
+	q, err := query.Parse(src)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	q, perr := query.Parse(src)
-	if perr != nil {
-		http.Error(w, perr.Error(), http.StatusBadRequest)
-		return
-	}
-
-	ring, _ := n.Ring()
-	results := n.fanOut(ring.Members(), http.MethodPost, "/query", "text/plain",
-		[]byte(src), map[string]string{server.PartialQueryHeader: "1"})
 
 	var partials [][][]string
 	var vars []string
-	resp := clusterQueryResponse{}
-	failures := 0
-	var firstFailure string
-	for _, pr := range results {
-		if pr.err != nil || pr.status != http.StatusOK {
-			failures++
-			if firstFailure == "" {
-				firstFailure = peerFailure(pr)
-			}
-			continue
-		}
-		var pqr peerQueryResponse
-		if err := json.Unmarshal(pr.body, &pqr); err != nil {
-			failures++
-			if firstFailure == "" {
-				firstFailure = pr.member + ": bad response: " + err.Error()
-			}
-			continue
-		}
-		vars = pqr.Vars
-		partials = append(partials, pqr.Rows)
-		resp.ShardsVisited += pqr.ShardsVisited
-		resp.SegmentsPruned += pqr.SegmentsPruned
-	}
-	if len(partials) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no cluster node reachable: " + firstFailure})
+	shards, pruned := 0, 0
+	partial, failed := gather(n, http.MethodPost, "/query", "text/plain", []byte(src),
+		map[string]string{server.PartialQueryHeader: "1"}, func(pqr server.QueryResponse) {
+			vars = pqr.Vars
+			partials = append(partials, pqr.Rows)
+			shards += pqr.ShardsVisited
+			pruned += pqr.SegmentsPruned
+		})
+	if failed != nil {
+		writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "no cluster node reachable: " + peerFailure(*failed)})
 		return
 	}
-	rows := query.MergeStringRows(partials...)
-	outVars, outRows, ferr := query.Finalize(q, vars, rows)
-	if ferr != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: ferr.Error()})
+	res, err := query.Finalize(q, vars, partials...)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()})
 		return
 	}
-	resp.Vars, resp.Rows = outVars, outRows
-	if resp.Rows == nil {
-		resp.Rows = [][]string{}
-	}
-	resp.Partial = failures > 0
-	if resp.Partial {
+	res.ShardsVisited, res.SegmentsPruned, res.Elapsed = shards, pruned, time.Since(start)
+	resp := server.NewQueryResponse(res)
+	if resp.Partial = partial; partial {
 		n.scatterPartials.Add(1)
 	}
-	resp.ElapsedUS = time.Since(start).Microseconds()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// forecastJSON, forecastBatch and the synopses shapes mirror the
-// single-node wire structs field for field (same names, order and
-// omitempty), so a complete cluster merge re-encodes byte-identically to a
-// single node over the same data — the property the golden harness test
-// pins.
-type forecastJSON struct {
-	Entity     string  `json:"entity"`
-	TS         int64   `json:"ts"`
-	Method     string  `json:"method"`
-	Lon        float64 `json:"lon"`
-	Lat        float64 `json:"lat"`
-	Alt        float64 `json:"alt,omitempty"`
-	RadiusM    float64 `json:"radiusM"`
-	HistoryLen int     `json:"historyLen"`
-	LastTS     int64   `json:"lastTS"`
-	EventProb  float64 `json:"eventProb"`
-}
-
-type forecastBatch struct {
-	HorizonMS int64          `json:"horizonMs"`
-	Count     int            `json:"count"`
-	Forecasts []forecastJSON `json:"forecasts"`
-	Partial   bool           `json:"partial,omitempty"`
 }
 
 // handleForecastBatch scatters GET /forecast/batch to every node and
@@ -157,65 +100,25 @@ type forecastBatch struct {
 // only on its owning node, so the sets are disjoint and the merge is a
 // sort by entity — exactly the order the single-node endpoint emits.
 func (n *Node) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
-	ring, _ := n.Ring()
 	pathAndQuery := "/forecast/batch"
 	if r.URL.RawQuery != "" {
 		pathAndQuery += "?" + r.URL.RawQuery
 	}
-	results := n.fanOut(ring.Members(), http.MethodGet, pathAndQuery, "", nil, nil)
-
-	merged := forecastBatch{Forecasts: []forecastJSON{}}
-	ok, failures := 0, 0
-	var firstFail peerResponse
-	for _, pr := range results {
-		if pr.err != nil || pr.status != http.StatusOK {
-			failures++
-			if failures == 1 {
-				firstFail = pr
-			}
-			continue
-		}
-		var fb forecastBatch
-		if err := json.Unmarshal(pr.body, &fb); err != nil {
-			failures++
-			if failures == 1 {
-				firstFail = peerResponse{member: pr.member, err: err}
-			}
-			continue
-		}
-		ok++
+	merged := server.ForecastBatchResponse{Forecasts: []server.ForecastJSON{}}
+	partial, failed := gather(n, http.MethodGet, pathAndQuery, "", nil, nil, func(fb server.ForecastBatchResponse) {
 		merged.HorizonMS = fb.HorizonMS
 		merged.Forecasts = append(merged.Forecasts, fb.Forecasts...)
-	}
-	if ok == 0 {
-		n.relayFailure(w, firstFail)
+	})
+	if failed != nil {
+		n.relayFailure(w, *failed)
 		return
 	}
 	sort.Slice(merged.Forecasts, func(i, j int) bool { return merged.Forecasts[i].Entity < merged.Forecasts[j].Entity })
 	merged.Count = len(merged.Forecasts)
-	merged.Partial = failures > 0
-	if merged.Partial {
+	if merged.Partial = partial; partial {
 		n.scatterPartials.Add(1)
 	}
 	writeJSON(w, http.StatusOK, merged)
-}
-
-type synopsisSummaryJSON struct {
-	Entity   string  `json:"entity"`
-	Raw      int64   `json:"raw"`
-	Critical int64   `json:"critical"`
-	Ratio    float64 `json:"ratio"`
-	LastTS   int64   `json:"lastTS"`
-}
-
-type synopsesBatch struct {
-	Count    int                   `json:"count"`
-	Observed int64                 `json:"observed"`
-	Critical int64                 `json:"critical"`
-	Ratio    float64               `json:"ratio"`
-	ByKind   map[string]int64      `json:"byKind"`
-	Entities []synopsisSummaryJSON `json:"entities"`
-	Partial  bool                  `json:"partial,omitempty"`
 }
 
 // handleSynopsesBatch scatters GET /synopses/batch. Per-entity summaries
@@ -224,38 +127,17 @@ type synopsesBatch struct {
 // sums, the same expression the single-node hub evaluates, so the division
 // (and its float bits) match a single node holding the whole stream.
 func (n *Node) handleSynopsesBatch(w http.ResponseWriter, r *http.Request) {
-	ring, _ := n.Ring()
-	results := n.fanOut(ring.Members(), http.MethodGet, "/synopses/batch", "", nil, nil)
-
-	merged := synopsesBatch{ByKind: map[string]int64{}, Entities: []synopsisSummaryJSON{}}
-	ok, failures := 0, 0
-	var firstFail peerResponse
-	for _, pr := range results {
-		if pr.err != nil || pr.status != http.StatusOK {
-			failures++
-			if failures == 1 {
-				firstFail = pr
-			}
-			continue
-		}
-		var sb synopsesBatch
-		if err := json.Unmarshal(pr.body, &sb); err != nil {
-			failures++
-			if failures == 1 {
-				firstFail = peerResponse{member: pr.member, err: err}
-			}
-			continue
-		}
-		ok++
+	merged := server.SynopsesBatchResponse{ByKind: map[string]int64{}, Entities: []server.SynopsisSummaryJSON{}}
+	partial, failed := gather(n, http.MethodGet, "/synopses/batch", "", nil, nil, func(sb server.SynopsesBatchResponse) {
 		merged.Observed += sb.Observed
 		merged.Critical += sb.Critical
 		for k, v := range sb.ByKind {
 			merged.ByKind[k] += v
 		}
 		merged.Entities = append(merged.Entities, sb.Entities...)
-	}
-	if ok == 0 {
-		n.relayFailure(w, firstFail)
+	})
+	if failed != nil {
+		n.relayFailure(w, *failed)
 		return
 	}
 	if merged.Critical == 0 {
@@ -265,8 +147,7 @@ func (n *Node) handleSynopsesBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(merged.Entities, func(i, j int) bool { return merged.Entities[i].Entity < merged.Entities[j].Entity })
 	merged.Count = len(merged.Entities)
-	merged.Partial = failures > 0
-	if merged.Partial {
+	if merged.Partial = partial; partial {
 		n.scatterPartials.Add(1)
 	}
 	writeJSON(w, http.StatusOK, merged)
@@ -288,7 +169,7 @@ func (n *Node) proxyByKey(w http.ResponseWriter, r *http.Request, key string) {
 	pr := n.do(owner, r.Method, r.URL.RequestURI(), "", nil, nil)
 	if pr.err != nil {
 		n.forwardErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "owner " + owner + " unreachable: " + pr.err.Error()})
+		writeJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: "owner " + owner + " unreachable: " + pr.err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -302,7 +183,7 @@ func (n *Node) proxyByKey(w http.ResponseWriter, r *http.Request, key string) {
 // clients see single-node error semantics.
 func (n *Node) relayFailure(w http.ResponseWriter, pr peerResponse) {
 	if pr.err != nil {
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: peerFailure(pr)})
+		writeJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: peerFailure(pr)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -279,48 +279,20 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 	}
 }
 
-// workerIndex routes a key to a worker by FNV-1a hash, inlined so hashing
-// never copies the key to a []byte.
-func workerIndex(key string, n int) int {
-	return int(fnv32a(key) % uint32(n))
-}
-
-// FNV-1a, 32-bit — in lockstep with ais.RouteHash / adsb.RouteHash (the
-// hash-only routing SubmitBatch uses) and pinned by
-// TestRouteHashMatchesWorkerIndex.
-const (
-	fnvOffset uint32 = 2166136261
-	fnvPrime  uint32 = 16777619
-)
-
-func fnv32a(s string) uint32 {
-	h := fnvOffset
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * fnvPrime
+// workerIndex routes a key to a worker by FNV-1a hash. Generic over string
+// and []byte so SubmitBatch hashes a scratch-buffer key and recovery a map
+// key through the one definition, neither copying.
+func workerIndex[T ~string | ~[]byte](key T, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
 	}
-	return h
-}
-
-// routeHash returns fnv32a(routingKey(line)) without materialising the key
-// string — SubmitBatch's allocation-free worker selection. Unrecognisable
-// lines hash the raw line, mirroring routingKey's fallback.
-func (p *Pipeline) routeHash(line string) uint32 {
-	switch p.cfg.Domain {
-	case model.Maritime:
-		if h, ok := ais.RouteHash(line); ok {
-			return h
-		}
-	case model.Aviation:
-		if h, ok := adsb.RouteHash(line); ok {
-			return h
-		}
-	}
-	return fnv32a(line)
+	return int(h % uint32(n))
 }
 
 // multiSentenceKey reconstructs the routing key of a multi-sentence AIS
-// fragment group from a parsed sentence; ais.FragmentKey keeps it in
-// lockstep with what ais.RoutingKey extracts from the raw line.
+// fragment group from a parsed sentence, through the canonicaliser
+// ais.AppendRoutingKey applies to the raw line.
 func multiSentenceKey(s ais.Sentence) string {
 	seq := ""
 	if s.SeqID >= 0 {
@@ -329,35 +301,18 @@ func multiSentenceKey(s ais.Sentence) string {
 	return ais.FragmentKey(seq, s.Channel)
 }
 
-// routingKey extracts the per-entity routing key for a wire line, falling
-// back to the raw line for unrecognisable input (deterministic, so retries
-// and replays of a bad line resolve identically).
-func (p *Pipeline) routingKey(line string) string {
-	var key string
-	var ok bool
-	switch p.cfg.Domain {
-	case model.Maritime:
-		key, ok = ais.RoutingKey(line)
-	case model.Aviation:
-		key, ok = adsb.RoutingKey(line)
-	}
-	if !ok {
-		key = line
-	}
-	return key
+// RoutingKey is the string form of AppendRoutingKey.
+func (p *Pipeline) RoutingKey(line string) string {
+	return string(p.AppendRoutingKey(nil, line))
 }
 
-// RoutingKey exposes the per-entity routing identity of a wire line — the
-// key the cluster layer hashes onto the consistent-hash ring, kept in
-// lockstep with the in-process worker routing so "same entity, same worker"
-// extends to "same entity, same node".
-func (p *Pipeline) RoutingKey(line string) string { return p.routingKey(line) }
-
-// AppendRoutingKey appends RoutingKey(line) to dst without materialising the
-// key string — the allocation-free form the cluster coordinator's re-framing
-// path uses with a per-request scratch buffer. The appended bytes are
-// byte-identical to RoutingKey's result (pinned by TestAppendRoutingKeyMatches
-// in the domain packages and the coordinator's alloc test).
+// AppendRoutingKey appends the per-entity routing key of a wire line to
+// dst, falling back to the raw line for unrecognisable input
+// (deterministic, so retries and replays of a bad line resolve
+// identically). This one key picks the ingest worker, keys the snapshot's
+// applied offsets and is what the cluster layer hashes onto its ring, so
+// "same entity, same worker" extends to "same entity, same node". It does
+// not allocate when dst has room.
 func (p *Pipeline) AppendRoutingKey(dst []byte, line string) []byte {
 	var ok bool
 	switch p.cfg.Domain {
@@ -406,8 +361,11 @@ var recsPool = sync.Pool{New: func() any { return new([]synth.TimedLine) }}
 func (ing *Ingestor) SubmitBatch(log *wal.Log, recs []synth.TimedLine) (accepted int, err error) {
 	// per[i] stages worker i's share of the batch.
 	per := make([]*[]synth.TimedLine, len(ing.workers))
+	var scratch [32]byte // room for any MMSI, fragment or ident key; a raw-line fallback grows past it
+	key := scratch[:0]
 	for _, tl := range recs {
-		idx := ing.p.routeHash(tl.Line) % uint32(len(ing.workers))
+		key = ing.p.AppendRoutingKey(key[:0], tl.Line)
+		idx := workerIndex(key, len(ing.workers))
 		w := ing.workers[idx]
 		if w.reserved.Add(1) > int64(cap(w.q)) {
 			w.reserved.Add(-1)

@@ -17,42 +17,6 @@ import (
 	"github.com/datacron-project/datacron/internal/wal"
 )
 
-// SubmitBatch's hash-only routing must select the same worker as the
-// key-string routing recovery partitions state by, for every line —
-// including garbage that falls back to hashing the raw line. A mismatch
-// would silently split one entity's reports across two fronts.
-func TestRouteHashMatchesWorkerIndex(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		gen  func() []string
-	}{
-		{"maritime", Config{Domain: model.Maritime}, func() []string {
-			sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 21, Vessels: 25, Duration: 30 * time.Minute})
-			return sc.WireLines
-		}},
-		{"aviation", Config{Domain: model.Aviation}, func() []string {
-			sc := synth.GenAviation(synth.AviationConfig{Seed: 22, Flights: 15, Duration: 30 * time.Minute})
-			return sc.WireLines
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := New(tc.cfg)
-			lines := append(tc.gen(),
-				"", "garbage", "!AIVDM,1,1", "MSG,3", "!AIVDM,x,1,,A,177KQJ5000G?tO`K>RA1wUbN0TKH,0*00")
-			const workers = 7
-			for _, line := range lines {
-				key := p.routingKey(line)
-				want := workerIndex(key, workers)
-				got := int(p.routeHash(line) % uint32(workers))
-				if got != want {
-					t.Fatalf("routeHash(%q) selects worker %d, routingKey (%q) selects %d", line, got, key, want)
-				}
-			}
-		})
-	}
-}
-
 // submitChunks feeds tls through SubmitBatch in chunk-line calls and fails
 // the test on any shed line.
 func submitChunks(t *testing.T, ing *Ingestor, log *wal.Log, tls []synth.TimedLine, chunk int) {
@@ -103,7 +67,7 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 	}
 	keys := make(map[string]bool)
 	for _, tl := range sc.WireTimed {
-		keys[p.routingKey(tl.Line)] = true
+		keys[p.RoutingKey(tl.Line)] = true
 	}
 	if seen != len(keys) {
 		t.Errorf("workers applied %d distinct keys, stream has %d", seen, len(keys))

@@ -502,7 +502,7 @@ func Replay(dataDir string, cfg Config, prime func(*Pipeline)) (*Pipeline, Recov
 // advanced in place.
 func (p *Pipeline) replayLog(dataDir string, from uint64, applied map[string]uint64, rs *RecoveryStats) (wal.ScanStats, error) {
 	return wal.Scan(WALDir(dataDir), from, func(r wal.Record) error {
-		key := p.routingKey(r.Line)
+		key := p.RoutingKey(r.Line)
 		if r.LSN <= applied[key] {
 			rs.SkippedApplied++
 			return nil
@@ -529,7 +529,7 @@ func (p *Pipeline) IngestLineLogged(l *wal.Log, tl synth.TimedLine) ([]model.Eve
 	if p.appliedSeed == nil {
 		p.appliedSeed = make(map[string]uint64)
 	}
-	p.appliedSeed[p.routingKey(tl.Line)] = lsn
+	p.appliedSeed[p.RoutingKey(tl.Line)] = lsn
 	return evs, err
 }
 

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -129,45 +128,31 @@ func (e *Engine) scanRelation(q *Query) (rel relation, shardsVisited, segsPruned
 	}
 
 	var mu sync.Mutex
-	seen := make(map[string]struct{})
-	var rows [][]rdf.Term
+	var set rowSet
 	e.st.EachShardView(candidates, par, vb, func(i int, v *rdf.View, pruned int) {
 		// Plan per shard: predicate cardinalities differ across shards and
 		// change as segments seal and age out.
 		plan := planPatterns(q.Patterns, v)
 		local := evalShard(v, plan, q.Filters, bounds)
-		if len(local) == 0 {
-			mu.Lock()
-			segsPruned += pruned
-			mu.Unlock()
-			return
-		}
-		// Decode and key rows outside the merge lock so parallel shards
-		// only serialise on the dedup map itself.
-		type keyedRow struct {
-			key string
-			row []rdf.Term
-		}
-		decoded := make([]keyedRow, 0, len(local))
-		for _, b := range local {
-			row := make([]rdf.Term, len(vars))
+		// Decode, render and key rows outside the merge lock so parallel
+		// shards only serialise on the dedup map itself.
+		rows := make([]renderedRow, len(local))
+		keys := make([]string, len(local))
+		for k, b := range local {
+			terms := make([]rdf.Term, len(vars))
 			for j, vn := range vars {
 				if id, ok := b[vn]; ok {
-					t, _ := v.Dict().Decode(id)
-					row[j] = t
+					terms[j], _ = v.Dict().Decode(id)
 				}
 			}
-			decoded = append(decoded, keyedRow{key: rowKey(row), row: row})
+			rows[k] = renderRow(terms)
+			keys[k] = rows[k].key()
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		segsPruned += pruned
-		for _, kr := range decoded {
-			if _, dup := seen[kr.key]; dup {
-				continue
-			}
-			seen[kr.key] = struct{}{}
-			rows = append(rows, kr.row)
+		for k, r := range rows {
+			set.add(keys[k], r)
 		}
 	})
 
@@ -176,8 +161,14 @@ func (e *Engine) scanRelation(q *Query) (rel relation, shardsVisited, segsPruned
 	// pre-LIMIT order — aggregates see every distinct row because LIMIT is
 	// a separate operator that runs after group/sort, so
 	// `SELECT COUNT ... LIMIT n` still measures, not echoes the limit.
-	sortRows(rows)
-	return relation{cols: vars, rows: rows}, len(candidates), segsPruned
+	rel = relation{cols: vars}
+	if rows := set.sorted(); len(rows) > 0 {
+		rel.rows = make([][]rdf.Term, len(rows))
+		for i, r := range rows {
+			rel.rows[i] = r.terms
+		}
+	}
+	return rel, len(candidates), segsPruned
 }
 
 // candidates returns the shard indexes to evaluate.
@@ -544,41 +535,13 @@ func allVars(patterns []TriplePattern) []string {
 	return out
 }
 
-// rowKey serialises a row for set-semantics dedup across shards.
-func rowKey(row []rdf.Term) string {
-	var b strings.Builder
-	for _, t := range row {
-		b.WriteString(t.String())
-		b.WriteByte('\x00')
-	}
-	return b.String()
-}
-
-// sortRows orders rows lexicographically for deterministic output.
-func sortRows(rows [][]rdf.Term) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			as, bs := a[k].String(), b[k].String()
-			if as != bs {
-				return as < bs
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
 // FormatTable renders a result as an aligned text table for the CLI.
 func FormatTable(r *Result) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(varHeaders(r.Vars), "\t"))
 	b.WriteByte('\n')
 	for _, row := range r.Rows {
-		cells := make([]string, len(row))
-		for i, t := range row {
-			cells[i] = t.String()
-		}
-		b.WriteString(strings.Join(cells, "\t"))
+		b.WriteString(strings.Join(renderRow(row).cells, "\t"))
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "-- %d rows, %d shards, %v\n", len(r.Rows), r.ShardsVisited, r.Elapsed)

@@ -2,95 +2,103 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
-// Cross-node partial-result merging for the cluster layer (DESIGN.md §16).
-//
-// A coordinator runs every node's partial query — StripFinal, the original
-// with grouping/aggregation/ordering/LIMIT removed and the projection
-// widened to the aggregate inputs — receives each node's distinct sorted
-// rows already stringified by Term.String(), merges them here, and runs
-// Finalize: the engine's own group/sort/limit operators over the merged
-// set. Because the scan keys rows on the NUL-joined Term.String()
-// serialisation and sorts by the same strings, MergeStringRows is
-// associative and commutative with the in-process merge, so a cluster of N
-// nodes and a single node holding the union finalize the identical
-// canonical row set — bit-identical answers (DESIGN.md §16 has the full
-// argument).
+// The one set-semantics row merge (DESIGN.md §16). The scan operator merges
+// the rows of a node's shards with it, and a cluster coordinator merges the
+// rows of its nodes with it: both dedup on a row's NUL-joined Term.String()
+// cells and sort cell-wise on the same strings, so the merge is associative
+// and commutative across the two levels. A cluster of N nodes and a single
+// node holding the union therefore hand the identical canonical row set to
+// the identical final operators — bit-identical answers.
 
-// MergeStringRows merges per-node partial rows under set semantics: rows
-// are deduplicated on their NUL-joined serialisation (the cross-shard row
-// key Run uses) and sorted lexicographically cell by cell, shorter row
-// first on tie — byte-compatible with Run's sortRows over Term.String()
-// values. Empty or nil partials are welcome and contribute nothing.
-func MergeStringRows(partials ...[][]string) [][]string {
-	seen := make(map[string]struct{})
-	var rows [][]string
-	for _, part := range partials {
-		for _, row := range part {
-			key := strings.Join(row, "\x00")
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			rows = append(rows, row)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return rows
+// renderedRow is a row with every cell rendered once: the renderings are
+// the dedup key and the sort key, so no comparison renders a term again.
+type renderedRow struct {
+	cells []string   // Term.String() per cell
+	terms []rdf.Term // the cells as terms; nil on a coordinator until the row survives the merge
 }
 
-// Finalize applies the final operators of q — group/aggregate, sort,
-// limit — to a merged distinct row set, exactly as a single node would:
-// the cells are parsed back into terms (Term.String / rdf.ParseTerm round-
-// trip exactly), the same finalizeOps chain the engine runs is executed
-// over them, and the result is re-stringified. Aggregation therefore folds
-// over the identical canonically-sorted row set in the identical order on
-// both sides, which keeps even float sums bit-identical. COUNT before
-// LIMIT semantics fall out for free: LIMIT is the last operator.
-func Finalize(q *Query, vars []string, rows [][]string) ([]string, [][]string, error) {
-	rel := relation{cols: vars, rows: make([][]rdf.Term, 0, len(rows))}
-	for _, row := range rows {
-		tr := make([]rdf.Term, len(row))
-		for i, cell := range row {
+func renderRow(terms []rdf.Term) renderedRow {
+	cells := make([]string, len(terms))
+	for i, t := range terms {
+		cells[i] = t.String()
+	}
+	return renderedRow{cells: cells, terms: terms}
+}
+
+// key is the row's identity under set semantics.
+func (r renderedRow) key() string { return strings.Join(r.cells, "\x00") }
+
+// sortRendered puts rows in canonical order: lexicographic cell by cell on
+// the renderings, shorter row first on a tie.
+func sortRendered(rows []renderedRow) {
+	slices.SortFunc(rows, func(a, b renderedRow) int { return slices.Compare(a.cells, b.cells) })
+}
+
+// rowSet accumulates distinct rows.
+type rowSet struct {
+	seen map[string]struct{}
+	rows []renderedRow
+}
+
+// add keeps r unless a row with the same key is already held. The caller
+// passes r.key() so that concurrent producers build keys outside the lock
+// that serialises add.
+func (s *rowSet) add(key string, r renderedRow) {
+	if _, dup := s.seen[key]; dup {
+		return
+	}
+	if s.seen == nil {
+		s.seen = make(map[string]struct{})
+	}
+	s.seen[key] = struct{}{}
+	s.rows = append(s.rows, r)
+}
+
+// sorted returns the distinct rows in canonical order.
+func (s *rowSet) sorted() []renderedRow {
+	sortRendered(s.rows)
+	return s.rows
+}
+
+// Finalize is the coordinator half of a distributed query. Every node ran
+// q's partial form — StripFinal: grouping, aggregation, ordering and LIMIT
+// removed, the projection widened to the aggregate inputs — and returned
+// its distinct rows over vars as Term.String() cells. Finalize merges them
+// through rowSet, parses the surviving cells back into terms (Term.String
+// and rdf.ParseTerm round-trip exactly) and runs the engine's own
+// group/sort/limit chain over them. Aggregation therefore folds the
+// identical canonically sorted row set in the identical order on both
+// sides, which keeps even float sums bit-identical, and COUNT-before-LIMIT
+// falls out: LIMIT is the last operator. Empty partials contribute nothing.
+func Finalize(q *Query, vars []string, partials ...[][]string) (*Result, error) {
+	var set rowSet
+	for _, part := range partials {
+		for _, cells := range part {
+			r := renderedRow{cells: cells}
+			set.add(r.key(), r)
+		}
+	}
+	rel := relation{cols: vars, rows: make([][]rdf.Term, 0, len(set.rows))}
+	for _, r := range set.sorted() {
+		terms := make([]rdf.Term, len(r.cells))
+		for i, cell := range r.cells {
 			t, err := rdf.ParseTerm(cell)
 			if err != nil {
-				return nil, nil, fmt.Errorf("query: finalize: partial row cell %q: %w", cell, err)
+				return nil, fmt.Errorf("query: finalize: partial row cell %q: %w", cell, err)
 			}
-			tr[i] = t
+			terms[i] = t
 		}
-		rel.rows = append(rel.rows, tr)
+		rel.rows = append(rel.rows, terms)
 	}
 	out, err := finalizeOps(q, &constOp{rel: rel}).exec()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	outRows := make([][]string, len(out.rows))
-	for i, r := range out.rows {
-		sr := make([]string, len(r))
-		for j, t := range r {
-			sr[j] = t.String()
-		}
-		outRows[i] = sr
-	}
-	return out.cols, outRows, nil
-}
-
-// CountTerm renders a distinct-row count exactly as the engine does
-// (rdf.NewLong → Term.String()), so a coordinator COUNT response is
-// bit-identical to a single-node one.
-func CountTerm(n int) string {
-	return rdf.NewLong(int64(n)).String()
+	return &Result{Vars: out.cols, Rows: out.rows}, nil
 }

@@ -7,7 +7,10 @@ import (
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
-func TestMergeStringRows(t *testing.T) {
+// TestRowSet pins the one set-semantics merge the scan operator and the
+// coordinator share: dedup on the NUL-joined cells, canonical cell-wise
+// order, shorter row first on a tie.
+func TestRowSet(t *testing.T) {
 	cases := []struct {
 		name     string
 		partials [][][]string
@@ -68,9 +71,19 @@ func TestMergeStringRows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := MergeStringRows(tc.partials...)
+			var set rowSet
+			for _, part := range tc.partials {
+				for _, cells := range part {
+					r := renderedRow{cells: cells}
+					set.add(r.key(), r)
+				}
+			}
+			var got [][]string
+			for _, r := range set.sorted() {
+				got = append(got, r.cells)
+			}
 			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("MergeStringRows = %v, want %v", got, tc.want)
+				t.Fatalf("merged rows = %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -80,8 +93,9 @@ func TestMergeStringRows(t *testing.T) {
 // partial rows run through the same group/sort/limit operators a single
 // node executes.
 func TestFinalize(t *testing.T) {
-	// Input rows are stringified terms exactly as nodes return them:
-	// distinct, canonically sorted (MergeStringRows output).
+	// Input rows are stringified terms exactly as nodes return them; every
+	// case receives them as three partials — out of order, one empty, two
+	// sharing a row.
 	iri := func(s string) string { return rdf.NewIRI(s).String() }
 	long := func(n int64) string { return rdf.NewLong(n).String() }
 	dbl := func(f float64) string { return rdf.NewDouble(f).String() }
@@ -104,9 +118,9 @@ func TestFinalize(t *testing.T) {
 		// LIMIT is the last operator, after aggregation, the same
 		// independent-of-LIMIT contract the engine pins in its count tables.
 		{"count ignores limit", "SELECT COUNT" + where + " LIMIT 2",
-			[]string{"count"}, [][]string{{CountTerm(3)}}},
+			[]string{"count"}, [][]string{{long(3)}}},
 		{"count without limit", "SELECT COUNT" + where,
-			[]string{"count"}, [][]string{{CountTerm(3)}}},
+			[]string{"count"}, [][]string{{long(3)}}},
 		{"group by with aggregates", "SELECT ?n COUNT(?s) SUM(?s)" + where + " GROUP BY ?n",
 			[]string{"n", "count_s", "sum_s"},
 			[][]string{{iri("a"), long(2), dbl(3)}, {iri("b"), long(1), dbl(3)}}},
@@ -116,40 +130,38 @@ func TestFinalize(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			q := MustParse(tc.query)
-			in := make([][]string, len(rows))
-			copy(in, rows)
-			gotVars, gotRows, err := Finalize(q, vars, in)
+			res, err := Finalize(MustParse(tc.query), vars, [][]string{rows[2], rows[0]}, nil, rows[:2])
 			if err != nil {
 				t.Fatalf("Finalize: %v", err)
 			}
-			if !reflect.DeepEqual(gotVars, tc.wantVars) || !reflect.DeepEqual(gotRows, tc.wantRows) {
+			if gotRows := cellsOf(res); !reflect.DeepEqual(res.Vars, tc.wantVars) || !reflect.DeepEqual(gotRows, tc.wantRows) {
 				t.Fatalf("Finalize(%q) = %v %v, want %v %v",
-					tc.query, gotVars, gotRows, tc.wantVars, tc.wantRows)
+					tc.query, res.Vars, gotRows, tc.wantVars, tc.wantRows)
 			}
 		})
 	}
 
 	// Zero rows: COUNT is a "0"^^long row, not an empty result.
 	q := MustParse("SELECT COUNT" + where + " LIMIT 5")
-	gotVars, gotRows, err := Finalize(q, vars, nil)
+	res, err := Finalize(q, vars)
 	if err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	if gotVars[0] != "count" || len(gotRows) != 1 || gotRows[0][0] != CountTerm(0) {
-		t.Fatalf("empty COUNT = %v %v", gotVars, gotRows)
+	if gotRows := cellsOf(res); res.Vars[0] != "count" || len(gotRows) != 1 || gotRows[0][0] != long(0) {
+		t.Fatalf("empty COUNT = %v %v", res.Vars, gotRows)
 	}
 
 	// A malformed cell (not a term serialisation) is an error, not a panic.
-	if _, _, err := Finalize(MustParse("SELECT COUNT"+where), vars, [][]string{{"not a term", "x"}}); err == nil {
+	if _, err := Finalize(MustParse("SELECT COUNT"+where), vars, [][]string{{"not a term", "x"}}); err == nil {
 		t.Fatal("Finalize accepted a malformed cell")
 	}
 }
 
-// TestCountTermMatchesEngine pins CountTerm to the engine's own rendering of
-// a count literal.
-func TestCountTermMatchesEngine(t *testing.T) {
-	if got, want := CountTerm(42), rdf.NewLong(42).String(); got != want {
-		t.Fatalf("CountTerm(42) = %q, want %q", got, want)
+// cellsOf renders a result's rows the way the wire does.
+func cellsOf(res *Result) [][]string {
+	out := make([][]string, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = renderRow(row).cells
 	}
+	return out
 }

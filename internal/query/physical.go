@@ -338,7 +338,14 @@ func (s *sortOp) exec() (relation, error) {
 		return relation{}, err
 	}
 	if s.canonical {
-		sortRows(rel.rows)
+		rows := make([]renderedRow, len(rel.rows))
+		for i, terms := range rel.rows {
+			rows[i] = renderRow(terms)
+		}
+		sortRendered(rows)
+		for i, r := range rows {
+			rel.rows[i] = r.terms
+		}
 	} else {
 		colIdx := map[string]int{}
 		for i, c := range rel.cols {

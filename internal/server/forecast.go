@@ -10,9 +10,9 @@ import (
 	"github.com/datacron-project/datacron/internal/core"
 )
 
-// forecastJSON is the wire shape of one forecast (GET /forecast, the items
+// ForecastJSON is the wire shape of one forecast (GET /forecast, the items
 // of GET /forecast/batch, and the SSE "forecast" event class).
-type forecastJSON struct {
+type ForecastJSON struct {
 	Entity     string  `json:"entity"`
 	TS         int64   `json:"ts"`
 	Method     string  `json:"method"`
@@ -25,8 +25,8 @@ type forecastJSON struct {
 	EventProb  float64 `json:"eventProb"`
 }
 
-func toForecastJSON(f core.ForecastResult) forecastJSON {
-	return forecastJSON{
+func toForecastJSON(f core.ForecastResult) ForecastJSON {
+	return ForecastJSON{
 		Entity: f.Entity, TS: f.TS, Method: f.Method,
 		Lon: f.Pt.Lon, Lat: f.Pt.Lat, Alt: f.Pt.Alt,
 		RadiusM: f.RadiusM, HistoryLen: f.HistoryLen, LastTS: f.LastTS,
@@ -34,8 +34,9 @@ func toForecastJSON(f core.ForecastResult) forecastJSON {
 	}
 }
 
-// forecastErrorResponse is the error body of the forecast endpoints.
-type forecastErrorResponse struct {
+// ErrorResponse is the {"error": ...} body of every JSON error answer, from
+// the forecast and synopses endpoints here and from a cluster coordinator.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
@@ -73,7 +74,7 @@ func (s *Server) hubOr503(w http.ResponseWriter) *core.ForecastHub {
 	fh := s.p.ForecastHub
 	if fh == nil {
 		writeJSON(w, http.StatusServiceUnavailable,
-			forecastErrorResponse{Error: "forecasting disabled (run datacron-serve with -forecast)"})
+			ErrorResponse{Error: "forecasting disabled (run datacron-serve with -forecast)"})
 	}
 	return fh
 }
@@ -90,27 +91,29 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	}
 	entity := r.URL.Query().Get("entity")
 	if entity == "" {
-		writeJSON(w, http.StatusBadRequest, forecastErrorResponse{Error: "missing ?entity="})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing ?entity="})
 		return
 	}
 	horizon, err := parseHorizon(r.URL.Query().Get("horizon"), 10*time.Minute)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, forecastErrorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	res, err := fh.Forecast(entity, horizon)
 	if err != nil {
-		writeJSON(w, forecastStatus(err), forecastErrorResponse{Error: err.Error()})
+		writeJSON(w, forecastStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, toForecastJSON(res))
 }
 
-// forecastBatchResponse is the GET /forecast/batch body.
-type forecastBatchResponse struct {
+// ForecastBatchResponse is the GET /forecast/batch body, from a node and
+// from a cluster coordinator alike (QueryResponse has the Partial contract).
+type ForecastBatchResponse struct {
 	HorizonMS int64          `json:"horizonMs"`
 	Count     int            `json:"count"`
-	Forecasts []forecastJSON `json:"forecasts"`
+	Forecasts []ForecastJSON `json:"forecasts"`
+	Partial   bool           `json:"partial,omitempty"`
 }
 
 // handleForecastBatch is GET /forecast/batch?horizon=: forecasts for every
@@ -124,16 +127,16 @@ func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	horizon, err := parseHorizon(r.URL.Query().Get("horizon"), 10*time.Minute)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, forecastErrorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	all, err := fh.ForecastAll(horizon)
 	if err != nil {
-		writeJSON(w, forecastStatus(err), forecastErrorResponse{Error: err.Error()})
+		writeJSON(w, forecastStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Entity < all[j].Entity })
-	resp := forecastBatchResponse{HorizonMS: horizon.Milliseconds(), Count: len(all), Forecasts: make([]forecastJSON, 0, len(all))}
+	resp := ForecastBatchResponse{HorizonMS: horizon.Milliseconds(), Count: len(all), Forecasts: make([]ForecastJSON, 0, len(all))}
 	for _, f := range all {
 		resp.Forecasts = append(resp.Forecasts, toForecastJSON(f))
 	}

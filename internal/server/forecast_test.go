@@ -93,7 +93,7 @@ func TestServerForecastStraightTrack(t *testing.T) {
 
 	last := truth[len(truth)-1]
 	const horizon = 10 * time.Minute
-	var fr forecastJSON
+	var fr ForecastJSON
 	status := getJSON(t, ts+"/forecast?entity=237000001&horizon=10m", &fr)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
@@ -111,7 +111,7 @@ func TestServerForecastStraightTrack(t *testing.T) {
 	}
 
 	// Batch endpoint carries the same entity.
-	var br forecastBatchResponse
+	var br ForecastBatchResponse
 	if status := getJSON(t, ts+"/forecast/batch?horizon=5m", &br); status != http.StatusOK {
 		t.Fatalf("batch status = %d", status)
 	}
@@ -187,7 +187,7 @@ func TestServerForecastSSE(t *testing.T) {
 			if f.event != "forecast" {
 				continue
 			}
-			var fr forecastJSON
+			var fr ForecastJSON
 			if err := json.Unmarshal(f.data, &fr); err != nil {
 				t.Fatalf("bad forecast frame: %v", err)
 			}
@@ -232,7 +232,7 @@ func TestServerForecastKillRecover(t *testing.T) {
 	if ir.Rejected != 0 {
 		t.Fatalf("rejected %d lines", ir.Rejected)
 	}
-	var before forecastJSON
+	var before ForecastJSON
 	if status := getJSON(t, url1+"/forecast?entity=237000003&horizon=10m", &before); status != http.StatusOK {
 		t.Fatalf("pre-kill forecast status = %d", status)
 	}
@@ -253,7 +253,7 @@ func TestServerForecastKillRecover(t *testing.T) {
 	if got := srv2.p.ForecastHub.Observed(); got != obsBefore {
 		t.Errorf("recovered hub observed = %d, want %d", got, obsBefore)
 	}
-	var after forecastJSON
+	var after ForecastJSON
 	if status := getJSON(t, url2+"/forecast?entity=237000003&horizon=10m", &after); status != http.StatusOK {
 		t.Fatalf("post-recovery forecast status = %d", status)
 	}

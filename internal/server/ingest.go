@@ -11,11 +11,12 @@ import (
 	"github.com/datacron-project/datacron/internal/wire"
 )
 
-// ingestResponse reports what happened to one POST /ingest batch. Accepted
+// IngestResponse reports what happened to one POST /ingest batch, to a
+// client and to a cluster coordinator forwarding an owner's share. Accepted
 // counts body records consumed (including blank ones, so it is always an
 // exact record offset to resume from); Error carries a body fault — after
 // which the accepted prefix was still ingested — or a durability failure.
-type ingestResponse struct {
+type IngestResponse struct {
 	Accepted int    `json:"accepted"`
 	Rejected int    `json:"rejected"`
 	Pending  int64  `json:"pending"`
@@ -57,7 +58,7 @@ var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // have been fully processed — useful when a client wants read-your-writes
 // consistency for a following query.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	resp := ingestResponse{}
+	resp := IngestResponse{}
 	sc := ingestScratchPool.Get().(*ingestScratch)
 	// Safe to recycle at return: SubmitBatch copies the records it hands to
 	// workers, and lines alias the iterator's own string, not sc.body.

@@ -17,7 +17,7 @@ import (
 )
 
 // postFrames posts a binary body and decodes the ingest response.
-func postFrames(t testing.TB, client *http.Client, url string, body []byte, wait bool) (ingestResponse, int) {
+func postFrames(t testing.TB, client *http.Client, url string, body []byte, wait bool) (IngestResponse, int) {
 	t.Helper()
 	u := url + "/ingest"
 	if wait {
@@ -28,7 +28,7 @@ func postFrames(t testing.TB, client *http.Client, url string, body []byte, wait
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ir ingestResponse
+	var ir IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatalf("decode ingest response: %v", err)
 	}

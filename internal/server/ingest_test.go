@@ -112,7 +112,7 @@ func TestIngestConformance(t *testing.T) {
 			req.Header.Set("Content-Type", contentType)
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, req)
-			var ir ingestResponse
+			var ir IngestResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
 				t.Fatalf("%s: decode ingest response %q: %v", c.name, rec.Body, err)
 			}
@@ -269,7 +269,7 @@ func TestServerIngestBodyLimit(t *testing.T) {
 		req.Header.Set("Content-Type", tc.contentType)
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req)
-		var ir ingestResponse
+		var ir IngestResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
 			t.Fatalf("%s: decode %q: %v", tc.name, rec.Body, err)
 		}

@@ -98,9 +98,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Gauge("datacron_ingest_lag_seconds", "Wall clock minus the stream-time watermark.", float64(s.p.Watermark.LagMS(now))/1000)
 	mw.Gauge("datacron_ingest_idle_seconds", "Seconds since the last ingested line.", float64(s.p.Watermark.IdleMS(now))/1000)
 
-	// End-to-end ingest latency over every line (not sampled).
+	// End-to-end ingest latency, sampled 1 line in 16 per worker
+	// (core's latSampleEvery).
 	addQuantiles(mw.Vec("gauge", "datacron_ingest_latency_seconds",
-		"End-to-end per-line pipeline latency quantiles (all lines)."),
+		"End-to-end per-line pipeline latency quantiles (sampled: 1 line in 16 per worker)."),
 		s.p.Stats.Latency, "path", "/ingest")
 
 	// Per-stage latency from the sampled tracer.

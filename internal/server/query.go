@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -28,34 +30,80 @@ type queryRequest struct {
 	Query string `json:"query"`
 }
 
-// queryResponse is the JSON result of POST /query.
-type queryResponse struct {
+// QueryResponse is the JSON result of POST /query, from a node and from a
+// cluster coordinator alike: the coordinator decodes its peers' bodies into
+// this type and encodes its own answer from it.
+type QueryResponse struct {
 	Vars           []string   `json:"vars"`
 	Rows           [][]string `json:"rows"`
 	ShardsVisited  int        `json:"shardsVisited"`
 	SegmentsPruned int        `json:"segmentsPruned"`
 	ElapsedUS      int64      `json:"elapsedUs"`
+	// Partial is set only by a coordinator, when one or more nodes could
+	// not contribute: their rows are simply absent — a degraded result,
+	// never an error, as long as one node answered.
+	Partial bool `json:"partial,omitempty"`
+}
+
+// NewQueryResponse renders a query result for the wire: every cell as
+// Term.String(), rows never null.
+func NewQueryResponse(res *query.Result) QueryResponse {
+	out := QueryResponse{
+		Vars:           res.Vars,
+		Rows:           make([][]string, len(res.Rows)),
+		ShardsVisited:  res.ShardsVisited,
+		SegmentsPruned: res.SegmentsPruned,
+		ElapsedUS:      res.Elapsed.Microseconds(),
+	}
+	for i, row := range res.Rows {
+		cells := make([]string, len(row))
+		for j, t := range row {
+			cells[j] = t.String()
+		}
+		out.Rows[i] = cells
+	}
+	return out
+}
+
+// maxQueryBytes bounds a POST /query body; a longer one is refused, never
+// truncated and parsed.
+const maxQueryBytes = 1 << 20
+
+// ReadQuery reads the query text of a POST /query request — the body
+// itself, or the "query" member under application/json — for a node and a
+// cluster coordinator alike. On failure status is the HTTP status to
+// answer with: 413 over maxQueryBytes, 400 for an unreadable, malformed or
+// empty body.
+func ReadQuery(w http.ResponseWriter, r *http.Request) (src string, status int, err error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+	if err != nil {
+		status = http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		return "", status, fmt.Errorf("read body: %w", err)
+	}
+	src = string(body)
+	if strings.Contains(r.Header.Get("Content-Type"), "application/json") {
+		var req queryRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return "", http.StatusBadRequest, fmt.Errorf("bad json: %w", err)
+		}
+		src = req.Query
+	}
+	if strings.TrimSpace(src) == "" {
+		return "", http.StatusBadRequest, errors.New("empty query")
+	}
+	return src, 0, nil
 }
 
 // handleQuery runs one stSPARQL-lite query against the store. Safe while
 // ingest is in flight: shard evaluation takes per-shard read locks.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	src, status, err := ReadQuery(w, r)
 	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	src := string(body)
-	if strings.Contains(r.Header.Get("Content-Type"), "application/json") {
-		var req queryRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		src = req.Query
-	}
-	if strings.TrimSpace(src) == "" {
-		http.Error(w, "empty query", http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	var res *query.Result
@@ -94,21 +142,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			CacheHit:       cacheHit,
 		})
 	}
-	out := queryResponse{
-		Vars:           res.Vars,
-		Rows:           make([][]string, len(res.Rows)),
-		ShardsVisited:  res.ShardsVisited,
-		SegmentsPruned: res.SegmentsPruned,
-		ElapsedUS:      res.Elapsed.Microseconds(),
-	}
-	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for j, t := range row {
-			cells[j] = t.String()
-		}
-		out.Rows[i] = cells
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, NewQueryResponse(res))
 }
 
 // rangeHit is one spatiotemporal range query result.

@@ -48,7 +48,7 @@ func wireBody(tls []synth.TimedLine) string {
 }
 
 // postIngest posts one batch, retrying rejected lines is the caller's job.
-func postIngest(t testing.TB, client *http.Client, url, body string, wait bool) ingestResponse {
+func postIngest(t testing.TB, client *http.Client, url, body string, wait bool) IngestResponse {
 	t.Helper()
 	u := url + "/ingest"
 	if wait {
@@ -59,7 +59,7 @@ func postIngest(t testing.TB, client *http.Client, url, body string, wait bool) 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ir ingestResponse
+	var ir IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatalf("decode ingest response: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var qr queryResponse
+	var qr QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestServerBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ir ingestResponse
+	var ir IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 		t.Fatal(err)
 	}
@@ -399,5 +399,33 @@ func TestHubSlowSubscriber(t *testing.T) {
 	}
 	if len(ch) != 2 {
 		t.Errorf("buffered = %d, want 2", len(ch))
+	}
+}
+
+// The partial flag rides on the wire types a node shares with its cluster
+// coordinator. A node never sets it, so its JSON must never carry the key;
+// a coordinator's degraded answer must.
+func TestWireTypesOmitPartial(t *testing.T) {
+	for _, tc := range []struct {
+		complete, degraded any
+	}{
+		{QueryResponse{}, QueryResponse{Partial: true}},
+		{ForecastBatchResponse{}, ForecastBatchResponse{Partial: true}},
+		{SynopsesBatchResponse{}, SynopsesBatchResponse{Partial: true}},
+	} {
+		complete, err := json.Marshal(tc.complete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(complete), "partial") {
+			t.Errorf("%T without Partial encodes the key: %s", tc.complete, complete)
+		}
+		degraded, err := json.Marshal(tc.degraded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(degraded), `"partial":true`) {
+			t.Errorf("%T with Partial drops the key: %s", tc.degraded, degraded)
+		}
 	}
 }

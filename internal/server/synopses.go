@@ -56,18 +56,13 @@ type synopsisResponse struct {
 	Points []synopsisPointJSON `json:"points"`
 }
 
-// synopsisErrorResponse is the error body of the synopses endpoints.
-type synopsisErrorResponse struct {
-	Error string `json:"error"`
-}
-
 // synopsesOr503 returns the pipeline's synopsis hub, or writes 503 when the
 // daemon runs with synopses disabled.
 func (s *Server) synopsesOr503(w http.ResponseWriter) *core.SynopsisHub {
 	sh := s.p.SynopsisHub
 	if sh == nil {
 		writeJSON(w, http.StatusServiceUnavailable,
-			synopsisErrorResponse{Error: "synopses disabled (run datacron-serve with -synopses)"})
+			ErrorResponse{Error: "synopses disabled (run datacron-serve with -synopses)"})
 	}
 	return sh
 }
@@ -88,7 +83,7 @@ func (s *Server) handleSynopsis(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrNoSynopsis) {
 			status = http.StatusNotFound
 		}
-		writeJSON(w, status, synopsisErrorResponse{Error: err.Error()})
+		writeJSON(w, status, ErrorResponse{Error: err.Error()})
 		return
 	}
 	resp := synopsisResponse{
@@ -102,8 +97,8 @@ func (s *Server) handleSynopsis(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// synopsisSummaryJSON is one entity's row in GET /synopses/batch.
-type synopsisSummaryJSON struct {
+// SynopsisSummaryJSON is one entity's row in GET /synopses/batch.
+type SynopsisSummaryJSON struct {
 	Entity   string  `json:"entity"`
 	Raw      int64   `json:"raw"`
 	Critical int64   `json:"critical"`
@@ -111,15 +106,17 @@ type synopsisSummaryJSON struct {
 	LastTS   int64   `json:"lastTS"`
 }
 
-// synopsesBatchResponse is the GET /synopses/batch body.
-type synopsesBatchResponse struct {
+// SynopsesBatchResponse is the GET /synopses/batch body, from a node and
+// from a cluster coordinator alike (QueryResponse has the Partial contract).
+type SynopsesBatchResponse struct {
 	Count int `json:"count"`
 	// Hub-wide compression accounting.
 	Observed int64                 `json:"observed"`
 	Critical int64                 `json:"critical"`
 	Ratio    float64               `json:"ratio"`
 	ByKind   map[string]int64      `json:"byKind"`
-	Entities []synopsisSummaryJSON `json:"entities"`
+	Entities []SynopsisSummaryJSON `json:"entities"`
+	Partial  bool                  `json:"partial,omitempty"`
 }
 
 // handleSynopsesBatch is GET /synopses/batch: per-entity synopsis summaries
@@ -132,16 +129,16 @@ func (s *Server) handleSynopsesBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	st := sh.Stats()
 	sums := sh.Summaries()
-	resp := synopsesBatchResponse{
+	resp := SynopsesBatchResponse{
 		Observed: st.Observed, Critical: st.Critical, Ratio: st.Ratio(),
 		ByKind:   make(map[string]int64, synopses.KindCount),
-		Entities: make([]synopsisSummaryJSON, 0, len(sums)),
+		Entities: make([]SynopsisSummaryJSON, 0, len(sums)),
 	}
 	for k, n := range st.ByKind {
 		resp.ByKind[synopses.Kind(k).String()] = n
 	}
 	for _, es := range sums {
-		resp.Entities = append(resp.Entities, synopsisSummaryJSON{
+		resp.Entities = append(resp.Entities, SynopsisSummaryJSON{
 			Entity: es.Entity, Raw: es.Raw, Critical: es.Critical,
 			Ratio: es.Ratio(), LastTS: es.LastTS,
 		})

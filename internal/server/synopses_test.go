@@ -103,7 +103,7 @@ func TestServerSynopsesEndpoints(t *testing.T) {
 		}
 	}
 
-	var br synopsesBatchResponse
+	var br SynopsesBatchResponse
 	if status := getJSON(t, ts+"/synopses/batch", &br); status != http.StatusOK {
 		t.Fatalf("batch status = %d", status)
 	}

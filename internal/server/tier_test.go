@@ -86,7 +86,7 @@ func TestSealEndpointAndTierMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qresp.Body.Close()
-	var qr queryResponse
+	var qr QueryResponse
 	if err := json.NewDecoder(qresp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
