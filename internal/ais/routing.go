@@ -64,10 +64,11 @@ func splitRoute(line string) (routeFields, bool) {
 // compressor state stays single-writer) while different entities spread
 // across workers.
 //
-// The total field is canonicalised through the same integer parse
-// ParseSentence applies, so a non-canonical single-sentence total like "01"
-// routes by MMSI exactly like the "1" it decodes as — not as a fragment
-// key that could land the report on a worker that never assembles it.
+// The total field is canonicalised through an integer parse that reads
+// exactly what ParseSentence's strconv.Atoi reads, so a non-canonical
+// single-sentence total like "01" routes by MMSI exactly like the "1" it
+// decodes as — not as a fragment key that could land the report on a
+// worker that never assembles it.
 //
 // ok is false when the line is not recognisably AIVDM; such lines can be
 // routed anywhere (they will be counted as bad lines downstream).
@@ -85,8 +86,8 @@ func AppendRoutingKey(dst []byte, line string) (out []byte, ok bool) {
 	if !ok {
 		return dst, false
 	}
-	total, err := strconv.Atoi(f.total)
-	if err != nil {
+	total, ok := atoi(f.total)
+	if !ok {
 		return dst, false
 	}
 	if total != 1 {
@@ -112,13 +113,41 @@ func FragmentKey(seq, channel string) string {
 // Sentence renders yield one key.
 func appendFragmentKey(dst []byte, seq, channel string) []byte {
 	dst = append(dst, "seq:"...)
-	if n, err := strconv.Atoi(seq); err == nil {
+	if n, ok := atoi(seq); ok {
 		dst = strconv.AppendInt(dst, int64(n), 10)
 	} else {
 		dst = append(dst, seq...)
 	}
 	dst = append(dst, ':')
 	return append(dst, channel...)
+}
+
+// atoi reads s as strconv.Atoi does — an optional sign, then decimal digits
+// that fit an int — but answers a malformed field with false instead of an
+// allocated *NumError, so routing a bad line costs what routing a good one
+// does.
+func atoi(s string) (n int, ok bool) {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if s == "" {
+		return 0, false
+	}
+	const limit = 1 << (strconv.IntSize - 1) // magnitude of the most negative int
+	var u uint64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 || u > limit/10 {
+			return 0, false
+		}
+		u = u*10 + uint64(d)
+	}
+	if neg {
+		return int(-int64(u)), u <= limit
+	}
+	return int(u), u < limit
 }
 
 // payloadMMSI unpacks the MMSI (bits 8..37) from the first seven armored

@@ -1,6 +1,7 @@
 package cer
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -194,14 +195,21 @@ func NewMaritimeSuite(box geo.BBox, areas map[string]*geo.Polygon) *MaritimeSuit
 // NewMaritimeSuiteConfig builds the suite with explicit thresholds.
 func NewMaritimeSuiteConfig(box geo.BBox, areas map[string]*geo.Polygon, cfg MaritimeSuiteConfig) *MaritimeSuite {
 	cfg = cfg.withDefaults()
+	// In name order: a report entering two areas at once emits its two
+	// events in the same order in every process.
+	names := make([]string, 0, len(areas))
+	for name := range areas {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var portMasks []*geo.Polygon
 	var entries []*Recognizer
-	for name, poly := range areas {
+	for _, name := range names {
 		if strings.HasPrefix(name, "PORT-") {
-			portMasks = append(portMasks, poly)
+			portMasks = append(portMasks, areas[name])
 			continue
 		}
-		entries = append(entries, NewRecognizer(AreaEntryPattern(name, poly)))
+		entries = append(entries, NewRecognizer(AreaEntryPattern(name, areas[name])))
 	}
 	return &MaritimeSuite{
 		Loitering:  NewRecognizer(LoiteringPattern(portMasks, cfg.LoiterMinDur)),

@@ -19,9 +19,6 @@ type PairEvent struct {
 	DistM    float64
 	MaxSpeed float64 // the faster of the two current speeds
 	Mid      geo.Point
-	// Closing is the closing speed in m/s (positive = approaching),
-	// estimated from the previous pair distance.
-	Closing float64
 }
 
 // Pairer finds proximate entity pairs in a position stream using a spatial
@@ -37,13 +34,6 @@ type Pairer struct {
 	last    map[string]model.Position
 	cellOf  map[string]int
 	members map[int]map[string]struct{}
-	prev    map[string]pairObs // pair key → last observation
-}
-
-// pairObs is the previous distance observation of a pair.
-type pairObs struct {
-	distM float64
-	ts    int64
 }
 
 // NewPairer returns a pairer over the world box.
@@ -64,7 +54,6 @@ func NewPairer(box geo.BBox, maxDistM float64) *Pairer {
 		last:      make(map[string]model.Position),
 		cellOf:    make(map[string]int),
 		members:   make(map[int]map[string]struct{}),
-		prev:      make(map[string]pairObs),
 	}
 }
 
@@ -118,13 +107,6 @@ func (pr *Pairer) Process(p model.Position) []PairEvent {
 		if d > pr.MaxDistM {
 			continue
 		}
-		key := PairKey(p.EntityID, id)
-		closing := 0.0
-		if prev, ok := pr.prev[key]; ok && p.TS > prev.ts {
-			// Positive when the distance is shrinking.
-			closing = (prev.distM - d) / (float64(p.TS-prev.ts) / 1000)
-		}
-		pr.prev[key] = pairObs{distM: d, ts: p.TS}
 		a, b := p.EntityID, id
 		if a > b {
 			a, b = b, a
@@ -134,8 +116,8 @@ func (pr *Pairer) Process(p model.Position) []PairEvent {
 			speed = q.SpeedMS
 		}
 		out = append(out, PairEvent{
-			Key: key, A: a, B: b, TS: p.TS, DistM: d,
-			MaxSpeed: speed, Mid: geo.Midpoint(p.Pt, q.Pt), Closing: closing,
+			Key: PairKey(a, b), A: a, B: b, TS: p.TS, DistM: d,
+			MaxSpeed: speed, Mid: geo.Midpoint(p.Pt, q.Pt),
 		})
 	}
 	return out

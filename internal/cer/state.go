@@ -54,31 +54,18 @@ func (r *Recognizer) RestoreState(st RecognizerState) {
 	}
 }
 
-// PairObs is the exported form of a pair's previous distance observation.
-type PairObs struct {
-	DistM float64 `json:"distM"`
-	TS    int64   `json:"ts"`
-}
-
 // PairerState is the exported form of the proximity pairer. The spatial
 // grid membership is not exported: it is derivable from Last and rebuilt
 // on restore.
 type PairerState struct {
 	Last map[string]model.Position `json:"last"`
-	Prev map[string]PairObs        `json:"prev"`
 }
 
 // ExportState returns a copy of the pairer's state.
 func (pr *Pairer) ExportState() PairerState {
-	st := PairerState{
-		Last: make(map[string]model.Position, len(pr.last)),
-		Prev: make(map[string]PairObs, len(pr.prev)),
-	}
+	st := PairerState{Last: make(map[string]model.Position, len(pr.last))}
 	for k, v := range pr.last {
 		st.Last[k] = v
-	}
-	for k, v := range pr.prev {
-		st.Prev[k] = PairObs{DistM: v.distM, TS: v.ts}
 	}
 	return st
 }
@@ -89,7 +76,6 @@ func (pr *Pairer) RestoreState(st PairerState) {
 	pr.last = make(map[string]model.Position, len(st.Last))
 	pr.cellOf = make(map[string]int, len(st.Last))
 	pr.members = make(map[int]map[string]struct{})
-	pr.prev = make(map[string]pairObs, len(st.Prev))
 	for id, p := range st.Last {
 		pr.last[id] = p
 		cell := pr.grid.CellID(p.Pt)
@@ -98,9 +84,6 @@ func (pr *Pairer) RestoreState(st PairerState) {
 			pr.members[cell] = make(map[string]struct{})
 		}
 		pr.members[cell][id] = struct{}{}
-	}
-	for k, v := range st.Prev {
-		pr.prev[k] = pairObs{distM: v.DistM, ts: v.TS}
 	}
 }
 

@@ -48,6 +48,14 @@ type Ingestor struct {
 	closed   bool
 	rejected atomic.Int64
 	inflight atomic.Int64
+
+	// idle is what Quiesce callers block on: made by the first waiter that
+	// finds lines in flight, closed and cleared by the worker whose batch
+	// brings inflight to zero. Both sides act under idleMu — the waiter
+	// reads inflight there, the worker locks it after its decrement — so a
+	// waiter either sees the zero or has its channel seen by the worker.
+	idleMu sync.Mutex
+	idle   chan struct{}
 }
 
 // worker is one ingest goroutine and its queue-side bookkeeping.
@@ -219,7 +227,8 @@ func (ing *Ingestor) run(w *worker) {
 // processBatch runs a drained batch through the pipeline under one hold of
 // the worker's snapshot lock, flushes the worker's store batch writer, and
 // retires the batch's logged LSNs with one FIFO cut. Detected events are
-// delivered once per batch, outside the lock.
+// delivered once per batch, outside the lock; the last thing a batch does is
+// leave inflight, waking Quiesce callers if it was the last one in flight.
 func (ing *Ingestor) processBatch(w *worker, batch []item) {
 	var evs []model.Event
 	var total int64
@@ -273,9 +282,18 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 		recsPool.Put(it.recs)
 	}
 	w.reserved.Add(-total)
-	ing.inflight.Add(-total)
+	// Events go out before the batch leaves inflight: a Quiesce that wakes
+	// on this batch returns after its detections were delivered, not before.
 	if len(evs) > 0 && ing.onEvents != nil {
 		ing.onEvents(evs)
+	}
+	if ing.inflight.Add(-total) == 0 {
+		ing.idleMu.Lock()
+		if ing.idle != nil {
+			close(ing.idle)
+			ing.idle = nil
+		}
+		ing.idleMu.Unlock()
 	}
 }
 
@@ -530,21 +548,29 @@ func (ing *Ingestor) Pending() int64 { return ing.inflight.Load() }
 // use this to observe a consistent store after a burst, not to pause
 // ingest.
 func (ing *Ingestor) Quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	// Exponential backoff: sub-millisecond reaction to short bursts
-	// without spinning the scheduler through long waits.
-	wait := 100 * time.Microsecond
-	const maxWait = 20 * time.Millisecond
-	for ing.inflight.Load() > 0 {
-		if timeout > 0 && time.Now().After(deadline) {
+	var expired <-chan time.Time // nil, never ready, when waiting forever
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	for {
+		ing.idleMu.Lock()
+		if ing.inflight.Load() == 0 {
+			ing.idleMu.Unlock()
+			return true
+		}
+		if ing.idle == nil {
+			ing.idle = make(chan struct{})
+		}
+		idle := ing.idle
+		ing.idleMu.Unlock()
+		select {
+		case <-idle:
+		case <-expired:
 			return false
 		}
-		time.Sleep(wait)
-		if wait < maxWait {
-			wait *= 2
-		}
 	}
-	return true
 }
 
 // Close stops accepting lines, drains the queues and waits for the

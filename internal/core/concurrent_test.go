@@ -259,3 +259,103 @@ func TestSubmitBatchBackpressure(t *testing.T) {
 		t.Errorf("processed %d lines, want 6", got)
 	}
 }
+
+// garbageLines returns n distinct unparsable lines; they route by raw-line
+// hash, so a handful reaches every worker, and cost almost nothing to ingest.
+func garbageLines(n int) []synth.TimedLine {
+	out := make([]synth.TimedLine, n)
+	for i := range out {
+		out[i] = synth.TimedLine{TS: 1, Line: fmt.Sprintf("garbage %d", i)}
+	}
+	return out
+}
+
+// Quiesce must wake on the batch that empties the ingestor — never sleep
+// through it into its timeout, never return with the caller's own lines
+// still in flight — however submitters and workers interleave.
+func TestQuiesceWakesWhenDrained(t *testing.T) {
+	for _, submitters := range []int{1, 4} {
+		t.Run(fmt.Sprint(submitters), func(t *testing.T) {
+			p := New(Config{Domain: model.Maritime})
+			ing := p.NewIngestor(IngestorConfig{Workers: 2, QueueLen: 1 << 10})
+			defer ing.Close()
+			lines := garbageLines(5)
+			var accepted atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < submitters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for round := 0; round < 10_000; round++ {
+						batch := lines[:1+(round+g)%len(lines)]
+						n, err := ing.SubmitBatch(nil, batch)
+						if n != len(batch) || err != nil {
+							t.Errorf("SubmitBatch = %d, %v", n, err)
+							return
+						}
+						// Every line counted so far was handed off before
+						// this Quiesce starts, so all of them are done when
+						// it sees the ingestor empty.
+						mine := accepted.Add(int64(n))
+						if !ing.Quiesce(2 * time.Second) {
+							t.Errorf("round %d: Quiesce timed out with %d lines pending", round, ing.Pending())
+							return
+						}
+						if submitters == 1 && ing.Pending() != 0 {
+							t.Errorf("round %d: Quiesce returned with %d lines pending", round, ing.Pending())
+							return
+						}
+						if got := p.Stats.Snapshot().Lines; got < mine {
+							t.Errorf("round %d: Quiesce returned after %d lines, %d were submitted before it", round, got, mine)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// A Quiesce whose lines cannot drain gives up at its timeout, not a poll
+// step later; one with no timeout outlasts the stall and returns once Close
+// has drained the queues.
+func TestQuiesceTimeoutAndForever(t *testing.T) {
+	p := New(Config{Domain: model.Maritime})
+	ing := p.NewIngestor(IngestorConfig{Workers: 2, QueueLen: 64})
+	release := ing.Barrier() // pause the workers
+	lines := garbageLines(8)
+	if n, err := ing.SubmitBatch(nil, lines); n != len(lines) || err != nil {
+		t.Fatalf("SubmitBatch = %d, %v", n, err)
+	}
+	// The best of three absorbs one late wake-up of this goroutine on a busy
+	// box; an early return is wrong every time.
+	best := time.Hour
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if ing.Quiesce(50 * time.Millisecond) {
+			t.Fatal("Quiesce reported a drain while the workers were paused")
+		}
+		took := time.Since(start)
+		if took < 50*time.Millisecond {
+			t.Fatalf("Quiesce(50ms) gave up after %v", took)
+		}
+		best = min(best, took)
+	}
+	if best >= 80*time.Millisecond {
+		t.Errorf("Quiesce(50ms) gave up after %v, want under 80ms", best)
+	}
+
+	forever := make(chan bool, 1)
+	go func() { forever <- ing.Quiesce(0) }()
+	release()
+	ing.Close()
+	select {
+	case ok := <-forever:
+		if !ok || ing.Pending() != 0 {
+			t.Errorf("Quiesce(0) = %v with %d lines pending after Close", ok, ing.Pending())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Quiesce(0) still blocked after Close drained the queues")
+	}
+}
