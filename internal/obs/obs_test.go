@@ -191,7 +191,8 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 		t.Fatal("1ms must not fire a 10ms threshold")
 	}
 	for i := 0; i < 6; i++ {
-		if !l.Observe(SlowQuery{Query: "slow", DurationUS: 50_000, Rows: i, ShardsVisited: 3, ShardsPruned: 1, SegmentsPruned: 2}) {
+		if !l.Observe(SlowQuery{Query: "slow", DurationUS: 50_000, Rows: i, ShardsVisited: 3, ShardsPruned: 1, SegmentsPruned: 2,
+			Plan: []PlanStage{{Op: "scan", Detail: "shards=3/4", Rows: 9, US: 41}, {Op: "limit", Detail: "n=5", Rows: 5}}}) {
 			t.Fatal("50ms must fire a 10ms threshold")
 		}
 	}
@@ -212,10 +213,33 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 	if !strings.Contains(logBuf.String(), `"msg":"slow query"`) {
 		t.Fatal("slow query must be mirrored to the structured log")
 	}
+	// The WARN line carries the executed plan: per operator its output rows
+	// and its self time.
+	if want := `"plan":"scan(shards=3/4) rows=9 us=41 -> limit(n=5) rows=5 us=0"`; !strings.Contains(logBuf.String(), want) {
+		t.Fatalf("WARN line lacks %s:\n%s", want, logBuf.String())
+	}
 	// Nil-safety.
 	var nilLog *SlowLog
 	if nilLog.Observe(SlowQuery{DurationUS: 1 << 40}) {
 		t.Fatal("nil slowlog must not fire")
+	}
+}
+
+// TestFormatPlanStages pins the one-operator-per-line rendering shared by the
+// slow-query log and -explain: an executed operator prints its rows and self
+// time, a plan that was only lowered (Rows -1) prints neither.
+func TestFormatPlanStages(t *testing.T) {
+	executed := FormatPlanStages([]PlanStage{
+		{Op: "scan", Detail: "patterns=2", Rows: 2500, US: 1830},
+		{Op: "group", Detail: "keys=v", Rows: 1000, US: 412},
+		{Op: "limit", Detail: "n=5", Rows: 5},
+	})
+	if want := "scan(patterns=2) rows=2500 us=1830\n-> group(keys=v) rows=1000 us=412\n-> limit(n=5) rows=5 us=0\n"; executed != want {
+		t.Fatalf("executed plan:\n%s\nwant:\n%s", executed, want)
+	}
+	explained := FormatPlanStages([]PlanStage{{Op: "scan", Detail: "patterns=2", Rows: -1}, {Op: "limit", Detail: "n=5", Rows: -1}})
+	if want := "scan(patterns=2)\n-> limit(n=5)\n"; explained != want {
+		t.Fatalf("explained plan:\n%s\nwant:\n%s", explained, want)
 	}
 }
 

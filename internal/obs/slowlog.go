@@ -11,11 +11,14 @@ import (
 
 // PlanStage is one operator of a physical query plan, in execution order
 // (scan first, limit last). Rows is the operator's output cardinality; -1
-// means the plan was rendered without executing (EXPLAIN).
+// means the plan was rendered without executing (EXPLAIN). US is the
+// operator's self time in microseconds — its own work, the operators below
+// it excluded — and is absent from a plan that was not executed.
 type PlanStage struct {
 	Op     string `json:"op"`
 	Detail string `json:"detail,omitempty"`
 	Rows   int    `json:"rows"`
+	US     int64  `json:"us,omitempty"`
 }
 
 // FormatPlanStages renders a physical plan as the one-operator-per-line
@@ -31,7 +34,7 @@ func FormatPlanStages(stages []PlanStage) string {
 			b.WriteString("(" + st.Detail + ")")
 		}
 		if st.Rows >= 0 {
-			fmt.Fprintf(&b, " rows=%d", st.Rows)
+			fmt.Fprintf(&b, " rows=%d us=%d", st.Rows, st.US)
 		}
 		b.WriteByte('\n')
 	}

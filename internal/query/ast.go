@@ -22,6 +22,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/datacron-project/datacron/internal/geo"
@@ -73,17 +74,6 @@ func (t TriplePattern) vars() []string {
 	return out
 }
 
-// boundCount counts constant slots (the selectivity heuristic).
-func (t TriplePattern) boundCount(bound map[string]bool) int {
-	n := 0
-	for _, pt := range []PatternTerm{t.S, t.P, t.O} {
-		if !pt.IsVar || bound[pt.Var] {
-			n++
-		}
-	}
-	return n
-}
-
 // CmpOp is a comparison operator in value filters.
 type CmpOp string
 
@@ -101,8 +91,9 @@ const (
 type Filter interface {
 	// Vars returns the variables the filter needs bound.
 	Vars() []string
-	// Eval evaluates the filter over decoded terms.
-	Eval(get func(string) (rdf.Term, bool)) bool
+	// Eval evaluates the filter on one partial match: args[i] is the term
+	// bound to Vars()[i].
+	Eval(args []rdf.Term) bool
 	fmt.Stringer
 }
 
@@ -128,38 +119,17 @@ func (f CmpFilter) String() string {
 
 // Eval implements Filter: numeric when both sides parse as numbers,
 // lexicographic otherwise.
-func (f CmpFilter) Eval(get func(string) (rdf.Term, bool)) bool {
-	t, ok := get(f.Var)
-	if !ok {
-		return false
-	}
+func (f CmpFilter) Eval(args []rdf.Term) bool {
+	t := args[0]
 	if a, okA := t.Float(); okA {
 		if b, okB := f.Value.Float(); okB {
-			return cmpFloat(a, b, f.Op)
+			return cmpOp(a, b, f.Op)
 		}
 	}
-	return cmpString(t.Value, f.Value.Value, f.Op)
+	return cmpOp(t.Value, f.Value.Value, f.Op)
 }
 
-func cmpFloat(a, b float64, op CmpOp) bool {
-	switch op {
-	case OpLT:
-		return a < b
-	case OpLE:
-		return a <= b
-	case OpGT:
-		return a > b
-	case OpGE:
-		return a >= b
-	case OpEQ:
-		return a == b
-	case OpNE:
-		return a != b
-	}
-	return false
-}
-
-func cmpString(a, b string, op CmpOp) bool {
+func cmpOp[T float64 | string](a, b T, op CmpOp) bool {
 	switch op {
 	case OpLT:
 		return a < b
@@ -193,9 +163,9 @@ func (f WithinFilter) String() string {
 }
 
 // Eval implements Filter.
-func (f WithinFilter) Eval(get func(string) (rdf.Term, bool)) bool {
-	lon, ok1 := getFloat(get, f.LonVar)
-	lat, ok2 := getFloat(get, f.LatVar)
+func (f WithinFilter) Eval(args []rdf.Term) bool {
+	lon, ok1 := args[0].Float()
+	lat, ok2 := args[1].Float()
 	return ok1 && ok2 && f.Box.Contains(geo.Pt(lon, lat))
 }
 
@@ -214,12 +184,8 @@ func (f DuringFilter) String() string {
 }
 
 // Eval implements Filter.
-func (f DuringFilter) Eval(get func(string) (rdf.Term, bool)) bool {
-	t, ok := get(f.TSVar)
-	if !ok {
-		return false
-	}
-	v, ok := t.Int()
+func (f DuringFilter) Eval(args []rdf.Term) bool {
+	v, ok := args[0].Int()
 	return ok && v >= f.From && v <= f.To
 }
 
@@ -240,18 +206,10 @@ func (f DWithinFilter) String() string {
 }
 
 // Eval implements Filter.
-func (f DWithinFilter) Eval(get func(string) (rdf.Term, bool)) bool {
-	lon, ok1 := getFloat(get, f.LonVar)
-	lat, ok2 := getFloat(get, f.LatVar)
+func (f DWithinFilter) Eval(args []rdf.Term) bool {
+	lon, ok1 := args[0].Float()
+	lat, ok2 := args[1].Float()
 	return ok1 && ok2 && geo.Haversine(geo.Pt(lon, lat), f.Center) <= f.DistM
-}
-
-func getFloat(get func(string) (rdf.Term, bool), v string) (float64, bool) {
-	t, ok := get(v)
-	if !ok {
-		return 0, false
-	}
-	return t.Float()
 }
 
 // AggFunc names an aggregate function.
@@ -361,18 +319,20 @@ func (q *Query) OutputVars() []string {
 		}
 		return q.patternVars()
 	}
-	var out []string
-	if len(q.GroupBy) > 0 {
-		if len(q.Vars) > 0 {
-			out = append(out, q.Vars...)
-		} else {
-			out = append(out, q.GroupBy...)
-		}
-	}
+	out := slices.Clone(q.groupCols())
 	for _, a := range q.Aggs {
 		out = append(out, a.OutName())
 	}
 	return out
+}
+
+// groupCols returns the grouping columns a grouped query projects: the
+// plain projected variables when given (⊆ GROUP BY), else the GROUP BY list.
+func (q *Query) groupCols() []string {
+	if len(q.Vars) > 0 && len(q.GroupBy) > 0 {
+		return q.Vars
+	}
+	return q.GroupBy
 }
 
 // StripFinal returns a copy of the query with grouping, aggregation,

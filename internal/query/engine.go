@@ -3,8 +3,8 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/geo"
@@ -13,13 +13,13 @@ import (
 	"github.com/datacron-project/datacron/internal/store"
 )
 
-// Engine evaluates queries over a sharded store: each shard's plan orders
-// patterns greedily by bound-slot count with per-shard predicate
-// cardinalities as the tiebreak, shard candidates come from the spatial and
-// temporal FILTER bounds via the partitioner, the same bounds prune whole
-// sealed segments inside each candidate shard, every candidate shard is
-// evaluated independently in parallel (global triples are replicated so the
-// evaluation never crosses shards), and rows are merged with set semantics.
+// Engine evaluates queries over a sharded store: the query is compiled onto
+// slots once (eval.go), each shard orders the patterns greedily by bound
+// positions with its own predicate cardinalities as the tiebreak, the
+// spatial and temporal FILTER bounds pick candidate shards via the
+// partitioner and prune whole sealed segments inside them, candidate shards
+// are evaluated independently in parallel (global triples are replicated, so
+// no evaluation crosses shards), and rows merge with set semantics (merge.go).
 type Engine struct {
 	st *store.Sharded
 	// Parallelism bounds concurrent shard evaluations; 0 means the number
@@ -75,177 +75,53 @@ func (e *Engine) Run(q *Query) (*Result, error) { return e.run(q, false) }
 // Explain lowers the query to its physical plan without executing it:
 // the -explain rendering (per-stage Rows stays -1).
 func (e *Engine) Explain(q *Query) []obs.PlanStage {
-	return collectStages(finalizeOps(q, &scanOp{e: e, q: q}))
+	steps, _ := finalSteps(q)
+	candidates, _ := e.candidates(q)
+	stages := []obs.PlanStage{e.scanStage(q, len(candidates), 0, -1, time.Time{})}
+	for _, st := range steps {
+		stages = append(stages, st.PlanStage)
+	}
+	return stages
 }
 
-// run lowers the logical plan onto a physical operator chain — scan
-// (patterns+filters+join over the tiered store) feeding group/aggregate,
-// sort and limit — executes it, and reports the plan facts.
+// run lowers the logical plan onto the physical operator chain — the scan
+// feeding group/aggregate, sort and limit — executes it, and reports the
+// plan facts.
 func (e *Engine) run(q *Query, cacheHit bool) (*Result, error) {
 	start := time.Now()
-	scan := &scanOp{e: e, q: q}
-	root := finalizeOps(q, scan)
-	rel, err := root.exec()
+	steps, ordered := finalSteps(q)
+	rel, visited, pruned := e.scan(q, ordered)
+	stages, err := execSteps(&rel, steps, e.scanStage(q, visited, pruned, rel.n, start))
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Vars:           rel.cols,
-		Rows:           rel.rows,
-		ShardsVisited:  scan.shardsVisited,
-		SegmentsPruned: scan.segsPruned,
+		Rows:           rel.terms(),
+		ShardsVisited:  visited,
+		SegmentsPruned: pruned,
 		Elapsed:        time.Since(start),
-		Plan:           PlanFacts{Stages: collectStages(root), CacheHit: cacheHit},
+		Plan:           PlanFacts{Stages: stages, CacheHit: cacheHit},
 	}, nil
 }
 
-// scanRelation is the scan operator's body: evaluate patterns and filters
-// over every candidate shard in parallel and return the canonically sorted
-// distinct rows of the query's input projection, plus shard/segment facts.
-func (e *Engine) scanRelation(q *Query) (rel relation, shardsVisited, segsPruned int) {
-	vars := q.InputVars()
-
-	// Shard pruning from spatiotemporal filter bounds; the same bounds
-	// prune sealed segments inside each shard.
-	candidates := e.candidates(q)
+// candidates returns the shard indexes the spatiotemporal filter bounds leave
+// to evaluate, and the bounds: they prune sealed segments inside each.
+func (e *Engine) candidates(q *Query) ([]int, store.ViewBounds) {
 	box, hasBox := q.SpatialBounds()
 	from, to, hasTime := q.TimeBounds()
 	vb := store.ViewBounds{Box: box, HasBox: hasBox, From: from, To: to, HasTime: hasTime}
-
-	par := e.Parallelism
-	if par <= 0 || par > len(candidates) {
-		par = len(candidates)
-	}
-	if par == 0 {
-		return relation{cols: vars}, 0, 0
-	}
-
-	// Numeric candidate bounds per variable, pushed into sealed-segment
-	// scans by the block path.
-	var bounds map[string]numBound
-	if !e.callbackScan {
-		bounds = numericBounds(q.Filters)
-	}
-
-	var mu sync.Mutex
-	var set rowSet
-	e.st.EachShardView(candidates, par, vb, func(i int, v *rdf.View, pruned int) {
-		// Plan per shard: predicate cardinalities differ across shards and
-		// change as segments seal and age out.
-		plan := planPatterns(q.Patterns, v)
-		local := evalShard(v, plan, q.Filters, bounds)
-		// Decode, render and key rows outside the merge lock so parallel
-		// shards only serialise on the dedup map itself.
-		rows := make([]renderedRow, len(local))
-		keys := make([]string, len(local))
-		for k, b := range local {
-			terms := make([]rdf.Term, len(vars))
-			for j, vn := range vars {
-				if id, ok := b[vn]; ok {
-					terms[j], _ = v.Dict().Decode(id)
-				}
-			}
-			rows[k] = renderRow(terms)
-			keys[k] = rows[k].key()
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		segsPruned += pruned
-		for k, r := range rows {
-			set.add(keys[k], r)
-		}
-	})
-
-	// Canonical sort makes the scan's output deterministic, pins the fold
-	// order of downstream float aggregates (reproducible sums), and is the
-	// pre-LIMIT order — aggregates see every distinct row because LIMIT is
-	// a separate operator that runs after group/sort, so
-	// `SELECT COUNT ... LIMIT n` still measures, not echoes the limit.
-	rel = relation{cols: vars}
-	if rows := set.sorted(); len(rows) > 0 {
-		rel.rows = make([][]rdf.Term, len(rows))
-		for i, r := range rows {
-			rel.rows[i] = r.terms
-		}
-	}
-	return rel, len(candidates), segsPruned
-}
-
-// candidates returns the shard indexes to evaluate.
-func (e *Engine) candidates(q *Query) []int {
-	box, hasBox := q.SpatialBounds()
-	from, to, hasTime := q.TimeBounds()
 	if !hasBox && !hasTime {
 		out := make([]int, e.st.NumShards())
 		for i := range out {
 			out[i] = i
 		}
-		return out
+		return out, vb
 	}
 	if !hasBox {
 		box = geo.NewBBox(-180, -90, 180, 90)
 	}
-	return e.st.Partitioner().Candidates(box, from, to)
-}
-
-// binding maps variable name to term id within one shard.
-type binding map[string]rdf.ID
-
-// planPatterns orders patterns greedily: start from the most-bound pattern,
-// then repeatedly pick the pattern with the most slots bound given already
-// planned variables (preferring connected patterns avoids Cartesian
-// blowup). Ties are broken by estimated cardinality from the graph's
-// per-tier predicate statistics — with g == nil the planner falls back to
-// the purely structural heuristic.
-func planPatterns(patterns []TriplePattern, g rdf.Graph) []TriplePattern {
-	remaining := append([]TriplePattern(nil), patterns...)
-	bound := map[string]bool{}
-	var plan []TriplePattern
-	for len(remaining) > 0 {
-		bestIdx := 0
-		bestScore := -1
-		bestCard := 0
-		for i, tp := range remaining {
-			score := tp.boundCount(bound) * 2
-			// Prefer patterns connected to the bound set.
-			for _, v := range tp.vars() {
-				if bound[v] {
-					score++
-				}
-			}
-			card := estimateCard(tp, g)
-			if score > bestScore || (score == bestScore && card < bestCard) {
-				bestScore = score
-				bestCard = card
-				bestIdx = i
-			}
-		}
-		chosen := remaining[bestIdx]
-		plan = append(plan, chosen)
-		for _, v := range chosen.vars() {
-			bound[v] = true
-		}
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-	}
-	return plan
-}
-
-// estimateCard estimates how many triples a pattern can match on g: the
-// predicate cardinality when the predicate is a known constant (0 when the
-// shard has never seen it — nothing can match, evaluate first and finish),
-// the graph size otherwise.
-func estimateCard(tp TriplePattern, g rdf.Graph) int {
-	if g == nil {
-		return 0
-	}
-	if !tp.P.IsVar {
-		id, ok := g.Dict().Lookup(tp.P.Term)
-		if !ok {
-			return 0
-		}
-		return g.PredCard(id)
-	}
-	return g.Len()
+	return e.st.Partitioner().Candidates(box, from, to), vb
 }
 
 // numBound is the closed numeric candidate interval for one variable.
@@ -262,8 +138,8 @@ type numBound struct {
 	cond     bool // any conditional clamp present
 }
 
-// numericBounds derives per-variable candidate intervals from the query's
-// filters. st:during and st:within reject any binding whose term does not
+// numericBounds derives per-slot candidate intervals (nil = none) from the
+// query's filters. st:during and st:within reject any binding whose term does not
 // parse as a number, so restricting a pattern's object candidates to
 // numeric values inside the (conjoined) interval can only drop rows the
 // filter would drop anyway — the exact filter still runs on every surviving
@@ -278,44 +154,31 @@ type numBound struct {
 // non-numeric row the numeric column cannot represent, so scanPattern
 // applies the conditional pair only under Segment.NumericOnly. A NaN
 // constant clamps nothing (no interval represents its comparisons).
-func numericBounds(filters []Filter) map[string]numBound {
-	var out map[string]numBound
-	bound := func(v string) *numBound {
-		if out == nil {
-			out = make(map[string]numBound)
+func numericBounds(filters []slotFilter, width int) []*numBound {
+	out := make([]*numBound, width)
+	clamp := func(slot int, lo, hi float64, cond bool) {
+		if slot < 0 {
+			return
 		}
-		b, ok := out[v]
-		if !ok {
-			b = numBound{
-				Lo: math.Inf(-1), Hi: math.Inf(1),
-				CLo: math.Inf(-1), CHi: math.Inf(1),
-			}
+		b := out[slot]
+		if b == nil {
+			b = &numBound{Lo: math.Inf(-1), Hi: math.Inf(1), CLo: math.Inf(-1), CHi: math.Inf(1)}
+			out[slot] = b
 		}
-		out[v] = b
-		return &b
+		if cond {
+			b.CLo, b.CHi, b.cond = math.Max(b.CLo, lo), math.Min(b.CHi, hi), true
+		} else {
+			b.Lo, b.Hi = math.Max(b.Lo, lo), math.Min(b.Hi, hi)
+		}
 	}
-	clamp := func(v string, lo, hi float64) {
-		b := bound(v)
-		b.Lo = math.Max(b.Lo, lo)
-		b.Hi = math.Min(b.Hi, hi)
-		out[v] = *b
-	}
-	clampCond := func(v string, lo, hi float64) {
-		b := bound(v)
-		b.CLo = math.Max(b.CLo, lo)
-		b.CHi = math.Min(b.CHi, hi)
-		b.cond = true
-		out[v] = *b
-	}
-	for _, f := range filters {
-		switch ff := f.(type) {
+	for _, sf := range filters {
+		switch ff := sf.f.(type) {
 		case DuringFilter:
-			clamp(ff.TSVar,
-				math.Nextafter(float64(ff.From), math.Inf(-1)),
-				math.Nextafter(float64(ff.To), math.Inf(1)))
+			clamp(sf.slots[0], math.Nextafter(float64(ff.From), math.Inf(-1)),
+				math.Nextafter(float64(ff.To), math.Inf(1)), false)
 		case WithinFilter:
-			clamp(ff.LonVar, ff.Box.MinLon, ff.Box.MaxLon)
-			clamp(ff.LatVar, ff.Box.MinLat, ff.Box.MaxLat)
+			clamp(sf.slots[0], ff.Box.MinLon, ff.Box.MaxLon, false)
+			clamp(sf.slots[1], ff.Box.MinLat, ff.Box.MaxLat, false)
 		case CmpFilter:
 			v, ok := ff.Value.Float()
 			if !ok || math.IsNaN(v) {
@@ -323,211 +186,51 @@ func numericBounds(filters []Filter) map[string]numBound {
 			}
 			switch ff.Op {
 			case OpLT, OpLE:
-				clampCond(ff.Var, math.Inf(-1), v)
+				clamp(sf.slots[0], math.Inf(-1), v, true)
 			case OpGT, OpGE:
-				clampCond(ff.Var, v, math.Inf(1))
+				clamp(sf.slots[0], v, math.Inf(1), true)
 			case OpEQ:
-				clampCond(ff.Var, v, v)
+				clamp(sf.slots[0], v, v, true)
 			}
 		}
 	}
 	return out
 }
 
-// scanPattern streams the triples matching (s, p, o) to fn. With no bound
-// on the object variable it is exactly Graph.FindID. With a bound, views
-// dispatch per part (early-stop propagates across parts, mirroring
-// View.FindID) and sealed segments answer from their value-sorted numeric
-// column — a binary-search range scan instead of a walk over every triple
-// of the predicate. The mutable head store and the global store keep the
-// callback path: their triples are few and carry no sealed columns.
+// scanPattern streams the triples of one tier of a shard matching (s, p, o)
+// to fn. With no bound on the object variable it is exactly Graph.FindID.
+// With one, sealed segments answer from their value-sorted numeric column —
+// a binary-search range scan instead of a walk over every triple of the
+// predicate. The mutable head and the global store keep the callback path:
+// their triples are few and carry no sealed columns.
 func scanPattern(g rdf.Graph, s, p, o rdf.ID, ob *numBound, fn func(rdf.Triple) bool) {
-	if ob == nil {
-		g.FindID(s, p, o, fn)
-		return
+	if seg, ok := g.(*rdf.Segment); ok && ob != nil && s == rdf.Wildcard && p != rdf.Wildcard {
+		lo, hi := ob.Lo, ob.Hi
+		if ob.cond && seg.NumericOnly(p) {
+			// Comparison-filter bounds only intersect in when the
+			// segment's seal-time stats prove the predicate all-numeric:
+			// on a mixed predicate the filter's string fallback could
+			// keep rows the numeric column does not carry.
+			lo = math.Max(lo, ob.CLo)
+			hi = math.Min(hi, ob.CHi)
+		}
+		if !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+			seg.NumericRange(p, lo, hi, fn)
+			return
+		}
+		// Both sides unbounded (only conditional clamps existed and the
+		// predicate is mixed): NumericRange would silently drop the
+		// non-numeric rows, so take the plain scan.
 	}
-	switch gg := g.(type) {
-	case *rdf.View:
-		stopped := false
-		wrap := func(t rdf.Triple) bool {
-			if !fn(t) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		for _, part := range gg.Parts() {
-			scanPattern(part, s, p, o, ob, wrap)
-			if stopped {
-				return
-			}
-		}
-	case *rdf.Segment:
-		if s == rdf.Wildcard && p != rdf.Wildcard {
-			lo, hi := ob.Lo, ob.Hi
-			if ob.cond && gg.NumericOnly(p) {
-				// Comparison-filter bounds only intersect in when the
-				// segment's seal-time stats prove the predicate all-numeric:
-				// on a mixed predicate the filter's string fallback could
-				// keep rows the numeric column does not carry.
-				lo = math.Max(lo, ob.CLo)
-				hi = math.Min(hi, ob.CHi)
-			}
-			if !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
-				gg.NumericRange(p, lo, hi, fn)
-				return
-			}
-			// Both sides unbounded (only conditional clamps existed and the
-			// predicate is mixed): NumericRange would silently drop the
-			// non-numeric rows, so take the plain scan.
-		}
-		gg.FindID(s, p, o, fn)
-	default:
-		g.FindID(s, p, o, fn)
-	}
-}
-
-// evalShard evaluates the planned BGP + filters on one shard's merged
-// tier view. bounds (nil = block path off) carries the numeric candidate
-// intervals scanPattern pushes into sealed segments.
-func evalShard(st rdf.Graph, plan []TriplePattern, filters []Filter, bounds map[string]numBound) []binding {
-	bindings := []binding{{}}
-	applied := make([]bool, len(filters))
-	boundVars := map[string]bool{}
-
-	applyFilters := func(bs []binding) []binding {
-		for fi, f := range filters {
-			if applied[fi] {
-				continue
-			}
-			ready := true
-			for _, v := range f.Vars() {
-				if !boundVars[v] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			applied[fi] = true
-			var kept []binding
-			for _, b := range bs {
-				get := func(name string) (rdf.Term, bool) {
-					id, ok := b[name]
-					if !ok {
-						return rdf.Term{}, false
-					}
-					return st.Dict().Decode(id)
-				}
-				if f.Eval(get) {
-					kept = append(kept, b)
-				}
-			}
-			bs = kept
-		}
-		return bs
-	}
-
-	for _, tp := range plan {
-		if len(bindings) == 0 {
-			return nil
-		}
-		var next []binding
-		for _, b := range bindings {
-			sid, sv, ok := resolve(st, tp.S, b)
-			if !ok {
-				continue
-			}
-			pid, pv, ok := resolve(st, tp.P, b)
-			if !ok {
-				continue
-			}
-			oid, ov, ok := resolve(st, tp.O, b)
-			if !ok {
-				continue
-			}
-			// Push the object variable's numeric interval into the scan when
-			// the slot is still unbound. A repeated variable inside the
-			// pattern is unaffected: the equality guard below still runs on
-			// every streamed triple.
-			var ob *numBound
-			if ov != "" && bounds != nil {
-				if nb, okB := bounds[ov]; okB {
-					ob = &nb
-				}
-			}
-			scanPattern(st, sid, pid, oid, ob, func(t rdf.Triple) bool {
-				// A variable repeated in one pattern must match itself: the
-				// first occurrence binds, every later occurrence (S, P or O)
-				// must equal the id already bound in this row, otherwise the
-				// row is skipped. Without the guard on S and P a pattern like
-				// `?x ?x ?o` silently rebound ?x and returned rows where the
-				// two occurrences differ.
-				nb := cloneBinding(b)
-				if sv != "" {
-					if prev, exists := nb[sv]; exists && prev != t.S {
-						return true
-					}
-					nb[sv] = t.S
-				}
-				if pv != "" {
-					if prev, exists := nb[pv]; exists && prev != t.P {
-						return true
-					}
-					nb[pv] = t.P
-				}
-				if ov != "" {
-					if prev, exists := nb[ov]; exists && prev != t.O {
-						return true
-					}
-					nb[ov] = t.O
-				}
-				next = append(next, nb)
-				return true
-			})
-		}
-		for _, v := range tp.vars() {
-			boundVars[v] = true
-		}
-		bindings = applyFilters(next)
-	}
-	return bindings
-}
-
-// resolve turns a pattern slot into (id, varName) under a binding. ok is
-// false when the slot is a constant unknown to the shard's dictionary
-// (no triple can match).
-func resolve(st rdf.Graph, pt PatternTerm, b binding) (rdf.ID, string, bool) {
-	if !pt.IsVar {
-		id, ok := st.Dict().Lookup(pt.Term)
-		if !ok {
-			return 0, "", false
-		}
-		return id, "", true
-	}
-	if id, ok := b[pt.Var]; ok {
-		return id, "", true
-	}
-	return rdf.Wildcard, pt.Var, true
-}
-
-func cloneBinding(b binding) binding {
-	nb := make(binding, len(b)+1)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
+	g.FindID(s, p, o, fn)
 }
 
 // allVars lists the variables of a pattern list in first-appearance order.
 func allVars(patterns []TriplePattern) []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, tp := range patterns {
 		for _, v := range tp.vars() {
-			if !seen[v] {
-				seen[v] = true
+			if !slices.Contains(out, v) {
 				out = append(out, v)
 			}
 		}
@@ -538,20 +241,19 @@ func allVars(patterns []TriplePattern) []string {
 // FormatTable renders a result as an aligned text table for the CLI.
 func FormatTable(r *Result) string {
 	var b strings.Builder
-	b.WriteString(strings.Join(varHeaders(r.Vars), "\t"))
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		b.WriteString(strings.Join(renderRow(row).cells, "\t"))
+	line := func(n int, cell func(i int) string) {
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteByte('\t')
+			}
+			b.WriteString(cell(i))
+		}
 		b.WriteByte('\n')
+	}
+	line(len(r.Vars), func(i int) string { return "?" + r.Vars[i] })
+	for _, row := range r.Rows {
+		line(len(row), func(i int) string { return row[i].String() })
 	}
 	fmt.Fprintf(&b, "-- %d rows, %d shards, %v\n", len(r.Rows), r.ShardsVisited, r.Elapsed)
 	return b.String()
-}
-
-func varHeaders(vars []string) []string {
-	out := make([]string, len(vars))
-	for i, v := range vars {
-		out[i] = "?" + v
-	}
-	return out
 }

@@ -1,104 +1,306 @@
 package query
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
-// The one set-semantics row merge (DESIGN.md §16). The scan operator merges
-// the rows of a node's shards with it, and a cluster coordinator merges the
-// rows of its nodes with it: both dedup on a row's NUL-joined Term.String()
-// cells and sort cell-wise on the same strings, so the merge is associative
-// and commutative across the two levels. A cluster of N nodes and a single
-// node holding the union therefore hand the identical canonical row set to
-// the identical final operators — bit-identical answers.
+// The one set-semantics row merge (DESIGN.md §16). The scan merges the id
+// rows of a node's shards with it; a cluster coordinator interns the
+// rendered rows of its nodes into a per-request dictionary and merges those
+// ids with it. Per column each distinct value is rendered once and the
+// values are ranked by Term.String(); rows become rank tuples, which sort and
+// dedup as integers. The canonical order is exactly slices.Compare over the
+// rows' rendered cells and two rows are one when their renderings are, and
+// the merge is associative and commutative across the two levels: N nodes
+// and one node holding the union hand the identical row set to the identical
+// final operators — bit-identical answers.
 
-// renderedRow is a row with every cell rendered once: the renderings are
-// the dedup key and the sort key, so no comparison renders a term again.
-type renderedRow struct {
-	cells []string   // Term.String() per cell
-	terms []rdf.Term // the cells as terms; nil on a coordinator until the row survives the merge
+// values is the value table of one query: a relation's cells index it.
+// Indexes below len(ids) are dictionary terms, column by column; from
+// len(ids) up they are aggregate results, kept as numbers until a surviving
+// row needs the term.
+type values struct {
+	dict []rdf.Term // rdf.Dictionary.Terms layout: dict[id-1]
+	ids  []rdf.ID   // 0 = unbound, the zero Term
+	// ranked: each column's values are in Term.String() order and render
+	// pairwise distinct, so two cells of one column compare as their
+	// renderings do. (Cells of different columns are never compared.)
+	ranked bool
+	num    []parsed // Term.Float() per id, parsed on first use
+	aggs   []aggValue
 }
 
-func renderRow(terms []rdf.Term) renderedRow {
-	cells := make([]string, len(terms))
-	for i, t := range terms {
-		cells[i] = t.String()
+type parsed struct {
+	f     float64
+	state int8 // 0 = not parsed yet, 1 = numeric, -1 = not a number
+}
+
+// aggValue is an aggregate's result: a COUNT ('l', long), a SUM or AVG ('d',
+// double), or a MIN/MAX that saw no input ('e', the empty literal).
+type aggValue struct {
+	kind byte
+	n    int64
+	f    float64
+}
+
+func (v *values) addAgg(a aggValue) uint32 {
+	v.aggs = append(v.aggs, a)
+	return uint32(len(v.ids) + len(v.aggs) - 1)
+}
+
+// termOf is Dictionary.Decode over the lock-free view; id 0 is the zero Term.
+func termOf(dict []rdf.Term, id rdf.ID) rdf.Term {
+	if id == 0 {
+		return rdf.Term{}
 	}
-	return renderedRow{cells: cells, terms: terms}
+	return dict[id-1]
 }
 
-// key is the row's identity under set semantics.
-func (r renderedRow) key() string { return strings.Join(r.cells, "\x00") }
-
-// sortRendered puts rows in canonical order: lexicographic cell by cell on
-// the renderings, shorter row first on a tie.
-func sortRendered(rows []renderedRow) {
-	slices.SortFunc(rows, func(a, b renderedRow) int { return slices.Compare(a.cells, b.cells) })
+// term materialises the value behind a cell.
+func (v *values) term(c uint32) rdf.Term {
+	if int(c) < len(v.ids) {
+		return termOf(v.dict, v.ids[c])
+	}
+	switch a := v.aggs[int(c)-len(v.ids)]; a.kind {
+	case 'l':
+		return rdf.NewLong(a.n)
+	case 'd':
+		return rdf.NewDouble(a.f)
+	}
+	return rdf.NewLiteral("")
 }
 
-// rowSet accumulates distinct rows.
-type rowSet struct {
-	seen map[string]struct{}
-	rows []renderedRow
+// float is term(c).Float(): a dictionary value parses once per query, an
+// aggregate is its own number (NewLong and NewDouble round-trip exactly).
+func (v *values) float(c uint32) (float64, bool) {
+	if int(c) >= len(v.ids) {
+		a := v.aggs[int(c)-len(v.ids)]
+		if a.kind == 'l' {
+			return float64(a.n), true
+		}
+		return a.f, a.kind == 'd'
+	}
+	if v.num == nil {
+		v.num = make([]parsed, len(v.ids))
+	}
+	p := &v.num[c]
+	if p.state == 0 {
+		p.state = -1
+		if f, ok := v.term(c).Float(); ok {
+			p.f, p.state = f, 1
+		}
+	}
+	return p.f, p.state > 0
 }
 
-// add keeps r unless a row with the same key is already held. The caller
-// passes r.key() so that concurrent producers build keys outside the lock
-// that serialises add.
-func (s *rowSet) add(key string, r renderedRow) {
-	if _, dup := s.seen[key]; dup {
+// cmpRendered is strings.Compare over two cells' (one column's) renderings.
+func (v *values) cmpRendered(a, b uint32) int {
+	if n := uint32(len(v.ids)); a < n && b < n && v.ranked {
+		return cmp.Compare(a, b)
+	}
+	return strings.Compare(v.term(a).String(), v.term(b).String())
+}
+
+// compare orders two cells numerically when both parse as numbers; ties,
+// NaN and everything else fall back to the rendering: the comparator behind
+// ORDER BY and MIN/MAX.
+func (v *values) compare(a, b uint32) int {
+	af, aok := v.float(a)
+	bf, bok := v.float(b)
+	if aok && bok && (af < bf || af > bf) {
+		return cmp.Compare(af, bf)
+	}
+	return v.cmpRendered(a, b)
+}
+
+// rankTerms puts one column's distinct ids in rendering order, collapsing
+// those that render equally ("x" and "x"^^xsd:string: two ids, one cell),
+// and returns each input id's position in the result. Most comparisons are
+// decided by an 8-byte key cut just past the prefix the column shares.
+func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) {
+	buf := make([]byte, 0, 64*len(ids)) // every rendering, back to back: one buffer, no string per value
+	end := make([]int, len(ids)+1)
+	for i, id := range ids {
+		buf = termOf(dict, id).AppendString(buf)
+		end[i+1] = len(buf)
+	}
+	str := func(i uint32) []byte { return buf[end[i]:end[i+1]] }
+	shared := end[1]
+	for i := range ids {
+		for s := str(uint32(i)); shared > len(s) || !bytes.Equal(s[:shared], buf[:shared]); {
+			shared--
+		}
+	}
+	keys := make([]uint64, len(ids))
+	order := make([]uint32, len(ids))
+	for i := range ids {
+		var k [8]byte
+		copy(k[:], str(uint32(i))[shared:])
+		keys[i], order[i] = binary.BigEndian.Uint64(k[:]), uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		if c := bytes.Compare(str(a), str(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(ids[a], ids[b])
+	})
+	ranks = make([]uint32, len(ids))
+	sorted = make([]rdf.ID, 0, len(ids))
+	for k, o := range order {
+		if k == 0 || !bytes.Equal(str(o), str(order[k-1])) {
+			sorted = append(sorted, ids[o])
+		}
+		ranks[o] = uint32(len(sorted) - 1)
+	}
+	return sorted, ranks
+}
+
+// sortRows stable-sorts the rows by cmp. ORDER BY's comparator is not
+// transitive over a column mixing numbers and non-numbers, so the algorithm
+// is part of the answer: the standard library's, as sort.SliceStable before.
+func (r *relation) sortRows(cmp func(a, b []uint32) int) {
+	perm := make([]int32, r.n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int { return cmp(r.row(int(a)), r.row(int(b))) })
+	r.gather(perm, false)
+}
+
+// gather rewrites the rows in perm's order, with dedup dropping repeats.
+func (r *relation) gather(perm []int32, dedup bool) {
+	w := len(r.cols)
+	cells := make([]uint32, 0, len(r.cells))
+	for _, p := range perm {
+		row := r.row(int(p))
+		if dedup && len(cells) > 0 && slices.Equal(row, cells[len(cells)-w:]) {
+			continue
+		}
+		cells = append(cells, row...)
+	}
+	r.cells, r.n = cells, len(cells)/max(w, 1)
+}
+
+// canonical sorts the rows cell by cell and drops duplicates: cells are dense
+// indexes, so a counting sort per column, last column first — linear.
+func (r *relation) canonical() {
+	w := len(r.cols)
+	if w == 0 {
+		r.n = min(r.n, 1)
 		return
 	}
-	if s.seen == nil {
-		s.seen = make(map[string]struct{})
+	perm, next := make([]int32, r.n), make([]int32, r.n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	s.seen[key] = struct{}{}
-	s.rows = append(s.rows, r)
+	start := make([]int32, len(r.vals.ids)+1)
+	for col := w - 1; col >= 0; col-- {
+		clear(start)
+		for _, p := range perm {
+			start[r.cells[int(p)*w+col]+1]++
+		}
+		for i := 1; i < len(start); i++ {
+			start[i] += start[i-1]
+		}
+		for _, p := range perm {
+			c := r.cells[int(p)*w+col]
+			next[start[c]] = p
+			start[c]++
+		}
+		perm, next = next, perm
+	}
+	r.gather(perm, true)
 }
 
-// sorted returns the distinct rows in canonical order.
-func (s *rowSet) sorted() []renderedRow {
-	sortRendered(s.rows)
-	return s.rows
+// mergeIDs turns n rows of dictionary ids over cols, with duplicates, into
+// the distinct rows in canonical order. With ordered false the consumer
+// observes neither order nor ranks, and nothing is rendered as long as every
+// value renders like no other (rdf.Term.PlainRendering): ids then dedup.
+func mergeIDs(cols []string, rows []rdf.ID, n int, dict []rdf.Term, ordered bool) relation {
+	vals := &values{dict: dict}
+	rel := relation{cols: cols, n: n, cells: make([]uint32, len(rows)), vals: vals}
+	w := len(cols)
+	bases := make([]int, w+1)
+	for col := range cols {
+		index := make(map[rdf.ID]uint32, n)
+		for i := col; i < len(rows); i += w {
+			id := rows[i]
+			c, ok := index[id]
+			if !ok {
+				c = uint32(len(vals.ids))
+				index[id] = c
+				vals.ids = append(vals.ids, id)
+				ordered = ordered || id == 0 || !dict[id-1].PlainRendering()
+			}
+			rel.cells[i] = c
+		}
+		bases[col+1] = len(vals.ids)
+	}
+	if ordered && n > 0 {
+		var ranked []rdf.ID
+		for col := range cols {
+			sorted, ranks := rankTerms(dict, vals.ids[bases[col]:bases[col+1]])
+			for i := col; i < len(rows); i += w {
+				rel.cells[i] = uint32(len(ranked)) + ranks[int(rel.cells[i])-bases[col]]
+			}
+			ranked = append(ranked, sorted...)
+		}
+		vals.ids = ranked
+	}
+	vals.ranked = ordered
+	rel.canonical()
+	return rel
 }
 
 // Finalize is the coordinator half of a distributed query. Every node ran
 // q's partial form — StripFinal: grouping, aggregation, ordering and LIMIT
 // removed, the projection widened to the aggregate inputs — and returned
-// its distinct rows over vars as Term.String() cells. Finalize merges them
-// through rowSet, parses the surviving cells back into terms (Term.String
-// and rdf.ParseTerm round-trip exactly) and runs the engine's own
-// group/sort/limit chain over them. Aggregation therefore folds the
-// identical canonically sorted row set in the identical order on both
-// sides, which keeps even float sums bit-identical, and COUNT-before-LIMIT
-// falls out: LIMIT is the last operator. Empty partials contribute nothing.
+// its distinct rows over vars as Term.String() cells. Finalize parses each
+// distinct cell once into the request's own dictionary (Term.String and
+// rdf.ParseTerm round-trip exactly), merges the id rows as a node merges its
+// shards' and runs the same group/sort/limit chain: aggregation folds the
+// identical row set in the identical order on both sides, which keeps even
+// float sums bit-identical, and COUNT-before-LIMIT falls out.
 func Finalize(q *Query, vars []string, partials ...[][]string) (*Result, error) {
-	var set rowSet
+	dict := rdf.NewDictionary()
+	seen := map[string]rdf.ID{}
+	var rows []rdf.ID
+	n := 0
 	for _, part := range partials {
-		for _, cells := range part {
-			r := renderedRow{cells: cells}
-			set.add(r.key(), r)
-		}
-	}
-	rel := relation{cols: vars, rows: make([][]rdf.Term, 0, len(set.rows))}
-	for _, r := range set.sorted() {
-		terms := make([]rdf.Term, len(r.cells))
-		for i, cell := range r.cells {
-			t, err := rdf.ParseTerm(cell)
-			if err != nil {
-				return nil, fmt.Errorf("query: finalize: partial row cell %q: %w", cell, err)
+		for _, row := range part {
+			if len(row) != len(vars) {
+				return nil, fmt.Errorf("query: finalize: partial row has %d cells, want %d", len(row), len(vars))
 			}
-			terms[i] = t
+			for _, cell := range row {
+				id, ok := seen[cell]
+				if !ok {
+					t, err := rdf.ParseTerm(cell)
+					if err != nil {
+						return nil, fmt.Errorf("query: finalize: partial row cell %q: %w", cell, err)
+					}
+					id = dict.Encode(t)
+					seen[cell] = id
+				}
+				rows = append(rows, id)
+			}
+			n++
 		}
-		rel.rows = append(rel.rows, terms)
 	}
-	out, err := finalizeOps(q, &constOp{rel: rel}).exec()
-	if err != nil {
+	steps, ordered := finalSteps(q)
+	rel := mergeIDs(vars, rows, n, dict.Terms(), ordered)
+	if _, err := execSteps(&rel, steps, obs.PlanStage{}); err != nil {
 		return nil, err
 	}
-	return &Result{Vars: out.cols, Rows: out.rows}, nil
+	return &Result{Vars: rel.cols, Rows: rel.terms()}, nil
 }

@@ -1,250 +1,142 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
+	"time"
 
 	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
 // This file is the physical layer of the two-stage query architecture: the
-// parser produces a logical plan (*Query), finalizeOps lowers its final
-// clauses onto a chain of physical operators, and exec pulls the chain.
-// The scan operator fuses pattern matching, join and filter evaluation per
-// shard (the tiered block-scan / numeric-pushdown paths live inside it —
-// see engine.go); group/aggregate, sort and limit run once over its output.
-// The same finalize chain runs on a cluster coordinator over merged partial
-// rows (Finalize in merge.go), which is what keeps distributed aggregation
-// bit-identical to a single node.
+// parser produces a logical plan (*Query), finalSteps lowers its final
+// clauses onto a chain of operators, and execSteps runs the chain over the
+// source's relation: the scan — per-shard join and filter evaluation
+// (eval.go) merged across shards (merge.go) — or, on a cluster coordinator,
+// the merge of the nodes' partial rows (Finalize). The same chain over
+// either keeps distributed aggregation bit-identical to a single node.
 
-// relation is the tabular value flowing between physical operators.
+// relation is the tabular value flowing between operators: n rows of
+// len(cols) cells in one flat array, each an index into the query's value
+// table (merge.go). Terms exist only for the rows of the final result.
 type relation struct {
-	cols []string
-	rows [][]rdf.Term
+	cols  []string
+	n     int
+	cells []uint32
+	vals  *values
 }
 
-// physOp is one physical operator. exec pulls the child (if any) and
-// produces the operator's output; stage reports plan facts for the
-// slow-query log and -explain (Rows is -1 until executed).
-type physOp interface {
-	exec() (relation, error)
-	stage() obs.PlanStage
-	child() physOp
+func (r *relation) row(i int) []uint32 {
+	w := len(r.cols)
+	return r.cells[i*w : (i+1)*w]
 }
 
-// collectStages returns the chain's plan facts in execution order (leaf
-// first), matching obs.FormatPlanStages.
-func collectStages(root physOp) []obs.PlanStage {
-	var rev []physOp
-	for op := root; op != nil; op = op.child() {
-		rev = append(rev, op)
+// terms materialises the relation as a result's rows.
+func (r *relation) terms() [][]rdf.Term {
+	if r.n == 0 {
+		return nil
 	}
-	out := make([]obs.PlanStage, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i].stage())
+	flat := make([]rdf.Term, len(r.cells))
+	for i, c := range r.cells {
+		flat[i] = r.vals.term(c)
 	}
-	return out
+	rows := make([][]rdf.Term, r.n)
+	for i, w := 0, len(r.cols); i < r.n; i++ {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }
 
-// finalizeOps lowers the final clauses of a query — grouping/aggregation,
-// ordering, limit — onto src. Grouped queries without an ORDER BY get a
-// canonical sort so their output order is deterministic; plain scans are
-// already canonically sorted by the scan operator.
-func finalizeOps(q *Query, src physOp) physOp {
-	op := src
-	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
-		outKeys := q.GroupBy
-		if len(q.Vars) > 0 && len(q.GroupBy) > 0 {
-			outKeys = q.Vars
+// columns resolves column names to their indexes in the relation.
+func (r *relation) columns(what string, names ...string) ([]int, error) {
+	idx := make([]int, len(names))
+	for i, name := range names {
+		if idx[i] = slices.Index(r.cols, name); idx[i] < 0 {
+			return nil, fmt.Errorf("query: %s input lacks column %q", what, name)
 		}
-		op = &groupOp{src: op, keys: q.GroupBy, outKeys: outKeys, aggs: q.Aggs}
+	}
+	return idx, nil
+}
+
+// step is one physical operator: its plan facts for the slow-query log and
+// -explain (Rows -1 until executed) and its body, rewriting the relation.
+type step struct {
+	obs.PlanStage
+	run func(*relation) error
+}
+
+// finalSteps lowers the final clauses of a query — grouping/aggregation,
+// ordering, limit — onto operators over the source's relation. Grouped
+// queries without an ORDER BY get a canonical sort so their output order is
+// deterministic; plain scans leave the source canonically sorted already.
+// ordered false: the chain observes neither the order of the source's rows
+// nor of their values, so the source may skip ranking.
+func finalSteps(q *Query) (steps []step, ordered bool) {
+	ordered = true
+	add := func(op, detail string, run func(*relation) error) {
+		steps = append(steps, step{PlanStage: obs.PlanStage{Op: op, Detail: detail, Rows: -1}, run: run})
+	}
+	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
+		names := make([]string, len(q.Aggs))
+		// Only one global group whose aggregates just count is blind to its
+		// input's order. Float sums depend on the fold order, bucket order
+		// on first appearance, and MIN/MAX on both: their comparator is
+		// numeric between numbers and lexical otherwise, which is not
+		// transitive across a mixed column, so even a minimum is a property
+		// of the order it was folded in.
+		ordered = len(q.GroupBy) > 0
+		for i, a := range q.Aggs {
+			names[i] = a.OutName()
+			ordered = ordered || a.Func != AggCount
+		}
+		add("group", fmt.Sprintf("keys=%s aggs=%s", joinOrDash(q.GroupBy), joinOrDash(names)),
+			func(rel *relation) error { return rel.group(q.GroupBy, q.groupCols(), q.Aggs) })
 		if len(q.OrderBy) == 0 {
-			op = &sortOp{src: op, canonical: true}
+			add("sort", "canonical", func(rel *relation) error {
+				rel.sortRows(func(a, b []uint32) int { return slices.CompareFunc(a, b, rel.vals.cmpRendered) })
+				return nil
+			})
 		}
 	}
 	if len(q.OrderBy) > 0 {
-		op = &sortOp{src: op, keys: q.OrderBy}
+		parts := make([]string, len(q.OrderBy))
+		for i, k := range q.OrderBy {
+			parts[i] = "?" + k.Var
+			if k.Desc {
+				parts[i] += " DESC"
+			}
+		}
+		add("sort", strings.Join(parts, ","), func(rel *relation) error { return rel.orderBy(q.OrderBy) })
 	}
 	if q.Limit > 0 {
-		op = &limitOp{src: op, n: q.Limit}
-	}
-	return op
-}
-
-// scanOp evaluates the pattern+filter part of the query over the sharded
-// store: shard pruning, per-shard greedy planning, block scans with
-// numeric pushdown, parallel evaluation, set-semantics dedup and canonical
-// sort — the whole pre-refactor engine behind one operator.
-type scanOp struct {
-	e *Engine
-	q *Query
-
-	executed      bool
-	shardsVisited int
-	segsPruned    int
-	rowsOut       int
-}
-
-func (s *scanOp) exec() (relation, error) {
-	rel, visited, pruned := s.e.scanRelation(s.q)
-	s.executed = true
-	s.shardsVisited = visited
-	s.segsPruned = pruned
-	s.rowsOut = len(rel.rows)
-	return rel, nil
-}
-
-func (s *scanOp) stage() obs.PlanStage {
-	visited := s.shardsVisited
-	if !s.executed {
-		visited = len(s.e.candidates(s.q))
-	}
-	detail := fmt.Sprintf("patterns=%d filters=%d shards=%d/%d",
-		len(s.q.Patterns), len(s.q.Filters), visited, s.e.st.NumShards())
-	rows := -1
-	if s.executed {
-		detail += fmt.Sprintf(" segments_pruned=%d", s.segsPruned)
-		rows = s.rowsOut
-	}
-	return obs.PlanStage{Op: "scan", Detail: detail, Rows: rows}
-}
-
-func (s *scanOp) child() physOp { return nil }
-
-// constOp wraps an already-materialised relation: the coordinator-side
-// source when finalizing merged partial rows.
-type constOp struct{ rel relation }
-
-func (c *constOp) exec() (relation, error) { return c.rel, nil }
-func (c *constOp) stage() obs.PlanStage {
-	return obs.PlanStage{Op: "merge", Detail: fmt.Sprintf("cols=%d", len(c.rel.cols)), Rows: len(c.rel.rows)}
-}
-func (c *constOp) child() physOp { return nil }
-
-// groupOp hash-groups its input on keys (no keys = one global group, which
-// exists even on empty input, preserving COUNT's count=0 row) and folds the
-// aggregates. Input rows are the DISTINCT canonically-sorted projection of
-// the aggregate inputs, and states fold in that order, so float sums are
-// reproducible across runs and across single-node vs coordinator execution.
-type groupOp struct {
-	src     physOp
-	keys    []string // grouping columns
-	outKeys []string // projected group columns (⊆ keys)
-	aggs    []Aggregate
-
-	executed bool
-	rowsOut  int
-}
-
-func (g *groupOp) exec() (relation, error) {
-	in, err := g.src.exec()
-	if err != nil {
-		return relation{}, err
-	}
-	colIdx := map[string]int{}
-	for i, c := range in.cols {
-		colIdx[c] = i
-	}
-	lookup := func(name string) (int, error) {
-		i, ok := colIdx[name]
-		if !ok {
-			return 0, fmt.Errorf("query: group input lacks column %q", name)
-		}
-		return i, nil
-	}
-	keyIdx := make([]int, len(g.keys))
-	for i, k := range g.keys {
-		if keyIdx[i], err = lookup(k); err != nil {
-			return relation{}, err
-		}
-	}
-	outKeyIdx := make([]int, len(g.outKeys))
-	for i, k := range g.outKeys {
-		if outKeyIdx[i], err = lookup(k); err != nil {
-			return relation{}, err
-		}
-	}
-	argIdx := make([]int, len(g.aggs))
-	for i, a := range g.aggs {
-		argIdx[i] = -1
-		if a.Var != "" {
-			if argIdx[i], err = lookup(a.Var); err != nil {
-				return relation{}, err
+		add("limit", fmt.Sprintf("n=%d", q.Limit), func(rel *relation) error {
+			if rel.n > q.Limit {
+				rel.n, rel.cells = q.Limit, rel.cells[:q.Limit*len(rel.cols)]
 			}
-		}
+			return nil
+		})
 	}
-
-	type bucket struct {
-		out    []rdf.Term
-		states []aggState
-	}
-	buckets := map[string]*bucket{}
-	var order []*bucket
-	var kb strings.Builder
-	for _, row := range in.rows {
-		kb.Reset()
-		for _, i := range keyIdx {
-			kb.WriteString(row[i].String())
-			kb.WriteByte('\x00')
-		}
-		k := kb.String()
-		b := buckets[k]
-		if b == nil {
-			b = &bucket{states: make([]aggState, len(g.aggs))}
-			for _, i := range outKeyIdx {
-				b.out = append(b.out, row[i])
-			}
-			buckets[k] = b
-			order = append(order, b)
-		}
-		for ai, a := range g.aggs {
-			var cell rdf.Term
-			if argIdx[ai] >= 0 {
-				cell = row[argIdx[ai]]
-			}
-			b.states[ai].add(a.Func, cell)
-		}
-	}
-	if len(g.keys) == 0 && len(order) == 0 {
-		order = append(order, &bucket{states: make([]aggState, len(g.aggs))})
-	}
-
-	cols := make([]string, 0, len(g.outKeys)+len(g.aggs))
-	cols = append(cols, g.outKeys...)
-	for _, a := range g.aggs {
-		cols = append(cols, a.OutName())
-	}
-	rows := make([][]rdf.Term, 0, len(order))
-	for _, b := range order {
-		row := make([]rdf.Term, 0, len(cols))
-		row = append(row, b.out...)
-		for ai, a := range g.aggs {
-			row = append(row, b.states[ai].final(a.Func))
-		}
-		rows = append(rows, row)
-	}
-	g.executed = true
-	g.rowsOut = len(rows)
-	return relation{cols: cols, rows: rows}, nil
+	return steps, ordered
 }
 
-func (g *groupOp) stage() obs.PlanStage {
-	names := make([]string, len(g.aggs))
-	for i, a := range g.aggs {
-		names[i] = a.OutName()
+// execSteps runs the chain over rel and returns the executed plan: source,
+// then each operator with its output cardinality and self time.
+func execSteps(rel *relation, steps []step, source obs.PlanStage) ([]obs.PlanStage, error) {
+	stages := []obs.PlanStage{source}
+	for _, st := range steps {
+		start := time.Now()
+		if err := st.run(rel); err != nil {
+			return nil, err
+		}
+		st.Rows, st.US = rel.n, time.Since(start).Microseconds()
+		stages = append(stages, st.PlanStage)
 	}
-	detail := fmt.Sprintf("keys=%s aggs=%s",
-		joinOrDash(g.keys), joinOrDash(names))
-	rows := -1
-	if g.executed {
-		rows = g.rowsOut
-	}
-	return obs.PlanStage{Op: "group", Detail: detail, Rows: rows}
+	return stages, nil
 }
-
-func (g *groupOp) child() physOp { return g.src }
 
 func joinOrDash(ss []string) string {
 	if len(ss) == 0 {
@@ -253,179 +145,194 @@ func joinOrDash(ss []string) string {
 	return strings.Join(ss, ",")
 }
 
+// scanStage renders the scan's plan facts; rows < 0 is the unexecuted form.
+func (e *Engine) scanStage(q *Query, visited, pruned, rows int, start time.Time) obs.PlanStage {
+	st := obs.PlanStage{Op: "scan", Rows: rows, Detail: fmt.Sprintf("patterns=%d filters=%d shards=%d/%d",
+		len(q.Patterns), len(q.Filters), visited, e.st.NumShards())}
+	if rows >= 0 {
+		st.Detail += fmt.Sprintf(" segments_pruned=%d", pruned)
+		st.US = time.Since(start).Microseconds()
+	}
+	return st
+}
+
+// scan evaluates the pattern+filter part of the query over the sharded
+// store: shard pruning, one compile, per-shard pattern order, block scans
+// with numeric pushdown, parallel evaluation and the set-semantics merge.
+func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited, segsPruned int) {
+	cols := q.InputVars()
+	candidates, vb := e.candidates(q)
+	par := e.Parallelism
+	if par <= 0 || par > len(candidates) {
+		par = len(candidates)
+	}
+	if par == 0 {
+		return relation{cols: cols, vals: &values{}}, 0, 0
+	}
+	c := compile(q, cols, e.st.Dict(), !e.callbackScan)
+	var mu sync.Mutex
+	var rows []rdf.ID
+	n := 0
+	e.st.EachShardView(candidates, par, vb, func(i int, v *rdf.View, pruned int) {
+		local, matches := c.evalShard(v)
+		mu.Lock()
+		defer mu.Unlock()
+		segsPruned += pruned
+		rows = append(rows, local...)
+		n += matches
+	})
+	// The canonical order makes the output deterministic and pins the fold
+	// order of float aggregates (reproducible sums). Aggregates see every
+	// distinct row: LIMIT is a separate operator after group/sort, so
+	// `SELECT COUNT ... LIMIT n` still measures, not echoes the limit.
+	return mergeIDs(cols, rows, n, e.st.Dict().Terms(), ordered), len(candidates), segsPruned
+}
+
+// group hash-groups the relation on keys (no keys = one global group, which
+// exists even on empty input, preserving COUNT's count=0 row) and folds the
+// aggregates, leaving outKeys (⊆ keys) and one column per aggregate. Input
+// rows are the DISTINCT canonically sorted projection of the aggregate
+// inputs and states fold in that order, so float sums are reproducible
+// across runs and across node vs coordinator. Buckets key on the rows' cells
+// (ranks: equal cells are equal renderings), in first-appearance order.
+func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
+	keyIdx, err := r.columns("group", keys...)
+	if err != nil {
+		return err
+	}
+	outKeyIdx, err := r.columns("group", outKeys...)
+	if err != nil {
+		return err
+	}
+	argIdx := make([]int, len(aggs))
+	for i, a := range aggs {
+		// Only the legacy bare COUNT has no argument column.
+		if argIdx[i] = slices.Index(r.cols, a.Var); argIdx[i] < 0 && (a.Var != "" || a.Func != AggCount) {
+			return fmt.Errorf("query: group input lacks column %q", a.Var)
+		}
+	}
+
+	// Bucket b's states are states[b*na:(b+1)*na], its projected key cells
+	// outCells[b*nk:(b+1)*nk].
+	na, nk := len(aggs), len(outKeyIdx)
+	var states []aggState
+	var outCells []uint32
+	fresh := make([]aggState, na)
+	byKey := map[string]int{}
+	var key []byte
+	for i := 0; i < r.n; i++ {
+		row := r.row(i)
+		key = key[:0]
+		for _, k := range keyIdx {
+			key = binary.LittleEndian.AppendUint32(key, row[k])
+		}
+		b, ok := byKey[string(key)]
+		if !ok {
+			b = len(byKey)
+			byKey[string(key)] = b
+			states = append(states, fresh...)
+			for _, k := range outKeyIdx {
+				outCells = append(outCells, row[k])
+			}
+		}
+		for ai, a := range aggs {
+			var cell uint32
+			if argIdx[ai] >= 0 {
+				cell = row[argIdx[ai]]
+			}
+			states[b*na+ai].add(a.Func, cell, r.vals)
+		}
+	}
+	buckets := len(byKey)
+	if len(keys) == 0 && buckets == 0 {
+		buckets, states = 1, fresh
+	}
+
+	r.cols = slices.Clone(outKeys)
+	for _, a := range aggs {
+		r.cols = append(r.cols, a.OutName())
+	}
+	r.n, r.cells = buckets, make([]uint32, 0, buckets*(nk+na))
+	for b := 0; b < buckets; b++ {
+		r.cells = append(r.cells, outCells[b*nk:(b+1)*nk]...)
+		for ai, a := range aggs {
+			r.cells = append(r.cells, states[b*na+ai].final(a.Func, r.vals))
+		}
+	}
+	return nil
+}
+
 // aggState is one aggregate's fold state within a group.
 type aggState struct {
-	n       int64    // COUNT
-	sum     float64  // SUM / AVG numerator
-	numN    int64    // SUM / AVG numeric-input count
-	best    rdf.Term // MIN / MAX
+	n       int64   // COUNT
+	sum     float64 // SUM / AVG numerator
+	numN    int64   // SUM / AVG numeric-input count
+	best    uint32  // MIN / MAX
 	hasBest bool
 }
 
-func (s *aggState) add(fn AggFunc, cell rdf.Term) {
+func (s *aggState) add(fn AggFunc, cell uint32, vals *values) {
 	switch fn {
 	case AggCount:
 		s.n++
 	case AggSum, AggAvg:
 		// Non-numeric inputs are skipped rather than poisoning the sum.
-		if f, ok := cell.Float(); ok {
+		if f, ok := vals.float(cell); ok {
 			s.sum += f
 			s.numN++
 		}
 	case AggMin:
-		if !s.hasBest || compareTerms(cell, s.best) < 0 {
+		if !s.hasBest || vals.compare(cell, s.best) < 0 {
 			s.best, s.hasBest = cell, true
 		}
 	case AggMax:
-		if !s.hasBest || compareTerms(s.best, cell) < 0 {
+		if !s.hasBest || vals.compare(s.best, cell) < 0 {
 			s.best, s.hasBest = cell, true
 		}
 	}
 }
 
-func (s *aggState) final(fn AggFunc) rdf.Term {
+func (s *aggState) final(fn AggFunc, vals *values) uint32 {
+	out := aggValue{kind: 'd', f: s.sum}
 	switch fn {
 	case AggCount:
-		return rdf.NewLong(s.n)
-	case AggSum:
-		return rdf.NewDouble(s.sum)
+		out = aggValue{kind: 'l', n: s.n}
 	case AggAvg:
-		if s.numN == 0 {
-			return rdf.NewDouble(0)
+		if s.numN > 0 { // an AVG of nothing stays the zero sum
+			out.f /= float64(s.numN)
 		}
-		return rdf.NewDouble(s.sum / float64(s.numN))
 	case AggMin, AggMax:
-		if !s.hasBest {
-			return rdf.NewLiteral("")
+		if s.hasBest {
+			return s.best
 		}
-		return s.best
+		out.kind = 'e'
 	}
-	return rdf.Term{}
+	return vals.addAgg(out)
 }
 
-// compareTerms orders terms numerically when both sides parse as numbers
-// (ties and everything else fall back to the N-Triples serialisation), the
-// comparator behind ORDER BY and MIN/MAX.
-func compareTerms(a, b rdf.Term) int {
-	if af, aok := a.Float(); aok {
-		if bf, bok := b.Float(); bok {
-			if af < bf {
-				return -1
-			}
-			if af > bf {
-				return 1
-			}
-		}
+// orderBy sorts the rows by the ORDER BY keys, stably, so equal keys keep
+// the input's deterministic order. Keys compare through the value table: no
+// comparison parses a float or renders a ranked term.
+func (r *relation) orderBy(keys []OrderKey) error {
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		names[i] = k.Var
 	}
-	return strings.Compare(a.String(), b.String())
-}
-
-// sortOp orders its input: by ORDER BY keys (stable, so equal keys keep
-// the child's deterministic order) or canonically (the grouped-no-ORDER-BY
-// default).
-type sortOp struct {
-	src       physOp
-	keys      []OrderKey
-	canonical bool
-
-	executed bool
-	rowsOut  int
-}
-
-func (s *sortOp) exec() (relation, error) {
-	rel, err := s.src.exec()
+	idx, err := r.columns("ORDER BY", names...)
 	if err != nil {
-		return relation{}, err
+		return err
 	}
-	if s.canonical {
-		rows := make([]renderedRow, len(rel.rows))
-		for i, terms := range rel.rows {
-			rows[i] = renderRow(terms)
-		}
-		sortRendered(rows)
-		for i, r := range rows {
-			rel.rows[i] = r.terms
-		}
-	} else {
-		colIdx := map[string]int{}
-		for i, c := range rel.cols {
-			colIdx[c] = i
-		}
-		idx := make([]int, len(s.keys))
-		for i, k := range s.keys {
-			j, ok := colIdx[k.Var]
-			if !ok {
-				return relation{}, fmt.Errorf("query: ORDER BY key ?%s missing from input", k.Var)
-			}
-			idx[i] = j
-		}
-		sort.SliceStable(rel.rows, func(i, j int) bool {
-			for ki, k := range s.keys {
-				c := compareTerms(rel.rows[i][idx[ki]], rel.rows[j][idx[ki]])
-				if k.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-	}
-	s.executed = true
-	s.rowsOut = len(rel.rows)
-	return rel, nil
-}
-
-func (s *sortOp) stage() obs.PlanStage {
-	detail := "canonical"
-	if !s.canonical {
-		parts := make([]string, len(s.keys))
-		for i, k := range s.keys {
-			parts[i] = "?" + k.Var
+	r.sortRows(func(a, b []uint32) int {
+		for ki, k := range keys {
+			c := r.vals.compare(a[idx[ki]], b[idx[ki]])
 			if k.Desc {
-				parts[i] += " DESC"
+				c = -c
+			}
+			if c != 0 {
+				return c
 			}
 		}
-		detail = strings.Join(parts, ",")
-	}
-	rows := -1
-	if s.executed {
-		rows = s.rowsOut
-	}
-	return obs.PlanStage{Op: "sort", Detail: detail, Rows: rows}
+		return 0
+	})
+	return nil
 }
-
-func (s *sortOp) child() physOp { return s.src }
-
-// limitOp truncates its input to n rows.
-type limitOp struct {
-	src physOp
-	n   int
-
-	executed bool
-	rowsOut  int
-}
-
-func (l *limitOp) exec() (relation, error) {
-	rel, err := l.src.exec()
-	if err != nil {
-		return relation{}, err
-	}
-	if len(rel.rows) > l.n {
-		rel.rows = rel.rows[:l.n]
-	}
-	l.executed = true
-	l.rowsOut = len(rel.rows)
-	return rel, nil
-}
-
-func (l *limitOp) stage() obs.PlanStage {
-	rows := -1
-	if l.executed {
-		rows = l.rowsOut
-	}
-	return obs.PlanStage{Op: "limit", Detail: fmt.Sprintf("n=%d", l.n), Rows: rows}
-}
-
-func (l *limitOp) child() physOp { return l.src }

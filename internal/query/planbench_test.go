@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/datacron-project/datacron/internal/partition"
@@ -57,4 +58,29 @@ func BenchmarkQueryPlanCache(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkQueryFleet is the query layer's micro-evidence for the live
+// benchmark: the three store reads of bench/reads.go over the store the
+// query-analytic workload builds (fleetWorld).
+func BenchmarkQueryFleet(b *testing.B) {
+	e := NewEngine(fleetWorld(b))
+	for _, bc := range []struct{ name, src string }{
+		{"count", fleetCount},
+		{"group", fleetGroup},
+		{"sel", fmt.Sprintf(fleetSel, "14.85")},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				res, err := e.Execute(bc.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(res.Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
+	}
 }

@@ -13,8 +13,8 @@ const defaultPlanCacheSize = 256
 
 // planCache is a bounded LRU of parsed queries keyed on canonicalized
 // query text. Cached *Query values are shared between callers and must be
-// treated as read-only — every execution path copies before mutating
-// (planPatterns copies the pattern slice, StripFinal returns a new Query).
+// treated as read-only — execution compiles them into a per-run form
+// (eval.go) and StripFinal returns a new Query.
 // Parse errors are not cached: they are cheap to reproduce and would
 // otherwise evict useful plans.
 type planCache struct {

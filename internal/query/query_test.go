@@ -380,10 +380,10 @@ func TestPlannerOrdersBoundFirst(t *testing.T) {
 		?n dat:ofMovingObject ?v .
 		?v rdf:type dat:Vessel .
 	}`)
-	plan := planPatterns(q.Patterns, nil)
+	plan := compile(q, nil, rdf.NewDictionary(), false).order(nil)
 	// The type pattern has 2 constants vs 1: must come first.
-	if plan[0].P.Term.Value != rdf.RDFType {
-		t.Errorf("plan order: %v first", plan[0])
+	if first := q.Patterns[plan[0]]; first.P.Term.Value != rdf.RDFType {
+		t.Errorf("plan order: %v first", first)
 	}
 }
 
@@ -402,41 +402,33 @@ func TestPlannerPrefersLowCardinalityPredicate(t *testing.T) {
 	}
 	s.AddGlobal(triples)
 	q := MustParse(`SELECT ?a ?b WHERE { ?a dat:common ?b . ?a dat:rare ?b . }`)
-	plan := planPatterns(q.Patterns, s.View(0))
-	if plan[0].P.Term != rare {
-		t.Errorf("plan order: %v first, want the rare predicate", plan[0])
+	plan := compile(q, nil, s.Dict(), false).order(s.View(0))
+	if first := q.Patterns[plan[0]]; first.P.Term != rare {
+		t.Errorf("plan order: %v first, want the rare predicate", first)
 	}
 	// Unknown predicates estimate to zero and plan first of all.
 	q2 := MustParse(`SELECT ?a ?b WHERE { ?a dat:common ?b . ?a dat:unseen ?b . }`)
-	plan2 := planPatterns(q2.Patterns, s.View(0))
-	if plan2[0].P.Term.Value != onto.NS+"unseen" {
-		t.Errorf("plan order: %v first, want the unseen predicate", plan2[0])
+	plan2 := compile(q2, nil, s.Dict(), false).order(s.View(0))
+	if first := q2.Patterns[plan2[0]]; first.P.Term.Value != onto.NS+"unseen" {
+		t.Errorf("plan order: %v first, want the unseen predicate", first)
 	}
 }
 
 func TestCmpFilterStringAndNumeric(t *testing.T) {
-	get := func(name string) (rdf.Term, bool) {
-		switch name {
-		case "num":
-			return rdf.NewDouble(5), true
-		case "str":
-			return rdf.NewLiteral("beta"), true
-		}
-		return rdf.Term{}, false
-	}
+	num, str := []rdf.Term{rdf.NewDouble(5)}, []rdf.Term{rdf.NewLiteral("beta")}
 	tests := []struct {
 		f    CmpFilter
+		args []rdf.Term
 		want bool
 	}{
-		{CmpFilter{"num", OpGT, rdf.NewDouble(4)}, true},
-		{CmpFilter{"num", OpLE, rdf.NewDouble(4)}, false},
-		{CmpFilter{"num", OpNE, rdf.NewDouble(5)}, false},
-		{CmpFilter{"str", OpGT, rdf.NewLiteral("alpha")}, true},
-		{CmpFilter{"str", OpEQ, rdf.NewLiteral("beta")}, true},
-		{CmpFilter{"missing", OpEQ, rdf.NewLiteral("x")}, false},
+		{CmpFilter{"num", OpGT, rdf.NewDouble(4)}, num, true},
+		{CmpFilter{"num", OpLE, rdf.NewDouble(4)}, num, false},
+		{CmpFilter{"num", OpNE, rdf.NewDouble(5)}, num, false},
+		{CmpFilter{"str", OpGT, rdf.NewLiteral("alpha")}, str, true},
+		{CmpFilter{"str", OpEQ, rdf.NewLiteral("beta")}, str, true},
 	}
 	for i, tc := range tests {
-		if got := tc.f.Eval(get); got != tc.want {
+		if got := tc.f.Eval(tc.args); got != tc.want {
 			t.Errorf("case %d: %v = %v", i, tc.f, got)
 		}
 	}

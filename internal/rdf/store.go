@@ -85,6 +85,16 @@ func (d *Dictionary) Decode(id ID) (Term, bool) {
 	return d.byID[id-1], true
 }
 
+// Terms returns the interned terms in ID order: Terms()[id-1] is the term of
+// id. The dictionary only ever appends, so the slice is a stable view a
+// reader can index without a lock — one RLock for a whole evaluation instead
+// of one per Decode. It does not see terms interned after the call.
+func (d *Dictionary) Terms() []Term {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.byID[:len(d.byID):len(d.byID)]
+}
+
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int {
 	d.mu.RLock()

@@ -110,6 +110,46 @@ func (t Term) String() string {
 	}
 }
 
+// AppendString appends t.String() to dst without allocating a string: a
+// reader that renders many terms (the query merge ranks every distinct value
+// by its rendering) fills one buffer instead of making one string per term.
+func (t Term) AppendString(dst []byte) []byte {
+	switch t.Kind {
+	case IRI:
+		return append(append(append(dst, '<'), t.Value...), '>')
+	case Blank:
+		return append(append(dst, "_:"...), t.Value...)
+	}
+	dst = append(append(append(dst, '"'), escapeLiteral(t.Value)...), '"') // escapeLiteral copies only when it must
+	if t.Lang != "" {
+		return append(append(dst, '@'), t.Lang...)
+	}
+	if t.Datatype != "" && t.Datatype != XSDString {
+		return append(append(append(dst, "^^<"...), t.Datatype...), '>')
+	}
+	return dst
+}
+
+// PlainRendering reports whether t.String() is the rendering of no other
+// term that also reports true — so that a set of such terms can be deduped
+// on their dictionary ids without rendering them. It holds for an IRI or
+// blank node with no stray literal fields, and for a literal in the form the
+// constructors give it whose value needs no escaping: the rendering of such
+// a literal ends at its first quote after the opening one, so an equal
+// rendering has the same value and the same suffix. What is left out — a
+// literal carrying xsd:string, or both a language and a datatype, or an
+// escape — can render like another term ("x" and "x"^^xsd:string do).
+func (t Term) PlainRendering() bool {
+	switch t.Kind {
+	case IRI, Blank:
+		return t.Datatype == "" && t.Lang == ""
+	case Literal:
+		return (t.Lang == "" || t.Datatype == "") && t.Datatype != XSDString &&
+			!strings.ContainsAny(t.Value, "\"\\\n\r\t")
+	}
+	return false
+}
+
 // escapeLiteral escapes the characters N-Triples requires.
 func escapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {

@@ -244,6 +244,18 @@ func TestSlowQueryLog(t *testing.T) {
 	if e.Rows <= 0 || e.DurationUS < 0 || e.ShardsVisited <= 0 || e.ShardsPruned < 0 {
 		t.Fatalf("plan facts look wrong: %+v", e)
 	}
+	// The executed plan says where the time went: the scan did the work
+	// here, and no operator can have taken longer than the whole query.
+	if len(e.Plan) == 0 || e.Plan[0].Op != "scan" || e.Plan[0].Rows != e.Rows || e.Plan[0].US <= 0 {
+		t.Fatalf("executed plan lacks the scan's rows and self time: %+v", e.Plan)
+	}
+	var sum int64
+	for _, st := range e.Plan {
+		sum += st.US
+	}
+	if sum > e.DurationUS {
+		t.Fatalf("operators' self times sum to %d us, over the query's %d us", sum, e.DurationUS)
+	}
 }
 
 // TestSlowQueryLogDisabled verifies a negative threshold turns the
