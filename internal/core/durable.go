@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -27,7 +27,7 @@ import (
 //	<data-dir>/snapshots/snap-<cutLSN>/    full pipeline snapshots
 //	    MANIFEST.json                      cut + replay floor + config check
 //	    state.json                         counters, operator state, offsets
-//	    shard-NNN.nt / shard-NNN.anchors   per-shard mutable-tier data
+//	    shard-NNN.blk                      per-shard mutable tiers, one block
 //	    shard-NNN.segments                 per-shard sealed-segment list
 //	    seg-*.seg                          hard links into ../../segments/
 //
@@ -39,20 +39,33 @@ import (
 // applied offset — so recovery cost is snapshot-load + tail, not the whole
 // log, and no record is ever applied twice.
 //
-// Snapshots are incremental with respect to the tiered store (format v2):
-// sealed segments are serialised once into <data-dir>/segments and
-// hard-linked into each snapshot, so steady-state snapshots rewrite only
-// the head tier and state.json. The byte layout of every store file is
-// internal/store/block.go's. Format v1 snapshots (written by earlier
-// builds, never by this one) are v2 without segment lists and load as the
-// zero-segment case.
+// Ingest waits for as long as the barrier is held, and the barrier is held
+// while everything is serialised, so what a snapshot is made of is streamed
+// and small: store blocks are binary and written straight from the graphs'
+// ids (internal/store/block.go), and the positions in operator state — the
+// bulk of state.json — are packed (model.PackedPositions).
+//
+// Snapshots are incremental with respect to the tiered store: sealed
+// segments are serialised once into <data-dir>/segments and hard-linked into
+// each snapshot, so steady-state snapshots rewrite only the head tier and
+// state.json.
+//
+// Format 3 is the layout above. Formats 1 and 2 (text store files, positions
+// as JSON objects; written by builds up to PR 19, never by this one) are
+// still read, for one more round: the store tells its files apart by name
+// and magic, PackedPositions reads the object arrays. ROADMAP item 3 dates
+// the removal.
 
 // snapshotFormatVersion is the layout this build writes;
 // minSnapshotReadVersion..snapshotFormatVersion are accepted on recovery.
 const (
-	snapshotFormatVersion  = 2
+	snapshotFormatVersion  = 3
 	minSnapshotReadVersion = 1
 )
+
+// prevSuffix marks a completed snapshot that a newer one at the same cut is
+// about to replace; see publishSnapshot.
+const prevSuffix = ".prev"
 
 // WALDir returns the write-ahead log directory under dataDir.
 func WALDir(dataDir string) string { return filepath.Join(dataDir, "wal") }
@@ -72,7 +85,7 @@ type manifest struct {
 	Domain        string `json:"domain"`
 	CreatedUnixMS int64  `json:"createdUnixMS"`
 	// Segments counts the sealed segment files the snapshot references
-	// (informational; 0 for v1 layouts).
+	// (informational).
 	Segments int `json:"segments,omitempty"`
 }
 
@@ -210,7 +223,7 @@ func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (S
 			st.Entities = append(st.Entities, id)
 		}
 		p.entityMu.Unlock()
-		sort.Strings(st.Entities)
+		slices.Sort(st.Entities)
 		if p.Suite != nil {
 			ss := p.Suite.ExportState()
 			st.Suite = &ss
@@ -241,15 +254,13 @@ func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (S
 	}
 
 	final := filepath.Join(snapRoot, fmt.Sprintf("snap-%020d", cut))
-	if err := os.RemoveAll(final); err != nil {
+	if err := publishSnapshot(tmp, final, log != nil && log.Syncs()); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("core: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return SnapshotInfo{}, fmt.Errorf("core: snapshot: %w", err)
-	}
-	// Older snapshots, fully-covered WAL segments and store-segment files
-	// no snapshot references are now disposable.
-	pruneSnapshots(snapRoot, cut)
+	// Older snapshots, the leavings of crashed attempts, fully-covered WAL
+	// segments and store-segment files no snapshot references are now
+	// disposable.
+	pruneSnapshots(snapRoot, filepath.Base(final))
 	gcSegmentCache(SegmentsDir(dataDir), final)
 	if log != nil && replayFrom > 1 {
 		_, _ = log.RemoveSegmentsBefore(replayFrom)
@@ -258,6 +269,76 @@ func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (S
 		Dir: final, CutLSN: cut, ReplayFrom: replayFrom,
 		Triples: p.Store.Len(), Segments: segments, Took: time.Since(start),
 	}, nil
+}
+
+// renameDir is os.Rename; a test replaces it to stop a publish between its
+// steps.
+var renameDir = os.Rename
+
+// publishSnapshot makes the finished snapshot directory tmp the completed
+// snapshot final, without an instant at which the snapshot root holds no
+// completed snapshot: the caller prunes the WAL below the cut of the
+// snapshot before this one, so a crash in such an instant would lose acked
+// lines. A directory cannot be renamed over a non-empty one, and two
+// snapshots with no append between them share a cut and so a name; the one
+// in the way is first renamed to final+prevSuffix, a name latestSnapshot
+// still reads, and dropped by the caller's prune.
+//
+// With durable set (the WAL fsyncs its commits, so the operator expects to
+// survive power loss) the snapshot's files, its directory and, after the
+// rename, the snapshot root are fsynced before the caller prunes anything:
+// the WAL segments it deletes next are the only other copy.
+func publishSnapshot(tmp, final string, durable bool) error {
+	if durable {
+		if err := syncTree(tmp); err != nil {
+			return err
+		}
+	}
+	if _, err := os.Stat(final); err == nil {
+		prev := final + prevSuffix
+		if err := os.RemoveAll(prev); err != nil {
+			return err
+		}
+		if err := renameDir(final, prev); err != nil {
+			return err
+		}
+	}
+	if err := renameDir(tmp, final); err != nil {
+		return err
+	}
+	if durable {
+		return syncPath(filepath.Dir(final))
+	}
+	return nil
+}
+
+// syncTree fsyncs every file of dir and dir itself. Hard-linked segment
+// files are synced through their links; files synced by an earlier snapshot
+// cost a no-op each.
+func syncTree(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if err := syncPath(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return syncPath(dir)
+}
+
+// syncPath fsyncs one file or directory.
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // gcSegmentCache removes sealed-segment files in the shared cache that the
@@ -309,19 +390,17 @@ func gcSegmentCache(segCache, snapDir string) {
 	}
 }
 
-// writeJSON writes v as indented JSON to path.
+// writeJSON writes v as JSON to path.
 func writeJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
+	err = json.NewEncoder(f).Encode(v)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 // readJSON reads path into v.
@@ -333,26 +412,28 @@ func readJSON(path string, v any) error {
 	return json.Unmarshal(data, v)
 }
 
-// snapshotCut parses a snapshot directory name; ok=false for foreign
-// entries (including in-progress .tmp-* dirs).
-func snapshotCut(name string) (uint64, bool) {
+// snapshotCut parses the name of a completed snapshot directory — snap-<cut>,
+// or snap-<cut>.prev for one a crash caught being replaced; ok=false for
+// foreign entries (including in-progress .tmp-* dirs).
+func snapshotCut(name string) (cut uint64, ok bool) {
 	if !strings.HasPrefix(name, "snap-") {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(name[5:], 10, 64)
+	n, err := strconv.ParseUint(strings.TrimSuffix(name[5:], prevSuffix), 10, 64)
 	if err != nil {
 		return 0, false
 	}
 	return n, true
 }
 
-// latestSnapshot returns the newest completed snapshot directory.
+// latestSnapshot returns the newest completed snapshot directory: the
+// highest cut, and of two at one cut the one that replaced the other.
 func latestSnapshot(snapRoot string) (dir string, cut uint64, ok bool) {
 	ents, err := os.ReadDir(snapRoot)
 	if err != nil {
 		return "", 0, false
 	}
-	for _, e := range ents {
+	for _, e := range ents { // sorted by name: snap-N before snap-N.prev
 		if c, isSnap := snapshotCut(e.Name()); isSnap && (!ok || c > cut) {
 			dir, cut, ok = filepath.Join(snapRoot, e.Name()), c, true
 		}
@@ -360,15 +441,34 @@ func latestSnapshot(snapRoot string) (dir string, cut uint64, ok bool) {
 	return dir, cut, ok
 }
 
-// pruneSnapshots removes completed snapshots other than keep.
-func pruneSnapshots(snapRoot string, keep uint64) {
-	ents, err := os.ReadDir(snapRoot)
+// pruneSnapshots removes the completed snapshots other than the one named
+// keep — older ones, and one keep replaced at its cut — and the leavings of
+// crashed attempts.
+func pruneSnapshots(snapRoot, keep string) {
+	removeEntries(snapRoot, func(name string) bool {
+		_, isSnap := snapshotCut(name)
+		return isSnap && name != keep
+	})
+	sweepSnapshotTemps(snapRoot)
+}
+
+// sweepSnapshotTemps removes the .tmp-* directories of snapshot attempts a
+// crash interrupted: up to a snapshot's bytes each, which nothing else would
+// ever remove. The daemon is the root's only writer and takes one snapshot at
+// a time, so none of them is in progress.
+func sweepSnapshotTemps(snapRoot string) {
+	removeEntries(snapRoot, func(name string) bool { return strings.HasPrefix(name, ".tmp-") })
+}
+
+// removeEntries removes the entries of dir whose name drop accepts.
+func removeEntries(dir string, drop func(name string) bool) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
-		if c, isSnap := snapshotCut(e.Name()); isSnap && c != keep {
-			_ = os.RemoveAll(filepath.Join(snapRoot, e.Name()))
+		if drop(e.Name()) {
+			_ = os.RemoveAll(filepath.Join(dir, e.Name()))
 		}
 	}
 }
@@ -413,9 +513,7 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 	from := uint64(1)
 
 	dir, cut, haveSnap := latestSnapshot(SnapshotsDir(dataDir))
-	if !haveSnap {
-		dir = ""
-	}
+	sweepSnapshotTemps(SnapshotsDir(dataDir))
 	// Sweep the segment cache against the snapshot actually being loaded
 	// before anything can seal: a crashed snapshot attempt may have left
 	// files whose ids the recovered counter will re-issue.
@@ -453,7 +551,9 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 			p.Suite.RestoreState(*st.Suite)
 		}
 		if p.ForecastHub != nil && st.Forecast != nil {
-			p.ForecastHub.restoreState(*st.Forecast)
+			if err := p.ForecastHub.restoreState(*st.Forecast); err != nil {
+				return rs, fmt.Errorf("core: recover: state: %w", err)
+			}
 		}
 		if p.SynopsisHub != nil && st.Synopses != nil {
 			p.SynopsisHub.restoreState(*st.Synopses)

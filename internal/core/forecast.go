@@ -429,9 +429,9 @@ type forecastHubState struct {
 
 // entityTrackState is one entity's serialised warm state.
 type entityTrackState struct {
-	History []model.Position `json:"history"`
-	PrevSym int              `json:"prevSym"`
-	RunLen  int              `json:"runLen"`
+	History model.PackedPositions `json:"history"`
+	PrevSym int                   `json:"prevSym"`
+	RunLen  int                   `json:"runLen"`
 }
 
 // exportState captures the hub under the snapshot barrier (callers hold the
@@ -448,7 +448,7 @@ func (h *ForecastHub) exportState() forecastHubState {
 	}
 	for id, t := range h.tracks {
 		st.Tracks[id] = entityTrackState{
-			History: append([]model.Position(nil), t.ring...),
+			History: model.PackPositions(t.ring),
 			PrevSym: t.prevSym,
 			RunLen:  t.runLen,
 		}
@@ -456,28 +456,33 @@ func (h *ForecastHub) exportState() forecastHubState {
 	return st
 }
 
-// restoreState installs st (recovery path, before serving starts).
-func (h *ForecastHub) restoreState(st forecastHubState) {
+// restoreState installs st (recovery path, before serving starts). State
+// that does not unpack is an error and leaves the hub as it was.
+func (h *ForecastHub) restoreState(st forecastHubState) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.tracks = make(map[string]*entityTrack, len(st.Tracks))
+	tracks := make(map[string]*entityTrack, len(st.Tracks))
+	var newest int64
 	for id, ts := range st.Tracks {
-		ring := make([]model.Position, 0, h.cfg.HistoryLen)
-		pts := ts.History
+		pts, err := model.DecodePositions(ts.History)
+		if err != nil {
+			return fmt.Errorf("forecast history of %q: %w", id, err)
+		}
 		if len(pts) > h.cfg.HistoryLen {
 			pts = pts[len(pts)-h.cfg.HistoryLen:]
 		}
-		ring = append(ring, pts...)
-		h.tracks[id] = &entityTrack{ring: ring, prevSym: ts.PrevSym, runLen: ts.RunLen}
-	}
-	h.newestTS, h.sinceEvict = 0, 0
-	for _, t := range h.tracks {
-		if n := len(t.ring); n > 0 && t.ring[n-1].TS > h.newestTS {
-			h.newestTS = t.ring[n-1].TS
+		ring := append(make([]model.Position, 0, h.cfg.HistoryLen), pts...)
+		tracks[id] = &entityTrack{ring: ring, prevSym: ts.PrevSym, runLen: ts.RunLen}
+		if n := len(ring); n > 0 && ring[n-1].TS > newest {
+			newest = ring[n-1].TS
 		}
 	}
+	if err := h.knn.RestoreState(st.KNN); err != nil {
+		return err
+	}
+	h.tracks, h.newestTS, h.sinceEvict = tracks, newest, 0
 	h.route.RestoreState(st.Route)
-	h.knn.RestoreState(st.KNN)
 	h.chain.RestoreCounts(st.Markov)
 	h.observed.Store(st.Observed)
+	return nil
 }

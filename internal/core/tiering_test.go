@@ -83,13 +83,13 @@ func TestTieredDurableRecovery(t *testing.T) {
 	wantQuery := runFixedQuery(t, p1)
 	wantTiers := p1.Store.TierStats()
 
-	// v2 artifacts on disk: manifest v2, per-shard segment lists, hard
-	// links into the shared cache.
+	// Artifacts on disk: the manifest's version, per-shard segment lists,
+	// hard links into the shared cache.
 	var m manifest
 	if err := readJSON(filepath.Join(info.Dir, "MANIFEST.json"), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 2 || m.Segments != info.Segments {
+	if m.Version != snapshotFormatVersion || m.Segments != info.Segments {
 		t.Fatalf("manifest = %+v", m)
 	}
 	if _, err := os.Stat(filepath.Join(info.Dir, "shard-000.segments")); err != nil {
@@ -167,9 +167,11 @@ func TestTieredDurableRecovery(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRecovery checks read-compat: a flat v1 snapshot (the PR-3
-// layout) still recovers, and sealing the flat-loaded store afterwards
-// preserves content.
+// TestV1SnapshotRecovery checks the oldest layout still accepted: a flat
+// snapshot (the PR-3 layout: no segment lists, manifest version 1) recovers
+// as the zero-segment case, and sealing the flat-loaded store afterwards
+// preserves content. (The store files here are this build's; what the text
+// files of old builds load to is TestOldSnapshotStillRecovers' subject.)
 func TestV1SnapshotRecovery(t *testing.T) {
 	sc := durableWorld(t)
 	dataDir := t.TempDir()

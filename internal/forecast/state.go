@@ -1,6 +1,8 @@
 package forecast
 
 import (
+	"fmt"
+
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 )
@@ -170,44 +172,57 @@ func (k *HistoryKNN) reindex() {
 }
 
 // HistoryKNNState is the serialisable form of a HistoryKNN: the trajectories
-// themselves (the index is derived and rebuilt on restore).
+// themselves, one packed position sequence each (the index is derived and
+// rebuilt on restore). A trajectory's entity and domain are its points'.
 type HistoryKNNState struct {
-	Box              geo.BBox            `json:"box"`
-	Cols             int                 `json:"cols"`
-	Rows             int                 `json:"rows"`
-	MaxCourseDiffDeg float64             `json:"maxCourseDiffDeg"`
-	Trajectories     []*model.Trajectory `json:"trajectories"`
+	Box              geo.BBox                `json:"box"`
+	Cols             int                     `json:"cols"`
+	Rows             int                     `json:"rows"`
+	MaxCourseDiffDeg float64                 `json:"maxCourseDiffDeg"`
+	Trajectories     []model.PackedPositions `json:"trajectories"`
 }
 
-// ExportState captures the indexed trajectories.
+// ExportState captures the indexed trajectories, packing each straight from
+// the live points: the state of a long-running hub is millions of them, and
+// is exported while ingest waits.
 func (k *HistoryKNN) ExportState() HistoryKNNState {
 	st := HistoryKNNState{
 		Box: k.grid.Box, Cols: k.grid.Cols, Rows: k.grid.Rows,
 		MaxCourseDiffDeg: k.MaxCourseDiffDeg,
+		Trajectories:     make([]model.PackedPositions, 0, len(k.trajs)),
 	}
 	for _, tr := range k.trajs {
-		c := tr.Clone()
-		st.Trajectories = append(st.Trajectories, c)
+		st.Trajectories = append(st.Trajectories, model.PackPositions(tr.Points))
 	}
 	return st
 }
 
-// RestoreState replaces the model with st and rebuilds the index.
-func (k *HistoryKNN) RestoreState(st HistoryKNNState) {
+// RestoreState replaces the model with st and rebuilds the index. A
+// trajectory that does not unpack fails the restore and leaves the model as
+// it was.
+func (k *HistoryKNN) RestoreState(st HistoryKNNState) error {
+	trajs := make([]*model.Trajectory, 0, len(st.Trajectories))
+	live := make(map[string]int32, len(st.Trajectories))
+	for i, packed := range st.Trajectories {
+		pts, err := model.DecodePositions(packed)
+		if err != nil {
+			return fmt.Errorf("forecast: knn trajectory %d: %w", i, err)
+		}
+		if len(pts) == 0 {
+			continue
+		}
+		if id := pts[0].EntityID; id != "" {
+			live[id] = int32(len(trajs))
+		}
+		trajs = append(trajs, &model.Trajectory{EntityID: pts[0].EntityID, Domain: pts[0].Domain, Points: pts})
+	}
 	k.grid = geo.NewGrid(st.Box, st.Cols, st.Rows)
 	if st.MaxCourseDiffDeg > 0 {
 		k.MaxCourseDiffDeg = st.MaxCourseDiffDeg
 	}
-	k.trajs = nil
-	k.live = make(map[string]int32)
-	for _, tr := range st.Trajectories {
-		ti := int32(len(k.trajs))
-		k.trajs = append(k.trajs, tr.Clone())
-		if tr.EntityID != "" {
-			k.live[tr.EntityID] = ti
-		}
-	}
+	k.trajs, k.live = trajs, live
 	k.reindex()
+	return nil
 }
 
 // ExportCounts returns a copy of the chain's transition counts.

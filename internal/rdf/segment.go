@@ -164,16 +164,6 @@ func (g *Segment) PredCard(p ID) int { return g.pred[p] }
 // equals the predicate cardinality exactly when no object failed to parse.
 func (g *Segment) NumericOnly(p ID) bool { return len(g.num[p]) == g.pred[p] }
 
-// PredHistogram returns a copy of the per-predicate triple counts (the
-// per-segment statistic snapshots persist).
-func (g *Segment) PredHistogram() map[ID]int {
-	out := make(map[ID]int, len(g.pred))
-	for k, v := range g.pred {
-		out[k] = v
-	}
-	return out
-}
-
 // Triples returns the segment's triples in (S,P,O) order. The returned
 // slice is the segment's own storage: callers must not modify it.
 func (g *Segment) Triples() []Triple { return g.tri }

@@ -16,11 +16,14 @@ import (
 )
 
 // updateGolden rewrites testdata/golden from the current writers. Only an
-// intentional format change (ROADMAP item 3c) should ever need it.
+// intentional format change should ever need it; testdata/golden-v1 is what
+// the writers of builds up to PR 19 produced for the same store, kept as
+// input for the readers and never rewritten.
 var updateGolden = flag.Bool("update", false, "rewrite internal/store/testdata/golden from the current writers")
 
 const (
 	goldenDir     = "testdata/golden"
+	goldenV1Dir   = "testdata/golden-v1"
 	goldenHandoff = "handoff.blocks"
 )
 
@@ -65,7 +68,7 @@ func emptyGoldenTwin() *Sharded {
 }
 
 // serialiseAll runs every writer over s: the tiered snapshot directory
-// (shard-NNN.nt/.anchors/.segments plus the linked seg-*.seg files) and the
+// (shard-NNN.blk/.segments plus the linked seg-*.seg files) and the
 // handoff stream, keyed by file name.
 func serialiseAll(t *testing.T, s *Sharded) map[string][]byte {
 	t.Helper()
@@ -124,10 +127,10 @@ func assertSameStore(t *testing.T, what string, got, want *Sharded) {
 	}
 }
 
-// TestGoldenBytes pins the serialised store state byte for byte against
-// files recorded before the block codec replaced the hand-copied writers
-// and parsers: the writers must still produce exactly those bytes, and the
-// readers must load those bytes back to the source store.
+// TestGoldenBytes pins the serialised store state byte for byte: the writers
+// must produce exactly the recorded DATACRON-SEG v2 bytes, and the readers
+// must load both those and the v1 text recorded from the same store before
+// the format changed back to the source store.
 func TestGoldenBytes(t *testing.T) {
 	src := goldenStore(t)
 	got := serialiseAll(t, src)
@@ -166,11 +169,15 @@ func TestGoldenBytes(t *testing.T) {
 			t.Errorf("%s: %d bytes written, differ from the %d recorded", e.Name(), len(data), len(want))
 		}
 		delete(got, e.Name())
-		if filepath.Ext(e.Name()) == ".seg" {
+		switch filepath.Ext(e.Name()) {
+		case ".seg":
 			segFiles++
-		}
-		if filepath.Ext(e.Name()) == ".anchors" && len(want) > 0 {
-			headBlocks++
+		case ".blk":
+			if blk, err := decodeBlock(want); err != nil {
+				t.Errorf("%s: %v", e.Name(), err)
+			} else if len(blk.anchors) > 0 {
+				headBlocks++
+			}
 		}
 	}
 	for name := range got {
@@ -180,31 +187,35 @@ func TestGoldenBytes(t *testing.T) {
 		t.Fatalf("goldens cover %d segment files and %d non-empty heads; want both", segFiles, headBlocks)
 	}
 
-	// Readers: the recorded snapshot directory loads to the source store.
-	fromSnap := emptyGoldenTwin()
-	if _, _, err := fromSnap.LoadSnapshot(goldenDir); err != nil {
-		t.Fatal(err)
-	}
-	assertSameStore(t, "LoadSnapshot(golden)", fromSnap, src)
-	if g, w := fromSnap.TierStats().Segments, src.TierStats().Segments; g != w {
-		t.Errorf("LoadSnapshot(golden): %d sealed segments, want %d", g, w)
-	}
+	// Readers, over both recorded formats: the snapshot directory loads to
+	// the source store, and the handoff stream carries every anchored
+	// fragment (the global tier is not shipped, so the target learns the
+	// entity itself).
+	for _, dir := range []string{goldenDir, goldenV1Dir} {
+		fromSnap := emptyGoldenTwin()
+		if _, _, err := fromSnap.LoadSnapshot(dir); err != nil {
+			t.Fatalf("LoadSnapshot(%s): %v", dir, err)
+		}
+		assertSameStore(t, "LoadSnapshot("+dir+")", fromSnap, src)
+		if g, w := fromSnap.TierStats(), src.TierStats(); g.Segments != w.Segments || g.HeadTriples != w.HeadTriples+w.GlobalTriples {
+			// An unprimed load leaves the global tier's triples in the head.
+			t.Errorf("LoadSnapshot(%s): tiers %+v, want those of %+v", dir, g, w)
+		}
 
-	// The recorded handoff stream carries every anchored fragment; the
-	// global tier is not shipped, so the target learns the entity itself.
-	hf, err := os.Open(filepath.Join(goldenDir, goldenHandoff))
-	if err != nil {
-		t.Fatal(err)
+		hf, err := os.Open(filepath.Join(dir, goldenHandoff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags, err := ReadHandoff(hf, func(string) bool { return true })
+		hf.Close()
+		if err != nil {
+			t.Fatalf("ReadHandoff(%s): %v", dir, err)
+		}
+		fromHandoff := emptyGoldenTwin()
+		fromHandoff.AddEntity(goldenEntity)
+		if installed, skipped := fromHandoff.InstallHandoff(frags); installed != goldenAnchors || skipped != 0 {
+			t.Errorf("InstallHandoff(%s) = (%d, %d), want (%d, 0)", dir, installed, skipped, goldenAnchors)
+		}
+		assertSameStore(t, "ReadHandoff("+dir+")", fromHandoff, src)
 	}
-	defer hf.Close()
-	frags, err := ReadHandoff(hf, func(string) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromHandoff := emptyGoldenTwin()
-	fromHandoff.AddEntity(goldenEntity)
-	if installed, skipped := fromHandoff.InstallHandoff(frags); installed != goldenAnchors || skipped != 0 {
-		t.Errorf("InstallHandoff(golden) = (%d, %d), want (%d, 0)", installed, skipped, goldenAnchors)
-	}
-	assertSameStore(t, "ReadHandoff(golden)", fromHandoff, src)
 }

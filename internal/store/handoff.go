@@ -14,8 +14,8 @@ import (
 //
 // A donor streams its anchored data as a sequence of blocks (block.go) —
 // every sealed segment verbatim, plus one block per shard carrying the
-// mutable head (the "head-replay tail") — over a single writer. A block is
-// dictionary-independent text the receiving node re-encodes into its own
+// mutable head (the "head-replay tail") — over a single writer. A block
+// carries its terms by value; the receiving node encodes them into its own
 // dictionary. The target filters each block by anchor-node predicate (only
 // fragments whose entity moved), installs idempotently (a fragment already
 // present is skipped, making retries and re-ships safe), and the donor
@@ -39,27 +39,28 @@ type HandoffFragment struct {
 // for a consistent cut the caller quiesces ingest first (the cluster
 // handoff path does).
 func (s *Sharded) WriteHandoff(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
+	out := bufio.NewWriterSize(w, 1<<16)
+	bw := newBlockWriter(s.dict)
 	for i, sh := range s.shards {
-		if err := s.writeShardHandoff(bw, sh); err != nil {
+		if err := writeShardHandoff(bw, out, sh); err != nil {
 			return fmt.Errorf("store: handoff shard %d: %w", i, err)
 		}
 	}
-	return bw.Flush()
+	return out.Flush()
 }
 
-func (s *Sharded) writeShardHandoff(bw *bufio.Writer, sh *Shard) error {
+func writeShardHandoff(bw *blockWriter, out *bufio.Writer, sh *Shard) error {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	for _, seg := range sh.segs {
-		if err := writeBlock(bw, seg.id, seg.g, seg.idx.entries, nil, s.dict); err != nil {
+		if err := bw.writeBlock(out, seg.id, seg.g, seg.idx.entries, false); err != nil {
 			return err
 		}
 	}
 	if sh.head.Len() == 0 && len(sh.idx.entries) == 0 {
 		return nil
 	}
-	return writeBlock(bw, 0, sh.head, sh.idx.entries, nil, s.dict)
+	return bw.writeBlock(out, 0, sh.head, sh.idx.entries, false)
 }
 
 // ReadHandoff reads a handoff block stream, keeping only the fragments
@@ -70,18 +71,21 @@ func ReadHandoff(r io.Reader, keep func(nodeIRI string) bool) ([]HandoffFragment
 	br := newBlockReader(r)
 	var frags []HandoffFragment
 	for {
-		// Group the block's triples by subject IRI; fragments are rooted at
+		// Group the block's triples by subject; fragments are rooted at
 		// their anchor node, so this is a complete reconstruction.
-		bySubject := make(map[string][]onto.TripleT)
-		_, err := br.readBlock(
-			func(s, p, o rdf.Term) {
-				bySubject[s.Value] = append(bySubject[s.Value], onto.TripleT{S: s, P: p, O: o})
+		var terms []rdf.Term
+		bySubject := make(map[uint32][]onto.TripleT)
+		_, err := br.readBlock(blockSink{
+			term: func(t rdf.Term) { terms = append(terms, t) },
+			triple: func(s, p, o uint32) {
+				bySubject[s] = append(bySubject[s], onto.TripleT{S: terms[s], P: terms[p], O: terms[o]})
 			},
-			func(ts int64, pt geo.Point, iri string) {
-				if keep(iri) {
-					frags = append(frags, HandoffFragment{Node: rdf.NewIRI(iri), Pt: pt, TS: ts, Triples: bySubject[iri]})
+			anchor: func(ts int64, pt geo.Point, node uint32) {
+				if keep(terms[node].Value) {
+					frags = append(frags, HandoffFragment{Node: terms[node], Pt: pt, TS: ts, Triples: bySubject[node]})
 				}
-			})
+			},
+		})
 		if err == io.EOF {
 			return frags, nil
 		}

@@ -15,23 +15,22 @@ import (
 // Snapshot serialisation for the durable serving layer. A snapshot
 // directory holds, per shard:
 //
-//	shard-NNN.nt        the mutable tiers (global + head) as canonical
-//	                    N-Triples
-//	shard-NNN.anchors   the head's spatiotemporal index, one anchor per line
+//	shard-NNN.blk       the mutable tiers (global + head) and the head's
+//	                    spatiotemporal index, as one block (id 0)
 //	shard-NNN.segments  the file names of the shard's sealed segments,
 //	                    oldest first
 //
-// plus one seg-*.seg file per sealed segment. The byte layout of all of
-// them is the block codec's (block.go); this file only decides which tier
-// goes into which file. Segment files are immutable: they are written once
-// into a shared cache directory and hard-linked into every snapshot that
-// references them, so steady-state snapshots rewrite only the small head
-// files.
+// plus one seg-*.seg file per sealed segment, one block each. The byte
+// layout of all of them is the block codec's (block.go); this file only
+// decides which tier goes into which file. Segment files are immutable: they
+// are written once into a shared cache directory and hard-linked into every
+// snapshot that references them, so steady-state snapshots rewrite only the
+// small head files.
 //
-// The flat v1 layout of earlier builds (no .segments file, every tier
-// merged into the .nt/.anchors pair) is no longer written. It needs no
-// reader of its own: it is the zero-segment case of the layout above, and
-// loads into the head tier, from where the first seal re-tiers it.
+// Builds up to PR 19 wrote the mutable tiers as an unframed text pair,
+// shard-NNN.nt and shard-NNN.anchors. loadShard reads such a directory —
+// told by the absence of shard-NNN.blk — through loadShardV1, for one more
+// round (ROADMAP item 3).
 
 // shardFile names a per-shard snapshot file.
 func shardFile(dir string, i int, ext string) string {
@@ -51,8 +50,9 @@ func (s *Sharded) WriteSnapshotTiered(dir, segCache string) (segments int, err e
 	if err := os.MkdirAll(segCache, 0o755); err != nil {
 		return 0, fmt.Errorf("store: snapshot: %w", err)
 	}
+	bw := newBlockWriter(s.dict)
 	for i, sh := range s.shards {
-		n, err := s.writeShard(dir, segCache, i, sh)
+		n, err := writeShard(bw, dir, segCache, i, sh)
 		if err != nil {
 			return segments, fmt.Errorf("store: snapshot shard %d: %w", i, err)
 		}
@@ -63,18 +63,12 @@ func (s *Sharded) WriteSnapshotTiered(dir, segCache string) (segments int, err e
 
 // writeShard writes one shard's mutable tiers and segment list and links
 // its sealed segment files.
-func (s *Sharded) writeShard(dir, segCache string, i int, sh *Shard) (segments int, err error) {
+func writeShard(bw *blockWriter, dir, segCache string, i int, sh *Shard) (segments int, err error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 
-	err = writeFile(shardFile(dir, i, "nt"), func(bw *bufio.Writer) error {
-		return rdf.WriteNTriples(bw, rdf.NewView(s.dict, sh.global, sh.head))
-	})
-	if err != nil {
-		return 0, err
-	}
-	err = writeFile(shardFile(dir, i, "anchors"), func(bw *bufio.Writer) error {
-		return writeAnchors(bw, sh.idx.entries, s.dict)
+	err = writeFile(shardFile(dir, i, "blk"), func(w *bufio.Writer) error {
+		return bw.writeBlock(w, 0, rdf.NewView(bw.dict, sh.global, sh.head), sh.idx.entries, false)
 	})
 	if err != nil {
 		return 0, err
@@ -83,8 +77,8 @@ func (s *Sharded) writeShard(dir, segCache string, i int, sh *Shard) (segments i
 	for _, seg := range sh.segs {
 		name := segFileName(seg.id)
 		cached := filepath.Join(segCache, name)
-		if _, statErr := os.Stat(cached); statErr != nil {
-			if err := writeSegmentFile(cached, seg, s.dict); err != nil {
+		if !holdsCurrentBlock(cached) {
+			if err := writeSegmentFile(bw, cached, seg); err != nil {
 				return 0, err
 			}
 		}
@@ -95,9 +89,10 @@ func (s *Sharded) writeShard(dir, segCache string, i int, sh *Shard) (segments i
 	// The list is what recovery and the segment-cache GC trust: a short
 	// write here must fail the snapshot, not publish a manifest that names
 	// fewer segments than the store holds.
-	err = writeFile(shardFile(dir, i, "segments"), func(bw *bufio.Writer) error {
+	err = writeFile(shardFile(dir, i, "segments"), func(w *bufio.Writer) error {
 		for _, seg := range sh.segs {
-			fmt.Fprintln(bw, segFileName(seg.id))
+			w.WriteString(segFileName(seg.id))
+			w.WriteByte('\n')
 		}
 		return nil
 	})
@@ -122,17 +117,44 @@ func writeFile(path string, body func(*bufio.Writer) error) error {
 	return err
 }
 
+// holdsCurrentBlock reports whether path exists and starts like a block of
+// the version this build writes. A segment file an earlier build cached as
+// text is written again by the first snapshot after the upgrade (the old
+// snapshot keeps its own link until it is pruned), so that no data directory
+// needs the v1 reader for longer than that.
+func holdsCurrentBlock(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	magic := make([]byte, len(blockMagic))
+	_, err = io.ReadFull(f, magic)
+	return err == nil && string(magic) == blockMagic
+}
+
 // writeSegmentFile atomically writes one sealed segment as one block.
-func writeSegmentFile(path string, seg *segment, dict *rdf.Dictionary) error {
+func writeSegmentFile(bw *blockWriter, path string, seg *segment) error {
 	tmp := path + ".tmp"
-	err := writeFile(tmp, func(bw *bufio.Writer) error {
-		return writeBlock(bw, seg.id, seg.g, seg.idx.entries, seg.g.PredHistogram(), dict)
+	err := writeFile(tmp, func(w *bufio.Writer) error {
+		return bw.writeBlock(w, seg.id, seg.g, seg.idx.entries, true)
 	})
 	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// storeSink returns a sink that resolves a block's terms against dict, once
+// each, and hands on triples and anchors in the dictionary's ids.
+func storeSink(dict *rdf.Dictionary, onTriple func(rdf.Triple), onAnchor func(anchor)) blockSink {
+	var ids []rdf.ID
+	return blockSink{
+		term:   func(t rdf.Term) { ids = append(ids, dict.Encode(t)) },
+		triple: func(s, p, o uint32) { onTriple(rdf.Triple{S: ids[s], P: ids[p], O: ids[o]}) },
+		anchor: func(ts int64, pt geo.Point, node uint32) { onAnchor(anchor{pt: pt, ts: ts, node: ids[node]}) },
+	}
 }
 
 // readSegmentFile loads a segment file into a live segment over dict and
@@ -143,17 +165,18 @@ func readSegmentFile(path string, dict *rdf.Dictionary, grid geo.Grid) (*segment
 		return nil, err
 	}
 	defer f.Close()
+	return readSegment(f, dict, grid)
+}
+
+// readSegment reads one sealed segment's block off r.
+func readSegment(r io.Reader, dict *rdf.Dictionary, grid geo.Grid) (*segment, error) {
 	var triples []rdf.Triple
 	idx := newAnchorIndex(grid)
-	id, err := newBlockReader(f).readBlock(
-		func(s, p, o rdf.Term) {
-			triples = append(triples, rdf.Triple{S: dict.Encode(s), P: dict.Encode(p), O: dict.Encode(o)})
-		},
-		func(ts int64, pt geo.Point, iri string) {
-			idx.add(anchor{pt: pt, ts: ts, node: dict.Encode(rdf.NewIRI(iri))})
-		})
+	id, err := newBlockReader(r).readBlock(storeSink(dict,
+		func(t rdf.Triple) { triples = append(triples, t) },
+		func(a anchor) { idx.add(a) }))
 	if err != nil {
-		return nil, err // io.EOF: the file is empty
+		return nil, err // io.EOF: the input is empty
 	}
 	return newSegment(id, dict, triples, idx), nil
 }
@@ -183,14 +206,14 @@ func linkOrCopy(src, dst string) error {
 	return out.Close()
 }
 
-// LoadSnapshot restores shard contents written by WriteSnapshotTiered (or
-// the flat v1 writer of earlier builds) into this store, which must have
-// the same shard count (the core manifest checks that before calling).
-// Existing shard contents are kept — triples already present in a shard's
-// global tier (e.g. from priming the world before recovery) are skipped
-// rather than duplicated — and the spatiotemporal index entries are
-// appended in file order. Sealed segments are restored as sealed segments,
-// and the segment-id counter advances past every loaded id.
+// LoadSnapshot restores shard contents written by WriteSnapshotTiered (by
+// this build or an earlier one) into this store, which must have the same
+// shard count (the core manifest checks that before calling). Existing shard
+// contents are kept — triples already present in a shard's global tier (e.g.
+// from priming the world before recovery) are skipped rather than duplicated
+// — and the spatiotemporal index entries are appended in file order. Sealed
+// segments are restored as sealed segments, and the segment-id counter
+// advances past every loaded id.
 func (s *Sharded) LoadSnapshot(dir string) (triples, anchors int, err error) {
 	for i, sh := range s.shards {
 		t, a, err := s.loadShard(dir, i, sh)
@@ -207,7 +230,7 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	// Sealed segments first; a flat v1 directory has no list and none.
+	// Sealed segments first; a directory without a list has none.
 	list, err := os.ReadFile(shardFile(dir, i, "segments"))
 	if err != nil && !os.IsNotExist(err) {
 		return 0, 0, err
@@ -224,38 +247,59 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 		s.bumpMaxTS(seg.maxTS)
 	}
 
-	// Mutable tiers: N-Triples into the head, skipping triples the global
-	// tier already replicates.
-	ntf, err := os.Open(shardFile(dir, i, "nt"))
+	// Mutable tiers: into the head, skipping triples the global tier
+	// already replicates.
+	sink := storeSink(s.dict,
+		func(t rdf.Triple) {
+			if !sh.global.HasID(t.S, t.P, t.O) {
+				sh.head.AddID(t.S, t.P, t.O)
+				triples++
+			}
+		},
+		func(a anchor) {
+			sh.idx.add(a)
+			s.bumpMaxTS(a.ts)
+			anchors++
+		})
+	f, err := os.Open(shardFile(dir, i, "blk"))
+	if os.IsNotExist(err) {
+		return triples, anchors, loadShardV1(dir, i, sink)
+	}
 	if err != nil {
 		return triples, anchors, err
 	}
-	defer ntf.Close()
-	err = newBlockReader(ntf).readTriples(untilEOF, func(st, pt, ot rdf.Term) {
-		sid, pid, oid := s.dict.Encode(st), s.dict.Encode(pt), s.dict.Encode(ot)
-		if !sh.global.HasID(sid, pid, oid) {
-			sh.head.AddID(sid, pid, oid)
-			triples++
+	defer f.Close()
+	if _, err := newBlockReader(f).readBlock(sink); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-	})
-	if err != nil {
-		return triples, anchors, fmt.Errorf("nt: %w", err)
-	}
-
-	af, err := os.Open(shardFile(dir, i, "anchors"))
-	if err != nil {
-		return triples, anchors, err
-	}
-	defer af.Close()
-	err = newBlockReader(af).readAnchors(untilEOF, func(ts int64, pt geo.Point, iri string) {
-		sh.idx.add(anchor{pt: pt, ts: ts, node: s.dict.Encode(rdf.NewIRI(iri))})
-		s.bumpMaxTS(ts)
-		anchors++
-	})
-	if err != nil {
-		return triples, anchors, fmt.Errorf("anchors: %w", err)
+		return triples, anchors, fmt.Errorf("%s: %w", filepath.Base(f.Name()), err)
 	}
 	return triples, anchors, nil
+}
+
+// loadShardV1 reads the mutable tiers of a format-2 snapshot directory: the
+// unframed shard-NNN.nt / shard-NNN.anchors text pair.
+func loadShardV1(dir string, i int, sink blockSink) error {
+	vt := newV1Terms(sink)
+	for _, part := range []struct {
+		ext  string
+		read func(*blockReader) error
+	}{
+		{"nt", func(br *blockReader) error { return br.readTriplesV1(untilEOF, vt) }},
+		{"anchors", func(br *blockReader) error { return br.readAnchorsV1(untilEOF, vt) }},
+	} {
+		f, err := os.Open(shardFile(dir, i, part.ext))
+		if err != nil {
+			return err
+		}
+		err = part.read(newBlockReader(f))
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", part.ext, err)
+		}
+	}
+	return nil
 }
 
 // SegmentFiles returns the file names of every sealed segment currently

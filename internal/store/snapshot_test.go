@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/datacron-project/datacron/internal/geo"
@@ -82,16 +81,16 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < src.NumShards(); i++ {
-		a, err := os.ReadFile(filepath.Join(dir, filepath.Base(shardFile(dir, i, "nt"))))
+		a, err := os.ReadFile(shardFile(dir, i, "blk"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(shardFile(dir2, i, "nt"))
+		b, err := os.ReadFile(shardFile(dir2, i, "blk"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("shard %d .nt differs across snapshot generations", i)
+			t.Errorf("shard %d .blk differs across snapshot generations", i)
 		}
 	}
 }

@@ -351,6 +351,11 @@ func (l *Log) Durable() uint64 { return l.durable.Load() }
 // Segments returns the number of live segment files.
 func (l *Log) Segments() int64 { return l.segments.Load() }
 
+// Syncs reports whether Commit fsyncs (Options.NoSync off): whether the
+// log's owner asked to survive a machine crash, which whatever is allowed to
+// delete log segments must then survive too.
+func (l *Log) Syncs() bool { return !l.opts.NoSync }
+
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
