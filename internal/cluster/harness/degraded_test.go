@@ -210,8 +210,10 @@ func TestClusterDegradedPartialReads(t *testing.T) {
 	}
 	c.QuiesceAll()
 
-	// Pick one forecastable entity owned by node 1 (the crash victim) and
-	// one owned elsewhere, using the ring exactly as the proxy does.
+	// Pick the crash victim from ring ownership, using the ring exactly as
+	// the proxy does: a non-coordinator node owning a forecastable entity,
+	// while another node owns one too. Ownership follows the members'
+	// random loopback ports, so no fixed node index is safe.
 	status, body := c.Get(0, "/forecast/batch?horizon=5m")
 	if status != http.StatusOK {
 		t.Fatalf("forecast/batch healthy: %d %s", status, body)
@@ -224,20 +226,26 @@ func TestClusterDegradedPartialReads(t *testing.T) {
 	mustDecode(t, body, &fb)
 	_, _, members := c.RingInfo(0)
 	ring := cluster.NewRing(members, c.cfg.VNodes)
-	var deadOwned, liveOwned string
+	owned := map[string]string{} // node address → one entity it owns
 	for _, f := range fb.Forecasts {
-		if ring.Owner(f.Entity) == c.Nodes[1].Addr {
-			deadOwned = f.Entity
-		} else {
-			liveOwned = f.Entity
+		owned[ring.Owner(f.Entity)] = f.Entity
+	}
+	victim, deadOwned, liveOwned := -1, "", ""
+	for i := 1; i < len(c.Nodes) && victim < 0; i++ {
+		if e, ok := owned[c.Nodes[i].Addr]; ok && len(owned) > 1 {
+			victim, deadOwned = i, e
 		}
 	}
-	if deadOwned == "" || liveOwned == "" {
-		t.Fatalf("entity spread too narrow: deadOwned=%q liveOwned=%q over %d forecasts",
-			deadOwned, liveOwned, len(fb.Forecasts))
+	for addr, e := range owned {
+		if victim >= 0 && addr != c.Nodes[victim].Addr {
+			liveOwned = e
+		}
+	}
+	if victim < 0 {
+		t.Fatalf("entity spread too narrow: %d forecasts, owners %v", len(fb.Forecasts), owned)
 	}
 
-	c.Kill(1)
+	c.Kill(victim)
 
 	status, body = c.Query(0, `SELECT ?v WHERE { ?v rdf:type dat:Vessel . }`)
 	if status != http.StatusOK || !bytes.Contains(body, []byte(`"partial":true`)) {
@@ -268,7 +276,7 @@ func TestClusterDegradedPartialReads(t *testing.T) {
 		t.Fatalf("synopsis proxy to dead owner = %d, want 502", status)
 	}
 
-	c.Restart(1)
+	c.Restart(victim)
 	c.QuiesceAll()
 	status, body = c.Query(0, `SELECT ?v WHERE { ?v rdf:type dat:Vessel . }`)
 	if status != http.StatusOK || bytes.Contains(body, []byte(`"partial"`)) {

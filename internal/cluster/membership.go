@@ -462,6 +462,13 @@ func (n *Node) handleHandoffCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	installed, skipped := n.cfg.Pipeline.Store.InstallHandoff(sess.frags)
+	if installed+skipped < len(sess.frags) {
+		// The store refused the rest (its term dictionary is full): the donor
+		// must keep its copy.
+		http.Error(w, fmt.Sprintf("store refused %d of %d fragments: term dictionary full",
+			len(sess.frags)-installed-skipped, len(sess.frags)), http.StatusInternalServerError)
+		return
+	}
 	if err := n.localSnapshot(); err != nil {
 		http.Error(w, "checkpoint after install: "+err.Error(), http.StatusInternalServerError)
 		return

@@ -266,8 +266,11 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 	// Store writes must be visible before the batch's LSNs leave the FIFO
 	// and before the snapshot lock is released: a barrier cut then sees
 	// applied offsets and their store writes together, never one without
-	// the other.
-	w.front.bw.Flush()
+	// the other. A share the store refuses (its dictionary is full) is
+	// counted, not retried: the lines are applied, their reports unstored.
+	if unstored, _ := w.front.bw.Flush(); unstored > 0 {
+		atomic.AddInt64(&ing.p.Stats.Unstored, int64(unstored))
+	}
 	if logged > 0 {
 		w.qmu.Lock()
 		w.lsns = w.lsns[logged:]

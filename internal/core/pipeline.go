@@ -218,6 +218,10 @@ type Stats struct {
 	Kept       int64 // survived compression (stored)
 	Suppressed int64 // dropped by compression
 	Detections int64
+	// Unstored counts kept reports the store refused because its term
+	// dictionary is full (rdf.ErrDictionaryFull). Process-lifetime: it is
+	// not part of StatsSnapshot, so snapshots do not carry it.
+	Unstored int64
 
 	// Latency is the wall-clock time from wire line to full processing of
 	// one report (decode+gate+compress+transform+store+CER), sampled for
@@ -449,7 +453,9 @@ func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
 	p.analyticsMu.Unlock()
 	if len(events) > 0 {
 		for _, ev := range events {
-			p.Store.AddEvent(ev)
+			// An event the full dictionary refuses is still delivered; only
+			// its stored copy is missing, and /readyz already says why.
+			_ = p.Store.AddEvent(ev)
 		}
 		atomic.AddInt64(&p.Stats.Detections, int64(len(events)))
 	}
@@ -479,7 +485,9 @@ func (p *Pipeline) storePosition(f *front, pos model.Position) {
 		f.bw.AddPosition(pos)
 		return
 	}
-	p.Store.AddPositionRecord(pos)
+	if p.Store.AddPositionRecord(pos) != nil {
+		atomic.AddInt64(&p.Stats.Unstored, 1)
+	}
 }
 
 // decodeAIS decodes one AIVDM line; multi-sentence messages return ok=false
@@ -525,7 +533,8 @@ func (p *Pipeline) decodeAIS(f *front, tl synth.TimedLine) (model.Position, bool
 		}
 		p.entityMu.Unlock()
 		if !known {
-			p.Store.AddEntity(model.Entity{
+			// Refused only by a full dictionary, which /readyz reports.
+			_ = p.Store.AddEntity(model.Entity{
 				ID: id, Domain: model.Maritime, Name: m.Name, Callsign: m.Callsign,
 				Type: shipTypeName(m.ShipType), LengthM: float64(m.LengthM), Dest: m.Destination,
 			})

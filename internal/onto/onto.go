@@ -201,23 +201,16 @@ func WeatherTriples(w synth.WeatherObs) []TripleT {
 
 // TripleT is a term-level triple, the unit the transformation layer emits.
 // It is an alias of rdf.TermTriple so triple buffers can flow into
-// rdf.Store.AddBatch without a copy.
+// rdf.Head.AddBatch without a copy.
 type TripleT = rdf.TermTriple
-
-// AddAll inserts term triples into a store.
-func AddAll(st *rdf.Store, triples []TripleT) {
-	for _, t := range triples {
-		st.Add(t.S, t.P, t.O)
-	}
-}
 
 // PositionFromStore reconstructs the position report rooted at the given
 // semantic node, the inverse of PositionTriples. ok is false when the node
 // is incomplete.
-func PositionFromStore(st *rdf.Store, node rdf.Term) (model.Position, bool) {
+func PositionFromStore(g rdf.Graph, node rdf.Term) (model.Position, bool) {
 	var p model.Position
 	found := map[string]bool{}
-	st.Find(&node, nil, nil, func(_, pred, obj rdf.Term) bool {
+	rdf.Find(g, &node, nil, nil, func(_, pred, obj rdf.Term) bool {
 		switch pred {
 		case PredOfObject:
 			p.EntityID = strings.TrimPrefix(obj.Value, res+"obj/")

@@ -19,9 +19,9 @@ func samplePos() model.Position {
 }
 
 func TestPositionRoundTrip(t *testing.T) {
-	st := rdf.NewStore(nil)
+	st := rdf.NewHead(nil)
 	p := samplePos()
-	AddAll(st, PositionTriples(p))
+	st.AddBatch(PositionTriples(p))
 	node := NodeIRI(p.EntityID, p.TS)
 	got, ok := PositionFromStore(st, node)
 	if !ok {
@@ -53,8 +53,8 @@ func TestPositionTriplesAviationHasAltitude(t *testing.T) {
 		t.Error("aviation node missing altitude")
 	}
 	// Round trip restores domain and altitude.
-	st := rdf.NewStore(nil)
-	AddAll(st, triples)
+	st := rdf.NewHead(nil)
+	st.AddBatch(triples)
 	got, ok := PositionFromStore(st, NodeIRI(p.EntityID, p.TS))
 	if !ok || got.Domain != model.Aviation || got.Pt.Alt != 10000 {
 		t.Errorf("round trip: %+v ok=%v", got, ok)
@@ -62,9 +62,9 @@ func TestPositionTriplesAviationHasAltitude(t *testing.T) {
 }
 
 func TestPositionFromStoreIncomplete(t *testing.T) {
-	st := rdf.NewStore(nil)
+	st := rdf.NewHead(nil)
 	node := NodeIRI("x", 1)
-	st.Add(node, PredLon, rdf.NewDouble(23))
+	st.AddBatch([]TripleT{{S: node, P: PredLon, O: rdf.NewDouble(23)}})
 	if _, ok := PositionFromStore(st, node); ok {
 		t.Error("incomplete node should not reconstruct")
 	}
@@ -75,12 +75,12 @@ func TestEntityTriples(t *testing.T) {
 		ID: "237000001", Domain: model.Maritime, Name: "BLUE STAR", Callsign: "SV1",
 		Type: "CARGO", LengthM: 120, Dest: "PIRAEUS",
 	}
-	st := rdf.NewStore(nil)
-	AddAll(st, EntityTriples(e))
+	st := rdf.NewHead(nil)
+	st.AddBatch(EntityTriples(e))
 	obj := EntityIRI(e.ID)
 	// Must be typed as Vessel with all attributes present.
 	typeCount := 0
-	st.Find(&obj, &PredType, &ClassVessel, func(_, _, _ rdf.Term) bool { typeCount++; return true })
+	rdf.Find(st, &obj, &PredType, &ClassVessel, func(_, _, _ rdf.Term) bool { typeCount++; return true })
 	if typeCount != 1 {
 		t.Error("missing vessel type triple")
 	}
@@ -89,11 +89,11 @@ func TestEntityTriples(t *testing.T) {
 	}
 	// Aviation entity typed as Aircraft, sparse fields skipped.
 	a := model.Entity{ID: "4891B6", Domain: model.Aviation, Name: "AEE101"}
-	st2 := rdf.NewStore(nil)
-	AddAll(st2, EntityTriples(a))
+	st2 := rdf.NewHead(nil)
+	st2.AddBatch(EntityTriples(a))
 	obj2 := EntityIRI(a.ID)
 	n := 0
-	st2.Find(&obj2, &PredType, &ClassAircraft, func(_, _, _ rdf.Term) bool { n++; return true })
+	rdf.Find(st2, &obj2, &PredType, &ClassAircraft, func(_, _, _ rdf.Term) bool { n++; return true })
 	if n != 1 {
 		t.Error("missing aircraft type triple")
 	}
@@ -107,16 +107,16 @@ func TestEventTriples(t *testing.T) {
 		Type: "rendezvous", Entity: "A", Other: "B",
 		StartTS: 100, EndTS: 200, Area: "ZONE-1",
 	}
-	st := rdf.NewStore(nil)
-	AddAll(st, EventTriples(ev))
+	st := rdf.NewHead(nil)
+	st.AddBatch(EventTriples(ev))
 	node := EventIRI(ev.Type, ev.Entity, ev.StartTS)
 	involved := 0
-	st.Find(&node, &PredInvolves, nil, func(_, _, _ rdf.Term) bool { involved++; return true })
+	rdf.Find(st, &node, &PredInvolves, nil, func(_, _, _ rdf.Term) bool { involved++; return true })
 	if involved != 2 {
 		t.Errorf("involves = %d, want 2", involved)
 	}
 	inArea := 0
-	st.Find(&node, &PredInArea, nil, func(_, _, o rdf.Term) bool {
+	rdf.Find(st, &node, &PredInArea, nil, func(_, _, o rdf.Term) bool {
 		inArea++
 		if o != AreaIRI("ZONE-1") {
 			t.Errorf("area = %v", o)
@@ -130,12 +130,12 @@ func TestEventTriples(t *testing.T) {
 
 func TestWeatherTriples(t *testing.T) {
 	obs := synth.GenWeather(geo.NewBBox(22, 34, 30, 42), 3, 3, time.Date(2017, 3, 21, 6, 0, 0, 0, time.UTC), time.Hour)
-	st := rdf.NewStore(nil)
+	st := rdf.NewHead(nil)
 	for _, w := range obs {
-		AddAll(st, WeatherTriples(w))
+		st.AddBatch(WeatherTriples(w))
 	}
 	n := 0
-	st.Find(nil, &PredType, &ClassWeather, func(_, _, _ rdf.Term) bool { n++; return true })
+	rdf.Find(st, nil, &PredType, &ClassWeather, func(_, _, _ rdf.Term) bool { n++; return true })
 	if n != len(obs) {
 		t.Errorf("weather nodes = %d, want %d", n, len(obs))
 	}
@@ -143,14 +143,14 @@ func TestWeatherTriples(t *testing.T) {
 
 func TestAreaTriples(t *testing.T) {
 	poly := geo.Rect(geo.NewBBox(24, 36, 25, 37))
-	st := rdf.NewStore(nil)
-	AddAll(st, AreaTriples("FISHING-ZONE-1", poly))
+	st := rdf.NewHead(nil)
+	st.AddBatch(AreaTriples("FISHING-ZONE-1", poly))
 	node := AreaIRI("FISHING-ZONE-1")
 	var minLon, maxLat float64
 	lonP := rdf.NewIRI(NS + "minLon")
 	latP := rdf.NewIRI(NS + "maxLat")
-	st.Find(&node, &lonP, nil, func(_, _, o rdf.Term) bool { minLon, _ = o.Float(); return true })
-	st.Find(&node, &latP, nil, func(_, _, o rdf.Term) bool { maxLat, _ = o.Float(); return true })
+	rdf.Find(st, &node, &lonP, nil, func(_, _, o rdf.Term) bool { minLon, _ = o.Float(); return true })
+	rdf.Find(st, &node, &latP, nil, func(_, _, o rdf.Term) bool { maxLat, _ = o.Float(); return true })
 	if minLon != 24 || maxLat != 37 {
 		t.Errorf("bbox triples wrong: %f %f", minLon, maxLat)
 	}
@@ -170,15 +170,15 @@ func TestIRIGenerationStable(t *testing.T) {
 
 func TestSerializationRoundTripThroughNTriples(t *testing.T) {
 	// Transformation output must survive the store's N-Triples round trip.
-	st := rdf.NewStore(nil)
+	st := rdf.NewHead(nil)
 	p := samplePos()
-	AddAll(st, PositionTriples(p))
-	AddAll(st, EntityTriples(model.Entity{ID: p.EntityID, Name: "X"}))
+	st.AddBatch(PositionTriples(p))
+	st.AddBatch(EntityTriples(model.Entity{ID: p.EntityID, Name: "X"}))
 	var buf bytes.Buffer
 	if err := rdf.WriteNTriples(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	st2 := rdf.NewStore(nil)
+	st2 := rdf.NewHead(nil)
 	if _, err := rdf.ReadNTriples(&buf, st2); err != nil {
 		t.Fatal(err)
 	}

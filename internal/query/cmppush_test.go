@@ -19,9 +19,7 @@ func TestScanPatternConditionalBounds(t *testing.T) {
 	numeric := rdf.NewIRI("http://x/numeric")
 	var triples []rdf.Triple
 	add := func(p, o rdf.Term) {
-		triples = append(triples, rdf.Triple{
-			S: dict.Encode(s), P: dict.Encode(p), O: dict.Encode(o),
-		})
+		triples, _ = dict.EncodeBatch([]rdf.TermTriple{{S: s, P: p, O: o}}, triples)
 	}
 	for i := 0; i < 6; i++ {
 		add(mixed, rdf.NewLong(int64(i)))
@@ -31,8 +29,8 @@ func TestScanPatternConditionalBounds(t *testing.T) {
 	add(mixed, rdf.NewLiteral("YAK"))
 	seg := rdf.NewSegment(dict, triples)
 
-	pMixed := dict.Encode(mixed)
-	pNumeric := dict.Encode(numeric)
+	pMixed, _ := dict.Encode(mixed)
+	pNumeric, _ := dict.Encode(numeric)
 	if seg.NumericOnly(pMixed) {
 		t.Fatal("mixed predicate reported numeric-only")
 	}

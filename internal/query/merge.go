@@ -289,7 +289,9 @@ func Finalize(q *Query, vars []string, partials ...[][]string) (*Result, error) 
 					if err != nil {
 						return nil, fmt.Errorf("query: finalize: partial row cell %q: %w", cell, err)
 					}
-					id = dict.Encode(t)
+					if id, err = dict.Encode(t); err != nil {
+						return nil, fmt.Errorf("query: finalize: %w", err)
+					}
 					seen[cell] = id
 				}
 				rows = append(rows, id)

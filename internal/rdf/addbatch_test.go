@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// termTriples decodes and canonically sorts a store's full contents, the
+// termTriples decodes and canonically sorts a graph's full contents, the
 // dictionary-independent form the differential tests compare on.
-func termTriples(t *testing.T, st *Store) []TermTriple {
+func termTriples(t *testing.T, g Graph) []TermTriple {
 	t.Helper()
-	out := make([]TermTriple, 0, st.Len())
-	st.Find(nil, nil, nil, func(s, p, o Term) bool {
+	out := make([]TermTriple, 0, g.Len())
+	Find(g, nil, nil, nil, func(s, p, o Term) bool {
 		out = append(out, TermTriple{S: s, P: p, O: o})
 		return true
 	})
@@ -54,90 +54,102 @@ func randomTermTriples(rng *rand.Rand, n int) []TermTriple {
 	return out
 }
 
+// assertSameHead requires two heads — each on its own dictionary — to hold
+// the same triples: equal contents, Len and PredCard, and equal answers to
+// all eight pattern shapes probed from every triple of the stream.
+func assertSameHead(t *testing.T, what string, want, got *Head, stream []TermTriple) {
+	t.Helper()
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: Len %d vs %d", what, want.Len(), got.Len())
+	}
+	a, b := termTriples(t, want), termTriples(t, got)
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d triples vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: triple %d: %v vs %v", what, i, a[i], b[i])
+		}
+	}
+	for _, tr := range stream {
+		pa, _ := want.Dict().Lookup(tr.P)
+		pb, _ := got.Dict().Lookup(tr.P)
+		if want.PredCard(pa) != got.PredCard(pb) {
+			t.Fatalf("%s: PredCard(%v) %d vs %d", what, tr.P, want.PredCard(pa), got.PredCard(pb))
+		}
+		for _, probe := range [][3]*Term{
+			{nil, nil, nil},
+			{&tr.S, nil, nil}, {nil, &tr.P, nil}, {nil, nil, &tr.O},
+			{&tr.S, &tr.P, nil}, {nil, &tr.P, &tr.O}, {&tr.S, nil, &tr.O},
+			{&tr.S, &tr.P, &tr.O},
+		} {
+			na, nb := 0, 0
+			Find(want, probe[0], probe[1], probe[2], func(_, _, _ Term) bool { na++; return true })
+			Find(got, probe[0], probe[1], probe[2], func(_, _, _ Term) bool { nb++; return true })
+			if na != nb {
+				t.Fatalf("%s: probe %v: %d matches vs %d", what, probe, na, nb)
+			}
+		}
+	}
+}
+
 // TestAddBatchDifferential feeds identical random triple streams — heavy
-// with duplicates within batches, across batches, and against pre-existing
-// contents — through one-by-one Add and through AddBatch in random chunk
-// sizes, and requires identical stores (contents, count, and every access
-// pattern).
+// with duplicates within batches, across batches, and against older runs —
+// through one-triple batches, batches of random size and one whole batch,
+// and requires identical heads.
 func TestAddBatchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 60; round++ {
 		triples := randomTermTriples(rng, rng.Intn(200)+1)
-		one, batched := NewStore(nil), NewStore(nil)
-		for _, tr := range triples {
-			one.Add(tr.S, tr.P, tr.O)
+		one, chunked, whole := NewHead(nil), NewHead(nil), NewHead(nil)
+		for i := range triples {
+			one.AddBatch(triples[i : i+1])
 		}
 		for lo := 0; lo < len(triples); {
-			hi := lo + rng.Intn(40) + 1
-			if hi > len(triples) {
-				hi = len(triples)
-			}
-			batched.AddBatch(triples[lo:hi])
+			hi := min(lo+rng.Intn(40)+1, len(triples))
+			chunked.AddBatch(triples[lo:hi])
 			lo = hi
 		}
-		if one.Len() != batched.Len() {
-			t.Fatalf("round %d: Len %d (one-by-one) vs %d (batched)", round, one.Len(), batched.Len())
-		}
-		a, b := termTriples(t, one), termTriples(t, batched)
-		if len(a) != len(b) {
-			t.Fatalf("round %d: %d triples vs %d", round, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("round %d triple %d: %v vs %v", round, i, a[i], b[i])
-			}
-		}
-		// Every access pattern must agree (exercises the POS/OSP merge
-		// paths, not just SPO).
-		for _, tr := range triples {
-			for _, probe := range [][3]*Term{
-				{&tr.S, nil, nil}, {nil, &tr.P, nil}, {nil, nil, &tr.O},
-				{&tr.S, &tr.P, nil}, {nil, &tr.P, &tr.O}, {&tr.S, nil, &tr.O},
-				{&tr.S, &tr.P, &tr.O},
-			} {
-				na, nb := 0, 0
-				one.Find(probe[0], probe[1], probe[2], func(_, _, _ Term) bool { na++; return true })
-				batched.Find(probe[0], probe[1], probe[2], func(_, _, _ Term) bool { nb++; return true })
-				if na != nb {
-					t.Fatalf("round %d probe %v: %d matches vs %d", round, probe, na, nb)
-				}
-			}
-		}
+		whole.AddBatch(triples)
+		assertSameHead(t, fmt.Sprintf("round %d chunked", round), one, chunked, triples)
+		assertSameHead(t, fmt.Sprintf("round %d whole", round), one, whole, triples)
 	}
 }
 
-// TestAddBatchInterleavedWithAdd mixes bulk and single inserts into the same
-// store and checks against a one-by-one twin.
+// TestAddBatchInterleavedWithAdd mixes multi-triple batches, one-fragment
+// batches (AddAnchored's shape) and encoded inserts into the same head and
+// checks it against a one-triple-at-a-time twin.
 func TestAddBatchInterleavedWithAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	st, twin := NewStore(nil), NewStore(nil)
+	h, twin := NewHead(nil), NewHead(nil)
+	var stream []TermTriple
 	for round := 0; round < 30; round++ {
 		triples := randomTermTriples(rng, rng.Intn(80)+1)
-		if round%2 == 0 {
-			st.AddBatch(triples)
-		} else {
-			for _, tr := range triples {
-				st.Add(tr.S, tr.P, tr.O)
+		switch round % 3 {
+		case 0:
+			h.AddBatch(triples)
+		case 1:
+			for lo := 0; lo < len(triples); lo += 9 {
+				h.AddBatch(triples[lo:min(lo+9, len(triples))])
 			}
+		default:
+			tri, err := h.Dict().EncodeBatch(triples, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Insert(tri)
 		}
-		for _, tr := range triples {
-			twin.Add(tr.S, tr.P, tr.O)
+		for i := range triples {
+			twin.AddBatch(triples[i : i+1])
 		}
+		stream = append(stream, triples...)
 	}
-	if st.Len() != twin.Len() {
-		t.Fatalf("Len %d vs twin %d", st.Len(), twin.Len())
-	}
-	a, b := termTriples(t, st), termTriples(t, twin)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("triple %d: %v vs %v", i, a[i], b[i])
-		}
-	}
+	assertSameHead(t, "interleaved", twin, h, stream)
 }
 
 // TestAddBatchEmptyAndAllDup covers the early-out paths.
 func TestAddBatchEmptyAndAllDup(t *testing.T) {
-	st := NewStore(nil)
+	st := NewHead(nil)
 	st.AddBatch(nil)
 	if st.Len() != 0 {
 		t.Fatalf("Len after empty batch = %d", st.Len())
@@ -148,7 +160,7 @@ func TestAddBatchEmptyAndAllDup(t *testing.T) {
 		t.Fatalf("Len after dup-only batch = %d, want 1", st.Len())
 	}
 	st.AddBatch([]TermTriple{tr})
-	if st.Len() != 1 {
-		t.Fatalf("Len after re-insert = %d, want 1", st.Len())
+	if st.Len() != 1 || len(st.runs) != 1 {
+		t.Fatalf("Len after re-insert = %d in %d runs, want 1 in 1", st.Len(), len(st.runs))
 	}
 }

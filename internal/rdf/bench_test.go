@@ -5,48 +5,43 @@ import (
 	"testing"
 )
 
-// BenchmarkAddHighDegreePredicate is the satellite regression guard for the
-// sorted-list index: every triple shares one (predicate, object) pair, so
-// the pos index grows a single high-degree subject list. The old
-// linear-scan duplicate check made this quadratic (~n²/2 comparisons for n
-// inserts); the binary-search insert is n·log n with an O(1) tail append in
-// the common increasing-ID case.
+// BenchmarkAddHighDegreePredicate inserts one triple per op, every triple
+// sharing one (predicate, object) pair, so the POS order holds a single
+// high-degree block that each merge carries along: the guard against an
+// insert whose cost grows with that block.
 func BenchmarkAddHighDegreePredicate(b *testing.B) {
 	const typePred, cls = 1, 2
 	b.ReportAllocs()
-	st := NewStore(nil)
+	st := NewHead(nil)
 	for i := 0; i < b.N; i++ {
-		st.AddID(ID(i+3), typePred, cls)
+		st.Insert([]Triple{{ID(i + 3), typePred, cls}})
 	}
 }
 
 // BenchmarkAddHighDegreeRandomOrder is the same shape with random-order
-// subject IDs (worst case for the sorted insert's memmove).
+// subject IDs: no run's subject range can be skipped on a duplicate check.
 func BenchmarkAddHighDegreeRandomOrder(b *testing.B) {
 	const typePred, cls = 1, 2
 	b.ReportAllocs()
-	st := NewStore(nil)
+	st := NewHead(nil)
 	for i := 0; i < b.N; i++ {
 		// LCG-scrambled ids: deterministic, collision-free enough.
 		id := ID(uint32(i)*2654435761 + 3)
-		st.AddID(id, typePred, cls)
+		st.Insert([]Triple{{id, typePred, cls}})
 	}
 }
 
-// BenchmarkSegmentFind measures the sealed tier's binary-search access path
-// against the head store's map walk on the same data.
+// BenchmarkSegmentFind measures a subject probe on the sealed tier's one
+// run against a many-run head holding the same data.
 func BenchmarkSegmentFind(b *testing.B) {
 	dict := NewDictionary()
 	triples := randomTriples(100_000, 42)
-	st := NewStore(dict)
-	for _, tr := range triples {
-		st.AddID(tr.S, tr.P, tr.O)
-	}
+	st := chunkedHead(dict, triples)
 	seg := NewSegment(dict, triples)
 	for _, bc := range []struct {
 		name string
 		g    Graph
-	}{{"store", st}, {"segment", seg}} {
+	}{{"head", st}, {"segment", seg}} {
 		b.Run(bc.name, func(b *testing.B) {
 			n := 0
 			for i := 0; i < b.N; i++ {
@@ -76,14 +71,13 @@ func BenchmarkSeal(b *testing.B) {
 
 var sinkLen int
 
-// BenchmarkStoreAddBatch measures the bulk insert against one-by-one Add on
-// the same position-shaped stream: 64 nine-triple star fragments per op (one
-// ingest worker's batch drain), with the shared objects real reports carry —
-// one type class, a recurring entity IRI, a small status vocabulary — so the
-// POS index grows the high-degree subject lists where per-triple
-// binary-search inserts memmove and the batch path merges runs instead.
-// AddBatch also takes the dictionary lock once per batch instead of once
-// per triple.
+// BenchmarkStoreAddBatch measures the head insert on a position-shaped
+// stream: 64 nine-triple star fragments per op (one ingest worker's batch
+// drain), with the shared objects real reports carry — one type class, a
+// recurring entity IRI, a small status vocabulary — so the POS order holds
+// the high-degree blocks every merge carries along. The add arm inserts the
+// op's fragments one AddBatch each (AddAnchored's shape: a run per
+// fragment), the batch arm as one 576-triple AddBatch (a flush's shape).
 func BenchmarkStoreAddBatch(b *testing.B) {
 	const reports, starSize = 64, 9
 	classNode := NewIRI("http://b/class/Node")
@@ -116,10 +110,9 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 	// Batches are pre-generated outside the timer so the measurement is the
 	// insert path alone, not term construction. Terms are pre-encoded in
 	// strided order so insertion order is non-monotonic in dictionary-ID
-	// space — the sorted-index shape real streams produce (recurring entity
-	// IRIs, statuses and predicates interleave with fresh nodes), where
-	// per-triple binary-search inserts memmove and run merges do not.
-	run := func(b *testing.B, insert func(st *Store, batch []TermTriple)) {
+	// space — the shape real streams produce (recurring entity IRIs,
+	// statuses and predicates interleave with fresh nodes).
+	run := func(b *testing.B, insert func(st *Head, batch []TermTriple)) {
 		batches := make([][]TermTriple, b.N)
 		for i := range batches {
 			batches[i] = makeBatch(i, nil)
@@ -128,14 +121,10 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 		const stride = 7
 		for s := 0; s < stride; s++ {
 			for i := s; i < len(batches); i += stride {
-				for _, tr := range batches[i] {
-					dict.Encode(tr.S)
-					dict.Encode(tr.P)
-					dict.Encode(tr.O)
-				}
+				dict.EncodeBatch(batches[i], nil)
 			}
 		}
-		st := NewStore(dict)
+		st := NewHead(dict)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for _, batch := range batches {
@@ -144,27 +133,29 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 		sinkLen = st.Len()
 	}
 	b.Run("add", func(b *testing.B) {
-		run(b, func(st *Store, batch []TermTriple) {
-			for _, tr := range batch {
-				st.Add(tr.S, tr.P, tr.O)
+		run(b, func(st *Head, batch []TermTriple) {
+			for lo := 0; lo < len(batch); lo += starSize {
+				st.AddBatch(batch[lo : lo+starSize])
 			}
 		})
 	})
 	b.Run("batch", func(b *testing.B) {
-		run(b, func(st *Store, batch []TermTriple) { st.AddBatch(batch) })
+		run(b, func(st *Head, batch []TermTriple) { st.AddBatch(batch) })
 	})
 }
 
+// BenchmarkStoreAddPositionShaped inserts one encoded nine-triple star
+// fragment per op, the shape every position report writes.
 func BenchmarkStoreAddPositionShaped(b *testing.B) {
-	// Nine-triple star fragments, the shape every position report writes.
-	st := NewStore(nil)
+	st := NewHead(nil)
 	b.ReportAllocs()
+	frag := make([]Triple, 9)
 	for i := 0; i < b.N; i++ {
 		node := ID(i*10 + 100)
-		for j := 0; j < 9; j++ {
-			st.AddID(node, ID(j+1), ID(i*10+101+j))
+		for j := range frag {
+			frag[j] = Triple{node, ID(j + 1), ID(i*10 + 101 + j)}
 		}
+		st.Insert(frag)
 	}
 	sinkLen = st.Len()
-	_ = fmt.Sprint(sinkLen)
 }

@@ -1,9 +1,9 @@
 package rdf
 
-// Graph is the read interface shared by the mutable Store (head tier),
-// the immutable Segment (sealed tier) and the View that merges them. The
-// query layer evaluates against Graph, so it is oblivious to how a shard
-// tiers its data.
+// Graph is the read interface shared by the Head (mutable head and global
+// tiers), the immutable Segment (sealed tier) and the View that merges
+// them. The query layer evaluates against Graph, so it is oblivious to how
+// a shard tiers its data.
 type Graph interface {
 	// FindID streams triples matching the pattern (Wildcard = any) to fn;
 	// fn returning false stops iteration early.
@@ -13,13 +13,13 @@ type Graph interface {
 	// Len returns the number of triples.
 	Len() int
 	// PredCard returns the number of triples with predicate p (an exact
-	// count for Store and Segment, a sum for View) — the statistic the
+	// count for Head and Segment, a sum for View) — the statistic the
 	// query planner orders patterns by.
 	PredCard(p ID) int
 }
 
 // View is the merged read path over the tiers of one shard: typically
-// [global dimension store, mutable head, sealed segments...]. It implements
+// [global head, mutable head, sealed segments...]. It implements
 // Graph by iterating its parts in order. A View holds no locks; the caller
 // must guarantee the parts are quiescent or immutable for the View's
 // lifetime (the sharded store builds views under the shard read lock).
@@ -80,14 +80,9 @@ func (v *View) FindID(s, p, o ID, fn func(Triple) bool) {
 	}
 }
 
-// Find is the Term-level convenience over FindID; nil pattern slots match
+// Find is the Term-level convenience over g.FindID; nil pattern slots match
 // anything.
-func (v *View) Find(s, p, o *Term, fn func(s, p, o Term) bool) {
-	findTerms(v, s, p, o, fn)
-}
-
-// findTerms implements the Term-level Find over any Graph.
-func findTerms(g Graph, s, p, o *Term, fn func(s, p, o Term) bool) {
+func Find(g Graph, s, p, o *Term, fn func(s, p, o Term) bool) {
 	dict := g.Dict()
 	enc := func(t *Term) (ID, bool) {
 		if t == nil {

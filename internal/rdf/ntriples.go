@@ -35,12 +35,13 @@ func WriteNTriples(w io.Writer, g Graph) error {
 	return bw.Flush()
 }
 
-// ReadNTriples parses N-Triples from r into st, returning the number of
-// triples read. Blank lines and '#' comments are skipped.
-func ReadNTriples(r io.Reader, st *Store) (int, error) {
+// ReadNTriples parses N-Triples from r and adds them to h as one batch,
+// returning the number of triples read. Blank lines and '#' comments are
+// skipped; on a malformed line nothing is added.
+func ReadNTriples(r io.Reader, h *Head) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	n := 0
+	var batch []TermTriple
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -50,15 +51,14 @@ func ReadNTriples(r io.Reader, st *Store) (int, error) {
 		}
 		s, p, o, err := ParseTripleLine(line)
 		if err != nil {
-			return n, fmt.Errorf("rdf: line %d: %w", lineNo, err)
+			return len(batch), fmt.Errorf("rdf: line %d: %w", lineNo, err)
 		}
-		st.Add(s, p, o)
-		n++
+		batch = append(batch, TermTriple{S: s, P: p, O: o})
 	}
 	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("rdf: read: %w", err)
+		return len(batch), fmt.Errorf("rdf: read: %w", err)
 	}
-	return n, nil
+	return len(batch), h.AddBatch(batch)
 }
 
 // ParseTripleLine parses one N-Triples statement ending in " .".

@@ -50,12 +50,12 @@ func TestTermNumeric(t *testing.T) {
 
 func TestDictionaryRoundTrip(t *testing.T) {
 	d := NewDictionary()
-	a := d.Encode(NewIRI("http://a"))
-	b := d.Encode(NewLiteral("x"))
+	a, _ := d.Encode(NewIRI("http://a"))
+	b, _ := d.Encode(NewLiteral("x"))
 	if a == b {
 		t.Fatal("distinct terms share an id")
 	}
-	if again := d.Encode(NewIRI("http://a")); again != a {
+	if again, _ := d.Encode(NewIRI("http://a")); again != a {
 		t.Error("re-encode changed id")
 	}
 	got, ok := d.Decode(a)
@@ -85,7 +85,8 @@ func TestDictionaryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ids[g] = append(ids[g], d.Encode(NewLiteral(fmt.Sprintf("t%d", i))))
+				id, _ := d.Encode(NewLiteral(fmt.Sprintf("t%d", i)))
+				ids[g] = append(ids[g], id)
 			}
 		}(g)
 	}
@@ -102,7 +103,7 @@ func TestDictionaryConcurrent(t *testing.T) {
 func TestDictionaryBijectiveQuick(t *testing.T) {
 	d := NewDictionary()
 	f := func(s string) bool {
-		id := d.Encode(NewLiteral(s))
+		id, _ := d.Encode(NewLiteral(s))
 		back, ok := d.Decode(id)
 		return ok && back.Value == s
 	}
@@ -111,21 +112,31 @@ func TestDictionaryBijectiveQuick(t *testing.T) {
 	}
 }
 
-func mkStore() *Store {
-	st := NewStore(nil)
-	st.Add(NewIRI("e:v1"), NewIRI(RDFType), NewIRI("e:Vessel"))
-	st.Add(NewIRI("e:v2"), NewIRI(RDFType), NewIRI("e:Vessel"))
-	st.Add(NewIRI("e:a1"), NewIRI(RDFType), NewIRI("e:Aircraft"))
-	st.Add(NewIRI("e:v1"), NewIRI("e:name"), NewLiteral("BLUE STAR"))
-	st.Add(NewIRI("e:v2"), NewIRI("e:name"), NewLiteral("RED STAR"))
+// add inserts one triple as its own batch, so a test head grows runs.
+func add(h *Head, s, p, o Term) { h.AddBatch([]TermTriple{{S: s, P: p, O: o}}) }
+
+func mkStore() *Head {
+	st := NewHead(nil)
+	add(st, NewIRI("e:v1"), NewIRI(RDFType), NewIRI("e:Vessel"))
+	add(st, NewIRI("e:v2"), NewIRI(RDFType), NewIRI("e:Vessel"))
+	add(st, NewIRI("e:a1"), NewIRI(RDFType), NewIRI("e:Aircraft"))
+	add(st, NewIRI("e:v1"), NewIRI("e:name"), NewLiteral("BLUE STAR"))
+	add(st, NewIRI("e:v2"), NewIRI("e:name"), NewLiteral("RED STAR"))
 	return st
+}
+
+// all lists a graph's triples in FindID order.
+func all(g Graph) []Triple {
+	var out []Triple
+	g.FindID(Wildcard, Wildcard, Wildcard, func(t Triple) bool { out = append(out, t); return true })
+	return out
 }
 
 func TestStoreFindPatterns(t *testing.T) {
 	st := mkStore()
 	count := func(s, p, o *Term) int {
 		n := 0
-		st.Find(s, p, o, func(_, _, _ Term) bool { n++; return true })
+		Find(st, s, p, o, func(_, _, _ Term) bool { n++; return true })
 		return n
 	}
 	typ := NewIRI(RDFType)
@@ -159,16 +170,16 @@ func TestStoreFindUnknownTerm(t *testing.T) {
 	st := mkStore()
 	unknown := NewIRI("e:never-seen")
 	n := 0
-	st.Find(&unknown, nil, nil, func(_, _, _ Term) bool { n++; return true })
+	Find(st, &unknown, nil, nil, func(_, _, _ Term) bool { n++; return true })
 	if n != 0 {
 		t.Error("unknown term matched")
 	}
 }
 
 func TestStoreDuplicatesIgnored(t *testing.T) {
-	st := NewStore(nil)
+	st := NewHead(nil)
 	for i := 0; i < 3; i++ {
-		st.Add(NewIRI("a"), NewIRI("b"), NewIRI("c"))
+		add(st, NewIRI("a"), NewIRI("b"), NewIRI("c"))
 	}
 	if st.Len() != 1 {
 		t.Errorf("Len = %d, want 1", st.Len())
@@ -188,8 +199,8 @@ func TestStoreEarlyStop(t *testing.T) {
 }
 
 func TestStoreTriplesDeterministic(t *testing.T) {
-	a := mkStore().Triples()
-	b := mkStore().Triples()
+	a := all(mkStore())
+	b := all(mkStore())
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -202,15 +213,15 @@ func TestStoreTriplesDeterministic(t *testing.T) {
 
 func TestNTriplesRoundTrip(t *testing.T) {
 	st := mkStore()
-	st.Add(NewIRI("e:v1"), NewIRI("e:speed"), NewDouble(7.5))
-	st.Add(NewIRI("e:v1"), NewIRI("e:note"), NewLiteral("line1\nline2 \"quoted\""))
-	st.Add(NewBlank("b0"), NewIRI("e:p"), Term{Kind: Literal, Value: "hi", Lang: "en"})
+	add(st, NewIRI("e:v1"), NewIRI("e:speed"), NewDouble(7.5))
+	add(st, NewIRI("e:v1"), NewIRI("e:note"), NewLiteral("line1\nline2 \"quoted\""))
+	add(st, NewBlank("b0"), NewIRI("e:p"), Term{Kind: Literal, Value: "hi", Lang: "en"})
 
 	var buf bytes.Buffer
 	if err := WriteNTriples(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	st2 := NewStore(nil)
+	st2 := NewHead(nil)
 	n, err := ReadNTriples(&buf, st2)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +239,7 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	}
 }
 
-func mustSerialize(t *testing.T, st *Store) string {
+func mustSerialize(t *testing.T, st Graph) string {
 	t.Helper()
 	var b bytes.Buffer
 	if err := WriteNTriples(&b, st); err != nil {
@@ -244,7 +255,7 @@ func TestReadNTriplesSkipsCommentsAndBlanks(t *testing.T) {
    # indented comment
 <e:a> <e:b> "lit"^^<` + XSDDouble + `> .
 `
-	st := NewStore(nil)
+	st := NewHead(nil)
 	n, err := ReadNTriples(strings.NewReader(input), st)
 	if err != nil {
 		t.Fatal(err)
@@ -295,10 +306,10 @@ func TestLiteralEscapeRoundTripQuick(t *testing.T) {
 
 func TestSharedDictionaryAcrossStores(t *testing.T) {
 	d := NewDictionary()
-	a := NewStore(d)
-	b := NewStore(d)
-	a.Add(NewIRI("x"), NewIRI("y"), NewIRI("z"))
-	b.Add(NewIRI("x"), NewIRI("y"), NewIRI("w"))
+	a := NewHead(d)
+	b := NewHead(d)
+	add(a, NewIRI("x"), NewIRI("y"), NewIRI("z"))
+	add(b, NewIRI("x"), NewIRI("y"), NewIRI("w"))
 	idX, ok := d.Lookup(NewIRI("x"))
 	if !ok {
 		t.Fatal("shared dict missing term")

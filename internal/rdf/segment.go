@@ -1,17 +1,19 @@
 package rdf
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Segment is a sealed, immutable triple set: a single sorted triple array
-// plus two permutation indexes, giving binary-search access paths for every
-// bound-slot combination at a fraction of the head store's map-of-maps
-// footprint (~20 bytes per triple vs several hundred). Segments are
-// produced by sealing a shard's head and are never modified afterwards, so
-// they can be read without locks, shared across snapshots, and dropped
-// wholesale by retention.
+// Segment is an immutable triple set: a single sorted triple array plus two
+// permutation indexes, giving binary-search access paths for every
+// bound-slot combination in about 20 bytes per triple. It is the one index
+// shape of the store: a sealed tier is one Segment with numeric columns, and
+// a Head (the mutable and global tiers) is a short list of Segments without
+// them. Segments are never modified once built, so they can be read without
+// locks, shared across snapshots, and dropped wholesale by retention.
 //
 // Matching triples are located block-at-a-time: a double binary search
 // resolves the contiguous [lo, hi) run of the access path matching the
@@ -22,11 +24,10 @@ import (
 // binary searches.
 type Segment struct {
 	dict *Dictionary
-	tri  []Triple // sorted by (S, P, O), deduplicated
-	pos  []uint32 // indexes into tri, sorted by (P, O, S)
-	osp  []uint32 // indexes into tri, sorted by (O, S, P)
-	pred map[ID]int
-	num  map[ID][]numEntry // predicate → numeric column, sorted by (val, idx)
+	tri  []Triple          // sorted by (S, P, O), deduplicated
+	pos  []uint32          // indexes into tri, sorted by (P, O, S)
+	osp  []uint32          // indexes into tri, sorted by (O, S, P)
+	num  map[ID][]numEntry // predicate → numeric column, sorted by (val, idx); sealed only
 }
 
 // numEntry is one row of a predicate's numeric column: the object's parsed
@@ -38,38 +39,62 @@ type numEntry struct {
 	idx uint32
 }
 
-// NewSegment builds a segment from triples (copied; any order, duplicates
-// collapsed).
+// NewSegment builds a sealed segment from triples (copied; any order,
+// duplicates collapsed).
 func NewSegment(dict *Dictionary, triples []Triple) *Segment {
-	tri := append([]Triple(nil), triples...)
-	sort.Slice(tri, func(i, j int) bool { return lessSPO(tri[i], tri[j]) })
-	// Collapse duplicates in place.
-	w := 0
-	for i, t := range tri {
-		if i > 0 && t == tri[w-1] {
-			continue
-		}
-		tri[w] = t
-		w++
-	}
-	tri = tri[:w]
-
-	seg := &Segment{
-		dict: dict,
-		tri:  tri,
-		pos:  make([]uint32, len(tri)),
-		osp:  make([]uint32, len(tri)),
-		pred: make(map[ID]int),
-	}
-	for i := range tri {
-		seg.pos[i] = uint32(i)
-		seg.osp[i] = uint32(i)
-		seg.pred[tri[i].P]++
-	}
-	sort.Slice(seg.pos, func(i, j int) bool { return lessPOS(tri[seg.pos[i]], tri[seg.pos[j]]) })
-	sort.Slice(seg.osp, func(i, j int) bool { return lessOSP(tri[seg.osp[i]], tri[seg.osp[j]]) })
+	tri := slices.Clone(triples)
+	slices.SortFunc(tri, cmpSPO)
+	seg := newRun(dict, slices.Compact(tri))
 	seg.buildNumericColumns()
 	return seg
+}
+
+// newRun indexes tri — sorted by (S, P, O), deduplicated and owned by the
+// run from now on — without numeric columns.
+func newRun(dict *Dictionary, tri []Triple) *Segment {
+	n := len(tri)
+	perm := make([]uint32, 2*n)
+	g := &Segment{dict: dict, tri: tri, pos: perm[:n:n], osp: perm[n:]}
+	for i := range tri {
+		g.pos[i], g.osp[i] = uint32(i), uint32(i)
+	}
+	slices.SortFunc(g.pos, func(a, b uint32) int { return cmpPOS(tri[a], tri[b]) })
+	slices.SortFunc(g.osp, func(a, b uint32) int { return cmpOSP(tri[a], tri[b]) })
+	return g
+}
+
+// mergeRuns merges two runs holding no triple in common into one, in linear
+// time: a merge of the SPO arrays that records where each triple lands, then
+// a merge of each permutation index through those positions.
+func mergeRuns(a, b *Segment) *Segment {
+	na, n := len(a.tri), len(a.tri)+len(b.tri)
+	at := make([]uint32, n) // at[i]: merged index of a.tri[i], at[na+j]: of b.tri[j]
+	tri := make([]Triple, n)
+	for i, j, k := 0, 0, 0; k < n; k++ {
+		if j == len(b.tri) || i < na && cmpSPO(a.tri[i], b.tri[j]) < 0 {
+			tri[k], at[i] = a.tri[i], uint32(k)
+			i++
+		} else {
+			tri[k], at[na+j] = b.tri[j], uint32(k)
+			j++
+		}
+	}
+	perm := make([]uint32, 2*n)
+	g := &Segment{dict: a.dict, tri: tri, pos: perm[:n:n], osp: perm[n:]}
+	merge := func(dst, ia, ib []uint32, cmp func(x, y Triple) int) {
+		for i, j, k := 0, 0, 0; k < n; k++ {
+			if j == len(ib) || i < len(ia) && cmp(a.tri[ia[i]], b.tri[ib[j]]) < 0 {
+				dst[k] = at[ia[i]]
+				i++
+			} else {
+				dst[k] = at[na+int(ib[j])]
+				j++
+			}
+		}
+	}
+	merge(g.pos, a.pos, b.pos, cmpPOS)
+	merge(g.osp, a.osp, b.osp, cmpOSP)
+	return g
 }
 
 // buildNumericColumns decodes each distinct object once and files every
@@ -106,43 +131,10 @@ func (g *Segment) buildNumericColumns() {
 		g.num[t.P] = append(g.num[t.P], numEntry{val: v, idx: uint32(i)})
 	}
 	for _, col := range g.num {
-		sort.Slice(col, func(i, j int) bool {
-			if col[i].val != col[j].val {
-				return col[i].val < col[j].val
-			}
-			return col[i].idx < col[j].idx
+		slices.SortFunc(col, func(a, b numEntry) int {
+			return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.idx, b.idx))
 		})
 	}
-}
-
-func lessSPO(a, b Triple) bool {
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
-}
-
-func lessPOS(a, b Triple) bool {
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	if a.O != b.O {
-		return a.O < b.O
-	}
-	return a.S < b.S
-}
-
-func lessOSP(a, b Triple) bool {
-	if a.O != b.O {
-		return a.O < b.O
-	}
-	if a.S != b.S {
-		return a.S < b.S
-	}
-	return a.P < b.P
 }
 
 // Dict implements Graph.
@@ -151,8 +143,11 @@ func (g *Segment) Dict() *Dictionary { return g.dict }
 // Len implements Graph.
 func (g *Segment) Len() int { return len(g.tri) }
 
-// PredCard implements Graph.
-func (g *Segment) PredCard(p ID) int { return g.pred[p] }
+// PredCard implements Graph: the length of the predicate's POS block.
+func (g *Segment) PredCard(p ID) int {
+	lo, hi := g.posBounds(p, Wildcard)
+	return hi - lo
+}
 
 // NumericOnly reports whether every triple of predicate p in this segment
 // carries an object that parses as a finite number — the seal-time proof
@@ -162,18 +157,28 @@ func (g *Segment) PredCard(p ID) int { return g.pred[p] }
 // sound superset (DESIGN.md §13). The statistic is exact: buildNumericColumns
 // files every numeric-object triple and only those, so the column length
 // equals the predicate cardinality exactly when no object failed to parse.
-func (g *Segment) NumericOnly(p ID) bool { return len(g.num[p]) == g.pred[p] }
+func (g *Segment) NumericOnly(p ID) bool { return len(g.num[p]) == g.PredCard(p) }
 
 // Triples returns the segment's triples in (S,P,O) order. The returned
 // slice is the segment's own storage: callers must not modify it.
 func (g *Segment) Triples() []Triple { return g.tri }
+
+// covers reports whether s lies within the run's subject range — whether
+// a pattern with subject s can match here at all.
+func (g *Segment) covers(s ID) bool {
+	return len(g.tri) > 0 && g.tri[0].S <= s && s <= g.tri[len(g.tri)-1].S
+}
 
 // FindID implements Graph block-at-a-time: a double binary search on the
 // access path matching the bound slots resolves the contiguous [lo, hi)
 // run, and the loop walks exactly that block. The only per-triple predicate
 // left is the residual O equality under a bound s with an unbound p, where
 // O values sort discontiguously within the subject's run.
-func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) {
+func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) { g.find(s, p, o, fn) }
+
+// find is FindID reporting whether the walk ran to the end (fn never
+// returned false), so a Head can stop across its runs.
+func (g *Segment) find(s, p, o ID, fn func(Triple) bool) bool {
 	switch {
 	case s != Wildcard:
 		lo, hi, residualO := g.spoBounds(s, p, o)
@@ -182,30 +187,31 @@ func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) {
 				continue
 			}
 			if !fn(t) {
-				return
+				return false
 			}
 		}
 	case p != Wildcard:
 		lo, hi := g.posBounds(p, o)
 		for _, idx := range g.pos[lo:hi] {
 			if !fn(g.tri[idx]) {
-				return
+				return false
 			}
 		}
 	case o != Wildcard:
 		lo, hi := g.ospBounds(o)
 		for _, idx := range g.osp[lo:hi] {
 			if !fn(g.tri[idx]) {
-				return
+				return false
 			}
 		}
 	default:
 		for _, t := range g.tri {
 			if !fn(t) {
-				return
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // spoBounds resolves the SPO run of the prefix (s[, p[, o]]). With p
@@ -213,7 +219,7 @@ func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) {
 // tighten the run and is reported back as a residual per-triple filter.
 func (g *Segment) spoBounds(s, p, o ID) (lo, hi int, residualO bool) {
 	n := len(g.tri)
-	lo = sort.Search(n, func(i int) bool { return !lessSPO(g.tri[i], Triple{s, p, o}) })
+	lo, found := slices.BinarySearchFunc(g.tri, Triple{s, p, o}, cmpSPO)
 	switch {
 	case p == Wildcard:
 		hi = lo + sort.Search(n-lo, func(i int) bool { return g.tri[lo+i].S > s })
@@ -223,12 +229,10 @@ func (g *Segment) spoBounds(s, p, o ID) (lo, hi int, residualO bool) {
 			t := g.tri[lo+i]
 			return t.S > s || t.P > p
 		})
+	case found: // fully bound: the dedup guarantees at most one match
+		hi = lo + 1
 	default:
-		// Fully bound: the dedup guarantees at most one match.
 		hi = lo
-		if lo < n && g.tri[lo] == (Triple{s, p, o}) {
-			hi = lo + 1
-		}
 	}
 	return lo, hi, residualO
 }
@@ -236,7 +240,7 @@ func (g *Segment) spoBounds(s, p, o ID) (lo, hi int, residualO bool) {
 // posBounds resolves the POS run of the prefix (p[, o]).
 func (g *Segment) posBounds(p, o ID) (lo, hi int) {
 	n := len(g.pos)
-	lo = sort.Search(n, func(i int) bool { return !lessPOS(g.tri[g.pos[i]], Triple{Wildcard, p, o}) })
+	lo = sort.Search(n, func(i int) bool { return cmpPOS(g.tri[g.pos[i]], Triple{Wildcard, p, o}) >= 0 })
 	if o == Wildcard {
 		hi = lo + sort.Search(n-lo, func(i int) bool { return g.tri[g.pos[lo+i]].P > p })
 	} else {
@@ -251,7 +255,7 @@ func (g *Segment) posBounds(p, o ID) (lo, hi int) {
 // ospBounds resolves the OSP run of the prefix (o).
 func (g *Segment) ospBounds(o ID) (lo, hi int) {
 	n := len(g.osp)
-	lo = sort.Search(n, func(i int) bool { return !lessOSP(g.tri[g.osp[i]], Triple{Wildcard, Wildcard, o}) })
+	lo = sort.Search(n, func(i int) bool { return g.tri[g.osp[i]].O >= o })
 	hi = lo + sort.Search(n-lo, func(i int) bool { return g.tri[g.osp[lo+i]].O > o })
 	return lo, hi
 }

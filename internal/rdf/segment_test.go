@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -29,19 +29,26 @@ func collect(g Graph, s, p, o ID) []Triple {
 		out = append(out, t)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return lessSPO(out[i], out[j]) })
+	slices.SortFunc(out, cmpSPO)
 	return out
 }
 
-// TestSegmentFindParity checks every bound-slot combination against the map
-// store over the same triples.
+// chunkedHead inserts triples into a fresh head in batches of up to 64, so
+// it holds several runs.
+func chunkedHead(dict *Dictionary, triples []Triple) *Head {
+	h := NewHead(dict)
+	for lo := 0; lo < len(triples); lo += 64 {
+		h.Insert(slices.Clone(triples[lo:min(lo+64, len(triples))]))
+	}
+	return h
+}
+
+// TestSegmentFindParity checks every bound-slot combination against a
+// many-run head over the same triples.
 func TestSegmentFindParity(t *testing.T) {
 	dict := NewDictionary()
 	triples := randomTriples(3000, 7)
-	st := NewStore(dict)
-	for _, tr := range triples {
-		st.AddID(tr.S, tr.P, tr.O)
-	}
+	st := chunkedHead(dict, triples)
 	seg := NewSegment(dict, triples)
 	if seg.Len() != st.Len() {
 		t.Fatalf("segment len %d, store len %d", seg.Len(), st.Len())
@@ -84,27 +91,28 @@ func TestSegmentFindParity(t *testing.T) {
 func TestSegmentNumericRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	dict := NewDictionary()
+	enc := func(t Term) ID { id, _ := dict.Encode(t); return id }
 	// Interleave numeric literals (some shared across triples), non-numeric
 	// literals, IRIs, and a numeric-looking plain string.
 	var triples []Triple
 	numericO := map[ID]float64{}
 	for i := 0; i < 4000; i++ {
-		s := dict.Encode(NewIRI(fmt.Sprintf("e:s%d", rng.Intn(200))))
-		p := dict.Encode(NewIRI(fmt.Sprintf("e:p%d", rng.Intn(6))))
+		s := enc(NewIRI(fmt.Sprintf("e:s%d", rng.Intn(200))))
+		p := enc(NewIRI(fmt.Sprintf("e:p%d", rng.Intn(6))))
 		var o ID
 		switch rng.Intn(4) {
 		case 0:
 			v := float64(rng.Intn(100)) / 4
-			o = dict.Encode(NewDouble(v))
+			o = enc(NewDouble(v))
 			numericO[o] = v
 		case 1:
 			v := int64(rng.Intn(1000))
-			o = dict.Encode(NewLong(v))
+			o = enc(NewLong(v))
 			numericO[o] = float64(v)
 		case 2:
-			o = dict.Encode(NewLiteral(fmt.Sprintf("name-%d", rng.Intn(50))))
+			o = enc(NewLiteral(fmt.Sprintf("name-%d", rng.Intn(50))))
 		default:
-			o = dict.Encode(NewIRI(fmt.Sprintf("e:o%d", rng.Intn(40))))
+			o = enc(NewIRI(fmt.Sprintf("e:o%d", rng.Intn(40))))
 		}
 		triples = append(triples, Triple{s, p, o})
 	}
@@ -121,7 +129,7 @@ func TestSegmentNumericRange(t *testing.T) {
 		return out
 	}
 	for trial := 0; trial < 200; trial++ {
-		p := dict.Encode(NewIRI(fmt.Sprintf("e:p%d", rng.Intn(7)))) // p6 has no triples
+		p := enc(NewIRI(fmt.Sprintf("e:p%d", rng.Intn(7)))) // p6 has no triples
 		lo := float64(rng.Intn(1100)) - 50
 		hi := lo + float64(rng.Intn(300))
 		if trial%10 == 0 {
@@ -153,7 +161,7 @@ func TestSegmentNumericRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	seg.NumericRange(dict.Encode(NewIRI("e:p0")), math.Inf(-1), math.Inf(1), func(Triple) bool {
+	seg.NumericRange(enc(NewIRI("e:p0")), math.Inf(-1), math.Inf(1), func(Triple) bool {
 		n++
 		return n < 5
 	})
@@ -178,10 +186,7 @@ func TestSegmentEarlyStop(t *testing.T) {
 func TestSegmentPredCard(t *testing.T) {
 	dict := NewDictionary()
 	triples := randomTriples(2000, 11)
-	st := NewStore(dict)
-	for _, tr := range triples {
-		st.AddID(tr.S, tr.P, tr.O)
-	}
+	st := chunkedHead(dict, triples)
 	seg := NewSegment(dict, triples)
 	for p := ID(1); p <= 8; p++ {
 		if seg.PredCard(p) != st.PredCard(p) {
@@ -190,21 +195,15 @@ func TestSegmentPredCard(t *testing.T) {
 	}
 }
 
-// TestViewMergesParts checks the merged view over a head store and two
-// segments behaves like one store holding the union.
+// TestViewMergesParts checks the merged view over a head and two segments
+// behaves like one head holding the union.
 func TestViewMergesParts(t *testing.T) {
 	dict := NewDictionary()
 	all := randomTriples(1500, 13)
-	union := NewStore(dict)
-	for _, tr := range all {
-		union.AddID(tr.S, tr.P, tr.O)
-	}
+	union := chunkedHead(dict, all)
 	segA := NewSegment(dict, all[:500])
 	segB := NewSegment(dict, all[500:1000])
-	head := NewStore(dict)
-	for _, tr := range all[1000:] {
-		head.AddID(tr.S, tr.P, tr.O)
-	}
+	head := chunkedHead(dict, all[1000:])
 	v := NewView(dict, head, segA, segB)
 
 	// The union dedups; the view may see a triple in two parts. Compare as
@@ -241,30 +240,39 @@ func TestViewMergesParts(t *testing.T) {
 	}
 }
 
+// TestStoreHasIDAndSortedLists: a head filled one triple at a time, out of
+// order and with duplicates, holds each triple once, answers a fully bound
+// probe exactly and lists a subject's objects in order within each run.
 func TestStoreHasIDAndSortedLists(t *testing.T) {
-	st := NewStore(nil)
-	// Insert out of order with duplicates.
+	st := NewHead(nil)
 	for _, o := range []ID{9, 3, 7, 3, 1, 9, 5} {
-		st.AddID(1, 2, o)
+		st.Insert([]Triple{{1, 2, o}})
+	}
+	has := func(s, p, o ID) bool {
+		n := 0
+		st.FindID(s, p, o, func(Triple) bool { n++; return true })
+		return n == 1
 	}
 	if st.Len() != 5 {
 		t.Fatalf("len = %d, want 5 (dups collapsed)", st.Len())
 	}
-	var got []ID
-	st.FindID(1, 2, Wildcard, func(t Triple) bool {
-		got = append(got, t.O)
-		return true
-	})
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Errorf("objects not sorted: %v", got)
+	for _, r := range st.runs {
+		var got []ID
+		r.FindID(1, 2, Wildcard, func(t Triple) bool {
+			got = append(got, t.O)
+			return true
+		})
+		if !slices.IsSorted(got) {
+			t.Errorf("objects not sorted: %v", got)
+		}
 	}
 	for _, o := range []ID{1, 3, 5, 7, 9} {
-		if !st.HasID(1, 2, o) {
+		if !has(1, 2, o) {
 			t.Errorf("HasID(1,2,%d) = false", o)
 		}
 	}
 	for _, o := range []ID{2, 4, 10} {
-		if st.HasID(1, 2, o) {
+		if has(1, 2, o) {
 			t.Errorf("HasID(1,2,%d) = true", o)
 		}
 	}

@@ -1,6 +1,7 @@
 // Package rdf implements the common-representation substrate of the
-// datAcron architecture: RDF terms, dictionary encoding, an in-memory triple
-// store with SPO/POS/OSP indexes, and N-Triples serialisation. The
+// datAcron architecture: RDF terms, dictionary encoding, triple sets in one
+// index shape (sorted SPO runs with POS/OSP permutations — Segment, and Head
+// as a list of them), and N-Triples serialisation. The
 // "data transformation" layer (package onto) converts surveillance records
 // into this representation; the parallel store (package store) shards it;
 // the query layer (package query) evaluates spatio-temporal queries over it.

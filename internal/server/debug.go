@@ -6,9 +6,15 @@ import (
 
 // handleReadyz answers readiness probes: 503 while the daemon is still
 // recovering (WAL replay in progress — the configured obs.Readiness gate is
-// not yet marked ready), 200 once it can serve reads and writes. Load
+// not yet marked ready) or once the term dictionary is full (ingest then
+// stores nothing new), 200 while it can serve reads and writes. Load
 // balancers drain on this; /healthz stays pure liveness.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if s.p.Store.Dict().Full() {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "full",
+			"reason": "term dictionary full: reports with new terms are not stored (datacron_ingest_unstored_total); restart to compact it"})
+		return
+	}
 	s.ready.ServeHTTP(w, r) // nil Readiness = always ready
 }
 

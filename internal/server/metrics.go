@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/obs"
@@ -77,6 +78,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Counter("datacron_ingest_stored_total", "Reports stored after threshold compression.", snap.Kept)
 	mw.Counter("datacron_ingest_suppressed_total", "Reports suppressed by compression.", snap.Suppressed)
 	mw.Counter("datacron_ingest_rejected_total", "Lines shed by backpressure (429s).", s.ing.Rejected())
+	mw.Counter("datacron_ingest_unstored_total", "Kept reports not stored: the term dictionary is full (see /readyz).", atomic.LoadInt64(&s.p.Stats.Unstored))
 	mw.Counter("datacron_ingest_frames_total", "Binary ingest frames decoded.", s.binFrames.Load())
 	mw.Counter("datacron_ingest_frame_records_total", "Records carried by binary ingest frames.", s.binRecords.Load())
 	mw.Counter("datacron_ingest_bad_frames_total", "Binary ingest frames rejected as malformed.", s.binBadFrames.Load())

@@ -10,8 +10,8 @@ import (
 // BatchWriter stages position records per destination shard and flushes
 // each shard's share under one lock acquisition — the bulk counterpart of
 // AddPositionRecord. A worker that ingests a batch of N reports pays one
-// shard lock, one dictionary lock (inside rdf.Store.AddBatch) and one
-// sort-merge per touched shard instead of N of each.
+// shard lock, one dictionary lock (inside rdf.Head.AddBatch) and one sorted
+// run per touched shard instead of N of each.
 //
 // A BatchWriter is not safe for concurrent use; each ingest worker owns
 // one. Flush must be called before the staged records need to be visible
@@ -70,16 +70,21 @@ func (bw *BatchWriter) Staged() int { return bw.staged }
 
 // Flush writes every staged share to its shard through Shard.addLocked,
 // holding each touched shard's lock once, then advances the store's stream
-// clock.
-func (bw *BatchWriter) Flush() {
+// clock. A share the dictionary cannot encode is dropped whole — its shard
+// stays untouched — while the other shares are written: unstored counts the
+// dropped position reports and err is rdf.ErrDictionaryFull.
+func (bw *BatchWriter) Flush() (unstored int, err error) {
 	if bw.staged == 0 {
-		return
+		return 0, nil
 	}
 	for _, idx := range bw.touched {
 		st := &bw.shards[idx]
 		sh := bw.s.shards[idx]
 		sh.mu.Lock()
-		sh.addLocked(st.triples, st.anchors)
+		if e := sh.addLocked(st.triples, st.anchors); e != nil {
+			unstored += len(st.anchors)
+			err = e
+		}
 		sh.mu.Unlock()
 		st.triples = st.triples[:0]
 		st.anchors = st.anchors[:0]
@@ -88,4 +93,5 @@ func (bw *BatchWriter) Flush() {
 	bw.staged = 0
 	bw.s.bumpMaxTS(bw.maxTS)
 	bw.maxTS = 0
+	return unstored, err
 }

@@ -48,13 +48,17 @@ func decodeBlock(data []byte) (blk decodedBlock, err error) {
 // a sealed segment's with the predicate histogram its file carries.
 func (blk decodedBlock) encode() ([]byte, error) {
 	dict := rdf.NewDictionary()
-	g := rdf.NewStore(dict)
-	for _, t := range blk.triples {
-		g.Add(t.S, t.P, t.O)
+	g := rdf.NewHead(dict)
+	if err := g.AddBatch(blk.triples); err != nil {
+		return nil, err
 	}
 	entries := make([]anchor, len(blk.anchors))
 	for i, a := range blk.anchors {
-		entries[i] = anchor{pt: a.pt, ts: a.ts, node: dict.Encode(a.node)}
+		node, err := dict.Encode(a.node)
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = anchor{pt: a.pt, ts: a.ts, node: node}
 	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -415,15 +419,18 @@ func TestBlockIsCanonical(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		dict.Encode(rdf.NewIRI(fmt.Sprintf("http://x/unrelated/%d", i)))
 	}
-	g := rdf.NewStore(dict)
+	g := rdf.NewHead(dict)
 	for i := len(blk.triples) - 1; i >= 0; i-- {
-		g.Add(blk.triples[i].S, blk.triples[i].P, blk.triples[i].O)
+		g.AddBatch(blk.triples[i : i+1])
 	}
 	// A second dictionary entry with the same rendering must not show.
 	lon := blk.triples[0]
-	g.Add(lon.S, lon.P, rdf.Term{Kind: rdf.Literal, Value: lon.O.Value, Datatype: lon.O.Datatype, Lang: ""})
-	g.Add(rdf.NewIRI("http://x/n1"), rdf.NewIRI("http://x/name"), rdf.Term{Kind: rdf.Literal, Value: `a "b"`, Lang: "en", Datatype: rdf.XSDString})
-	entries := []anchor{{pt: blk.anchors[0].pt, ts: blk.anchors[0].ts, node: dict.Encode(blk.anchors[0].node)}}
+	g.AddBatch([]rdf.TermTriple{
+		{S: lon.S, P: lon.P, O: rdf.Term{Kind: rdf.Literal, Value: lon.O.Value, Datatype: lon.O.Datatype, Lang: ""}},
+		{S: rdf.NewIRI("http://x/n1"), P: rdf.NewIRI("http://x/name"), O: rdf.Term{Kind: rdf.Literal, Value: `a "b"`, Lang: "en", Datatype: rdf.XSDString}},
+	})
+	node, _ := dict.Encode(blk.anchors[0].node)
+	entries := []anchor{{pt: blk.anchors[0].pt, ts: blk.anchors[0].ts, node: node}}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	if err := newBlockWriter(dict).writeBlock(bw, blk.id, g, entries, true); err != nil {

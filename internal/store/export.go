@@ -12,16 +12,18 @@ import (
 // partitioning, tier layout and insertion order, which is what makes it the
 // content-equality probe of the recovery, handoff and cluster goldens.
 func (s *Sharded) ExportNT(w io.Writer) error {
-	union := rdf.NewStore(s.dict)
+	var all []rdf.Triple
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		v, _ := sh.viewLocked(ViewBounds{})
 		v.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
-			union.AddID(t.S, t.P, t.O)
+			all = append(all, t)
 			return true
 		})
 		sh.mu.RUnlock()
 	}
+	union := rdf.NewHead(s.dict)
+	union.Insert(all) // one sort + compact
 	if err := rdf.WriteNTriples(w, union); err != nil {
 		return fmt.Errorf("store: export: %w", err)
 	}

@@ -99,14 +99,18 @@ func ReadHandoff(r io.Reader, keep func(nodeIRI string) bool) ([]HandoffFragment
 // anchor node is already present in its target shard — AddAnchored appends
 // anchors unconditionally, so this presence check is what makes handoff
 // retries (and donor re-ships after a crash) exactly-once. Returns how many
-// fragments were installed and how many skipped as duplicates.
+// fragments were installed and how many skipped as duplicates; it stops at
+// the first fragment the store refuses (its dictionary is full), so a sum
+// short of len(frags) means the rest were not installed.
 func (s *Sharded) InstallHandoff(frags []HandoffFragment) (installed, skipped int) {
 	for _, f := range frags {
 		if s.hasAnchored(f) {
 			skipped++
 			continue
 		}
-		s.AddAnchored(f.Node.Value, f.Pt, f.TS, f.Node, f.Triples)
+		if s.AddAnchored(f.Node.Value, f.Pt, f.TS, f.Node, f.Triples) != nil {
+			break
+		}
 		installed++
 	}
 	return installed, skipped
@@ -123,16 +127,16 @@ func (s *Sharded) hasAnchored(f HandoffFragment) bool {
 	sh := s.shards[s.part.Assign(f.Node.Value, f.Pt, f.TS)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	found := false
-	probe := func(t rdf.Triple) bool { found = true; return false }
-	sh.head.FindID(id, rdf.Wildcard, rdf.Wildcard, probe)
-	for _, seg := range sh.segs {
-		if found {
-			break
-		}
-		seg.g.FindID(id, rdf.Wildcard, rdf.Wildcard, probe)
+	probe := rdf.Triple{S: id, P: rdf.Wildcard, O: rdf.Wildcard}
+	if holds(sh.head, probe) {
+		return true
 	}
-	return found
+	for _, seg := range sh.segs {
+		if holds(seg.g, probe) {
+			return true
+		}
+	}
+	return false
 }
 
 // DropAnchored removes every anchored fragment whose anchor-node IRI passes
@@ -169,21 +173,30 @@ func (s *Sharded) dropShard(sh *Shard, drop func(nodeIRI string) bool) (fragment
 		return out
 	}
 
-	// Head: rebuild the mutable tier without the dropped fragments. The
-	// anchored set decides; residue triples (non-anchored subjects) stay.
-	if dropped := droppedIn(sh.idx); dropped != nil {
-		newHead := rdf.NewStore(s.dict)
-		sh.head.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
+	// without filters a tier's triples and anchors: what is kept is rebuilt,
+	// what goes is counted. The anchored set decides; residue triples
+	// (non-anchored subjects) stay.
+	without := func(g rdf.Graph, idx anchorIndex, dropped map[rdf.ID]bool) ([]rdf.Triple, anchorIndex) {
+		var kept []rdf.Triple
+		g.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
 			if dropped[t.S] {
 				triples++
 			} else {
-				newHead.AddID(t.S, t.P, t.O)
+				kept = append(kept, t)
 			}
 			return true
 		})
-		kept := sh.idx.without(dropped)
-		fragments += len(sh.idx.entries) - len(kept.entries)
-		sh.head, sh.idx = newHead, kept
+		keptIdx := idx.without(dropped)
+		fragments += len(idx.entries) - len(keptIdx.entries)
+		return kept, keptIdx
+	}
+
+	// Head: rebuilt without the dropped fragments.
+	if dropped := droppedIn(sh.idx); dropped != nil {
+		var kept []rdf.Triple
+		kept, sh.idx = without(sh.head, sh.idx, dropped)
+		sh.head = rdf.NewHead(s.dict)
+		sh.head.Insert(kept)
 	}
 
 	// Sealed segments: untouched segments stay (same id, same file in any
@@ -195,21 +208,12 @@ func (s *Sharded) dropShard(sh *Shard, drop func(nodeIRI string) bool) (fragment
 			segs = append(segs, seg)
 			continue
 		}
-		var keptTri []rdf.Triple
-		for _, t := range seg.g.Triples() {
-			if dropped[t.S] {
-				triples++
-			} else {
-				keptTri = append(keptTri, t)
-			}
-		}
-		kept := seg.idx.without(dropped)
-		fragments += len(seg.idx.entries) - len(kept.entries)
-		if len(keptTri) == 0 && len(kept.entries) == 0 {
+		kept, keptIdx := without(seg.g, seg.idx, dropped)
+		if len(kept) == 0 && len(keptIdx.entries) == 0 {
 			s.segsDropped.Add(1)
 			continue
 		}
-		segs = append(segs, newSegment(s.nextSegID.Add(1), s.dict, keptTri, kept))
+		segs = append(segs, newSegment(s.nextSegID.Add(1), rdf.NewSegment(s.dict, kept), keptIdx))
 	}
 	sh.segs = segs
 	return fragments, triples

@@ -96,7 +96,7 @@ func TestHandoffRoundTripMovesOnlyKeptEntities(t *testing.T) {
 		t.Fatalf("donor census after drop = %v", got)
 	}
 	found := false
-	donor.View(0).Find(&[]rdf.Term{onto.EntityIRI("e1")}[0], nil, nil, func(_, _, _ rdf.Term) bool {
+	rdf.Find(donor.View(0), &[]rdf.Term{onto.EntityIRI("e1")}[0], nil, nil, func(_, _, _ rdf.Term) bool {
 		found = true
 		return false
 	})
@@ -107,7 +107,7 @@ func TestHandoffRoundTripMovesOnlyKeptEntities(t *testing.T) {
 	// Dropped fragments must be invisible to queries: no e2 semantic nodes
 	// remain in any shard view.
 	for i := 0; i < donor.NumShards(); i++ {
-		donor.View(i).Find(nil, &onto.PredOfObject, &[]rdf.Term{onto.EntityIRI("e2")}[0], func(s, _, _ rdf.Term) bool {
+		rdf.Find(donor.View(i), nil, &onto.PredOfObject, &[]rdf.Term{onto.EntityIRI("e2")}[0], func(s, _, _ rdf.Term) bool {
 			t.Fatalf("shard %d still holds e2 fragment %s", i, s.Value)
 			return false
 		})

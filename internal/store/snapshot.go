@@ -2,10 +2,12 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/datacron-project/datacron/internal/geo"
@@ -146,14 +148,29 @@ func writeSegmentFile(bw *blockWriter, path string, seg *segment) error {
 	return os.Rename(tmp, path)
 }
 
-// storeSink returns a sink that resolves a block's terms against dict, once
-// each, and hands on triples and anchors in the dictionary's ids.
-func storeSink(dict *rdf.Dictionary, onTriple func(rdf.Triple), onAnchor func(anchor)) blockSink {
+// blockContent is one block's triples and anchors in a live dictionary's
+// ids. err keeps the first term the dictionary refused; the content is then
+// not to be used.
+type blockContent struct {
+	triples []rdf.Triple
+	anchors []anchor
+	err     error
+}
+
+// sink returns a sink that resolves a block's terms against dict, once
+// each, and collects its triples and anchors into bc.
+func (bc *blockContent) sink(dict *rdf.Dictionary) blockSink {
 	var ids []rdf.ID
 	return blockSink{
-		term:   func(t rdf.Term) { ids = append(ids, dict.Encode(t)) },
-		triple: func(s, p, o uint32) { onTriple(rdf.Triple{S: ids[s], P: ids[p], O: ids[o]}) },
-		anchor: func(ts int64, pt geo.Point, node uint32) { onAnchor(anchor{pt: pt, ts: ts, node: ids[node]}) },
+		term: func(t rdf.Term) {
+			id, err := dict.Encode(t)
+			bc.err = cmp.Or(bc.err, err)
+			ids = append(ids, id)
+		},
+		triple: func(s, p, o uint32) { bc.triples = append(bc.triples, rdf.Triple{S: ids[s], P: ids[p], O: ids[o]}) },
+		anchor: func(ts int64, pt geo.Point, node uint32) {
+			bc.anchors = append(bc.anchors, anchor{pt: pt, ts: ts, node: ids[node]})
+		},
 	}
 }
 
@@ -170,15 +187,16 @@ func readSegmentFile(path string, dict *rdf.Dictionary, grid geo.Grid) (*segment
 
 // readSegment reads one sealed segment's block off r.
 func readSegment(r io.Reader, dict *rdf.Dictionary, grid geo.Grid) (*segment, error) {
-	var triples []rdf.Triple
-	idx := newAnchorIndex(grid)
-	id, err := newBlockReader(r).readBlock(storeSink(dict,
-		func(t rdf.Triple) { triples = append(triples, t) },
-		func(a anchor) { idx.add(a) }))
-	if err != nil {
+	var bc blockContent
+	id, err := newBlockReader(r).readBlock(bc.sink(dict))
+	if err = cmp.Or(err, bc.err); err != nil {
 		return nil, err // io.EOF: the input is empty
 	}
-	return newSegment(id, dict, triples, idx), nil
+	idx := newAnchorIndex(grid)
+	for _, a := range bc.anchors {
+		idx.add(a)
+	}
+	return newSegment(id, rdf.NewSegment(dict, bc.triples), idx), nil
 }
 
 // linkOrCopy hard-links src to dst, falling back to a byte copy on
@@ -247,35 +265,45 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 		s.bumpMaxTS(seg.maxTS)
 	}
 
-	// Mutable tiers: into the head, skipping triples the global tier
-	// already replicates.
-	sink := storeSink(s.dict,
-		func(t rdf.Triple) {
-			if !sh.global.HasID(t.S, t.P, t.O) {
-				sh.head.AddID(t.S, t.P, t.O)
-				triples++
-			}
-		},
-		func(a anchor) {
-			sh.idx.add(a)
-			s.bumpMaxTS(a.ts)
-			anchors++
-		})
+	// Mutable tiers: into the head as one batch, less the triples the
+	// global tier already replicates.
+	var bc blockContent
+	if err := cmp.Or(readShardBlock(dir, i, bc.sink(s.dict)), bc.err); err != nil {
+		return triples, anchors, err
+	}
+	fresh := slices.DeleteFunc(bc.triples, func(t rdf.Triple) bool { return holds(sh.global, t) })
+	sh.head.Insert(fresh)
+	for _, a := range bc.anchors {
+		sh.idx.add(a)
+		s.bumpMaxTS(a.ts)
+	}
+	return triples + len(fresh), anchors + len(bc.anchors), nil
+}
+
+// readShardBlock feeds shard i's mutable-tier block in dir to sink.
+func readShardBlock(dir string, i int, sink blockSink) error {
 	f, err := os.Open(shardFile(dir, i, "blk"))
 	if os.IsNotExist(err) {
-		return triples, anchors, loadShardV1(dir, i, sink)
+		return loadShardV1(dir, i, sink)
 	}
 	if err != nil {
-		return triples, anchors, err
+		return err
 	}
 	defer f.Close()
 	if _, err := newBlockReader(f).readBlock(sink); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return triples, anchors, fmt.Errorf("%s: %w", filepath.Base(f.Name()), err)
+		return fmt.Errorf("%s: %w", filepath.Base(f.Name()), err)
 	}
-	return triples, anchors, nil
+	return nil
+}
+
+// holds reports whether g holds t.
+func holds(g rdf.Graph, t rdf.Triple) bool {
+	found := false
+	g.FindID(t.S, t.P, t.O, func(rdf.Triple) bool { found = true; return false })
+	return found
 }
 
 // loadShardV1 reads the mutable tiers of a format-2 snapshot directory: the

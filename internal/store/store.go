@@ -7,15 +7,17 @@
 // needs cross-shard joins, and maintains a per-shard spatiotemporal grid
 // index over the anchored nodes for range queries.
 //
-// Each shard is tiered (DESIGN.md §10): a small mutable head (rdf.Store)
-// absorbs writes, sealed immutable segments (rdf.Segment) hold history in
-// dense sorted arrays with per-segment statistics, and a never-sealed
-// global store holds the replicated dimension triples. Sealing and
-// time-based retention run through Maintain; readers see the merged tiers
-// through rdf.View.
+// Each shard is tiered (DESIGN.md §10): a small mutable head absorbs
+// writes, sealed immutable segments (rdf.Segment) hold history with
+// per-segment statistics, and a never-sealed global tier holds the
+// replicated dimension triples. Head and global are rdf.Heads — short lists
+// of runs in the segments' own sorted layout — so every tier has one index
+// shape. Sealing and time-based retention run through Maintain; readers see
+// the merged tiers through rdf.View.
 package store
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -54,10 +56,10 @@ type Shard struct {
 	mu sync.RWMutex
 	// global holds replicated dimension triples (entities, areas,
 	// vocabulary). It is never sealed and never retained away.
-	global *rdf.Store
+	global *rdf.Head
 	// head is the mutable tier: anchored fragments since the last seal,
 	// indexed by idx.
-	head *rdf.Store
+	head *rdf.Head
 	idx  anchorIndex
 	// segs are the sealed immutable segments, oldest first.
 	segs []*segment
@@ -78,8 +80,8 @@ func NewSharded(part partition.Partitioner, worldBox geo.BBox) *Sharded {
 	shards := make([]*Shard, part.Shards())
 	for i := range shards {
 		shards[i] = &Shard{
-			global: rdf.NewStore(dict),
-			head:   rdf.NewStore(dict),
+			global: rdf.NewHead(dict),
+			head:   rdf.NewHead(dict),
 			idx:    newAnchorIndex(grid),
 		}
 	}
@@ -171,38 +173,52 @@ func (s *Sharded) ShardLoads() []int {
 }
 
 // AddGlobal replicates dimension triples (entities, areas, vocabulary) to
-// every shard, so a per-shard BGP evaluation can join them locally.
-func (s *Sharded) AddGlobal(triples []onto.TripleT) {
+// every shard, one batch each, so a per-shard BGP evaluation can join them
+// locally. It fails, storing nothing, when the dictionary is full.
+func (s *Sharded) AddGlobal(triples []onto.TripleT) (err error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, t := range triples {
-			sh.global.Add(t.S, t.P, t.O)
-		}
+		err = cmp.Or(err, sh.global.AddBatch(triples))
 		sh.mu.Unlock()
 	}
+	return err
 }
 
 // AddAnchored places a graph fragment anchored at (key, pt, ts): its
 // triples go to the head tier of the shard the partitioner assigns and
 // node is registered in that shard's spatiotemporal index. It is a
 // one-fragment batch through the same write path BatchWriter.Flush takes.
-func (s *Sharded) AddAnchored(key string, pt geo.Point, ts int64, node rdf.Term, triples []onto.TripleT) {
+func (s *Sharded) AddAnchored(key string, pt geo.Point, ts int64, node rdf.Term, triples []onto.TripleT) error {
 	sh := s.shards[s.part.Assign(key, pt, ts)]
 	sh.mu.Lock()
-	sh.addLocked(triples, []stagedAnchor{{pt: pt, ts: ts, node: node}})
+	err := sh.addLocked(triples, []stagedAnchor{{pt: pt, ts: ts, node: node}})
 	sh.mu.Unlock()
 	s.bumpMaxTS(ts)
+	return err
 }
 
 // addLocked is the one anchored-write path: triples go to the head tier in
 // one bulk insert and every anchor is registered in the head's index, under
-// the caller-held shard write lock.
-func (sh *Shard) addLocked(triples []onto.TripleT, anchors []stagedAnchor) {
-	sh.head.AddBatch(triples)
+// the caller-held shard write lock. When the dictionary cannot encode the
+// batch it returns rdf.ErrDictionaryFull and leaves the shard untouched:
+// the anchor nodes are encoded first, and the head takes all triples or none.
+func (sh *Shard) addLocked(triples []onto.TripleT, anchors []stagedAnchor) error {
 	dict := sh.head.Dict()
+	nodes := make([]rdf.ID, 0, 64) // on the stack for a usual batch
 	for _, a := range anchors {
-		sh.idx.add(anchor{pt: a.pt, ts: a.ts, node: dict.Encode(a.node)})
+		node, err := dict.Encode(a.node)
+		if err != nil {
+			return err
+		}
+		nodes = append(nodes, node)
 	}
+	if err := sh.head.AddBatch(triples); err != nil {
+		return err
+	}
+	for i, a := range anchors {
+		sh.idx.add(anchor{pt: a.pt, ts: a.ts, node: nodes[i]})
+	}
+	return nil
 }
 
 // bumpMaxTS advances the stream clock to at least ts.

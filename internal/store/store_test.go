@@ -105,7 +105,7 @@ func TestGlobalTriplesReplicated(t *testing.T) {
 	obj := onto.EntityIRI(e.ID)
 	for i := 0; i < s.NumShards(); i++ {
 		found := false
-		s.View(i).Find(&obj, &onto.PredName, nil, func(_, _, o rdf.Term) bool {
+		rdf.Find(s.View(i), &obj, &onto.PredName, nil, func(_, _, o rdf.Term) bool {
 			found = o.Value == "TEST SHIP"
 			return false
 		})
@@ -124,7 +124,7 @@ func TestAnchoredTriplesColocated(t *testing.T) {
 	holders := 0
 	for i := 0; i < s.NumShards(); i++ {
 		n := 0
-		s.View(i).Find(&node, nil, nil, func(_, _, _ rdf.Term) bool { n++; return true })
+		rdf.Find(s.View(i), &node, nil, nil, func(_, _, _ rdf.Term) bool { n++; return true })
 		if n > 0 {
 			holders++
 			if n < 8 {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/geo"
@@ -52,11 +53,11 @@ type segment struct {
 	box          geo.BBox
 }
 
-// newSegment seals triples and their anchors under id. The statistics are
-// always computed from the anchors present, never trusted from a file:
+// newSegment files g and its anchors as the sealed tier id. The statistics
+// are always computed from the anchors present, never trusted from a file:
 // pruning and retention must match the data actually held.
-func newSegment(id uint64, dict *rdf.Dictionary, triples []rdf.Triple, idx anchorIndex) *segment {
-	seg := &segment{id: id, g: rdf.NewSegment(dict, triples), idx: idx}
+func newSegment(id uint64, g *rdf.Segment, idx anchorIndex) *segment {
+	seg := &segment{id: id, g: g, idx: idx}
 	seg.minTS, seg.maxTS, seg.box = anchorStats(idx.entries)
 	return seg
 }
@@ -188,11 +189,12 @@ func (s *Sharded) shouldSeal(sh *Shard, pol TierPolicy, force bool, now int64) b
 }
 
 // sealLocked converts the shard's head into a sealed segment under the
-// caller-held write lock and returns the number of triples sealed. Triples
-// whose subject is an anchored node (position and event fragments) form
-// the segment; any residue (dimension triples that reached the head, e.g.
-// from a snapshot loaded into an unprimed store) migrates to the never-retained global
-// store, so retention can never age out reference data.
+// caller-held write lock and returns the number of triples sealed: the
+// head's runs merge into one, which becomes the segment. Triples whose
+// subject is an anchored node (position and event fragments) form the
+// segment; any residue (dimension triples that reached the head, e.g. from
+// a snapshot loaded into an unprimed store) migrates to the never-retained
+// global tier as one batch, so retention can never age out reference data.
 func (s *Sharded) sealLocked(sh *Shard) int {
 	if sh.head.Len() == 0 {
 		return 0
@@ -201,21 +203,23 @@ func (s *Sharded) sealLocked(sh *Shard) int {
 	for _, e := range sh.idx.entries {
 		anchored[e.node] = true
 	}
-	var sealed []rdf.Triple
-	sh.head.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
-		if anchored[t.S] {
-			sealed = append(sealed, t)
-		} else {
-			sh.global.AddID(t.S, t.P, t.O)
+	g := sh.head.Seal()
+	var residue []rdf.Triple
+	for _, t := range g.Triples() {
+		if !anchored[t.S] {
+			residue = append(residue, t)
 		}
-		return true
-	})
-	if len(sealed) > 0 || len(sh.idx.entries) > 0 {
-		sh.segs = append(sh.segs, newSegment(s.nextSegID.Add(1), s.dict, sealed, sh.idx))
 	}
-	sh.head = rdf.NewStore(s.dict)
+	if len(residue) > 0 {
+		sh.global.Insert(residue)
+		g = rdf.NewSegment(s.dict, slices.DeleteFunc(slices.Clone(g.Triples()), func(t rdf.Triple) bool { return !anchored[t.S] }))
+	}
+	if g.Len() > 0 || len(sh.idx.entries) > 0 {
+		sh.segs = append(sh.segs, newSegment(s.nextSegID.Add(1), g, sh.idx))
+	}
+	sh.head = rdf.NewHead(s.dict)
 	sh.idx = newAnchorIndex(sh.idx.grid)
-	return len(sealed)
+	return g.Len()
 }
 
 // TierSnapshot is a point-in-time summary of the store's tier layout.

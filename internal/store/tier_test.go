@@ -76,9 +76,7 @@ func TestSealMigratesDimensionResidue(t *testing.T) {
 	// Force dimension triples into the head the way a v1 load does.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, tr := range onto.EntityTriples(model.Entity{ID: "V1", Name: "RESIDUE", Type: "CARGO"}) {
-			sh.head.Add(tr.S, tr.P, tr.O)
-		}
+		sh.head.AddBatch(onto.EntityTriples(model.Entity{ID: "V1", Name: "RESIDUE", Type: "CARGO"}))
 		sh.mu.Unlock()
 	}
 	s.Maintain(TierPolicy{}, true)
@@ -91,7 +89,7 @@ func TestSealMigratesDimensionResidue(t *testing.T) {
 	obj := onto.EntityIRI("V1")
 	found := false
 	for i := 0; i < s.NumShards(); i++ {
-		s.View(i).Find(&obj, &onto.PredName, nil, func(_, _, o rdf.Term) bool {
+		rdf.Find(s.View(i), &obj, &onto.PredName, nil, func(_, _, o rdf.Term) bool {
 			found = found || o.Value == "RESIDUE"
 			return true
 		})
