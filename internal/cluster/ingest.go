@@ -150,9 +150,10 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		pr    peerResponse
 	}
 	resCh := make(chan shareResult, sc.n)
+	header := clientHeader(r)
 	for _, s := range sc.shares[:sc.n] {
 		go func(owner string, lines int, frame []byte) {
-			resCh <- shareResult{owner, lines, n.do(owner, http.MethodPost, path, wire.ContentType, frame, nil)}
+			resCh <- shareResult{owner, lines, n.do(owner, http.MethodPost, path, wire.ContentType, frame, header)}
 		}(s.owner, s.enc.Count(), s.frame)
 	}
 	for i := 0; i < sc.n; i++ {

@@ -164,7 +164,10 @@ func (n *Node) Self() string { return n.cfg.Self }
 // ServeHTTP routes a request: cluster-internal RPCs to the internal mux,
 // forwarded sub-requests straight to the local server, client traffic on
 // the clustered endpoints through the coordinator logic, and everything
-// else (SSE, range, admin, metrics) to the local server.
+// else (SSE, range, admin, metrics) to the local server. Client traffic
+// gets its X-Request-ID here, adopted or minted and echoed, and every
+// sub-request made for it carries the id (clientHeader), so each peer files
+// its share of the work — its slow-query entry, say — under the client's id.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.URL.Path, "/cluster/") {
 		n.mux.ServeHTTP(w, r)
@@ -174,6 +177,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.local.ServeHTTP(w, r)
 		return
 	}
+	obs.EnsureRequestID(w, r)
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/ingest":
 		n.handleIngest(w, r)
@@ -230,6 +234,12 @@ func (n *Node) do(member, method, pathAndQuery, contentType string, body []byte,
 		return peerResponse{member: member, err: err}
 	}
 	return peerResponse{member: member, status: resp.StatusCode, body: b}
+}
+
+// clientHeader is the header of a sub-request made for client request r:
+// the request id ServeHTTP gave r.
+func clientHeader(r *http.Request) map[string]string {
+	return map[string]string{obs.RequestIDHeader: r.Header.Get(obs.RequestIDHeader)}
 }
 
 func decorate(r *http.Request, contentType string, header map[string]string) {

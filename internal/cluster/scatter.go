@@ -71,8 +71,10 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var partials [][][]string
 	var vars []string
 	shards, pruned := 0, 0
+	header := clientHeader(r)
+	header[server.PartialQueryHeader] = "1"
 	partial, failed := gather(n, http.MethodPost, "/query", "text/plain", []byte(src),
-		map[string]string{server.PartialQueryHeader: "1"}, func(pqr server.QueryResponse) {
+		header, func(pqr server.QueryResponse) {
 			vars = pqr.Vars
 			partials = append(partials, pqr.Rows)
 			shards += pqr.ShardsVisited
@@ -105,7 +107,7 @@ func (n *Node) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 		pathAndQuery += "?" + r.URL.RawQuery
 	}
 	merged := server.ForecastBatchResponse{Forecasts: []server.ForecastJSON{}}
-	partial, failed := gather(n, http.MethodGet, pathAndQuery, "", nil, nil, func(fb server.ForecastBatchResponse) {
+	partial, failed := gather(n, http.MethodGet, pathAndQuery, "", nil, clientHeader(r), func(fb server.ForecastBatchResponse) {
 		merged.HorizonMS = fb.HorizonMS
 		merged.Forecasts = append(merged.Forecasts, fb.Forecasts...)
 	})
@@ -128,7 +130,7 @@ func (n *Node) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 // (and its float bits) match a single node holding the whole stream.
 func (n *Node) handleSynopsesBatch(w http.ResponseWriter, r *http.Request) {
 	merged := server.SynopsesBatchResponse{ByKind: map[string]int64{}, Entities: []server.SynopsisSummaryJSON{}}
-	partial, failed := gather(n, http.MethodGet, "/synopses/batch", "", nil, nil, func(sb server.SynopsesBatchResponse) {
+	partial, failed := gather(n, http.MethodGet, "/synopses/batch", "", nil, clientHeader(r), func(sb server.SynopsesBatchResponse) {
 		merged.Observed += sb.Observed
 		merged.Critical += sb.Critical
 		for k, v := range sb.ByKind {
@@ -166,7 +168,7 @@ func (n *Node) proxyByKey(w http.ResponseWriter, r *http.Request, key string) {
 	}
 	ring, _ := n.Ring()
 	owner := ring.Owner(key)
-	pr := n.do(owner, r.Method, r.URL.RequestURI(), "", nil, nil)
+	pr := n.do(owner, r.Method, r.URL.RequestURI(), "", nil, clientHeader(r))
 	if pr.err != nil {
 		n.forwardErrors.Add(1)
 		writeJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: "owner " + owner + " unreachable: " + pr.err.Error()})

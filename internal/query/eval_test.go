@@ -130,6 +130,8 @@ const (
 
 // fleetWorld is the store the query-analytic workload reads: 1000 entities,
 // 2500 stored reports, the daemon's Hilbert × 4 partitioning, sealed twice.
+// Speeds are what AIS carries: 0.1 kn steps, and every moored vessel (three
+// in ten) at 0 — so, as in the daemon's store, many vessels tie on SUM.
 func fleetWorld(tb testing.TB) *store.Sharded {
 	rng := rand.New(rand.NewSource(19))
 	s := store.NewSharded(partition.NewHilbert(worldBox, 7, 4), worldBox)
@@ -137,11 +139,16 @@ func fleetWorld(tb testing.TB) *store.Sharded {
 		s.AddEntity(model.Entity{ID: fmt.Sprintf("V%d", i), Domain: model.Maritime, Name: fmt.Sprintf("SHIP %d", i), Type: "CARGO"})
 	}
 	for i := 0; i < 2500; i++ {
+		v := rng.Intn(1000)
+		speed := geo.Knots(float64(1+rng.Intn(291)) / 10)
+		if v%10 < 3 {
+			speed = 0
+		}
 		s.AddPositionRecord(model.Position{
-			EntityID: fmt.Sprintf("V%d", rng.Intn(1000)), TS: int64(i) * 400,
+			EntityID: fmt.Sprintf("V%d", v), TS: int64(i) * 400,
 			Pt: geo.Pt(worldBox.MinLon+rng.Float64()*(worldBox.MaxLon-worldBox.MinLon),
 				worldBox.MinLat+rng.Float64()*(worldBox.MaxLat-worldBox.MinLat)),
-			SpeedMS: rng.Float64() * 15, CourseDeg: rng.Float64() * 360, Domain: model.Maritime,
+			SpeedMS: speed, CourseDeg: rng.Float64() * 360, Domain: model.Maritime,
 		})
 		if i == 2000 || i == 2499 {
 			s.Maintain(store.TierPolicy{}, true)
@@ -154,6 +161,10 @@ func fleetWorld(tb testing.TB) *store.Sharded {
 // give (it diffs against a baseline a 4× regression still passes): the
 // evaluator allocates per arena and per column, not per joined row, cell or
 // rendered value (PR 18: 340 604, 12 534 and 12 689).
+// Group and sort allocate per operator, not per key or per comparison: on
+// the fleet's grouped read, string-keyed grouping with a rendering per tied
+// comparison took ≈ 5 900 and a full stable sort under LIMIT ≈ 2 100.
+// Ceilings are ≈ 1.5× what the evaluator allocates.
 func TestQueryAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 20 000-position stores")
@@ -171,7 +182,7 @@ func TestQueryAllocBudget(t *testing.T) {
 		NewEngine(sealedWorld(t, partition.NewHash(4), 20_000, 7, 0.9)),
 		MustParse(`SELECT ?who COUNT(?n) SUM(?s) AVG(?s) WHERE {
 			?n dat:ofMovingObject ?who . ?n dat:speed ?s .
-		} GROUP BY ?who ORDER BY ?sum_s DESC, ?who`), 3_000)
+		} GROUP BY ?who ORDER BY ?sum_s DESC, ?who`), 850)
 	budget("block scan, 20 000 positions",
 		NewEngine(sealedWorld(t, partition.NewHash(4), 20_000, 41, 0.95)),
 		MustParse(`SELECT ?n ?who WHERE {
@@ -180,5 +191,7 @@ func TestQueryAllocBudget(t *testing.T) {
 			FILTER st:during(?t, 40000, 42000)
 			FILTER st:within(?lon, ?lat, 23, 35, 28, 40)
 		}`), 2_000)
-	budget("COUNT over 2500 nodes", NewEngine(fleetWorld(t)), MustParse(fleetCount), 500)
+	fleet := NewEngine(fleetWorld(t))
+	budget("COUNT over 2500 nodes", fleet, MustParse(fleetCount), 500)
+	budget("grouped ORDER BY … LIMIT 5 over 1000 vessels", fleet, MustParse(fleetGroup), 470)
 }

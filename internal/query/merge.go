@@ -49,6 +49,7 @@ type aggValue struct {
 	kind byte
 	n    int64
 	f    float64
+	str  string // its rendering once a comparison needed it ("" = not yet)
 }
 
 func (v *values) addAgg(a aggValue) uint32 {
@@ -106,7 +107,20 @@ func (v *values) cmpRendered(a, b uint32) int {
 	if n := uint32(len(v.ids)); a < n && b < n && v.ranked {
 		return cmp.Compare(a, b)
 	}
-	return strings.Compare(v.term(a).String(), v.term(b).String())
+	return strings.Compare(v.rendering(a), v.rendering(b))
+}
+
+// rendering is term(c).String(), kept for an aggregate: tied aggregates meet
+// in many comparisons of one sort, and each renders once.
+func (v *values) rendering(c uint32) string {
+	if int(c) < len(v.ids) {
+		return v.term(c).String()
+	}
+	a := &v.aggs[int(c)-len(v.ids)]
+	if a.str == "" {
+		a.str = v.term(c).String()
+	}
+	return a.str
 }
 
 // compare orders two cells numerically when both parse as numbers; ties,
@@ -166,16 +180,55 @@ func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) 
 	return sorted, ranks
 }
 
-// sortRows stable-sorts the rows by cmp. ORDER BY's comparator is not
-// transitive over a column mixing numbers and non-numbers, so the algorithm
-// is part of the answer: the standard library's, as sort.SliceStable before.
-func (r *relation) sortRows(cmp func(a, b []uint32) int) {
+// sortRows puts the rows in the order a stable sort by order gives, or with
+// limit > 0 at least the first limit of them. With total, order is a strict
+// weak order: the row index breaks its ties into a strict total order whose
+// sorted sequence is exactly the stable sort's, whatever the algorithm, so
+// the first limit rows are selected and sorted and the rest follow them
+// unsorted. Without, order may not be transitive (ORDER BY over a column
+// mixing numbers with non-numbers or NaN) and the algorithm is part of the
+// answer: the standard library's stable sort, as sort.SliceStable before.
+func (r *relation) sortRows(order func(a, b []uint32) int, total bool, limit int) {
 	perm := make([]int32, r.n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	slices.SortStableFunc(perm, func(a, b int32) int { return cmp(r.row(int(a)), r.row(int(b))) })
+	byRow := func(a, b int32) int { return order(r.row(int(a)), r.row(int(b))) }
+	if total && limit > 0 && limit < r.n {
+		selectFirst(perm, limit, func(a, b int32) int { return cmp.Or(byRow(a, b), cmp.Compare(a, b)) })
+	} else {
+		slices.SortStableFunc(perm, byRow)
+	}
 	r.gather(perm, false)
+}
+
+// selectFirst moves the k first elements of perm under order, a strict total
+// order, to its front in order: a max-heap of the k first so far, which a
+// later element enters only by beating its last — O(n log k) comparisons,
+// most of them one per element against the heap's root.
+func selectFirst(perm []int32, k int, order func(a, b int32) int) {
+	h := perm[:k]
+	down := func(i int) {
+		for c := 2*i + 1; c < k; i, c = c, 2*c+1 {
+			if c+1 < k && order(h[c], h[c+1]) < 0 {
+				c++
+			}
+			if order(h[i], h[c]) >= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(perm); i++ {
+		if order(perm[i], h[0]) < 0 {
+			perm[i], h[0] = h[0], perm[i]
+			down(0)
+		}
+	}
+	slices.SortFunc(h, order)
 }
 
 // gather rewrites the rows in perm's order, with dedup dropping repeats.
@@ -192,20 +245,35 @@ func (r *relation) gather(perm []int32, dedup bool) {
 	r.cells, r.n = cells, len(cells)/max(w, 1)
 }
 
-// canonical sorts the rows cell by cell and drops duplicates: cells are dense
-// indexes, so a counting sort per column, last column first — linear.
+// canonical sorts the rows cell by cell and drops duplicates.
 func (r *relation) canonical() {
-	w := len(r.cols)
-	if w == 0 {
+	if len(r.cols) == 0 {
 		r.n = min(r.n, 1)
 		return
 	}
-	perm, next := make([]int32, r.n), make([]int32, r.n)
+	all := make([]int, len(r.cols))
+	for i := range all {
+		all[i] = i
+	}
+	r.gather(r.sortedBy(all), true)
+}
+
+// sortedBy returns the row indexes stably sorted by the cells of cols, the
+// first most significant: cells are dense indexes into the value table, so a
+// counting sort per column, last column first — linear.
+func (r *relation) sortedBy(cols []int) []int32 {
+	perm := make([]int32, r.n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	start := make([]int32, len(r.vals.ids)+1)
-	for col := w - 1; col >= 0; col-- {
+	if len(cols) == 0 {
+		return perm
+	}
+	w := len(r.cols)
+	next := make([]int32, r.n)
+	start := make([]int32, len(r.vals.ids)+len(r.vals.aggs)+1)
+	for k := len(cols) - 1; k >= 0; k-- {
+		col := cols[k]
 		clear(start)
 		for _, p := range perm {
 			start[r.cells[int(p)*w+col]+1]++
@@ -220,7 +288,7 @@ func (r *relation) canonical() {
 		}
 		perm, next = next, perm
 	}
-	r.gather(perm, true)
+	return perm
 }
 
 // mergeIDs turns n rows of dictionary ids over cols, with duplicates, into

@@ -1,8 +1,8 @@
 package query
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -97,7 +97,8 @@ func finalSteps(q *Query) (steps []step, ordered bool) {
 			func(rel *relation) error { return rel.group(q.GroupBy, q.groupCols(), q.Aggs) })
 		if len(q.OrderBy) == 0 {
 			add("sort", "canonical", func(rel *relation) error {
-				rel.sortRows(func(a, b []uint32) int { return slices.CompareFunc(a, b, rel.vals.cmpRendered) })
+				// Renderings are totally ordered: always a strict weak order.
+				rel.sortRows(func(a, b []uint32) int { return slices.CompareFunc(a, b, rel.vals.cmpRendered) }, true, q.Limit)
 				return nil
 			})
 		}
@@ -110,7 +111,7 @@ func finalSteps(q *Query) (steps []step, ordered bool) {
 				parts[i] += " DESC"
 			}
 		}
-		add("sort", strings.Join(parts, ","), func(rel *relation) error { return rel.orderBy(q.OrderBy) })
+		add("sort", strings.Join(parts, ","), func(rel *relation) error { return rel.orderBy(q.OrderBy, q.Limit) })
 	}
 	if q.Limit > 0 {
 		add("limit", fmt.Sprintf("n=%d", q.Limit), func(rel *relation) error {
@@ -188,13 +189,15 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited, segs
 	return mergeIDs(cols, rows, n, e.st.Dict().Terms(), ordered), len(candidates), segsPruned
 }
 
-// group hash-groups the relation on keys (no keys = one global group, which
+// group groups the relation on keys (no keys = one global group, which
 // exists even on empty input, preserving COUNT's count=0 row) and folds the
 // aggregates, leaving outKeys (⊆ keys) and one column per aggregate. Input
 // rows are the DISTINCT canonically sorted projection of the aggregate
 // inputs and states fold in that order, so float sums are reproducible
 // across runs and across node vs coordinator. Buckets key on the rows' cells
-// (ranks: equal cells are equal renderings), in first-appearance order.
+// (ranks: equal cells are equal renderings), in first-appearance order: a
+// stable counting sort on the key cells makes equal keys adjacent, and a
+// pass in input order numbers each run of them when its first row appears.
 func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 	keyIdx, err := r.columns("group", keys...)
 	if err != nil {
@@ -212,27 +215,38 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 		}
 	}
 
+	w := len(r.cols)
+	perm := r.sortedBy(keyIdx)
+	run := make([]int32, r.n) // per row, its run of equal keys in perm
+	buckets := 0
+	for j, p := range perm {
+		keyChanged := j == 0 || slices.ContainsFunc(keyIdx, func(k int) bool {
+			return r.cells[int(p)*w+k] != r.cells[int(perm[j-1])*w+k]
+		})
+		if keyChanged {
+			buckets++
+		}
+		run[p] = int32(buckets - 1)
+	}
+	if len(keys) == 0 {
+		buckets = 1 // even on empty input
+	}
+
 	// Bucket b's states are states[b*na:(b+1)*na], its projected key cells
 	// outCells[b*nk:(b+1)*nk].
 	na, nk := len(aggs), len(outKeyIdx)
-	var states []aggState
-	var outCells []uint32
-	fresh := make([]aggState, na)
-	byKey := map[string]int{}
-	var key []byte
+	states := make([]aggState, buckets*na)
+	outCells := make([]uint32, buckets*nk)
+	bucketOf := slices.Repeat([]int{-1}, buckets) // per run
+	next := 0
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
-		key = key[:0]
-		for _, k := range keyIdx {
-			key = binary.LittleEndian.AppendUint32(key, row[k])
-		}
-		b, ok := byKey[string(key)]
-		if !ok {
-			b = len(byKey)
-			byKey[string(key)] = b
-			states = append(states, fresh...)
-			for _, k := range outKeyIdx {
-				outCells = append(outCells, row[k])
+		b := bucketOf[run[i]]
+		if b < 0 {
+			b, bucketOf[run[i]] = next, next
+			next++
+			for j, k := range outKeyIdx {
+				outCells[b*nk+j] = row[k]
 			}
 		}
 		for ai, a := range aggs {
@@ -243,16 +257,13 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 			states[b*na+ai].add(a.Func, cell, r.vals)
 		}
 	}
-	buckets := len(byKey)
-	if len(keys) == 0 && buckets == 0 {
-		buckets, states = 1, fresh
-	}
 
 	r.cols = slices.Clone(outKeys)
 	for _, a := range aggs {
 		r.cols = append(r.cols, a.OutName())
 	}
 	r.n, r.cells = buckets, make([]uint32, 0, buckets*(nk+na))
+	r.vals.aggs = slices.Grow(r.vals.aggs, buckets*na)
 	for b := 0; b < buckets; b++ {
 		r.cells = append(r.cells, outCells[b*nk:(b+1)*nk]...)
 		for ai, a := range aggs {
@@ -311,9 +322,10 @@ func (s *aggState) final(fn AggFunc, vals *values) uint32 {
 }
 
 // orderBy sorts the rows by the ORDER BY keys, stably, so equal keys keep
-// the input's deterministic order. Keys compare through the value table: no
+// the input's deterministic order; with a limit only the first limit rows
+// need their places (sortRows). Keys compare through the value table: no
 // comparison parses a float or renders a ranked term.
-func (r *relation) orderBy(keys []OrderKey) error {
+func (r *relation) orderBy(keys []OrderKey, limit int) error {
 	names := make([]string, len(keys))
 	for i, k := range keys {
 		names[i] = k.Var
@@ -321,6 +333,21 @@ func (r *relation) orderBy(keys []OrderKey) error {
 	idx, err := r.columns("ORDER BY", names...)
 	if err != nil {
 		return err
+	}
+	// compare is numeric between two numbers that differ and by rendering
+	// otherwise. On a column whose cells are all non-NaN numbers that is the
+	// order of (number, rendering), on one where none is the order of
+	// renderings: a strict weak order either way. A column holding both is
+	// where it stops being transitive.
+	total := true
+	for _, col := range idx {
+		nums := 0
+		for i := 0; i < r.n; i++ {
+			if f, ok := r.vals.float(r.cells[i*len(r.cols)+col]); ok && !math.IsNaN(f) {
+				nums++
+			}
+		}
+		total = total && (nums == 0 || nums == r.n)
 	}
 	r.sortRows(func(a, b []uint32) int {
 		for ki, k := range keys {
@@ -333,6 +360,6 @@ func (r *relation) orderBy(keys []OrderKey) error {
 			}
 		}
 		return 0
-	})
+	}, total, limit)
 	return nil
 }

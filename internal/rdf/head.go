@@ -104,12 +104,10 @@ func (h *Head) holds(t Triple) bool {
 }
 
 // FindID implements Graph, run by run. A bound subject skips every run whose
-// subject range excludes it, so a join probe touches one run, not all.
+// subject range excludes it (Segment.find), so a join probe touches one run,
+// not all.
 func (h *Head) FindID(s, p, o ID, fn func(Triple) bool) {
 	for _, r := range h.runs {
-		if s != Wildcard && !r.covers(s) {
-			continue
-		}
 		if !r.find(s, p, o, fn) {
 			return
 		}

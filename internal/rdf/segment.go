@@ -177,9 +177,12 @@ func (g *Segment) covers(s ID) bool {
 func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) { g.find(s, p, o, fn) }
 
 // find is FindID reporting whether the walk ran to the end (fn never
-// returned false), so a Head can stop across its runs.
+// returned false), so a Head can stop across its runs. A bound subject
+// outside the segment's subject range costs two comparisons: a join probe
+// skips every segment sealed before or after its subject was minted.
 func (g *Segment) find(s, p, o ID, fn func(Triple) bool) bool {
 	switch {
+	case s != Wildcard && !g.covers(s): // no triple here can match
 	case s != Wildcard:
 		lo, hi, residualO := g.spoBounds(s, p, o)
 		for _, t := range g.tri[lo:hi] {
@@ -222,11 +225,11 @@ func (g *Segment) spoBounds(s, p, o ID) (lo, hi int, residualO bool) {
 	lo, found := slices.BinarySearchFunc(g.tri, Triple{s, p, o}, cmpSPO)
 	switch {
 	case p == Wildcard:
-		hi = lo + sort.Search(n-lo, func(i int) bool { return g.tri[lo+i].S > s })
+		hi = gallop(lo, n, func(i int) bool { return g.tri[i].S > s })
 		residualO = o != Wildcard
 	case o == Wildcard:
-		hi = lo + sort.Search(n-lo, func(i int) bool {
-			t := g.tri[lo+i]
+		hi = gallop(lo, n, func(i int) bool {
+			t := g.tri[i]
 			return t.S > s || t.P > p
 		})
 	case found: // fully bound: the dedup guarantees at most one match
@@ -242,10 +245,12 @@ func (g *Segment) posBounds(p, o ID) (lo, hi int) {
 	n := len(g.pos)
 	lo = sort.Search(n, func(i int) bool { return cmpPOS(g.tri[g.pos[i]], Triple{Wildcard, p, o}) >= 0 })
 	if o == Wildcard {
+		// A predicate's block is a large share of the array, too long to
+		// gallop over: search the rest.
 		hi = lo + sort.Search(n-lo, func(i int) bool { return g.tri[g.pos[lo+i]].P > p })
 	} else {
-		hi = lo + sort.Search(n-lo, func(i int) bool {
-			t := g.tri[g.pos[lo+i]]
+		hi = gallop(lo, n, func(i int) bool {
+			t := g.tri[g.pos[i]]
 			return t.P > p || t.O > o
 		})
 	}
@@ -256,8 +261,21 @@ func (g *Segment) posBounds(p, o ID) (lo, hi int) {
 func (g *Segment) ospBounds(o ID) (lo, hi int) {
 	n := len(g.osp)
 	lo = sort.Search(n, func(i int) bool { return g.tri[g.osp[i]].O >= o })
-	hi = lo + sort.Search(n-lo, func(i int) bool { return g.tri[g.osp[lo+i]].O > o })
+	hi = gallop(lo, n, func(i int) bool { return g.tri[g.osp[i]].O > o })
 	return lo, hi
+}
+
+// gallop returns the first i in [lo, n) with past(i), or n; past must be
+// monotone there. It probes lo, lo+1, lo+3, lo+7, … and binary-searches the
+// last step, so the end of a run of m entries costs O(log m) probes, not
+// O(log n): a join probe's run is usually one triple.
+func gallop(lo, n int, past func(i int) bool) int {
+	hi := lo
+	for step := 1; hi < n && !past(hi); step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, n)
+	return lo + sort.Search(hi-lo, func(i int) bool { return past(lo + i) })
 }
 
 // NumericRange streams the triples with predicate p whose object is a

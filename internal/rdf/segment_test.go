@@ -85,6 +85,20 @@ func TestSegmentFindParity(t *testing.T) {
 	}
 }
 
+// TestGallopFindsFirstPast holds the galloping run end to the first index
+// past the run, for every start, every run length and both array ends.
+func TestGallopFindsFirstPast(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		for lo := 0; lo <= n; lo++ {
+			for first := lo; first <= n; first++ {
+				if got := gallop(lo, n, func(i int) bool { return i >= first }); got != first {
+					t.Fatalf("gallop(%d, %d) with first past %d = %d", lo, n, first, got)
+				}
+			}
+		}
+	}
+}
+
 // TestSegmentNumericRange checks the value-sorted column against a brute
 // force over the triple array: same triples for random [lo, hi] ranges,
 // boundary values included, non-numeric objects never surfaced.

@@ -151,14 +151,16 @@ func (t Term) PlainRendering() bool {
 	return false
 }
 
-// escapeLiteral escapes the characters N-Triples requires.
+// escapeLiteral escapes the characters N-Triples requires. It walks bytes,
+// not runes: every escaped character is ASCII, and a rune walk would turn
+// invalid UTF-8 into U+FFFD, which unescapeLiteral cannot undo.
 func escapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s
 	}
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -170,7 +172,7 @@ func escapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
