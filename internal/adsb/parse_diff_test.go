@@ -150,42 +150,59 @@ func TestParseIntoDifferentialCurated(t *testing.T) {
 	}
 }
 
+// randomLine is a formatted SBS message — any type, sometimes out of range —
+// truncated, corrupted in one byte, short of a field or given extra ones
+// now and then.
+func randomLine(rng *rand.Rand) string {
+	types := []MsgType{MsgIdent, MsgPosition, MsgVelocity, MsgType(7)}
+	m := Message{
+		Type:     types[rng.Intn(len(types))],
+		HexIdent: fmt.Sprintf("%06X", rng.Intn(1<<24)),
+		Generated: time.Date(2000+rng.Intn(40), time.Month(1+rng.Intn(12)),
+			1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60),
+			rng.Intn(1000)*1e6, time.UTC),
+		Callsign:    "FL" + strconv.Itoa(rng.Intn(1000)),
+		AltitudeFt:  float64(rng.Intn(45000)),
+		Lat:         rng.Float64()*200 - 100, // sometimes out of range
+		Lon:         rng.Float64()*400 - 200,
+		SpeedKn:     rng.Float64() * 600,
+		TrackDeg:    rng.Float64() * 360,
+		VertRateFpm: float64(rng.Intn(8000) - 4000),
+		OnGround:    rng.Intn(4) == 0,
+	}
+	line := Format(m)
+	switch rng.Intn(6) {
+	case 0: // truncate anywhere
+		line = line[:rng.Intn(len(line)+1)]
+	case 1: // corrupt one byte
+		b := []byte(line)
+		b[rng.Intn(len(b))] = byte(rng.Intn(128))
+		line = string(b)
+	case 2: // drop a field
+		f := strings.Split(line, ",")
+		k := rng.Intn(len(f))
+		line = strings.Join(append(f[:k], f[k+1:]...), ",")
+	case 3: // append extra fields
+		line += strings.Repeat(",9", rng.Intn(4)+1)
+	}
+	return line
+}
+
 // TestParseIntoDifferentialRandom drives both parsers over randomly
 // generated and randomly mutated SBS lines.
 func TestParseIntoDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	types := []MsgType{MsgIdent, MsgPosition, MsgVelocity, MsgType(7)}
 	for i := 0; i < 5000; i++ {
-		m := Message{
-			Type:     types[rng.Intn(len(types))],
-			HexIdent: fmt.Sprintf("%06X", rng.Intn(1<<24)),
-			Generated: time.Date(2000+rng.Intn(40), time.Month(1+rng.Intn(12)),
-				1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60),
-				rng.Intn(1000)*1e6, time.UTC),
-			Callsign:    "FL" + strconv.Itoa(rng.Intn(1000)),
-			AltitudeFt:  float64(rng.Intn(45000)),
-			Lat:         rng.Float64()*200 - 100, // sometimes out of range
-			Lon:         rng.Float64()*400 - 200,
-			SpeedKn:     rng.Float64() * 600,
-			TrackDeg:    rng.Float64() * 360,
-			VertRateFpm: float64(rng.Intn(8000) - 4000),
-			OnGround:    rng.Intn(4) == 0,
-		}
-		line := Format(m)
-		switch rng.Intn(6) {
-		case 0: // truncate anywhere
-			line = line[:rng.Intn(len(line)+1)]
-		case 1: // corrupt one byte
-			b := []byte(line)
-			b[rng.Intn(len(b))] = byte(rng.Intn(128))
-			line = string(b)
-		case 2: // drop a field
-			f := strings.Split(line, ",")
-			k := rng.Intn(len(f))
-			line = strings.Join(append(f[:k], f[k+1:]...), ",")
-		case 3: // append extra fields
-			line += strings.Repeat(",9", rng.Intn(4)+1)
-		}
-		diffCheck(t, line)
+		diffCheck(t, randomLine(rng))
 	}
+}
+
+// FuzzParseInto holds ParseInto to the reference parser on fuzzed lines,
+// seeded from the differential's generator.
+func FuzzParseInto(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 32; i++ {
+		f.Add(randomLine(rng))
+	}
+	f.Fuzz(diffCheck)
 }

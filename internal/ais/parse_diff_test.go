@@ -87,52 +87,72 @@ func refUint(payload string, pos, n int) uint64 {
 	return v
 }
 
+// checkSentence runs the scratch form and the reference parser on one line
+// and fails on any divergence, error text included.
+func checkSentence(t *testing.T, scratch *Sentence, line string) {
+	t.Helper()
+	want, wantErr := refParseSentence(line)
+	gotErr := ParseSentenceInto(line, scratch)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("error divergence on %q:\n reference: %v\n ParseSentenceInto: %v", line, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("error text divergence on %q:\n reference: %v\n ParseSentenceInto: %v", line, wantErr, gotErr)
+		}
+		return
+	}
+	if *scratch != want {
+		t.Fatalf("sentence divergence on %q:\n reference: %+v\n ParseSentenceInto: %+v", line, want, *scratch)
+	}
+}
+
+// randomSentence is a round-tripped sentence, truncated, corrupted in one
+// byte or given a CRLF now and then.
+func randomSentence(rng *rand.Rand) string {
+	n := rng.Intn(30) + 1
+	payload := make([]byte, n)
+	for j := range payload {
+		payload[j] = armorChar(byte(rng.Intn(64)))
+	}
+	s := Sentence{
+		Total: rng.Intn(3) + 1, Num: rng.Intn(3) + 1, SeqID: rng.Intn(11) - 1,
+		Channel: []string{"A", "B", ""}[rng.Intn(3)],
+		Payload: string(payload), FillBits: rng.Intn(8) - 1,
+	}
+	line := FormatSentence(s)
+	switch rng.Intn(5) {
+	case 0:
+		line = line[:rng.Intn(len(line)+1)]
+	case 1:
+		b := []byte(line)
+		b[rng.Intn(len(b))] = byte(rng.Intn(128))
+		line = string(b)
+	case 2:
+		line += "\r\n"
+	}
+	return line
+}
+
 // TestParseSentenceIntoDifferential drives the scratch form and the
 // reference parser over round-tripped sentences plus random mutations.
 func TestParseSentenceIntoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var scratch Sentence
-	check := func(line string) {
-		t.Helper()
-		want, wantErr := refParseSentence(line)
-		gotErr := ParseSentenceInto(line, &scratch)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error divergence on %q:\n reference: %v\n ParseSentenceInto: %v", line, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error text divergence on %q:\n reference: %v\n ParseSentenceInto: %v", line, wantErr, gotErr)
-			}
-			return
-		}
-		if scratch != want {
-			t.Fatalf("sentence divergence on %q:\n reference: %+v\n ParseSentenceInto: %+v", line, want, scratch)
-		}
-	}
 	for i := 0; i < 5000; i++ {
-		n := rng.Intn(30) + 1
-		payload := make([]byte, n)
-		for j := range payload {
-			payload[j] = armorChar(byte(rng.Intn(64)))
-		}
-		s := Sentence{
-			Total: rng.Intn(3) + 1, Num: rng.Intn(3) + 1, SeqID: rng.Intn(11) - 1,
-			Channel: []string{"A", "B", ""}[rng.Intn(3)],
-			Payload: string(payload), FillBits: rng.Intn(8) - 1,
-		}
-		line := FormatSentence(s)
-		switch rng.Intn(5) {
-		case 0:
-			line = line[:rng.Intn(len(line)+1)]
-		case 1:
-			b := []byte(line)
-			b[rng.Intn(len(b))] = byte(rng.Intn(128))
-			line = string(b)
-		case 2:
-			line += "\r\n"
-		}
-		check(line)
+		checkSentence(t, &scratch, randomSentence(rng))
 	}
+}
+
+// FuzzParseSentenceInto holds the scratch form to the reference parser on
+// fuzzed lines, seeded from the differential's generator.
+func FuzzParseSentenceInto(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 32; i++ {
+		f.Add(randomSentence(rng))
+	}
+	var scratch Sentence
+	f.Fuzz(func(t *testing.T, line string) { checkSentence(t, &scratch, line) })
 }
 
 // TestBitReaderScratchDifferential pins the unpack-once reader against the

@@ -205,7 +205,7 @@ func (n *Node) executeOn(donor, target string, newMembers []string) error {
 		return err
 	}
 	body, _ := json.Marshal(handoffExecuteRequest{Target: target, NewMembers: newMembers})
-	pr := n.do(donor, http.MethodPost, "/cluster/handoff/execute", "application/json", body, nil)
+	pr := n.rpc(donor, "/cluster/handoff/execute", "application/json", body)
 	if pr.err != nil {
 		return pr.err
 	}
@@ -227,7 +227,7 @@ func (n *Node) broadcastMembership(version int64, members, recipients []string) 
 			n.adopt(version, members)
 			continue
 		}
-		pr := n.do(m, http.MethodPost, "/cluster/membership", "application/json", body, nil)
+		pr := n.rpc(m, "/cluster/membership", "application/json", body)
 		if pr.err != nil || pr.status != http.StatusOK {
 			n.logger.Warn("membership broadcast failed", "member", m, "err", peerFailure(pr))
 		}
@@ -313,7 +313,7 @@ func (n *Node) executeHandoff(target string, newMembers []string) (handoffExecut
 	if err := n.failpoint("commit"); err != nil {
 		return res, err
 	}
-	pr := n.do(target, http.MethodPost, "/cluster/handoff/commit"+session, "", nil, nil)
+	pr := n.rpc(target, "/cluster/handoff/commit"+session, "", nil)
 	if pr.err != nil {
 		return res, fmt.Errorf("commit: %w", pr.err)
 	}
@@ -364,7 +364,7 @@ func (n *Node) failpoint(step string) error {
 
 // rpcOK performs one cluster RPC and folds transport and status errors.
 func (n *Node) rpcOK(member, pathAndQuery, contentType string, body []byte) error {
-	pr := n.do(member, http.MethodPost, pathAndQuery, contentType, body, nil)
+	pr := n.rpc(member, pathAndQuery, contentType, body)
 	if pr.err != nil {
 		return pr.err
 	}

@@ -38,6 +38,15 @@ import (
 // the forwarding recursion.
 const ForwardedHeader = "X-Datacron-Forwarded"
 
+// idempotencyKey marks a sub-request its receiver may apply twice to the
+// effect of once. net/http replays a POST that meets a pooled keep-alive
+// connection the peer has since closed — the first request to a peer that
+// restarted — only when it carries this header. It is set on the
+// membership and handoff RPCs, idempotent by design, and on the read-only
+// scatter /query; never on an ingest forward, whose replay could ingest a
+// batch twice.
+const idempotencyKey = "Idempotency-Key"
+
 // Config parameterises one cluster node.
 type Config struct {
 	// Self is this node's advertised host:port — its identity on the ring.
@@ -234,6 +243,13 @@ func (n *Node) do(member, method, pathAndQuery, contentType string, body []byte,
 		return peerResponse{member: member, err: err}
 	}
 	return peerResponse{member: member, status: resp.StatusCode, body: b}
+}
+
+// rpc performs one membership or handoff RPC: a POST its receiver applies
+// idempotently, so it carries the idempotency key (only its presence
+// matters).
+func (n *Node) rpc(member, pathAndQuery, contentType string, body []byte) peerResponse {
+	return n.do(member, http.MethodPost, pathAndQuery, contentType, body, map[string]string{idempotencyKey: "1"})
 }
 
 // clientHeader is the header of a sub-request made for client request r:

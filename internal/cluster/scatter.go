@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/query"
 	"github.com/datacron-project/datacron/internal/server"
 )
@@ -73,6 +74,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	shards, pruned := 0, 0
 	header := clientHeader(r)
 	header[server.PartialQueryHeader] = "1"
+	header[idempotencyKey] = header[obs.RequestIDHeader] // read-only: safe to replay
 	partial, failed := gather(n, http.MethodPost, "/query", "text/plain", []byte(src),
 		header, func(pqr server.QueryResponse) {
 			vars = pqr.Vars

@@ -117,16 +117,16 @@ func (f CmpFilter) String() string {
 	return fmt.Sprintf("FILTER (?%s %s %s)", f.Var, f.Op, val)
 }
 
-// Eval implements Filter: numeric when both sides parse as numbers,
-// lexicographic otherwise.
+// Eval implements Filter. Against a constant that parses as a number the
+// comparison is numeric and a binding that does not parse fails it (a type
+// error in SPARQL 1.1, which rejects the row); against any other constant
+// it compares the lexical forms.
 func (f CmpFilter) Eval(args []rdf.Term) bool {
-	t := args[0]
-	if a, okA := t.Float(); okA {
-		if b, okB := f.Value.Float(); okB {
-			return cmpOp(a, b, f.Op)
-		}
+	if b, ok := f.Value.Float(); ok {
+		a, ok := args[0].Float()
+		return ok && cmpOp(a, b, f.Op)
 	}
-	return cmpOp(t.Value, f.Value.Value, f.Op)
+	return cmpOp(args[0].Value, f.Value.Value, f.Op)
 }
 
 func cmpOp[T float64 | string](a, b T, op CmpOp) bool {
@@ -392,13 +392,24 @@ func (q *Query) String() string {
 	return b.String()
 }
 
+// runs reports whether filter f ever runs: one naming a variable no pattern
+// binds does not (validate refuses such a query, a Query built as a struct
+// may hold one), so it bounds nothing.
+func (q *Query) runs(f Filter) bool {
+	vars := q.patternVars()
+	return !slices.ContainsFunc(f.Vars(), func(v string) bool { return !slices.Contains(vars, v) })
+}
+
 // SpatialBounds extracts the conjunction of spatial constraints for shard
 // pruning: the intersection of all st:within boxes (plus the bounding boxes
-// of st:dwithin circles). ok is false when no spatial filter exists.
+// of st:dwithin circles) of the filters that run. ok is false when no spatial
+// filter runs.
 func (q *Query) SpatialBounds() (geo.BBox, bool) {
-	found := false
-	box := geo.BBox{MinLon: -180, MinLat: -90, MaxLon: 180, MaxLat: 90}
+	box, found := geo.BBox{MinLon: -180, MinLat: -90, MaxLon: 180, MaxLat: 90}, false
 	for _, f := range q.Filters {
+		if !q.runs(f) {
+			continue
+		}
 		switch ff := f.(type) {
 		case WithinFilter:
 			box = box.Intersection(ff.Box)
@@ -415,19 +426,14 @@ func (q *Query) SpatialBounds() (geo.BBox, bool) {
 	return box, found
 }
 
-// TimeBounds extracts the conjunction of temporal constraints for shard
-// pruning. ok is false when no temporal filter exists.
+// TimeBounds extracts the conjunction of the temporal constraints of the
+// filters that run, for shard pruning. ok is false when no temporal filter
+// runs.
 func (q *Query) TimeBounds() (from, to int64, ok bool) {
 	from, to = -1<<62, 1<<62
 	for _, f := range q.Filters {
-		if df, isDuring := f.(DuringFilter); isDuring {
-			if df.From > from {
-				from = df.From
-			}
-			if df.To < to {
-				to = df.To
-			}
-			ok = true
+		if df, isDuring := f.(DuringFilter); isDuring && q.runs(f) {
+			from, to, ok = max(from, df.From), min(to, df.To), true
 		}
 	}
 	return from, to, ok

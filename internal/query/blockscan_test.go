@@ -41,37 +41,30 @@ func sealedWorld(tb testing.TB, part partition.Partitioner, n int, seed int64, s
 	return s
 }
 
-// runBoth runs the same query with the block path on and off and fails the
-// test on any divergence in the (deterministically sorted) result rows.
+// runBoth runs the same query through the engine and the specification
+// (spec_test.go), which scans every triple of the tiers the query's bounds
+// leave, without pushdown, and fails the test on any divergence.
 func runBoth(t *testing.T, s *store.Sharded, src string) int {
 	t.Helper()
-	block := NewEngine(s)
-	callback := NewEngine(s)
-	callback.callbackScan = true
-	a, err := block.Execute(src)
+	e := NewEngine(s)
+	q := MustParse(src)
+	got, err := e.Run(q)
 	if err != nil {
-		t.Fatalf("block: %v", err)
+		t.Fatalf("engine: %v", err)
 	}
-	b, err := callback.Execute(src)
+	want, err := specRun(e, q)
 	if err != nil {
-		t.Fatalf("callback: %v", err)
+		t.Fatalf("specification: %v", err)
 	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("query %s:\nblock %d rows, callback %d rows", src, len(a.Rows), len(b.Rows))
+	if err := diffResults(got, want, true); err != nil {
+		t.Fatalf("query %s:\n%v", src, err)
 	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				t.Fatalf("query %s:\nrow %d differs: %v vs %v", src, i, a.Rows[i], b.Rows[i])
-			}
-		}
-	}
-	return len(a.Rows)
+	return len(got.Rows)
 }
 
 // TestBlockScanMatchesCallback is the differential guard for the block
 // path: randomized sealed stores and randomized spatiotemporal bounds must
-// answer identically with the numeric-column scans on and off.
+// answer as the specification does, which scans every triple.
 func TestBlockScanMatchesCallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, part := range []partition.Partitioner{
@@ -104,8 +97,9 @@ func TestBlockScanMatchesCallback(t *testing.T) {
 }
 
 // TestBlockScanFixedShapes pins the query shapes the pushdown interacts
-// with: joins through the bounded variable, CmpFilter staying un-pushed,
-// exact boundary timestamps, empty ranges and a bounds conjunction.
+// with: joins through the bounded variable, comparisons pushed alone and
+// conjoined, exact boundary timestamps, empty ranges and a bounds
+// conjunction.
 func TestBlockScanFixedShapes(t *testing.T) {
 	s := sealedWorld(t, partition.NewHash(4), 2000, 3, 0.8)
 	queries := []string{
@@ -115,24 +109,21 @@ func TestBlockScanFixedShapes(t *testing.T) {
 			?n dat:timestamp ?t . ?n dat:ofMovingObject ?who .
 			FILTER st:during(?t, 20000, 30000)
 		}`,
-		// CmpFilter on speed: pushed on sealed segments (seal-time stats
-		// prove dat:speed all-numeric), combined with a pushed during
-		// filter.
+		// A comparison on speed combined with a pushed during filter.
 		`SELECT ?n WHERE {
 			?n dat:timestamp ?t . ?n dat:speed ?v .
 			FILTER st:during(?t, 0, 50000) FILTER (?v >= 7.5)
 		}`,
-		// CmpFilter alone, one per operator — the conditional-only bounds
-		// path, with no unconditional clamp backing it up.
+		// A comparison alone, one per operator (!= pushes nothing).
 		`SELECT ?n WHERE { ?n dat:speed ?v . FILTER (?v >= 7.5) }`,
 		`SELECT ?n WHERE { ?n dat:speed ?v . FILTER (?v < 3) }`,
 		`SELECT ?n WHERE { ?n dat:speed ?v . FILTER (?v != 5) }`,
 		`SELECT ?n WHERE { ?n dat:timestamp ?t . FILTER (?t = 20000) }`,
 		// Conjoined comparisons on one variable narrow from both sides.
 		`SELECT ?n WHERE { ?n dat:speed ?v . FILTER (?v > 2) FILTER (?v <= 9) }`,
-		// CmpFilter against a string-valued predicate: dat:navStatus is not
-		// numeric-only, so neither the string constant (no float) nor the
-		// numeric constant (string fallback could keep rows) may push.
+		// Comparisons against a string-valued predicate: a string constant
+		// pushes nothing, a numeric one narrows the scan to the predicate's
+		// numeric rows — none here — as its filter rejects the rest.
 		`SELECT ?n WHERE { ?n dat:navStatus ?st . FILTER (?st >= "UnderWay") }`,
 		`SELECT ?n WHERE { ?n dat:navStatus ?st . FILTER (?st > 5) }`,
 		// Inclusive boundaries: during [0, 0] and [99999, 99999] hit only
@@ -183,9 +174,9 @@ func TestBlockScanHugeTimestamps(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryBlockScan measures the tentpole: a selective
-// spatiotemporal query over a store whose history is sealed, answered by
-// the numeric-column block path vs the per-triple callback walk.
+// BenchmarkQueryBlockScan measures a selective spatiotemporal query over a
+// store whose history is sealed, answered through the numeric-column block
+// path.
 func BenchmarkQueryBlockScan(b *testing.B) {
 	s := sealedWorld(b, partition.NewHash(4), 40_000, 41, 0.95)
 	q := MustParse(`SELECT ?n ?who WHERE {
@@ -194,23 +185,17 @@ func BenchmarkQueryBlockScan(b *testing.B) {
 		FILTER st:during(?t, 40000, 42000)
 		FILTER st:within(?lon, ?lat, 23, 35, 28, 40)
 	}`)
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"block", false}, {"callback", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(s)
-			e.callbackScan = bc.disable
-			rows := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.Run(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = len(res.Rows)
+	b.Run("block", func(b *testing.B) {
+		e := NewEngine(s)
+		rows := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := e.Run(q)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(rows), "rows")
-		})
-	}
+			rows = len(res.Rows)
+		}
+		b.ReportMetric(float64(rows), "rows")
+	})
 }

@@ -2,77 +2,100 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
-// TestScanPatternConditionalBounds pins the CmpFilter pushdown's soundness
-// rule at the scan level: conditional bounds intersect in only on
-// predicates the segment's seal-time stats prove all-numeric; on a mixed
-// predicate the scan must fall back to the full walk so the filter's
-// string-comparison fallback still sees the non-numeric rows.
+// TestScanPatternConditionalBounds pins the comparison pushdown at the scan
+// level: a comparison against a number rejects every binding that is not a
+// number, so its bound narrows even a mixed predicate's scan to the numeric
+// rows inside the interval, and filtering what the scan streams gives the
+// filter's answer over the whole predicate.
 func TestScanPatternConditionalBounds(t *testing.T) {
 	dict := rdf.NewDictionary()
 	s := rdf.NewIRI("http://x/s")
 	mixed := rdf.NewIRI("http://x/mixed")
-	numeric := rdf.NewIRI("http://x/numeric")
 	var triples []rdf.Triple
-	add := func(p, o rdf.Term) {
-		triples, _ = dict.EncodeBatch([]rdf.TermTriple{{S: s, P: p, O: o}}, triples)
+	add := func(o rdf.Term) {
+		triples, _ = dict.EncodeBatch([]rdf.TermTriple{{S: s, P: mixed, O: o}}, triples)
 	}
 	for i := 0; i < 6; i++ {
-		add(mixed, rdf.NewLong(int64(i)))
-		add(numeric, rdf.NewLong(int64(i)))
+		add(rdf.NewLong(int64(i)))
 	}
-	add(mixed, rdf.NewLiteral("ZEBRA"))
-	add(mixed, rdf.NewLiteral("YAK"))
+	add(rdf.NewLiteral("ZEBRA"))
+	add(rdf.NewLiteral("YAK"))
+	add(rdf.NewLiteral("3x"))
+	add(rdf.NewDouble(math.NaN()))
 	seg := rdf.NewSegment(dict, triples)
-
-	pMixed, _ := dict.Encode(mixed)
-	pNumeric, _ := dict.Encode(numeric)
-	if seg.NumericOnly(pMixed) {
-		t.Fatal("mixed predicate reported numeric-only")
-	}
-	if !seg.NumericOnly(pNumeric) {
-		t.Fatal("numeric predicate not reported numeric-only")
+	p, _ := dict.Lookup(mixed)
+	isNumber := func(o rdf.Term) bool {
+		f, ok := o.Float()
+		return ok && !math.IsNaN(f)
 	}
 
-	count := func(p rdf.ID, ob *numBound) int {
-		n := 0
-		scanPattern(seg, rdf.Wildcard, p, rdf.Wildcard, ob, func(rdf.Triple) bool {
-			n++
+	// answer is the objects of the triples fn streams that every filter keeps.
+	answer := func(filters []Filter, scan func(fn func(rdf.Triple) bool)) []rdf.Term {
+		var out []rdf.Term
+		scan(func(tr rdf.Triple) bool {
+			o, _ := dict.Decode(tr.O)
+			if !slices.ContainsFunc(filters, func(f Filter) bool { return !f.Eval([]rdf.Term{o}) }) {
+				out = append(out, o)
+			}
 			return true
 		})
-		return n
+		slices.SortFunc(out, compareTerms)
+		return out
 	}
-	condGE4 := &numBound{
-		Lo: math.Inf(-1), Hi: math.Inf(1),
-		CLo: 4, CHi: math.Inf(1), cond: true,
+	for _, tc := range []struct {
+		filters []Filter
+		scanned int // rows the bounded scan streams
+	}{
+		{[]Filter{CmpFilter{"v", OpGE, rdf.NewLong(4)}}, 2},
+		{[]Filter{CmpFilter{"v", OpGT, rdf.NewLong(4)}}, 2},
+		{[]Filter{CmpFilter{"v", OpLT, rdf.NewDouble(1.5)}}, 2},
+		{[]Filter{CmpFilter{"v", OpEQ, rdf.NewLong(3)}}, 1},
+		{[]Filter{CmpFilter{"v", OpGT, rdf.NewLong(1)}, CmpFilter{"v", OpLE, rdf.NewLong(4)}}, 4},
+		{[]Filter{CmpFilter{"v", OpLE, rdf.NewDouble(math.Inf(1))}}, 6},
+	} {
+		var sfs []slotFilter
+		for _, f := range tc.filters {
+			sfs = append(sfs, slotFilter{f: f, slots: []int{0}})
+		}
+		ob := numericBounds(sfs, 1)[0]
+		if ob == nil {
+			t.Fatalf("%v: no bound", tc.filters)
+		}
+		scanned := 0
+		bounded := answer(tc.filters, func(fn func(rdf.Triple) bool) {
+			scanPattern(seg, rdf.Wildcard, p, rdf.Wildcard, ob, func(tr rdf.Triple) bool {
+				if o, _ := dict.Decode(tr.O); !isNumber(o) {
+					t.Fatalf("%v: the bounded scan streamed %v", tc.filters, o)
+				}
+				scanned++
+				return fn(tr)
+			})
+		})
+		full := answer(tc.filters, func(fn func(rdf.Triple) bool) { seg.FindID(rdf.Wildcard, p, rdf.Wildcard, fn) })
+		if scanned != tc.scanned {
+			t.Errorf("%v: the bounded scan streamed %d rows, want %d", tc.filters, scanned, tc.scanned)
+		}
+		if !slices.Equal(bounded, full) {
+			t.Errorf("%v: filtered bounded scan %v, filter over the predicate %v", tc.filters, bounded, full)
+		}
 	}
-	// Mixed predicate + conditional-only bound: every row must stream (6
-	// numeric + 2 string), not just the numeric tail.
-	if got := count(pMixed, condGE4); got != 8 {
-		t.Fatalf("mixed predicate with conditional bound streamed %d rows, want all 8", got)
-	}
-	// Numeric-only predicate: the conditional bound narrows the scan to
-	// values >= 4.
-	if got := count(pNumeric, condGE4); got != 2 {
-		t.Fatalf("numeric predicate with conditional bound streamed %d rows, want 2", got)
-	}
-	// An unconditional bound still applies to the numeric column of a mixed
-	// predicate (its filters reject non-numeric bindings outright).
-	uncond := &numBound{Lo: 4, Hi: math.Inf(1), CLo: math.Inf(-1), CHi: math.Inf(1)}
-	if got := count(pMixed, uncond); got != 2 {
-		t.Fatalf("mixed predicate with unconditional bound streamed %d rows, want 2", got)
-	}
-	// Conditional bound on top of an unconditional one narrows further on
-	// the numeric-only predicate only.
-	both := &numBound{Lo: 2, Hi: math.Inf(1), CLo: math.Inf(-1), CHi: 4, cond: true}
-	if got := count(pNumeric, both); got != 3 {
-		t.Fatalf("numeric predicate with both bounds streamed %d rows, want 3 (values 2..4)", got)
-	}
-	if got := count(pMixed, both); got != 4 {
-		t.Fatalf("mixed predicate with both bounds streamed %d rows, want 4 (values 2..5)", got)
+	// A comparison against a string or NaN, or a !=, pushes no bound; nor
+	// does a filter naming a variable no pattern binds (slot -1): it never
+	// runs.
+	for _, sf := range []slotFilter{
+		{CmpFilter{"v", OpGE, rdf.NewLiteral("YAK")}, []int{0}},
+		{CmpFilter{"v", OpLT, rdf.NewDouble(math.NaN())}, []int{0}},
+		{CmpFilter{"v", OpNE, rdf.NewLong(3)}, []int{0}},
+		{WithinFilter{"v", "nowhere", worldBox}, []int{0, -1}},
+	} {
+		if ob := numericBounds([]slotFilter{sf}, 1)[0]; ob != nil {
+			t.Errorf("%v pushed %+v", sf.f, *ob)
+		}
 	}
 }

@@ -25,11 +25,6 @@ type Engine struct {
 	// Parallelism bounds concurrent shard evaluations; 0 means the number
 	// of candidate shards.
 	Parallelism int
-	// callbackScan makes sealed segments take the per-triple FindID callback
-	// walk instead of the block path (numeric-column range scans driven by
-	// FILTER bounds). Only tests set it: the walk is the oracle the block
-	// path is differentially tested and benchmarked against.
-	callbackScan bool
 	// cache memoises parsed queries by canonicalized text (see plancache.go).
 	cache *planCache
 }
@@ -124,61 +119,42 @@ func (e *Engine) candidates(q *Query) ([]int, store.ViewBounds) {
 	return e.st.Partitioner().Candidates(box, from, to), vb
 }
 
-// numBound is the closed numeric candidate interval for one variable.
-// [Lo, Hi] is unconditional: derived from filters that reject non-numeric
-// bindings outright, so it is sound on any graph. [CLo, CHi] is
-// conditional: derived from plain comparison FILTERs, whose
-// string-comparison fallback can accept non-numeric bindings — it may only
-// be intersected in on segments whose seal-time statistics prove every
-// object of the scanned predicate is numeric (Segment.NumericOnly; see
-// DESIGN.md §13).
-type numBound struct {
-	Lo, Hi   float64
-	CLo, CHi float64
-	cond     bool // any conditional clamp present
-}
+// numBound is the closed numeric candidate interval for one variable,
+// derived from filters that reject every binding whose term is not a
+// non-NaN number, so it is sound on any graph (DESIGN.md §13).
+type numBound struct{ Lo, Hi float64 }
 
 // numericBounds derives per-slot candidate intervals (nil = none) from the
-// query's filters. st:during and st:within reject any binding whose term does not
-// parse as a number, so restricting a pattern's object candidates to
-// numeric values inside the (conjoined) interval can only drop rows the
-// filter would drop anyway — the exact filter still runs on every surviving
-// row, so the interval only needs to be a superset. st:during bounds are
-// int64; they are widened by one ulp after the float64 conversion so values
-// that round across the boundary above 2^53 stay inside.
-//
-// Plain comparison FILTERs against a numeric constant clamp only the
-// conditional pair: on a predicate proved all-numeric at seal time their
-// Eval takes the float branch for every binding, so the interval is exact
-// there — but on a mixed predicate the string fallback could keep a
-// non-numeric row the numeric column cannot represent, so scanPattern
-// applies the conditional pair only under Segment.NumericOnly. A NaN
-// constant clamps nothing (no interval represents its comparisons).
+// query's filters. st:during, st:within and a comparison other than !=
+// against a number reject any binding whose term is not a non-NaN number:
+// restricting a pattern's object candidates to numeric values inside the
+// (conjoined) interval can only drop rows the filter would drop anyway —
+// the exact filter still runs on every surviving row, so the interval only
+// needs to be a superset. st:during bounds are int64; they are widened by
+// one ulp after the float64 conversion so values that round across the
+// boundary above 2^53 stay inside. A NaN constant clamps nothing (no
+// interval represents its comparisons).
 func numericBounds(filters []slotFilter, width int) []*numBound {
 	out := make([]*numBound, width)
-	clamp := func(slot int, lo, hi float64, cond bool) {
-		if slot < 0 {
-			return
-		}
+	clamp := func(slot int, lo, hi float64) {
 		b := out[slot]
 		if b == nil {
-			b = &numBound{Lo: math.Inf(-1), Hi: math.Inf(1), CLo: math.Inf(-1), CHi: math.Inf(1)}
+			b = &numBound{Lo: math.Inf(-1), Hi: math.Inf(1)}
 			out[slot] = b
 		}
-		if cond {
-			b.CLo, b.CHi, b.cond = math.Max(b.CLo, lo), math.Min(b.CHi, hi), true
-		} else {
-			b.Lo, b.Hi = math.Max(b.Lo, lo), math.Min(b.Hi, hi)
-		}
+		b.Lo, b.Hi = math.Max(b.Lo, lo), math.Min(b.Hi, hi)
 	}
 	for _, sf := range filters {
+		if slices.Contains(sf.slots, -1) {
+			continue // it names a variable no pattern binds: it never runs
+		}
 		switch ff := sf.f.(type) {
 		case DuringFilter:
 			clamp(sf.slots[0], math.Nextafter(float64(ff.From), math.Inf(-1)),
-				math.Nextafter(float64(ff.To), math.Inf(1)), false)
+				math.Nextafter(float64(ff.To), math.Inf(1)))
 		case WithinFilter:
-			clamp(sf.slots[0], ff.Box.MinLon, ff.Box.MaxLon, false)
-			clamp(sf.slots[1], ff.Box.MinLat, ff.Box.MaxLat, false)
+			clamp(sf.slots[0], ff.Box.MinLon, ff.Box.MaxLon)
+			clamp(sf.slots[1], ff.Box.MinLat, ff.Box.MaxLat)
 		case CmpFilter:
 			v, ok := ff.Value.Float()
 			if !ok || math.IsNaN(v) {
@@ -186,11 +162,11 @@ func numericBounds(filters []slotFilter, width int) []*numBound {
 			}
 			switch ff.Op {
 			case OpLT, OpLE:
-				clamp(sf.slots[0], math.Inf(-1), v, true)
+				clamp(sf.slots[0], math.Inf(-1), v)
 			case OpGT, OpGE:
-				clamp(sf.slots[0], v, math.Inf(1), true)
+				clamp(sf.slots[0], v, math.Inf(1))
 			case OpEQ:
-				clamp(sf.slots[0], v, v, true)
+				clamp(sf.slots[0], v, v)
 			}
 		}
 	}
@@ -201,26 +177,13 @@ func numericBounds(filters []slotFilter, width int) []*numBound {
 // to fn. With no bound on the object variable it is exactly Graph.FindID.
 // With one, sealed segments answer from their value-sorted numeric column —
 // a binary-search range scan instead of a walk over every triple of the
-// predicate. The mutable head and the global store keep the callback path:
-// their triples are few and carry no sealed columns.
+// predicate, which skips exactly the non-numeric and NaN objects the bound's
+// filters reject. The mutable head and the global store keep the callback
+// path: their triples are few and carry no sealed columns.
 func scanPattern(g rdf.Graph, s, p, o rdf.ID, ob *numBound, fn func(rdf.Triple) bool) {
 	if seg, ok := g.(*rdf.Segment); ok && ob != nil && s == rdf.Wildcard && p != rdf.Wildcard {
-		lo, hi := ob.Lo, ob.Hi
-		if ob.cond && seg.NumericOnly(p) {
-			// Comparison-filter bounds only intersect in when the
-			// segment's seal-time stats prove the predicate all-numeric:
-			// on a mixed predicate the filter's string fallback could
-			// keep rows the numeric column does not carry.
-			lo = math.Max(lo, ob.CLo)
-			hi = math.Min(hi, ob.CHi)
-		}
-		if !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
-			seg.NumericRange(p, lo, hi, fn)
-			return
-		}
-		// Both sides unbounded (only conditional clamps existed and the
-		// predicate is mixed): NumericRange would silently drop the
-		// non-numeric rows, so take the plain scan.
+		seg.NumericRange(p, ob.Lo, ob.Hi, fn)
+		return
 	}
 	g.FindID(s, p, o, fn)
 }

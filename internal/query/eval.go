@@ -34,9 +34,8 @@ type slotFilter struct {
 	slots []int
 }
 
-// compile lowers q for a scan producing cols; pushdown false keeps numeric
-// bounds out of the sealed scans (the callbackScan oracle).
-func compile(q *Query, cols []string, dict *rdf.Dictionary, pushdown bool) *compiled {
+// compile lowers q for a scan producing cols.
+func compile(q *Query, cols []string, dict *rdf.Dictionary) *compiled {
 	vars := q.patternVars() // a variable's slot is its rank of first mention
 	slot := func(v string) int { return slices.Index(vars, v) }
 	c := &compiled{pats: make([][3]slotRef, len(q.Patterns)), width: max(len(vars), 1)}
@@ -60,10 +59,7 @@ func compile(q *Query, cols []string, dict *rdf.Dictionary, pushdown bool) *comp
 		}
 		c.filters = append(c.filters, sf)
 	}
-	c.bounds = make([]*numBound, c.width)
-	if pushdown {
-		c.bounds = numericBounds(c.filters, c.width)
-	}
+	c.bounds = numericBounds(c.filters, c.width)
 	for _, v := range cols {
 		c.out = append(c.out, slot(v))
 	}

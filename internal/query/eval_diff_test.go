@@ -15,7 +15,7 @@ import (
 	"github.com/datacron-project/datacron/internal/store"
 )
 
-// diffWorld is a randomised store for the frozen-oracle differential, with
+// diffWorld is a randomised store for the specification differential, with
 // the vocabulary its queries draw constants from.
 type diffWorld struct {
 	st       *store.Sharded
@@ -290,10 +290,10 @@ func genQuery(rng *rand.Rand, w *diffWorld) *Query {
 	return q
 }
 
-// sameCell reports whether the two engines returned the same cell: the same
-// term, bit for bit — or, where a row survived under one of several ids
-// that render equally, one of those twins (which one the frozen evaluator
-// keeps depends on map iteration order).
+// sameCell reports whether the engine and the specification returned the
+// same cell: the same term, bit for bit — or, where a row survived under one
+// of several ids that render equally, one of those twins (which one each
+// keeps depends on where it met the row first).
 func sameCell(a, b rdf.Term) bool {
 	if a == b {
 		return true
@@ -304,91 +304,110 @@ func sameCell(a, b rdf.Term) bool {
 	return a.String() == b.String() && (twin(a) || twin(b))
 }
 
+// diffResults compares Vars, Rows and, with stages, the shards visited, the
+// segments pruned and every stage's row count.
 func diffResults(got, want *Result, stages bool) error {
 	if !slices.Equal(got.Vars, want.Vars) {
-		return fmt.Errorf("vars %v, oracle %v", got.Vars, want.Vars)
+		return fmt.Errorf("vars %v, specification %v", got.Vars, want.Vars)
 	}
 	if len(got.Rows) != len(want.Rows) {
-		return fmt.Errorf("%d rows, oracle %d\n got %v\nwant %v", len(got.Rows), len(want.Rows), got.Rows, want.Rows)
+		return fmt.Errorf("%d rows, specification %d\n got %v\nwant %v", len(got.Rows), len(want.Rows), got.Rows, want.Rows)
 	}
 	for i := range want.Rows {
 		if !slices.EqualFunc(got.Rows[i], want.Rows[i], sameCell) {
-			return fmt.Errorf("row %d: %v, oracle %v", i, got.Rows[i], want.Rows[i])
+			return fmt.Errorf("row %d: %v, specification %v", i, got.Rows[i], want.Rows[i])
 		}
 	}
 	if !stages {
 		return nil
 	}
 	if got.ShardsVisited != want.ShardsVisited || got.SegmentsPruned != want.SegmentsPruned {
-		return fmt.Errorf("visited/pruned %d/%d, oracle %d/%d",
+		return fmt.Errorf("visited/pruned %d/%d, specification %d/%d",
 			got.ShardsVisited, got.SegmentsPruned, want.ShardsVisited, want.SegmentsPruned)
 	}
 	if len(got.Plan.Stages) != len(want.Plan.Stages) {
-		return fmt.Errorf("%d plan stages, oracle %d", len(got.Plan.Stages), len(want.Plan.Stages))
+		return fmt.Errorf("%d plan stages, specification %d", len(got.Plan.Stages), len(want.Plan.Stages))
 	}
 	for i, st := range want.Plan.Stages {
 		if got.Plan.Stages[i].Rows != st.Rows {
-			return fmt.Errorf("stage %d (%s) rows %d, oracle %d", i, got.Plan.Stages[i].Op, got.Plan.Stages[i].Rows, st.Rows)
+			return fmt.Errorf("stage %d (%s) rows %d, specification %d", i, got.Plan.Stages[i].Op, got.Plan.Stages[i].Rows, st.Rows)
 		}
 	}
 	return nil
 }
 
-// diffQuery runs q through the engine and the frozen evaluator — block path
-// on and off — and its scatter-gather form through Finalize and the frozen
-// Finalize over 1–3 overlapping partials, and reports the first divergence.
+// diffQuery runs q through the engine and the specification, and its
+// scatter-gather form through Finalize and the specification's finalize
+// over 1–3 overlapping partials, and reports the first divergence.
 func diffQuery(rng *rand.Rand, w *diffWorld, q *Query) error {
-	for _, callback := range []bool{false, true} {
-		e := NewEngine(w.st)
-		e.callbackScan = callback
-		got, err := e.Run(q)
-		want, werr := oracleRun(e, q)
-		if (err != nil) != (werr != nil) {
-			return fmt.Errorf("callback=%v: error %v, oracle %v", callback, err, werr)
+	e := NewEngine(w.st)
+	got, err := e.Run(q)
+	want, werr := specRun(e, q)
+	if (err != nil) != (werr != nil) {
+		return fmt.Errorf("error %v, specification %v", err, werr)
+	}
+	if err != nil {
+		return nil
+	}
+	if err := diffResults(got, want, true); err != nil {
+		return err
+	}
+	if bare := withoutIdleFilters(q); len(bare.Filters) < len(q.Filters) {
+		want, err := specRun(e, bare)
+		if err == nil {
+			err = diffResults(got, want, true)
 		}
 		if err != nil {
-			continue
-		}
-		if err := diffResults(got, want, true); err != nil {
-			return fmt.Errorf("callback=%v: %w", callback, err)
-		}
-		if callback {
-			continue
-		}
-
-		// What a cluster does: every node answers the partial form, the
-		// coordinator finalizes the rendered rows.
-		partial, err := e.Run(q.StripFinal())
-		if err != nil {
-			return fmt.Errorf("partial form: %w", err)
-		}
-		parts := make([][][]string, 1+rng.Intn(3))
-		for _, row := range partial.Rows {
-			cells := renderRow(row).cells
-			to := rng.Intn(len(parts))
-			parts[to] = append(parts[to], cells)
-			if rng.Intn(4) == 0 {
-				parts[0] = append(parts[0], cells) // a row two nodes both hold
-			}
-		}
-		gotF, err := Finalize(q, partial.Vars, parts...)
-		wantF, werr := oracleFinalize(q, partial.Vars, parts...)
-		if (err != nil) != (werr != nil) {
-			return fmt.Errorf("finalize: error %v, oracle %v", err, werr)
-		}
-		if err != nil {
-			continue
-		}
-		if err := diffResults(gotF, wantF, false); err != nil {
-			return fmt.Errorf("finalize: %w", err)
-		}
-		if !slices.EqualFunc(gotF.Rows, got.Rows, func(a, b []rdf.Term) bool {
-			return slices.Equal(renderRow(a).cells, renderRow(b).cells)
-		}) {
-			return fmt.Errorf("finalize differs from the single node:\n got %v\nwant %v", gotF.Rows, got.Rows)
+			return fmt.Errorf("a filter that never runs changed the answer: %w", err)
 		}
 	}
+
+	// What a cluster does: every node answers the partial form, the
+	// coordinator finalizes the rendered rows.
+	partial, err := e.Run(q.StripFinal())
+	if err != nil {
+		return fmt.Errorf("partial form: %w", err)
+	}
+	parts := make([][][]string, 1+rng.Intn(3))
+	for _, row := range partial.Rows {
+		cells := renderRow(row).cells
+		to := rng.Intn(len(parts))
+		parts[to] = append(parts[to], cells)
+		if rng.Intn(4) == 0 {
+			parts[0] = append(parts[0], cells) // a row two nodes both hold
+		}
+	}
+	gotF, err := Finalize(q, partial.Vars, parts...)
+	wantF, werr := specFinalize(q, partial.Vars, parts...)
+	if (err != nil) != (werr != nil) {
+		return fmt.Errorf("finalize: error %v, specification %v", err, werr)
+	}
+	if err != nil {
+		return nil
+	}
+	if err := diffResults(gotF, wantF, false); err != nil {
+		return fmt.Errorf("finalize: %w", err)
+	}
+	if !slices.EqualFunc(gotF.Rows, got.Rows, func(a, b []rdf.Term) bool {
+		return slices.Equal(renderRow(a).cells, renderRow(b).cells)
+	}) {
+		return fmt.Errorf("finalize differs from the single node:\n got %v\nwant %v", gotF.Rows, got.Rows)
+	}
 	return nil
+}
+
+// withoutIdleFilters returns q less the filters that never run, those naming
+// a variable no pattern binds: the query answers, visits and prunes exactly
+// as it would without them.
+func withoutIdleFilters(q *Query) *Query {
+	bare := *q
+	bare.Filters = nil
+	for _, f := range q.Filters {
+		if !slices.ContainsFunc(f.Vars(), func(v string) bool { return !slices.Contains(allVars(q.Patterns), v) }) {
+			bare.Filters = append(bare.Filters, f)
+		}
+	}
+	return &bare
 }
 
 // diffSeed is one differential round: a world and a batch of queries, all
@@ -398,9 +417,9 @@ func diffSeed(t *testing.T, seed int64, queries int) {
 	w := genWorld(rng)
 	for i := 0; i < queries; i++ {
 		q := genQuery(rng, w)
-		// The frozen evaluator clones a map per partial match: leave it the
-		// cross products it can finish (one the slot evaluator needs 50 ms
-		// for takes it a minute).
+		// The specification joins in written order, cross products
+		// included: leave it the queries it can finish (one the engine
+		// needs 50 ms for takes it far longer).
 		start := time.Now()
 		if res, err := NewEngine(w.st).Run(q.StripFinal()); err != nil || len(res.Rows) > 2000 || time.Since(start) > 50*time.Millisecond {
 			continue
@@ -411,10 +430,10 @@ func diffSeed(t *testing.T, seed int64, queries int) {
 	}
 }
 
-// TestEvalMatchesOracle pins the slot-compiled evaluator, the rank-ordered
-// merge and the cell-indexed group/sort/limit chain to the frozen PR 18
-// evaluator: identical Vars, Rows, ShardsVisited, SegmentsPruned and
-// per-stage cardinalities over randomised stores and generated queries.
+// TestEvalMatchesOracle holds the slot-compiled evaluator, the rank-ordered
+// merge and the cell-indexed group/sort/limit chain to the specification
+// (spec_test.go): identical Vars, Rows and per-stage cardinalities over
+// randomised stores and generated queries.
 func TestEvalMatchesOracle(t *testing.T) {
 	worlds := 120
 	if testing.Short() {
@@ -422,6 +441,43 @@ func TestEvalMatchesOracle(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(worlds); seed++ {
 		diffSeed(t, seed, 25)
+	}
+}
+
+// TestNeverRunningFilterPrunesNothing holds st:within and st:during naming
+// a variable no pattern binds — filters that never run — to the full views:
+// they prune no shard and no sealed segment, and drop no row.
+func TestNeverRunningFilterPrunesNothing(t *testing.T) {
+	pruned := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		w := genWorld(rand.New(rand.NewSource(seed)))
+		e := NewEngine(w.st)
+		star := []TriplePattern{{Var("n"), Const(w.pLon), Var("x")}, {Var("n"), Const(w.pTS), Var("t")}}
+		full, err := specRun(e, &Query{Patterns: star}) // no filter: every shard, every tier
+		if err != nil {
+			t.Fatal(err)
+		}
+		box := geo.NewBBox(worldBox.MinLon, worldBox.MinLat, worldBox.MinLon+1, worldBox.MinLat+1)
+		for _, f := range []Filter{
+			WithinFilter{LonVar: "x", LatVar: "unbound", Box: box},
+			DuringFilter{TSVar: "unbound", From: 0, To: 100},
+		} {
+			got, err := e.Run(&Query{Patterns: star, Filters: []Filter{f}})
+			if err == nil {
+				err = diffResults(got, full, true)
+			}
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, f, err)
+			}
+		}
+		res, err := e.Run(&Query{Patterns: star, Filters: []Filter{DuringFilter{TSVar: "t", From: 0, To: 100}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned += res.SegmentsPruned
+	}
+	if pruned == 0 {
+		t.Fatal("the same filter on a bound variable pruned nothing in any world: nothing was checked")
 	}
 }
 

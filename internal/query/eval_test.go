@@ -70,9 +70,9 @@ func TestEqualRenderingsCollapse(t *testing.T) {
 	}
 }
 
-// TestSortMatchesCompareTerms pins ORDER BY — now comparing through the
-// value table's parse-once memo and ranks — to the comparator it replaced:
-// a stable sort of the canonical rows under compareTerms, over keys that mix
+// TestSortMatchesCompareTerms pins ORDER BY — comparing through the value
+// table's parse-once memo and ranks — to the specification's total order: a
+// stable sort of the canonical rows under compareTerms, over keys that mix
 // numbers, equal values in different spellings, NaN and non-numbers.
 func TestSortMatchesCompareTerms(t *testing.T) {
 	s := store.NewSharded(partition.NewHash(3), worldBox)

@@ -123,14 +123,22 @@ func (v *values) rendering(c uint32) string {
 	return a.str
 }
 
-// compare orders two cells numerically when both parse as numbers; ties,
-// NaN and everything else fall back to the rendering: the comparator behind
-// ORDER BY and MIN/MAX.
+// compare is the one total order on terms, behind ORDER BY and MIN/MAX:
+// numbers (Term.Float parses) before everything else; two numbers by value
+// (cmp.Compare: NaN first, -0 equal to +0), ties by rendering; two
+// non-numbers by rendering.
 func (v *values) compare(a, b uint32) int {
 	af, aok := v.float(a)
 	bf, bok := v.float(b)
-	if aok && bok && (af < bf || af > bf) {
-		return cmp.Compare(af, bf)
+	switch {
+	case aok && bok:
+		if c := cmp.Compare(af, bf); c != 0 {
+			return c
+		}
+	case aok:
+		return -1
+	case bok:
+		return 1
 	}
 	return v.cmpRendered(a, b)
 }
@@ -180,21 +188,18 @@ func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) 
 	return sorted, ranks
 }
 
-// sortRows puts the rows in the order a stable sort by order gives, or with
-// limit > 0 at least the first limit of them. With total, order is a strict
-// weak order: the row index breaks its ties into a strict total order whose
-// sorted sequence is exactly the stable sort's, whatever the algorithm, so
-// the first limit rows are selected and sorted and the rest follow them
-// unsorted. Without, order may not be transitive (ORDER BY over a column
-// mixing numbers with non-numbers or NaN) and the algorithm is part of the
-// answer: the standard library's stable sort, as sort.SliceStable before.
-func (r *relation) sortRows(order func(a, b []uint32) int, total bool, limit int) {
+// sortRows puts the rows in the order a stable sort by order, a strict weak
+// order, gives, or with limit > 0 at least the first limit of them: the row
+// index breaks order's ties into a strict total order whose sorted sequence
+// is exactly the stable sort's, whatever the algorithm, so the first limit
+// rows are selected and sorted and the rest follow them unsorted.
+func (r *relation) sortRows(order func(a, b []uint32) int, limit int) {
 	perm := make([]int32, r.n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	byRow := func(a, b int32) int { return order(r.row(int(a)), r.row(int(b))) }
-	if total && limit > 0 && limit < r.n {
+	if limit > 0 && limit < r.n {
 		selectFirst(perm, limit, func(a, b int32) int { return cmp.Or(byRow(a, b), cmp.Compare(a, b)) })
 	} else {
 		slices.SortStableFunc(perm, byRow)

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -82,23 +81,20 @@ func finalSteps(q *Query) (steps []step, ordered bool) {
 	}
 	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
 		names := make([]string, len(q.Aggs))
-		// Only one global group whose aggregates just count is blind to its
-		// input's order. Float sums depend on the fold order, bucket order
-		// on first appearance, and MIN/MAX on both: their comparator is
-		// numeric between numbers and lexical otherwise, which is not
-		// transitive across a mixed column, so even a minimum is a property
-		// of the order it was folded in.
+		// Only one global group whose aggregates count or take a minimum or
+		// maximum is blind to its input's order: under a total order a
+		// minimum is one value whatever the fold order. Bucket order depends
+		// on first appearance, float sums on the fold order.
 		ordered = len(q.GroupBy) > 0
 		for i, a := range q.Aggs {
 			names[i] = a.OutName()
-			ordered = ordered || a.Func != AggCount
+			ordered = ordered || a.Func == AggSum || a.Func == AggAvg
 		}
 		add("group", fmt.Sprintf("keys=%s aggs=%s", joinOrDash(q.GroupBy), joinOrDash(names)),
 			func(rel *relation) error { return rel.group(q.GroupBy, q.groupCols(), q.Aggs) })
 		if len(q.OrderBy) == 0 {
 			add("sort", "canonical", func(rel *relation) error {
-				// Renderings are totally ordered: always a strict weak order.
-				rel.sortRows(func(a, b []uint32) int { return slices.CompareFunc(a, b, rel.vals.cmpRendered) }, true, q.Limit)
+				rel.sortRows(func(a, b []uint32) int { return slices.CompareFunc(a, b, rel.vals.cmpRendered) }, q.Limit)
 				return nil
 			})
 		}
@@ -170,7 +166,7 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited, segs
 	if par == 0 {
 		return relation{cols: cols, vals: &values{}}, 0, 0
 	}
-	c := compile(q, cols, e.st.Dict(), !e.callbackScan)
+	c := compile(q, cols, e.st.Dict())
 	var mu sync.Mutex
 	var rows []rdf.ID
 	n := 0
@@ -334,21 +330,6 @@ func (r *relation) orderBy(keys []OrderKey, limit int) error {
 	if err != nil {
 		return err
 	}
-	// compare is numeric between two numbers that differ and by rendering
-	// otherwise. On a column whose cells are all non-NaN numbers that is the
-	// order of (number, rendering), on one where none is the order of
-	// renderings: a strict weak order either way. A column holding both is
-	// where it stops being transitive.
-	total := true
-	for _, col := range idx {
-		nums := 0
-		for i := 0; i < r.n; i++ {
-			if f, ok := r.vals.float(r.cells[i*len(r.cols)+col]); ok && !math.IsNaN(f) {
-				nums++
-			}
-		}
-		total = total && (nums == 0 || nums == r.n)
-	}
 	r.sortRows(func(a, b []uint32) int {
 		for ki, k := range keys {
 			c := r.vals.compare(a[idx[ki]], b[idx[ki]])
@@ -360,6 +341,6 @@ func (r *relation) orderBy(keys []OrderKey, limit int) error {
 			}
 		}
 		return 0
-	}, total, limit)
+	}, limit)
 	return nil
 }

@@ -380,7 +380,7 @@ func TestPlannerOrdersBoundFirst(t *testing.T) {
 		?n dat:ofMovingObject ?v .
 		?v rdf:type dat:Vessel .
 	}`)
-	plan := compile(q, nil, rdf.NewDictionary(), false).order(nil)
+	plan := compile(q, nil, rdf.NewDictionary()).order(nil)
 	// The type pattern has 2 constants vs 1: must come first.
 	if first := q.Patterns[plan[0]]; first.P.Term.Value != rdf.RDFType {
 		t.Errorf("plan order: %v first", first)
@@ -402,13 +402,13 @@ func TestPlannerPrefersLowCardinalityPredicate(t *testing.T) {
 	}
 	s.AddGlobal(triples)
 	q := MustParse(`SELECT ?a ?b WHERE { ?a dat:common ?b . ?a dat:rare ?b . }`)
-	plan := compile(q, nil, s.Dict(), false).order(s.View(0))
+	plan := compile(q, nil, s.Dict()).order(s.View(0))
 	if first := q.Patterns[plan[0]]; first.P.Term != rare {
 		t.Errorf("plan order: %v first, want the rare predicate", first)
 	}
 	// Unknown predicates estimate to zero and plan first of all.
 	q2 := MustParse(`SELECT ?a ?b WHERE { ?a dat:common ?b . ?a dat:unseen ?b . }`)
-	plan2 := compile(q2, nil, s.Dict(), false).order(s.View(0))
+	plan2 := compile(q2, nil, s.Dict()).order(s.View(0))
 	if first := q2.Patterns[plan2[0]]; first.P.Term.Value != onto.NS+"unseen" {
 		t.Errorf("plan order: %v first, want the unseen predicate", first)
 	}
@@ -426,6 +426,20 @@ func TestCmpFilterStringAndNumeric(t *testing.T) {
 		{CmpFilter{"num", OpNE, rdf.NewDouble(5)}, num, false},
 		{CmpFilter{"str", OpGT, rdf.NewLiteral("alpha")}, str, true},
 		{CmpFilter{"str", OpEQ, rdf.NewLiteral("beta")}, str, true},
+		// A string constant against a number compares the lexical forms:
+		// "5" < "alpha".
+		{CmpFilter{"num", OpLT, rdf.NewLiteral("alpha")}, num, true},
+		{CmpFilter{"num", OpGE, rdf.NewLiteral("alpha")}, num, false},
+		{CmpFilter{"num", OpNE, rdf.NewLiteral("alpha")}, num, true},
+	}
+	// A numeric constant against a binding that is not a number is a type
+	// error: every operator rejects the row.
+	for _, op := range []CmpOp{OpLT, OpLE, OpGT, OpGE, OpEQ, OpNE} {
+		tests = append(tests, struct {
+			f    CmpFilter
+			args []rdf.Term
+			want bool
+		}{CmpFilter{"str", op, rdf.NewDouble(5)}, str, false})
 	}
 	for i, tc := range tests {
 		if got := tc.f.Eval(tc.args); got != tc.want {

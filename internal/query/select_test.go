@@ -10,10 +10,10 @@ import (
 	"github.com/datacron-project/datacron/internal/rdf"
 )
 
-// selectionColumns are the kinds of column a sort key can read. compare is
-// a strict weak order on the first four (selection applies) and not on the
-// last three (the stable sort stays). A column draws either dictionary terms
-// or aggregate results.
+// selectionColumns are the kinds of column a sort key can read: numbers,
+// IRIs, NaN among strings, tied aggregates, numbers mixed with strings, NaN
+// among numbers and NaN among aggregates. compare is a total order on every
+// one of them. A column draws either dictionary terms or aggregate results.
 var selectionColumns = []struct {
 	name string
 	term func(*rand.Rand) rdf.Term
@@ -116,10 +116,10 @@ func cloneRelation(r relation) relation {
 // TestSelectionMatchesStableSort is the differential behind ORDER BY …
 // LIMIT k's selection: over random relations whose key columns are numeric
 // (±0, one value in several spellings), IRIs, NaN among strings, tied
-// aggregates, or — where the stable sort must stay — numbers mixed with
-// strings or with NaN, every k from 1 to n+1, one to three keys each ASC or
-// DESC, the first k rows equal those of slices.SortStableFunc truncated to
-// k; and the same for the canonical sort over all columns.
+// aggregates, numbers mixed with strings or with NaN, every k from 1 to
+// n+1, one to three keys each ASC or DESC, the first k rows equal those of
+// slices.SortStableFunc truncated to k; and the same for the canonical sort
+// over all columns.
 func TestSelectionMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 300; iter++ {
@@ -157,10 +157,10 @@ func TestSelectionMatchesStableSort(t *testing.T) {
 						t.Fatal(err)
 					}
 				}},
-				{"canonical", canonical, func(r *relation) { r.sortRows(canonical, true, k) }},
+				{"canonical", canonical, func(r *relation) { r.sortRows(canonical, k) }},
 			} {
 				want := cloneRelation(rel)
-				want.sortRows(tc.order, false, 0)
+				want.sortRows(tc.order, 0)
 				got := cloneRelation(rel)
 				tc.run(&got)
 				if got.n != rel.n {

@@ -149,16 +149,6 @@ func (g *Segment) PredCard(p ID) int {
 	return hi - lo
 }
 
-// NumericOnly reports whether every triple of predicate p in this segment
-// carries an object that parses as a finite number — the seal-time proof
-// that lets the query engine push plain comparison FILTER bounds into the
-// predicate's numeric column: when it holds, no candidate binding can take
-// the string-comparison fallback, so a numeric interval restriction is a
-// sound superset (DESIGN.md §13). The statistic is exact: buildNumericColumns
-// files every numeric-object triple and only those, so the column length
-// equals the predicate cardinality exactly when no object failed to parse.
-func (g *Segment) NumericOnly(p ID) bool { return len(g.num[p]) == g.PredCard(p) }
-
 // Triples returns the segment's triples in (S,P,O) order. The returned
 // slice is the segment's own storage: callers must not modify it.
 func (g *Segment) Triples() []Triple { return g.tri }
@@ -283,12 +273,12 @@ func gallop(lo, n int, past func(i int) bool) int {
 // (ties in SPO order); fn returning false stops early. The run is a binary
 // search over the value-sorted column sealed with the segment.
 //
-// The column holds exactly the triples of p whose object parses as a finite
-// number, so a caller substituting NumericRange for a full FindID(⋆, p, ⋆)
-// scan silently drops non-numeric objects: only do so when every dropped
-// row would be discarded anyway — i.e. when a numeric FILTER on the
-// object's variable makes non-numeric bindings unsatisfiable (the query
-// engine's bounds pushdown guarantees this).
+// The column holds exactly the triples of p whose object parses as a number
+// other than NaN, so a caller substituting NumericRange for a full
+// FindID(⋆, p, ⋆) scan silently drops the other objects: only do so when
+// every dropped row would be discarded anyway — i.e. when a numeric FILTER
+// on the object's variable rejects such bindings (the query engine's
+// bounds pushdown guarantees this).
 func (g *Segment) NumericRange(p ID, lo, hi float64, fn func(Triple) bool) {
 	col := g.num[p]
 	i := sort.Search(len(col), func(k int) bool { return col[k].val >= lo })

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,67 @@ func TestEachRecordFaultKeepsPrefix(t *testing.T) {
 	if _, _, err := collect(e.AppendFrame(nil), ContentType); err != nil {
 		t.Errorf("binary line of MaxLineBytes: %v", err)
 	}
+}
+
+// FuzzEachRecord walks fuzzed bodies as text and as binary frames. The walk
+// never panics; the records it delivers, before an error or without one,
+// are lines of the body in body order (text: exactly one per line); and a
+// body of frames the Encoder built from records — the fuzzed bytes' NUL
+// separated pieces, stamped from ts — walks back to exactly those records.
+func FuzzEachRecord(f *testing.F) {
+	var e Encoder
+	e.Add(1700000000000, "!AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C")
+	e.Add(0, "bare")
+	frame := e.AppendFrame(nil)
+	f.Add([]byte("1700000000000 !AIVDM,1,1,,B,177KQJ5000G?tO`K>RA1wUbN0TKH,0*5C\nbare line\r\n\n-5 x"), false, int64(0))
+	f.Add(frame, true, int64(1700000000000))
+	f.Add(append(frame, "JUNK-NOT-A-FRAME"...), true, int64(-3))
+	f.Add(append(frame[:len(frame)-1:len(frame)-1], frame...), true, int64(1)<<62)
+	f.Add([]byte("a\x00\x00bc\x00\n"), false, int64(-1))
+	f.Fuzz(func(t *testing.T, body []byte, binary bool, ts int64) {
+		contentType := "text/plain"
+		if binary {
+			contentType = ContentType
+		}
+		got, _, err := collect(body, contentType)
+		rest := string(body)
+		for i, r := range got {
+			at := strings.Index(rest, r.line)
+			if at < 0 {
+				t.Fatalf("record %d %q is not in the body after the records before it (walk error %v)", i, r.line, err)
+			}
+			rest = rest[at+len(r.line):]
+		}
+		if !binary && err == nil {
+			lines := strings.Count(string(body), "\n")
+			if len(body) > 0 && body[len(body)-1] != '\n' {
+				lines++
+			}
+			if len(got) != lines {
+				t.Fatalf("%d records from a text body of %d lines", len(got), lines)
+			}
+		}
+
+		var want []rec
+		var framed []byte
+		e.Reset()
+		for i, line := range strings.Split(string(body), "\x00") {
+			stamp := ts * int64(i+1) // may wrap: the delta coding must wrap back
+			e.Add(stamp, line)
+			if stamp == 0 {
+				stamp = 777 // a bare record, stamped at receive time
+			}
+			want = append(want, rec{stamp, line})
+			if len(line)%3 == 0 { // end a frame here
+				framed = e.AppendFrame(framed)
+				e.Reset()
+			}
+		}
+		framed = e.AppendFrame(framed)
+		if got, _, err := collect(framed, ContentType); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("encoded records walked back as %v, %v; want %v", got, err, want)
+		}
+	})
 }
 
 // endless is an infinite stream of newlines.
