@@ -50,18 +50,12 @@ import (
 // each snapshot, so steady-state snapshots rewrite only the head tier and
 // state.json.
 //
-// Format 3 is the layout above. Formats 1 and 2 (text store files, positions
-// as JSON objects; written by builds up to PR 19, never by this one) are
-// still read, for one more round: the store tells its files apart by name
-// and magic, PackedPositions reads the object arrays. ROADMAP item 3 dates
-// the removal.
+// Format 3 is the layout above, and the only one read: recovery refuses a
+// snapshot of any other format before it changes anything under the data
+// directory.
 
-// snapshotFormatVersion is the layout this build writes;
-// minSnapshotReadVersion..snapshotFormatVersion are accepted on recovery.
-const (
-	snapshotFormatVersion  = 3
-	minSnapshotReadVersion = 1
-)
+// snapshotFormatVersion is the layout this build writes and reads.
+const snapshotFormatVersion = 3
 
 // prevSuffix marks a completed snapshot that a newer one at the same cut is
 // about to replace; see publishSnapshot.
@@ -505,7 +499,9 @@ type RecoveryStats struct {
 // daemon primes them before recovering); the pipeline must not be serving
 // yet. After Recover, NewIngestor seeds its workers with the recovered
 // operator state, so the daemon continues exactly where the crashed
-// process stopped.
+// process stopped. A snapshot of another format, shard count or domain, or
+// one missing a file, is an error, returned before Recover has changed
+// anything under dataDir.
 func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 	start := time.Now()
 	var rs RecoveryStats
@@ -513,18 +509,14 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 	from := uint64(1)
 
 	dir, cut, haveSnap := latestSnapshot(SnapshotsDir(dataDir))
-	sweepSnapshotTemps(SnapshotsDir(dataDir))
-	// Sweep the segment cache against the snapshot actually being loaded
-	// before anything can seal: a crashed snapshot attempt may have left
-	// files whose ids the recovered counter will re-issue.
-	gcSegmentCache(SegmentsDir(dataDir), dir)
 	if haveSnap {
 		var m manifest
-		if err := readJSON(filepath.Join(dir, "MANIFEST.json"), &m); err != nil {
+		mpath := filepath.Join(dir, "MANIFEST.json")
+		if err := readJSON(mpath, &m); err != nil {
 			return rs, fmt.Errorf("core: recover: manifest: %w", err)
 		}
-		if m.Version < minSnapshotReadVersion || m.Version > snapshotFormatVersion {
-			return rs, fmt.Errorf("core: recover: snapshot format v%d, this build reads v%d–v%d", m.Version, minSnapshotReadVersion, snapshotFormatVersion)
+		if m.Version != snapshotFormatVersion {
+			return rs, fmt.Errorf("core: recover: %s: snapshot format %d, this build reads format %d only — to upgrade, start a build that reads format %d on this directory once, POST /snapshot, stop it, then start this build", mpath, m.Version, snapshotFormatVersion, m.Version)
 		}
 		if m.Shards != p.Store.NumShards() {
 			return rs, fmt.Errorf("core: recover: snapshot has %d shards, pipeline has %d — restart with -shards %d", m.Shards, p.Store.NumShards(), m.Shards)
@@ -565,6 +557,11 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 		from = m.ReplayFrom
 		rs.SnapshotLSN, rs.SnapshotTriples, rs.SnapshotAnchors = cut, t, a
 	}
+	// Only a directory this build accepts is swept, and before anything can
+	// seal: a crashed snapshot attempt may have left files whose ids the
+	// recovered counter will re-issue.
+	sweepSnapshotTemps(SnapshotsDir(dataDir))
+	gcSegmentCache(SegmentsDir(dataDir), dir)
 
 	tail, err := p.replayLog(dataDir, from, applied, &rs)
 	rs.ReplayFrom = from

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -17,223 +16,11 @@ import (
 	"github.com/datacron-project/datacron/internal/wal"
 )
 
-// oldDataDir is a -data-dir recorded with the build before snapshot format
-// 3 (PR 19): serial logged ingest of oldWorld with forecasting and synopses
-// on, a forced seal a fifth of the way in, a snapshot at LSN 604 — taken
-// while two rendezvous runs were open and every vessel's forecast history
-// was warm — and 511 more lines, in which both rendezvous are detected. Its
-// snapshot is format 2: text shard-NNN.nt/.anchors and seg-*.seg, positions
-// in state.json as indented JSON objects. (The shared segments/ cache, hard
-// links of the snapshot's own seg-*.seg, was left out.)
-const (
-	oldDataDir     = "testdata/datadir-pr19"
-	oldSnapshotCut = 604
-)
-
-func oldWorld() *synth.Scenario {
-	return synth.GenMaritime(synth.MaritimeConfig{
-		Seed: 2, Vessels: 8, Duration: 30 * time.Minute, Rendezvous: 2, Loiterers: 1,
-	})
-}
-
+// fullConfig is a pipeline with every stage that snapshots state on.
 var fullConfig = Config{
 	Domain:   model.Maritime,
 	Forecast: ForecastConfig{Enabled: true},
 	Synopses: SynopsesConfig{Enabled: true},
-}
-
-// copyTree copies the directory src to a fresh temporary directory.
-func copyTree(t testing.TB, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
-// wholeState renders everything a pipeline would snapshot beyond the store,
-// as the JSON the snapshot would hold.
-func wholeState(t testing.TB, p *Pipeline) string {
-	t.Helper()
-	st := pipelineState{
-		Counters: p.Stats.Snapshot(),
-		Front:    p.serial.export(),
-		Density:  p.Density.Counts,
-		Applied:  p.appliedSeed,
-	}
-	suite := p.Suite.ExportState()
-	fc := p.ForecastHub.exportState()
-	syn := p.SynopsisHub.exportState()
-	st.Suite, st.Forecast, st.Synopses = &suite, &fc, &syn
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
-// assertSamePipeline compares the store dump, the operator state and every
-// vessel's forecast.
-func assertSamePipeline(t *testing.T, what string, got, want *Pipeline, sc *synth.Scenario) {
-	t.Helper()
-	if g, w := exportNT(t, got), exportNT(t, want); !bytes.Equal(g, w) {
-		t.Errorf("%s: store dump differs (%d vs %d bytes)", what, len(g), len(w))
-	}
-	if g, w := wholeState(t, got), wholeState(t, want); g != w {
-		t.Errorf("%s: operator state differs (%d vs %d bytes of JSON)", what, len(g), len(w))
-	}
-	for _, e := range sc.Entities {
-		g, gerr := got.ForecastHub.Forecast(e.ID, 10*time.Minute)
-		w, werr := want.ForecastHub.Forecast(e.ID, 10*time.Minute)
-		if g != w || (gerr == nil) != (werr == nil) {
-			t.Errorf("%s: forecast of %s = %+v (%v), want %+v (%v)", what, e.ID, g, gerr, w, werr)
-		}
-	}
-}
-
-// TestOldSnapshotStillRecovers: a data directory written by the previous
-// build recovers to the state this build reaches by ingesting the same log —
-// at the cut, with the log's tail taken away, and after the tail.
-func TestOldSnapshotStillRecovers(t *testing.T) {
-	sc := oldWorld()
-	fresh := func() *Pipeline {
-		p := New(fullConfig)
-		p.InstallAreas(sc.Areas)
-		p.InstallEntities(sc.Entities)
-		return p
-	}
-	var m manifest
-	snapDir := filepath.Join(SnapshotsDir(oldDataDir), "snap-00000000000000000604")
-	if err := readJSON(filepath.Join(snapDir, "MANIFEST.json"), &m); err != nil || m.Version != 2 || m.CutLSN != oldSnapshotCut {
-		t.Fatalf("fixture manifest %+v (%v), want format 2 cut at %d", m, err, oldSnapshotCut)
-	}
-	for _, name := range []string{"shard-000.nt", "shard-000.anchors", "seg-0000000000000001.seg"} {
-		if _, err := os.Stat(filepath.Join(snapDir, name)); err != nil {
-			t.Fatalf("fixture is not a format-2 snapshot: %v", err)
-		}
-	}
-
-	// The log through this build, up to the cut and to its end.
-	atCut, atEnd := fresh(), fresh()
-	var logged int
-	_, err := wal.Scan(WALDir(oldDataDir), 1, func(r wal.Record) error {
-		logged++
-		tl := synth.TimedLine{TS: r.TS, Line: r.Line}
-		for _, p := range []*Pipeline{atCut, atEnd} {
-			if p == atEnd || r.LSN <= oldSnapshotCut {
-				p.IngestLine(tl)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The snapshot alone.
-	dir := copyTree(t, oldDataDir)
-	if err := os.RemoveAll(WALDir(dir)); err != nil {
-		t.Fatal(err)
-	}
-	p := fresh()
-	rs, err := p.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.SnapshotLSN != oldSnapshotCut || rs.SnapshotTriples == 0 || rs.SnapshotAnchors == 0 || rs.Replayed != 0 {
-		t.Fatalf("recovery of the snapshot alone: %+v", rs)
-	}
-	if got := p.Store.TierStats().Segments; got != m.Segments {
-		t.Errorf("%d sealed segments restored, the manifest names %d", got, m.Segments)
-	}
-	open := 0
-	for _, runs := range p.Suite.ExportState().Rendezvous {
-		open += len(runs)
-	}
-	if open != 2 || p.ForecastHub.Entities() != len(sc.Entities) {
-		t.Fatalf("fixture restored %d open rendezvous runs and %d warm entities, want 2 and %d", open, p.ForecastHub.Entities(), len(sc.Entities))
-	}
-	atCut.appliedSeed = p.appliedSeed // the offsets in a log this run did not write
-	assertSamePipeline(t, "at the cut", p, atCut, sc)
-
-	// The snapshot and the tail, in a directory whose segment cache holds
-	// the text files, as the recorded one's did.
-	dir = copyTree(t, oldDataDir)
-	segFiles, _ := filepath.Glob(filepath.Join(snapDir, "seg-*.seg"))
-	if err := os.MkdirAll(SegmentsDir(dir), 0o755); err != nil || len(segFiles) != m.Segments {
-		t.Fatalf("segment cache: %v, %d files", err, len(segFiles))
-	}
-	for _, f := range segFiles {
-		data, err := os.ReadFile(f)
-		if err == nil {
-			err = os.WriteFile(filepath.Join(SegmentsDir(dir), filepath.Base(f)), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	p = fresh()
-	rs, err = p.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.SnapshotLSN != oldSnapshotCut || int(rs.Replayed) != logged-oldSnapshotCut || rs.Events < 2 {
-		t.Fatalf("recovery: %+v, want the %d lines after the cut replayed and both rendezvous detected", rs, logged-oldSnapshotCut)
-	}
-	atEnd.appliedSeed = p.appliedSeed
-	assertSamePipeline(t, "after the tail", p, atEnd, sc)
-
-	// The first snapshot of this build leaves nothing of the old formats
-	// behind — the text segment files it could have hard-linked included.
-	info, err := p.WriteSnapshot(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Segments != m.Segments {
-		t.Fatalf("new snapshot references %d segments, want %d", info.Segments, m.Segments)
-	}
-	for _, root := range []string{info.Dir, SegmentsDir(dir)} {
-		ents, err := os.ReadDir(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			data, err := os.ReadFile(filepath.Join(root, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch ext := filepath.Ext(e.Name()); {
-			case ext == ".nt" || ext == ".anchors":
-				t.Errorf("%s: a text store file in a new snapshot", e.Name())
-			case (ext == ".seg" || ext == ".blk") && !bytes.HasPrefix(data, []byte("DATACRON-SEG v2\n")):
-				t.Errorf("%s: starts %q", e.Name(), data[:16])
-			}
-		}
-	}
-	if names := snapshotNames(t, dir); len(names) != 1 {
-		t.Errorf("snapshot root after the new snapshot: %v", names)
-	}
-	p2 := fresh()
-	if _, err := p2.Recover(dir); err != nil {
-		t.Fatal(err)
-	}
-	p2.appliedSeed = p.appliedSeed
-	assertSamePipeline(t, "from the rewritten snapshot", p2, p, sc)
 }
 
 // snapshotNames lists the snapshot root.

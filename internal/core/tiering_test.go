@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/store"
 	"github.com/datacron-project/datacron/internal/wal"
 )
@@ -167,11 +171,37 @@ func TestTieredDurableRecovery(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotRecovery checks the oldest layout still accepted: a flat
-// snapshot (the PR-3 layout: no segment lists, manifest version 1) recovers
-// as the zero-segment case, and sealing the flat-loaded store afterwards
-// preserves content. (The store files here are this build's; what the text
-// files of old builds load to is TestOldSnapshotStillRecovers' subject.)
+// treeListing renders every entry under dir as its path, its size and, for
+// a file, a hash of its content, in path order.
+func treeListing(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out = append(out, rel+"/")
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out = append(out, fmt.Sprintf("%s %d %x", rel, len(data), sha256.Sum256(data)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestV1SnapshotRecovery: recovery reads snapshot format 3 only. An older or
+// a newer format, another shard count and a lost segment list are each
+// refused with an error naming the cause — and before recovery changes
+// anything under the data directory, so that a refused directory is still
+// whole for the build or the flags that can open it. The directory holds a
+// sealed segment and a crashed snapshot attempt's temp directory, which an
+// accepted recovery sweeps.
 func TestV1SnapshotRecovery(t *testing.T) {
 	sc := durableWorld(t)
 	dataDir := t.TempDir()
@@ -180,9 +210,13 @@ func TestV1SnapshotRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := newPrimed(sc)
-	for _, tl := range sc.WireTimed {
+	lines := sc.WireTimed[:len(sc.WireTimed)/2]
+	for i, tl := range lines {
 		if _, err := p1.IngestLineLogged(log, tl); err != nil {
 			t.Fatal(err)
+		}
+		if i == len(lines)/2 {
+			p1.MaintainStore(nil, store.TierPolicy{}, true)
 		}
 	}
 	if err := log.Commit(); err != nil {
@@ -195,62 +229,101 @@ func TestV1SnapshotRecovery(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantNT := exportNT(t, p1)
-	wantSnap := p1.Stats.Snapshot()
-	wantQuery := runFixedQuery(t, p1)
 
-	// Downgrade the snapshot in place to the v1 layout. Nothing sealed, so
-	// the store files already are the flat ones; v1 had no segment lists
-	// and said version 1 in its manifest.
-	if info.Segments != 0 {
-		t.Fatalf("fixture snapshot references %d segments, want an unsealed store", info.Segments)
+	// The files the cases damage: the manifest, and a segment list that
+	// names a segment. Before each case they are as written, and a crashed
+	// snapshot attempt has left its temp directory.
+	mpath := filepath.Join(info.Dir, "MANIFEST.json")
+	var m manifest
+	if err := readJSON(mpath, &m); err != nil || m.Segments == 0 {
+		t.Fatalf("manifest %+v (%v), want one that references segments", m, err)
 	}
-	lists, err := filepath.Glob(filepath.Join(info.Dir, "shard-*.segments"))
-	if err != nil || len(lists) != p1.Store.NumShards() {
-		t.Fatalf("segment lists = %v (%v), want one per shard", lists, err)
+	var list string
+	lists, _ := filepath.Glob(filepath.Join(info.Dir, "shard-*.segments"))
+	for _, f := range lists {
+		if data, err := os.ReadFile(f); err == nil && len(data) > 0 {
+			list = f
+			break
+		}
 	}
-	for _, l := range lists {
-		if err := os.Remove(l); err != nil {
+	if list == "" {
+		t.Fatal("no shard links a segment")
+	}
+	written := map[string][]byte{}
+	for _, f := range []string{mpath, list} {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written[f] = data
+	}
+	stale := filepath.Join(SnapshotsDir(dataDir), ".tmp-1234567")
+	reset := func() {
+		for f, data := range written {
+			if err := os.WriteFile(f, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.MkdirAll(stale, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(stale, "shard-000.blk"), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var m manifest
-	if err := readJSON(filepath.Join(info.Dir, "MANIFEST.json"), &m); err != nil {
-		t.Fatal(err)
-	}
-	m.Version, m.Segments = 1, 0
-	if err := writeJSON(filepath.Join(info.Dir, "MANIFEST.json"), m); err != nil {
-		t.Fatal(err)
+	format := func(v int) func() {
+		return func() {
+			m2 := m
+			m2.Version = v
+			if err := writeJSON(mpath, m2); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
+	for _, tc := range []struct {
+		name   string
+		damage func()
+		shards int    // of the recovering pipeline; 0 is the default
+		want   string // what the error must name
+	}{
+		{"format 1", format(1), 0, "snapshot format 1,"},
+		{"format 2", format(2), 0, "snapshot format 2,"},
+		{"format 4", format(4), 0, "snapshot format 4,"},
+		{"another shard count", func() {}, 2 * m.Shards, fmt.Sprintf("-shards %d", m.Shards)},
+		{"a lost segment list", func() { os.Remove(list) }, 0, filepath.Base(list)},
+	} {
+		reset()
+		tc.damage()
+		before := treeListing(t, dataDir)
+		p := New(Config{Domain: model.Maritime, Shards: tc.shards})
+		_, err := p.Recover(dataDir)
+		switch {
+		case err == nil:
+			t.Errorf("%s: recovered, with %d of the %d sealed segments written", tc.name, p.Store.TierStats().Segments, m.Segments)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want one naming %q", tc.name, err, tc.want)
+		}
+		after := treeListing(t, dataDir)
+		gone := slices.DeleteFunc(slices.Clone(before), func(e string) bool { return slices.Contains(after, e) })
+		added := slices.DeleteFunc(after, func(e string) bool { return slices.Contains(before, e) })
+		if len(gone)+len(added) > 0 {
+			t.Errorf("%s: recovery changed the data directory: %q gone, %q new", tc.name, gone, added)
+		}
+	}
+
+	// The directory as written recovers, and the temp directory goes.
+	reset()
 	p2 := newPrimed(sc)
 	rs, err := p2.Recover(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.SnapshotLSN == 0 {
-		t.Fatal("v1 snapshot not loaded")
+	if rs.SnapshotLSN != info.CutLSN || p2.Stats.Snapshot() != p1.Stats.Snapshot() || !bytes.Equal(exportNT(t, p2), exportNT(t, p1)) {
+		t.Errorf("recovery of the undamaged directory: %+v, counters %+v, want %+v", rs, p2.Stats.Snapshot(), p1.Stats.Snapshot())
 	}
-	if got := p2.Stats.Snapshot(); got != wantSnap {
-		t.Errorf("v1-recovered counters = %+v, want %+v", got, wantSnap)
-	}
-	if got := exportNT(t, p2); !bytes.Equal(got, wantNT) {
-		t.Error("v1-recovered canonical dump differs")
-	}
-	if got := runFixedQuery(t, p2); got != wantQuery {
-		t.Error("v1-recovered query result differs")
-	}
-	// The flat-loaded store self-heals on its first seal: anchored data
-	// tiers into a segment, dimension residue migrates to the global tier,
-	// and content is unchanged.
-	if st := p2.MaintainStore(nil, store.TierPolicy{}, true); st.Sealed == 0 {
-		t.Fatal("seal after v1 load sealed nothing")
-	}
-	if got := exportNT(t, p2); !bytes.Equal(got, wantNT) {
-		t.Error("sealing the v1-loaded store changed content")
-	}
-	if got := runFixedQuery(t, p2); got != wantQuery {
-		t.Error("sealing the v1-loaded store changed query results")
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("recovery left the stale temp directory behind (%v)", err)
 	}
 }
 

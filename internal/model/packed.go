@@ -151,37 +151,25 @@ func PackPositions(pts []Position) PackedPositions {
 	return AppendPositions(make([]byte, 0, 40*len(pts)), pts)
 }
 
-// UnmarshalJSON reads the base64 string a PackedPositions marshals to. It
-// also reads what the same state fields held before they were packed
-// (snapshot format 2, read for one more round — ROADMAP item 3): an array of
-// Position objects, or a Trajectory object, whose points it packs.
+// UnmarshalJSON reads the base64 string a PackedPositions marshals to; null
+// reads as no positions, and any other JSON value is an error.
 func (pp *PackedPositions) UnmarshalJSON(data []byte) error {
-	var pts []Position
 	switch {
-	case len(data) > 0 && data[0] == '"':
-		// data is a valid JSON string. One without an escape — all that
-		// encoding/json writes base64 as — decodes in place; handing it back
-		// to encoding/json would scan its megabytes a second time.
-		if bytes.IndexByte(data, '\\') >= 0 {
-			return json.Unmarshal(data, (*[]byte)(pp))
-		}
-		raw, err := base64.StdEncoding.AppendDecode(nil, data[1:len(data)-1])
-		if err != nil {
-			return fmt.Errorf("model: packed positions: %w", err)
-		}
-		*pp = raw
+	case string(data) == "null":
+		*pp = nil
 		return nil
-	case len(data) > 0 && data[0] == '{':
-		var tr Trajectory
-		if err := json.Unmarshal(data, &tr); err != nil {
-			return err
-		}
-		pts = tr.Points
-	default: // an array, or null
-		if err := json.Unmarshal(data, &pts); err != nil {
-			return err
-		}
+	case len(data) == 0 || data[0] != '"':
+		return fmt.Errorf("model: packed positions: not a base64 string: %.20s", data)
+	case bytes.IndexByte(data, '\\') >= 0:
+		return json.Unmarshal(data, (*[]byte)(pp))
 	}
-	*pp = PackPositions(pts)
+	// data is a valid JSON string without an escape — all that encoding/json
+	// writes base64 as — so it decodes in place; handing it back to
+	// encoding/json would scan its megabytes a second time.
+	raw, err := base64.StdEncoding.AppendDecode(nil, data[1:len(data)-1])
+	if err != nil {
+		return fmt.Errorf("model: packed positions: %w", err)
+	}
+	*pp = raw
 	return nil
 }

@@ -121,24 +121,28 @@ func TestPackedPositionsShareTheEntityAndStaySmall(t *testing.T) {
 	}
 }
 
-// TestPackedPositionsReadOldState: the two shapes the packed fields had in
-// format-2 state.json — a history as an array of Position objects, a KNN
-// trajectory as a Trajectory object — unmarshal to the same positions.
+// TestPackedPositionsReadOldState: the packed fields of state.json are read
+// as packed base64 only. The two shapes they had before positions were
+// packed — a history as an array of Position objects, a KNN trajectory as a
+// Trajectory object — are errors, not positions.
 func TestPackedPositionsReadOldState(t *testing.T) {
 	pts := []Position{
 		{EntityID: "237000001", Domain: Maritime, TS: 1000, Pt: geo.Pt(24.4179, 36.66264833333334), SpeedMS: 0.4629996, CourseDeg: 300.4, Status: StatusAnchored},
 		{EntityID: "237000001", Domain: Maritime, TS: 11000, Pt: geo.Pt(24.418, 36.6627), SpeedMS: 0.1, CourseDeg: 12},
 	}
+	var packed PackedPositions
+	if err := json.Unmarshal(mustJSON(t, PackPositions(pts)), &packed); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodePositions(packed); err != nil || !sameBits(got, pts) {
+		t.Errorf("packed: read back %+v (%v)", got, err)
+	}
 	asArray, _ := json.MarshalIndent(pts, "", " ")
 	asTrajectory, _ := json.Marshal(&Trajectory{EntityID: "237000001", Domain: Maritime, Points: pts})
-	for name, data := range map[string][]byte{"array": asArray, "trajectory": asTrajectory, "packed": mustJSON(t, PackPositions(pts))} {
+	for name, data := range map[string][]byte{"array": asArray, "trajectory": asTrajectory} {
 		var pp PackedPositions
-		if err := json.Unmarshal(data, &pp); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := DecodePositions(pp)
-		if err != nil || !sameBits(got, pts) {
-			t.Errorf("%s: read back %+v (%v)", name, got, err)
+		if err := json.Unmarshal(data, &pp); err == nil {
+			t.Errorf("%s: accepted as %d packed bytes", name, len(pp))
 		}
 	}
 	var pp PackedPositions

@@ -41,13 +41,11 @@ import (
 // tiers serialise to equal bytes whatever the insertion order, the
 // dictionary state or the tier's in-memory form.
 //
-// Earlier builds wrote "DATACRON-SEG v1", N-Triples text. readBlock tells
-// the two apart by the magic and reads v1 through block_v1.go, which
-// ROADMAP item 3 dates for removal; nothing writes it.
+// v2 is the only format read: input with any other magic is not a block.
 
 const (
 	blockMagic = "DATACRON-SEG v2\n"
-	// maxTermBytes bounds one string of a term (and one line of v1 text).
+	// maxTermBytes bounds one string of a term.
 	maxTermBytes = 4 << 20
 )
 
@@ -337,7 +335,6 @@ type blockReader struct {
 	// interned holds the datatype and language strings seen, so that the
 	// terms of a block share them as the terms of live ingest do.
 	interned map[string]string
-	line     int // v1 text: 1-based number of the line last read
 }
 
 func newBlockReader(r io.Reader) *blockReader {
@@ -456,17 +453,15 @@ func (br *blockReader) intern(b []byte) string {
 	return s
 }
 
-// readBlock reads one block of either version, feeding its content to sink.
-// It returns io.EOF (bare) when the input ends cleanly before a block
-// starts. What sink has received of a block that then fails is to be
-// discarded: the checksum is the last thing read.
+// readBlock reads one block, feeding its content to sink. It returns io.EOF
+// (bare) when the input ends cleanly before a block starts. What sink has
+// received of a block that then fails is to be discarded: the checksum is
+// the last thing read.
 func (br *blockReader) readBlock(sink blockSink) (id uint64, err error) {
 	magic, err := br.r.Peek(len(blockMagic))
 	switch {
 	case len(magic) == 0 && err == io.EOF:
 		return 0, io.EOF
-	case string(magic) == blockMagicV1:
-		return br.readBlockV1(sink)
 	case string(magic) != blockMagic:
 		return 0, br.errorf("not a block: starts %q", magic)
 	}

@@ -16,14 +16,11 @@ import (
 )
 
 // updateGolden rewrites testdata/golden from the current writers. Only an
-// intentional format change should ever need it; testdata/golden-v1 is what
-// the writers of builds up to PR 19 produced for the same store, kept as
-// input for the readers and never rewritten.
+// intentional format change should ever need it.
 var updateGolden = flag.Bool("update", false, "rewrite internal/store/testdata/golden from the current writers")
 
 const (
 	goldenDir     = "testdata/golden"
-	goldenV1Dir   = "testdata/golden-v1"
 	goldenHandoff = "handoff.blocks"
 )
 
@@ -129,8 +126,7 @@ func assertSameStore(t *testing.T, what string, got, want *Sharded) {
 
 // TestGoldenBytes pins the serialised store state byte for byte: the writers
 // must produce exactly the recorded DATACRON-SEG v2 bytes, and the readers
-// must load both those and the v1 text recorded from the same store before
-// the format changed back to the source store.
+// must load those back to the source store.
 func TestGoldenBytes(t *testing.T) {
 	src := goldenStore(t)
 	got := serialiseAll(t, src)
@@ -187,35 +183,32 @@ func TestGoldenBytes(t *testing.T) {
 		t.Fatalf("goldens cover %d segment files and %d non-empty heads; want both", segFiles, headBlocks)
 	}
 
-	// Readers, over both recorded formats: the snapshot directory loads to
-	// the source store, and the handoff stream carries every anchored
-	// fragment (the global tier is not shipped, so the target learns the
-	// entity itself).
-	for _, dir := range []string{goldenDir, goldenV1Dir} {
-		fromSnap := emptyGoldenTwin()
-		if _, _, err := fromSnap.LoadSnapshot(dir); err != nil {
-			t.Fatalf("LoadSnapshot(%s): %v", dir, err)
-		}
-		assertSameStore(t, "LoadSnapshot("+dir+")", fromSnap, src)
-		if g, w := fromSnap.TierStats(), src.TierStats(); g.Segments != w.Segments || g.HeadTriples != w.HeadTriples+w.GlobalTriples {
-			// An unprimed load leaves the global tier's triples in the head.
-			t.Errorf("LoadSnapshot(%s): tiers %+v, want those of %+v", dir, g, w)
-		}
-
-		hf, err := os.Open(filepath.Join(dir, goldenHandoff))
-		if err != nil {
-			t.Fatal(err)
-		}
-		frags, err := ReadHandoff(hf, func(string) bool { return true })
-		hf.Close()
-		if err != nil {
-			t.Fatalf("ReadHandoff(%s): %v", dir, err)
-		}
-		fromHandoff := emptyGoldenTwin()
-		fromHandoff.AddEntity(goldenEntity)
-		if installed, skipped := fromHandoff.InstallHandoff(frags); installed != goldenAnchors || skipped != 0 {
-			t.Errorf("InstallHandoff(%s) = (%d, %d), want (%d, 0)", dir, installed, skipped, goldenAnchors)
-		}
-		assertSameStore(t, "ReadHandoff("+dir+")", fromHandoff, src)
+	// Readers: the snapshot directory loads to the source store, and the
+	// handoff stream carries every anchored fragment (the global tier is not
+	// shipped, so the target learns the entity itself).
+	fromSnap := emptyGoldenTwin()
+	if _, _, err := fromSnap.LoadSnapshot(goldenDir); err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
 	}
+	assertSameStore(t, "LoadSnapshot", fromSnap, src)
+	if g, w := fromSnap.TierStats(), src.TierStats(); g.Segments != w.Segments || g.HeadTriples != w.HeadTriples+w.GlobalTriples {
+		// An unprimed load leaves the global tier's triples in the head.
+		t.Errorf("LoadSnapshot: tiers %+v, want those of %+v", g, w)
+	}
+
+	hf, err := os.Open(filepath.Join(goldenDir, goldenHandoff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags, err := ReadHandoff(hf, func(string) bool { return true })
+	hf.Close()
+	if err != nil {
+		t.Fatalf("ReadHandoff: %v", err)
+	}
+	fromHandoff := emptyGoldenTwin()
+	fromHandoff.AddEntity(goldenEntity)
+	if installed, skipped := fromHandoff.InstallHandoff(frags); installed != goldenAnchors || skipped != 0 {
+		t.Errorf("InstallHandoff = (%d, %d), want (%d, 0)", installed, skipped, goldenAnchors)
+	}
+	assertSameStore(t, "ReadHandoff", fromHandoff, src)
 }

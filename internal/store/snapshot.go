@@ -27,12 +27,8 @@ import (
 // decides which tier goes into which file. Segment files are immutable: they
 // are written once into a shared cache directory and hard-linked into every
 // snapshot that references them, so steady-state snapshots rewrite only the
-// small head files.
-//
-// Builds up to PR 19 wrote the mutable tiers as an unframed text pair,
-// shard-NNN.nt and shard-NNN.anchors. loadShard reads such a directory —
-// told by the absence of shard-NNN.blk — through loadShardV1, for one more
-// round (ROADMAP item 3).
+// small head files. Both per-shard files are required: a directory missing
+// either is refused, never loaded as a shard with fewer tiers.
 
 // shardFile names a per-shard snapshot file.
 func shardFile(dir string, i int, ext string) string {
@@ -79,7 +75,7 @@ func writeShard(bw *blockWriter, dir, segCache string, i int, sh *Shard) (segmen
 	for _, seg := range sh.segs {
 		name := segFileName(seg.id)
 		cached := filepath.Join(segCache, name)
-		if !holdsCurrentBlock(cached) {
+		if _, err := os.Stat(cached); err != nil {
 			if err := writeSegmentFile(bw, cached, seg); err != nil {
 				return 0, err
 			}
@@ -117,22 +113,6 @@ func writeFile(path string, body func(*bufio.Writer) error) error {
 		err = cerr
 	}
 	return err
-}
-
-// holdsCurrentBlock reports whether path exists and starts like a block of
-// the version this build writes. A segment file an earlier build cached as
-// text is written again by the first snapshot after the upgrade (the old
-// snapshot keeps its own link until it is pruned), so that no data directory
-// needs the v1 reader for longer than that.
-func holdsCurrentBlock(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	magic := make([]byte, len(blockMagic))
-	_, err = io.ReadFull(f, magic)
-	return err == nil && string(magic) == blockMagic
 }
 
 // writeSegmentFile atomically writes one sealed segment as one block.
@@ -224,14 +204,14 @@ func linkOrCopy(src, dst string) error {
 	return out.Close()
 }
 
-// LoadSnapshot restores shard contents written by WriteSnapshotTiered (by
-// this build or an earlier one) into this store, which must have the same
-// shard count (the core manifest checks that before calling). Existing shard
-// contents are kept — triples already present in a shard's global tier (e.g.
-// from priming the world before recovery) are skipped rather than duplicated
-// — and the spatiotemporal index entries are appended in file order. Sealed
-// segments are restored as sealed segments, and the segment-id counter
-// advances past every loaded id.
+// LoadSnapshot restores shard contents written by WriteSnapshotTiered into
+// this store, which must have the same shard count (the core manifest checks
+// that before calling). Existing shard contents are kept — triples already
+// present in a shard's global tier (e.g. from priming the world before
+// recovery) are skipped rather than duplicated — and the spatiotemporal index
+// entries are appended in file order. Sealed segments are restored as sealed
+// segments, and the segment-id counter advances past every loaded id. A
+// missing or damaged file is an error naming the shard and the file.
 func (s *Sharded) LoadSnapshot(dir string) (triples, anchors int, err error) {
 	for i, sh := range s.shards {
 		t, a, err := s.loadShard(dir, i, sh)
@@ -248,9 +228,10 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	// Sealed segments first; a directory without a list has none.
+	// Sealed segments first. The list is always written, if empty; a lost
+	// one would load as a shard without its sealed history.
 	list, err := os.ReadFile(shardFile(dir, i, "segments"))
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil {
 		return 0, 0, err
 	}
 	for _, name := range strings.Fields(string(list)) {
@@ -283,9 +264,6 @@ func (s *Sharded) loadShard(dir string, i int, sh *Shard) (triples, anchors int,
 // readShardBlock feeds shard i's mutable-tier block in dir to sink.
 func readShardBlock(dir string, i int, sink blockSink) error {
 	f, err := os.Open(shardFile(dir, i, "blk"))
-	if os.IsNotExist(err) {
-		return loadShardV1(dir, i, sink)
-	}
 	if err != nil {
 		return err
 	}
@@ -304,30 +282,6 @@ func holds(g rdf.Graph, t rdf.Triple) bool {
 	found := false
 	g.FindID(t.S, t.P, t.O, func(rdf.Triple) bool { found = true; return false })
 	return found
-}
-
-// loadShardV1 reads the mutable tiers of a format-2 snapshot directory: the
-// unframed shard-NNN.nt / shard-NNN.anchors text pair.
-func loadShardV1(dir string, i int, sink blockSink) error {
-	vt := newV1Terms(sink)
-	for _, part := range []struct {
-		ext  string
-		read func(*blockReader) error
-	}{
-		{"nt", func(br *blockReader) error { return br.readTriplesV1(untilEOF, vt) }},
-		{"anchors", func(br *blockReader) error { return br.readAnchorsV1(untilEOF, vt) }},
-	} {
-		f, err := os.Open(shardFile(dir, i, part.ext))
-		if err != nil {
-			return err
-		}
-		err = part.read(newBlockReader(f))
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", part.ext, err)
-		}
-	}
-	return nil
 }
 
 // SegmentFiles returns the file names of every sealed segment currently

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -64,8 +65,9 @@ func TestSealPreservesContent(t *testing.T) {
 }
 
 func TestSealMigratesDimensionResidue(t *testing.T) {
-	// A head holding dimension triples (the flat v1 reload shape) must not
-	// sand them into a retainable segment: they migrate to the global tier.
+	// A head holding dimension triples (what a snapshot loaded into an
+	// unprimed store leaves) must not sand them into a retainable segment:
+	// they migrate to the global tier.
 	box := geo.NewBBox(20, 35, 28, 40)
 	s := NewSharded(partition.NewHash(2), box)
 	for i := 0; i < 10; i++ {
@@ -73,7 +75,7 @@ func TestSealMigratesDimensionResidue(t *testing.T) {
 			EntityID: "V1", TS: int64(i * 1000), Pt: geo.Pt(21, 36), SpeedMS: float64(i),
 		})
 	}
-	// Force dimension triples into the head the way a v1 load does.
+	// Force dimension triples into the head the way an unprimed load does.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.head.AddBatch(onto.EntityTriples(model.Entity{ID: "V1", Name: "RESIDUE", Type: "CARGO"}))
@@ -231,46 +233,70 @@ func TestTieredSnapshotRoundTripAndReuse(t *testing.T) {
 	}
 }
 
-// writeFlatV1 writes src, which must hold no sealed segment, in the flat v1
-// layout of earlier builds: the tiered layout of an unsealed store is that
-// layout plus an empty segment list per shard, so dropping the lists is the
-// whole downgrade.
-func writeFlatV1(t *testing.T, src *Sharded, dir string) {
-	t.Helper()
-	if n, err := src.WriteSnapshotTiered(dir, t.TempDir()); err != nil || n != 0 {
-		t.Fatalf("WriteSnapshotTiered = (%d segments, %v), want an unsealed store", n, err)
+// TestDamagedSnapshotIsRefused: every per-shard file of a snapshot is
+// required. A lost mutable-tier block, a lost segment list or a cut-short
+// segment file fails the load with an error naming the shard and the file —
+// never a load that quietly holds less than was written.
+func TestDamagedSnapshotIsRefused(t *testing.T) {
+	// Four vessels over two shards, each shard with a sealed segment and a
+	// head.
+	src := NewSharded(partition.NewHash(2), box)
+	report := func(i int) {
+		src.AddPositionRecord(posAt(fmt.Sprintf("V%d", i%4), 23+float64(i)*0.01, 37.5, int64(1000*i)))
 	}
-	for i := 0; i < src.NumShards(); i++ {
-		if err := os.Remove(shardFile(dir, i, "segments")); err != nil {
+	for i := 0; i < 40; i++ {
+		report(i)
+	}
+	src.Maintain(TierPolicy{}, true)
+	for i := 40; i < 48; i++ {
+		report(i)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string) (file string)
+	}{
+		{"removed block", func(dir string) string {
+			return remove(t, shardFile(dir, 1, "blk"))
+		}},
+		{"removed segment list", func(dir string) string {
+			return remove(t, shardFile(dir, 1, "segments"))
+		}},
+		{"truncated segment file", func(dir string) string {
+			list, err := os.ReadFile(shardFile(dir, 1, "segments"))
+			names := strings.Fields(string(list))
+			if err != nil || len(names) == 0 {
+				t.Fatalf("shard 1 links no segment (%v)", err)
+			}
+			path := filepath.Join(dir, names[0])
+			fi, err := os.Stat(path)
+			if err == nil {
+				err = os.Truncate(path, fi.Size()/2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return names[0]
+		}},
+	} {
+		dir := t.TempDir()
+		if _, err := src.WriteSnapshotTiered(dir, t.TempDir()); err != nil {
 			t.Fatal(err)
+		}
+		file := tc.damage(dir)
+		_, _, err := NewSharded(partition.NewHash(2), box).LoadSnapshot(dir)
+		if err == nil || !strings.Contains(err.Error(), "shard 1:") || !strings.Contains(err.Error(), file) {
+			t.Errorf("%s: LoadSnapshot = %v, want an error naming shard 1 and %s", tc.name, err, file)
 		}
 	}
 }
 
-func TestFlatSnapshotStillLoads(t *testing.T) {
-	// v1 compatibility: a flat snapshot (no .segments files) loads into the
-	// head tier and the first seal re-tiers it.
-	src := buildTestStore(t)
-	dir := t.TempDir()
-	writeFlatV1(t, src, dir)
-	box := geo.BBox{MinLon: 20, MinLat: 35, MaxLon: 28, MaxLat: 40}
-	dst := NewSharded(partition.NewHilbert(box, 5, 4), box)
-	if _, _, err := dst.LoadSnapshot(dir); err != nil {
+// remove deletes path and returns its base name.
+func remove(t *testing.T, path string) string {
+	t.Helper()
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := exportString(t, dst), exportString(t, src); got != want {
-		t.Error("flat round trip changed content")
-	}
-	if st := dst.TierStats(); st.Segments != 0 || st.HeadTriples == 0 {
-		t.Errorf("flat load tiers = %+v, want everything in the head", st)
-	}
-	dst.Maintain(TierPolicy{}, true)
-	if got, want := exportString(t, dst), exportString(t, src); got != want {
-		t.Error("sealing a flat-loaded store changed content")
-	}
-	if st := dst.TierStats(); st.Segments == 0 || st.HeadTriples != 0 {
-		t.Errorf("tiers after first seal = %+v, want the head re-tiered into segments", st)
-	}
+	return filepath.Base(path)
 }
 
 func TestSegmentPruningInViews(t *testing.T) {
