@@ -71,7 +71,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	var partials [][][]string
 	var vars []string
-	shards, pruned := 0, 0
+	shards := 0
 	header := clientHeader(r)
 	header[server.PartialQueryHeader] = "1"
 	header[idempotencyKey] = header[obs.RequestIDHeader] // read-only: safe to replay
@@ -80,7 +80,6 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 			vars = pqr.Vars
 			partials = append(partials, pqr.Rows)
 			shards += pqr.ShardsVisited
-			pruned += pqr.SegmentsPruned
 		})
 	if failed != nil {
 		writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "no cluster node reachable: " + peerFailure(*failed)})
@@ -91,7 +90,7 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()})
 		return
 	}
-	res.ShardsVisited, res.SegmentsPruned, res.Elapsed = shards, pruned, time.Since(start)
+	res.ShardsVisited, res.Elapsed = shards, time.Since(start)
 	resp := server.NewQueryResponse(res)
 	if resp.Partial = partial; partial {
 		n.scatterPartials.Add(1)

@@ -16,7 +16,8 @@ import (
 // sustained ingest, sealing bounds the mutable head and a retention window
 // bounds the total triple count and heap — the memory plateau that lets a
 // datacron-serve run forever — while spatiotemporally-bounded queries stay
-// fast because segment statistics prune sealed history.
+// fast because the planner starts from the bounded pattern, which each
+// sealed segment answers by binary search on its numeric column.
 func E13Tiering(quick bool) *Table {
 	vessels, dur, sealN := 40, 6*time.Hour, 10_000
 	if quick {
@@ -29,7 +30,7 @@ func E13Tiering(quick bool) *Table {
 	t := &Table{
 		ID:     "E13",
 		Title:  "tiered shards: sustained-ingest memory plateau and query latency vs seal/retention policy",
-		Header: []string{"policy", "triples", "head", "sealed", "segments", "dropped", "heap MB", "window query", "pruned segs"},
+		Header: []string{"policy", "triples", "head", "sealed", "segments", "dropped", "heap MB", "window query"},
 		Notes:  fmt.Sprintf("%d wire lines over %v of stream time; maintenance every 4096 lines; query = 30-min window at stream end", len(sc.WireTimed), dur),
 	}
 
@@ -64,7 +65,8 @@ func E13Tiering(quick bool) *Table {
 		runtime.ReadMemStats(&ms)
 
 		// A spatiotemporally-bounded query over the last 30 minutes of
-		// stream time: segment pruning should keep it flat as history grows.
+		// stream time: the numeric pushdown should keep it flat as history
+		// grows.
 		end := p.Store.MaxAnchorTS()
 		q := query.MustParse(fmt.Sprintf(`SELECT ?n ?t WHERE {
 			?n rdf:type dat:SemanticNode .
@@ -73,15 +75,13 @@ func E13Tiering(quick bool) *Table {
 		}`, end-30*time.Minute.Milliseconds(), end))
 		runs := 5
 		var el time.Duration
-		pruned := 0
 		for r := 0; r < runs; r++ {
 			res, err := p.Engine.Run(q)
 			if err != nil {
-				t.AddRow(pc.name, "-", "-", "-", "-", "-", "-", err.Error(), "-")
+				t.AddRow(pc.name, "-", "-", "-", "-", "-", "-", err.Error())
 				continue
 			}
 			el += res.Elapsed
-			pruned = res.SegmentsPruned
 		}
 		t.AddRow(pc.name,
 			itoa(p.Store.Len()),
@@ -91,7 +91,6 @@ func E13Tiering(quick bool) *Table {
 			itoa(int(tiers.TriplesDropped)),
 			f1(float64(ms.HeapAlloc)/(1<<20)),
 			(el / time.Duration(runs)).Round(time.Microsecond).String(),
-			itoa(pruned),
 		)
 	}
 	return t

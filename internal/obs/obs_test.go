@@ -191,7 +191,7 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 		t.Fatal("1ms must not fire a 10ms threshold")
 	}
 	for i := 0; i < 6; i++ {
-		if !l.Observe(SlowQuery{Query: "slow", DurationUS: 50_000, Rows: i, ShardsVisited: 3, ShardsPruned: 1, SegmentsPruned: 2,
+		if !l.Observe(SlowQuery{Query: "slow", DurationUS: 50_000, Rows: i, ShardsVisited: 3, ShardsPruned: 1,
 			Plan: []PlanStage{{Op: "scan", Detail: "shards=3/4", Rows: 9, US: 41}, {Op: "limit", Detail: "n=5", Rows: 5}}}) {
 			t.Fatal("50ms must fire a 10ms threshold")
 		}
@@ -207,7 +207,7 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 	if snap.Entries[0].Rows != 2 || snap.Entries[3].Rows != 5 {
 		t.Fatalf("ring order wrong: %+v", snap.Entries)
 	}
-	if snap.Entries[0].ShardsPruned != 1 || snap.Entries[0].SegmentsPruned != 2 {
+	if snap.Entries[0].ShardsPruned != 1 {
 		t.Fatal("plan facts must ride along")
 	}
 	if !strings.Contains(logBuf.String(), `"msg":"slow query"`) {

@@ -43,8 +43,7 @@ func FormatPlanStages(stages []PlanStage) string {
 
 // SlowQuery is one slow-query log entry: the query together with the plan
 // facts that explain where the time went — how many shards the planner
-// visited vs pruned, how many sealed segments were pruned inside them, and
-// what the query returned.
+// visited vs pruned, and what the query returned.
 type SlowQuery struct {
 	// UnixMS is when the query finished.
 	UnixMS int64 `json:"unixMs"`
@@ -60,8 +59,6 @@ type SlowQuery struct {
 	// partitioner's bounds let the planner skip them.
 	ShardsVisited int `json:"shardsVisited"`
 	ShardsPruned  int `json:"shardsPruned"`
-	// SegmentsPruned counts sealed segments skipped inside visited shards.
-	SegmentsPruned int `json:"segmentsPruned"`
 	// Plan is the executed physical operator chain with per-stage output
 	// cardinalities, execution order (scan first).
 	Plan []PlanStage `json:"plan,omitempty"`
@@ -147,7 +144,6 @@ func (l *SlowLog) Observe(q SlowQuery) bool {
 		slog.Int("rows", q.Rows),
 		slog.Int("shardsVisited", q.ShardsVisited),
 		slog.Int("shardsPruned", q.ShardsPruned),
-		slog.Int("segmentsPruned", q.SegmentsPruned),
 		slog.Bool("cacheHit", q.CacheHit),
 		slog.String("plan", strings.TrimRight(strings.ReplaceAll(FormatPlanStages(q.Plan), "\n", " "), " ")),
 		slog.String("query", q.Query),

@@ -22,6 +22,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -415,11 +416,17 @@ func (q *Query) SpatialBounds() (geo.BBox, bool) {
 			box = box.Intersection(ff.Box)
 			found = true
 		case DWithinFilter:
-			// Conservative degree buffer for the circle.
-			degLat := ff.DistM / 111_000
-			degLon := degLat * 2 // generous at mid latitudes
-			b := geo.NewBBox(ff.Center.Lon-degLon, ff.Center.Lat-degLat, ff.Center.Lon+degLon, ff.Center.Lat+degLat)
-			box = box.Intersection(b)
+			// A degree of latitude spans at least 111 km, and a degree of
+			// longitude cos φ as much at latitude φ: at least
+			// cos(|lat|+degLat) as much wherever the circle reaches. One
+			// reaching a pole or crossing the antimeridian spans every
+			// longitude (360° is clamped to the world box).
+			c, degLat := ff.Center, ff.DistM/111_000
+			degLon := degLat / math.Cos(geo.Radians(math.Abs(c.Lat)+degLat))
+			if math.Abs(c.Lat)+degLat >= 90 || math.Abs(c.Lon)+degLon > 180 {
+				degLon = 360
+			}
+			box = box.Intersection(geo.NewBBox(c.Lon-degLon, c.Lat-degLat, c.Lon+degLon, c.Lat+degLat))
 			found = true
 		}
 	}

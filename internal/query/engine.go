@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/rdf"
 	"github.com/datacron-project/datacron/internal/store"
@@ -15,11 +14,12 @@ import (
 
 // Engine evaluates queries over a sharded store: the query is compiled onto
 // slots once (eval.go), each shard orders the patterns greedily by bound
-// positions with its own predicate cardinalities as the tiebreak, the
-// spatial and temporal FILTER bounds pick candidate shards via the
-// partitioner and prune whole sealed segments inside them, candidate shards
-// are evaluated independently in parallel (global triples are replicated, so
-// no evaluation crosses shards), and rows merge with set semantics (merge.go).
+// positions with its own cardinality estimates as the tiebreak, the spatial
+// and temporal FILTER bounds pick candidate shards via the partitioner and
+// narrow the scan of the pattern that binds the bounded variable (numeric
+// pushdown), candidate shards are evaluated independently in parallel
+// (global triples are replicated, so no evaluation crosses shards), and rows
+// merge with set semantics (merge.go).
 type Engine struct {
 	st *store.Sharded
 	// Parallelism bounds concurrent shard evaluations; 0 means the number
@@ -47,12 +47,8 @@ type Result struct {
 	Vars          []string
 	Rows          [][]rdf.Term
 	ShardsVisited int
-	// SegmentsPruned counts sealed segments skipped across the visited
-	// shards because their anchor time range or bounding box cannot
-	// intersect the query's FILTER bounds.
-	SegmentsPruned int
-	Elapsed        time.Duration
-	Plan           PlanFacts
+	Elapsed       time.Duration
+	Plan          PlanFacts
 }
 
 // Execute parses (through the plan cache) and runs a query string.
@@ -71,8 +67,7 @@ func (e *Engine) Run(q *Query) (*Result, error) { return e.run(q, false) }
 // the -explain rendering (per-stage Rows stays -1).
 func (e *Engine) Explain(q *Query) []obs.PlanStage {
 	steps, _ := finalSteps(q)
-	candidates, _ := e.candidates(q)
-	stages := []obs.PlanStage{e.scanStage(q, len(candidates), 0, -1, time.Time{})}
+	stages := []obs.PlanStage{e.scanStage(q, len(e.candidates(q)), -1, time.Time{})}
 	for _, st := range steps {
 		stages = append(stages, st.PlanStage)
 	}
@@ -85,38 +80,35 @@ func (e *Engine) Explain(q *Query) []obs.PlanStage {
 func (e *Engine) run(q *Query, cacheHit bool) (*Result, error) {
 	start := time.Now()
 	steps, ordered := finalSteps(q)
-	rel, visited, pruned := e.scan(q, ordered)
-	stages, err := execSteps(&rel, steps, e.scanStage(q, visited, pruned, rel.n, start))
+	rel, visited := e.scan(q, ordered)
+	stages, err := execSteps(&rel, steps, e.scanStage(q, visited, rel.n, start))
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		Vars:           rel.cols,
-		Rows:           rel.terms(),
-		ShardsVisited:  visited,
-		SegmentsPruned: pruned,
-		Elapsed:        time.Since(start),
-		Plan:           PlanFacts{Stages: stages, CacheHit: cacheHit},
+		Vars:          rel.cols,
+		Rows:          rel.terms(),
+		ShardsVisited: visited,
+		Elapsed:       time.Since(start),
+		Plan:          PlanFacts{Stages: stages, CacheHit: cacheHit},
 	}, nil
 }
 
 // candidates returns the shard indexes the spatiotemporal filter bounds leave
-// to evaluate, and the bounds: they prune sealed segments inside each.
-func (e *Engine) candidates(q *Query) ([]int, store.ViewBounds) {
+// to evaluate. Inside a shard every tier is read: the bounds narrow only the
+// scan of the pattern that binds the bounded variable (scanPattern), since a
+// join may reach from an in-bounds fragment into any tier.
+func (e *Engine) candidates(q *Query) []int {
 	box, hasBox := q.SpatialBounds()
 	from, to, hasTime := q.TimeBounds()
-	vb := store.ViewBounds{Box: box, HasBox: hasBox, From: from, To: to, HasTime: hasTime}
 	if !hasBox && !hasTime {
 		out := make([]int, e.st.NumShards())
 		for i := range out {
 			out[i] = i
 		}
-		return out, vb
+		return out
 	}
-	if !hasBox {
-		box = geo.NewBBox(-180, -90, 180, 90)
-	}
-	return e.st.Partitioner().Candidates(box, from, to), vb
+	return e.st.Partitioner().Candidates(box, from, to) // the world box, or an open window, where unbounded
 }
 
 // numBound is the closed numeric candidate interval for one variable,
@@ -174,14 +166,14 @@ func numericBounds(filters []slotFilter, width int) []*numBound {
 }
 
 // scanPattern streams the triples of one tier of a shard matching (s, p, o)
-// to fn. With no bound on the object variable it is exactly Graph.FindID.
-// With one, sealed segments answer from their value-sorted numeric column —
-// a binary-search range scan instead of a walk over every triple of the
-// predicate, which skips exactly the non-numeric and NaN objects the bound's
-// filters reject. The mutable head and the global store keep the callback
-// path: their triples are few and carry no sealed columns.
+// to fn. With no pushed-down interval (compiled.pushdown) it is exactly
+// Graph.FindID. With one, sealed segments answer from their value-sorted
+// numeric column — a binary-search range scan instead of a walk over every
+// triple of the predicate, which skips exactly the non-numeric and NaN
+// objects the bound's filters reject. The mutable head and the global store
+// keep the callback path: their triples are few and carry no sealed columns.
 func scanPattern(g rdf.Graph, s, p, o rdf.ID, ob *numBound, fn func(rdf.Triple) bool) {
-	if seg, ok := g.(*rdf.Segment); ok && ob != nil && s == rdf.Wildcard && p != rdf.Wildcard {
+	if seg, ok := g.(*rdf.Segment); ok && ob != nil {
 		seg.NumericRange(p, ob.Lo, ob.Hi, fn)
 		return
 	}

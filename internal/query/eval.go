@@ -68,11 +68,11 @@ func compile(q *Query, cols []string, dict *rdf.Dictionary) *compiled {
 
 // order picks a shard's pattern order greedily: repeatedly the pattern with
 // the most positions that are constants or already-bound variables (a bound
-// variable counts once more: connected patterns avoid Cartesian blowup),
-// ties to the smaller cardinality estimate from the graph's per-tier
-// statistics — the predicate's triple count, the graph's size under a
-// variable predicate; with g == nil the heuristic is purely structural.
-func (c *compiled) order(g rdf.Graph) []int {
+// variable counts once more: connected patterns avoid Cartesian blowup, and
+// an object the numeric pushdown serves counts as a constant), ties to the
+// smaller estimate of the pattern's scan over the shard's tiers; over an
+// empty view the heuristic is purely structural.
+func (c *compiled) order(v *rdf.View) []int {
 	bound := make([]bool, c.width)
 	plan := make([]int, 0, len(c.pats))
 	for len(plan) < len(c.pats) {
@@ -81,19 +81,15 @@ func (c *compiled) order(g rdf.Graph) []int {
 			if slices.Contains(plan, i) {
 				continue
 			}
-			score, card := 0, 0
-			for _, ref := range pat {
+			ob := c.pushdown(pat, bound)
+			score, card := 0, estimate(v, pat, ob)
+			for j, ref := range pat {
 				switch {
-				case ref.slot < 0:
+				case ref.slot < 0, j == 2 && ob != nil:
 					score += 2
 				case bound[ref.slot]:
 					score += 3
 				}
-			}
-			if p := pat[1]; g != nil && p.slot < 0 {
-				card = g.PredCard(p.id)
-			} else if g != nil {
-				card = g.Len()
 			}
 			if score > bestScore || (score == bestScore && card < bestCard) {
 				best, bestScore, bestCard = i, score, card
@@ -107,6 +103,39 @@ func (c *compiled) order(g rdf.Graph) []int {
 		}
 	}
 	return plan
+}
+
+// pushdown returns the numeric interval a scan of pat pushes into sealed
+// segments while the slots in bound are bound, or nil. It is the object's
+// interval when the object is an unbound variable under a constant
+// predicate and an unbound subject: the pattern then binds the bounded
+// variable, and a segment's numeric column holds exactly its candidates.
+func (c *compiled) pushdown(pat [3]slotRef, bound []bool) *numBound {
+	s, p, o := pat[0], pat[1], pat[2]
+	if p.slot >= 0 || s.slot < 0 || bound[s.slot] || o.slot < 0 || bound[o.slot] {
+		return nil
+	}
+	return c.bounds[o.slot]
+}
+
+// estimate is the planner's cardinality estimate of a scan of pat over v:
+// under a pushed-down interval ob, the in-range count of each sealed
+// segment's numeric column (two binary searches) plus the predicate's count
+// in the head and global tiers, which scan it whole; under a constant object
+// its (P, O) run; else the predicate's count, or the view's size under a
+// variable predicate.
+func estimate(v *rdf.View, pat [3]slotRef, ob *numBound) (n int) {
+	if pat[1].slot >= 0 {
+		return v.Len()
+	}
+	for _, part := range v.Parts() {
+		if seg, ok := part.(*rdf.Segment); ok && ob != nil {
+			n += seg.NumericCount(pat[1].id, ob.Lo, ob.Hi)
+		} else {
+			n += part.PredCard(pat[1].id, pat[2].id) // a variable's id is rdf.Wildcard
+		}
+	}
+	return n
 }
 
 // evalShard joins the patterns over one shard's tiers — in an order chosen
@@ -147,12 +176,7 @@ func (c *compiled) evalShard(v *rdf.View) (out []rdf.ID, matches int) {
 		eqSP := bind[0] >= 0 && bind[0] == bind[1]
 		eqSO := bind[0] >= 0 && bind[0] == bind[2]
 		eqPO := bind[1] >= 0 && bind[1] == bind[2]
-		// Push the object variable's numeric interval into the scan while
-		// the slot is still unbound.
-		var ob *numBound
-		if bind[2] >= 0 {
-			ob = c.bounds[bind[2]]
-		}
+		ob := c.pushdown(c.pats[pi], bound)
 		var from []rdf.ID
 		emit := func(t rdf.Triple) bool {
 			if eqSP && t.S != t.P || eqSO && t.S != t.O || eqPO && t.P != t.O {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -143,11 +144,10 @@ func joinOrDash(ss []string) string {
 }
 
 // scanStage renders the scan's plan facts; rows < 0 is the unexecuted form.
-func (e *Engine) scanStage(q *Query, visited, pruned, rows int, start time.Time) obs.PlanStage {
+func (e *Engine) scanStage(q *Query, visited, rows int, start time.Time) obs.PlanStage {
 	st := obs.PlanStage{Op: "scan", Rows: rows, Detail: fmt.Sprintf("patterns=%d filters=%d shards=%d/%d",
 		len(q.Patterns), len(q.Filters), visited, e.st.NumShards())}
 	if rows >= 0 {
-		st.Detail += fmt.Sprintf(" segments_pruned=%d", pruned)
 		st.US = time.Since(start).Microseconds()
 	}
 	return st
@@ -156,25 +156,17 @@ func (e *Engine) scanStage(q *Query, visited, pruned, rows int, start time.Time)
 // scan evaluates the pattern+filter part of the query over the sharded
 // store: shard pruning, one compile, per-shard pattern order, block scans
 // with numeric pushdown, parallel evaluation and the set-semantics merge.
-func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited, segsPruned int) {
+func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int) {
 	cols := q.InputVars()
-	candidates, vb := e.candidates(q)
-	par := e.Parallelism
-	if par <= 0 || par > len(candidates) {
-		par = len(candidates)
-	}
-	if par == 0 {
-		return relation{cols: cols, vals: &values{}}, 0, 0
-	}
+	candidates := e.candidates(q)
 	c := compile(q, cols, e.st.Dict())
 	var mu sync.Mutex
 	var rows []rdf.ID
 	n := 0
-	e.st.EachShardView(candidates, par, vb, func(i int, v *rdf.View, pruned int) {
+	e.st.EachShardView(candidates, cmp.Or(e.Parallelism, len(candidates)), func(i int, v *rdf.View) {
 		local, matches := c.evalShard(v)
 		mu.Lock()
 		defer mu.Unlock()
-		segsPruned += pruned
 		rows = append(rows, local...)
 		n += matches
 	})
@@ -182,7 +174,7 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited, segs
 	// order of float aggregates (reproducible sums). Aggregates see every
 	// distinct row: LIMIT is a separate operator after group/sort, so
 	// `SELECT COUNT ... LIMIT n` still measures, not echoes the limit.
-	return mergeIDs(cols, rows, n, e.st.Dict().Terms(), ordered), len(candidates), segsPruned
+	return mergeIDs(cols, rows, n, e.st.Dict().Terms(), ordered), len(candidates)
 }
 
 // group groups the relation on keys (no keys = one global group, which

@@ -380,7 +380,8 @@ func TestPlannerOrdersBoundFirst(t *testing.T) {
 		?n dat:ofMovingObject ?v .
 		?v rdf:type dat:Vessel .
 	}`)
-	plan := compile(q, nil, rdf.NewDictionary()).order(nil)
+	dict := rdf.NewDictionary()
+	plan := compile(q, nil, dict).order(rdf.NewView(dict))
 	// The type pattern has 2 constants vs 1: must come first.
 	if first := q.Patterns[plan[0]]; first.P.Term.Value != rdf.RDFType {
 		t.Errorf("plan order: %v first", first)
@@ -461,6 +462,60 @@ func BenchmarkQuerySpatialJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(q); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlannerScansBoundedPatternFirst pins E13's query shape: the pattern
+// the st:during bound is pushed into scores like one with a constant object
+// and, its in-range count being the smaller estimate, is scanned first.
+// Scanning the type pattern first would read every sealed position.
+func TestPlannerScansBoundedPatternFirst(t *testing.T) {
+	s := store.NewSharded(partition.NewHash(1), worldBox)
+	for i := 0; i < 200; i++ {
+		s.AddPositionRecord(model.Position{EntityID: "V1", TS: int64(i * 1000), Pt: geo.Pt(23.5, 37.8), Domain: model.Maritime})
+		if i%50 == 49 {
+			s.Maintain(store.TierPolicy{}, true)
+		}
+	}
+	q := MustParse(`SELECT ?n ?t WHERE {
+		?n rdf:type dat:SemanticNode .
+		?n dat:timestamp ?t .
+		FILTER st:during(?t, 194000, 199000)
+	}`)
+	plan := compile(q, q.InputVars(), s.Dict()).order(s.View(0))
+	if first := q.Patterns[plan[0]]; first.P.Term != onto.PredTime {
+		t.Errorf("plan order: %v first, want the bounded timestamp pattern", first)
+	}
+	res, err := NewEngine(s).Run(q)
+	if err != nil || len(res.Rows) != 6 {
+		t.Errorf("rows %d, err %v; want 6", len(res.Rows), err)
+	}
+}
+
+// TestSpatialBoundsCoverTheCircle holds the st:dwithin pruning box to the
+// circle it bounds: every point within the distance of the centre lies in
+// it, at every latitude, for small and large radii, near a pole and across
+// the antimeridian.
+func TestSpatialBoundsCoverTheCircle(t *testing.T) {
+	for _, c := range []geo.Point{geo.Pt(10, 0), geo.Pt(-60, 45), geo.Pt(25, 70), geo.Pt(100, 85), geo.Pt(179.5, 60), geo.Pt(0, -70)} {
+		for _, distM := range []float64{5_000, 300_000, 2_000_000} {
+			q := &Query{
+				Patterns: []TriplePattern{{Var("n"), Const(onto.PredLon), Var("x")}, {Var("n"), Const(onto.PredLat), Var("y")}},
+				Filters:  []Filter{DWithinFilter{LonVar: "x", LatVar: "y", Center: c, DistM: distM}},
+			}
+			box, ok := q.SpatialBounds()
+			if !ok {
+				t.Fatal("no spatial bounds")
+			}
+			for brg := 0.0; brg < 360; brg += 0.5 {
+				for _, f := range []float64{0.5, 0.999} {
+					pt := geo.Destination(c, brg, f*distM)
+					if !box.Contains(pt) {
+						t.Fatalf("centre %v, %g m: %v at bearing %g lies outside %v", c, distM, pt, brg, box)
+					}
+				}
+			}
 		}
 	}
 }

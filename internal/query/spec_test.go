@@ -12,10 +12,11 @@ import (
 )
 
 // The specification the evaluator is held to (DESIGN.md §16): a naive
-// evaluator over terms, to be read rather than to be fast. Over the views
-// shard and segment pruning leave (an open bug, §16) it joins in written order,
-// filters once variables are bound, keeps the distinct rows by rendering in
-// canonical order, groups, stable-sorts under compareTerms and truncates.
+// evaluator over terms, to be read rather than to be fast. Over the full view
+// of each candidate shard (shard pruning is the engine's, §16) it joins in
+// written order, filters once variables are bound, keeps the distinct rows by
+// rendering in canonical order, groups, stable-sorts under compareTerms and
+// truncates.
 
 // compareTerms is the one total order on terms: numbers (Term.Float parses)
 // first, by value (NaN first, -0 equal to +0), and every tie by rendering.
@@ -31,21 +32,20 @@ func compareTerms(a, b rdf.Term) int {
 	return cmp.Or(cmp.Compare(af, bf), strings.Compare(a.String(), b.String()))
 }
 
-// specRun answers q by the specification; Result carries the shards visited,
-// the segments pruned and each stage's row count.
+// specRun answers q by the specification; Result carries the shards visited
+// and each stage's row count.
 func specRun(e *Engine, q *Query) (*Result, error) {
 	cols := q.InputVars()
 	vars := append(slices.Clone(cols), q.patternVars()...) // a binding starts with its row
-	candidates, vb := e.candidates(q)
-	set, segs := rowSet{}, 0
-	e.st.EachShardView(candidates, 1, vb, func(_ int, v *rdf.View, pruned int) {
-		segs += pruned
+	candidates := e.candidates(q)
+	set := rowSet{}
+	e.st.EachShardView(candidates, 1, func(_ int, v *rdf.View) {
 		for _, b := range specJoin(v, q, vars) {
 			r := renderRow(b[:len(cols)])
 			set.add(r.key(), r)
 		}
 	})
-	return specFinal(q, cols, set, Result{ShardsVisited: len(candidates), SegmentsPruned: segs})
+	return specFinal(q, cols, set, Result{ShardsVisited: len(candidates)})
 }
 
 // specJoin is the nested-loop join of q.Patterns in written order over

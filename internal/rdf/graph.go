@@ -12,10 +12,10 @@ type Graph interface {
 	Dict() *Dictionary
 	// Len returns the number of triples.
 	Len() int
-	// PredCard returns the number of triples with predicate p (an exact
-	// count for Head and Segment, a sum for View) — the statistic the
-	// query planner orders patterns by.
-	PredCard(p ID) int
+	// PredCard returns the number of triples with predicate p and, unless
+	// o is Wildcard, object o (an exact count for Head and Segment, a sum
+	// for View) — the statistic the query planner orders patterns by.
+	PredCard(p, o ID) int
 }
 
 // View is the merged read path over the tiers of one shard: typically
@@ -54,10 +54,10 @@ func (v *View) Len() int {
 }
 
 // PredCard implements Graph: the sum over parts.
-func (v *View) PredCard(p ID) int {
+func (v *View) PredCard(p, o ID) int {
 	n := 0
 	for _, g := range v.parts {
-		n += g.PredCard(p)
+		n += g.PredCard(p, o)
 	}
 	return n
 }

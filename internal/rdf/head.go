@@ -37,10 +37,10 @@ func (h *Head) Dict() *Dictionary { return h.dict }
 func (h *Head) Len() int { return h.n }
 
 // PredCard implements Graph: the sum over the runs.
-func (h *Head) PredCard(p ID) int {
+func (h *Head) PredCard(p, o ID) int {
 	n := 0
 	for _, r := range h.runs {
-		n += r.PredCard(p)
+		n += r.PredCard(p, o)
 	}
 	return n
 }

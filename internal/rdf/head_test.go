@@ -24,7 +24,7 @@ func (ns naiveSet) find(s, p, o ID) []Triple {
 	return out
 }
 
-func (ns naiveSet) predCard(p ID) int { return len(ns.find(Wildcard, p, Wildcard)) }
+func (ns naiveSet) predCard(p, o ID) int { return len(ns.find(Wildcard, p, o)) }
 
 // checkRuns holds h's size to ns and its runs to the stated cap.
 func checkRuns(t *testing.T, h *Head, ns naiveSet) {
@@ -52,8 +52,10 @@ func checkHead(t *testing.T, h *Head, ns naiveSet, absent ID) {
 		probes = append(probes, tr)
 	}
 	for _, tr := range probes {
-		if got, want := h.PredCard(tr.P), ns.predCard(tr.P); got != want {
-			t.Fatalf("PredCard(%d) = %d, want %d", tr.P, got, want)
+		for _, o := range []ID{Wildcard, tr.O} {
+			if got, want := h.PredCard(tr.P, o), ns.predCard(tr.P, o); got != want {
+				t.Fatalf("PredCard(%d, %d) = %d, want %d", tr.P, o, got, want)
+			}
 		}
 		for shape := 0; shape < 8; shape++ {
 			s, p, o := Wildcard, Wildcard, Wildcard

@@ -143,9 +143,9 @@ func (g *Segment) Dict() *Dictionary { return g.dict }
 // Len implements Graph.
 func (g *Segment) Len() int { return len(g.tri) }
 
-// PredCard implements Graph: the length of the predicate's POS block.
-func (g *Segment) PredCard(p ID) int {
-	lo, hi := g.posBounds(p, Wildcard)
+// PredCard implements Graph: the length of the (P[, O]) POS run.
+func (g *Segment) PredCard(p, o ID) int {
+	lo, hi := g.posBounds(p, o)
 	return hi - lo
 }
 
@@ -280,11 +280,26 @@ func gallop(lo, n int, past func(i int) bool) int {
 // on the object's variable rejects such bindings (the query engine's
 // bounds pushdown guarantees this).
 func (g *Segment) NumericRange(p ID, lo, hi float64, fn func(Triple) bool) {
-	col := g.num[p]
-	i := sort.Search(len(col), func(k int) bool { return col[k].val >= lo })
-	for ; i < len(col) && col[i].val <= hi; i++ {
-		if !fn(g.tri[col[i].idx]) {
+	col, i, j := g.numericRun(p, lo, hi)
+	for _, e := range col[i:j] {
+		if !fn(g.tri[e.idx]) {
 			return
 		}
 	}
+}
+
+// NumericCount returns how many triples NumericRange(p, lo, hi) streams, by
+// two binary searches: the query planner's estimate of a pushed-down scan.
+func (g *Segment) NumericCount(p ID, lo, hi float64) int {
+	_, i, j := g.numericRun(p, lo, hi)
+	return j - i
+}
+
+// numericRun resolves the [i, j) run of p's numeric column whose values lie
+// in [lo, hi].
+func (g *Segment) numericRun(p ID, lo, hi float64) (col []numEntry, i, j int) {
+	col = g.num[p]
+	i = sort.Search(len(col), func(k int) bool { return col[k].val >= lo })
+	j = i + sort.Search(len(col)-i, func(k int) bool { return col[i+k].val > hi })
+	return col, i, j
 }

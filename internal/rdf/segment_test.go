@@ -101,7 +101,8 @@ func TestGallopFindsFirstPast(t *testing.T) {
 
 // TestSegmentNumericRange checks the value-sorted column against a brute
 // force over the triple array: same triples for random [lo, hi] ranges,
-// boundary values included, non-numeric objects never surfaced.
+// boundary values included, non-numeric objects never surfaced, and
+// NumericCount counts them.
 func TestSegmentNumericRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	dict := NewDictionary()
@@ -164,8 +165,8 @@ func TestSegmentNumericRange(t *testing.T) {
 			}
 			return true
 		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: p=%d [%g,%g]: got %d triples, want %d", trial, p, lo, hi, len(got), len(want))
+		if len(got) != len(want) || seg.NumericCount(p, lo, hi) != len(want) {
+			t.Fatalf("trial %d: p=%d [%g,%g]: got %d triples (counted %d), want %d", trial, p, lo, hi, len(got), seg.NumericCount(p, lo, hi), len(want))
 		}
 		for tr := range want {
 			if !got[tr] {
@@ -203,8 +204,8 @@ func TestSegmentPredCard(t *testing.T) {
 	st := chunkedHead(dict, triples)
 	seg := NewSegment(dict, triples)
 	for p := ID(1); p <= 8; p++ {
-		if seg.PredCard(p) != st.PredCard(p) {
-			t.Errorf("pred %d: segment card %d, store card %d", p, seg.PredCard(p), st.PredCard(p))
+		if seg.PredCard(p, Wildcard) != st.PredCard(p, Wildcard) {
+			t.Errorf("pred %d: segment card %d, store card %d", p, seg.PredCard(p, Wildcard), st.PredCard(p, Wildcard))
 		}
 	}
 }
@@ -247,9 +248,9 @@ func TestViewMergesParts(t *testing.T) {
 	}
 	// PredCard sums parts.
 	for p := ID(1); p <= 8; p++ {
-		want := head.PredCard(p) + segA.PredCard(p) + segB.PredCard(p)
-		if v.PredCard(p) != want {
-			t.Errorf("view PredCard(%d) = %d, want %d", p, v.PredCard(p), want)
+		want := head.PredCard(p, Wildcard) + segA.PredCard(p, Wildcard) + segB.PredCard(p, Wildcard)
+		if v.PredCard(p, Wildcard) != want {
+			t.Errorf("view PredCard(%d) = %d, want %d", p, v.PredCard(p, Wildcard), want)
 		}
 	}
 }
@@ -290,7 +291,7 @@ func TestStoreHasIDAndSortedLists(t *testing.T) {
 			t.Errorf("HasID(1,2,%d) = true", o)
 		}
 	}
-	if st.PredCard(2) != 5 || st.PredCard(3) != 0 {
-		t.Errorf("PredCard = %d/%d", st.PredCard(2), st.PredCard(3))
+	if st.PredCard(2, Wildcard) != 5 || st.PredCard(3, Wildcard) != 0 {
+		t.Errorf("PredCard = %d/%d", st.PredCard(2, Wildcard), st.PredCard(3, Wildcard))
 	}
 }

@@ -34,11 +34,10 @@ type queryRequest struct {
 // cluster coordinator alike: the coordinator decodes its peers' bodies into
 // this type and encodes its own answer from it.
 type QueryResponse struct {
-	Vars           []string   `json:"vars"`
-	Rows           [][]string `json:"rows"`
-	ShardsVisited  int        `json:"shardsVisited"`
-	SegmentsPruned int        `json:"segmentsPruned"`
-	ElapsedUS      int64      `json:"elapsedUs"`
+	Vars          []string   `json:"vars"`
+	Rows          [][]string `json:"rows"`
+	ShardsVisited int        `json:"shardsVisited"`
+	ElapsedUS     int64      `json:"elapsedUs"`
 	// Partial is set only by a coordinator, when one or more nodes could
 	// not contribute: their rows are simply absent — a degraded result,
 	// never an error, as long as one node answered.
@@ -49,11 +48,10 @@ type QueryResponse struct {
 // Term.String(), rows never null.
 func NewQueryResponse(res *query.Result) QueryResponse {
 	out := QueryResponse{
-		Vars:           res.Vars,
-		Rows:           make([][]string, len(res.Rows)),
-		ShardsVisited:  res.ShardsVisited,
-		SegmentsPruned: res.SegmentsPruned,
-		ElapsedUS:      res.Elapsed.Microseconds(),
+		Vars:          res.Vars,
+		Rows:          make([][]string, len(res.Rows)),
+		ShardsVisited: res.ShardsVisited,
+		ElapsedUS:     res.Elapsed.Microseconds(),
 	}
 	for i, row := range res.Rows {
 		cells := make([]string, len(row))
@@ -128,18 +126,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.slowLog != nil {
 		// Record over-threshold queries with the plan facts that explain
 		// them: the executed operator chain with per-stage row counts, how
-		// much the planner could prune, and whether the plan was cached.
-		shards := len(s.p.Store.ShardLoads())
+		// many shards the planner could prune, and whether the plan was
+		// cached.
 		s.slowLog.Observe(obs.SlowQuery{
-			RequestID:      r.Header.Get(obs.RequestIDHeader),
-			Query:          src,
-			DurationUS:     res.Elapsed.Microseconds(),
-			Rows:           len(res.Rows),
-			ShardsVisited:  res.ShardsVisited,
-			ShardsPruned:   shards - res.ShardsVisited,
-			SegmentsPruned: res.SegmentsPruned,
-			Plan:           res.Plan.Stages,
-			CacheHit:       cacheHit,
+			RequestID:     r.Header.Get(obs.RequestIDHeader),
+			Query:         src,
+			DurationUS:    res.Elapsed.Microseconds(),
+			Rows:          len(res.Rows),
+			ShardsVisited: res.ShardsVisited,
+			ShardsPruned:  s.p.Store.NumShards() - res.ShardsVisited,
+			Plan:          res.Plan.Stages,
+			CacheHit:      cacheHit,
 		})
 	}
 	writeJSON(w, http.StatusOK, NewQueryResponse(res))

@@ -15,7 +15,7 @@ func (s *Sharded) ExportNT(w io.Writer) error {
 	var all []rdf.Triple
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		v, _ := sh.viewLocked(ViewBounds{})
+		v := sh.viewLocked()
 		v.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
 			all = append(all, t)
 			return true

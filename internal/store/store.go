@@ -104,41 +104,22 @@ func (s *Sharded) MaxAnchorTS() int64 { return s.maxTS.Load() }
 // View returns a merged read view over shard i's tiers
 // (global + head + sealed segments). The view holds no lock: it is for
 // single-threaded use (tests, tools); concurrent readers should go through
-// EachShardParallel / EachShardSubset / EachShardView, which hold the shard
-// read lock across fn.
+// EachShardView, which holds the shard read lock across fn.
 func (s *Sharded) View(i int) *rdf.View {
 	sh := s.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	v, _ := sh.viewLocked(ViewBounds{})
-	return v
+	return sh.viewLocked()
 }
 
-// ViewBounds carries a query's spatiotemporal bounds for segment pruning:
-// a sealed segment whose anchor time range or bounding box cannot
-// intersect the query is skipped entirely, the same way the partitioner
-// prunes whole shards.
-type ViewBounds struct {
-	Box      geo.BBox
-	HasBox   bool
-	From, To int64
-	HasTime  bool
-}
-
-// viewLocked builds the merged view under the caller-held shard lock,
-// returning the number of segments pruned by vb.
-func (sh *Shard) viewLocked(vb ViewBounds) (*rdf.View, int) {
+// viewLocked builds the merged view under the caller-held shard lock.
+func (sh *Shard) viewLocked() *rdf.View {
 	parts := make([]rdf.Graph, 0, 2+len(sh.segs))
 	parts = append(parts, sh.global, sh.head)
-	pruned := 0
 	for _, seg := range sh.segs {
-		if seg.prunedBy(vb) {
-			pruned++
-			continue
-		}
 		parts = append(parts, seg.g)
 	}
-	return rdf.NewView(sh.global.Dict(), parts...), pruned
+	return rdf.NewView(sh.global.Dict(), parts...)
 }
 
 // Len returns the total number of triples across shards and tiers (global
@@ -348,37 +329,11 @@ func (sh *Shard) rangeLocal(box geo.BBox, fromTS, toTS int64, shardIdx, max int)
 	return out
 }
 
-// EachShardParallel runs fn over every shard's merged view concurrently
-// and waits. fn must treat the view as read-only. Each invocation holds
-// the shard's read lock, so it is safe to run while ingest is in flight
-// (writes to that shard wait for fn).
-func (s *Sharded) EachShardParallel(fn func(i int, v *rdf.View)) {
-	var wg sync.WaitGroup
-	wg.Add(len(s.shards))
-	for i, sh := range s.shards {
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			v, _ := sh.viewLocked(ViewBounds{})
-			fn(i, v)
-		}(i, sh)
-	}
-	wg.Wait()
-}
-
-// EachShardSubset runs fn over the given shard indexes with bounded
-// parallelism and waits. Like EachShardParallel, fn runs under the shard's
-// read lock and must treat the view as read-only.
-func (s *Sharded) EachShardSubset(shardIdxs []int, parallelism int, fn func(i int, v *rdf.View)) {
-	s.EachShardView(shardIdxs, parallelism, ViewBounds{}, func(i int, v *rdf.View, _ int) { fn(i, v) })
-}
-
-// EachShardView is EachShardSubset with segment pruning: each shard's view
-// excludes sealed segments whose anchor time range or bounding box cannot
-// intersect vb, and fn additionally receives the number of segments pruned
-// for that shard.
-func (s *Sharded) EachShardView(shardIdxs []int, parallelism int, vb ViewBounds, fn func(i int, v *rdf.View, prunedSegs int)) {
+// EachShardView runs fn over the merged view of each of the given shards,
+// with bounded parallelism, and waits. Each invocation holds the shard's
+// read lock, so it is safe to run while ingest is in flight (writes to that
+// shard wait for fn); fn must treat the view as read-only.
+func (s *Sharded) EachShardView(shardIdxs []int, parallelism int, fn func(i int, v *rdf.View)) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -395,8 +350,7 @@ func (s *Sharded) EachShardView(shardIdxs []int, parallelism int, vb ViewBounds,
 			for i := range work {
 				sh := s.shards[i]
 				sh.mu.RLock()
-				v, pruned := sh.viewLocked(vb)
-				fn(i, v, pruned)
+				fn(i, sh.viewLocked())
 				sh.mu.RUnlock()
 			}
 		}()

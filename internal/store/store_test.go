@@ -179,16 +179,16 @@ func TestEachShardParallelAndSubset(t *testing.T) {
 	s.AddEntity(model.Entity{ID: "x", Name: "N"})
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	s.EachShardParallel(func(i int, st *rdf.View) {
+	s.EachShardView([]int{0, 1, 2, 3}, 4, func(i int, st *rdf.View) {
 		mu.Lock()
 		seen[i] = st.Len() > 0
 		mu.Unlock()
 	})
-	if len(seen) != 4 {
-		t.Errorf("visited %d shards", len(seen))
+	if len(seen) != 4 || !seen[0] || !seen[3] {
+		t.Errorf("visited %v, want every shard with its global triples", seen)
 	}
 	count := 0
-	s.EachShardSubset([]int{1, 3}, 2, func(i int, st *rdf.View) {
+	s.EachShardView([]int{1, 3}, 2, func(i int, st *rdf.View) {
 		mu.Lock()
 		count++
 		mu.Unlock()
@@ -198,7 +198,7 @@ func TestEachShardParallelAndSubset(t *testing.T) {
 	}
 	// Degenerate parallelism clamps.
 	count = 0
-	s.EachShardSubset([]int{0}, 0, func(i int, st *rdf.View) { mu.Lock(); count++; mu.Unlock() })
+	s.EachShardView([]int{0}, 0, func(i int, st *rdf.View) { mu.Lock(); count++; mu.Unlock() })
 	if count != 1 {
 		t.Error("clamped parallelism broke subset execution")
 	}

@@ -42,40 +42,24 @@ func (ai anchorIndex) without(nodes map[rdf.ID]bool) anchorIndex {
 // segment is one sealed tier of a shard: an immutable rdf.Segment plus the
 // slice of the spatiotemporal index that was sealed with it and the
 // per-segment statistics (anchor time range and bounding box) that drive
-// retention and query pruning.
+// retention and let a range scan skip the segment.
 type segment struct {
 	id  uint64
 	g   *rdf.Segment
 	idx anchorIndex
 	// Anchor statistics; zero-anchor segments carry an empty box and are
-	// never pruned or retained away.
+	// never skipped or retained away.
 	minTS, maxTS int64
 	box          geo.BBox
 }
 
 // newSegment files g and its anchors as the sealed tier id. The statistics
 // are always computed from the anchors present, never trusted from a file:
-// pruning and retention must match the data actually held.
+// range scans and retention must match the data actually held.
 func newSegment(id uint64, g *rdf.Segment, idx anchorIndex) *segment {
 	seg := &segment{id: id, g: g, idx: idx}
 	seg.minTS, seg.maxTS, seg.box = anchorStats(idx.entries)
 	return seg
-}
-
-// prunedBy reports whether the segment cannot contribute to a query with
-// the given bounds. Segments without anchors (pure non-anchored residue)
-// are never pruned.
-func (seg *segment) prunedBy(vb ViewBounds) bool {
-	if len(seg.idx.entries) == 0 {
-		return false
-	}
-	if vb.HasTime && (seg.maxTS < vb.From || seg.minTS > vb.To) {
-		return true
-	}
-	if vb.HasBox && !seg.box.Intersects(vb.Box) {
-		return true
-	}
-	return false
 }
 
 // anchorStats computes the time range and bounding box of a sealed entry

@@ -298,42 +298,3 @@ func remove(t *testing.T, path string) string {
 	}
 	return filepath.Base(path)
 }
-
-func TestSegmentPruningInViews(t *testing.T) {
-	box := geo.NewBBox(20, 35, 28, 40)
-	s := NewSharded(partition.NewHash(1), box)
-	// Two temporal generations, sealed separately.
-	for i := 0; i < 20; i++ {
-		s.AddPositionRecord(model.Position{EntityID: "V1", TS: int64(i * 1000), Pt: geo.Pt(21, 36)})
-	}
-	s.Maintain(TierPolicy{}, true)
-	for i := 0; i < 20; i++ {
-		s.AddPositionRecord(model.Position{EntityID: "V1", TS: int64(1_000_000 + i*1000), Pt: geo.Pt(25, 38)})
-	}
-	s.Maintain(TierPolicy{}, true)
-
-	count := func(vb ViewBounds) (n, pruned int) {
-		s.EachShardView([]int{0}, 1, vb, func(_ int, v *rdf.View, p int) {
-			n = v.Len()
-			pruned = p
-		})
-		return
-	}
-	all, pruned := count(ViewBounds{})
-	if pruned != 0 {
-		t.Fatalf("unbounded view pruned %d", pruned)
-	}
-	// Time bounds covering only the second generation prune the first.
-	recent, prunedT := count(ViewBounds{HasTime: true, From: 1_000_000, To: 2_000_000})
-	if prunedT != 1 {
-		t.Errorf("time bounds pruned %d segments, want 1", prunedT)
-	}
-	if recent >= all {
-		t.Errorf("pruned view not smaller: %d vs %d", recent, all)
-	}
-	// Spatial bounds away from the first generation's box prune it too.
-	_, prunedB := count(ViewBounds{HasBox: true, Box: geo.NewBBox(24.5, 37.5, 26, 39)})
-	if prunedB != 1 {
-		t.Errorf("box bounds pruned %d segments, want 1", prunedB)
-	}
-}
