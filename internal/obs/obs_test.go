@@ -230,11 +230,11 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 // time, a plan that was only lowered (Rows -1) prints neither.
 func TestFormatPlanStages(t *testing.T) {
 	executed := FormatPlanStages([]PlanStage{
-		{Op: "scan", Detail: "patterns=2", Rows: 2500, US: 1830},
+		{Op: "scan", Detail: "patterns=2 joins=merge:4,probe:0", Rows: 2500, US: 1830},
 		{Op: "group", Detail: "keys=v", Rows: 1000, US: 412},
 		{Op: "limit", Detail: "n=5", Rows: 5},
 	})
-	if want := "scan(patterns=2) rows=2500 us=1830\n-> group(keys=v) rows=1000 us=412\n-> limit(n=5) rows=5 us=0\n"; executed != want {
+	if want := "scan(patterns=2 joins=merge:4,probe:0) rows=2500 us=1830\n-> group(keys=v) rows=1000 us=412\n-> limit(n=5) rows=5 us=0\n"; executed != want {
 		t.Fatalf("executed plan:\n%s\nwant:\n%s", executed, want)
 	}
 	explained := FormatPlanStages([]PlanStage{{Op: "scan", Detail: "patterns=2", Rows: -1}, {Op: "limit", Detail: "n=5", Rows: -1}})

@@ -218,8 +218,29 @@ func TestExecutedPlanFacts(t *testing.T) {
 	if res.Plan.CacheHit {
 		t.Error("first execution reported a cache hit")
 	}
-	if !strings.Contains(res.Plan.Stages[0].Detail, "patterns=1") {
+	if !strings.Contains(res.Plan.Stages[0].Detail, "patterns=1") || !strings.HasSuffix(res.Plan.Stages[0].Detail, " joins=merge:0,probe:0") {
 		t.Errorf("scan detail = %q", res.Plan.Stages[0].Detail)
+	}
+	// The join steps, summed over shards: a dense join merges in every shard
+	// holding nodes; one from the single node faster than 10 m/s probes once.
+	for _, tc := range []struct {
+		src          string
+		merge, probe bool
+	}{
+		{`SELECT ?n ?s WHERE { ?n dat:ofMovingObject ?v . ?n dat:speed ?s . }`, true, false},
+		{`SELECT ?n ?v WHERE { ?n dat:speed ?s . ?n dat:ofMovingObject ?v . FILTER (?s > 10) }`, false, true},
+	} {
+		res, err := e.Execute(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := joinsRun(t, res)
+		if (j.merge > 0) != tc.merge || (j.probe > 0) != tc.probe || !tc.merge && j.probe != 1 {
+			t.Errorf("%s: scan detail %q", tc.src, res.Plan.Stages[0].Detail)
+		}
+		if explained := e.Explain(MustParse(tc.src))[0].Detail; strings.Contains(explained, "joins=") {
+			t.Errorf("-explain executes nothing, yet names joins: %q", explained)
+		}
 	}
 }
 

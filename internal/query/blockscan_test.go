@@ -43,8 +43,9 @@ func sealedWorld(tb testing.TB, part partition.Partitioner, n int, seed int64, s
 
 // runBoth runs the same query through the engine and the specification
 // (spec_test.go), which scans every triple of the tiers the query's bounds
-// leave, without pushdown, and fails the test on any divergence.
-func runBoth(t *testing.T, s *store.Sharded, src string) int {
+// leave, without pushdown, fails the test on any divergence and returns the
+// engine's result.
+func runBoth(t *testing.T, s *store.Sharded, src string) *Result {
 	t.Helper()
 	e := NewEngine(s)
 	q := MustParse(src)
@@ -59,7 +60,7 @@ func runBoth(t *testing.T, s *store.Sharded, src string) int {
 	if err := diffResults(got, want, true); err != nil {
 		t.Fatalf("query %s:\n%v", src, err)
 	}
-	return len(got.Rows)
+	return got
 }
 
 // TestBlockScanMatchesCallback is the differential guard for the block
@@ -85,7 +86,7 @@ func TestBlockScanMatchesCallback(t *testing.T) {
 					FILTER st:during(?t, %d, %d)
 					FILTER st:within(?lon, ?lat, %g, %g, %g, %g)
 				}`, from, to, lon, lat, lon+rng.Float64()*4, lat+rng.Float64()*3)
-				if n := runBoth(t, s, src); n > 0 {
+				if res := runBoth(t, s, src); len(res.Rows) > 0 {
 					nonEmpty++
 				}
 			}

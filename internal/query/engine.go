@@ -67,7 +67,7 @@ func (e *Engine) Run(q *Query) (*Result, error) { return e.run(q, false) }
 // the -explain rendering (per-stage Rows stays -1).
 func (e *Engine) Explain(q *Query) []obs.PlanStage {
 	steps, _ := finalSteps(q)
-	stages := []obs.PlanStage{e.scanStage(q, len(e.candidates(q)), -1, time.Time{})}
+	stages := []obs.PlanStage{e.scanStage(q, len(e.candidates(q)), -1, joins{}, time.Time{})}
 	for _, st := range steps {
 		stages = append(stages, st.PlanStage)
 	}
@@ -80,8 +80,8 @@ func (e *Engine) Explain(q *Query) []obs.PlanStage {
 func (e *Engine) run(q *Query, cacheHit bool) (*Result, error) {
 	start := time.Now()
 	steps, ordered := finalSteps(q)
-	rel, visited := e.scan(q, ordered)
-	stages, err := execSteps(&rel, steps, e.scanStage(q, visited, rel.n, start))
+	rel, visited, j := e.scan(q, ordered)
+	stages, err := execSteps(&rel, steps, e.scanStage(q, visited, rel.n, j, start))
 	if err != nil {
 		return nil, err
 	}

@@ -70,11 +70,12 @@ func compile(q *Query, cols []string, dict *rdf.Dictionary) *compiled {
 // the most positions that are constants or already-bound variables (a bound
 // variable counts once more: connected patterns avoid Cartesian blowup, and
 // an object the numeric pushdown serves counts as a constant), ties to the
-// smaller estimate of the pattern's scan over the shard's tiers; over an
-// empty view the heuristic is purely structural.
-func (c *compiled) order(v *rdf.View) []int {
+// smaller estimate of the pattern's scan over the shard's tiers; over no
+// tiers the heuristic is purely structural. cards holds each chosen
+// pattern's estimate.
+func (c *compiled) order(tiers []rdf.Graph) (plan, cards []int) {
 	bound := make([]bool, c.width)
-	plan := make([]int, 0, len(c.pats))
+	plan, cards = make([]int, 0, len(c.pats)), make([]int, 0, len(c.pats))
 	for len(plan) < len(c.pats) {
 		best, bestScore, bestCard := -1, -1, 0
 		for i, pat := range c.pats {
@@ -82,7 +83,7 @@ func (c *compiled) order(v *rdf.View) []int {
 				continue
 			}
 			ob := c.pushdown(pat, bound)
-			score, card := 0, estimate(v, pat, ob)
+			score, card := 0, estimate(tiers, pat, ob)
 			for j, ref := range pat {
 				switch {
 				case ref.slot < 0, j == 2 && ob != nil:
@@ -95,14 +96,14 @@ func (c *compiled) order(v *rdf.View) []int {
 				best, bestScore, bestCard = i, score, card
 			}
 		}
-		plan = append(plan, best)
+		plan, cards = append(plan, best), append(cards, bestCard)
 		for _, ref := range c.pats[best] {
 			if ref.slot >= 0 {
 				bound[ref.slot] = true
 			}
 		}
 	}
-	return plan
+	return plan, cards
 }
 
 // pushdown returns the numeric interval a scan of pat pushes into sealed
@@ -118,18 +119,17 @@ func (c *compiled) pushdown(pat [3]slotRef, bound []bool) *numBound {
 	return c.bounds[o.slot]
 }
 
-// estimate is the planner's cardinality estimate of a scan of pat over v:
-// under a pushed-down interval ob, the in-range count of each sealed
+// estimate is the planner's cardinality estimate of a scan of pat over the
+// tiers: under a pushed-down interval ob, the in-range count of each sealed
 // segment's numeric column (two binary searches) plus the predicate's count
 // in the head and global tiers, which scan it whole; under a constant object
-// its (P, O) run; else the predicate's count, or the view's size under a
+// its (P, O) run; else the predicate's count, or the tiers' size under a
 // variable predicate.
-func estimate(v *rdf.View, pat [3]slotRef, ob *numBound) (n int) {
-	if pat[1].slot >= 0 {
-		return v.Len()
-	}
-	for _, part := range v.Parts() {
-		if seg, ok := part.(*rdf.Segment); ok && ob != nil {
+func estimate(tiers []rdf.Graph, pat [3]slotRef, ob *numBound) (n int) {
+	for _, part := range tiers {
+		if seg, sealed := part.(*rdf.Segment); pat[1].slot >= 0 {
+			n += part.Len()
+		} else if sealed && ob != nil {
 			n += seg.NumericCount(pat[1].id, ob.Lo, ob.Hi)
 		} else {
 			n += part.PredCard(pat[1].id, pat[2].id) // a variable's id is rdf.Wildcard
@@ -138,25 +138,30 @@ func estimate(v *rdf.View, pat [3]slotRef, ob *numBound) (n int) {
 	return n
 }
 
+// joins counts a scan's join steps, those that read a slot an earlier step
+// bound, by how they ran: as one sort-merge, or as a probe per row.
+type joins struct{ merge, probe int }
+
 // evalShard joins the patterns over one shard's tiers — in an order chosen
 // per shard: predicate cardinalities differ across shards and change as
 // segments seal and age out — and returns every match's projection onto
-// c.out with the match count (a projection can be zero columns wide). A
-// partial match is width consecutive ids in a flat arena, 0 = unbound; two
-// arenas ping-pong between pattern steps, so a step allocates nothing per
-// match. What a pattern reads and binds depends only on those before it.
-func (c *compiled) evalShard(v *rdf.View) (out []rdf.ID, matches int) {
+// c.out with the match count (a projection can be zero columns wide) and how
+// its join steps ran. dict is Dictionary.Terms as of the tiers. A partial
+// match is width consecutive ids in a flat arena, 0 = unbound; two arenas
+// ping-pong between pattern steps, so a step allocates nothing per match.
+// What a pattern reads and binds depends only on those before it.
+func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, matches int, ran joins) {
 	if c.empty {
-		return nil, 0
+		return nil, 0, ran
 	}
 	w := c.width
-	dict := v.Dict().Terms() // one lock per shard evaluation, none per decoded cell
 	cur, next := make([]rdf.ID, w), []rdf.ID(nil)
 	bound := make([]bool, w)
 	applied := make([]bool, len(c.filters))
-	for _, pi := range c.order(v) {
+	plan, cards := c.order(tiers)
+	for step, pi := range plan {
 		if len(cur) == 0 {
-			return nil, 0
+			return nil, 0, ran
 		}
 		var key [3]rdf.ID // the scan: constants, read slots filled per row, Wildcard where it binds
 		var read, bind [3]int
@@ -192,7 +197,18 @@ func (c *compiled) evalShard(v *rdf.View) (out []rdf.ID, matches int) {
 			return true
 		}
 		next = slices.Grow(next[:0], len(cur))
-		for i := 0; i < len(cur); i += w {
+		// A join from a bound subject over a constant predicate, its object
+		// unbound or constant, reads the predicate's run of every tier once,
+		// sorted, when that run is no longer than a probe per row and tier.
+		// The planner's estimate of such a step is the runs' length.
+		merge := read[0] >= 0 && c.pats[pi][1].slot < 0 && read[2] < 0 && cards[step] <= len(cur)/w*len(tiers)
+		if merge {
+			ran.merge++
+			next = mergeJoin(tiers, cur, next, w, read[0], key[1], key[2], bind[2], cards[step])
+		} else if read != [3]int{-1, -1, -1} {
+			ran.probe++
+		}
+		for i := 0; i < len(cur) && !merge; i += w {
 			from = cur[i : i+w]
 			for j, s := range read {
 				if s >= 0 {
@@ -201,7 +217,7 @@ func (c *compiled) evalShard(v *rdf.View) (out []rdf.ID, matches int) {
 			}
 			// emit never stops a scan: walk the tiers without the
 			// stop-propagating wrapper View.FindID allocates per call.
-			for _, part := range v.Parts() {
+			for _, part := range tiers {
 				scanPattern(part, key[0], key[1], key[2], ob, emit)
 			}
 		}
@@ -240,5 +256,40 @@ func (c *compiled) evalShard(v *rdf.View) (out []rdf.ID, matches int) {
 			out = append(out, id)
 		}
 	}
-	return out, len(cur) / w
+	return out, len(cur) / w, ran
+}
+
+// mergeJoin is a join step as a sort-merge: the (p[, o]) runs of the tiers,
+// card triples packed S<<32|O and radix-sorted by S, against the rows of cur
+// radix-sorted by their subject slot subj. It appends to next what a probe
+// per row appends — each row once per triple of its subject, with the object
+// in slot bindO unless that is -1 — in subject order.
+func mergeJoin(tiers []rdf.Graph, cur, next []rdf.ID, w, subj int, p, o rdf.ID, bindO, card int) []rdf.ID {
+	run, rows := make([]uint64, 0, card), make([]uint64, len(cur)/w)
+	gather := func(tr rdf.Triple) bool {
+		run = append(run, uint64(tr.S)<<32|uint64(tr.O))
+		return true
+	}
+	for _, t := range tiers {
+		t.FindID(rdf.Wildcard, p, o, gather)
+	}
+	for i := range rows {
+		rows[i] = uint64(cur[i*w+subj])<<32 | uint64(i)
+	}
+	radixSort(run, nil, 4)
+	radixSort(rows, nil, 4)
+	for i, k := 0, 0; i < len(rows); i++ {
+		s := rows[i] >> 32
+		for k < len(run) && run[k]>>32 < s {
+			k++
+		}
+		from := cur[int(uint32(rows[i]))*w:][:w]
+		for e := k; e < len(run) && run[e]>>32 == s; e++ {
+			next = append(next, from...)
+			if bindO >= 0 {
+				next[len(next)-w+bindO] = rdf.ID(uint32(run[e]))
+			}
+		}
+	}
+	return next
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,8 +411,8 @@ func withoutIdleFilters(q *Query) *Query {
 }
 
 // diffSeed is one differential round: a world and a batch of queries, all
-// drawn from seed.
-func diffSeed(t *testing.T, seed int64, queries int) {
+// drawn from seed. It returns the join steps the compared queries ran.
+func diffSeed(t *testing.T, seed int64, queries int) (ran joins) {
 	rng := rand.New(rand.NewSource(seed))
 	w := genWorld(rng)
 	for i := 0; i < queries; i++ {
@@ -420,27 +421,53 @@ func diffSeed(t *testing.T, seed int64, queries int) {
 		// included: leave it the queries it can finish (one the engine
 		// needs 50 ms for takes it far longer).
 		start := time.Now()
-		if res, err := NewEngine(w.st).Run(q.StripFinal()); err != nil || len(res.Rows) > 2000 || time.Since(start) > 50*time.Millisecond {
+		res, err := NewEngine(w.st).Run(q.StripFinal())
+		if err != nil || len(res.Rows) > 2000 || time.Since(start) > 50*time.Millisecond {
 			continue
 		}
 		if err := diffQuery(rng, w, q); err != nil {
 			t.Fatalf("seed %d query %d: %s\n%v", seed, i, q, err)
 		}
+		j := joinsRun(t, res) // the partial form joins as q does
+		ran.merge, ran.probe = ran.merge+j.merge, ran.probe+j.probe
 	}
+	return ran
+}
+
+// joinsRun reads the join steps an executed query ran from its scan stage's
+// plan detail.
+func joinsRun(t *testing.T, res *Result) (j joins) {
+	t.Helper()
+	detail := res.Plan.Stages[0].Detail
+	at := strings.Index(detail, "joins=")
+	if at < 0 {
+		t.Fatalf("scan detail %q names no joins", detail)
+	}
+	if _, err := fmt.Sscanf(detail[at:], "joins=merge:%d,probe:%d", &j.merge, &j.probe); err != nil {
+		t.Fatalf("scan detail %q: %v", detail, err)
+	}
+	return j
 }
 
 // TestEvalMatchesOracle holds the slot-compiled evaluator, the rank-ordered
 // merge and the cell-indexed group/sort/limit chain to the specification
 // (spec_test.go): identical Vars, Rows and per-stage cardinalities over
-// randomised stores and generated queries.
+// randomised stores and generated queries. The worlds must run joins both
+// ways, as sort-merges and as probes per row, or one of them went unchecked.
 func TestEvalMatchesOracle(t *testing.T) {
 	worlds := 120
 	if testing.Short() {
 		worlds = 20
 	}
+	var ran joins
 	for seed := int64(1); seed <= int64(worlds); seed++ {
-		diffSeed(t, seed, 25)
+		j := diffSeed(t, seed, 25)
+		ran.merge, ran.probe = ran.merge+j.merge, ran.probe+j.probe
 	}
+	if ran.merge == 0 || ran.probe == 0 {
+		t.Fatalf("the compared queries ran %d merge and %d probe joins: a branch went unchecked", ran.merge, ran.probe)
+	}
+	t.Logf("compared queries ran %d merge and %d probe joins", ran.merge, ran.probe)
 }
 
 // TestNeverRunningFilterPrunesNothing holds st:within and st:during naming

@@ -128,6 +128,10 @@ const (
 	fleetSel   = `SELECT ?n ?s WHERE { ?n dat:speed ?s . FILTER (?s > %s) } ORDER BY ?s DESC, ?n LIMIT 10`
 )
 
+// fleetJoinSel is a selective join: the few nodes above a speed, joined to
+// their vessels — rows few enough that the join must probe, not merge.
+const fleetJoinSel = `SELECT ?n ?v WHERE { ?n dat:speed ?s . ?n dat:ofMovingObject ?v . FILTER (?s > %s) }`
+
 // fleetWorld is the store the query-analytic workload reads: 1000 entities,
 // 2500 stored reports, the daemon's Hilbert × 4 partitioning, sealed twice.
 // Speeds are what AIS carries: 0.1 kn steps, and every moored vessel (three
@@ -164,7 +168,9 @@ func fleetWorld(tb testing.TB) *store.Sharded {
 // Group and sort allocate per operator, not per key or per comparison: on
 // the fleet's grouped read, string-keyed grouping with a rendering per tied
 // comparison took ≈ 5 900 and a full stable sort under LIMIT ≈ 2 100.
-// Ceilings are ≈ 1.5× what the evaluator allocates.
+// The grouped join's sort-merge and the merge's radix index took it from
+// ≈ 570 to ≈ 400, and COUNT to ≈ 190. Ceilings are ≈ 1.5× what the
+// evaluator allocates.
 func TestQueryAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 20 000-position stores")
@@ -182,7 +188,7 @@ func TestQueryAllocBudget(t *testing.T) {
 		NewEngine(sealedWorld(t, partition.NewHash(4), 20_000, 7, 0.9)),
 		MustParse(`SELECT ?who COUNT(?n) SUM(?s) AVG(?s) WHERE {
 			?n dat:ofMovingObject ?who . ?n dat:speed ?s .
-		} GROUP BY ?who ORDER BY ?sum_s DESC, ?who`), 850)
+		} GROUP BY ?who ORDER BY ?sum_s DESC, ?who`), 600)
 	budget("block scan, 20 000 positions",
 		NewEngine(sealedWorld(t, partition.NewHash(4), 20_000, 41, 0.95)),
 		MustParse(`SELECT ?n ?who WHERE {
@@ -192,6 +198,6 @@ func TestQueryAllocBudget(t *testing.T) {
 			FILTER st:within(?lon, ?lat, 23, 35, 28, 40)
 		}`), 2_000)
 	fleet := NewEngine(fleetWorld(t))
-	budget("COUNT over 2500 nodes", fleet, MustParse(fleetCount), 500)
+	budget("COUNT over 2500 nodes", fleet, MustParse(fleetCount), 300)
 	budget("grouped ORDER BY … LIMIT 5 over 1000 vessels", fleet, MustParse(fleetGroup), 470)
 }

@@ -1,7 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/datacron-project/datacron/internal/rdf"
@@ -164,4 +167,90 @@ func cellsOf(res *Result) [][]string {
 		out[i] = renderRow(row).cells
 	}
 	return out
+}
+
+// rankInput builds one column's dictionary and distinct ids from fuzz bytes,
+// three to a term and one more per value byte: a kind (IRI, blank node, plain,
+// xsd:string, xsd:double, tagged, tagged with a datatype — each literal
+// kind rendering like another for some value), a prefix of 0 to 22 bytes that
+// ends before, inside or past the 8-byte window rankTerms keys on, and up to
+// eleven bytes from an alphabet of quotes, backslashes, newlines, NUL and
+// bytes that end a rendering. The ids are the terms in an order drawn from
+// the rest, now and then with 0, the unbound cell. Up to 96 terms: a column
+// under 48 values takes radixSort's insertion sort, a longer one its passes.
+func rankInput(data []byte) (dict []rdf.Term, ids []rdf.ID) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	prefixes := []string{"", "x", "abcdefg", "abcdefgh", "abcdefghi", "http://example.org/shared/", `a"b\c`}
+	const alphabet = "ab\"\\\n\x00@^<>x\xff"
+	for len(data) > 0 && len(dict) < 96 {
+		kind, prefix, size := next(), next(), next()
+		var value strings.Builder
+		value.WriteString(prefixes[prefix%len(prefixes)])
+		for k := 0; k < size%12; k++ {
+			value.WriteByte(alphabet[next()%len(alphabet)])
+		}
+		v := value.String()
+		dict = append(dict, []rdf.Term{
+			rdf.NewIRI(v), rdf.NewBlank(v), rdf.NewLiteral(v), rdf.NewTyped(v, rdf.XSDString), rdf.NewTyped(v, rdf.XSDDouble),
+			{Kind: rdf.Literal, Value: v, Lang: "en"}, {Kind: rdf.Literal, Value: v, Lang: "en", Datatype: rdf.XSDLong},
+		}[kind%7])
+		ids = append(ids, rdf.ID(len(dict)))
+	}
+	for i := len(ids) - 1; i > 0; i-- {
+		j := next() % (i + 1)
+		ids[i], ids[j] = ids[j], ids[i]
+	}
+	if next()%5 == 1 {
+		ids = append(ids, 0)
+	}
+	return dict, ids
+}
+
+// FuzzRankTerms holds rankTerms — a radix sort of 8-byte windows past the
+// column's shared prefix, full renderings compared only within runs of equal
+// windows — to a comparison sort by Term.String() with an id tiebreak: the
+// same distinct values, the smallest id of each rendering, the same ranks.
+func FuzzRankTerms(f *testing.F) {
+	for _, seed := range []string{
+		"\x02\x00\x01a\x03\x00\x01a",                               // "x" beside "x"^^xsd:string
+		"\x00\x05\x02ab\x00\x05\x02ba\x01\x05\x00\x02\x05\x01b",    // a 26-byte shared prefix
+		"\x02\x03\x00\x02\x04\x00\x02\x02\x01\x03",                 // renderings ending inside, at and past the window
+		"\x05\x01\x00\x06\x01\x00\x05\x00\x01\x01\x04\x00\x02",     // tagged literals with and without a datatype
+		"\x02\x06\x02\x02\x02\x06\x02\x03\x02\x00\x03\x04\x05\x06", // escapes, NUL and equal windows
+		"\x02\x00\x00\x01", // one value and the unbound cell
+		strings.Repeat("\x02\x03\x02ab\x03\x04\x01b", 40), // 80 values: the radix passes, equal windows among them
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dict, ids := rankInput(data)
+		if len(ids) == 0 {
+			return
+		}
+		sorted, ranks := rankTerms(dict, ids)
+		order := make([]int, len(ids))
+		for i := range order {
+			order[i] = i
+		}
+		render := func(i int) string { return termOf(dict, ids[i]).String() }
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(strings.Compare(render(a), render(b)), cmp.Compare(ids[a], ids[b])) })
+		var wantSorted []rdf.ID
+		wantRanks := make([]uint32, len(ids))
+		for k, o := range order {
+			if k == 0 || render(o) != render(order[k-1]) {
+				wantSorted = append(wantSorted, ids[o])
+			}
+			wantRanks[o] = uint32(len(wantSorted) - 1)
+		}
+		if !slices.Equal(sorted, wantSorted) || !slices.Equal(ranks, wantRanks) {
+			t.Fatalf("rankTerms over %q:\n got %v %v\nwant %v %v", dict, sorted, ranks, wantSorted, wantRanks)
+		}
+	})
 }

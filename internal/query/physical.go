@@ -143,11 +143,13 @@ func joinOrDash(ss []string) string {
 	return strings.Join(ss, ",")
 }
 
-// scanStage renders the scan's plan facts; rows < 0 is the unexecuted form.
-func (e *Engine) scanStage(q *Query, visited, rows int, start time.Time) obs.PlanStage {
+// scanStage renders the scan's plan facts; rows < 0 is the unexecuted form,
+// which names no join counts.
+func (e *Engine) scanStage(q *Query, visited, rows int, j joins, start time.Time) obs.PlanStage {
 	st := obs.PlanStage{Op: "scan", Rows: rows, Detail: fmt.Sprintf("patterns=%d filters=%d shards=%d/%d",
 		len(q.Patterns), len(q.Filters), visited, e.st.NumShards())}
 	if rows >= 0 {
+		st.Detail += fmt.Sprintf(" joins=merge:%d,probe:%d", j.merge, j.probe)
 		st.US = time.Since(start).Microseconds()
 	}
 	return st
@@ -156,7 +158,8 @@ func (e *Engine) scanStage(q *Query, visited, rows int, start time.Time) obs.Pla
 // scan evaluates the pattern+filter part of the query over the sharded
 // store: shard pruning, one compile, per-shard pattern order, block scans
 // with numeric pushdown, parallel evaluation and the set-semantics merge.
-func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int) {
+// It reports the shards visited and the join steps, summed over them.
+func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int, j joins) {
 	cols := q.InputVars()
 	candidates := e.candidates(q)
 	c := compile(q, cols, e.st.Dict())
@@ -164,17 +167,19 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int) 
 	var rows []rdf.ID
 	n := 0
 	e.st.EachShardView(candidates, cmp.Or(e.Parallelism, len(candidates)), func(i int, v *rdf.View) {
-		local, matches := c.evalShard(v)
+		dict, _ := v.Dict().Terms() // one lock per shard evaluation, none per decoded cell
+		local, matches, shard := c.evalShard(v.Parts(), dict)
 		mu.Lock()
 		defer mu.Unlock()
 		rows = append(rows, local...)
 		n += matches
+		j.merge, j.probe = j.merge+shard.merge, j.probe+shard.probe
 	})
 	// The canonical order makes the output deterministic and pins the fold
 	// order of float aggregates (reproducible sums). Aggregates see every
 	// distinct row: LIMIT is a separate operator after group/sort, so
 	// `SELECT COUNT ... LIMIT n` still measures, not echoes the limit.
-	return mergeIDs(cols, rows, n, e.st.Dict().Terms(), ordered), len(candidates)
+	return mergeIDs(cols, rows, n, e.st.Dict(), ordered), len(candidates), j
 }
 
 // group groups the relation on keys (no keys = one global group, which
@@ -204,7 +209,13 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 	}
 
 	w := len(r.cols)
-	perm := r.sortedBy(keyIdx)
+	// group runs first, on the merge's canonical order: when the keys are
+	// the leading columns, rows with equal keys are adjacent already.
+	sortKeys := keyIdx
+	if !slices.ContainsFunc(keyIdx, func(k int) bool { return k >= len(keyIdx) }) {
+		sortKeys = nil
+	}
+	perm := r.sortedBy(sortKeys)
 	run := make([]int32, r.n) // per row, its run of equal keys in perm
 	buckets := 0
 	for j, p := range perm {

@@ -69,6 +69,7 @@ func BenchmarkQueryFleet(b *testing.B) {
 		{"count", fleetCount},
 		{"group", fleetGroup},
 		{"sel", fmt.Sprintf(fleetSel, "14.85")},
+		{"joinsel", fmt.Sprintf(fleetJoinSel, "14.85")},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

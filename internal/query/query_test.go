@@ -380,8 +380,7 @@ func TestPlannerOrdersBoundFirst(t *testing.T) {
 		?n dat:ofMovingObject ?v .
 		?v rdf:type dat:Vessel .
 	}`)
-	dict := rdf.NewDictionary()
-	plan := compile(q, nil, dict).order(rdf.NewView(dict))
+	plan, _ := compile(q, nil, rdf.NewDictionary()).order(nil)
 	// The type pattern has 2 constants vs 1: must come first.
 	if first := q.Patterns[plan[0]]; first.P.Term.Value != rdf.RDFType {
 		t.Errorf("plan order: %v first", first)
@@ -403,13 +402,13 @@ func TestPlannerPrefersLowCardinalityPredicate(t *testing.T) {
 	}
 	s.AddGlobal(triples)
 	q := MustParse(`SELECT ?a ?b WHERE { ?a dat:common ?b . ?a dat:rare ?b . }`)
-	plan := compile(q, nil, s.Dict()).order(s.View(0))
+	plan, _ := compile(q, nil, s.Dict()).order(s.View(0).Parts())
 	if first := q.Patterns[plan[0]]; first.P.Term != rare {
 		t.Errorf("plan order: %v first, want the rare predicate", first)
 	}
 	// Unknown predicates estimate to zero and plan first of all.
 	q2 := MustParse(`SELECT ?a ?b WHERE { ?a dat:common ?b . ?a dat:unseen ?b . }`)
-	plan2 := compile(q2, nil, s.Dict()).order(s.View(0))
+	plan2, _ := compile(q2, nil, s.Dict()).order(s.View(0).Parts())
 	if first := q2.Patterns[plan2[0]]; first.P.Term.Value != onto.NS+"unseen" {
 		t.Errorf("plan order: %v first, want the unseen predicate", first)
 	}
@@ -483,7 +482,7 @@ func TestPlannerScansBoundedPatternFirst(t *testing.T) {
 		?n dat:timestamp ?t .
 		FILTER st:during(?t, 194000, 199000)
 	}`)
-	plan := compile(q, q.InputVars(), s.Dict()).order(s.View(0))
+	plan, _ := compile(q, q.InputVars(), s.Dict()).order(s.View(0).Parts())
 	if first := q.Patterns[plan[0]]; first.P.Term != onto.PredTime {
 		t.Errorf("plan order: %v first, want the bounded timestamp pattern", first)
 	}

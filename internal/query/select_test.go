@@ -69,7 +69,7 @@ func randomRelation(rng *rand.Rand, kinds []int, n int) relation {
 		// A distinct last cell keeps rows from collapsing in the merge.
 		ids = append(ids, must(dict.Encode(rdf.NewLong(int64(i)))))
 	}
-	inner := mergeIDs(append(pickNames(names, dictCols), "row"), ids, n, dict.Terms(), true)
+	inner := mergeIDs(append(pickNames(names, dictCols), "row"), ids, n, dict, true)
 	rel := relation{cols: names, n: inner.n, vals: inner.vals}
 	for i := 0; i < inner.n; i++ {
 		row := make([]uint32, len(kinds))

@@ -53,7 +53,7 @@ func specRun(e *Engine, q *Query) (*Result, error) {
 // slot is its first), the zero term while unbound.
 func specJoin(v *rdf.View, q *Query, vars []string) [][]rdf.Term {
 	var triples [][3]rdf.Term
-	dict := v.Dict().Terms() // id i is dict[i-1]
+	dict, _ := v.Dict().Terms() // id i is dict[i-1]
 	v.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
 		triples = append(triples, [3]rdf.Term{dict[t.S-1], dict[t.P-1], dict[t.O-1]})
 		return true

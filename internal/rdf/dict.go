@@ -28,6 +28,7 @@ type Dictionary struct {
 	mu     sync.RWMutex
 	byTerm map[Term]ID
 	byID   []Term // byID[id-1]
+	plain  []bool // plain[id-1] = byID[id-1].PlainRendering(), decided once, at interning
 }
 
 // NewDictionary returns an empty dictionary.
@@ -62,6 +63,7 @@ func (d *Dictionary) encodeLocked(t Term) ID {
 		return Wildcard
 	}
 	d.byID = append(d.byID, t)
+	d.plain = append(d.plain, t.PlainRendering())
 	id := ID(len(d.byID))
 	d.byTerm[t] = id
 	return id
@@ -109,14 +111,17 @@ func (d *Dictionary) Decode(id ID) (Term, bool) {
 	return d.byID[id-1], true
 }
 
-// Terms returns the interned terms in ID order: Terms()[id-1] is the term of
-// id. The dictionary only ever appends, so the slice is a stable view a
-// reader can index without a lock — one RLock for a whole evaluation instead
-// of one per Decode. It does not see terms interned after the call.
-func (d *Dictionary) Terms() []Term {
+// Terms returns the interned terms in ID order — terms[id-1] is the term of
+// id — and beside them each term's PlainRendering, so that a reader deduping
+// ids need not load a whole Term per value. The dictionary only ever
+// appends, so the slices are a stable view a reader can index without a lock
+// — one RLock for a whole evaluation instead of one per Decode. They do not
+// see terms interned after the call.
+func (d *Dictionary) Terms() (terms []Term, plain []bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.byID[:len(d.byID):len(d.byID)]
+	n := len(d.byID)
+	return d.byID[:n:n], d.plain[:n:n]
 }
 
 // Len returns the number of interned terms.

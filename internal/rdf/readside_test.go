@@ -14,7 +14,7 @@ func TestDictionaryTermsIsAStableView(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Encode(NewLong(int64(i)))
 	}
-	view := d.Terms()
+	view, plain := d.Terms()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -36,15 +36,15 @@ func TestDictionaryTermsIsAStableView(t *testing.T) {
 	if len(view) != 100 || d.Len() != 100+4*2000 {
 		t.Fatalf("view has %d terms, dictionary %d", len(view), d.Len())
 	}
-	later := d.Terms()
+	later, laterPlain := d.Terms()
 	for id := ID(1); int(id) <= len(later); id++ {
-		if want, _ := d.Decode(id); later[id-1] != want {
-			t.Fatalf("Terms()[%d] = %v, Decode = %v", id-1, later[id-1], want)
+		if want, _ := d.Decode(id); later[id-1] != want || laterPlain[id-1] != want.PlainRendering() {
+			t.Fatalf("Terms()[%d] = %v (plain %v), Decode = %v", id-1, later[id-1], laterPlain[id-1], want)
 		}
 	}
-	// The view cannot be grown into the dictionary's own storage.
-	if cap(view) != len(view) {
-		t.Fatalf("view has spare capacity %d", cap(view)-len(view))
+	// The views cannot be grown into the dictionary's own storage.
+	if cap(view) != len(view) || len(plain) != len(view) || cap(plain) != len(plain) {
+		t.Fatalf("view has spare capacity %d, flags %d of capacity %d", cap(view)-len(view), len(plain), cap(plain))
 	}
 }
 

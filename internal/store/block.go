@@ -208,7 +208,7 @@ func (w *blockWriter) emit(bw *bufio.Writer, force bool) {
 // segment's id, 0 for mutable tiers; histogram adds the per-predicate triple
 // counts a segment file records.
 func (w *blockWriter) writeBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entries []anchor, histogram bool) error {
-	terms := w.dict.Terms()
+	terms, _ := w.dict.Terms()
 	if len(w.local) <= len(terms) {
 		w.local = make([]uint32, len(terms)+1)
 	}
