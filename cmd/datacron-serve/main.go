@@ -92,6 +92,11 @@ import (
 	"github.com/datacron-project/datacron/internal/wal"
 )
 
+// processStart is when the process began running Go code (package
+// initialisation): the "serving" log line reports the start-up from here to
+// ready.
+var processStart = time.Now()
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
@@ -201,7 +206,7 @@ func main() {
 	if err != nil {
 		fatal("listen", err)
 	}
-	httpSrv := &http.Server{Handler: sw}
+	httpSrv := server.NewHTTPServer(*addr, sw)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -216,24 +221,26 @@ func main() {
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			logger.Info("pprof listening", "component", "debug", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dbg); err != nil {
+			if err := server.NewHTTPServer(*debugAddr, dbg).ListenAndServe(); err != nil {
 				logger.Error("pprof listener failed", "component", "debug", "err", err)
 			}
 		}()
 	}
 
 	if *prime {
-		// A minimal-duration scenario carries the full area set and entity
-		// registry without generating traffic.
+		// The generator's plan alone carries the full area set and entity
+		// registry; no traffic is simulated.
+		t0 := time.Now()
 		var sc *synth.Scenario
 		if dom == model.Maritime {
-			sc = synth.GenMaritime(synth.MaritimeConfig{Seed: *seed, Vessels: *vessels, Duration: time.Minute})
+			sc = synth.MaritimeWorld(synth.MaritimeConfig{Seed: *seed, Vessels: *vessels, Duration: time.Minute})
 		} else {
-			sc = synth.GenAviation(synth.AviationConfig{Seed: *seed, Flights: *flights, Duration: time.Minute})
+			sc = synth.AviationWorld(synth.AviationConfig{Seed: *seed, Flights: *flights, Duration: time.Minute})
 		}
 		p.InstallAreas(sc.Areas)
 		p.InstallEntities(sc.Entities)
-		logger.Info("primed world", "domain", dom.String(), "areas", len(sc.Areas), "entities", len(sc.Entities))
+		logger.Info("primed world", "domain", dom.String(), "areas", len(sc.Areas), "entities", len(sc.Entities),
+			"took", time.Since(t0).Round(time.Millisecond))
 	}
 
 	// Durable mode: recover (snapshot + WAL tail) before serving, then
@@ -349,6 +356,7 @@ func main() {
 	}
 	sw.Set(handler)
 	ready.MarkReady()
+	startup := time.Since(processStart)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -370,7 +378,8 @@ func main() {
 	logger.Info("serving",
 		"domain", dom.String(), "addr", *addr,
 		"shards", *shards, "workers", srv.Ingestor().Workers(), "queue", *queue,
-		"durability", durable, "traceSample", *traceEv, "slowQuery", *slowQuery)
+		"durability", durable, "traceSample", *traceEv, "slowQuery", *slowQuery,
+		"startup", startup.Round(time.Millisecond))
 	logger.Debug("endpoints: POST /ingest, POST /query, GET /range, GET /events, GET /forecast, GET /forecast/batch, GET /synopses/{id}, GET /synopses/batch, POST /snapshot, POST /seal, GET /healthz, GET /readyz, GET /metrics, GET /debug/trace, GET /debug/slowlog")
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("serve", err)

@@ -467,6 +467,32 @@ func removeEntries(dir string, drop func(name string) bool) {
 	}
 }
 
+// readManifest reads the MANIFEST.json of the snapshot directory dir, named
+// for cut, and refuses one this pipeline cannot recover from: another
+// format, shard count or domain, or what WriteSnapshot never writes — a cut
+// other than the directory's, or a replay floor outside 1..cut+1 (a floor
+// above the cut would skip acknowledged log lines without a word).
+func (p *Pipeline) readManifest(dir string, cut uint64) (manifest, error) {
+	var m manifest
+	mpath := filepath.Join(dir, "MANIFEST.json")
+	if err := readJSON(mpath, &m); err != nil {
+		return m, fmt.Errorf("core: recover: manifest: %w", err)
+	}
+	switch {
+	case m.Version != snapshotFormatVersion:
+		return m, fmt.Errorf("core: recover: %s: snapshot format %d, this build reads format %d only — to upgrade, start a build that reads format %d on this directory once, POST /snapshot, stop it, then start this build", mpath, m.Version, snapshotFormatVersion, m.Version)
+	case m.CutLSN != cut:
+		return m, fmt.Errorf("core: recover: %s: cut %d in a directory named for cut %d", mpath, m.CutLSN, cut)
+	case m.ReplayFrom == 0 || m.ReplayFrom > cut+1:
+		return m, fmt.Errorf("core: recover: %s: replay floor %d outside 1..%d (cut %d + 1)", mpath, m.ReplayFrom, cut+1, cut)
+	case m.Shards != p.Store.NumShards():
+		return m, fmt.Errorf("core: recover: snapshot has %d shards, pipeline has %d — restart with -shards %d", m.Shards, p.Store.NumShards(), m.Shards)
+	case m.Domain != p.cfg.Domain.String():
+		return m, fmt.Errorf("core: recover: snapshot domain %s, pipeline domain %s", m.Domain, p.cfg.Domain)
+	}
+	return m, nil
+}
+
 // RecoveryStats reports what a Recover (or Replay) run did.
 type RecoveryStats struct {
 	// SnapshotLSN is the loaded snapshot's cut (0 when none was found and
@@ -510,19 +536,9 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 
 	dir, cut, haveSnap := latestSnapshot(SnapshotsDir(dataDir))
 	if haveSnap {
-		var m manifest
-		mpath := filepath.Join(dir, "MANIFEST.json")
-		if err := readJSON(mpath, &m); err != nil {
-			return rs, fmt.Errorf("core: recover: manifest: %w", err)
-		}
-		if m.Version != snapshotFormatVersion {
-			return rs, fmt.Errorf("core: recover: %s: snapshot format %d, this build reads format %d only — to upgrade, start a build that reads format %d on this directory once, POST /snapshot, stop it, then start this build", mpath, m.Version, snapshotFormatVersion, m.Version)
-		}
-		if m.Shards != p.Store.NumShards() {
-			return rs, fmt.Errorf("core: recover: snapshot has %d shards, pipeline has %d — restart with -shards %d", m.Shards, p.Store.NumShards(), m.Shards)
-		}
-		if m.Domain != p.cfg.Domain.String() {
-			return rs, fmt.Errorf("core: recover: snapshot domain %s, pipeline domain %s", m.Domain, p.cfg.Domain)
+		m, err := p.readManifest(dir, cut)
+		if err != nil {
+			return rs, err
 		}
 		t, a, err := p.Store.LoadSnapshot(dir)
 		if err != nil {

@@ -299,14 +299,19 @@ func (p *Pipeline) InstallAreas(areas map[string]*geo.Polygon) {
 }
 
 // InstallEntities registers static entity data (from AIS message 5 the
-// pipeline also learns them on the fly; this primes the registry).
+// pipeline also learns them on the fly; this primes the registry). The
+// whole registry is one global insert.
 func (p *Pipeline) InstallEntities(entities []model.Entity) {
+	var triples []onto.TripleT
 	for _, e := range entities {
-		p.Store.AddEntity(e)
-		p.entityMu.Lock()
-		p.entities[e.ID] = true
-		p.entityMu.Unlock()
+		triples = append(triples, onto.EntityTriples(e)...)
 	}
+	p.Store.AddGlobal(triples)
+	p.entityMu.Lock()
+	for _, e := range entities {
+		p.entities[e.ID] = true
+	}
+	p.entityMu.Unlock()
 }
 
 // latSampleEvery is the per-front sampling period of the ingest latency

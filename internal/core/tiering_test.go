@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -271,15 +272,16 @@ func TestV1SnapshotRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	format := func(v int) func() {
+	rewrite := func(edit func(*manifest)) func() {
 		return func() {
 			m2 := m
-			m2.Version = v
+			edit(&m2)
 			if err := writeJSON(mpath, m2); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	format := func(v int) func() { return rewrite(func(m *manifest) { m.Version = v }) }
 
 	for _, tc := range []struct {
 		name   string
@@ -292,6 +294,9 @@ func TestV1SnapshotRecovery(t *testing.T) {
 		{"format 4", format(4), 0, "snapshot format 4,"},
 		{"another shard count", func() {}, 2 * m.Shards, fmt.Sprintf("-shards %d", m.Shards)},
 		{"a lost segment list", func() { os.Remove(list) }, 0, filepath.Base(list)},
+		{"a replay floor of 0", rewrite(func(m *manifest) { m.ReplayFrom = 0 }), 0, "replay floor 0 outside"},
+		{"a replay floor above the cut", rewrite(func(m *manifest) { m.ReplayFrom = m.CutLSN + 2 }), 0, fmt.Sprintf("replay floor %d outside", m.CutLSN+2)},
+		{"another cut", rewrite(func(m *manifest) { m.CutLSN++ }), 0, fmt.Sprintf("cut %d in a directory named for cut %d", m.CutLSN+1, m.CutLSN)},
 	} {
 		reset()
 		tc.damage()
@@ -325,6 +330,83 @@ func TestV1SnapshotRecovery(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("recovery left the stale temp directory behind (%v)", err)
 	}
+}
+
+// FuzzManifest feeds fuzzed bytes to recovery as a snapshot's
+// MANIFEST.json. Recovery must not panic, and a manifest it refuses must
+// leave the data directory (a sealed segment, the log, a crashed attempt's
+// temp directory) exactly as it was.
+func FuzzManifest(f *testing.F) {
+	sc := durableWorld(f)
+	dataDir := f.TempDir()
+	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	p1 := newPrimed(sc)
+	for i, tl := range sc.WireTimed[:600] {
+		if _, err := p1.IngestLineLogged(log, tl); err != nil {
+			f.Fatal(err)
+		}
+		if i == 300 {
+			p1.MaintainStore(nil, store.TierPolicy{}, true)
+		}
+	}
+	if err := log.Commit(); err != nil {
+		f.Fatal(err)
+	}
+	info, err := p1.WriteSnapshot(dataDir, nil, log)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		f.Fatal(err)
+	}
+	mpath := filepath.Join(info.Dir, "MANIFEST.json")
+	written, err := os.ReadFile(mpath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var m manifest
+	if err := readJSON(mpath, &m); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	for _, edit := range []func(*manifest){
+		func(m *manifest) { m.ReplayFrom = 0 },
+		func(m *manifest) { m.ReplayFrom = m.CutLSN + 2 },
+		func(m *manifest) { m.ReplayFrom = m.CutLSN },
+		func(m *manifest) { m.CutLSN++ },
+		func(m *manifest) { m.Version = 2 },
+		func(m *manifest) { m.Shards = 0 },
+		func(m *manifest) { m.Domain = "aviation" },
+	} {
+		m2 := m
+		edit(&m2)
+		data, err := json.Marshal(m2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":3,"cutLSN":18446744073709551615,"replayFrom":0}`))
+	f.Add([]byte("{"))
+
+	stale := filepath.Join(SnapshotsDir(dataDir), ".tmp-1234567")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(mpath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(stale, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		before := treeListing(t, dataDir)
+		if _, err := New(Config{Domain: model.Maritime}).Recover(dataDir); err != nil {
+			if after := treeListing(t, dataDir); !slices.Equal(before, after) {
+				t.Fatalf("refused manifest %q (%v) changed the data directory:\n%q\n%q", data, err, before, after)
+			}
+		}
+	})
 }
 
 // TestRecoverySweepsStaleSegmentCache plants leftovers of a crashed

@@ -276,8 +276,8 @@ func mergeJoin(tiers []rdf.Graph, cur, next []rdf.ID, w, subj int, p, o rdf.ID, 
 	for i := range rows {
 		rows[i] = uint64(cur[i*w+subj])<<32 | uint64(i)
 	}
-	radixSort(run, nil, 4)
-	radixSort(rows, nil, 4)
+	rdf.RadixSort(run, nil, 4)
+	rdf.RadixSort(rows, nil, 4)
 	for i, k := 0, 0; i < len(rows); i++ {
 		s := rows[i] >> 32
 		for k < len(run) && run[k]>>32 < s {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/rdf"
@@ -144,70 +143,6 @@ func (v *values) compare(a, b uint32) int {
 	return v.cmpRendered(a, b)
 }
 
-// radixBufs are radixSort's second key and index buffers, pooled: a read
-// sorts per column and per join step, and the buffers serve the next sort,
-// and the next query, instead of becoming garbage.
-type radixBufs struct {
-	keys []uint64
-	idx  []uint32
-}
-
-var radixPool = sync.Pool{New: func() any { return new(radixBufs) }}
-
-// radixSort sorts keys stably by their bytes from the from-th up (byte 0 is
-// the least significant), moving idx (when not nil) along: an LSD radix sort,
-// one counting pass per byte, skipping the bytes every key shares (a few
-// keys take an insertion sort). Sorting id<<32|payload keys from byte 4
-// orders them by id and keeps the payloads of one id in input order.
-func radixSort(keys []uint64, idx []uint32, from int) {
-	// Below 48 keys an insertion sort takes fewer steps than one pass over
-	// 256 buckets: without it BenchmarkQueryFleet's sel and joinsel (a few
-	// rows per merged column) run ≈ 12 % slower, count ≈ 4 % (2-vCPU box).
-	if len(keys) < 48 {
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j]>>(8*from) < keys[j-1]>>(8*from); j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-				if idx != nil {
-					idx[j], idx[j-1] = idx[j-1], idx[j]
-				}
-			}
-		}
-		return
-	}
-	buf := radixPool.Get().(*radixBufs)
-	defer radixPool.Put(buf)
-	buf.keys = slices.Grow(buf.keys[:0], len(keys))[:len(keys)]
-	buf.idx = slices.Grow(buf.idx[:0], len(idx))[:len(idx)]
-	src, dst, srcIdx, dstIdx := keys, buf.keys, idx, buf.idx
-	var or, and uint64 = 0, ^uint64(0)
-	for _, k := range keys {
-		or, and = or|k, and&k
-	}
-	for shift := 8 * from; shift < 64; shift += 8 {
-		if (or^and)>>shift&0xff == 0 {
-			continue
-		}
-		var start [256]int
-		for _, k := range src {
-			start[byte(k>>shift)]++
-		}
-		for d, sum := 0, 0; d < 256; d++ {
-			start[d], sum = sum, sum+start[d]
-		}
-		for i, k := range src {
-			d := byte(k >> shift)
-			dst[start[d]] = k
-			if idx != nil {
-				dstIdx[start[d]] = srcIdx[i]
-			}
-			start[d]++
-		}
-		src, dst, srcIdx, dstIdx = dst, src, dstIdx, srcIdx
-	}
-	copy(keys, src)
-	copy(idx, srcIdx)
-}
-
 // rankTerms puts one column's distinct ids in rendering order, collapsing
 // those that render equally ("x" and "x"^^xsd:string: two ids, one cell),
 // and returns each input id's position in the result. A radix sort orders
@@ -233,7 +168,7 @@ func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) 
 		copy(k[:], str(uint32(i))[shared:])
 		keys[i], order[i] = binary.BigEndian.Uint64(k[:]), uint32(i)
 	}
-	radixSort(keys, order, 0)
+	rdf.RadixSort(keys, order, 0)
 	for a, b := 0, 0; a < len(order); a = b {
 		for b = a + 1; b < len(order) && keys[b] == keys[a]; b++ {
 		}
@@ -366,7 +301,7 @@ func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bo
 		for i := range keys {
 			keys[i] = uint64(rows[i*w+col])<<32 | uint64(i)
 		}
-		radixSort(keys, nil, 4)
+		rdf.RadixSort(keys, nil, 4)
 		for j, k := range keys {
 			if id := rdf.ID(k >> 32); j == 0 || k>>32 != keys[j-1]>>32 {
 				vals.ids = append(vals.ids, id)

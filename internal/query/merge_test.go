@@ -177,7 +177,7 @@ func cellsOf(res *Result) [][]string {
 // eleven bytes from an alphabet of quotes, backslashes, newlines, NUL and
 // bytes that end a rendering. The ids are the terms in an order drawn from
 // the rest, now and then with 0, the unbound cell. Up to 96 terms: a column
-// under 48 values takes radixSort's insertion sort, a longer one its passes.
+// under 48 values takes rdf.RadixSort's insertion sort, a longer one its passes.
 func rankInput(data []byte) (dict []rdf.Term, ids []rdf.ID) {
 	next := func() int {
 		if len(data) == 0 {

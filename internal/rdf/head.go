@@ -59,14 +59,15 @@ func (h *Head) AddBatch(triples []TermTriple) error {
 }
 
 // Insert adds encoded triples, in any order; duplicates, within tri or of
-// triples the head holds, are dropped. It sorts tri in place and keeps no
+// triples the head holds, are dropped. It neither modifies tri nor keeps a
 // reference to it: what is new becomes one run, which then merges with the
 // newer end of the run list.
 func (h *Head) Insert(tri []Triple) {
-	slices.SortFunc(tri, cmpSPO)
-	tri = slices.Compact(tri)
-	fresh := tri[:0]
-	for _, t := range tri {
+	buf := getSortBufs(len(tri))
+	defer sortPool.Put(buf)
+	sorted := slices.Compact(buf.sortSPO(tri))
+	fresh := sorted[:0]
+	for _, t := range sorted {
 		if !h.holds(t) {
 			fresh = append(fresh, t)
 		}
@@ -74,7 +75,7 @@ func (h *Head) Insert(tri []Triple) {
 	if len(fresh) == 0 {
 		return
 	}
-	h.runs = append(h.runs, newRun(h.dict, slices.Clone(fresh)))
+	h.runs = append(h.runs, newRun(h.dict, fresh, buf))
 	h.n += len(fresh)
 	for k := len(h.runs); k >= 2 && len(h.runs[k-2].tri) <= mergeRatio*len(h.runs[k-1].tri); k = len(h.runs) {
 		h.mergeNewest()
@@ -121,7 +122,7 @@ func (h *Head) Seal() *Segment {
 		h.mergeNewest()
 	}
 	if len(h.runs) == 0 {
-		return newRun(h.dict, nil)
+		return &Segment{dict: h.dict}
 	}
 	seg := h.runs[0]
 	seg.buildNumericColumns()

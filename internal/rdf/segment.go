@@ -42,24 +42,31 @@ type numEntry struct {
 // NewSegment builds a sealed segment from triples (copied; any order,
 // duplicates collapsed).
 func NewSegment(dict *Dictionary, triples []Triple) *Segment {
-	tri := slices.Clone(triples)
-	slices.SortFunc(tri, cmpSPO)
-	seg := newRun(dict, slices.Compact(tri))
+	buf := getSortBufs(len(triples))
+	defer sortPool.Put(buf)
+	seg := newRun(dict, slices.Compact(buf.sortSPO(triples)), buf)
 	seg.buildNumericColumns()
 	return seg
 }
 
 // newRun indexes tri — sorted by (S, P, O), deduplicated and owned by the
-// run from now on — without numeric columns.
-func newRun(dict *Dictionary, tri []Triple) *Segment {
+// run from now on — without numeric columns; buf's keys are at least
+// len(tri) long. Each permutation is a stable radix sort of the SPO order,
+// which already orders the ties: POS by P<<32|O leaves each (P, O) run in S
+// order, OSP by O alone each O run in (S, P) order.
+func newRun(dict *Dictionary, tri []Triple, buf *sortBufs) *Segment {
 	n := len(tri)
 	perm := make([]uint32, 2*n)
 	g := &Segment{dict: dict, tri: tri, pos: perm[:n:n], osp: perm[n:]}
-	for i := range tri {
-		g.pos[i], g.osp[i] = uint32(i), uint32(i)
+	keys := buf.keys[:n]
+	for i, t := range tri {
+		keys[i], g.pos[i] = uint64(t.P)<<32|uint64(t.O), uint32(i)
 	}
-	slices.SortFunc(g.pos, func(a, b uint32) int { return cmpPOS(tri[a], tri[b]) })
-	slices.SortFunc(g.osp, func(a, b uint32) int { return cmpOSP(tri[a], tri[b]) })
+	RadixSort(keys, g.pos, 0)
+	for i, t := range tri {
+		keys[i], g.osp[i] = uint64(t.O), uint32(i)
+	}
+	RadixSort(keys, g.osp, 0)
 	return g
 }
 

@@ -48,6 +48,20 @@ import (
 	"github.com/datacron-project/datacron/internal/wal"
 )
 
+// readHeaderTimeout is how long a connection may take to send a request
+// header before the listener closes it: 10 s, so a client that sends half a
+// header cannot hold a connection and its goroutine forever. It is a
+// variable only so that a test can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns the http.Server every listener of the daemon runs
+// (the public API and the debug listener): h behind the header deadline.
+// It sets no read, write or idle timeout, since long ingest bodies, /events
+// streams and keep-alive peers would trip them.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // Config parameterises a server.
 type Config struct {
 	// Pipeline is the running datAcron instance to serve. Required; areas

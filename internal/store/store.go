@@ -17,7 +17,6 @@
 package store
 
 import (
-	"cmp"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -154,15 +153,21 @@ func (s *Sharded) ShardLoads() []int {
 }
 
 // AddGlobal replicates dimension triples (entities, areas, vocabulary) to
-// every shard, one batch each, so a per-shard BGP evaluation can join them
-// locally. It fails, storing nothing, when the dictionary is full.
-func (s *Sharded) AddGlobal(triples []onto.TripleT) (err error) {
+// every shard, so a per-shard BGP evaluation can join them locally. The
+// batch is encoded once, through the shared dictionary, and each shard's
+// global tier inserts the encoded triples. It fails, storing nothing, when
+// the dictionary is full.
+func (s *Sharded) AddGlobal(triples []onto.TripleT) error {
+	tri, err := s.dict.EncodeBatch(triples, nil)
+	if err != nil {
+		return err
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		err = cmp.Or(err, sh.global.AddBatch(triples))
+		sh.global.Insert(tri)
 		sh.mu.Unlock()
 	}
-	return err
+	return nil
 }
 
 // AddAnchored places a graph fragment anchored at (key, pt, ts): its

@@ -97,6 +97,74 @@ type flightScript struct {
 func GenAviation(cfg AviationConfig) *Scenario {
 	cfg = cfg.withDefaults()
 	r := newRNG(cfg.Seed)
+	sc, scripts := planAviation(cfg, r)
+	endMS := cfg.Start.Add(cfg.Duration).UnixMilli()
+
+	// Simulate and emit.
+	var all []model.Position
+	for _, fs := range scripts {
+		truth := simulateFlight(r, fs, endMS, cfg.ReportEvery)
+		if truth.Len() == 0 {
+			continue
+		}
+		sc.Truth[fs.entity.ID] = truth
+		for _, tp := range truth.Points {
+			obs := tp
+			obs.Pt = r.jitterPoint(tp.Pt, cfg.NoiseSigmaM)
+			obs.Pt.Alt = tp.Pt.Alt + r.gauss(0, 8)
+			all = append(all, obs)
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].TS < all[j].TS })
+
+	identEvery := (5 * time.Minute).Milliseconds()
+	lastIdent := make(map[string]int64)
+	for _, p := range all {
+		sc.Positions = append(sc.Positions, p)
+		ent := entityByID(sc.Entities, p.EntityID)
+		t := p.Time()
+		if p.TS-lastIdent[p.EntityID] >= identEvery {
+			lastIdent[p.EntityID] = p.TS
+			line := adsb.Format(adsb.Message{
+				Type: adsb.MsgIdent, HexIdent: p.EntityID, Generated: t, Callsign: ent.Callsign,
+				AltitudeFt: math.NaN(), Lat: math.NaN(), Lon: math.NaN(),
+				SpeedKn: math.NaN(), TrackDeg: math.NaN(), VertRateFpm: math.NaN(),
+			})
+			sc.WireTimed = append(sc.WireTimed, TimedLine{TS: p.TS, Line: line})
+			sc.WireLines = append(sc.WireLines, line)
+		}
+		vel := adsb.Format(adsb.Message{
+			Type: adsb.MsgVelocity, HexIdent: p.EntityID, Generated: t,
+			SpeedKn: geo.ToKnots(p.SpeedMS), TrackDeg: p.CourseDeg,
+			VertRateFpm: p.VertRateMS * 196.85, // m/s → ft/min
+			AltitudeFt:  math.NaN(), Lat: math.NaN(), Lon: math.NaN(),
+		})
+		pos := adsb.Format(adsb.Message{
+			Type: adsb.MsgPosition, HexIdent: p.EntityID, Generated: t,
+			AltitudeFt: geo.ToFeet(p.Pt.Alt), Lat: p.Pt.Lat, Lon: p.Pt.Lon,
+			SpeedKn: math.NaN(), TrackDeg: math.NaN(), VertRateFpm: math.NaN(),
+		})
+		sc.WireTimed = append(sc.WireTimed, TimedLine{TS: p.TS, Line: vel}, TimedLine{TS: p.TS, Line: pos})
+		sc.WireLines = append(sc.WireLines, vel, pos)
+	}
+	return sc
+}
+
+// AviationWorld is GenAviation(cfg) without its traffic: the sectors, the
+// flight registry and the scripted hotspots, and no truth, positions or
+// wire lines. It runs the generator's own plan, so the registry is the one
+// the generated stream reports.
+func AviationWorld(cfg AviationConfig) *Scenario {
+	cfg = cfg.withDefaults()
+	sc, _ := planAviation(cfg, newRNG(cfg.Seed))
+	return sc
+}
+
+// planAviation is the first half of an aviation generator run: the sector
+// areas, the scripted congestion episodes and every flight's script, whose
+// entities and events it records. The simulation that follows draws from r
+// where the plan left it.
+func planAviation(cfg AviationConfig, r rng) (*Scenario, []flightScript) {
 	startMS := cfg.Start.UnixMilli()
 	endMS := cfg.Start.Add(cfg.Duration).UnixMilli()
 	durMS := cfg.Duration.Milliseconds()
@@ -168,55 +236,7 @@ func GenAviation(cfg AviationConfig) *Scenario {
 		scripts = append(scripts, fs)
 		sc.Entities = append(sc.Entities, fs.entity)
 	}
-
-	// Simulate and emit.
-	var all []model.Position
-	for _, fs := range scripts {
-		truth := simulateFlight(r, fs, endMS, cfg.ReportEvery)
-		if truth.Len() == 0 {
-			continue
-		}
-		sc.Truth[fs.entity.ID] = truth
-		for _, tp := range truth.Points {
-			obs := tp
-			obs.Pt = r.jitterPoint(tp.Pt, cfg.NoiseSigmaM)
-			obs.Pt.Alt = tp.Pt.Alt + r.gauss(0, 8)
-			all = append(all, obs)
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].TS < all[j].TS })
-
-	identEvery := (5 * time.Minute).Milliseconds()
-	lastIdent := make(map[string]int64)
-	for _, p := range all {
-		sc.Positions = append(sc.Positions, p)
-		ent := entityByID(sc.Entities, p.EntityID)
-		t := p.Time()
-		if p.TS-lastIdent[p.EntityID] >= identEvery {
-			lastIdent[p.EntityID] = p.TS
-			line := adsb.Format(adsb.Message{
-				Type: adsb.MsgIdent, HexIdent: p.EntityID, Generated: t, Callsign: ent.Callsign,
-				AltitudeFt: math.NaN(), Lat: math.NaN(), Lon: math.NaN(),
-				SpeedKn: math.NaN(), TrackDeg: math.NaN(), VertRateFpm: math.NaN(),
-			})
-			sc.WireTimed = append(sc.WireTimed, TimedLine{TS: p.TS, Line: line})
-			sc.WireLines = append(sc.WireLines, line)
-		}
-		vel := adsb.Format(adsb.Message{
-			Type: adsb.MsgVelocity, HexIdent: p.EntityID, Generated: t,
-			SpeedKn: geo.ToKnots(p.SpeedMS), TrackDeg: p.CourseDeg,
-			VertRateFpm: p.VertRateMS * 196.85, // m/s → ft/min
-			AltitudeFt:  math.NaN(), Lat: math.NaN(), Lon: math.NaN(),
-		})
-		pos := adsb.Format(adsb.Message{
-			Type: adsb.MsgPosition, HexIdent: p.EntityID, Generated: t,
-			AltitudeFt: geo.ToFeet(p.Pt.Alt), Lat: p.Pt.Lat, Lon: p.Pt.Lon,
-			SpeedKn: math.NaN(), TrackDeg: math.NaN(), VertRateFpm: math.NaN(),
-		})
-		sc.WireTimed = append(sc.WireTimed, TimedLine{TS: p.TS, Line: vel}, TimedLine{TS: p.TS, Line: pos})
-		sc.WireLines = append(sc.WireLines, vel, pos)
-	}
-	return sc
+	return sc, scripts
 }
 
 // simulateFlight runs one flight's climb/cruise/descent (plus any scripted

@@ -3,7 +3,9 @@ package synth
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/ais"
@@ -125,9 +127,39 @@ type vesselScript struct {
 func GenMaritime(cfg MaritimeConfig) *Scenario {
 	cfg = cfg.withDefaults()
 	r := newRNG(cfg.Seed)
+	sc, scripts := planMaritime(cfg, r)
 	startMS := cfg.Start.UnixMilli()
 	endMS := cfg.Start.Add(cfg.Duration).UnixMilli()
 
+	// Simulate every vessel and assemble the global streams.
+	for _, vs := range scripts {
+		truth := simulateVessel(r, vs, startMS, endMS, cfg.ReportEvery)
+		sc.Truth[vs.entity.ID] = truth
+		sc.Events = append(sc.Events, areaEntryEvents(truth, sc.Areas, func(name string) bool {
+			// Port approach entries are routine; only zone entries are events.
+			return len(name) > 5 && name[:5] == "PORT-"
+		})...)
+	}
+
+	emitMaritimeObservations(cfg, r, sc, scripts)
+	return sc
+}
+
+// MaritimeWorld is GenMaritime(cfg) without its traffic: the areas, the
+// entity registry and the scripted events, and no truth, positions, wire
+// lines or area entries. It runs the generator's own plan, so the registry
+// is the one the generated stream reports.
+func MaritimeWorld(cfg MaritimeConfig) *Scenario {
+	cfg = cfg.withDefaults()
+	sc, _ := planMaritime(cfg, newRNG(cfg.Seed))
+	return sc
+}
+
+// planMaritime is the first half of a maritime generator run: the areas of
+// interest, then every vessel's script (buildMaritimeScripts), whose
+// entities and scripted events it records. The simulation that follows
+// draws from r where the plan left it.
+func planMaritime(cfg MaritimeConfig, r rng) (*Scenario, []vesselScript) {
 	sc := &Scenario{
 		Domain: model.Maritime,
 		Truth:  make(map[string]*model.Trajectory),
@@ -139,28 +171,14 @@ func GenMaritime(cfg MaritimeConfig) *Scenario {
 	for _, p := range aegeanPorts {
 		sc.Areas["PORT-"+p.Name] = geo.Circle(p.Pt, p.RadiusM, 24)
 	}
-	fishZone := geo.Rect(geo.NewBBox(24.3, 36.8, 25.3, 37.5))
-	sc.Areas["FISHING-ZONE-1"] = fishZone
-	protected := geo.Rect(geo.NewBBox(23.8, 36.2, 24.4, 36.7))
-	sc.Areas["PROTECTED-1"] = protected
+	sc.Areas["FISHING-ZONE-1"] = geo.Rect(geo.NewBBox(24.3, 36.8, 25.3, 37.5))
+	sc.Areas["PROTECTED-1"] = geo.Rect(geo.NewBBox(23.8, 36.2, 24.4, 36.7))
 
 	scripts := buildMaritimeScripts(cfg, r, sc)
-
-	// Simulate every vessel and assemble the global streams.
-	var events []model.Event
 	for _, vs := range scripts {
-		truth := simulateVessel(r, vs, startMS, endMS, cfg.ReportEvery)
-		sc.Truth[vs.entity.ID] = truth
 		sc.Entities = append(sc.Entities, vs.entity)
-		events = append(events, areaEntryEvents(truth, sc.Areas, func(name string) bool {
-			// Port approach entries are routine; only zone entries are events.
-			return len(name) > 5 && name[:5] == "PORT-"
-		})...)
 	}
-	sc.Events = append(sc.Events, events...)
-
-	emitMaritimeObservations(cfg, r, sc, scripts)
-	return sc
+	return sc, scripts
 }
 
 // buildMaritimeScripts assigns behaviours: scripted rendezvous pairs and
@@ -278,7 +296,7 @@ func buildMaritimeScripts(cfg MaritimeConfig, r rng, sc *Scenario) []vesselScrip
 			// around islands) with a small per-vessel jitter. This shared
 			// structure is what the route-network forecaster learns from
 			// archival data (experiment E6).
-			wps := laneWaypoints(prev, to)
+			wps := slices.Clone(laneTable()[[2]string{prev.Name, to.Name}])
 			for i := range wps {
 				wps[i] = r.jitterPoint(wps[i], 1200)
 			}
@@ -485,6 +503,20 @@ func laneOffsetM(a, b string) float64 {
 	}
 	return mag
 }
+
+// laneTable holds laneWaypoints for every directed port pair, keyed by the
+// two names. It is computed once per process: the waypoints are a pure
+// function of the pair, and recomputing them was most of a plan's CPU.
+// Readers clone an entry before they jitter it.
+var laneTable = sync.OnceValue(func() map[[2]string][]geo.Point {
+	lanes := make(map[[2]string][]geo.Point, len(aegeanPorts)*len(aegeanPorts))
+	for _, from := range aegeanPorts {
+		for _, to := range aegeanPorts {
+			lanes[[2]string{from.Name, to.Name}] = laneWaypoints(from, to)
+		}
+	}
+	return lanes
+})
 
 // laneWaypoints returns the canonical corridor polyline for a directed port
 // pair: waypoints every ~20 km along the rhumb line, laterally offset by a
