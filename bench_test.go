@@ -39,8 +39,9 @@ func runExperiment(b *testing.B, fn func(quick bool) *experiments.Table) {
 // affecting the quality of analytics", §2).
 func BenchmarkE1Compression(b *testing.B) { runExperiment(b, experiments.E1Compression) }
 
-// BenchmarkE2StreamThroughput regenerates E2: primitive operator throughput
-// on streams ("applied directly on the data streams", §2).
+// BenchmarkE2StreamThroughput regenerates E2: throughput of the daemon's
+// keyed ingest front-end, core.Ingestor, at 1, 2 and 4 workers ("applied
+// directly on the data streams", §2).
 func BenchmarkE2StreamThroughput(b *testing.B) { runExperiment(b, experiments.E2StreamThroughput) }
 
 // BenchmarkE3Partitioning regenerates E3: partitioner balance, latency and

@@ -5,179 +5,89 @@
 //	datacron-bench -quick     # test scale (seconds)
 //	datacron-bench -only E3,E6
 //
-// With -ingest-url it is instead a load driver against a live daemon's
-// POST /ingest, in either wire format:
-//
-//	datacron-bench -ingest-url http://localhost:8080 -ingest-format binary \
-//	  -ingest-lines 500000 -ingest-batch 512
-//
-// Against a cluster, pass every coordinator comma-separated and the driver
-// round-robins batches across them (any node coordinates, so this spreads
-// the routing work, not just the ingest):
-//
-//	datacron-bench -ingest-url http://10.0.0.1:8080,http://10.0.0.2:8080
+// End-to-end numbers for the serving daemon come from `bash bench/run.sh`
+// (see bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
+	"maps"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/datacron-project/datacron/internal/experiments"
-	"github.com/datacron-project/datacron/internal/synth"
-	"github.com/datacron-project/datacron/internal/wire"
 )
 
+type experiment struct {
+	id string
+	fn func(bool) *experiments.Table
+}
+
+var all = []experiment{
+	{"E1", experiments.E1Compression},
+	{"E2", experiments.E2StreamThroughput},
+	{"E3", experiments.E3Partitioning},
+	{"E4", experiments.E4ParallelQuery},
+	{"E5", experiments.E5LinkDiscovery},
+	{"E6", experiments.E6TrajForecast},
+	{"E7", experiments.E7EventRecognition},
+	{"E8", experiments.E8EventForecast},
+	{"E9", experiments.E9Hotspots},
+	{"E10", experiments.E10EndToEnd},
+	{"E11", experiments.E11Durability},
+	{"E12", experiments.E12OnlineForecast},
+	{"E13", experiments.E13Tiering},
+	{"E14", experiments.E14Synopses},
+	{"E15", experiments.E15Observability},
+}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("datacron-bench: ")
 	var (
 		quick = flag.Bool("quick", false, "run test-scale workloads")
 		only  = flag.String("only", "", "comma-separated experiment ids (e.g. E1,E6); empty = all")
-
-		ingestURL    = flag.String("ingest-url", "", "drive POST /ingest on this base URL instead of running experiments; comma-separate several to round-robin cluster coordinators")
-		ingestFormat = flag.String("ingest-format", "text", "ingest wire format: text | binary")
-		ingestLines  = flag.Int("ingest-lines", 200_000, "total lines to post (-ingest-url mode)")
-		ingestBatch  = flag.Int("ingest-batch", 512, "lines per request (-ingest-url mode)")
 	)
 	flag.Parse()
 
-	if *ingestURL != "" {
-		if err := runIngestDriver(*ingestURL, *ingestFormat, *ingestLines, *ingestBatch); err != nil {
-			log.Fatal(err)
-		}
-		return
+	run, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datacron-bench:", err)
+		os.Exit(2)
 	}
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
-			want[id] = true
-		}
-	}
-
-	all := []struct {
-		id string
-		fn func(bool) *experiments.Table
-	}{
-		{"E1", experiments.E1Compression},
-		{"E2", experiments.E2StreamThroughput},
-		{"E3", experiments.E3Partitioning},
-		{"E4", experiments.E4ParallelQuery},
-		{"E5", experiments.E5LinkDiscovery},
-		{"E6", experiments.E6TrajForecast},
-		{"E7", experiments.E7EventRecognition},
-		{"E8", experiments.E8EventForecast},
-		{"E9", experiments.E9Hotspots},
-		{"E10", experiments.E10EndToEnd},
-		{"E11", experiments.E11Durability},
-		{"E12", experiments.E12OnlineForecast},
-		{"E13", experiments.E13Tiering},
-		{"E14", experiments.E14Synopses},
-		{"E15", experiments.E15Observability},
-	}
-	for _, e := range all {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
+	for _, e := range run {
 		start := time.Now()
 		tab := e.fn(*quick)
 		fmt.Printf("%s\n(%s in %v)\n\n", tab, e.id, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-// runIngestDriver posts a synthetic AIS wire stream to a live daemon's
-// POST /ingest and reports sustained lines/sec. The same pre-rendered
-// batches drive both formats, so a text-vs-binary pair of runs against the
-// same daemon isolates the wire-format cost.
-func runIngestDriver(baseURL, format string, lines, batch int) error {
-	if batch <= 0 || lines <= 0 {
-		return fmt.Errorf("-ingest-lines and -ingest-batch must be positive")
-	}
-	var contentType string
-	switch format {
-	case "text":
-		contentType = "text/plain"
-	case "binary":
-		contentType = wire.ContentType
-	default:
-		return fmt.Errorf("-ingest-format %q: want text or binary", format)
-	}
-
-	log.Printf("rendering %s batches of %d lines", format, batch)
-	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 99, Vessels: 40, Duration: 2 * time.Hour})
-	var bodies []string
-	for i := 0; i < len(sc.WireTimed); i += batch {
-		end := i + batch
-		if end > len(sc.WireTimed) {
-			end = len(sc.WireTimed)
-		}
-		tls := sc.WireTimed[i:end]
-		if format == "binary" {
-			var e wire.Encoder
-			for _, tl := range tls {
-				e.Add(tl.TS, tl.Line)
-			}
-			bodies = append(bodies, string(e.AppendFrame(nil)))
-		} else {
-			var b strings.Builder
-			for _, tl := range tls {
-				fmt.Fprintf(&b, "%d %s\n", tl.TS, tl.Line)
-			}
-			bodies = append(bodies, b.String())
+// selectExperiments returns the experiments -only names, in suite order
+// (all of them for an empty list). An id that names no experiment is an
+// error that lists the unknown ids and the valid ones.
+func selectExperiments(only string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
+			want[id] = true
 		}
 	}
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	var urls []string
-	for _, u := range strings.Split(baseURL, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/")+"/ingest")
+	if len(want) == 0 {
+		return all, nil
+	}
+	var run []experiment
+	valid := make([]string, len(all))
+	for i, e := range all {
+		valid[i] = e.id
+		if want[e.id] {
+			run = append(run, e)
+			delete(want, e.id)
 		}
 	}
-	if len(urls) == 0 {
-		return fmt.Errorf("-ingest-url is empty")
+	if len(want) > 0 {
+		return nil, fmt.Errorf("-only: unknown experiment %s (valid: %s)",
+			strings.Join(slices.Sorted(maps.Keys(want)), ", "), strings.Join(valid, ", "))
 	}
-	var accepted, rejected, requests int
-	start := time.Now()
-	for sent := 0; sent < lines; {
-		body := bodies[requests%len(bodies)]
-		n := batch
-		if requests%len(bodies) == len(bodies)-1 {
-			n = len(sc.WireTimed) - (len(bodies)-1)*batch
-		}
-		resp, err := client.Post(urls[requests%len(urls)], contentType, strings.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("post: %w", err)
-		}
-		var ir struct {
-			Accepted int    `json:"accepted"`
-			Rejected int    `json:"rejected"`
-			Error    string `json:"error,omitempty"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&ir)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("decode response (status %d): %w", resp.StatusCode, err)
-		}
-		if ir.Error != "" {
-			return fmt.Errorf("server: %s", ir.Error)
-		}
-		requests++
-		accepted += ir.Accepted
-		rejected += ir.Rejected
-		sent += n
-		if resp.StatusCode == http.StatusTooManyRequests {
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	el := time.Since(start)
-	log.Printf("%s: %d requests, %d accepted, %d rejected in %v — %.0f lines/sec",
-		format, requests, accepted, rejected, el.Round(time.Millisecond),
-		float64(accepted)/el.Seconds())
-	return nil
+	return run, nil
 }

@@ -28,7 +28,6 @@ import (
 	"github.com/datacron-project/datacron/internal/partition"
 	"github.com/datacron-project/datacron/internal/query"
 	"github.com/datacron-project/datacron/internal/store"
-	"github.com/datacron-project/datacron/internal/stream"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -226,10 +225,10 @@ type Stats struct {
 	// Latency is the wall-clock time from wire line to full processing of
 	// one report (decode+gate+compress+transform+store+CER), sampled for
 	// every report.
-	Latency *stream.LatencyHist
+	Latency *obs.LatencyHist
 	// StoreLatency and CERLatency break the budget down.
-	StoreLatency *stream.LatencyHist
-	CERLatency   *stream.LatencyHist
+	StoreLatency *obs.LatencyHist
+	CERLatency   *obs.LatencyHist
 }
 
 // CompressionRatio returns decoded/kept.
@@ -277,9 +276,9 @@ func New(cfg Config) *Pipeline {
 	if cfg.Trace.Enabled {
 		p.Tracer = obs.NewTracer(cfg.Trace)
 	}
-	p.Stats.Latency = stream.NewLatencyHist()
-	p.Stats.StoreLatency = stream.NewLatencyHist()
-	p.Stats.CERLatency = stream.NewLatencyHist()
+	p.Stats.Latency = obs.NewLatencyHist()
+	p.Stats.StoreLatency = obs.NewLatencyHist()
+	p.Stats.CERLatency = obs.NewLatencyHist()
 	return p
 }
 

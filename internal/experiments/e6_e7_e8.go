@@ -8,7 +8,7 @@ import (
 	"github.com/datacron-project/datacron/internal/cer"
 	"github.com/datacron-project/datacron/internal/forecast"
 	"github.com/datacron-project/datacron/internal/model"
-	"github.com/datacron-project/datacron/internal/stream"
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -98,7 +98,7 @@ func E7EventRecognition(quick bool) *Table {
 		Rendezvous: 4, Loiterers: 4, GapProb: 0.05,
 	})
 	suite := cer.NewMaritimeSuite(sc.Box, sc.Areas)
-	lat := stream.NewLatencyHist()
+	lat := obs.NewLatencyHist()
 	var detected []model.Event
 	start := time.Now()
 	for _, p := range sc.Positions {

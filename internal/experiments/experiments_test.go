@@ -54,15 +54,30 @@ func TestE1ShapeAndTrends(t *testing.T) {
 	}
 }
 
+// TestE2Throughput runs E2 on core.Ingestor: every line is processed at
+// every worker count, and keyed workers decode, gate and keep exactly what
+// one worker does.
 func TestE2Throughput(t *testing.T) {
 	tab := E2StreamThroughput(true)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	lines := float64(len(e2Scenario(true).WireTimed))
 	for i := range tab.Rows {
-		if eps := cell(t, tab, i, 3); eps < 50_000 {
-			t.Errorf("row %d: %f events/s implausibly low", i, eps)
+		if got := cell(t, tab, i, 1); got != lines {
+			t.Errorf("row %d: %v lines processed, want %v", i, got, lines)
 		}
+		if lps := cell(t, tab, i, 3); lps <= 0 {
+			t.Errorf("row %d: %v lines/s", i, lps)
+		}
+		for col := 4; col <= 6; col++ {
+			if got, want := tab.Rows[i][col], tab.Rows[0][col]; got != want {
+				t.Errorf("row %d %s = %s, want %s as with one worker", i, tab.Header[col], got, want)
+			}
+		}
+	}
+	if kept := cell(t, tab, 0, 6); kept <= 0 || kept >= lines {
+		t.Errorf("kept = %v of %v lines", kept, lines)
 	}
 }
 

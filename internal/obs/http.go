@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/datacron-project/datacron/internal/stream"
 )
 
 // RequestIDHeader is the request-identity header: propagated when the
@@ -60,7 +58,7 @@ type Endpoint struct {
 	Requests atomic.Int64
 	// Errors counts 5xx responses (client errors are the client's problem).
 	Errors  atomic.Int64
-	Latency *stream.LatencyHist
+	Latency *LatencyHist
 }
 
 // NewEndpointStats returns an empty registry.
@@ -76,7 +74,7 @@ func (es *EndpointStats) Register(label string) *Endpoint {
 	if e, ok := es.byLbl[label]; ok {
 		return e
 	}
-	e := &Endpoint{label: label, Latency: stream.NewLatencyHist()}
+	e := &Endpoint{label: label, Latency: NewLatencyHist()}
 	es.byLbl[label] = e
 	es.order = append(es.order, label)
 	return e

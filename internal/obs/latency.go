@@ -1,4 +1,4 @@
-package stream
+package obs
 
 import (
 	"fmt"
@@ -7,41 +7,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Meter counts events over wall-clock time to report throughput.
-type Meter struct {
-	mu    sync.Mutex
-	n     int64
-	start time.Time
-}
-
-// NewMeter returns a running meter.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Add records n events.
-func (m *Meter) Add(n int64) {
-	m.mu.Lock()
-	m.n += n
-	m.mu.Unlock()
-}
-
-// Count returns the number of recorded events.
-func (m *Meter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-// Rate returns events per second since the meter started.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el := time.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.n) / el
-}
 
 // maxLatencySamples bounds the histogram's reservoir. Batch experiments
 // (≤ millions of samples) fit comfortably; the long-running serving daemon

@@ -1,4 +1,4 @@
-package stream
+package obs
 
 import (
 	"math"
@@ -163,5 +163,27 @@ func TestLatencyHistSmall(t *testing.T) {
 	}
 	if got := h.Percentile(100); got != 100*time.Millisecond {
 		t.Errorf("exact p100 = %v, want 100ms", got)
+	}
+}
+
+func TestLatencyHist(t *testing.T) {
+	h := NewLatencyHist()
+	if h.Percentile(50) != 0 {
+		t.Error("empty hist percentile should be 0")
+	}
+	for i := 1; i <= 100; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	if p := h.Percentile(50); p < 49*time.Millisecond || p > 52*time.Millisecond {
+		t.Errorf("p50 = %v", p)
+	}
+	if p := h.Percentile(99); p < 98*time.Millisecond {
+		t.Errorf("p99 = %v", p)
+	}
+	if h.Percentile(0) > h.Percentile(100) {
+		t.Error("percentile ordering")
+	}
+	if h.Summary() == "" {
+		t.Error("empty summary")
 	}
 }

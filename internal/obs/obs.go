@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the serving daemon: sampled
 // end-to-end stage tracing over the ingest pipeline (Tracer), structured
-// component-tagged logging (NewLogger), HTTP request identity and
+// component-tagged logging (NewLogger), latency percentiles over a
+// bounded reservoir (LatencyHist), HTTP request identity and
 // per-endpoint latency accounting (RequestID, EndpointStats), a slow-query
 // log with attached plan facts (SlowLog), readiness gating for load
 // balancers (Readiness), stream-time watermarking so operators can see the
@@ -9,7 +10,7 @@
 //
 // Everything here is designed for the hot path it observes: tracing is
 // sampled (one atomic increment per unsampled line), the watermark is two
-// atomics, histograms reuse stream.LatencyHist's bounded reservoir, and
+// atomics, latency histograms are bounded reservoirs (LatencyHist), and
 // every collector is bounded — nothing in this package grows with uptime.
 //
 // See DESIGN.md §12 for the architecture and OPERATIONS.md "Observability"

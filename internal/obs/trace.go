@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/datacron-project/datacron/internal/stream"
 )
 
 // Stage names one step of the ingest pipeline for tracing and per-stage
@@ -109,7 +107,7 @@ type Tracer struct {
 	next    int
 	wrapped bool
 
-	hists [numStages]*stream.LatencyHist
+	hists [numStages]*LatencyHist
 }
 
 // NewTracer returns a running tracer.
@@ -125,7 +123,7 @@ func NewTracer(cfg TraceConfig) *Tracer {
 		ring:  make([]Span, cfg.RingSize),
 	}
 	for i := range t.hists {
-		t.hists[i] = stream.NewLatencyHist()
+		t.hists[i] = NewLatencyHist()
 	}
 	return t
 }
@@ -291,7 +289,7 @@ func (t *Tracer) Sampled() int64 {
 
 // StageHist returns the latency histogram of one stage (nil on a nil
 // tracer). The histograms observe only sampled lines.
-func (t *Tracer) StageHist(s Stage) *stream.LatencyHist {
+func (t *Tracer) StageHist(s Stage) *LatencyHist {
 	if t == nil || s >= numStages {
 		return nil
 	}

@@ -118,7 +118,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Rejected = total - resp.Accepted
 
-	s.meter.Add(int64(resp.Accepted))
+	s.accepted.Add(int64(resp.Accepted))
 	if r.URL.Query().Get("wait") == "1" {
 		s.ing.Quiesce(30 * time.Second)
 	}

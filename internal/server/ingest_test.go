@@ -221,8 +221,8 @@ func TestServerIngestBadFrameCommitsAcceptedPrefix(t *testing.T) {
 	if status != http.StatusBadRequest || ir.Accepted != n {
 		t.Fatalf("status %d, %+v; want 400 with accepted=%d", status, ir, n)
 	}
-	if got := srv1.meter.Count(); got != n {
-		t.Errorf("ingest meter counted %d lines, want %d", got, n)
+	if got := srv1.accepted.Load(); got != n {
+		t.Errorf("ingest counter counted %d lines, want %d", got, n)
 	}
 	// Kill -9: abandon the server and its WAL handle without closing them;
 	// whatever the handler did not commit is lost with the process.

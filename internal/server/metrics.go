@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/datacron-project/datacron/internal/obs"
-	"github.com/datacron-project/datacron/internal/stream"
 	"github.com/datacron-project/datacron/internal/synopses"
 )
 
@@ -45,7 +44,7 @@ var quantiles = []struct {
 // addQuantiles emits one gauge sample per exported percentile of h, with
 // the given extra label, skipping empty histograms entirely (so the family
 // header never appears without samples).
-func addQuantiles(v *obs.Vec, h *stream.LatencyHist, labelKey, labelVal string) {
+func addQuantiles(v *obs.Vec, h *obs.LatencyHist, labelKey, labelVal string) {
 	if h == nil || h.Count() == 0 {
 		return
 	}
@@ -77,6 +76,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Counter("datacron_ingest_gated_total", "Reports dropped by the noise gate.", snap.Gated)
 	mw.Counter("datacron_ingest_stored_total", "Reports stored after threshold compression.", snap.Kept)
 	mw.Counter("datacron_ingest_suppressed_total", "Reports suppressed by compression.", snap.Suppressed)
+	mw.Counter("datacron_ingest_accepted_total", "Lines acknowledged by POST /ingest.", s.accepted.Load())
 	mw.Counter("datacron_ingest_rejected_total", "Lines shed by backpressure (429s).", s.ing.Rejected())
 	mw.Counter("datacron_ingest_unstored_total", "Kept reports not stored: the term dictionary is full (see /readyz).", atomic.LoadInt64(&s.p.Stats.Unstored))
 	mw.Counter("datacron_ingest_frames_total", "Binary ingest frames decoded.", s.binFrames.Load())
@@ -86,7 +86,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Counter("datacron_events_published_total", "SSE frames fanned out to subscribers.", s.hub.published.Load())
 	mw.Counter("datacron_events_dropped_total", "SSE frames dropped on slow subscribers.", s.hub.dropped.Load())
 	mw.Gauge("datacron_compression_ratio", "Decoded-past-gate : stored.", s.p.Stats.CompressionRatio())
-	mw.Gauge("datacron_ingest_rate_lines_per_sec", "Accepted rate since the previous scrape.", s.ingestRate())
 	mw.Gauge("datacron_ingest_pending", "Lines accepted but not yet fully processed.", float64(s.ing.Pending()))
 	mw.Gauge("datacron_event_subscribers", "Live /events connections.", float64(s.hub.subscribers()))
 	mw.Gauge("datacron_store_triples", "Store volume across all tiers.", float64(s.p.Store.Len()))
@@ -214,21 +213,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = w.Write([]byte(mw.String()))
-}
-
-// ingestRate returns accepted lines/sec since the previous /metrics scrape
-// (lifetime average on the first), so the gauge tracks the live rate on a
-// long-running daemon instead of decaying toward the all-time mean.
-func (s *Server) ingestRate() float64 {
-	s.rateMu.Lock()
-	defer s.rateMu.Unlock()
-	now := time.Now()
-	count := s.meter.Count()
-	el := now.Sub(s.lastRateTime).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	rate := float64(count-s.lastRateCount) / el
-	s.lastRateCount, s.lastRateTime = count, now
-	return rate
 }

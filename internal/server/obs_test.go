@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -401,6 +402,60 @@ func TestMetricsPrometheusConformance(t *testing.T) {
 	for name := range typed {
 		if !seenDoc[name] {
 			t.Errorf("/metrics emits %s but OPERATIONS.md does not document it", name)
+		}
+	}
+}
+
+// TestIngestAcceptedCounter pins datacron_ingest_accepted_total to the sum
+// of the accepted counts /ingest replied with, however many scrapes fall
+// between and around the ingests: a scrape reads the counter, it does not
+// reset a window. A short queue makes the replies accept only part of
+// their bodies.
+func TestIngestAcceptedCounter(t *testing.T) {
+	sc, _, ts := testWorld(t, Config{Workers: 1, QueueLen: 256})
+	accepted := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "datacron_ingest_accepted_total "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("datacron_ingest_accepted_total %q: %v", v, err)
+				}
+				return n
+			}
+		}
+		t.Fatal("/metrics has no datacron_ingest_accepted_total")
+		return 0
+	}
+	if got := accepted(); got != 0 {
+		t.Fatalf("before any ingest: %d, want 0", got)
+	}
+	a := postIngest(t, http.DefaultClient, ts.URL, wireBody(sc.WireTimed[:400]), false).Accepted
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ { // scrapes in the same instant all read a
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := accepted(); got != a {
+				t.Errorf("after the first ingest: %d, want %d", got, a)
+			}
+		}()
+	}
+	wg.Wait()
+	b := postIngest(t, http.DefaultClient, ts.URL, wireBody(sc.WireTimed[400:800]), false).Accepted
+	if a+b == 0 {
+		t.Fatal("no line accepted")
+	}
+	t.Logf("accepted %d + %d of 2 × 400 lines", a, b)
+	for i := 0; i < 3; i++ {
+		if got := accepted(); got != a+b {
+			t.Errorf("scrape %d after the second ingest: %d, want %d + %d", i, got, a, b)
 		}
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/store"
-	"github.com/datacron-project/datacron/internal/stream"
 	"github.com/datacron-project/datacron/internal/wal"
 )
 
@@ -134,7 +133,6 @@ type Server struct {
 	ing   *core.Ingestor
 	hub   *hub
 	mux   *http.ServeMux
-	meter *stream.Meter
 	start time.Time
 
 	wal *wal.Log
@@ -147,10 +145,8 @@ type Server struct {
 	// maintMu serialises tier-maintenance passes (ticker vs POST /seal).
 	maintMu sync.Mutex
 
-	// rateMu guards the since-last-scrape ingest rate window.
-	rateMu        sync.Mutex
-	lastRateCount int64
-	lastRateTime  time.Time
+	// accepted counts lines acknowledged by POST /ingest.
+	accepted atomic.Int64
 
 	// Binary ingest accounting (frames decoded, records carried, frames
 	// rejected as malformed).
@@ -184,7 +180,6 @@ func New(cfg Config) *Server {
 		p:         cfg.Pipeline,
 		hub:       newHub(cfg.SubscriberBuffer),
 		mux:       http.NewServeMux(),
-		meter:     stream.NewMeter(),
 		start:     time.Now(),
 		wal:       cfg.WAL,
 		logger:    cfg.Logger,
@@ -197,7 +192,6 @@ func New(cfg Config) *Server {
 	if cfg.SlowQuery >= 0 {
 		s.slowLog = obs.NewSlowLog(cfg.SlowQuery, 0, s.logger)
 	}
-	s.lastRateTime = s.start
 	s.ing = s.p.NewIngestor(core.IngestorConfig{
 		Workers:  cfg.Workers,
 		QueueLen: cfg.QueueLen,
