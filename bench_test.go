@@ -2,9 +2,8 @@ package datacron
 
 // The benchmark harness regenerates every experiment defined in DESIGN.md
 // §4 (the paper has no numbered tables/figures; each experiment reifies one
-// verbatim architecture claim — see EXPERIMENTS.md for the recorded
-// results). Each benchmark runs the full-scale experiment and prints its
-// result table once:
+// verbatim architecture claim). Each benchmark runs the full-scale
+// experiment and prints its result table once:
 //
 //	go test -bench=. -benchmem
 //

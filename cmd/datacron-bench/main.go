@@ -1,5 +1,5 @@
-// datacron-bench runs the experiment suite E1–E15 (DESIGN.md §4) and prints
-// every result table; use it to regenerate the numbers in EXPERIMENTS.md.
+// datacron-bench runs the experiment suite E1–E15 (DESIGN.md §4,
+// Experiments) and prints every result table.
 //
 //	datacron-bench            # full scale (minutes)
 //	datacron-bench -quick     # test scale (seconds)

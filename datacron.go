@@ -7,9 +7,9 @@
 // The facade wraps the full architecture: synthetic AIS/ADS-B data sources,
 // in-situ stream compression, RDF transformation, link discovery, a
 // partitioned parallel spatiotemporal RDF store with a SPARQL-like query
-// language, complex event recognition, trajectory & event forecasting, and
-// visual analytics. See DESIGN.md for the component inventory and
-// EXPERIMENTS.md for the measured results.
+// language, complex event recognition, and trajectory & event forecasting.
+// See DESIGN.md for the component inventory and DESIGN.md §4 (Experiments)
+// for the experiment suite.
 package datacron
 
 import (

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestMarkdownLinks is the tier-1 twin of the CI markdown link check: the
-// operator docs must exist and every relative link in them must resolve to
-// a file in the repository.
+// TestMarkdownLinks is the markdown link check (CI runs it as its own
+// step): the operator docs must exist and every relative link in them must
+// resolve to a file in the repository.
 func TestMarkdownLinks(t *testing.T) {
 	link := regexp.MustCompile(`\]\(([^)]+)\)`)
 	for _, doc := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", "ROADMAP.md"} {
@@ -29,6 +29,27 @@ func TestMarkdownLinks(t *testing.T) {
 			}
 			if _, err := os.Stat(target); err != nil {
 				t.Errorf("%s: broken link %q", doc, m[1])
+			}
+		}
+	}
+}
+
+// TestGoDocReferences fails when a Go file cites a markdown document that
+// is not at the repository root: every "<name>.md" token in a .go file
+// outside bench/ (its own module with its own README) and testdata/ must
+// name a root document.
+func TestGoDocReferences(t *testing.T) {
+	doc := regexp.MustCompile(`[A-Za-z0-9_-]+\.md\b`)
+	for _, path := range goFiles(t) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range doc.FindAllString(line, -1) {
+				if _, err := os.Stat(name); err != nil {
+					t.Errorf("%s:%d: cites %s, which is not at the repository root", path, i+1, name)
+				}
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Maritime situational awareness: the paper's maritime use case (§3).
 // Generates a busy Aegean world with scripted rendezvous and loitering,
 // detects them from the AIS wire stream, scores detections against ground
-// truth, forecasts vessel positions, and renders a density heatmap with
-// hotspot markers.
+// truth, forecasts vessel positions, counts traffic hotspots and renders
+// a density heatmap.
 //
 //	go run ./examples/maritime
 package main
@@ -17,7 +17,6 @@ import (
 	"github.com/datacron-project/datacron/internal/forecast"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/synth"
-	"github.com/datacron-project/datacron/internal/viz"
 )
 
 func main() {
@@ -72,7 +71,7 @@ func main() {
 		fmt.Println()
 	}
 
-	// Visual analytics: traffic density heatmap with hotspot markers.
+	// Traffic hotspots, and a density heatmap as a PPM image.
 	spots := pipeline.Density.Hotspots(3)
 	fmt.Printf("\n%d traffic hotspots (Gi* z≥3)\n", len(spots))
 	f, err := os.Create("maritime-density.ppm")
@@ -80,7 +79,7 @@ func main() {
 		log.Fatalf("heatmap: %v", err)
 	}
 	defer f.Close()
-	if err := viz.HeatmapPPM(f, pipeline.Density, 8); err != nil {
+	if err := heatmapPPM(f, pipeline.Density, 8); err != nil {
 		log.Fatalf("heatmap: %v", err)
 	}
 	fmt.Println("wrote maritime-density.ppm")

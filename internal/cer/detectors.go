@@ -56,18 +56,6 @@ func And(cs ...Cond) Cond {
 	}
 }
 
-// Or combines conditions disjunctively.
-func Or(cs ...Cond) Cond {
-	return func(p model.Position) bool {
-		for _, c := range cs {
-			if c(p) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // Not negates a condition.
 func Not(c Cond) Cond {
 	return func(p model.Position) bool { return !c(p) }

@@ -167,9 +167,6 @@ func (n *Node) Ring() (*Ring, int64) {
 	return n.ring, n.version
 }
 
-// Self returns this node's ring identity.
-func (n *Node) Self() string { return n.cfg.Self }
-
 // ServeHTTP routes a request: cluster-internal RPCs to the internal mux,
 // forwarded sub-requests straight to the local server, client traffic on
 // the clustered endpoints through the coordinator logic, and everything

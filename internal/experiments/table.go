@@ -74,24 +74,3 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // f0 formats a float with no decimals.
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
-
-// All runs every experiment and returns the tables in order.
-func All(quick bool) []*Table {
-	return []*Table{
-		E1Compression(quick),
-		E2StreamThroughput(quick),
-		E3Partitioning(quick),
-		E4ParallelQuery(quick),
-		E5LinkDiscovery(quick),
-		E6TrajForecast(quick),
-		E7EventRecognition(quick),
-		E8EventForecast(quick),
-		E9Hotspots(quick),
-		E10EndToEnd(quick),
-		E11Durability(quick),
-		E12OnlineForecast(quick),
-		E13Tiering(quick),
-		E14Synopses(quick),
-		E15Observability(quick),
-	}
-}

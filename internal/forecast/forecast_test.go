@@ -316,34 +316,6 @@ func TestCompletionProbProperties(t *testing.T) {
 	}
 }
 
-func TestStreamForecasterTracksRuns(t *testing.T) {
-	sym, n := SpeedSymbols(1)
-	mc := NewMarkovChain(n)
-	mc.TrainSequence([]int{0, 0, 0, 0, 0, 1, 0, 0, 0, 0})
-	pf := &PatternForecaster{K: 3, Match: func(s int) bool { return s == 0 }, Chain: mc}
-	sf := NewStreamForecaster(sym, pf, 5)
-	// Slow reports: probability should rise as the run grows.
-	var probs []float64
-	for i := 0; i < 3; i++ {
-		f := sf.Process(model.Position{EntityID: "V", TS: int64(i) * 1000, SpeedMS: 0.5})
-		probs = append(probs, f.Prob)
-	}
-	if !(probs[2] >= probs[1] && probs[1] >= probs[0]) {
-		t.Errorf("probabilities not increasing along run: %v", probs)
-	}
-	if probs[2] != 1 {
-		t.Errorf("run of 3 with K=3 should be certain, got %f", probs[2])
-	}
-	// A fast report resets the run.
-	f := sf.Process(model.Position{EntityID: "V", TS: 4000, SpeedMS: 9})
-	if f.Prob >= probs[2] {
-		t.Errorf("reset did not lower probability: %f", f.Prob)
-	}
-	if f.String() == "" {
-		t.Error("empty forecast string")
-	}
-}
-
 // Event forecasting quality on the synthetic world: alarms raised when
 // P(loitering completes within horizon) crosses a threshold should
 // correlate with actual scripted loitering.
@@ -362,15 +334,21 @@ func TestEventForecastOnSyntheticWorld(t *testing.T) {
 	// Loitering at 10s cadence for 20 min = 120 consecutive slow reports;
 	// use a shorter K for the forecast experiment (5 min = 30 reports).
 	pf := &PatternForecaster{K: 30, Match: func(s int) bool { return s == 0 }, Chain: mc}
-	sf := NewStreamForecaster(sym, pf, 12)
 
 	loiterers := map[string]bool{}
 	for _, ev := range test.EventsOfType("loitering") {
 		loiterers[ev.Entity] = true
 	}
 	alarms := map[string]bool{}
+	runs := map[string]int{} // each entity's current run of matching reports
 	for _, p := range test.Positions {
-		if f := sf.Process(p); f.Prob > 0.9 {
+		s := sym(p)
+		if pf.Match(s) {
+			runs[p.EntityID]++
+		} else {
+			runs[p.EntityID] = 0
+		}
+		if pf.CompletionProb(s, runs[p.EntityID], 12) > 0.9 {
 			alarms[p.EntityID] = true
 		}
 	}

@@ -1,10 +1,6 @@
 package forecast
 
-import (
-	"fmt"
-
-	"github.com/datacron-project/datacron/internal/model"
-)
+import "github.com/datacron-project/datacron/internal/model"
 
 // Event forecasting after the pattern-automaton × Markov-chain
 // construction (Alevizos et al.'s Wayeb, which datAcron adopted): movement
@@ -134,46 +130,4 @@ func (f *PatternForecaster) CompletionProb(curSym, runLen, horizon int) float64 
 		cur, next = next, cur
 	}
 	return cur[absorb]
-}
-
-// Forecast is one emitted event forecast.
-type Forecast struct {
-	Entity  string
-	TS      int64
-	Prob    float64
-	Horizon int // in reports
-}
-
-// String implements fmt.Stringer.
-func (f Forecast) String() string {
-	return fmt.Sprintf("forecast(%s@%d: p=%.2f within %d reports)", f.Entity, f.TS, f.Prob, f.Horizon)
-}
-
-// StreamForecaster runs the PatternForecaster over a live report stream,
-// tracking each entity's current run length.
-type StreamForecaster struct {
-	Symbols SymbolFn
-	PF      *PatternForecaster
-	Horizon int
-	runLens map[string]int
-}
-
-// NewStreamForecaster wires a forecaster over a stream.
-func NewStreamForecaster(sym SymbolFn, pf *PatternForecaster, horizon int) *StreamForecaster {
-	return &StreamForecaster{Symbols: sym, PF: pf, Horizon: horizon, runLens: make(map[string]int)}
-}
-
-// Process consumes one report and returns the completion forecast for its
-// entity.
-func (sf *StreamForecaster) Process(p model.Position) Forecast {
-	sym := sf.Symbols(p)
-	run := sf.runLens[p.EntityID]
-	if sf.PF.Match(sym) {
-		run++
-	} else {
-		run = 0
-	}
-	sf.runLens[p.EntityID] = run
-	prob := sf.PF.CompletionProb(sym, run, sf.Horizon)
-	return Forecast{Entity: p.EntityID, TS: p.TS, Prob: prob, Horizon: sf.Horizon}
 }

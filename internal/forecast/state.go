@@ -252,21 +252,3 @@ func (mc *MarkovChain) ObserveTransition(from, to int) {
 		mc.counts[from][to]++
 	}
 }
-
-// RunLengths returns a copy of the stream forecaster's per-entity run
-// lengths (for snapshots).
-func (sf *StreamForecaster) RunLengths() map[string]int {
-	out := make(map[string]int, len(sf.runLens))
-	for k, v := range sf.runLens {
-		out[k] = v
-	}
-	return out
-}
-
-// RestoreRunLengths replaces the per-entity run lengths.
-func (sf *StreamForecaster) RestoreRunLengths(m map[string]int) {
-	sf.runLens = make(map[string]int, len(m))
-	for k, v := range m {
-		sf.runLens[k] = v
-	}
-}

@@ -62,28 +62,24 @@ func (DeadReckoning) Predict(history []model.Position, ts int64) (geo.Point, boo
 	return out, true
 }
 
-// Kinematic estimates turn rate and acceleration over the last few reports
-// and extrapolates with constant turn rate (CTR model).
-type Kinematic struct {
-	// Lookback is how many trailing reports estimate the derivatives;
-	// default 5.
-	Lookback int
-}
+// Kinematic estimates turn rate and acceleration over the last
+// kinematicLookback reports and extrapolates with constant turn rate (CTR
+// model).
+type Kinematic struct{}
+
+// kinematicLookback is how many trailing reports estimate the derivatives.
+const kinematicLookback = 5
 
 // Name implements Predictor.
 func (Kinematic) Name() string { return "kinematic" }
 
 // Predict implements Predictor.
-func (k Kinematic) Predict(history []model.Position, ts int64) (geo.Point, bool) {
-	lb := k.Lookback
-	if lb < 2 {
-		lb = 5
-	}
+func (Kinematic) Predict(history []model.Position, ts int64) (geo.Point, bool) {
 	if len(history) < 2 {
 		return DeadReckoning{}.Predict(history, ts)
 	}
-	if len(history) > lb {
-		history = history[len(history)-lb:]
+	if len(history) > kinematicLookback {
+		history = history[len(history)-kinematicLookback:]
 	}
 	first, last := history[0], history[len(history)-1]
 	span := float64(last.TS-first.TS) / 1000

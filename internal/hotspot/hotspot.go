@@ -1,7 +1,7 @@
 // Package hotspot implements the density analytics behind the paper's
 // "prediction of ... capacity demand, hot spots / paths" (§1): windowed
-// density grids, Getis-Ord-style hotspot scoring, per-sector occupancy
-// (ATM capacity demand) and origin-destination flow aggregation.
+// density grids, Getis-Ord-style hotspot scoring and per-sector occupancy
+// (ATM capacity demand).
 package hotspot
 
 import (
@@ -220,56 +220,6 @@ func (o *Occupancy) CongestionEvents(threshold int) []model.Event {
 		}
 	}
 	return events
-}
-
-// Flow aggregates origin-destination transitions between named areas.
-type Flow struct {
-	counts map[[2]string]int
-	last   map[string]string // entity → last area
-}
-
-// NewFlow returns an empty flow aggregator.
-func NewFlow() *Flow {
-	return &Flow{counts: make(map[[2]string]int), last: make(map[string]string)}
-}
-
-// Observe records that entity is currently in area ("" = open sea/air);
-// transitions between distinct named areas increment the OD count.
-func (f *Flow) Observe(entity, area string) {
-	prev := f.last[entity]
-	if area != "" && prev != "" && prev != area {
-		f.counts[[2]string{prev, area}]++
-	}
-	if area != "" {
-		f.last[entity] = area
-	}
-}
-
-// FlowCount is one OD pair count.
-type FlowCount struct {
-	From, To string
-	Count    int
-}
-
-// Top returns the k strongest flows.
-func (f *Flow) Top(k int) []FlowCount {
-	out := make([]FlowCount, 0, len(f.counts))
-	for od, c := range f.counts {
-		out = append(out, FlowCount{From: od[0], To: od[1], Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 func mod(a, b int64) int64 {

@@ -110,34 +110,6 @@ func TestCongestionEventsMergeWindows(t *testing.T) {
 	}
 }
 
-func TestFlowTop(t *testing.T) {
-	f := NewFlow()
-	// entity e1: A → B → C; e2: A → B.
-	f.Observe("e1", "A")
-	f.Observe("e1", "")
-	f.Observe("e1", "B")
-	f.Observe("e1", "C")
-	f.Observe("e2", "A")
-	f.Observe("e2", "B")
-	top := f.Top(10)
-	if len(top) != 2 {
-		t.Fatalf("flows = %+v", top)
-	}
-	if top[0].From != "A" || top[0].To != "B" || top[0].Count != 2 {
-		t.Errorf("top flow = %+v", top[0])
-	}
-	if got := f.Top(1); len(got) != 1 {
-		t.Error("Top(1) truncation")
-	}
-	// Re-entering the same area is not a transition.
-	f2 := NewFlow()
-	f2.Observe("e", "A")
-	f2.Observe("e", "A")
-	if len(f2.Top(0)) != 0 {
-		t.Error("self transition counted")
-	}
-}
-
 func TestHotspotDetectionOnAviationWorld(t *testing.T) {
 	sc := synth.GenAviation(synth.AviationConfig{Seed: 19, Flights: 40, Duration: 2 * time.Hour, HoldEpisodes: 1})
 	grid := synth.SectorGrid()

@@ -8,14 +8,12 @@
 package onto
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/rdf"
-	"github.com/datacron-project/datacron/internal/synth"
 )
 
 // NS is the vocabulary namespace.
@@ -30,7 +28,6 @@ var (
 	ClassAircraft = rdf.NewIRI(NS + "Aircraft")
 	ClassNode     = rdf.NewIRI(NS + "SemanticNode") // one position report
 	ClassEvent    = rdf.NewIRI(NS + "Event")
-	ClassWeather  = rdf.NewIRI(NS + "WeatherCondition")
 	ClassArea     = rdf.NewIRI(NS + "Area")
 )
 
@@ -55,10 +52,6 @@ var (
 	PredEnd       = rdf.NewIRI(NS + "end")
 	PredInvolves  = rdf.NewIRI(NS + "involves")
 	PredInArea    = rdf.NewIRI(NS + "inArea")
-	PredWind      = rdf.NewIRI(NS + "windSpeed")
-	PredWindDir   = rdf.NewIRI(NS + "windDirection")
-	PredWave      = rdf.NewIRI(NS + "waveHeight")
-	PredNearTo    = rdf.NewIRI(NS + "hasWeatherCondition")
 	PredSameAs    = rdf.NewIRI("http://www.w3.org/2002/07/owl#sameAs")
 )
 
@@ -78,16 +71,11 @@ func EventIRI(typ, entityID string, ts int64) rdf.Term {
 // AreaIRI returns the resource IRI of a named area.
 func AreaIRI(name string) rdf.Term { return rdf.NewIRI(res + "area/" + name) }
 
-// WeatherIRI returns the resource IRI of one weather observation.
-func WeatherIRI(cell int, ts int64) rdf.Term {
-	return rdf.NewIRI(res + fmt.Sprintf("weather/%d/%d", cell, ts))
-}
-
 // AnchorEntityID extracts the owning entity id from the IRI of an
 // entity-anchored resource — position nodes (NodeIRI) and events
-// (EventIRI). ok is false for anchors that belong to no entity (weather
-// observations) and for IRIs outside the resource namespace; those stay on
-// whichever cluster node created them.
+// (EventIRI). ok is false for anchors that belong to no entity (areas)
+// and for IRIs outside the resource namespace; those stay on whichever
+// cluster node created them.
 func AnchorEntityID(iri string) (string, bool) {
 	rest, found := strings.CutPrefix(iri, res)
 	if !found {
@@ -183,20 +171,6 @@ func EventTriples(ev model.Event) []TripleT {
 		out = append(out, TripleT{S: node, P: PredInArea, O: AreaIRI(ev.Area)})
 	}
 	return out
-}
-
-// WeatherTriples converts one weather observation to triples.
-func WeatherTriples(w synth.WeatherObs) []TripleT {
-	node := WeatherIRI(w.CellID, w.TS)
-	return []TripleT{
-		{S: node, P: PredType, O: ClassWeather},
-		{S: node, P: PredLon, O: rdf.NewDouble(w.Center.Lon)},
-		{S: node, P: PredLat, O: rdf.NewDouble(w.Center.Lat)},
-		{S: node, P: PredTime, O: rdf.NewLong(w.TS)},
-		{S: node, P: PredWind, O: rdf.NewDouble(w.WindMS)},
-		{S: node, P: PredWindDir, O: rdf.NewDouble(w.WindDirDeg)},
-		{S: node, P: PredWave, O: rdf.NewDouble(w.WaveM)},
-	}
 }
 
 // TripleT is a term-level triple, the unit the transformation layer emits.

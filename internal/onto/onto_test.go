@@ -3,12 +3,10 @@ package onto
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/rdf"
-	"github.com/datacron-project/datacron/internal/synth"
 )
 
 func samplePos() model.Position {
@@ -125,19 +123,6 @@ func TestEventTriples(t *testing.T) {
 	})
 	if inArea != 1 {
 		t.Error("missing area triple")
-	}
-}
-
-func TestWeatherTriples(t *testing.T) {
-	obs := synth.GenWeather(geo.NewBBox(22, 34, 30, 42), 3, 3, time.Date(2017, 3, 21, 6, 0, 0, 0, time.UTC), time.Hour)
-	st := rdf.NewHead(nil)
-	for _, w := range obs {
-		st.AddBatch(WeatherTriples(w))
-	}
-	n := 0
-	rdf.Find(st, nil, &PredType, &ClassWeather, func(_, _, _ rdf.Term) bool { n++; return true })
-	if n != len(obs) {
-		t.Errorf("weather nodes = %d, want %d", n, len(obs))
 	}
 }
 

@@ -143,11 +143,14 @@ func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// forecastSSEHorizon is how far ahead the SSE "forecast" frames look.
+const forecastSSEHorizon = 10 * time.Minute
+
 // runForecastTicker publishes a batch forecast as SSE "forecast" frames
 // every interval until the server closes — CER events and forecasts share
 // one /events stream, so a dashboard subscribes once for both the present
 // and the predicted picture. Errors (e.g. no entities yet) skip the tick.
-func (s *Server) runForecastTicker(interval, horizon time.Duration) {
+func (s *Server) runForecastTicker(interval time.Duration) {
 	defer s.tickerWG.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -159,7 +162,7 @@ func (s *Server) runForecastTicker(interval, horizon time.Duration) {
 			if s.hub.subscribers() == 0 {
 				continue // nobody listening: skip the whole batch compute
 			}
-			all, err := s.p.ForecastHub.ForecastAll(horizon)
+			all, err := s.p.ForecastHub.ForecastAll(forecastSSEHorizon)
 			if err != nil {
 				continue
 			}

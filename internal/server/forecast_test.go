@@ -170,7 +170,7 @@ func TestServerForecastDisabled(t *testing.T) {
 func TestServerForecastSSE(t *testing.T) {
 	srv, ts := forecastWorld(t, Config{
 		Workers: 1, QueueLen: 1 << 14,
-		ForecastInterval: 20 * time.Millisecond, ForecastSSEHorizon: 5 * time.Minute,
+		ForecastInterval: 20 * time.Millisecond,
 	})
 	ch, cancel := srv.hub.subscribe()
 	defer cancel()

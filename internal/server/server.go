@@ -88,11 +88,9 @@ type Config struct {
 	Recovery *core.RecoveryStats
 
 	// ForecastInterval, when > 0 and the pipeline has a ForecastHub,
-	// publishes a batch forecast as SSE "forecast" frames every interval.
+	// publishes a batch forecast as SSE "forecast" frames every interval,
+	// each 10 minutes ahead (forecastSSEHorizon).
 	ForecastInterval time.Duration
-	// ForecastSSEHorizon is the horizon of those published forecasts
-	// (default 10 minutes).
-	ForecastSSEHorizon time.Duration
 
 	// SynopsesInterval, when > 0 and the pipeline has a SynopsisHub,
 	// drains newly detected critical points every interval and publishes
@@ -214,12 +212,8 @@ func New(cfg Config) *Server {
 	s.handle("GET /debug/slowlog", "/debug/slowlog", s.handleDebugSlowlog)
 	s.stopTicker = make(chan struct{})
 	if cfg.ForecastInterval > 0 && s.p.ForecastHub != nil {
-		horizon := cfg.ForecastSSEHorizon
-		if horizon <= 0 {
-			horizon = 10 * time.Minute
-		}
 		s.tickerWG.Add(1)
-		go s.runForecastTicker(cfg.ForecastInterval, horizon)
+		go s.runForecastTicker(cfg.ForecastInterval)
 	}
 	if cfg.SynopsesInterval > 0 && s.p.SynopsisHub != nil {
 		// Queueing for SSE fan-out only happens once a drainer exists;

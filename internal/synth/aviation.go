@@ -33,13 +33,6 @@ var aviationBox = geo.NewBBox(22.0, 33.5, 34.5, 42.0)
 // AviationBox returns the aviation world bounding box.
 func AviationBox() geo.BBox { return aviationBox }
 
-// Airports exposes the fixed aerodrome registry.
-func Airports() []Airport {
-	out := make([]Airport, len(airports))
-	copy(out, airports)
-	return out
-}
-
 // AviationConfig parameterises the aviation world generator.
 type AviationConfig struct {
 	Seed         int64

@@ -54,9 +54,6 @@ func (s *Scenario) EventsOfType(typ string) []model.Event {
 	return out
 }
 
-// TrajectoryOf returns the ground-truth trajectory of one entity, or nil.
-func (s *Scenario) TrajectoryOf(id string) *model.Trajectory { return s.Truth[id] }
-
 // rng wraps math/rand with the distributions the generators need.
 type rng struct{ *rand.Rand }
 

@@ -16,7 +16,6 @@ import (
 // package is gone, fails the test, so the list cannot go stale.
 var unreachableAllowed = map[string]string{
 	"internal/cluster/harness": "test harness: only its own tests use it",
-	"internal/traj":            "unused, to be deleted with this entry (ROADMAP item 9)",
 }
 
 // goPackage is one directory's non-test Go files.
@@ -33,22 +32,13 @@ func TestNoUnreachableInternalPackages(t *testing.T) {
 	const module = "github.com/datacron-project/datacron/"
 	pkgs := map[string]*goPackage{} // by slash path relative to the module root
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+	for _, path := range goFiles(t) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		p := pkgs[dir]
@@ -59,16 +49,12 @@ func TestNoUnreachableInternalPackages(t *testing.T) {
 		for _, imp := range f.Imports {
 			ip, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			if rel, ok := strings.CutPrefix(ip, module); ok {
 				p.imports = append(p.imports, rel)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	reached := map[string]bool{}
@@ -114,4 +100,29 @@ func TestNoUnreachableInternalPackages(t *testing.T) {
 			t.Errorf("%s is allowed to be unreachable but a program imports it: delete its entry", dir)
 		}
 	}
+}
+
+// goFiles returns every .go file of the module, tests included, outside
+// dot directories, testdata/ and bench/ (its own module).
+func goFiles(t *testing.T) []string {
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
