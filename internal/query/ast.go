@@ -64,17 +64,6 @@ func (p PatternTerm) String() string {
 // TriplePattern is one basic graph pattern triple.
 type TriplePattern struct{ S, P, O PatternTerm }
 
-// vars returns the variables mentioned by the pattern.
-func (t TriplePattern) vars() []string {
-	var out []string
-	for _, pt := range []PatternTerm{t.S, t.P, t.O} {
-		if pt.IsVar {
-			out = append(out, pt.Var)
-		}
-	}
-	return out
-}
-
 // CmpOp is a comparison operator in value filters.
 type CmpOp string
 
@@ -286,11 +275,9 @@ func (q *Query) InputVars() []string {
 		}
 		return q.patternVars()
 	}
-	seen := map[string]bool{}
 	var out []string
 	add := func(v string) {
-		if v != "" && !seen[v] {
-			seen[v] = true
+		if v != "" && !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -315,10 +302,7 @@ func (q *Query) InputVars() []string {
 // GROUP BY list), then one column per aggregate.
 func (q *Query) OutputVars() []string {
 	if len(q.Aggs) == 0 && len(q.GroupBy) == 0 {
-		if len(q.Vars) > 0 {
-			return q.Vars
-		}
-		return q.patternVars()
+		return q.InputVars()
 	}
 	out := slices.Clone(q.groupCols())
 	for _, a := range q.Aggs {

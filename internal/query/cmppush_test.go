@@ -69,13 +69,16 @@ func TestScanPatternConditionalBounds(t *testing.T) {
 		}
 		scanned := 0
 		bounded := answer(tc.filters, func(fn func(rdf.Triple) bool) {
-			scanPattern(seg, rdf.Wildcard, p, rdf.Wildcard, ob, func(tr rdf.Triple) bool {
-				if o, _ := dict.Decode(tr.O); !isNumber(o) {
-					t.Fatalf("%v: the bounded scan streamed %v", tc.filters, o)
+			for _, r := range scanRuns(seg, rdf.Wildcard, p, rdf.Wildcard, ob, nil) {
+				for i := range r.Len() {
+					tr := r.At(i)
+					if o, _ := dict.Decode(tr.O); !isNumber(o) {
+						t.Fatalf("%v: the bounded scan streamed %v", tc.filters, o)
+					}
+					scanned++
+					fn(tr)
 				}
-				scanned++
-				return fn(tr)
-			})
+			}
 		})
 		full := answer(tc.filters, func(fn func(rdf.Triple) bool) { seg.FindID(rdf.Wildcard, p, rdf.Wildcard, fn) })
 		if scanned != tc.scanned {

@@ -96,7 +96,7 @@ func (e *Engine) run(q *Query, cacheHit bool) (*Result, error) {
 
 // candidates returns the shard indexes the spatiotemporal filter bounds leave
 // to evaluate. Inside a shard every tier is read: the bounds narrow only the
-// scan of the pattern that binds the bounded variable (scanPattern), since a
+// scan of the pattern that binds the bounded variable (scanRuns), since a
 // join may reach from an in-bounds fragment into any tier.
 func (e *Engine) candidates(q *Query) []int {
 	box, hasBox := q.SpatialBounds()
@@ -165,28 +165,28 @@ func numericBounds(filters []slotFilter, width int) []*numBound {
 	return out
 }
 
-// scanPattern streams the triples of one tier of a shard matching (s, p, o)
-// to fn. With no pushed-down interval (compiled.pushdown) it is exactly
-// Graph.FindID. With one, sealed segments answer from their value-sorted
-// numeric column — a binary-search range scan instead of a walk over every
-// triple of the predicate, which skips exactly the non-numeric and NaN
-// objects the bound's filters reject. The mutable head and the global store
-// keep the callback path: their triples are few and carry no sealed columns.
-func scanPattern(g rdf.Graph, s, p, o rdf.ID, ob *numBound, fn func(rdf.Triple) bool) {
+// scanRuns appends the index runs of one tier of a shard matching (s, p, o)
+// to dst. With no pushed-down interval (compiled.pushdown) they are exactly
+// Graph.Runs. With one, a sealed segment answers with the run of its
+// value-sorted numeric column — two binary searches instead of a walk over
+// every triple of the predicate, which skips exactly the non-numeric and
+// NaN objects the bound's filters reject. The mutable head and the global
+// store keep their index runs: their triples are few and carry no sealed
+// columns.
+func scanRuns(g rdf.Graph, s, p, o rdf.ID, ob *numBound, dst []rdf.Run) []rdf.Run {
 	if seg, ok := g.(*rdf.Segment); ok && ob != nil {
-		seg.NumericRange(p, ob.Lo, ob.Hi, fn)
-		return
+		return append(dst, seg.NumericRun(p, ob.Lo, ob.Hi))
 	}
-	g.FindID(s, p, o, fn)
+	return g.Runs(s, p, o, dst)
 }
 
 // allVars lists the variables of a pattern list in first-appearance order.
 func allVars(patterns []TriplePattern) []string {
 	var out []string
 	for _, tp := range patterns {
-		for _, v := range tp.vars() {
-			if !slices.Contains(out, v) {
-				out = append(out, v)
+		for _, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+			if pt.IsVar && !slices.Contains(out, pt.Var) {
+				out = append(out, pt.Var)
 			}
 		}
 	}

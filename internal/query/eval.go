@@ -17,6 +17,7 @@ type compiled struct {
 	filters []slotFilter
 	bounds  []*numBound // per slot: the numeric interval pushed into sealed scans, if any
 	out     []int       // per input column its slot; -1 = in no pattern, the column stays unbound
+	renamed bool        // out is not slots 0..width-1 in order: a match is not its own projection
 	empty   bool        // a constant is unknown to the dictionary: no triple can match
 }
 
@@ -60,8 +61,10 @@ func compile(q *Query, cols []string, dict *rdf.Dictionary) *compiled {
 		c.filters = append(c.filters, sf)
 	}
 	c.bounds = numericBounds(c.filters, c.width)
-	for _, v := range cols {
+	c.renamed = len(cols) != c.width
+	for i, v := range cols {
 		c.out = append(c.out, slot(v))
+		c.renamed = c.renamed || c.out[i] != i
 	}
 	return c
 }
@@ -158,6 +161,7 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 	cur, next := make([]rdf.ID, w), []rdf.ID(nil)
 	bound := make([]bool, w)
 	applied := make([]bool, len(c.filters))
+	var runs []rdf.Run
 	plan, cards := c.order(tiers)
 	for step, pi := range plan {
 		if len(cur) == 0 {
@@ -182,21 +186,7 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 		eqSO := bind[0] >= 0 && bind[0] == bind[2]
 		eqPO := bind[1] >= 0 && bind[1] == bind[2]
 		ob := c.pushdown(c.pats[pi], bound)
-		var from []rdf.ID
-		emit := func(t rdf.Triple) bool {
-			if eqSP && t.S != t.P || eqSO && t.S != t.O || eqPO && t.P != t.O {
-				return true
-			}
-			n := len(next)
-			next = append(next, from...)
-			for j, id := range [3]rdf.ID{t.S, t.P, t.O} {
-				if bind[j] >= 0 {
-					next[n+bind[j]] = id
-				}
-			}
-			return true
-		}
-		next = slices.Grow(next[:0], len(cur))
+		next = slices.Grow(next[:0], len(cur)) // a join step keeps about a row per row
 		// A join from a bound subject over a constant predicate, its object
 		// unbound or constant, reads the predicate's run of every tier once,
 		// sorted, when that run is no longer than a probe per row and tier.
@@ -209,16 +199,37 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 			ran.probe++
 		}
 		for i := 0; i < len(cur) && !merge; i += w {
-			from = cur[i : i+w]
+			from := cur[i : i+w]
 			for j, s := range read {
 				if s >= 0 {
 					key[j] = from[s]
 				}
 			}
-			// emit never stops a scan: walk the tiers without the
-			// stop-propagating wrapper View.FindID allocates per call.
+			// The row's matches are the tiers' runs, read in place into an
+			// arena grown once per row to hold them all.
+			runs = runs[:0]
+			matches := 0
 			for _, part := range tiers {
-				scanPattern(part, key[0], key[1], key[2], ob, emit)
+				runs = scanRuns(part, key[0], key[1], key[2], ob, runs)
+			}
+			for _, r := range runs {
+				matches += r.Len()
+			}
+			next = slices.Grow(next, matches*w)
+			for _, r := range runs {
+				for k := range r.Len() {
+					t := r.At(k)
+					if !r.Keeps(t) || eqSP && t.S != t.P || eqSO && t.S != t.O || eqPO && t.P != t.O {
+						continue
+					}
+					n := len(next)
+					next = append(next, from...)
+					for j, id := range [3]rdf.ID{t.S, t.P, t.O} {
+						if bind[j] >= 0 {
+							next[n+bind[j]] = id
+						}
+					}
+				}
 			}
 		}
 		for _, s := range bind {
@@ -247,6 +258,11 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 		}
 		cur, next = next, cur
 	}
+	matches = len(cur) / w
+	if !c.renamed {
+		return cur, matches, ran
+	}
+	out = make([]rdf.ID, 0, matches*len(c.out))
 	for i := 0; i < len(cur); i += w {
 		for _, s := range c.out {
 			var id rdf.ID
@@ -256,7 +272,7 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 			out = append(out, id)
 		}
 	}
-	return out, len(cur) / w, ran
+	return out, matches, ran
 }
 
 // mergeJoin is a join step as a sort-merge: the (p[, o]) runs of the tiers,
@@ -266,12 +282,16 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 // in slot bindO unless that is -1 — in subject order.
 func mergeJoin(tiers []rdf.Graph, cur, next []rdf.ID, w, subj int, p, o rdf.ID, bindO, card int) []rdf.ID {
 	run, rows := make([]uint64, 0, card), make([]uint64, len(cur)/w)
-	gather := func(tr rdf.Triple) bool {
-		run = append(run, uint64(tr.S)<<32|uint64(tr.O))
-		return true
-	}
+	next = slices.Grow(next, card*w) // rows of distinct subjects meet each triple at most once
+	var runs []rdf.Run
 	for _, t := range tiers {
-		t.FindID(rdf.Wildcard, p, o, gather)
+		runs = t.Runs(rdf.Wildcard, p, o, runs)
+	}
+	for _, r := range runs { // no residual object: the subject is unbound
+		for i := range r.Len() {
+			tr := r.At(i)
+			run = append(run, uint64(tr.S)<<32|uint64(tr.O))
+		}
 	}
 	for i := range rows {
 		rows[i] = uint64(cur[i*w+subj])<<32 | uint64(i)

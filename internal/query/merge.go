@@ -281,12 +281,13 @@ func (r *relation) sortedBy(cols []int) []int32 {
 
 // mergeIDs turns n rows of dictionary ids over cols, with duplicates, into
 // the distinct rows in canonical order, the ids interned in d. Per column
-// one radix sort of id<<32|row keys indexes the values: a run of one id is
-// one value. With ordered false the consumer observes neither order nor
-// ranks, and nothing is rendered as long as every value renders like no
-// other (the plain flags of Dictionary.Terms): ids then dedup. One column's
-// values are its distinct rows; more columns sort cell by cell and drop
-// duplicates.
+// one radix sort of the ids indexes the values: a run of one id is one
+// value. With ordered false the consumer observes neither order nor ranks,
+// and nothing is rendered as long as every value renders like no other (the
+// plain flags of Dictionary.Terms): ids then dedup. One column's values are
+// its distinct rows, so its sort keys carry no row and no cell is written
+// until the rows are the values; more columns sort id<<32|row keys, index
+// their cells cell by cell and drop duplicate rows.
 func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bool) relation {
 	dict, plain := d.Terms()
 	vals := &values{dict: dict, ids: make([]rdf.ID, 0, len(rows))}
@@ -295,11 +296,16 @@ func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bo
 	if w == 0 {
 		return rel
 	}
-	rel.cells = make([]uint32, len(rows))
+	if w > 1 {
+		rel.cells = make([]uint32, len(rows))
+	}
 	keys, bases := make([]uint64, n), make([]int, w+1)
 	for col := range cols {
 		for i := range keys {
-			keys[i] = uint64(rows[i*w+col])<<32 | uint64(i)
+			keys[i] = uint64(rows[i*w+col]) << 32
+			if w > 1 {
+				keys[i] |= uint64(i)
+			}
 		}
 		rdf.RadixSort(keys, nil, 4)
 		for j, k := range keys {
@@ -307,7 +313,9 @@ func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bo
 				vals.ids = append(vals.ids, id)
 				ordered = ordered || id == 0 || !plain[id-1]
 			}
-			rel.cells[int(uint32(k))*w+col] = uint32(len(vals.ids) - 1)
+			if w > 1 {
+				rel.cells[int(uint32(k))*w+col] = uint32(len(vals.ids) - 1)
+			}
 		}
 		bases[col+1] = len(vals.ids)
 	}
@@ -324,7 +332,7 @@ func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bo
 	}
 	vals.ranked = ordered
 	if w == 1 {
-		rel.n, rel.cells = len(vals.ids), rel.cells[:len(vals.ids)]
+		rel.n, rel.cells = len(vals.ids), make([]uint32, len(vals.ids))
 		for i := range rel.cells {
 			rel.cells[i] = uint32(i)
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -150,11 +151,7 @@ type parser struct {
 func Parse(src string) (*Query, error) {
 	p := &parser{lex: &lexer{src: src}}
 	p.advance()
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
+	return p.parseQuery()
 }
 
 // MustParse panics on error; for tests and fixed internal queries.
@@ -376,88 +373,63 @@ func (p *parser) parseAggArg(fn AggFunc) (Aggregate, error) {
 // validate checks projection, filter, grouping and ordering variables are
 // consistent with the patterns and with each other.
 func (q *Query) validate() error {
-	inPattern := map[string]bool{}
-	for _, tp := range q.Patterns {
-		for _, v := range tp.vars() {
-			inPattern[v] = true
-		}
-	}
+	vars := q.patternVars()
+	inPattern := func(v string) bool { return slices.Contains(vars, v) }
 	for _, v := range q.Vars {
-		if !inPattern[v] {
+		if !inPattern(v) {
 			return fmt.Errorf("query: projected variable ?%s not used in WHERE", v)
 		}
 	}
 	for _, f := range q.Filters {
 		for _, v := range f.Vars() {
-			if !inPattern[v] {
+			if !inPattern(v) {
 				return fmt.Errorf("query: filter variable ?%s not used in WHERE", v)
 			}
 		}
 	}
 	for _, a := range q.Aggs {
-		if a.Var != "" && !inPattern[a.Var] {
+		if a.Var != "" && !inPattern(a.Var) {
 			return fmt.Errorf("query: aggregate variable ?%s not used in WHERE", a.Var)
 		}
 	}
-	grouped := map[string]bool{}
-	for _, v := range q.GroupBy {
-		if !inPattern[v] {
+	for i, v := range q.GroupBy {
+		if !inPattern(v) {
 			return fmt.Errorf("query: GROUP BY variable ?%s not used in WHERE", v)
 		}
-		if grouped[v] {
+		if slices.Contains(q.GroupBy[:i], v) {
 			return fmt.Errorf("query: duplicate GROUP BY variable ?%s", v)
 		}
-		grouped[v] = true
 	}
 	if len(q.GroupBy) > 0 {
 		// With grouping, plain projected variables become group columns and
 		// must be functionally determined by the group key.
 		for _, v := range q.Vars {
-			if !grouped[v] {
+			if !slices.Contains(q.GroupBy, v) {
 				return fmt.Errorf("query: projected variable ?%s not in GROUP BY", v)
 			}
 		}
 	}
-	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
-		outSeen := map[string]bool{}
-		for _, v := range q.OutputVars() {
-			if outSeen[v] {
-				return fmt.Errorf("query: duplicate output column %q", v)
-			}
-			outSeen[v] = true
+	out := q.OutputVars()
+	for i, v := range out {
+		if (len(q.Aggs) > 0 || len(q.GroupBy) > 0) && slices.Contains(out[:i], v) {
+			return fmt.Errorf("query: duplicate output column %q", v)
 		}
 	}
-	if len(q.OrderBy) > 0 {
-		out := map[string]bool{}
-		for _, v := range q.OutputVars() {
-			out[v] = true
-		}
-		for _, k := range q.OrderBy {
-			if !out[k.Var] {
-				return fmt.Errorf("query: ORDER BY key ?%s is not an output column", k.Var)
-			}
+	for _, k := range q.OrderBy {
+		if !slices.Contains(out, k.Var) {
+			return fmt.Errorf("query: ORDER BY key ?%s is not an output column", k.Var)
 		}
 	}
 	return nil
 }
 
-func (p *parser) parseTriple() (TriplePattern, error) {
-	s, err := p.parseTerm()
-	if err != nil {
-		return TriplePattern{}, err
+func (p *parser) parseTriple() (tp TriplePattern, err error) {
+	for _, pt := range []*PatternTerm{&tp.S, &tp.P, &tp.O} {
+		if *pt, err = p.parseTerm(); err != nil {
+			return TriplePattern{}, err
+		}
 	}
-	pr, err := p.parseTerm()
-	if err != nil {
-		return TriplePattern{}, err
-	}
-	o, err := p.parseTerm()
-	if err != nil {
-		return TriplePattern{}, err
-	}
-	if err := p.expectPunct("."); err != nil {
-		return TriplePattern{}, err
-	}
-	return TriplePattern{S: s, P: pr, O: o}, nil
+	return tp, p.expectPunct(".")
 }
 
 func (p *parser) parseTerm() (PatternTerm, error) {

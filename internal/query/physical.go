@@ -164,17 +164,18 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int, 
 	candidates := e.candidates(q)
 	c := compile(q, cols, e.st.Dict())
 	var mu sync.Mutex
-	var rows []rdf.ID
+	var parts [][]rdf.ID
 	n := 0
 	e.st.EachShardView(candidates, cmp.Or(e.Parallelism, len(candidates)), func(i int, v *rdf.View) {
 		dict, _ := v.Dict().Terms() // one lock per shard evaluation, none per decoded cell
 		local, matches, shard := c.evalShard(v.Parts(), dict)
 		mu.Lock()
 		defer mu.Unlock()
-		rows = append(rows, local...)
+		parts = append(parts, local)
 		n += matches
 		j.merge, j.probe = j.merge+shard.merge, j.probe+shard.probe
 	})
+	rows := slices.Concat(parts...) // one buffer, sized once
 	// The canonical order makes the output deterministic and pins the fold
 	// order of float aggregates (reproducible sums). Aggregates see every
 	// distinct row: LIMIT is a separate operator after group/sort, so
@@ -206,6 +207,18 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 		if argIdx[i] = slices.Index(r.cols, a.Var); argIdx[i] < 0 && (a.Var != "" || a.Func != AggCount) {
 			return fmt.Errorf("query: group input lacks column %q", a.Var)
 		}
+	}
+
+	if len(keys) == 0 && !slices.ContainsFunc(aggs, func(a Aggregate) bool { return a.Func != AggCount }) {
+		// Every COUNT adds one per row whatever the cell, and the merge made
+		// the rows distinct: each counts the rows.
+		r.cols, r.cells = nil, nil
+		for _, a := range aggs {
+			r.cols = append(r.cols, a.OutName())
+			r.cells = append(r.cells, r.vals.addAgg(aggValue{kind: 'l', n: int64(r.n)}))
+		}
+		r.n = 1
+		return nil
 	}
 
 	w := len(r.cols)

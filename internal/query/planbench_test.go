@@ -61,8 +61,11 @@ func BenchmarkQueryPlanCache(b *testing.B) {
 }
 
 // BenchmarkQueryFleet is the query layer's micro-evidence for the live
-// benchmark: the three store reads of bench/reads.go over the store the
-// query-analytic workload builds (fleetWorld).
+// benchmark: the three store reads of bench/reads.go, and a selective join,
+// over fleetWorld — 2 500 random positions written directly with
+// AddPositionRecord, not the stream a workload ingests. The stores the
+// workloads build, through the ingestor, are internal/core's
+// BenchmarkEngineIngestedWorld.
 func BenchmarkQueryFleet(b *testing.B) {
 	e := NewEngine(fleetWorld(b))
 	for _, bc := range []struct{ name, src string }{

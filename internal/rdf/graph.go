@@ -8,6 +8,9 @@ type Graph interface {
 	// FindID streams triples matching the pattern (Wildcard = any) to fn;
 	// fn returning false stops iteration early.
 	FindID(s, p, o ID, fn func(Triple) bool)
+	// Runs appends to dst the non-empty index runs holding the triples
+	// FindID streams, in the same order, to be read in place.
+	Runs(s, p, o ID, dst []Run) []Run
 	// Dict returns the dictionary the graph's IDs are encoded against.
 	Dict() *Dictionary
 	// Len returns the number of triples.
@@ -60,6 +63,14 @@ func (v *View) PredCard(p, o ID) int {
 		n += g.PredCard(p, o)
 	}
 	return n
+}
+
+// Runs implements Graph: the parts' runs, part by part.
+func (v *View) Runs(s, p, o ID, dst []Run) []Run {
+	for _, g := range v.parts {
+		dst = g.Runs(s, p, o, dst)
+	}
+	return dst
 }
 
 // FindID implements Graph, preserving early-stop across parts.

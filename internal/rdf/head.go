@@ -104,12 +104,20 @@ func (h *Head) holds(t Triple) bool {
 	return false
 }
 
-// FindID implements Graph, run by run. A bound subject skips every run whose
-// subject range excludes it (Segment.find), so a join probe touches one run,
-// not all.
+// Runs implements Graph: the matching run of each of the head's runs,
+// oldest first. A bound subject skips every run whose subject range
+// excludes it (Segment.Run), so a join probe touches one run, not all.
+func (h *Head) Runs(s, p, o ID, dst []Run) []Run {
+	for _, r := range h.runs {
+		dst = r.Runs(s, p, o, dst)
+	}
+	return dst
+}
+
+// FindID implements Graph, run by run.
 func (h *Head) FindID(s, p, o ID, fn func(Triple) bool) {
 	for _, r := range h.runs {
-		if !r.find(s, p, o, fn) {
+		if !r.Run(s, p, o).each(fn) {
 			return
 		}
 	}

@@ -24,19 +24,20 @@ import (
 // binary searches.
 type Segment struct {
 	dict *Dictionary
-	tri  []Triple          // sorted by (S, P, O), deduplicated
-	pos  []uint32          // indexes into tri, sorted by (P, O, S)
-	osp  []uint32          // indexes into tri, sorted by (O, S, P)
-	num  map[ID][]numEntry // predicate → numeric column, sorted by (val, idx); sealed only
+	tri  []Triple         // sorted by (S, P, O), deduplicated
+	pos  []uint32         // indexes into tri, sorted by (P, O, S)
+	osp  []uint32         // indexes into tri, sorted by (O, S, P)
+	num  map[ID]numColumn // predicate → numeric column; sealed only
 }
 
-// numEntry is one row of a predicate's numeric column: the object's parsed
-// value and the triple's index in the SPO array. ~12 bytes per triple whose
-// object parses as a number — the price of answering range filters with a
-// binary search instead of a full predicate scan.
-type numEntry struct {
-	val float64
-	idx uint32
+// numColumn is a predicate's numeric column: per triple whose object parses
+// as a number, the parsed value and the triple's index in the SPO array,
+// sorted by (val, idx) — 12 bytes per such triple, the price of answering
+// range filters with a binary search instead of a full predicate scan. The
+// two fields are parallel, so a value range is a run of idx.
+type numColumn struct {
+	val []float64
+	idx []uint32
 }
 
 // NewSegment builds a sealed segment from triples (copied; any order,
@@ -113,6 +114,11 @@ func (g *Segment) buildNumericColumns() {
 	if g.dict == nil || len(g.tri) == 0 {
 		return
 	}
+	type entry struct {
+		val float64
+		idx uint32
+	}
+	cols := make(map[ID][]entry)
 	vals := make(map[ID]float64)
 	bad := make(map[ID]bool)
 	for i, t := range g.tri {
@@ -132,15 +138,20 @@ func (g *Segment) buildNumericColumns() {
 			}
 			vals[t.O] = v
 		}
-		if g.num == nil {
-			g.num = make(map[ID][]numEntry)
-		}
-		g.num[t.P] = append(g.num[t.P], numEntry{val: v, idx: uint32(i)})
+		cols[t.P] = append(cols[t.P], entry{val: v, idx: uint32(i)})
 	}
-	for _, col := range g.num {
-		slices.SortFunc(col, func(a, b numEntry) int {
+	if len(cols) > 0 {
+		g.num = make(map[ID]numColumn, len(cols))
+	}
+	for p, col := range cols {
+		slices.SortFunc(col, func(a, b entry) int {
 			return cmp.Or(cmp.Compare(a.val, b.val), cmp.Compare(a.idx, b.idx))
 		})
+		nc := numColumn{val: make([]float64, len(col)), idx: make([]uint32, len(col))}
+		for k, e := range col {
+			nc.val[k], nc.idx[k] = e.val, e.idx
+		}
+		g.num[p] = nc
 	}
 }
 
@@ -166,53 +177,94 @@ func (g *Segment) covers(s ID) bool {
 	return len(g.tri) > 0 && g.tri[0].S <= s && s <= g.tri[len(g.tri)-1].S
 }
 
-// FindID implements Graph block-at-a-time: a double binary search on the
-// access path matching the bound slots resolves the contiguous [lo, hi)
-// run, and the loop walks exactly that block. The only per-triple predicate
-// left is the residual O equality under a bound s with an unbound p, where
-// O values sort discontiguously within the subject's run.
-func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) { g.find(s, p, o, fn) }
+// Run is the index run of one segment matching a pattern: a contiguous
+// block of the SPO array, or of the POS or OSP permutation or a numeric
+// column, resolved through to the triples it points at, in the index's
+// order. Readers walk it in place — Len, At, Keeps — so a scan pays per
+// matching triple, with no callback per triple. The zero Run is empty.
+type Run struct {
+	tri []Triple // the run itself when idx is nil, else the segment's triples
+	idx []uint32 // the run's positions in tri
+	o   ID       // Wildcard, or the object a triple must carry to match
+}
 
-// find is FindID reporting whether the walk ran to the end (fn never
-// returned false), so a Head can stop across its runs. A bound subject
-// outside the segment's subject range costs two comparisons: a join probe
-// skips every segment sealed before or after its subject was minted.
-func (g *Segment) find(s, p, o ID, fn func(Triple) bool) bool {
-	switch {
-	case s != Wildcard && !g.covers(s): // no triple here can match
-	case s != Wildcard:
-		lo, hi, residualO := g.spoBounds(s, p, o)
-		for _, t := range g.tri[lo:hi] {
-			if residualO && t.O != o {
-				continue
-			}
-			if !fn(t) {
-				return false
-			}
-		}
-	case p != Wildcard:
-		lo, hi := g.posBounds(p, o)
-		for _, idx := range g.pos[lo:hi] {
-			if !fn(g.tri[idx]) {
-				return false
-			}
-		}
-	case o != Wildcard:
-		lo, hi := g.ospBounds(o)
-		for _, idx := range g.osp[lo:hi] {
-			if !fn(g.tri[idx]) {
-				return false
-			}
-		}
-	default:
-		for _, t := range g.tri {
-			if !fn(t) {
-				return false
-			}
+// Len returns how many triples the run holds, Keeps not yet applied.
+func (r Run) Len() int {
+	if r.idx != nil {
+		return len(r.idx)
+	}
+	return len(r.tri)
+}
+
+// At returns the run's i-th triple.
+func (r Run) At(i int) Triple {
+	if r.idx != nil {
+		return r.tri[r.idx[i]]
+	}
+	return r.tri[i]
+}
+
+// Keeps reports whether t, one of the run's triples, matches the pattern.
+// It is false only in the run of a bound subject and object under an
+// unbound predicate: there the objects sort discontiguously within the
+// subject's block, and the object equality is left per triple.
+func (r Run) Keeps(t Triple) bool { return r.o == Wildcard || t.O == r.o }
+
+// each streams the run's matching triples to fn and reports whether the
+// walk ran to the end (fn never returned false).
+func (r Run) each(fn func(Triple) bool) bool {
+	for i := range r.Len() {
+		if t := r.At(i); r.Keeps(t) && !fn(t) {
+			return false
 		}
 	}
 	return true
 }
+
+// Run resolves the run matching (s, p, o), Wildcard = any: a double binary
+// search on the access path of the bound slots. A bound subject outside the
+// segment's subject range costs two comparisons: a join probe skips every
+// segment sealed before or after its subject was minted.
+func (g *Segment) Run(s, p, o ID) Run {
+	switch {
+	case s != Wildcard && !g.covers(s): // no triple here can match
+		return Run{}
+	case s != Wildcard:
+		lo, hi, residualO := g.spoBounds(s, p, o)
+		r := Run{tri: g.tri[lo:hi]}
+		if residualO {
+			r.o = o
+		}
+		return r
+	case p != Wildcard:
+		lo, hi := g.posBounds(p, o)
+		return g.permRun(g.pos[lo:hi])
+	case o != Wildcard:
+		lo, hi := g.ospBounds(o)
+		return g.permRun(g.osp[lo:hi])
+	}
+	return Run{tri: g.tri}
+}
+
+// permRun is the run of the triples idx points at.
+func (g *Segment) permRun(idx []uint32) Run {
+	if len(idx) == 0 {
+		return Run{}
+	}
+	return Run{tri: g.tri, idx: idx}
+}
+
+// Runs implements Graph: the segment's one run, unless it is empty.
+func (g *Segment) Runs(s, p, o ID, dst []Run) []Run {
+	if r := g.Run(s, p, o); r.Len() > 0 {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// FindID implements Graph block-at-a-time: it walks exactly the run of the
+// bound slots.
+func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) { g.Run(s, p, o).each(fn) }
 
 // spoBounds resolves the SPO run of the prefix (s[, p[, o]]). With p
 // unbound, O is only sorted within each (S, P) group, so a bound o cannot
@@ -277,8 +329,7 @@ func gallop(lo, n int, past func(i int) bool) int {
 
 // NumericRange streams the triples with predicate p whose object is a
 // numeric literal with value in [lo, hi] to fn, in ascending value order
-// (ties in SPO order); fn returning false stops early. The run is a binary
-// search over the value-sorted column sealed with the segment.
+// (ties in SPO order); fn returning false stops early. It walks NumericRun.
 //
 // The column holds exactly the triples of p whose object parses as a number
 // other than NaN, so a caller substituting NumericRange for a full
@@ -287,26 +338,19 @@ func gallop(lo, n int, past func(i int) bool) int {
 // on the object's variable rejects such bindings (the query engine's
 // bounds pushdown guarantees this).
 func (g *Segment) NumericRange(p ID, lo, hi float64, fn func(Triple) bool) {
-	col, i, j := g.numericRun(p, lo, hi)
-	for _, e := range col[i:j] {
-		if !fn(g.tri[e.idx]) {
-			return
-		}
-	}
+	g.NumericRun(p, lo, hi).each(fn)
 }
 
 // NumericCount returns how many triples NumericRange(p, lo, hi) streams, by
 // two binary searches: the query planner's estimate of a pushed-down scan.
-func (g *Segment) NumericCount(p ID, lo, hi float64) int {
-	_, i, j := g.numericRun(p, lo, hi)
-	return j - i
-}
+func (g *Segment) NumericCount(p ID, lo, hi float64) int { return g.NumericRun(p, lo, hi).Len() }
 
-// numericRun resolves the [i, j) run of p's numeric column whose values lie
-// in [lo, hi].
-func (g *Segment) numericRun(p ID, lo, hi float64) (col []numEntry, i, j int) {
-	col = g.num[p]
-	i = sort.Search(len(col), func(k int) bool { return col[k].val >= lo })
-	j = i + sort.Search(len(col)-i, func(k int) bool { return col[i+k].val > hi })
-	return col, i, j
+// NumericRun resolves the run of p's numeric column whose values lie in
+// [lo, hi]: the triples NumericRange streams, by two binary searches over
+// the value-sorted column sealed with the segment.
+func (g *Segment) NumericRun(p ID, lo, hi float64) Run {
+	col := g.num[p]
+	i := sort.SearchFloat64s(col.val, lo)
+	j := i + sort.Search(len(col.val)-i, func(k int) bool { return col.val[i+k] > hi })
+	return g.permRun(col.idx[i:j])
 }

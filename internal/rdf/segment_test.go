@@ -295,3 +295,63 @@ func TestStoreHasIDAndSortedLists(t *testing.T) {
 		t.Errorf("PredCard = %d/%d", st.PredCard(2, Wildcard), st.PredCard(3, Wildcard))
 	}
 }
+
+// TestRunsMatchSet holds the runs every Graph hands out, read in place, to
+// the naive set: a head of several runs, a sealed segment, and a view over a
+// head and a segment splitting the triples between them, for every pattern
+// shape probed from every triple and from ids nothing holds. The runs are
+// never empty and yield the triples in FindID's order.
+func TestRunsMatchSet(t *testing.T) {
+	dict := NewDictionary()
+	triples := randomTriples(2000, 11)
+	ns := naiveSet{}
+	for _, tr := range triples {
+		ns[tr] = true
+	}
+	half := len(triples) / 2
+	graphs := map[string]Graph{
+		"head":    chunkedHead(dict, triples),
+		"segment": NewSegment(dict, triples),
+		"view":    NewView(dict, chunkedHead(dict, triples[:half]), NewSegment(dict, triples[half:])),
+	}
+	probes := append(slices.Clone(triples[:300]), Triple{S: 99, P: 99, O: 99})
+	for name, g := range graphs {
+		var runs []Run
+		for _, tr := range probes {
+			for shape := 0; shape < 8; shape++ {
+				s, p, o := Wildcard, Wildcard, Wildcard
+				if shape&1 != 0 {
+					s = tr.S
+				}
+				if shape&2 != 0 {
+					p = tr.P
+				}
+				if shape&4 != 0 {
+					o = tr.O
+				}
+				var got []Triple
+				for _, r := range g.Runs(s, p, o, runs[:0]) {
+					if r.Len() == 0 {
+						t.Fatalf("%s: Runs(%d, %d, %d) handed out an empty run", name, s, p, o)
+					}
+					for i := range r.Len() {
+						if tr := r.At(i); r.Keeps(tr) {
+							got = append(got, tr)
+						}
+					}
+				}
+				var found []Triple
+				g.FindID(s, p, o, func(tr Triple) bool { found = append(found, tr); return true })
+				if !slices.Equal(got, found) {
+					t.Fatalf("%s: runs of (%d, %d, %d) yield %v, FindID %v", name, s, p, o, got, found)
+				}
+				slices.SortFunc(got, cmpSPO)
+				// The view's parts split the triples with duplicates: one
+				// triple can be in both.
+				if want := ns.find(s, p, o); !slices.Equal(slices.Compact(got), want) {
+					t.Fatalf("%s: runs of (%d, %d, %d) yield %v, want %v", name, s, p, o, got, want)
+				}
+			}
+		}
+	}
+}
