@@ -35,8 +35,9 @@ func exIRI(format string, args ...any) rdf.Term {
 // genWorld builds 1–8 shards under a hash or Hilbert partitioner holding
 // replicated global triples, 0–3 generations of sealed segments and a live
 // head. Objects mix IRIs (subjects, so patterns chain), blank nodes, longs
-// and doubles that compare equal but render differently, NaN, numeric
-// looking plain strings, escapes, and the twins that render equally under
+// and doubles that compare equal but render differently, doubles whose sum
+// depends on its order, NaN, numeric looking plain strings, escapes, and
+// the twins that render equally under
 // distinct ids: "x" / "x"^^xsd:string, and a literal with a language and two
 // different datatypes. Some objects and subjects are predicates, so a
 // variable repeated across S, P and O has matches.
@@ -70,6 +71,10 @@ func genWorld(rng *rand.Rand) *diffWorld {
 		rdf.NewLiteral("a\"b"), rdf.NewLiteral("line\nbreak\\"), rdf.NewTyped("a\"b", rdf.XSDString),
 		rdf.NewBlank("b0"), rdf.NewBlank("b1"), exIRI("class"),
 		w.preds[0], w.preds[1],
+		// Doubles whose sums depend on the fold order: a SUM folded in any
+		// order but the canonical one parts from the specification.
+		rdf.NewDouble(0.1), rdf.NewDouble(0.2), rdf.NewDouble(0.3),
+		rdf.NewDouble(1e16), rdf.NewDouble(-1e16), rdf.NewDouble(1),
 	}
 	pick := func(ts []rdf.Term) rdf.Term { return ts[rng.Intn(len(ts))] }
 	triple := func(s rdf.Term) onto.TripleT {
@@ -510,6 +515,82 @@ func TestNeverRunningFilterPrunesNothing(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Fatal("the same filter on bound variables pruned no shard in any Hilbert world: nothing was checked")
+	}
+}
+
+// TestFoldOrderFollowsRendering holds a float SUM to the canonical fold
+// order, the rendering order of a bucket's rows: the bucket {1e16, -1e16, 1}
+// sums to 0 that way ("-1e+16" < "1" < "1e+16") and to 1 in the order its
+// values are interned, which is the merge's id order. A bucket of two values
+// sums alike in either order. The engine, the specification and Finalize
+// over shuffled partials, which interns in its own order, must agree, with
+// and without an ORDER BY that makes the bucket order invisible.
+func TestFoldOrderFollowsRendering(t *testing.T) {
+	st := store.NewSharded(partition.NewHash(2), worldBox)
+	pg, px := exIRI("group"), exIRI("x")
+	var triples []onto.TripleT
+	for i, r := range []struct {
+		group string
+		x     float64
+	}{{"a", 1e16}, {"a", -1e16}, {"a", 1}, {"b", 0.2}, {"b", 0.1}} {
+		s := exIRI("s%d", i)
+		triples = append(triples, onto.TripleT{S: s, P: pg, O: exIRI("%s", r.group)}, onto.TripleT{S: s, P: px, O: rdf.NewDouble(r.x)})
+	}
+	if err := st.AddGlobal(triples); err != nil {
+		t.Fatal(err)
+	}
+	fold := func(xs ...float64) (sum float64) {
+		for _, x := range xs {
+			sum += x
+		}
+		return sum
+	}
+	if byID, byRendering := fold(1e16, -1e16, 1), fold(-1e16, 1, 1e16); byID == byRendering {
+		t.Fatalf("the fixture's bucket sums to %v in both orders: it tells no order apart", byID)
+	}
+	e := NewEngine(st)
+	rng := rand.New(rand.NewSource(1))
+	for _, order := range [][]OrderKey{nil, {{Var: "sum_x", Desc: true}, {Var: "g"}}} {
+		q := &Query{
+			Patterns: []TriplePattern{{Var("s"), Const(pg), Var("g")}, {Var("s"), Const(px), Var("x")}},
+			GroupBy:  []string{"g"},
+			Aggs:     []Aggregate{{Func: AggSum, Var: "x"}, {Func: AggAvg, Var: "x"}},
+			OrderBy:  order,
+		}
+		got, err := e.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := specRun(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffResults(got, want, true); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		for _, row := range got.Rows {
+			if row[0] == exIRI("a") && row[1] != rdf.NewDouble(0) {
+				t.Fatalf("%s: bucket a sums to %v, want 0 (the rendering order)", q, row[1])
+			}
+		}
+		partial, err := e.Run(q.StripFinal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 5; round++ {
+			parts := make([][][]string, 1+rng.Intn(3))
+			for _, i := range rng.Perm(len(partial.Rows)) {
+				to := rng.Intn(len(parts))
+				parts[to] = append(parts[to], renderRow(partial.Rows[i]).cells)
+			}
+			gotF, err := Finalize(q, partial.Vars, parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diffResults(gotF, want, false); err != nil {
+				t.Fatalf("%s: finalize over %v: %v", q, parts, err)
+			}
+		}
 	}
 }
 

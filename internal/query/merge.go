@@ -15,41 +15,47 @@ import (
 // The one set-semantics row merge (DESIGN.md §16). The scan merges the id
 // rows of a node's shards with it; a cluster coordinator interns the
 // rendered rows of its nodes into a per-request dictionary and merges those
-// ids with it. Per column each distinct value is rendered once and the
-// values are ranked by Term.String(); rows become rank tuples, which sort and
-// dedup as integers. The canonical order is exactly slices.Compare over the
-// rows' rendered cells and two rows are one when their renderings are, and
-// the merge is associative and commutative across the two levels: N nodes
-// and one node holding the union hand the identical row set to the identical
-// final operators — bit-identical answers.
+// ids with it. Two rows are one when their renderings are, and every order
+// an operator after it observes is a rendering order, each ranked only
+// where it can be seen: N nodes and one node holding the union hand the
+// identical row set to the identical final operators — bit-identical
+// answers.
 
 // values is the value table of one query: a relation's cells index it.
-// Indexes below len(ids) are dictionary terms, column by column; from
+// Indexes below len(ids) are dictionary terms, a block per column; from
 // len(ids) up they are aggregate results, kept as numbers until a surviving
 // row needs the term.
 type values struct {
 	dict []rdf.Term // rdf.Dictionary.Terms layout: dict[id-1]
 	ids  []rdf.ID   // 0 = unbound, the zero Term
-	// ranked: each column's values are in Term.String() order and render
-	// pairwise distinct, so two cells of one column compare as their
-	// renderings do. (Cells of different columns are never compared.)
-	ranked bool
-	num    []parsed // Term.Float() per id, parsed on first use
-	aggs   []aggValue
+	cols []valueCol
+	aggs []aggValue
+	// The renderings of the aggregates a comparison needed: tied aggregates
+	// meet in many comparisons of one sort, and each renders once.
+	rendered map[uint32]string
+}
+
+// valueCol is one column's block of the value table, cells [from, to): two
+// cells of one column render alike only when they are one cell. ranks
+// orders its cells by rendering and nums holds their Term.Float(): nil until
+// a comparison or a fold needs them, then one rankTerms or one parse per
+// value.
+type valueCol struct {
+	from, to int
+	ranks    []uint32
+	nums     []parsed
 }
 
 type parsed struct {
-	f     float64
-	state int8 // 0 = not parsed yet, 1 = numeric, -1 = not a number
+	f  float64
+	ok bool
 }
 
 // aggValue is an aggregate's result: a COUNT ('l', long), a SUM or AVG ('d',
 // double), or a MIN/MAX that saw no input ('e', the empty literal).
 type aggValue struct {
 	kind byte
-	n    int64
-	f    float64
-	str  string // its rendering once a comparison needed it ("" = not yet)
+	f    float64 // a COUNT too: it is exact below 2^53
 }
 
 func (v *values) addAgg(a aggValue) uint32 {
@@ -72,11 +78,40 @@ func (v *values) term(c uint32) rdf.Term {
 	}
 	switch a := v.aggs[int(c)-len(v.ids)]; a.kind {
 	case 'l':
-		return rdf.NewLong(a.n)
+		return rdf.NewLong(int64(a.f))
 	case 'd':
 		return rdf.NewDouble(a.f)
 	}
 	return rdf.NewLiteral("")
+}
+
+// column returns the column a dictionary cell belongs to.
+func (v *values) column(c uint32) *valueCol {
+	col := &v.cols[0]
+	for i := 1; int(c) < col.from || int(c) >= col.to; i++ {
+		col = &v.cols[i]
+	}
+	return col
+}
+
+// rank returns a column's ranks by rendering, ranking it on first need.
+func (v *values) rank(col *valueCol) []uint32 {
+	if col.ranks == nil {
+		_, col.ranks = rankTerms(v.dict, v.ids[col.from:col.to])
+	}
+	return col.ranks
+}
+
+// numbers returns a column's Term.Float() per cell, parsing it on first
+// need.
+func (v *values) numbers(col *valueCol) []parsed {
+	if col.nums == nil {
+		col.nums = make([]parsed, col.to-col.from)
+		for i, id := range v.ids[col.from:col.to] {
+			col.nums[i].f, col.nums[i].ok = termOf(v.dict, id).Float()
+		}
+	}
+	return col.nums
 }
 
 // float is term(c).Float(): a dictionary value parses once per query, an
@@ -84,43 +119,40 @@ func (v *values) term(c uint32) rdf.Term {
 func (v *values) float(c uint32) (float64, bool) {
 	if int(c) >= len(v.ids) {
 		a := v.aggs[int(c)-len(v.ids)]
-		if a.kind == 'l' {
-			return float64(a.n), true
-		}
-		return a.f, a.kind == 'd'
+		return a.f, a.kind != 'e'
 	}
-	if v.num == nil {
-		v.num = make([]parsed, len(v.ids))
-	}
-	p := &v.num[c]
-	if p.state == 0 {
-		p.state = -1
-		if f, ok := v.term(c).Float(); ok {
-			p.f, p.state = f, 1
-		}
-	}
-	return p.f, p.state > 0
+	col := v.column(c)
+	p := v.numbers(col)[int(c)-col.from]
+	return p.f, p.ok
 }
 
-// cmpRendered is strings.Compare over two cells' (one column's) renderings.
+// cmpRendered is strings.Compare over two cells' renderings: one column's
+// cells compare by rank, never by a rendering per comparison.
 func (v *values) cmpRendered(a, b uint32) int {
-	if n := uint32(len(v.ids)); a < n && b < n && v.ranked {
-		return cmp.Compare(a, b)
+	if a == b {
+		return 0
+	}
+	if n := uint32(len(v.ids)); a < n && b < n {
+		if col := v.column(a); int(b) >= col.from && int(b) < col.to {
+			r := v.rank(col)
+			return cmp.Compare(r[int(a)-col.from], r[int(b)-col.from])
+		}
 	}
 	return strings.Compare(v.rendering(a), v.rendering(b))
 }
 
-// rendering is term(c).String(), kept for an aggregate: tied aggregates meet
-// in many comparisons of one sort, and each renders once.
+// rendering is term(c).String(), kept for an aggregate.
 func (v *values) rendering(c uint32) string {
 	if int(c) < len(v.ids) {
 		return v.term(c).String()
 	}
-	a := &v.aggs[int(c)-len(v.ids)]
-	if a.str == "" {
-		a.str = v.term(c).String()
+	if v.rendered == nil {
+		v.rendered = map[uint32]string{}
 	}
-	return a.str
+	if _, ok := v.rendered[c]; !ok {
+		v.rendered[c] = v.term(c).String()
+	}
+	return v.rendered[c]
 }
 
 // compare is the one total order on terms, behind ORDER BY and MIN/MAX:
@@ -149,6 +181,9 @@ func (v *values) compare(a, b uint32) int {
 // the 8-byte windows cut just past the prefix the column shares; only a run
 // of equal windows compares renderings, then ids.
 func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
 	buf := make([]byte, 0, 64*len(ids)) // every rendering, back to back: one buffer, no string per value
 	end := make([]int, len(ids)+1)
 	for i, id := range ids {
@@ -190,10 +225,7 @@ func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) 
 // is exactly the stable sort's, whatever the algorithm, so the first limit
 // rows are selected and sorted and the rest follow them unsorted.
 func (r *relation) sortRows(order func(a, b []uint32) int, limit int) {
-	perm := make([]int32, r.n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
+	perm := seq[int32](r.n)
 	byRow := func(a, b int32) int { return order(r.row(int(a)), r.row(int(b))) }
 	if limit > 0 && limit < r.n {
 		selectFirst(perm, limit, func(a, b int32) int { return cmp.Or(byRow(a, b), cmp.Compare(a, b)) })
@@ -247,30 +279,39 @@ func (r *relation) gather(perm []int32, dedup bool) {
 }
 
 // sortedBy returns the row indexes stably sorted by the cells of cols, the
-// first most significant: cells are dense indexes into the value table, so a
-// counting sort per column, last column first — linear.
-func (r *relation) sortedBy(cols []int) []int32 {
-	perm := make([]int32, r.n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if len(cols) == 0 {
+// first most significant, where a cell of cols[rendered:] stands for its
+// rank by rendering (values.rank). A column's cells index one column of the
+// value table densely, and so do its ranks: a counting sort per column,
+// last column first — linear.
+func (r *relation) sortedBy(cols []int, rendered int) []int32 {
+	perm := seq[int32](r.n)
+	if r.n == 0 {
 		return perm
 	}
-	w := len(r.cols)
-	next := make([]int32, r.n)
-	start := make([]int32, len(r.vals.ids)+len(r.vals.aggs)+1)
+	w, next := len(r.cols), make([]int32, r.n)
 	for k := len(cols) - 1; k >= 0; k-- {
 		col := cols[k]
-		clear(start)
+		vc := r.vals.column(r.cells[col])
+		from, ranks := uint32(vc.from), []uint32(nil)
+		if k >= rendered {
+			ranks = r.vals.rank(vc)
+		}
+		key := func(p int32) uint32 {
+			c := r.cells[int(p)*w+col] - from
+			if ranks != nil {
+				c = ranks[c]
+			}
+			return c
+		}
+		start := make([]int32, vc.to-vc.from+1)
 		for _, p := range perm {
-			start[r.cells[int(p)*w+col]+1]++
+			start[key(p)+1]++
 		}
 		for i := 1; i < len(start); i++ {
 			start[i] += start[i-1]
 		}
 		for _, p := range perm {
-			c := r.cells[int(p)*w+col]
+			c := key(p)
 			next[start[c]] = p
 			start[c]++
 		}
@@ -280,71 +321,105 @@ func (r *relation) sortedBy(cols []int) []int32 {
 }
 
 // mergeIDs turns n rows of dictionary ids over cols, with duplicates, into
-// the distinct rows in canonical order, the ids interned in d. Per column
-// one radix sort of the ids indexes the values: a run of one id is one
-// value. With ordered false the consumer observes neither order nor ranks,
-// and nothing is rendered as long as every value renders like no other (the
-// plain flags of Dictionary.Terms): ids then dedup. One column's values are
-// its distinct rows, so its sort keys carry no row and no cell is written
-// until the rows are the values; more columns sort id<<32|row keys, index
-// their cells cell by cell and drop duplicate rows.
+// the distinct rows, the ids interned in d; it writes cells over rows. One
+// stable radix pass per column, last first, over id<<32|row keys sorts the
+// rows by id tuple and numbers the column's distinct ids, so the rows come
+// out in cell order, which is id order, and the first column's pass meets
+// equal rows as neighbours. The rows sort again, by cell or with ordered by
+// rank (the canonical order is the output), only when ordered or when a
+// column holds a value that may render like another (not plain in
+// Dictionary.Terms, or unbound): such twins become the first one's cell.
 func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bool) relation {
 	dict, plain := d.Terms()
-	vals := &values{dict: dict, ids: make([]rdf.ID, 0, len(rows))}
-	rel := relation{cols: cols, n: min(n, 1), vals: vals}
 	w := len(cols)
+	vals := &values{dict: dict, cols: make([]valueCol, w), ids: make([]rdf.ID, 0, len(rows))}
+	rel := relation{cols: cols, n: min(n, 1), vals: vals}
 	if w == 0 {
 		return rel
 	}
+	keys, twins := make([]uint64, n), make([]bool, w)
 	if w > 1 {
-		rel.cells = make([]uint32, len(rows))
+		rel.cells = make([]uint32, 0, len(rows))
 	}
-	keys, bases := make([]uint64, n), make([]int, w+1)
-	for col := range cols {
-		for i := range keys {
-			keys[i] = uint64(rows[i*w+col]) << 32
-			if w > 1 {
-				keys[i] |= uint64(i)
-			}
+	for i := range keys {
+		keys[i] = uint64(rows[i*w+w-1]) << 32
+		if w > 1 {
+			keys[i] |= uint64(i)
 		}
+	}
+	for col := w - 1; col >= 0; col-- {
 		rdf.RadixSort(keys, nil, 4)
+		from, prev, last, twin := len(vals.ids), 0, rdf.ID(0), false
 		for j, k := range keys {
-			if id := rdf.ID(k >> 32); j == 0 || k>>32 != keys[j-1]>>32 {
-				vals.ids = append(vals.ids, id)
-				ordered = ordered || id == 0 || !plain[id-1]
+			if w == 1 { // the values are the rows
+				if id := rdf.ID(k >> 32); j == 0 || k>>32 != keys[j-1]>>32 {
+					vals.ids = append(vals.ids, id)
+					twin = twin || id == 0 || !plain[id-1]
+				}
+				continue
 			}
-			if w > 1 {
-				rel.cells[int(uint32(k))*w+col] = uint32(len(vals.ids) - 1)
+			id := rdf.ID(k >> 32)
+			value := j == 0 || id != last
+			if value {
+				vals.ids, last = append(vals.ids, id), id
+				twin = twin || id == 0 || !plain[id-1]
+			}
+			p, cell := int(uint32(k))*w, rdf.ID(len(vals.ids)-1)
+			if col > 0 {
+				// The cell over the id, and the next pass's key in this
+				// pass's order.
+				rows[p+col], keys[j] = cell, uint64(rows[p+col-1])<<32|k&(1<<32-1)
+			} else {
+				// The first column's pass: a row unless it repeats the last.
+				repeat := !value
+				for c := 1; repeat && c < w; c++ {
+					repeat = rows[p+c] == rows[prev+c]
+				}
+				if !repeat {
+					rel.cells = append(rel.cells, uint32(cell))
+					for _, c := range rows[p+1 : p+w] {
+						rel.cells = append(rel.cells, uint32(c))
+					}
+					prev = p
+				}
 			}
 		}
-		bases[col+1] = len(vals.ids)
+		vals.cols[col], twins[col] = valueCol{from: from, to: len(vals.ids)}, twin
 	}
-	if ordered && n > 0 {
-		ranked := make([]rdf.ID, 0, len(vals.ids))
-		for col := range cols {
-			sorted, ranks := rankTerms(dict, vals.ids[bases[col]:bases[col+1]])
-			for i := col; i < len(rel.cells); i += w {
-				rel.cells[i] = uint32(len(ranked)) + ranks[int(rel.cells[i])-bases[col]]
-			}
-			ranked = append(ranked, sorted...)
-		}
-		vals.ids = ranked
-	}
-	vals.ranked = ordered
 	if w == 1 {
-		rel.n, rel.cells = len(vals.ids), make([]uint32, len(vals.ids))
-		for i := range rel.cells {
-			rel.cells[i] = uint32(i)
-		}
+		rel.cells = seq[uint32](len(vals.ids))
+	}
+	rel.n = len(rel.cells) / w
+	if !ordered && !slices.Contains(twins, true) {
 		return rel
 	}
-	all := make([]int, w)
-	for i := range all {
-		all[i] = i
+	for col, twin := range twins {
+		if twin {
+			ranks, from := vals.rank(&vals.cols[col]), uint32(vals.cols[col].from)
+			first := make([]uint32, len(ranks)) // per rank its first cell: the smallest id
+			for c := len(ranks) - 1; c >= 0; c-- {
+				first[ranks[c]] = from + uint32(c)
+			}
+			for i := col; i < len(rel.cells); i += w {
+				rel.cells[i] = first[ranks[rel.cells[i]-from]]
+			}
+		}
 	}
-	rel.n = n
-	rel.gather(rel.sortedBy(all), true)
+	rendered := w
+	if ordered {
+		rendered = 0
+	}
+	rel.gather(rel.sortedBy(seq[int](w), rendered), true)
 	return rel
+}
+
+// seq returns 0, 1, …, n-1.
+func seq[T int | int32 | uint32](n int) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = T(i)
+	}
+	return s
 }
 
 // Finalize is the coordinator half of a distributed query. Every node ran

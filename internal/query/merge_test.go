@@ -226,14 +226,12 @@ func FuzzRankTerms(f *testing.F) {
 		"\x02\x06\x02\x02\x02\x06\x02\x03\x02\x00\x03\x04\x05\x06", // escapes, NUL and equal windows
 		"\x02\x00\x00\x01", // one value and the unbound cell
 		strings.Repeat("\x02\x03\x02ab\x03\x04\x01b", 40), // 80 values: the radix passes, equal windows among them
+		"", // an empty column, as a lazily ranked column can be: nothing to rank
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dict, ids := rankInput(data)
-		if len(ids) == 0 {
-			return
-		}
 		sorted, ranks := rankTerms(dict, ids)
 		order := make([]int, len(ids))
 		for i := range order {

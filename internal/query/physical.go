@@ -72,27 +72,26 @@ type step struct {
 // finalSteps lowers the final clauses of a query — grouping/aggregation,
 // ordering, limit — onto operators over the source's relation. Grouped
 // queries without an ORDER BY get a canonical sort so their output order is
-// deterministic; plain scans leave the source canonically sorted already.
-// ordered false: the chain observes neither the order of the source's rows
-// nor of their values, so the source may skip ranking.
+// deterministic; plain scans take the source's canonical order. ordered:
+// the chain observes that order — a plain scan whose ORDER BY, if any,
+// leaves ties — so the source ranks its columns; otherwise each operator
+// ranks only what it observes.
 func finalSteps(q *Query) (steps []step, ordered bool) {
-	ordered = true
+	grouped := len(q.Aggs) > 0 || len(q.GroupBy) > 0
+	ordered = !grouped && !orderCovers(q.OrderBy, q.InputVars())
 	add := func(op, detail string, run func(*relation) error) {
 		steps = append(steps, step{PlanStage: obs.PlanStage{Op: op, Detail: detail, Rows: -1}, run: run})
 	}
-	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
+	if grouped {
 		names := make([]string, len(q.Aggs))
-		// Only one global group whose aggregates count or take a minimum or
-		// maximum is blind to its input's order: under a total order a
-		// minimum is one value whatever the fold order. Bucket order depends
-		// on first appearance, float sums on the fold order.
-		ordered = len(q.GroupBy) > 0
 		for i, a := range q.Aggs {
 			names[i] = a.OutName()
-			ordered = ordered || a.Func == AggSum || a.Func == AggAvg
 		}
+		// An ORDER BY naming every key tells distinct buckets apart (compare
+		// ties only equal renderings), so their order is invisible under it.
+		byKey := !orderCovers(q.OrderBy, q.GroupBy)
 		add("group", fmt.Sprintf("keys=%s aggs=%s", joinOrDash(q.GroupBy), joinOrDash(names)),
-			func(rel *relation) error { return rel.group(q.GroupBy, q.groupCols(), q.Aggs) })
+			func(rel *relation) error { return rel.group(q.GroupBy, q.groupCols(), q.Aggs, byKey) })
 		if len(q.OrderBy) == 0 {
 			add("sort", "canonical", func(rel *relation) error {
 				rel.sortRows(func(a, b []uint32) int { return slices.CompareFunc(a, b, rel.vals.cmpRendered) }, q.Limit)
@@ -134,6 +133,14 @@ func execSteps(rel *relation, steps []step, source obs.PlanStage) ([]obs.PlanSta
 		stages = append(stages, st.PlanStage)
 	}
 	return stages, nil
+}
+
+// orderCovers reports whether keys name every one of vars: then two rows
+// differing in vars never tie under them.
+func orderCovers(keys []OrderKey, vars []string) bool {
+	return !slices.ContainsFunc(vars, func(v string) bool {
+		return !slices.ContainsFunc(keys, func(k OrderKey) bool { return k.Var == v })
+	})
 }
 
 func joinOrDash(ss []string) string {
@@ -185,14 +192,15 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int, 
 
 // group groups the relation on keys (no keys = one global group, which
 // exists even on empty input, preserving COUNT's count=0 row) and folds the
-// aggregates, leaving outKeys (⊆ keys) and one column per aggregate. Input
-// rows are the DISTINCT canonically sorted projection of the aggregate
-// inputs and states fold in that order, so float sums are reproducible
-// across runs and across node vs coordinator. Buckets key on the rows' cells
-// (ranks: equal cells are equal renderings), in first-appearance order: a
-// stable counting sort on the key cells makes equal keys adjacent, and a
-// pass in input order numbers each run of them when its first row appears.
-func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
+// aggregates, leaving outKeys (⊆ keys) and one column per aggregate, as the
+// specification does in the canonical order, ranking only what shows.
+// InputVars puts the keys first, so a bucket is a run of equal key cells
+// in the merge's order, and canonically buckets come in their keys'
+// rendering order: byKey asks for it where an order can see it. Only a
+// float SUM or AVG of three or more rows sees the fold order (IEEE-754
+// addition commutes but does not associate; COUNT, MIN and MAX are
+// order-blind under compare): only such a bucket sorts by rendering.
+func (r *relation) group(keys, outKeys []string, aggs []Aggregate, byKey bool) error {
 	keyIdx, err := r.columns("group", keys...)
 	if err != nil {
 		return err
@@ -200,6 +208,9 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 	outKeyIdx, err := r.columns("group", outKeys...)
 	if err != nil {
 		return err
+	}
+	if slices.ContainsFunc(keyIdx, func(k int) bool { return k >= len(keyIdx) }) {
+		return fmt.Errorf("query: group keys %v do not lead its input %v", keys, r.cols)
 	}
 	argIdx := make([]int, len(aggs))
 	for i, a := range aggs {
@@ -215,122 +226,102 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate) error {
 		r.cols, r.cells = nil, nil
 		for _, a := range aggs {
 			r.cols = append(r.cols, a.OutName())
-			r.cells = append(r.cells, r.vals.addAgg(aggValue{kind: 'l', n: int64(r.n)}))
+			r.cells = append(r.cells, r.vals.addAgg(aggValue{kind: 'l', f: float64(r.n)}))
 		}
 		r.n = 1
 		return nil
 	}
 
-	w := len(r.cols)
-	// group runs first, on the merge's canonical order: when the keys are
-	// the leading columns, rows with equal keys are adjacent already.
-	sortKeys := keyIdx
-	if !slices.ContainsFunc(keyIdx, func(k int) bool { return k >= len(keyIdx) }) {
-		sortKeys = nil
+	// Bucket b holds rows perm[start[b]:start[b+1]]: one run of equal keys.
+	w, nk := len(r.cols), len(keyIdx)
+	start := make([]int32, 1, r.n+1)
+	for i := 1; i < r.n; i++ {
+		for k := i * w; k < i*w+nk; k++ {
+			if r.cells[k] != r.cells[k-w] {
+				start = append(start, int32(i))
+				break
+			}
+		}
 	}
-	perm := r.sortedBy(sortKeys)
-	run := make([]int32, r.n) // per row, its run of equal keys in perm
-	buckets := 0
-	for j, p := range perm {
-		keyChanged := j == 0 || slices.ContainsFunc(keyIdx, func(k int) bool {
-			return r.cells[int(p)*w+k] != r.cells[int(perm[j-1])*w+k]
+	if r.n > 0 || len(keys) == 0 {
+		start = append(start, int32(r.n)) // one global group even on empty input
+	}
+	buckets := len(start) - 1
+	order := seq[int32](buckets)
+	if byKey && nk > 0 {
+		slices.SortFunc(order, func(a, b int32) int {
+			return slices.CompareFunc(r.row(int(start[a]))[:nk], r.row(int(start[b]))[:nk], r.vals.cmpRendered)
 		})
-		if keyChanged {
-			buckets++
-		}
-		run[p] = int32(buckets - 1)
 	}
-	if len(keys) == 0 {
-		buckets = 1 // even on empty input
-	}
-
-	// Bucket b's states are states[b*na:(b+1)*na], its projected key cells
-	// outCells[b*nk:(b+1)*nk].
-	na, nk := len(aggs), len(outKeyIdx)
-	states := make([]aggState, buckets*na)
-	outCells := make([]uint32, buckets*nk)
-	bucketOf := slices.Repeat([]int{-1}, buckets) // per run
-	next := 0
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		b := bucketOf[run[i]]
-		if b < 0 {
-			b, bucketOf[run[i]] = next, next
-			next++
-			for j, k := range outKeyIdx {
-				outCells[b*nk+j] = row[k]
-			}
-		}
-		for ai, a := range aggs {
-			var cell uint32
-			if argIdx[ai] >= 0 {
-				cell = row[argIdx[ai]]
-			}
-			states[b*na+ai].add(a.Func, cell, r.vals)
-		}
+	// The rows, each bucket's in rendering order where its fold can tell:
+	// the key cells stay most significant, so the runs stay where they are.
+	perm := seq[int32](r.n)
+	if slices.ContainsFunc(aggs, func(a Aggregate) bool { return a.Func == AggSum || a.Func == AggAvg }) &&
+		slices.ContainsFunc(order, func(b int32) bool { return start[b+1]-start[b] >= 3 }) {
+		perm = r.sortedBy(seq[int](w), nk)
 	}
 
+	stride := len(outKeyIdx) + len(aggs)
+	cells := make([]uint32, buckets*stride)
+	for j, b := range order {
+		for i, k := range outKeyIdx {
+			cells[j*stride+i] = r.cells[int(start[b])*w+k]
+		}
+	}
+	r.vals.aggs = slices.Grow(r.vals.aggs, buckets*len(aggs))
+	rows := func(j int) []int32 { return perm[start[order[j]]:start[order[j]+1]] }
+	for i, a := range aggs {
+		r.fold(a.Func, argIdx[i], buckets, rows, cells, len(outKeyIdx)+i, stride)
+	}
 	r.cols = slices.Clone(outKeys)
 	for _, a := range aggs {
 		r.cols = append(r.cols, a.OutName())
 	}
-	r.n, r.cells = buckets, make([]uint32, 0, buckets*(nk+na))
-	r.vals.aggs = slices.Grow(r.vals.aggs, buckets*na)
-	for b := 0; b < buckets; b++ {
-		r.cells = append(r.cells, outCells[b*nk:(b+1)*nk]...)
-		for ai, a := range aggs {
-			r.cells = append(r.cells, states[b*na+ai].final(a.Func, r.vals))
-		}
-	}
+	r.n, r.cells = buckets, cells
 	return nil
 }
 
-// aggState is one aggregate's fold state within a group.
-type aggState struct {
-	n       int64   // COUNT
-	sum     float64 // SUM / AVG numerator
-	numN    int64   // SUM / AVG numeric-input count
-	best    uint32  // MIN / MAX
-	hasBest bool
-}
-
-func (s *aggState) add(fn AggFunc, cell uint32, vals *values) {
-	switch fn {
-	case AggCount:
-		s.n++
-	case AggSum, AggAvg:
-		// Non-numeric inputs are skipped rather than poisoning the sum.
-		if f, ok := vals.float(cell); ok {
-			s.sum += f
-			s.numN++
-		}
-	case AggMin:
-		if !s.hasBest || vals.compare(cell, s.best) < 0 {
-			s.best, s.hasBest = cell, true
-		}
-	case AggMax:
-		if !s.hasBest || vals.compare(s.best, cell) < 0 {
-			s.best, s.hasBest = cell, true
+// fold folds one aggregate over column arg (-1: none, the bare COUNT) of
+// each of the buckets' rows, in their order, and writes bucket j's result
+// cell to out[j*stride+at].
+func (r *relation) fold(fn AggFunc, arg, buckets int, rows func(j int) []int32, out []uint32, at, stride int) {
+	w := len(r.cols)
+	var nums []parsed // SUM and AVG: the argument's numbers, parsed once
+	var from uint32
+	if (fn == AggSum || fn == AggAvg) && r.n > 0 {
+		col := r.vals.column(r.cells[arg])
+		nums, from = r.vals.numbers(col), uint32(col.from)
+	}
+	for j := range buckets {
+		rows := rows(j)
+		switch {
+		case fn == AggCount:
+			out[j*stride+at] = r.vals.addAgg(aggValue{kind: 'l', f: float64(len(rows))})
+		case fn == AggSum || fn == AggAvg:
+			sum, n := 0.0, 0
+			for _, i := range rows {
+				// Non-numeric inputs are skipped rather than poisoning the sum.
+				if p := nums[r.cells[int(i)*w+arg]-from]; p.ok {
+					sum, n = sum+p.f, n+1
+				}
+			}
+			if fn == AggAvg && n > 0 { // an AVG of nothing stays the zero sum
+				sum /= float64(n)
+			}
+			out[j*stride+at] = r.vals.addAgg(aggValue{kind: 'd', f: sum})
+		case len(rows) == 0:
+			out[j*stride+at] = r.vals.addAgg(aggValue{kind: 'e'}) // a MIN or MAX of nothing
+		default:
+			best := r.cells[int(rows[0])*w+arg]
+			for _, i := range rows[1:] {
+				c := r.cells[int(i)*w+arg]
+				if cmpr := r.vals.compare(c, best); fn == AggMin && cmpr < 0 || fn == AggMax && cmpr > 0 {
+					best = c
+				}
+			}
+			out[j*stride+at] = best
 		}
 	}
-}
-
-func (s *aggState) final(fn AggFunc, vals *values) uint32 {
-	out := aggValue{kind: 'd', f: s.sum}
-	switch fn {
-	case AggCount:
-		out = aggValue{kind: 'l', n: s.n}
-	case AggAvg:
-		if s.numN > 0 { // an AVG of nothing stays the zero sum
-			out.f /= float64(s.numN)
-		}
-	case AggMin, AggMax:
-		if s.hasBest {
-			return s.best
-		}
-		out.kind = 'e'
-	}
-	return vals.addAgg(out)
 }
 
 // orderBy sorts the rows by the ORDER BY keys, stably, so equal keys keep
