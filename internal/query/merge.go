@@ -30,9 +30,6 @@ type values struct {
 	ids  []rdf.ID   // 0 = unbound, the zero Term
 	cols []valueCol
 	aggs []aggValue
-	// The renderings of the aggregates a comparison needed: tied aggregates
-	// meet in many comparisons of one sort, and each renders once.
-	rendered map[uint32]string
 }
 
 // valueCol is one column's block of the value table, cells [from, to): two
@@ -55,7 +52,9 @@ type parsed struct {
 // double), or a MIN/MAX that saw no input ('e', the empty literal).
 type aggValue struct {
 	kind byte
-	f    float64 // a COUNT too: it is exact below 2^53
+	n    int64
+	f    float64
+	str  string // its rendering once a comparison needed it ("" = not yet)
 }
 
 func (v *values) addAgg(a aggValue) uint32 {
@@ -78,7 +77,7 @@ func (v *values) term(c uint32) rdf.Term {
 	}
 	switch a := v.aggs[int(c)-len(v.ids)]; a.kind {
 	case 'l':
-		return rdf.NewLong(int64(a.f))
+		return rdf.NewLong(a.n)
 	case 'd':
 		return rdf.NewDouble(a.f)
 	}
@@ -119,7 +118,10 @@ func (v *values) numbers(col *valueCol) []parsed {
 func (v *values) float(c uint32) (float64, bool) {
 	if int(c) >= len(v.ids) {
 		a := v.aggs[int(c)-len(v.ids)]
-		return a.f, a.kind != 'e'
+		if a.kind == 'l' {
+			return float64(a.n), true
+		}
+		return a.f, a.kind == 'd'
 	}
 	col := v.column(c)
 	p := v.numbers(col)[int(c)-col.from]
@@ -141,18 +143,17 @@ func (v *values) cmpRendered(a, b uint32) int {
 	return strings.Compare(v.rendering(a), v.rendering(b))
 }
 
-// rendering is term(c).String(), kept for an aggregate.
+// rendering is term(c).String(), kept for an aggregate: tied aggregates meet
+// in many comparisons of one sort, and each renders once.
 func (v *values) rendering(c uint32) string {
 	if int(c) < len(v.ids) {
 		return v.term(c).String()
 	}
-	if v.rendered == nil {
-		v.rendered = map[uint32]string{}
+	a := &v.aggs[int(c)-len(v.ids)]
+	if a.str == "" {
+		a.str = v.term(c).String()
 	}
-	if _, ok := v.rendered[c]; !ok {
-		v.rendered[c] = v.term(c).String()
-	}
-	return v.rendered[c]
+	return a.str
 }
 
 // compare is the one total order on terms, behind ORDER BY and MIN/MAX:
@@ -332,64 +333,43 @@ func (r *relation) sortedBy(cols []int, rendered int) []int32 {
 func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bool) relation {
 	dict, plain := d.Terms()
 	w := len(cols)
-	vals := &values{dict: dict, cols: make([]valueCol, w), ids: make([]rdf.ID, 0, len(rows))}
+	vals := &values{dict: dict, cols: make([]valueCol, w)}
 	rel := relation{cols: cols, n: min(n, 1), vals: vals}
 	if w == 0 {
 		return rel
 	}
 	keys, twins := make([]uint64, n), make([]bool, w)
-	if w > 1 {
-		rel.cells = make([]uint32, 0, len(rows))
-	}
+	ids, cells, m := make([]rdf.ID, 0, len(rows)), make([]uint32, len(rows)), 0
 	for i := range keys {
-		keys[i] = uint64(rows[i*w+w-1]) << 32
-		if w > 1 {
-			keys[i] |= uint64(i)
-		}
+		keys[i] = uint64(rows[i*w+w-1])<<32 | uint64(i)
 	}
 	for col := w - 1; col >= 0; col-- {
 		rdf.RadixSort(keys, nil, 4)
-		from, prev, last, twin := len(vals.ids), 0, rdf.ID(0), false
+		from, prev, last, twin := len(ids), 0, rdf.ID(0), false
 		for j, k := range keys {
-			if w == 1 { // the values are the rows
-				if id := rdf.ID(k >> 32); j == 0 || k>>32 != keys[j-1]>>32 {
-					vals.ids = append(vals.ids, id)
-					twin = twin || id == 0 || !plain[id-1]
-				}
-				continue
-			}
-			id := rdf.ID(k >> 32)
-			value := j == 0 || id != last
-			if value {
-				vals.ids, last = append(vals.ids, id), id
+			if id := rdf.ID(k >> 32); j == 0 || id != last {
+				ids, last = append(ids, id), id
 				twin = twin || id == 0 || !plain[id-1]
+			} else if col == 0 && slices.Equal(rows[int(uint32(k))*w+1:][:w-1], rows[prev+1:][:w-1]) {
+				continue // a repeat of the last row
 			}
-			p, cell := int(uint32(k))*w, rdf.ID(len(vals.ids)-1)
 			if col > 0 {
 				// The cell over the id, and the next pass's key in this
 				// pass's order.
-				rows[p+col], keys[j] = cell, uint64(rows[p+col-1])<<32|k&(1<<32-1)
-			} else {
-				// The first column's pass: a row unless it repeats the last.
-				repeat := !value
-				for c := 1; repeat && c < w; c++ {
-					repeat = rows[p+c] == rows[prev+c]
-				}
-				if !repeat {
-					rel.cells = append(rel.cells, uint32(cell))
-					for _, c := range rows[p+1 : p+w] {
-						rel.cells = append(rel.cells, uint32(c))
-					}
-					prev = p
-				}
+				p := int(uint32(k))*w + col
+				rows[p], keys[j] = rdf.ID(len(ids)-1), uint64(rows[p-1])<<32|k&(1<<32-1)
+				continue
 			}
+			// The first column's pass: the row, unless it repeated the last.
+			prev, cells[m] = int(uint32(k))*w, uint32(len(ids)-1)
+			for c := 1; c < w; c++ {
+				cells[m+c] = uint32(rows[prev+c])
+			}
+			m += w
 		}
-		vals.cols[col], twins[col] = valueCol{from: from, to: len(vals.ids)}, twin
+		vals.cols[col], twins[col] = valueCol{from: from, to: len(ids)}, twin
 	}
-	if w == 1 {
-		rel.cells = seq[uint32](len(vals.ids))
-	}
-	rel.n = len(rel.cells) / w
+	vals.ids, rel.cells, rel.n = ids, cells[:m], m/w
 	if !ordered && !slices.Contains(twins, true) {
 		return rel
 	}

@@ -87,9 +87,11 @@ func finalSteps(q *Query) (steps []step, ordered bool) {
 		for i, a := range q.Aggs {
 			names[i] = a.OutName()
 		}
-		// An ORDER BY naming every key tells distinct buckets apart (compare
-		// ties only equal renderings), so their order is invisible under it.
-		byKey := !orderCovers(q.OrderBy, q.GroupBy)
+		// The bucket order shows only through an ORDER BY's ties: one naming
+		// every key tells distinct buckets apart (compare ties only equal
+		// renderings), and without one the canonical sort below ranks whole
+		// output rows, which tie only when they render alike.
+		byKey := len(q.OrderBy) > 0 && !orderCovers(q.OrderBy, q.GroupBy)
 		add("group", fmt.Sprintf("keys=%s aggs=%s", joinOrDash(q.GroupBy), joinOrDash(names)),
 			func(rel *relation) error { return rel.group(q.GroupBy, q.groupCols(), q.Aggs, byKey) })
 		if len(q.OrderBy) == 0 {
@@ -183,10 +185,11 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int, 
 		j.merge, j.probe = j.merge+shard.merge, j.probe+shard.probe
 	})
 	rows := slices.Concat(parts...) // one buffer, sized once
-	// The canonical order makes the output deterministic and pins the fold
-	// order of float aggregates (reproducible sums). Aggregates see every
-	// distinct row: LIMIT is a separate operator after group/sort, so
-	// `SELECT COUNT ... LIMIT n` still measures, not echoes the limit.
+	// The merge yields the distinct rows; each operator after it ranks the
+	// order it observes (DESIGN.md §16, "Rank only what an order can see").
+	// Aggregates see every distinct row: LIMIT is a separate operator after
+	// group/sort, so `SELECT COUNT ... LIMIT n` still measures, not echoes
+	// the limit.
 	return mergeIDs(cols, rows, n, e.st.Dict(), ordered), len(candidates), j
 }
 
@@ -226,7 +229,7 @@ func (r *relation) group(keys, outKeys []string, aggs []Aggregate, byKey bool) e
 		r.cols, r.cells = nil, nil
 		for _, a := range aggs {
 			r.cols = append(r.cols, a.OutName())
-			r.cells = append(r.cells, r.vals.addAgg(aggValue{kind: 'l', f: float64(r.n)}))
+			r.cells = append(r.cells, r.vals.addAgg(aggValue{kind: 'l', n: int64(r.n)}))
 		}
 		r.n = 1
 		return nil
@@ -296,7 +299,7 @@ func (r *relation) fold(fn AggFunc, arg, buckets int, rows func(j int) []int32, 
 		rows := rows(j)
 		switch {
 		case fn == AggCount:
-			out[j*stride+at] = r.vals.addAgg(aggValue{kind: 'l', f: float64(len(rows))})
+			out[j*stride+at] = r.vals.addAgg(aggValue{kind: 'l', n: int64(len(rows))})
 		case fn == AggSum || fn == AggAvg:
 			sum, n := 0.0, 0
 			for _, i := range rows {

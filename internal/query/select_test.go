@@ -38,7 +38,7 @@ var selectionColumns = []struct {
 		return pick(rng, rdf.NewDouble(math.NaN()), rdf.NewLong(1), rdf.NewDouble(-2), rdf.NewLong(300))
 	}},
 	{name: "nan-aggregates", agg: func(rng *rand.Rand) aggValue {
-		return pick(rng, aggValue{kind: 'd', f: math.NaN()}, aggValue{kind: 'd', f: 3}, aggValue{kind: 'l', f: 20}, aggValue{kind: 'e'})
+		return pick(rng, aggValue{kind: 'd', f: math.NaN()}, aggValue{kind: 'd', f: 3}, aggValue{kind: 'l', n: 20}, aggValue{kind: 'e'})
 	}},
 }
 
