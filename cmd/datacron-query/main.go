@@ -44,21 +44,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lines := 0
+	var lines []synth.TimedLine
 	// The text ingest format of POST /ingest; a line without a timestamp
 	// is stamped 0.
 	if _, err := wire.EachRecord(body, "", 0, func(ts int64, line string) {
-		if line == "" {
-			return
+		if line != "" {
+			lines = append(lines, synth.TimedLine{TS: ts, Line: line})
 		}
-		if _, err := p.IngestLine(synth.TimedLine{TS: ts, Line: line}); err != nil {
-			log.Fatalf("line %d: %v", lines+1, err)
-		}
-		lines++
 	}); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("ingested %d lines: %s", lines, p.Report())
+	p.Ingest(lines)
+	log.Printf("ingested %d lines: %s", len(lines), p.Report())
 
 	src := *q
 	if src == "" {

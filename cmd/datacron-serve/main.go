@@ -278,19 +278,6 @@ func main() {
 			fatal("open wal", err2)
 		}
 		defer walLog.Close()
-		if rs.CorruptStopped {
-			// Replay can never get past the damaged record, so lines acked
-			// from here on would be unrecoverable on the next restart.
-			// Seal the damaged log: snapshot the recovered state with a
-			// replay floor beyond the whole existing log, so future acks
-			// are durable again. The skipped suffix is already lost to the
-			// disk damage either way.
-			info, err := p.WriteSnapshot(*dataDir, nil, walLog)
-			if err != nil {
-				fatal("cannot seal corrupt log with a snapshot — refusing to serve durably", err)
-			}
-			rlog.Info("sealed corrupt log", "snapshotLSN", info.CutLSN, "replayFloor", info.ReplayFrom)
-		}
 	}
 
 	// In cluster mode the node's gauges ride on /metrics; the indirection
@@ -316,6 +303,19 @@ func main() {
 		Readiness:        ready,
 		SlowQuery:        *slowQuery,
 	})
+	if recovery != nil && recovery.CorruptStopped {
+		// Replay can never get past the damaged record, so lines acked from
+		// here on would be unrecoverable on the next restart. Seal the
+		// damaged log before serving: snapshot the recovered state with a
+		// replay floor beyond the whole existing log, so future acks are
+		// durable again. The skipped suffix is already lost to the disk
+		// damage either way.
+		info, err := srv.Snapshot()
+		if err != nil {
+			fatal("cannot seal corrupt log with a snapshot — refusing to serve durably", err)
+		}
+		obs.Component(logger, "recovery").Info("sealed corrupt log", "snapshotLSN", info.CutLSN, "replayFloor", info.ReplayFrom)
+	}
 
 	// Swap the bootstrap surface for the full API and open the gate: from
 	// here /readyz says ready and load balancers may admit traffic.

@@ -11,9 +11,9 @@ func TestFacadeMaritime(t *testing.T) {
 		t.Fatalf("scenario shape: %d entities, %d lines", len(sc.Entities), len(sc.WireLines))
 	}
 	p := NewMaritimePipeline()
-	if _, err := p.RunScenario(sc); err != nil {
-		t.Fatal(err)
-	}
+	p.InstallAreas(sc.Areas)
+	p.InstallEntities(sc.Entities)
+	p.Ingest(sc.WireTimed)
 	res, err := p.Engine.Execute(`SELECT COUNT ?v WHERE { ?v rdf:type dat:Vessel . }`)
 	if err != nil {
 		t.Fatal(err)
@@ -26,9 +26,9 @@ func TestFacadeMaritime(t *testing.T) {
 func TestFacadeAviation(t *testing.T) {
 	sc := GenerateAviation(1, 6, 30*time.Minute)
 	p := NewAviationPipeline()
-	if _, err := p.RunScenario(sc); err != nil {
-		t.Fatal(err)
-	}
+	p.InstallAreas(sc.Areas)
+	p.InstallEntities(sc.Entities)
+	p.Ingest(sc.WireTimed)
 	if p.Stats.Decoded == 0 {
 		t.Error("nothing decoded")
 	}

@@ -25,9 +25,9 @@ func main() {
 		len(sc.Entities), len(sc.WireLines))
 
 	pipeline := core.New(core.Config{Domain: model.Aviation})
-	if _, err := pipeline.RunScenario(sc); err != nil {
-		log.Fatalf("ingest: %v", err)
-	}
+	pipeline.InstallAreas(sc.Areas)
+	pipeline.InstallEntities(sc.Entities)
+	pipeline.Ingest(sc.WireTimed)
 	fmt.Println(pipeline.Report())
 
 	// Sector occupancy (capacity demand) from the decoded stream.

@@ -46,24 +46,29 @@ func main() {
 	p1 := core.New(core.Config{Domain: model.Maritime})
 	prime(p1)
 	snapAt := len(sc.WireTimed) * 7 / 10
-	for i, tl := range sc.WireTimed {
-		if _, err := p1.IngestLineLogged(walLog, tl); err != nil {
-			log.Fatal(err)
-		}
-		if i%512 == 511 {
-			if err := walLog.Commit(); err != nil { // group commit, as /ingest does per batch
+	ing := p1.NewIngestor(core.IngestorConfig{Workers: 1})
+	// Feed 512 lines at a time, each batch group-committed as /ingest does.
+	feed := func(lines []synth.TimedLine) {
+		for len(lines) > 0 {
+			n := min(512, len(lines))
+			if err := ing.Feed(walLog, lines[:n]); err != nil {
 				log.Fatal(err)
 			}
-		}
-		if i == snapAt {
-			info, err := p1.WriteSnapshot(dataDir, nil, walLog)
-			if err != nil {
+			if err := walLog.Commit(); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("snapshot at line %d: cutLSN=%d triples=%d took=%v\n",
-				i, info.CutLSN, info.Triples, info.Took.Round(time.Millisecond))
+			lines = lines[n:]
 		}
 	}
+	feed(sc.WireTimed[:snapAt+1])
+	info, err := p1.WriteSnapshot(dataDir, ing, walLog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("snapshot at line %d: cutLSN=%d triples=%d took=%v\n",
+		snapAt, info.CutLSN, info.Triples, info.Took.Round(time.Millisecond))
+	feed(sc.WireTimed[snapAt+1:])
+	ing.Close()
 	if err := walLog.Close(); err != nil {
 		log.Fatal(err)
 	}

@@ -40,10 +40,10 @@ func main() {
 	// Feed 80% of the stream; the remaining 20% is the hidden future the
 	// forecasts are scored against.
 	cut := len(sc.WireTimed) * 8 / 10
-	for _, tl := range sc.WireTimed[:cut] {
-		if _, err := p.IngestLine(tl); err != nil {
-			log.Fatal(err)
-		}
+	ing := p.NewIngestor(core.IngestorConfig{Workers: 1})
+	defer ing.Close()
+	if err := ing.Feed(nil, sc.WireTimed[:cut]); err != nil {
+		log.Fatal(err)
 	}
 	routeCells, knnPts := p.ForecastHub.ModelStats()
 	fmt.Printf("ingested %d lines; hub: %d entities, %d reports observed\n",
@@ -101,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := p.WriteSnapshot(dataDir, nil, walLog); err != nil {
+	if _, err := p.WriteSnapshot(dataDir, ing, walLog); err != nil {
 		log.Fatal(err)
 	}
 	walLog.Close()

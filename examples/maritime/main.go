@@ -28,10 +28,9 @@ func main() {
 		len(sc.Entities), len(sc.Positions), len(sc.Events))
 
 	pipeline := core.New(core.Config{Domain: model.Maritime})
-	detected, err := pipeline.RunScenario(sc)
-	if err != nil {
-		log.Fatalf("ingest: %v", err)
-	}
+	pipeline.InstallAreas(sc.Areas)
+	pipeline.InstallEntities(sc.Entities)
+	detected := pipeline.Ingest(sc.WireTimed)
 	fmt.Println(pipeline.Report())
 
 	// Score CER against the scripted ground truth.

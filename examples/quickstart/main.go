@@ -21,10 +21,9 @@ func main() {
 
 	// Run the architecture: decode → in-situ compress → RDF → store → CER.
 	pipeline := datacron.NewMaritimePipeline()
-	detected, err := pipeline.RunScenario(scenario)
-	if err != nil {
-		log.Fatalf("ingest: %v", err)
-	}
+	pipeline.InstallAreas(scenario.Areas)
+	pipeline.InstallEntities(scenario.Entities)
+	detected := pipeline.Ingest(scenario.WireTimed)
 	fmt.Println(pipeline.Report())
 
 	fmt.Printf("\ndetected %d complex events; first few:\n", len(detected))

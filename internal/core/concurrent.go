@@ -10,23 +10,53 @@ import (
 
 	"github.com/datacron-project/datacron/internal/adsb"
 	"github.com/datacron-project/datacron/internal/ais"
+	"github.com/datacron-project/datacron/internal/insitu"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/synth"
 	"github.com/datacron-project/datacron/internal/wal"
 )
 
+// numGroups is K, the fixed number of key groups (DESIGN.md §6) and so the
+// most workers an Ingestor runs. A power of two: with a power-of-two worker
+// count a key keeps the worker its hash picked before groups existed.
+const numGroups = 64
+
+// group is one key group: the per-entity operator state of every routing
+// key that hashes to it (noise gate, threshold filter, AIS reassembly,
+// ADS-B fusion, applied WAL offsets). The pipeline owns the groups and a
+// worker owns a set of them, so each key's state lives once and has one
+// writer.
+type group struct {
+	gate    *insitu.NoiseGate
+	filter  *insitu.ThresholdFilter
+	asm     *ais.Assembler
+	tracker *adsb.Tracker
+	applied map[string]uint64 // routing key → highest fully-applied LSN
+}
+
+// groupOf maps a routing key to its key group by FNV-1a hash. Generic over
+// string and []byte so SubmitBatch hashes a scratch-buffer key and recovery
+// a map key through the one definition, neither copying.
+func groupOf[T ~string | ~[]byte](key T) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % numGroups)
+}
+
 // Ingestor is the parallel ingest front-end of the serving layer: wire
 // lines are routed by entity identity to worker goroutines over bounded
-// channels, each worker owning its own decode/compress front so per-entity
-// operator state stays single-writer, all feeding the shared sharded store
-// (which locks per shard) and the serialised analytics stage. Submitting to
-// a full worker queue fails fast, giving callers a backpressure signal
-// (the HTTP layer maps it to 429).
+// channels. Worker i owns the key groups g with g % workers == i, so
+// per-entity operator state stays single-writer, and all workers feed the
+// shared sharded store (which locks per shard) and the serialised
+// analytics stage. Submitting to a full worker queue fails fast, giving
+// callers a backpressure signal (the HTTP layer maps it to 429).
 //
 // For durable ingest the Ingestor also carries the bookkeeping the
 // snapshot/recovery protocol needs: SubmitBatch appends lines to the WAL
-// as it hands them off, every worker records the exact WAL offset (LSN)
-// it has fully applied per entity, and Barrier pauses all workers between
+// as it hands them off, every group records the exact WAL offset (LSN)
+// it has fully applied per key, and Barrier pauses all workers between
 // batches so a snapshot captures an atomic cut — a line is either fully
 // reflected in the snapshot (store writes, analytics, counters, applied
 // offset) or not at all.
@@ -60,30 +90,28 @@ type Ingestor struct {
 
 // worker is one ingest goroutine and its queue-side bookkeeping.
 type worker struct {
-	q        chan item
-	reserved atomic.Int64 // slots taken: queued + in-process + reserved
+	q        chan *[]queued // one SubmitBatch call's share per send
+	reserved atomic.Int64   // slots taken: queued + in-process + reserved
 
 	// qmu guards lsns, the FIFO of WAL offsets of logged lines currently
-	// queued (aligned with q's order for logged items), and orders WAL
-	// appends with queue sends.
+	// queued (in q's order), and orders WAL appends with queue sends.
 	qmu  sync.Mutex
 	lsns []uint64
 
-	// snapMu is held by the worker for the whole processing of one line
-	// and by Barrier; under it the worker's front, applied map and the
-	// pipeline counters are quiescent.
-	snapMu  sync.Mutex
-	front   front
-	applied map[string]uint64 // routing key → highest fully-applied LSN
-	key     []byte            // routing-key scratch for applied updates
+	// snapMu is held by the worker for the whole processing of one batch
+	// and by Barrier; under it the worker's groups and the pipeline
+	// counters are quiescent.
+	snapMu sync.Mutex
+	front  *front
+	key    []byte // routing-key scratch for applied updates
 }
 
-// item is one worker's share of a SubmitBatch call, delivered in one
-// channel send. The LSNs of a logged item's lines are the next len(*recs)
-// entries of the worker's FIFO.
-type item struct {
-	recs   *[]synth.TimedLine
-	logged bool
+// queued is one line handed to a worker: the line, its key group and its
+// WAL offset (0 when unlogged).
+type queued struct {
+	synth.TimedLine
+	lsn   uint64
+	group uint8
 }
 
 // DefaultBatchDrain is the per-wakeup batch size used when
@@ -97,7 +125,7 @@ const DefaultBatchDrain = 64
 // GOMAXPROCS workers, 1024-line queues and DefaultBatchDrain-line batch
 // draining.
 type IngestorConfig struct {
-	// Workers is the number of ingest goroutines (and decode fronts).
+	// Workers is the number of ingest goroutines, at most numGroups (64).
 	Workers int
 	// QueueLen bounds each worker's in-flight lines; SubmitBatch stops at
 	// the first line that would exceed it.
@@ -112,19 +140,18 @@ type IngestorConfig struct {
 }
 
 // NewIngestor starts the worker goroutines. Close must be called to stop
-// them. The pipeline's areas and entities must already be installed.
+// them. The pipeline's areas and entities must already be installed, and
+// no other Ingestor may be running on it.
 //
-// Worker fronts are seeded from the pipeline's serial front, so an
-// Ingestor created after Recover continues gating and compressing exactly
-// where the recovered session stopped: per-entity gate/filter state is
-// copied to every worker (only the owning worker ever touches an entity's
-// keys; stale copies are reconciled by the snapshot exporter's newest-wins
-// merge), while reassembly/fusion state is partitioned to each key's
-// owning worker.
+// Operator state lives in the pipeline's key groups, not in the workers,
+// so an Ingestor created after Recover continues gating and compressing
+// exactly where the recovered session stopped, whatever its worker count:
+// the workers only take ownership of the groups.
 func (p *Pipeline) NewIngestor(cfg IngestorConfig) *Ingestor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	cfg.Workers = min(cfg.Workers, numGroups)
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 1024
 	}
@@ -137,53 +164,8 @@ func (p *Pipeline) NewIngestor(cfg IngestorConfig) *Ingestor {
 		onEvents: cfg.OnEvents,
 		drain:    cfg.BatchDrain,
 	}
-	gate := p.serial.gate.ExportState()
-	filter := p.serial.filter.ExportState()
-	pending := p.serial.asm.ExportPending()
-	tracks := p.serial.tracker.ExportStates()
-	seedApplied := p.appliedSeed
 	for i := range ing.workers {
-		w := &worker{
-			q:       make(chan item, cfg.QueueLen),
-			front:   newFront(p.cfg),
-			applied: make(map[string]uint64),
-		}
-		// Worker fronts write the store through a per-worker batch writer,
-		// flushed once per drained batch inside the snapshot critical
-		// section (the serial front keeps direct writes).
-		w.front.bw = p.Store.NewBatchWriter()
-		w.front.gate.RestoreState(gate)
-		w.front.filter.RestoreState(filter)
-		ing.workers[i] = w
-	}
-	// Partition reassembly/fusion state and recovered offsets to owners.
-	byWorker := func(key string) *worker {
-		return ing.workers[workerIndex(key, len(ing.workers))]
-	}
-	asmParts := make([]map[int][]ais.Sentence, cfg.Workers)
-	trackParts := make([]map[string]adsb.TrackState, cfg.Workers)
-	for i := range ing.workers {
-		asmParts[i] = make(map[int][]ais.Sentence)
-		trackParts[i] = make(map[string]adsb.TrackState)
-	}
-	for seq, frags := range pending {
-		if len(frags) == 0 {
-			continue
-		}
-		w := workerIndex(multiSentenceKey(frags[0]), len(ing.workers))
-		asmParts[w][seq] = frags
-	}
-	for hex, st := range tracks {
-		w := workerIndex(hex, len(ing.workers))
-		trackParts[w][hex] = st
-	}
-	for key, lsn := range seedApplied {
-		w := byWorker(key)
-		w.applied[key] = lsn
-	}
-	for i, w := range ing.workers {
-		w.front.asm.RestorePending(asmParts[i])
-		w.front.tracker.RestoreStates(trackParts[i])
+		ing.workers[i] = &worker{q: make(chan *[]queued, cfg.QueueLen), front: p.newFront()}
 	}
 	ing.wg.Add(cfg.Workers)
 	for _, w := range ing.workers {
@@ -192,19 +174,19 @@ func (p *Pipeline) NewIngestor(cfg IngestorConfig) *Ingestor {
 	return ing
 }
 
-// run is one worker: per wakeup it pulls the first queued item plus — without
+// run is one worker: per wakeup it pulls the first queued share plus — without
 // blocking — up to drain-1 further lines, and processes the whole batch under
 // one hold of its snapshot lock, so snapshots land between batches, never
 // inside one. A batch is the atomic unit of the snapshot/recovery protocol:
 // its store writes, applied offsets and LSN watermarks become visible
-// together (DESIGN.md §15). An item's lines count against the drain budget
+// together (DESIGN.md §15). A share's lines count against the drain budget
 // line by line.
 func (ing *Ingestor) run(w *worker) {
 	defer ing.wg.Done()
-	var batch []item
-	for it := range w.q {
-		batch = append(batch[:0], it)
-		lines := len(*it.recs)
+	var batch []*[]queued
+	for recs := range w.q {
+		batch = append(batch[:0], recs)
+		lines := len(*recs)
 	drainLoop:
 		for lines < ing.drain {
 			select {
@@ -215,7 +197,7 @@ func (ing *Ingestor) run(w *worker) {
 					break drainLoop
 				}
 				batch = append(batch, more)
-				lines += len(*more.recs)
+				lines += len(*more)
 			default:
 				break drainLoop
 			}
@@ -229,39 +211,28 @@ func (ing *Ingestor) run(w *worker) {
 // retires the batch's logged LSNs with one FIFO cut. Detected events are
 // delivered once per batch, outside the lock; the last thing a batch does is
 // leave inflight, waking Quiesce callers if it was the last one in flight.
-func (ing *Ingestor) processBatch(w *worker, batch []item) {
+func (ing *Ingestor) processBatch(w *worker, batch []*[]queued) {
 	var evs []model.Event
 	var total int64
 	logged := 0
-	for _, it := range batch {
-		if it.logged {
-			logged += len(*it.recs)
-		}
-	}
 	w.snapMu.Lock()
-	// Per-worker queue order equals LSN order (SubmitBatch appends and
-	// sends under qmu), so the batch's logged lines own exactly the FIFO's
-	// first entries. The head stays readable outside qmu: appends only
-	// write past it.
-	w.qmu.Lock()
-	lsns := w.lsns[:logged]
-	w.qmu.Unlock()
-	for _, it := range batch {
-		for _, tl := range *it.recs {
+	for _, recs := range batch {
+		for _, rec := range *recs {
+			g := &ing.p.groups[rec.group]
 			// Errors are already counted in Stats.BadLines; the parallel
 			// path never runs strict (a daemon must survive malformed
 			// input).
-			e, _ := ing.p.ingest(&w.front, tl)
+			e, _ := ing.p.ingest(w.front, g, rec.TimedLine)
 			evs = append(evs, e...)
-			if it.logged {
-				w.key = ing.p.AppendRoutingKey(w.key[:0], tl.Line)
-				if lsns[0] > w.applied[string(w.key)] {
-					w.applied[string(w.key)] = lsns[0]
+			if rec.lsn != 0 {
+				logged++
+				w.key = ing.p.AppendRoutingKey(w.key[:0], rec.Line)
+				if rec.lsn > g.applied[string(w.key)] {
+					g.applied[string(w.key)] = rec.lsn
 				}
-				lsns = lsns[1:]
 			}
 		}
-		total += int64(len(*it.recs))
+		total += int64(len(*recs))
 	}
 	// Store writes must be visible before the batch's LSNs leave the FIFO
 	// and before the snapshot lock is released: a barrier cut then sees
@@ -272,6 +243,8 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 		atomic.AddInt64(&ing.p.Stats.Unstored, int64(unstored))
 	}
 	if logged > 0 {
+		// Per-worker queue order equals LSN order (deliver pushes and sends
+		// under qmu), so the batch's logged lines own the FIFO's head.
 		w.qmu.Lock()
 		w.lsns = w.lsns[logged:]
 		if len(w.lsns) == 0 {
@@ -280,9 +253,9 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 		w.qmu.Unlock()
 	}
 	w.snapMu.Unlock()
-	for _, it := range batch {
-		*it.recs = (*it.recs)[:0]
-		recsPool.Put(it.recs)
+	for _, recs := range batch {
+		*recs = (*recs)[:0]
+		recsPool.Put(recs)
 	}
 	w.reserved.Add(-total)
 	// Events go out before the batch leaves inflight: a Quiesce that wakes
@@ -298,17 +271,6 @@ func (ing *Ingestor) processBatch(w *worker, batch []item) {
 		}
 		ing.idleMu.Unlock()
 	}
-}
-
-// workerIndex routes a key to a worker by FNV-1a hash. Generic over string
-// and []byte so SubmitBatch hashes a scratch-buffer key and recovery a map
-// key through the one definition, neither copying.
-func workerIndex[T ~string | ~[]byte](key T, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // multiSentenceKey reconstructs the routing key of a multi-sentence AIS
@@ -331,8 +293,9 @@ func (p *Pipeline) RoutingKey(line string) string {
 // dst, falling back to the raw line for unrecognisable input
 // (deterministic, so retries and replays of a bad line resolve
 // identically). This one key picks the ingest worker, keys the snapshot's
-// applied offsets and is what the cluster layer hashes onto its ring, so
-// "same entity, same worker" extends to "same entity, same node". It does
+// applied offsets, selects the key group and is what the cluster layer
+// hashes onto its ring, so "same entity, same worker" extends to "same
+// entity, same node". It does
 // not allocate when dst has room.
 func (p *Pipeline) AppendRoutingKey(dst []byte, line string) []byte {
 	var ok bool
@@ -354,7 +317,7 @@ var ErrIngestorClosed = errors.New("core: ingestor closed")
 
 // recsPool recycles the per-worker staging slices SubmitBatch hands off to
 // workers, so steady-state ingest allocates nothing per line.
-var recsPool = sync.Pool{New: func() any { return new([]synth.TimedLine) }}
+var recsPool = sync.Pool{New: func() any { return new([]queued) }}
 
 // SubmitBatch is the one way lines enter the parallel front-end. It
 // reserves — without blocking — one queue slot per line on the worker that
@@ -380,22 +343,34 @@ var recsPool = sync.Pool{New: func() any { return new([]synth.TimedLine) }}
 // dropped and counted in Rejected, and a caller that retries the batch
 // relies on the store to deduplicate the ones that were.
 func (ing *Ingestor) SubmitBatch(log *wal.Log, recs []synth.TimedLine) (accepted int, err error) {
+	return ing.submit(log, recs, nil)
+}
+
+// submit is SubmitBatch for lines that may already carry WAL offsets:
+// recovery replays the log through it, with lsns[i] the offset of recs[i]
+// and log nil.
+func (ing *Ingestor) submit(log *wal.Log, recs []synth.TimedLine, lsns []uint64) (accepted int, err error) {
 	// per[i] stages worker i's share of the batch.
-	per := make([]*[]synth.TimedLine, len(ing.workers))
+	per := make([]*[]queued, len(ing.workers))
 	var scratch [32]byte // room for any MMSI, fragment or ident key; a raw-line fallback grows past it
 	key := scratch[:0]
-	for _, tl := range recs {
+	for i, tl := range recs {
 		key = ing.p.AppendRoutingKey(key[:0], tl.Line)
-		idx := workerIndex(key, len(ing.workers))
+		g := groupOf(key)
+		idx := g % len(ing.workers)
 		w := ing.workers[idx]
 		if w.reserved.Add(1) > int64(cap(w.q)) {
 			w.reserved.Add(-1)
 			break
 		}
 		if per[idx] == nil {
-			per[idx] = recsPool.Get().(*[]synth.TimedLine)
+			per[idx] = recsPool.Get().(*[]queued)
 		}
-		*per[idx] = append(*per[idx], tl)
+		rec := queued{TimedLine: tl, group: uint8(g)}
+		if lsns != nil {
+			rec.lsn = lsns[i]
+		}
+		*per[idx] = append(*per[idx], rec)
 		accepted++
 	}
 	ing.rejected.Add(int64(len(recs) - accepted))
@@ -431,34 +406,76 @@ func (ing *Ingestor) SubmitBatch(log *wal.Log, recs []synth.TimedLine) (accepted
 }
 
 // deliver appends part's lines to log (when non-nil), pushes their LSNs on
-// w's FIFO and sends them to w as one item, all under w.qmu. On an append
-// failure the lines logged so far are still sent — a logged line must reach
-// its worker — and sent reports how many that was. The reserved slots
+// w's FIFO and sends them to w in one channel send, all under w.qmu. On an
+// append failure the lines logged so far are still sent — a logged line
+// must reach its worker — and sent reports how many that was. The reserved slots
 // guarantee the send cannot block (a worker holds at most cap(q) reserved
-// lines, so its channel holds at most cap(q) items).
-func (ing *Ingestor) deliver(w *worker, log *wal.Log, part *[]synth.TimedLine) (sent int, err error) {
+// lines, so its channel holds at most cap(q) shares).
+func (ing *Ingestor) deliver(w *worker, log *wal.Log, part *[]queued) (sent int, err error) {
 	w.qmu.Lock()
 	defer w.qmu.Unlock()
-	if log != nil {
-		for i, tl := range *part {
-			var lsn uint64
-			if lsn, err = log.Append(tl.TS, tl.Line); err != nil {
+	for i := range *part {
+		rec := &(*part)[i]
+		if log != nil {
+			if rec.lsn, err = log.Append(rec.TS, rec.Line); err != nil {
 				*part = (*part)[:i]
 				break
 			}
-			w.lsns = append(w.lsns, lsn)
+		}
+		if rec.lsn != 0 {
+			w.lsns = append(w.lsns, rec.lsn)
 		}
 	}
 	if sent = len(*part); sent > 0 {
 		ing.inflight.Add(int64(sent))
-		w.q <- item{recs: part, logged: log != nil}
+		w.q <- part
 	}
 	return sent, err
 }
 
-// Barrier pauses every worker at a line boundary and returns a release
-// function. While the barrier is held, worker fronts, applied offsets and
-// the pipeline's analytics state are quiescent — the atomic cut that makes
+// Feed is the batch ingest helper of programs and tests: it hands lines to
+// SubmitBatch in order, a queue's length at a time once the workers have
+// drained, and returns when every line is processed. With log != nil every
+// line is logged; the caller commits.
+func (ing *Ingestor) Feed(log *wal.Log, lines []synth.TimedLine) error {
+	return ing.feed(log, lines, nil)
+}
+
+// feed is Feed for lines that may carry WAL offsets (lsns as for submit).
+func (ing *Ingestor) feed(log *wal.Log, lines []synth.TimedLine, lsns []uint64) error {
+	for len(lines) > 0 {
+		ing.Quiesce(0)
+		n := min(len(lines), cap(ing.workers[0].q))
+		var ls []uint64
+		if lsns != nil {
+			ls = lsns[:n]
+		}
+		n, err := ing.submit(log, lines[:n], ls)
+		if err != nil {
+			return err
+		}
+		lines = lines[n:]
+		if lsns != nil {
+			lsns = lsns[n:]
+		}
+	}
+	ing.Quiesce(0)
+	return nil
+}
+
+// Ingest runs lines, unlogged, through a fresh one-worker Ingestor and
+// returns the complex events they caused, in line order.
+func (p *Pipeline) Ingest(lines []synth.TimedLine) []model.Event {
+	var evs []model.Event
+	ing := p.NewIngestor(IngestorConfig{Workers: 1, OnEvents: func(e []model.Event) { evs = append(evs, e...) }})
+	_ = ing.Feed(nil, lines) // unlogged, so only a closed ingestor fails
+	ing.Close()
+	return evs
+}
+
+// Barrier pauses every worker at a batch boundary and returns a release
+// function. While the barrier is held, the key groups (operator state and
+// applied offsets) and the pipeline's analytics state are quiescent — the atomic cut that makes
 // snapshots torn-write-free. New lines keep being accepted (into queues)
 // until backpressure kicks in.
 func (ing *Ingestor) Barrier() (release func()) {
@@ -472,59 +489,17 @@ func (ing *Ingestor) Barrier() (release func()) {
 	}
 }
 
-// cutState captures the recovery bookkeeping under an established Barrier:
-// the merged per-key applied offsets and the lowest queued-but-unprocessed
-// LSN (or 0 when no logged line is queued).
-func (ing *Ingestor) cutState() (applied map[string]uint64, minQueued uint64) {
-	applied = make(map[string]uint64)
-	for k, v := range ing.p.appliedSeed {
-		applied[k] = v
-	}
+// minQueued returns, under an established Barrier, the lowest LSN handed to
+// a worker but not yet applied, or 0 when no logged line is queued.
+func (ing *Ingestor) minQueued() (lsn uint64) {
 	for _, w := range ing.workers {
-		for k, v := range w.applied {
-			if v > applied[k] {
-				applied[k] = v
-			}
-		}
 		w.qmu.Lock()
-		if len(w.lsns) > 0 && (minQueued == 0 || w.lsns[0] < minQueued) {
-			minQueued = w.lsns[0]
+		if len(w.lsns) > 0 && (lsn == 0 || w.lsns[0] < lsn) {
+			lsn = w.lsns[0]
 		}
 		w.qmu.Unlock()
 	}
-	return applied, minQueued
-}
-
-// exportFront merges the workers' per-entity operator state under an
-// established Barrier: gate/filter maps merge newest-wins (each entity's
-// owner holds the freshest entry; stale seed copies lose by timestamp),
-// reassembly and fusion state unions (each key lives on exactly one
-// worker).
-func (ing *Ingestor) exportFront() frontState {
-	st := frontState{
-		Gate:    make(map[string]model.Position),
-		Filter:  make(map[string]model.Position),
-		Pending: make(map[int][]ais.Sentence),
-		Tracks:  make(map[string]adsb.TrackState),
-	}
-	newest := func(dst map[string]model.Position, src map[string]model.Position) {
-		for k, v := range src {
-			if cur, ok := dst[k]; !ok || v.TS > cur.TS {
-				dst[k] = v
-			}
-		}
-	}
-	for _, w := range ing.workers {
-		newest(st.Gate, w.front.gate.ExportState())
-		newest(st.Filter, w.front.filter.ExportState())
-		for k, v := range w.front.asm.ExportPending() {
-			st.Pending[k] = v
-		}
-		for k, v := range w.front.tracker.ExportStates() {
-			st.Tracks[k] = v
-		}
-	}
-	return st
+	return lsn
 }
 
 // Workers returns the worker count.

@@ -31,8 +31,8 @@ func submitChunks(t *testing.T, ing *Ingestor, log *wal.Log, tls []synth.TimedLi
 }
 
 // SubmitBatch must process exactly the lines the serial path does, deliver
-// identical pipeline counters, and hand every line to the worker
-// workerIndex names for its routing key.
+// identical pipeline counters, and record every line's offset in the key
+// group groupOf names for its routing key.
 func TestSubmitBatchMatchesSerial(t *testing.T) {
 	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 31, Vessels: 12, Duration: 30 * time.Minute, Rendezvous: -1})
 	serial := newPrimed(sc)
@@ -55,13 +55,13 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 	if got, want := p.Stats.Snapshot(), serial.Stats.Snapshot(); got != want {
 		t.Errorf("counters diverge:\nbatched: %+v\nserial:  %+v", got, want)
 	}
-	// A logged line leaves its routing key in its worker's applied map.
+	// A logged line leaves its routing key in its key group's applied map.
 	seen := 0
-	for i, w := range ing.workers {
-		for key := range w.applied {
+	for i := range p.groups {
+		for key := range p.groups[i].applied {
 			seen++
-			if want := workerIndex(key, len(ing.workers)); want != i {
-				t.Errorf("key %q applied on worker %d, workerIndex says %d", key, i, want)
+			if want := groupOf(key); want != i {
+				t.Errorf("key %q applied in group %d, groupOf says %d", key, i, want)
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func TestSubmitBatchBackpressure(t *testing.T) {
 	var a, b synth.TimedLine
 	for i := 0; a.Line == "" || b.Line == ""; i++ {
 		tl := synth.TimedLine{TS: 1, Line: fmt.Sprintf("garbage %d", i)}
-		if workerIndex(tl.Line, 2) == 0 {
+		if groupOf(tl.Line)%2 == 0 {
 			a = tl
 		} else {
 			b = tl

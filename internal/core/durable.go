@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -83,8 +84,8 @@ type manifest struct {
 	Segments int `json:"segments,omitempty"`
 }
 
-// frontState is the serialisable per-entity operator state of an ingest
-// front (or the newest-wins merge of all worker fronts).
+// frontState is the serialisable per-entity operator state: the union of
+// the key groups, each key in exactly one of them.
 type frontState struct {
 	Gate    map[string]model.Position  `json:"gate"`
 	Filter  map[string]model.Position  `json:"filter"`
@@ -92,22 +93,71 @@ type frontState struct {
 	Tracks  map[string]adsb.TrackState `json:"tracks"`
 }
 
-// export captures one front's state.
-func (f *front) export() frontState {
-	return frontState{
-		Gate:    f.gate.ExportState(),
-		Filter:  f.filter.ExportState(),
-		Pending: f.asm.ExportPending(),
-		Tracks:  f.tracker.ExportStates(),
+// exportGroups captures the union of the key groups' operator state and
+// applied offsets; the groups must be quiescent.
+func (p *Pipeline) exportGroups() (frontState, map[string]uint64) {
+	st := frontState{
+		Gate:    make(map[string]model.Position),
+		Filter:  make(map[string]model.Position),
+		Pending: make(map[int][]ais.Sentence),
+		Tracks:  make(map[string]adsb.TrackState),
+	}
+	applied := make(map[string]uint64)
+	for i := range p.groups {
+		g := &p.groups[i]
+		maps.Copy(st.Gate, g.gate.ExportState())
+		maps.Copy(st.Filter, g.filter.ExportState())
+		maps.Copy(st.Pending, g.asm.ExportPending())
+		maps.Copy(st.Tracks, g.tracker.ExportStates())
+		maps.Copy(applied, g.applied)
+	}
+	return st, applied
+}
+
+// restoreGroups splits a snapshot's operator state and applied offsets
+// over the key groups: each entry goes to the group of the routing key
+// its entity's lines carry.
+func (p *Pipeline) restoreGroups(st frontState, applied map[string]uint64) {
+	gate := splitByGroup(st.Gate, p.entityKey)
+	filter := splitByGroup(st.Filter, p.entityKey)
+	pending := splitByGroup(st.Pending, func(seq int) string {
+		if frags := st.Pending[seq]; len(frags) > 0 {
+			return multiSentenceKey(frags[0])
+		}
+		return ""
+	})
+	tracks := splitByGroup(st.Tracks, p.entityKey)
+	keys := splitByGroup(applied, func(key string) string { return key })
+	for i := range p.groups {
+		g := &p.groups[i]
+		g.gate.RestoreState(gate[i])
+		g.filter.RestoreState(filter[i])
+		g.asm.RestorePending(pending[i])
+		g.tracker.RestoreStates(tracks[i])
+		g.applied = keys[i]
 	}
 }
 
-// restore installs st into one front.
-func (f *front) restore(st frontState) {
-	f.gate.RestoreState(st.Gate)
-	f.filter.RestoreState(st.Filter)
-	f.asm.RestorePending(st.Pending)
-	f.tracker.RestoreStates(st.Tracks)
+// splitByGroup partitions m by the key group of routingKey(k).
+func splitByGroup[K comparable, V any](m map[K]V, routingKey func(K) string) (parts [numGroups]map[K]V) {
+	for i := range parts {
+		parts[i] = make(map[K]V)
+	}
+	for k, v := range m {
+		parts[groupOf(routingKey(k))][k] = v
+	}
+	return parts
+}
+
+// entityKey is the routing key of the lines that carry entity id: a
+// maritime id is the MMSI zero-padded to nine digits (so never empty), the
+// key the MMSI in decimal; an aviation id is the upper-cased ident field, the key the same
+// field trimmed.
+func (p *Pipeline) entityKey(id string) string {
+	if p.cfg.Domain == model.Aviation {
+		return strings.TrimSpace(id)
+	}
+	return strings.TrimLeft(id[:len(id)-1], "0") + id[len(id)-1:] // MMSI 0 keys as "0"
 }
 
 // pipelineState is the state.json of one snapshot: everything a pipeline
@@ -141,12 +191,13 @@ type SnapshotInfo struct {
 	Took     time.Duration
 }
 
-// WriteSnapshot writes an atomic full-pipeline snapshot under dataDir.
-// With a live Ingestor the cut is taken under its barrier (workers pause
-// between lines; ingest HTTP clients see queue backpressure, not errors);
-// with ing == nil the pipeline must be externally quiescent (the serial
-// ingest path). log may be nil when running without a WAL — the snapshot
-// then has no replay floor and recovery is snapshot-only.
+// WriteSnapshot writes an atomic full-pipeline snapshot under dataDir. The
+// cut is taken under the running Ingestor's barrier (workers pause between
+// batches; ingest HTTP clients see queue backpressure, not errors). ing ==
+// nil is kept only for bench/trace.go's synchronous drivers (ROADMAP item
+// 8 deletes it): it takes the same cut without a barrier, so the pipeline
+// must be quiescent. log may be nil when running without a WAL — the
+// snapshot then has no replay floor and recovery is snapshot-only.
 func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (SnapshotInfo, error) {
 	start := time.Now()
 	snapRoot := SnapshotsDir(dataDir)
@@ -159,42 +210,26 @@ func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (S
 	}
 	defer os.RemoveAll(tmp)
 
-	// Establish the cut.
-	var (
-		cut, replayFrom uint64
-		applied         map[string]uint64
-		fs              frontState
-		release         = func() {}
-	)
+	// Establish the cut. With an Ingestor, exclude the append→enqueue
+	// window, pause the workers, and only then read the LSN bookkeeping:
+	// every appended LSN is now either fully applied or visible in a queue.
+	var cut uint64
+	release := func() {}
 	if ing != nil {
-		// Exclude the append→enqueue window, pause the workers, and only
-		// then read the LSN bookkeeping: every appended LSN is now either
-		// fully applied or visible in a queue.
 		ing.snapGate.Lock()
 		release = ing.Barrier()
-		if log != nil {
-			cut = log.Appended()
-		}
-		var minQueued uint64
-		applied, minQueued = ing.cutState()
-		if minQueued > 0 {
-			replayFrom = minQueued
-		} else {
-			replayFrom = cut + 1
+	}
+	if log != nil {
+		cut = log.Appended()
+	}
+	replayFrom := cut + 1
+	if ing != nil {
+		if q := ing.minQueued(); q > 0 {
+			replayFrom = q
 		}
 		ing.snapGate.Unlock()
-		fs = ing.exportFront()
-	} else {
-		if log != nil {
-			cut = log.Appended()
-		}
-		replayFrom = cut + 1
-		applied = make(map[string]uint64, len(p.appliedSeed))
-		for k, v := range p.appliedSeed {
-			applied[k] = v
-		}
-		fs = p.serial.export()
 	}
+	fs, applied := p.exportGroups()
 
 	// Serialise everything under the barrier, then release before the
 	// rename (the files are final; only the directory swap remains).
@@ -520,18 +555,18 @@ type RecoveryStats struct {
 }
 
 // Recover restores the pipeline from dataDir: it loads the newest
-// snapshot (if any) and replays the WAL tail sequentially through the
-// serial ingest path. Areas and entities should be installed first (the
-// daemon primes them before recovering); the pipeline must not be serving
-// yet. After Recover, NewIngestor seeds its workers with the recovered
-// operator state, so the daemon continues exactly where the crashed
-// process stopped. A snapshot of another format, shard count or domain, or
+// snapshot (if any) into the store, the analytics and the key groups, and
+// replays the WAL tail in log order through a one-worker Ingestor. Areas
+// and entities should be installed first (the daemon primes them before
+// recovering); the pipeline must not be serving yet. The Ingestor created
+// next, with any worker count, continues exactly where the crashed process
+// stopped. A snapshot of another format, shard count or domain, or
 // one missing a file, is an error, returned before Recover has changed
 // anything under dataDir.
 func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 	start := time.Now()
 	var rs RecoveryStats
-	applied := make(map[string]uint64)
+	var applied map[string]uint64
 	from := uint64(1)
 
 	dir, cut, haveSnap := latestSnapshot(SnapshotsDir(dataDir))
@@ -554,7 +589,7 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 			p.entities[id] = true
 		}
 		p.entityMu.Unlock()
-		p.serial.restore(st.Front)
+		p.restoreGroups(st.Front, st.Applied)
 		if p.Suite != nil && st.Suite != nil {
 			p.Suite.RestoreState(*st.Suite)
 		}
@@ -567,10 +602,7 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 			p.SynopsisHub.restoreState(*st.Synopses)
 		}
 		p.Density.RestoreCounts(st.Density)
-		for k, v := range st.Applied {
-			applied[k] = v
-		}
-		from = m.ReplayFrom
+		applied, from = st.Applied, m.ReplayFrom
 		rs.SnapshotLSN, rs.SnapshotTriples, rs.SnapshotAnchors = cut, t, a
 	}
 	// Only a directory this build accepts is swept, and before anything can
@@ -584,13 +616,12 @@ func (p *Pipeline) Recover(dataDir string) (RecoveryStats, error) {
 	rs.TailTruncatedBytes = tail.TruncatedBytes
 	rs.CorruptStopped = tail.CorruptStopped
 	rs.SkippedBytes = tail.SkippedBytes
-	p.appliedSeed = applied
 	rs.Took = time.Since(start)
 	return rs, err
 }
 
-// Replay re-feeds a logged session in dataDir through a fresh pipeline,
-// sequentially and in exact log order — the deterministic test harness
+// Replay re-feeds a logged session in dataDir through a fresh pipeline
+// and a one-worker Ingestor, in exact log order — the deterministic test harness
 // hook: two Replays of the same log produce byte-identical stores, event
 // sequences and counters. prime (optional) installs areas and entities
 // before the first line.
@@ -601,7 +632,7 @@ func Replay(dataDir string, cfg Config, prime func(*Pipeline)) (*Pipeline, Recov
 	}
 	var rs RecoveryStats
 	start := time.Now()
-	stats, err := p.replayLog(dataDir, 1, make(map[string]uint64), &rs)
+	stats, err := p.replayLog(dataDir, 1, nil, &rs)
 	rs.ReplayFrom = 1
 	rs.TailTruncatedBytes = stats.TruncatedBytes
 	rs.CorruptStopped = stats.CorruptStopped
@@ -610,39 +641,51 @@ func Replay(dataDir string, cfg Config, prime func(*Pipeline)) (*Pipeline, Recov
 	return p, rs, err
 }
 
-// replayLog scans the WAL from offset `from`, re-ingesting every record
-// above its entity's applied offset through the serial front. applied is
-// advanced in place.
-func (p *Pipeline) replayLog(dataDir string, from uint64, applied map[string]uint64, rs *RecoveryStats) (wal.ScanStats, error) {
-	return wal.Scan(WALDir(dataDir), from, func(r wal.Record) error {
-		key := p.RoutingKey(r.Line)
-		if r.LSN <= applied[key] {
+// replayChunk is how many log records recovery hands its Ingestor at once:
+// a default queue's length.
+const replayChunk = 1024
+
+// replayLog scans the WAL from offset from and re-ingests every record
+// above skip[its routing key] — the offset the snapshot applied — through
+// a one-worker Ingestor, in log order and under the record's own LSN, so
+// the groups' applied offsets advance as live ingest advances them.
+func (p *Pipeline) replayLog(dataDir string, from uint64, skip map[string]uint64, rs *RecoveryStats) (wal.ScanStats, error) {
+	ing := p.NewIngestor(IngestorConfig{Workers: 1, OnEvents: func(evs []model.Event) { rs.Events += int64(len(evs)) }})
+	defer ing.Close()
+	var lines []synth.TimedLine
+	var lsns []uint64
+	stats, err := wal.Scan(WALDir(dataDir), from, func(r wal.Record) error {
+		if r.LSN <= skip[p.RoutingKey(r.Line)] {
 			rs.SkippedApplied++
 			return nil
 		}
-		evs, _ := p.IngestLine(synth.TimedLine{TS: r.TS, Line: r.Line})
-		applied[key] = r.LSN
-		rs.Replayed++
-		rs.Events += int64(len(evs))
-		return nil
+		lines, lsns = append(lines, synth.TimedLine{TS: r.TS, Line: r.Line}), append(lsns, r.LSN)
+		if rs.Replayed++; len(lines) < replayChunk {
+			return nil
+		}
+		err := ing.feed(nil, lines, lsns)
+		lines, lsns = lines[:0], lsns[:0]
+		return err
 	})
+	if ferr := ing.feed(nil, lines, lsns); err == nil {
+		err = ferr
+	}
+	return stats, err
 }
 
-// IngestLineLogged is the serial durable ingest path: the line is appended
-// to the WAL, processed, and its applied offset recorded, so a later
-// WriteSnapshot(dataDir, nil, log) carries exact resume offsets. Like
-// IngestLine it must not be called concurrently with itself; the caller
-// decides when to Commit the log (group commit).
+// IngestLineLogged appends the line to the WAL, runs it through
+// IngestLine and records its applied offset in its key group, so a later WriteSnapshot(dataDir, nil, log) carries exact
+// resume offsets; the caller commits the log. It is kept only for
+// bench/trace.go (ROADMAP item 8 deletes it) and must not run concurrently
+// with itself or an Ingestor.
 func (p *Pipeline) IngestLineLogged(l *wal.Log, tl synth.TimedLine) ([]model.Event, error) {
 	lsn, err := l.Append(tl.TS, tl.Line)
 	if err != nil {
 		return nil, err
 	}
 	evs, err := p.IngestLine(tl)
-	if p.appliedSeed == nil {
-		p.appliedSeed = make(map[string]uint64)
-	}
-	p.appliedSeed[p.RoutingKey(tl.Line)] = lsn
+	key := p.RoutingKey(tl.Line)
+	p.groups[groupOf(key)].applied[key] = lsn
 	return evs, err
 }
 

@@ -40,6 +40,23 @@ func exportNT(t testing.TB, p *Pipeline) []byte {
 	return b.Bytes()
 }
 
+// feed runs lines through ing, each logged to log (when non-nil), and fails
+// tb on an error.
+func feed(tb testing.TB, ing *Ingestor, log *wal.Log, lines []synth.TimedLine) {
+	tb.Helper()
+	if err := ing.Feed(log, lines); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// idleSnapshot snapshots the quiescent p under a fresh Ingestor's barrier,
+// as a restarted daemon's POST /snapshot does.
+func idleSnapshot(p *Pipeline, dataDir string, log *wal.Log) (SnapshotInfo, error) {
+	ing := p.NewIngestor(IngestorConfig{Workers: 1})
+	defer ing.Close()
+	return p.WriteSnapshot(dataDir, ing, log)
+}
+
 // newPrimed builds a pipeline primed with sc's world.
 func newPrimed(sc *synth.Scenario) *Pipeline {
 	p := New(Config{Domain: model.Maritime})
@@ -48,8 +65,9 @@ func newPrimed(sc *synth.Scenario) *Pipeline {
 	return p
 }
 
-// TestSerialDurableRecovery ingests a session through the serial logged
-// path, snapshots 60% in, "crashes", and verifies that a recovered
+// TestSerialDurableRecovery ingests a session through the synchronous
+// logged driver kept for the benchmark (IngestLineLogged, WriteSnapshot
+// without an Ingestor), snapshots 60% in, "crashes", and verifies that a recovered
 // pipeline (snapshot + tail replay) is byte-identical to the uninterrupted
 // one: same canonical store dump, same counters, same density mass.
 func TestSerialDurableRecovery(t *testing.T) {
@@ -125,11 +143,9 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := newPrimed(sc)
-	for _, tl := range sc.WireTimed {
-		if _, err := p0.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing := p0.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed)
+	ing.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +285,9 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 	p1 := newPrimed(sc)
 	n := 2000
-	for _, tl := range sc.WireTimed[:n] {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:n])
+	ing.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,5 @@
 package core
 
-// WorkerIndex exposes the key → worker mapping to the routing golden table.
-func WorkerIndex(key string, n int) int { return workerIndex(key, n) }
+// WorkerIndex exposes the key → worker mapping to the routing golden table:
+// the key's group, owned by worker group % n.
+func WorkerIndex(key string, n int) int { return groupOf(key) % n }

@@ -186,12 +186,10 @@ func TestForecastSnapshotRoundTrip(t *testing.T) {
 	p := New(cfg)
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
-	for _, tl := range sc.WireTimed {
-		if _, err := p.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := p.WriteSnapshot(dataDir, nil, log); err != nil {
+	ing := p.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed)
+	ing.Close()
+	if _, err := idleSnapshot(p, dataDir, log); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -259,16 +257,13 @@ func TestForecastRecoverWithTailReplay(t *testing.T) {
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
 	snapAt := len(sc.WireTimed) / 2
-	for i, tl := range sc.WireTimed {
-		if _, err := p.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-		if i == snapAt {
-			if _, err := p.WriteSnapshot(dataDir, nil, log); err != nil {
-				t.Fatal(err)
-			}
-		}
+	ing := p.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:snapAt+1])
+	if _, err := p.WriteSnapshot(dataDir, ing, log); err != nil {
+		t.Fatal(err)
 	}
+	feed(t, ing, log, sc.WireTimed[snapAt+1:])
+	ing.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,245 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/datacron-project/datacron/internal/ais"
+	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/synth"
+	"github.com/datacron-project/datacron/internal/wal"
+)
+
+// operatorState renders p's per-entity operator state and applied offsets
+// as a snapshot's state.json holds them.
+func operatorState(t testing.TB, p *Pipeline) []byte {
+	t.Helper()
+	front, applied := p.exportGroups()
+	b, err := json.Marshal(struct {
+		Front   frontState
+		Applied map[string]uint64
+	}{front, applied})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// eventMultiset renders events as a sorted list: equal multisets, equal
+// lists.
+func eventMultiset(evs []model.Event) []string {
+	out := make([]string, len(evs))
+	for i, ev := range evs {
+		out[i] = fmt.Sprintf("%+v", ev)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// ingestWorkers runs lines, unlogged, through an Ingestor of the given
+// worker count with queues deep enough to hand the whole stream off at
+// once, and returns the detected events.
+func ingestWorkers(t testing.TB, p *Pipeline, workers int, lines []synth.TimedLine) []model.Event {
+	t.Helper()
+	var mu sync.Mutex
+	var evs []model.Event
+	ing := p.NewIngestor(IngestorConfig{Workers: workers, QueueLen: 1 << 16, OnEvents: func(e []model.Event) {
+		mu.Lock()
+		evs = append(evs, e...)
+		mu.Unlock()
+	}})
+	feed(t, ing, nil, lines)
+	ing.Close()
+	return evs
+}
+
+// The synchronous driver kept for the benchmark (IngestLine) and the
+// Ingestor at 1, 2 and 4 workers run one world through the same key groups,
+// so they must agree on the store, the exported operator state, the
+// counters and the detections. The world's events are all per-entity, so
+// none of these depends on how workers interleave entities.
+func TestIngestPathsAgree(t *testing.T) {
+	sc := durableWorld(t)
+	ref := newPrimed(sc)
+	var refEvs []model.Event
+	for _, tl := range sc.WireTimed {
+		evs, err := ref.IngestLine(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refEvs = append(refEvs, evs...)
+	}
+	wantNT, wantState, wantEvs := exportNT(t, ref), operatorState(t, ref), eventMultiset(refEvs)
+	if len(wantEvs) == 0 {
+		t.Fatal("the world produced no events; the test is vacuous")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		p := newPrimed(sc)
+		evs := eventMultiset(ingestWorkers(t, p, workers, sc.WireTimed))
+		if got, want := p.Stats.Snapshot(), ref.Stats.Snapshot(); got != want {
+			t.Errorf("%d workers: counters %+v, IngestLine %+v", workers, got, want)
+		}
+		if !bytes.Equal(exportNT(t, p), wantNT) {
+			t.Errorf("%d workers: N-Triples export differs from IngestLine's", workers)
+		}
+		if !bytes.Equal(operatorState(t, p), wantState) {
+			t.Errorf("%d workers: exported operator state differs from IngestLine's", workers)
+		}
+		if !slices.Equal(evs, wantEvs) {
+			t.Errorf("%d workers: %d detections, IngestLine %d; the multisets differ", workers, len(evs), len(wantEvs))
+		}
+	}
+}
+
+// One data directory — a snapshot taken under four racing workers, then a
+// logged tail — recovers to the same store and operator state whatever the
+// worker count of the Ingestor that takes over; each entity's gate and
+// filter entry is resident once, in the group its lines route to, which
+// one worker owns; and ingesting the rest of the stream at that worker
+// count lands on the uninterrupted run.
+func TestRecoverAtAnyWorkerCount(t *testing.T) {
+	sc := durableWorld(t)
+	dataDir := t.TempDir()
+	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapAt, crashAt := len(sc.WireTimed)/2, len(sc.WireTimed)*8/10
+	p1 := newPrimed(sc)
+	ing := p1.NewIngestor(IngestorConfig{Workers: 4, QueueLen: 1 << 16})
+	feed(t, ing, log, sc.WireTimed[:snapAt])
+	if _, err := p1.WriteSnapshot(dataDir, ing, log); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, ing, log, sc.WireTimed[snapAt:crashAt])
+	ing.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole := newPrimed(sc)
+	whole.Ingest(sc.WireTimed)
+	wantFront, _ := whole.exportGroups()
+
+	var recoveredNT, recoveredState []byte
+	for _, workers := range []int{1, 2, 4} {
+		p := newPrimed(sc)
+		rs, err := p.Recover(dataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.SnapshotLSN == 0 || rs.Replayed == 0 {
+			t.Fatalf("%d workers: recovery did not load a snapshot and replay a tail: %+v", workers, rs)
+		}
+		ing := p.NewIngestor(IngestorConfig{Workers: workers})
+		nt, state := exportNT(t, p), operatorState(t, p)
+		if recoveredNT == nil {
+			recoveredNT, recoveredState = nt, state
+		} else {
+			if !bytes.Equal(nt, recoveredNT) {
+				t.Errorf("%d workers: recovered N-Triples export differs from 1 worker's", workers)
+			}
+			if !bytes.Equal(state, recoveredState) {
+				t.Errorf("%d workers: recovered operator state differs from 1 worker's", workers)
+			}
+		}
+		// Worker w owns the groups g with g % workers == w.
+		gates, filters := make(map[string][]int), make(map[string][]int)
+		for g := range p.groups {
+			for id := range p.groups[g].gate.ExportState() {
+				gates[id] = append(gates[id], g%workers)
+				if want := groupOf(p.entityKey(id)); want != g {
+					t.Errorf("%d workers: %s's gate entry is in group %d, its lines route to %d", workers, id, g, want)
+				}
+			}
+			for id := range p.groups[g].filter.ExportState() {
+				filters[id] = append(filters[id], g%workers)
+			}
+		}
+		if len(gates) == 0 || len(filters) == 0 {
+			t.Fatalf("%d workers: no gate or filter state recovered", workers)
+		}
+		for _, resident := range []map[string][]int{gates, filters} {
+			for id, owners := range resident {
+				if len(owners) != 1 {
+					t.Errorf("%d workers: %s resident on workers %v, want exactly one", workers, id, owners)
+				}
+			}
+		}
+
+		feed(t, ing, nil, sc.WireTimed[crashAt:])
+		ing.Close()
+		if got, want := p.Stats.Snapshot(), whole.Stats.Snapshot(); got != want {
+			t.Errorf("%d workers: counters after the rest of the stream %+v, uninterrupted %+v", workers, got, want)
+		}
+		if !bytes.Equal(exportNT(t, p), exportNT(t, whole)) {
+			t.Errorf("%d workers: store after the rest of the stream differs from the uninterrupted run", workers)
+		}
+		if front, _ := p.exportGroups(); !sameJSON(t, front, wantFront) {
+			t.Errorf("%d workers: operator state after the rest of the stream differs from the uninterrupted run", workers)
+		}
+	}
+}
+
+// sameJSON compares two values by their JSON encodings, the form a
+// snapshot stores them in.
+func sameJSON(t testing.TB, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
+}
+
+// Recovery places a restored gate or filter entry by entityKey, live ingest
+// by the routing key of the entity's lines: the two must name one group,
+// or a restart strands the entry where its entity's lines never look. The
+// generated worlds' MMSIs have nine digits, so this covers the short,
+// zero-padded ones and padded, lower-case SBS idents.
+func TestEntityKeyIsTheRoutingKey(t *testing.T) {
+	var lines []string
+	for _, mmsi := range []uint32{0, 7, 1234, 23700001, 237000001} {
+		payload, fill, err := ais.PositionReport{MsgType: 1, MMSI: mmsi, Lon: 25, Lat: 37, SOG: 10, COG: 90, Heading: 90, Second: 1}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, ais.ToSentences(payload, fill, 0, "A")[0])
+	}
+	check := func(domain model.Domain, lines []string) {
+		p := New(Config{Domain: domain})
+		keys := make(map[string]bool)
+		for _, line := range lines {
+			if _, err := p.IngestLine(synth.TimedLine{TS: 1000, Line: line}); err != nil {
+				t.Fatal(err)
+			}
+			keys[p.RoutingKey(line)] = true
+		}
+		seen := 0
+		for g := range p.groups {
+			for id := range p.groups[g].gate.ExportState() {
+				seen++
+				if key := p.entityKey(id); !keys[key] || groupOf(key) != g {
+					t.Errorf("%s entity %q: entityKey %q (group %d), gate entry in group %d", domain, id, key, groupOf(key), g)
+				}
+			}
+		}
+		if seen != len(keys) {
+			t.Errorf("%s: %d gate entries for %d routing keys", domain, seen, len(keys))
+		}
+	}
+	check(model.Maritime, lines)
+	check(model.Aviation, []string{
+		"MSG,3,1,1, 4ca1fa ,1,2026/01/02,03:04:05.250,2026/01/02,03:04:05.250,,35000,,,51.1,-0.5,,,,,,0",
+		"MSG,4,1,1, 4ca1fa ,1,2026/01/02,03:04:05.250,2026/01/02,03:04:05.250,,,450,90,,,0,,,,,0",
+		"MSG,3,1,1,abc123,1,2026/01/02,03:04:05.250,2026/01/02,03:04:05.250,,35000,,,51.2,-0.5,,,,,,0",
+		"MSG,4,1,1,abc123,1,2026/01/02,03:04:05.250,2026/01/02,03:04:05.250,,,450,90,,,0,,,,,0",
+	})
+}

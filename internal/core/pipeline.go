@@ -49,10 +49,10 @@ type Config struct {
 	MaxSpeedMS float64
 	// HotspotGrid is the density analytics resolution. Default 48x48.
 	HotspotGridCols, HotspotGridRows int
-	// StrictWire makes IngestLine return decode errors. By default the
-	// pipeline behaves like a production receiver: malformed lines are
+	// StrictWire makes IngestLine return decode errors. The pipeline
+	// otherwise behaves like a production receiver: malformed lines are
 	// counted (Stats.BadLines) and skipped, because real feeds contain
-	// truncated and corrupted sentences.
+	// truncated and corrupted sentences; an Ingestor never runs strict.
 	StrictWire bool
 	// Forecast configures the online forecasting subsystem; the zero value
 	// leaves it off and Pipeline.ForecastHub nil.
@@ -109,11 +109,11 @@ func (c Config) withDefaults() Config {
 // Pipeline is a running datAcron instance.
 //
 // Concurrency: the store and query engine are safe for concurrent use while
-// ingest is in flight (per-shard read/write locking). IngestLine itself
-// carries per-entity decoder and compressor state and must be called from a
-// single goroutine; for parallel ingestion use NewIngestor, which routes
-// wire lines to per-entity-keyed workers each owning its own front-end.
-// InstallAreas and InstallEntities must happen before ingestion starts.
+// ingest is in flight (per-shard read/write locking). Lines enter through
+// an Ingestor (NewIngestor), which routes each line by its entity's key to
+// the worker owning that key's group; one Ingestor runs on a pipeline at a
+// time. InstallAreas and InstallEntities must happen before ingestion
+// starts.
 type Pipeline struct {
 	cfg     Config
 	Store   *store.Sharded
@@ -136,18 +136,17 @@ type Pipeline struct {
 	// sources. Always on: a Note is two atomics.
 	Watermark obs.Watermark
 
-	// serial is the front-end used by the single-goroutine IngestLine path.
-	serial front
+	// groups hold all per-entity operator state, split by routing key
+	// (groupOf); see group.
+	groups [numGroups]group
+	// drv is the scratch of the synchronous drivers kept for the benchmark
+	// (IngestLine, IngestLineLogged); nil until their first line.
+	drv *front
 
 	// entityMu guards the on-the-fly entity registry (AIS message 5 can be
 	// decoded concurrently by ingest workers).
 	entityMu sync.Mutex
 	entities map[string]bool
-
-	// appliedSeed carries per-entity applied WAL offsets across the
-	// recovery boundary: set by Recover (and the serial logged ingest
-	// path), consumed by NewIngestor and the snapshot writer.
-	appliedSeed map[string]uint64
 
 	// analyticsMu serialises the stateful analytics stage (CER suite and
 	// density grid) over the gated stream. Decode, compression and store
@@ -162,20 +161,13 @@ type Pipeline struct {
 	Stats Stats
 }
 
-// front bundles the per-goroutine ingest state: wire-format reassembly and
-// the per-entity in-situ operators. Each ingest worker owns one, so a given
-// entity's reports must always be routed to the same front (the Ingestor
-// guarantees this by keying on the wire line's entity identity).
+// front is one ingest worker's scratch: its store batch writer and decode
+// buffers. It holds no operator state (that lives in the key groups), so a
+// worker may own any set of groups.
 type front struct {
-	gate    *insitu.NoiseGate
-	filter  *insitu.ThresholdFilter
-	asm     *ais.Assembler
-	tracker *adsb.Tracker
-	// bw, when non-nil, stages kept position reports per destination shard;
-	// the ingest worker flushes it once per drained batch inside its
-	// snapshot critical section. The serial front leaves it nil and writes
-	// the store directly, so replay and single-goroutine ingestion keep
-	// per-line store visibility.
+	// bw stages kept position reports per destination shard; the worker
+	// flushes it once per drained batch inside its snapshot critical
+	// section.
 	bw *store.BatchWriter
 	// sbs is the per-front SBS parse scratch (adsb.ParseInto target).
 	sbs adsb.Message
@@ -187,14 +179,8 @@ type front struct {
 	tick uint32
 }
 
-func newFront(cfg Config) front {
-	return front{
-		gate:    insitu.NewNoiseGate(cfg.MaxSpeedMS),
-		filter:  insitu.NewThresholdFilter(cfg.Compression),
-		asm:     ais.NewAssembler(),
-		tracker: adsb.NewTracker(),
-		ids:     make(map[uint32]string),
-	}
+func (p *Pipeline) newFront() *front {
+	return &front{bw: p.Store.NewBatchWriter(), ids: make(map[uint32]string)}
 }
 
 // entityID returns the canonical nine-digit entity ID for an MMSI, cached
@@ -262,11 +248,19 @@ func New(cfg Config) *Pipeline {
 	p := &Pipeline{
 		cfg:      cfg,
 		Store:    store.NewSharded(cfg.Partitioner, cfg.Box),
-		serial:   newFront(cfg),
 		entities: make(map[string]bool),
 		Density:  hotspot.NewDensityGrid(geo.NewGrid(cfg.Box, cfg.HotspotGridCols, cfg.HotspotGridRows)),
 	}
 	p.Engine = query.NewEngine(p.Store)
+	for i := range p.groups {
+		p.groups[i] = group{
+			gate:    insitu.NewNoiseGate(cfg.MaxSpeedMS),
+			filter:  insitu.NewThresholdFilter(cfg.Compression),
+			asm:     ais.NewAssembler(),
+			tracker: adsb.NewTracker(),
+			applied: make(map[string]uint64),
+		}
+	}
 	if cfg.Forecast.Enabled {
 		p.ForecastHub = NewForecastHub(cfg.Box, cfg.Forecast)
 	}
@@ -318,20 +312,29 @@ func (p *Pipeline) InstallEntities(entities []model.Entity) {
 // clock-read-heavy timing observations are sampled.
 const latSampleEvery = 16
 
-// IngestLine consumes one wire line with its receiver timestamp and runs
-// the full architecture over it. It returns the complex events detected as
-// a consequence of this line. IngestLine must not be called concurrently
-// with itself (per-entity decoder state); use NewIngestor for that. It is
-// safe to run queries, range scans and exports while IngestLine runs.
+// IngestLine runs one line synchronously through its key group, flushing
+// its store writes, and returns the complex events it caused; under
+// StrictWire a malformed line is an error. It is kept only for
+// bench/trace.go's in-process layer replay (ROADMAP item 8 deletes it; the
+// internal/server goldens also take their reference run from it): programs
+// and tests ingest through NewIngestor. It must not run concurrently with
+// itself or an Ingestor.
 func (p *Pipeline) IngestLine(tl synth.TimedLine) ([]model.Event, error) {
-	return p.ingest(&p.serial, tl)
+	if p.drv == nil {
+		p.drv = p.newFront()
+	}
+	evs, err := p.ingest(p.drv, &p.groups[groupOf(p.AppendRoutingKey(nil, tl.Line))], tl)
+	if unstored, _ := p.drv.bw.Flush(); unstored > 0 {
+		atomic.AddInt64(&p.Stats.Unstored, int64(unstored))
+	}
+	return evs, err
 }
 
-// ingest runs the full architecture over one wire line using the given
-// front-end. Multiple goroutines may call ingest concurrently as long as
-// each uses its own front and any two reports of the same entity always use
-// the same front.
-func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
+// ingest runs the full architecture over one wire line with the given
+// worker scratch and the key group of the line's routing key. Goroutines
+// may call ingest concurrently as long as each uses its own front and no
+// two use one group.
+func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) ([]model.Event, error) {
 	// One clock read per line; the latency histograms sample 1 in
 	// latSampleEvery lines (per front, so replay determinism of the
 	// counters is untouched) — on single-core hosts the clock reads were a
@@ -352,9 +355,9 @@ func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
 	lt.Begin(obs.StageDecode)
 	switch p.cfg.Domain {
 	case model.Maritime:
-		pos, ok, err = p.decodeAIS(f, tl)
+		pos, ok, err = p.decodeAIS(f, g, tl)
 	case model.Aviation:
-		pos, ok, err = p.decodeSBS(f, tl)
+		pos, ok, err = p.decodeSBS(f, g, tl)
 	}
 	if err != nil {
 		lt.End("error")
@@ -378,7 +381,7 @@ func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
 
 	// In-situ processing: noise gate then threshold compression.
 	lt.Begin(obs.StageGate)
-	if !f.gate.Accept(pos) {
+	if !g.gate.Accept(pos) {
 		lt.End("gated")
 		lt.Finish("gated")
 		atomic.AddInt64(&p.Stats.Gated, 1)
@@ -411,7 +414,7 @@ func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
 	}
 	lt.Begin(obs.StageCompress)
 	stored := true
-	if !p.cfg.DisableCompression && !f.filter.Keep(pos) {
+	if !p.cfg.DisableCompression && !g.filter.Keep(pos) {
 		stored = false
 		atomic.AddInt64(&p.Stats.Suppressed, 1)
 		lt.End("suppressed")
@@ -422,19 +425,18 @@ func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
 	// Transformation + parallel RDF store (only kept reports are stored —
 	// that is the point of in-situ compression). The sharded store does its
 	// own per-shard locking, so fronts write in parallel.
-	// Batched fronts stage the report in the per-worker batch writer (the
-	// flush happens once per drained batch, so StoreLatency then measures
-	// the staging append; OPERATIONS.md documents the shift). The serial
-	// front writes through immediately.
+	// The report is staged in the front's batch writer (the flush happens
+	// once per drained batch, so StoreLatency measures the staging append;
+	// OPERATIONS.md documents the shift).
 	if stored {
 		atomic.AddInt64(&p.Stats.Kept, 1)
 		lt.Begin(obs.StageStore)
 		if sampled {
 			st0 := time.Now()
-			p.storePosition(f, pos)
+			f.bw.AddPosition(pos)
 			p.Stats.StoreLatency.Observe(time.Since(st0))
 		} else {
-			p.storePosition(f, pos)
+			f.bw.AddPosition(pos)
 		}
 		lt.End("")
 	}
@@ -482,23 +484,11 @@ func (p *Pipeline) ingest(f *front, tl synth.TimedLine) ([]model.Event, error) {
 	return events, nil
 }
 
-// storePosition routes a kept report to the front's batch writer when it
-// has one, else straight to the sharded store.
-func (p *Pipeline) storePosition(f *front, pos model.Position) {
-	if f.bw != nil {
-		f.bw.AddPosition(pos)
-		return
-	}
-	if p.Store.AddPositionRecord(pos) != nil {
-		atomic.AddInt64(&p.Stats.Unstored, 1)
-	}
-}
-
 // decodeAIS decodes one AIVDM line; multi-sentence messages return ok=false
 // until complete; static messages update the entity registry and return
 // ok=false (they carry no position).
-func (p *Pipeline) decodeAIS(f *front, tl synth.TimedLine) (model.Position, bool, error) {
-	r, err := f.asm.Push(tl.Line)
+func (p *Pipeline) decodeAIS(f *front, g *group, tl synth.TimedLine) (model.Position, bool, error) {
+	r, err := g.asm.Push(tl.Line)
 	if err != nil {
 		return model.Position{}, false, fmt.Errorf("core: ais decode: %w", err)
 	}
@@ -556,11 +546,11 @@ func (p *Pipeline) decodeAIS(f *front, tl synth.TimedLine) (model.Position, bool
 
 // decodeSBS decodes one SBS line through the fusing tracker, parsing into
 // the front's scratch message so the hot path allocates nothing per line.
-func (p *Pipeline) decodeSBS(f *front, tl synth.TimedLine) (model.Position, bool, error) {
+func (p *Pipeline) decodeSBS(f *front, g *group, tl synth.TimedLine) (model.Position, bool, error) {
 	if err := adsb.ParseInto(tl.Line, &f.sbs); err != nil {
 		return model.Position{}, false, fmt.Errorf("core: sbs decode: %w", err)
 	}
-	snap, ok := f.tracker.Push(f.sbs)
+	snap, ok := g.tracker.Push(f.sbs)
 	if !ok {
 		return model.Position{}, false, nil
 	}
@@ -612,22 +602,6 @@ func shipTypeName(code uint8) string {
 	default:
 		return "OTHER"
 	}
-}
-
-// RunScenario ingests a whole scenario's wire stream and returns the
-// detected events.
-func (p *Pipeline) RunScenario(sc *synth.Scenario) ([]model.Event, error) {
-	p.InstallAreas(sc.Areas)
-	p.InstallEntities(sc.Entities)
-	var detected []model.Event
-	for _, tl := range sc.WireTimed {
-		evs, err := p.IngestLine(tl)
-		if err != nil {
-			return detected, err
-		}
-		detected = append(detected, evs...)
-	}
-	return detected, nil
 }
 
 // Report renders the pipeline statistics for the CLI and experiments.

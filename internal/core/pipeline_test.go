@@ -17,13 +17,18 @@ func maritimeScenario(t testing.TB) *synth.Scenario {
 	})
 }
 
+// runScenario primes p with sc's world and ingests its wire stream through
+// a one-worker Ingestor, returning the detected events in line order.
+func runScenario(p *Pipeline, sc *synth.Scenario) []model.Event {
+	p.InstallAreas(sc.Areas)
+	p.InstallEntities(sc.Entities)
+	return p.Ingest(sc.WireTimed)
+}
+
 func TestMaritimeEndToEnd(t *testing.T) {
 	sc := maritimeScenario(t)
 	p := New(Config{Domain: model.Maritime})
-	detected, err := p.RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	detected := runScenario(p, sc)
 	if p.Stats.Decoded == 0 || p.Stats.Kept == 0 {
 		t.Fatalf("nothing flowed: %+v", p.Stats)
 	}
@@ -69,10 +74,7 @@ func TestMaritimeEndToEnd(t *testing.T) {
 func TestAviationEndToEnd(t *testing.T) {
 	sc := synth.GenAviation(synth.AviationConfig{Seed: 5, Flights: 12, Duration: time.Hour})
 	p := New(Config{Domain: model.Aviation})
-	_, err := p.RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runScenario(p, sc)
 	if p.Stats.Decoded == 0 {
 		t.Fatal("no SBS messages decoded")
 	}
@@ -96,9 +98,7 @@ func TestAviationEndToEnd(t *testing.T) {
 func TestCompressionDisabledStoresEverything(t *testing.T) {
 	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 3, Vessels: 6, Duration: 20 * time.Minute, OutlierProb: 1e-12, GapProb: 1e-12})
 	p := New(Config{Domain: model.Maritime, DisableCompression: true})
-	if _, err := p.RunScenario(sc); err != nil {
-		t.Fatal(err)
-	}
+	runScenario(p, sc)
 	if p.Stats.Suppressed != 0 {
 		t.Errorf("suppressed %d with compression disabled", p.Stats.Suppressed)
 	}
@@ -136,8 +136,8 @@ func TestPipelineSurvivesCorruptedFeed(t *testing.T) {
 	p := New(Config{Domain: model.Maritime})
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
-	var detected []model.Event
 	var injected int64
+	lines := make([]synth.TimedLine, 0, len(sc.WireTimed))
 	for i, tl := range sc.WireTimed {
 		switch i % 97 {
 		case 13: // flip a payload byte (checksum failure)
@@ -152,12 +152,9 @@ func TestPipelineSurvivesCorruptedFeed(t *testing.T) {
 			tl.Line = "\x00\xff\x13garbage"
 			injected++
 		}
-		evs, err := p.IngestLine(tl)
-		if err != nil {
-			t.Fatalf("lenient pipeline returned error: %v", err)
-		}
-		detected = append(detected, evs...)
+		lines = append(lines, tl)
 	}
+	detected := p.Ingest(lines)
 	if p.Stats.BadLines < injected*9/10 {
 		t.Errorf("BadLines = %d, injected ≈ %d", p.Stats.BadLines, injected)
 	}
@@ -173,11 +170,7 @@ func TestStaticMessagesLearnEntities(t *testing.T) {
 	p := New(Config{Domain: model.Maritime})
 	p.InstallAreas(sc.Areas)
 	// No InstallEntities: the pipeline must learn them from AIS msg 5.
-	for _, tl := range sc.WireTimed {
-		if _, err := p.IngestLine(tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	p.Ingest(sc.WireTimed)
 	res, err := p.Engine.Execute(`SELECT ?v ?name WHERE { ?v rdf:type dat:Vessel . ?v dat:name ?name . }`)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +183,7 @@ func TestStaticMessagesLearnEntities(t *testing.T) {
 func TestDensityAccumulates(t *testing.T) {
 	sc := maritimeScenario(t)
 	p := New(Config{Domain: model.Maritime})
-	if _, err := p.RunScenario(sc); err != nil {
-		t.Fatal(err)
-	}
+	runScenario(p, sc)
 	if p.Density.Total() == 0 {
 		t.Error("density grid empty after ingestion")
 	}

@@ -12,7 +12,7 @@ import (
 
 // Routing-key bytes are a format, not an implementation detail: they key the
 // snapshot's applied offsets on disk, pick the ingest worker
-// (workerIndex(key, workers)) and pick the owning node on the cluster ring.
+// (groupOf(key) % workers) and pick the owning node on the cluster ring.
 // This table was recorded at the commit before the extractors were unified;
 // a change to any column strands recovered state on the wrong worker or
 // entities on the wrong node.
@@ -22,7 +22,7 @@ var routingGolden = []struct {
 	line   string
 	ok     bool // the domain extractor recognises the line; otherwise the key is the raw line
 	key    string
-	worker int    // workerIndex(key, 4)
+	worker int    // groupOf(key) % 4
 	owner  string // owner on the 3-member ring below
 }{
 	{"ais single sentence", model.Maritime, "!AIVDM,1,1,,A,13R1Efh01s1fDS0Ect83Q00t0000,0*72", true, "237000123", 3, "n3:9000"},
@@ -80,7 +80,7 @@ func TestRoutingKeyGolden(t *testing.T) {
 				return // nothing to hash: the coordinator keeps such a line local
 			}
 			if w := core.WorkerIndex(tc.key, 4); w != tc.worker {
-				t.Errorf("workerIndex(%q, 4) = %d, want %d", tc.key, w, tc.worker)
+				t.Errorf("worker of %q among 4 = %d, want %d", tc.key, w, tc.worker)
 			}
 			if o := ring.Owner(tc.key); o != tc.owner {
 				t.Errorf("ring owner of %q = %q, want %q", tc.key, o, tc.owner)

@@ -51,16 +51,14 @@ func TestSecondSnapshotAtTheSameCut(t *testing.T) {
 	}
 	p1 := newPrimed(sc)
 	lines := sc.WireTimed[:3000]
-	for _, tl := range lines {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, lines)
+	ing.Close()
 	if err := log.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	before := log.Segments()
-	first, err := p1.WriteSnapshot(dataDir, nil, log)
+	first, err := idleSnapshot(p1, dataDir, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,7 @@ func TestSecondSnapshotAtTheSameCut(t *testing.T) {
 		return os.Rename(from, to)
 	}
 	t.Cleanup(func() { renameDir = os.Rename })
-	if _, err := p1.WriteSnapshot(dataDir, nil, log); err == nil || calls != 2 {
+	if _, err := idleSnapshot(p1, dataDir, log); err == nil || calls != 2 {
 		t.Fatalf("second snapshot: err %v after %d renames, want the injected failure at the second", err, calls)
 	}
 	if names := snapshotNames(t, dataDir); len(names) != 1 || names[0] != filepath.Base(first.Dir)+prevSuffix {
@@ -94,7 +92,7 @@ func TestSecondSnapshotAtTheSameCut(t *testing.T) {
 
 	// The next snapshot at that cut goes through and leaves only itself.
 	renameDir = os.Rename
-	third, err := p1.WriteSnapshot(dataDir, nil, log)
+	third, err := idleSnapshot(p1, dataDir, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +118,9 @@ func TestStaleSnapshotTempsAreSwept(t *testing.T) {
 		t.Fatal("a log opened with default options does not sync")
 	}
 	p1 := newPrimed(sc)
-	for _, tl := range sc.WireTimed[:1500] {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:1500])
+	ing.Close()
 	if err := log.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +135,7 @@ func TestStaleSnapshotTempsAreSwept(t *testing.T) {
 		return stale
 	}
 	stale := plant()
-	info, err := p1.WriteSnapshot(dataDir, nil, log)
+	info, err := idleSnapshot(p1, dataDir, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +183,9 @@ func sparseWorld(tb testing.TB, lines int) (*Pipeline, *synth.Scenario, string, 
 	p := New(fullConfig)
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
-	for _, tl := range sc.WireTimed[:lines] {
-		if _, err := p.IngestLineLogged(log, tl); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	ing := p.NewIngestor(IngestorConfig{Workers: 1})
+	feed(tb, ing, log, sc.WireTimed[:lines])
+	ing.Close()
 	if err := log.Commit(); err != nil {
 		tb.Fatal(err)
 	}
@@ -225,7 +219,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	var info SnapshotInfo
 	for i := 0; i < b.N; i++ {
 		var err error
-		if info, err = p.WriteSnapshot(dataDir, nil, log); err != nil {
+		if info, err = idleSnapshot(p, dataDir, log); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +229,7 @@ func BenchmarkSnapshot(b *testing.B) {
 // BenchmarkRecover is one Recover from that snapshot (no log tail).
 func BenchmarkRecover(b *testing.B) {
 	p, sc, dataDir, log := sparseWorld(b, sparseLines)
-	if _, err := p.WriteSnapshot(dataDir, nil, log); err != nil {
+	if _, err := idleSnapshot(p, dataDir, log); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -263,7 +257,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	p, _, dataDir, log := sparseWorld(t, 12000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	info, err := p.WriteSnapshot(dataDir, nil, log)
+	info, err := idleSnapshot(p, dataDir, log)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

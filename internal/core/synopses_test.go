@@ -23,14 +23,10 @@ func synopsesWorld(t testing.TB) *synth.Scenario {
 	})
 }
 
-// ingestAll runs the whole wire stream through the serial path.
+// ingestAll runs the whole wire stream through a one-worker Ingestor.
 func ingestAll(t testing.TB, p *Pipeline, sc *synth.Scenario) {
 	t.Helper()
-	for _, tl := range sc.WireTimed {
-		if _, err := p.IngestLine(tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	p.Ingest(sc.WireTimed)
 }
 
 // TestSynopsisHubCompressesStream is the subsystem acceptance in miniature:
@@ -255,19 +251,16 @@ func TestSynopsisDurableRecovery(t *testing.T) {
 	p1.InstallAreas(sc.Areas)
 	p1.InstallEntities(sc.Entities)
 	cutAt := len(sc.WireTimed) * 6 / 10
-	for i, tl := range sc.WireTimed {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-		if i == cutAt {
-			if err := log.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p1.WriteSnapshot(dataDir, nil, log); err != nil {
-				t.Fatal(err)
-			}
-		}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:cutAt+1])
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := p1.WriteSnapshot(dataDir, ing, log); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, ing, log, sc.WireTimed[cutAt+1:])
+	ing.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}

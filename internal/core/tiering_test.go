@@ -59,27 +59,23 @@ func TestTieredDurableRecovery(t *testing.T) {
 	sealAt := len(sc.WireTimed) * 4 / 10
 	cutAt := len(sc.WireTimed) * 6 / 10
 	var info SnapshotInfo
-	for i, tl := range sc.WireTimed {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-		if i == sealAt {
-			if st := p1.MaintainStore(nil, store.TierPolicy{}, true); st.Sealed == 0 {
-				t.Fatal("forced seal sealed nothing")
-			}
-		}
-		if i == cutAt {
-			if err := log.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if info, err = p1.WriteSnapshot(dataDir, nil, log); err != nil {
-				t.Fatal(err)
-			}
-			if info.Segments == 0 {
-				t.Fatalf("v2 snapshot references no segments: %+v", info)
-			}
-		}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:sealAt+1])
+	if st := p1.MaintainStore(ing, store.TierPolicy{}, true); st.Sealed == 0 {
+		t.Fatal("forced seal sealed nothing")
 	}
+	feed(t, ing, log, sc.WireTimed[sealAt+1:cutAt+1])
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = p1.WriteSnapshot(dataDir, ing, log); err != nil {
+		t.Fatal(err)
+	}
+	if info.Segments == 0 {
+		t.Fatalf("v2 snapshot references no segments: %+v", info)
+	}
+	feed(t, ing, log, sc.WireTimed[cutAt+1:])
+	ing.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +150,7 @@ func TestTieredDurableRecovery(t *testing.T) {
 		}
 		before[e.Name()] = fi
 	}
-	info3, err := p3.WriteSnapshot(dataDir, nil, log2)
+	info3, err := idleSnapshot(p3, dataDir, log2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +208,15 @@ func TestV1SnapshotRecovery(t *testing.T) {
 	}
 	p1 := newPrimed(sc)
 	lines := sc.WireTimed[:len(sc.WireTimed)/2]
-	for i, tl := range lines {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-		if i == len(lines)/2 {
-			p1.MaintainStore(nil, store.TierPolicy{}, true)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, lines[:len(lines)/2+1])
+	p1.MaintainStore(ing, store.TierPolicy{}, true)
+	feed(t, ing, log, lines[len(lines)/2+1:])
+	ing.Close()
 	if err := log.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := p1.WriteSnapshot(dataDir, nil, log)
+	info, err := idleSnapshot(p1, dataDir, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,18 +337,15 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	p1 := newPrimed(sc)
-	for i, tl := range sc.WireTimed[:600] {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			f.Fatal(err)
-		}
-		if i == 300 {
-			p1.MaintainStore(nil, store.TierPolicy{}, true)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(f, ing, log, sc.WireTimed[:301])
+	p1.MaintainStore(ing, store.TierPolicy{}, true)
+	feed(f, ing, log, sc.WireTimed[301:600])
+	ing.Close()
 	if err := log.Commit(); err != nil {
 		f.Fatal(err)
 	}
-	info, err := p1.WriteSnapshot(dataDir, nil, log)
+	info, err := idleSnapshot(p1, dataDir, log)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -422,13 +412,11 @@ func TestRecoverySweepsStaleSegmentCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := newPrimed(sc)
-	for _, tl := range sc.WireTimed[:len(sc.WireTimed)/2] {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:len(sc.WireTimed)/2])
+	ing.Close()
 	p1.MaintainStore(nil, store.TierPolicy{}, true)
-	if _, err := p1.WriteSnapshot(dataDir, nil, log); err != nil {
+	if _, err := idleSnapshot(p1, dataDir, log); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -469,13 +457,11 @@ func TestRecoverySweepsStaleSegmentCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	for _, tl := range sc.WireTimed[len(sc.WireTimed)/2:] {
-		if _, err := p2.IngestLineLogged(log2, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing = p2.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log2, sc.WireTimed[len(sc.WireTimed)/2:])
+	ing.Close()
 	p2.MaintainStore(nil, store.TierPolicy{}, true)
-	if _, err := p2.WriteSnapshot(dataDir, nil, log2); err != nil {
+	if _, err := idleSnapshot(p2, dataDir, log2); err != nil {
 		t.Fatal(err)
 	}
 	want := exportNT(t, p2)
@@ -502,15 +488,13 @@ func TestSnapshotGCSweepsRetiredSegments(t *testing.T) {
 	p := newPrimed(sc)
 	third := len(sc.WireTimed) / 3
 	ingest := func(from, to int) {
-		for _, tl := range sc.WireTimed[from:to] {
-			if _, err := p.IngestLineLogged(log, tl); err != nil {
-				t.Fatal(err)
-			}
-		}
+		ing := p.NewIngestor(IngestorConfig{Workers: 1})
+		feed(t, ing, log, sc.WireTimed[from:to])
+		ing.Close()
 	}
 	ingest(0, third)
 	p.MaintainStore(nil, store.TierPolicy{}, true)
-	if _, err := p.WriteSnapshot(dataDir, nil, log); err != nil {
+	if _, err := idleSnapshot(p, dataDir, log); err != nil {
 		t.Fatal(err)
 	}
 	gen1 := map[string]bool{}
@@ -530,7 +514,7 @@ func TestSnapshotGCSweepsRetiredSegments(t *testing.T) {
 	if st.Dropped == 0 {
 		t.Fatal("retention dropped nothing; widen the test windows")
 	}
-	if _, err := p.WriteSnapshot(dataDir, nil, log); err != nil {
+	if _, err := idleSnapshot(p, dataDir, log); err != nil {
 		t.Fatal(err)
 	}
 
@@ -566,18 +550,16 @@ func TestFailedStoreSnapshotPublishesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := newPrimed(sc)
-	for _, tl := range sc.WireTimed {
-		if _, err := p1.IngestLineLogged(log, tl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed)
+	ing.Close()
 	if err := log.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(SegmentsDir(dataDir), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := p1.WriteSnapshot(dataDir, nil, log); err == nil {
+	if info, err := idleSnapshot(p1, dataDir, log); err == nil {
 		t.Fatalf("snapshot succeeded (%+v) with an unusable segment cache", info)
 	}
 	if err := log.Close(); err != nil {

@@ -67,8 +67,8 @@ func E11Durability(quick bool) *Table {
 		os.RemoveAll(mdir)
 	}
 
-	// Build the logged session: serial durable ingest with a snapshot at
-	// 90% (the shape a long-running daemon converges to).
+	// Build the logged session: durable ingest through one worker with a
+	// snapshot at 90% (the shape a long-running daemon converges to).
 	prime := func(p *core.Pipeline) {
 		p.InstallAreas(sc.Areas)
 		p.InstallEntities(sc.Entities)
@@ -81,22 +81,21 @@ func E11Durability(quick bool) *Table {
 	p := core.New(core.Config{Domain: model.Maritime})
 	prime(p)
 	snapAt := len(sc.WireTimed) * 9 / 10
+	ing := p.NewIngestor(core.IngestorConfig{Workers: 1})
 	start := time.Now()
-	for i, tl := range sc.WireTimed {
-		_, _ = p.IngestLineLogged(log, tl)
-		if i == snapAt {
-			s0 := time.Now()
-			info, err := p.WriteSnapshot(dataDir, nil, log)
-			if err != nil {
-				t.AddRow("snapshot write", "-", err.Error(), "-")
-			} else {
-				t.AddRow("snapshot write", fmt.Sprintf("%d triples", info.Triples),
-					info.Took.Round(time.Millisecond).String(), "-")
-			}
-			start = start.Add(time.Since(s0)) // exclude snapshot from ingest time
-		}
+	_ = ing.Feed(log, sc.WireTimed[:snapAt+1])
+	s0 := time.Now()
+	info, err := p.WriteSnapshot(dataDir, ing, log)
+	if err != nil {
+		t.AddRow("snapshot write", "-", err.Error(), "-")
+	} else {
+		t.AddRow("snapshot write", fmt.Sprintf("%d triples", info.Triples),
+			info.Took.Round(time.Millisecond).String(), "-")
 	}
+	start = start.Add(time.Since(s0)) // exclude snapshot from ingest time
+	_ = ing.Feed(log, sc.WireTimed[snapAt+1:])
 	ingestTime := time.Since(start)
+	ing.Close()
 	_ = log.Close()
 	t.AddRow("logged ingest (pipeline+wal)", itoa(len(sc.WireTimed)),
 		ingestTime.Round(time.Millisecond).String(), rate(len(sc.WireTimed), ingestTime))

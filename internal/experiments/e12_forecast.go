@@ -36,7 +36,7 @@ func E12OnlineForecast(quick bool) *Table {
 	}
 
 	// Throughput with the hub off.
-	_, offLines, offTime := runForecastPipeline(sc, core.ForecastConfig{}, nil)
+	_, offLines, offTime := runForecastPipeline(sc, core.ForecastConfig{}, len(sc.WireTimed), nil)
 
 	// Throughput with the hub on, sampling forecasts at checkpoints. The
 	// sampling callback runs outside the timed region accounting (its cost
@@ -54,10 +54,7 @@ func E12OnlineForecast(quick bool) *Table {
 		checkEvery = 1
 	}
 	var sampleTime time.Duration
-	sampler := func(p *core.Pipeline, line int) {
-		if line%checkEvery != 0 || line == 0 {
-			return
-		}
+	sampler := func(p *core.Pipeline) {
 		s0 := time.Now()
 		for hi, h := range horizons {
 			all, err := p.ForecastHub.ForecastAll(h)
@@ -70,7 +67,7 @@ func E12OnlineForecast(quick bool) *Table {
 		}
 		sampleTime += time.Since(s0)
 	}
-	p, onLines, onTime := runForecastPipeline(sc, core.ForecastConfig{Enabled: true}, sampler)
+	p, onLines, onTime := runForecastPipeline(sc, core.ForecastConfig{Enabled: true}, checkEvery, sampler)
 	onTime -= sampleTime
 	if p == nil || p.ForecastHub == nil {
 		t.AddRow("error", "-", "pipeline without hub", "-")
@@ -111,18 +108,21 @@ func E12OnlineForecast(quick bool) *Table {
 	return t
 }
 
-// runForecastPipeline ingests the scenario serially through a pipeline with
-// the given forecast config, invoking onLine (when non-nil) after every
-// wire line.
-func runForecastPipeline(sc *synth.Scenario, fc core.ForecastConfig, onLine func(*core.Pipeline, int)) (*core.Pipeline, int, time.Duration) {
+// runForecastPipeline ingests the scenario through a one-worker Ingestor
+// with the given forecast config, invoking atCheck (when non-nil) after
+// every checkEvery lines but the last.
+func runForecastPipeline(sc *synth.Scenario, fc core.ForecastConfig, checkEvery int, atCheck func(*core.Pipeline)) (*core.Pipeline, int, time.Duration) {
 	p := core.New(core.Config{Domain: model.Maritime, Forecast: fc})
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
+	ing := p.NewIngestor(core.IngestorConfig{Workers: 1})
+	defer ing.Close()
 	start := time.Now()
-	for i, tl := range sc.WireTimed {
-		_, _ = p.IngestLine(tl)
-		if onLine != nil {
-			onLine(p, i)
+	for lines := sc.WireTimed; len(lines) > 0; {
+		n := min(checkEvery, len(lines))
+		_ = ing.Feed(nil, lines[:n])
+		if lines = lines[n:]; len(lines) > 0 && atCheck != nil {
+			atCheck(p)
 		}
 	}
 	return p, len(sc.WireTimed), time.Since(start)

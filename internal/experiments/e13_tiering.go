@@ -47,15 +47,16 @@ func E13Tiering(quick bool) *Table {
 		p := core.New(core.Config{Domain: model.Maritime})
 		p.InstallAreas(sc.Areas)
 		p.InstallEntities(sc.Entities)
-		for i, tl := range sc.WireTimed {
-			_, _ = p.IngestLine(tl)
-			if pc.pol.Active() && i%4096 == 4095 {
-				p.MaintainStore(nil, pc.pol, false)
+		ing := p.NewIngestor(core.IngestorConfig{Workers: 1})
+		for lines := sc.WireTimed; len(lines) > 0; {
+			n := min(4096, len(lines))
+			_ = ing.Feed(nil, lines[:n])
+			lines = lines[n:]
+			if pc.pol.Active() {
+				p.MaintainStore(ing, pc.pol, false)
 			}
 		}
-		if pc.pol.Active() {
-			p.MaintainStore(nil, pc.pol, false)
-		}
+		ing.Close()
 		tiers := p.Store.TierStats()
 
 		// Heap after a full GC: the store dominates a pipeline without

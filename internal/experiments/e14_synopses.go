@@ -112,16 +112,14 @@ func E14Synopses(quick bool) *Table {
 	return t
 }
 
-// runSynopsesPipeline ingests the scenario serially through a pipeline with
-// the given synopses config.
+// runSynopsesPipeline ingests the scenario through a one-worker Ingestor
+// with the given synopses config.
 func runSynopsesPipeline(sc *synth.Scenario, cfg core.SynopsesConfig) (*core.Pipeline, time.Duration) {
 	p := core.New(core.Config{Domain: model.Maritime, Synopses: cfg})
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
 	start := time.Now()
-	for _, tl := range sc.WireTimed {
-		_, _ = p.IngestLine(tl)
-	}
+	p.Ingest(sc.WireTimed)
 	return p, time.Since(start)
 }
 

@@ -2,6 +2,8 @@ package forecast
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -360,5 +362,60 @@ func TestEventForecastOnSyntheticWorld(t *testing.T) {
 	}
 	if hits < len(loiterers) {
 		t.Errorf("forecast alarms missed loiterers: %d/%d", hits, len(loiterers))
+	}
+}
+
+// Halving a stream-fed trajectory re-indexes that trajectory alone; the
+// index it leaves must hold, cell by cell, the references a full reindex
+// of the same trajectories builds. Three entities share cells with an
+// archival trajectory, mix moving and stationary reports, and cross a small
+// cap many times.
+func TestObserveHalvingMatchesReindex(t *testing.T) {
+	box := geo.NewBBox(22, 34, 30, 42)
+	knn := NewHistoryKNN(box, 48, 48)
+	knn.Train(&model.Trajectory{EntityID: "archive", Points: turning(300, 10, 8, 0.05)})
+	sorted := func(index map[int][]knnRef) map[int][]knnRef {
+		out := make(map[int][]knnRef, len(index))
+		for cell, refs := range index {
+			refs = append([]knnRef(nil), refs...)
+			sort.Slice(refs, func(i, j int) bool {
+				return refs[i].traj < refs[j].traj || refs[i].traj == refs[j].traj && refs[i].pt < refs[j].pt
+			})
+			out[cell] = refs
+		}
+		return out
+	}
+	const maxPer = 40
+	halvings := 0
+	for i := 0; i < 900; i++ {
+		for e, id := range []string{"A", "B", "C"} {
+			p := model.Position{
+				EntityID: id, TS: int64(i) * 10_000, CourseDeg: 90,
+				Pt:      geo.Pt(24+0.004*float64(i%300)+0.02*float64(e), 37+0.002*float64(i%50)),
+				SpeedMS: float64((i + e) % 5), // every fifth report stationary
+			}
+			n := 0
+			if ti, ok := knn.live[id]; ok {
+				n = len(knn.trajs[ti].Points)
+			}
+			knn.Observe(p, maxPer)
+			if len(knn.trajs[knn.live[id]].Points) <= n {
+				halvings++
+			}
+		}
+		if i%97 != 0 && i != 899 {
+			continue
+		}
+		full := &HistoryKNN{grid: knn.grid, trajs: knn.trajs}
+		full.reindex()
+		if got, want := knn.IndexedPoints(), full.IndexedPoints(); got != want {
+			t.Fatalf("after %d rounds: IndexedPoints %d, a full reindex has %d", i+1, got, want)
+		}
+		if !reflect.DeepEqual(sorted(knn.index), sorted(full.index)) {
+			t.Fatalf("after %d rounds: the cells' reference sets differ from a full reindex", i+1)
+		}
+	}
+	if halvings < 30 {
+		t.Fatalf("only %d halvings: the test does not exercise the cap", halvings)
 	}
 }

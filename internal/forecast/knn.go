@@ -45,16 +45,8 @@ func NewHistoryKNN(box geo.BBox, cols, rows int) *HistoryKNN {
 // Train indexes archival trajectories. Only moving reports are indexed.
 func (k *HistoryKNN) Train(trajectories ...*model.Trajectory) {
 	for _, tr := range trajectories {
-		ti := int32(len(k.trajs))
 		k.trajs = append(k.trajs, tr)
-		for i, p := range tr.Points {
-			if p.SpeedMS <= 0.5 {
-				continue
-			}
-			cell := k.grid.CellID(p.Pt)
-			k.index[cell] = append(k.index[cell], knnRef{traj: ti, pt: int32(i)})
-			k.indexed++
-		}
+		k.indexTrajectory(int32(len(k.trajs) - 1))
 	}
 }
 

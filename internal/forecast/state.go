@@ -94,8 +94,9 @@ func (rn *RouteNetwork) RestoreState(st RouteNetworkState) {
 // Observe appends one live report to the entity's stream-fed trajectory and
 // indexes it — the incremental counterpart of Train. The per-entity live
 // trajectory is append-only (index refs stay valid); when it exceeds
-// maxPerEntity points the oldest half is dropped and the whole index
-// rebuilt, bounding memory on an unbounded stream. Reports must arrive in
+// maxPerEntity points the oldest half is dropped and that trajectory alone
+// re-indexed, bounding memory on an unbounded stream at a cost that does
+// not grow with the number of entities. Reports must arrive in
 // per-entity time order (the ingest workers guarantee this).
 func (k *HistoryKNN) Observe(p model.Position, maxPerEntity int) {
 	if maxPerEntity <= 0 {
@@ -113,8 +114,9 @@ func (k *HistoryKNN) Observe(p model.Position, maxPerEntity int) {
 	tr := k.trajs[ti]
 	tr.Points = append(tr.Points, p)
 	if len(tr.Points) > maxPerEntity {
+		k.unindex(ti)
 		tr.Points = append([]model.Position(nil), tr.Points[len(tr.Points)/2:]...)
-		k.reindex()
+		k.indexTrajectory(ti)
 		return
 	}
 	if p.SpeedMS > 0.5 {
@@ -160,13 +162,45 @@ func (k *HistoryKNN) DropEntities(ids []string) {
 func (k *HistoryKNN) reindex() {
 	k.index = make(map[int][]knnRef)
 	k.indexed = 0
-	for ti, tr := range k.trajs {
-		for i, p := range tr.Points {
-			if p.SpeedMS <= 0.5 {
-				continue
+	for ti := range k.trajs {
+		k.indexTrajectory(int32(ti))
+	}
+}
+
+// indexTrajectory adds the moving reports of trajectory ti to the index.
+func (k *HistoryKNN) indexTrajectory(ti int32) {
+	for i, p := range k.trajs[ti].Points {
+		if p.SpeedMS <= 0.5 {
+			continue
+		}
+		cell := k.grid.CellID(p.Pt)
+		k.index[cell] = append(k.index[cell], knnRef{traj: ti, pt: int32(i)})
+		k.indexed++
+	}
+}
+
+// unindex removes trajectory ti's references from the cells its moving
+// points lie in, each cell filtered once, leaving every other trajectory's
+// references in place.
+func (k *HistoryKNN) unindex(ti int32) {
+	done := make(map[int]bool)
+	for _, p := range k.trajs[ti].Points {
+		cell := k.grid.CellID(p.Pt)
+		if p.SpeedMS <= 0.5 || done[cell] {
+			continue
+		}
+		done[cell] = true
+		refs := k.index[cell]
+		kept := refs[:0]
+		for _, r := range refs {
+			if r.traj != ti {
+				kept = append(kept, r)
 			}
-			k.index[k.grid.CellID(p.Pt)] = append(k.index[k.grid.CellID(p.Pt)], knnRef{traj: int32(ti), pt: int32(i)})
-			k.indexed++
+		}
+		if k.indexed -= len(refs) - len(kept); len(kept) == 0 {
+			delete(k.index, cell)
+		} else {
+			k.index[cell] = kept
 		}
 	}
 }

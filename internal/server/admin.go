@@ -2,6 +2,8 @@ package server
 
 import (
 	"net/http"
+
+	"github.com/datacron-project/datacron/internal/core"
 )
 
 // snapshotResponse is the POST /snapshot body.
@@ -25,15 +27,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, snapshotResponse{Error: "server is not running with a data directory"})
 		return
 	}
-	s.snapMu.Lock()
-	info, err := s.p.WriteSnapshot(s.cfg.DataDir, s.ing, s.wal)
-	s.snapMu.Unlock()
+	info, err := s.Snapshot()
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, snapshotResponse{Error: err.Error()})
 		return
 	}
-	s.snapshots.Add(1)
-	s.lastSnapshotLSN.Store(info.CutLSN)
 	writeJSON(w, http.StatusOK, snapshotResponse{
 		Dir:        info.Dir,
 		CutLSN:     info.CutLSN,
@@ -41,6 +39,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Triples:    info.Triples,
 		TookMS:     info.Took.Milliseconds(),
 	})
+}
+
+// Snapshot writes a full pipeline snapshot under the configured data
+// directory, under the ingest barrier, and counts it on /metrics.
+// Concurrent calls are serialised.
+func (s *Server) Snapshot() (core.SnapshotInfo, error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	info, err := s.p.WriteSnapshot(s.cfg.DataDir, s.ing, s.wal)
+	if err != nil {
+		return info, err
+	}
+	s.snapshots.Add(1)
+	s.lastSnapshotLSN.Store(info.CutLSN)
+	return info, nil
 }
 
 // sealResponse is the POST /seal body: what the pass did plus the tier

@@ -45,17 +45,19 @@ func recoverySession(b *testing.B) (*synth.Scenario, string) {
 		p.InstallAreas(sc.Areas)
 		p.InstallEntities(sc.Entities)
 		snapAt := len(sc.WireTimed) * 9 / 10
-		for i, tl := range sc.WireTimed {
-			if _, err := p.IngestLineLogged(log, tl); err != nil {
-				recoveryWorld.err = err
-				return
-			}
-			if i == snapAt {
-				if _, err := p.WriteSnapshot(dir, nil, log); err != nil {
-					recoveryWorld.err = err
-					return
-				}
-			}
+		ing := p.NewIngestor(core.IngestorConfig{Workers: 1})
+		defer ing.Close()
+		if err := ing.Feed(log, sc.WireTimed[:snapAt+1]); err != nil {
+			recoveryWorld.err = err
+			return
+		}
+		if _, err := p.WriteSnapshot(dir, ing, log); err != nil {
+			recoveryWorld.err = err
+			return
+		}
+		if err := ing.Feed(log, sc.WireTimed[snapAt+1:]); err != nil {
+			recoveryWorld.err = err
+			return
 		}
 		if err := log.Close(); err != nil {
 			recoveryWorld.err = err
