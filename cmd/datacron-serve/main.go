@@ -132,7 +132,7 @@ func main() {
 
 		fcast         = flag.Bool("forecast", true, "online forecasting: serve GET /forecast and /forecast/batch")
 		fcastGrid     = flag.Int("forecast-grid", 96, "route-network/KNN grid resolution (cells per side)")
-		fcastHistory  = flag.Int("forecast-history", 32, "per-entity kinematic history ring (reports)")
+		fcastHistory  = flag.Int("forecast-history", 32, "per-entity kinematic history the predictors read (reports)")
 		fcastHorizon  = flag.Duration("forecast-horizon", time.Hour, "maximum accepted forecast horizon")
 		fcastInterval = flag.Duration("forecast-interval", 0, "publish SSE \"forecast\" frames for all live entities at this interval (0 = off)")
 		fcastSynopsis = flag.Bool("forecast-synopsis-history", false, "feed the forecast hub only critical points (model memory scales with the synopsis, not the raw stream)")

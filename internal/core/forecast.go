@@ -18,8 +18,10 @@ type ForecastConfig struct {
 	// Enabled switches the subsystem on: the pipeline then feeds every
 	// gated report into the ForecastHub.
 	Enabled bool
-	// HistoryLen is the per-entity kinematic history ring (default 32
-	// reports) — what dead-reckoning/kinematic prediction extrapolates.
+	// HistoryLen is how many of an entity's newest reports the predictors
+	// read (default 32) — what dead-reckoning/kinematic prediction
+	// extrapolates. They are the tail of the entity's KNN trajectory, not a
+	// second copy.
 	HistoryLen int
 	// GridCols/GridRows set the shared route-network and KNN index
 	// resolution over the world box (default 96x96).
@@ -29,7 +31,8 @@ type ForecastConfig struct {
 	// truncated forecast for the one they asked for.
 	MaxHorizon time.Duration
 	// KNNMaxPerEntity bounds each entity's stream-fed KNN trajectory
-	// (default 4096 points; exceeding it drops the oldest half).
+	// (default 4096 points; exceeding it drops the oldest half). It is
+	// raised to 2 × HistoryLen, so a halving keeps the full history.
 	KNNMaxPerEntity int
 	// MaxStale is how long after its last report an entity still counts as
 	// live for ForecastAll (default 30 minutes).
@@ -43,7 +46,7 @@ type ForecastConfig struct {
 
 	// SynopsisHistory feeds the hub only the reports that produced
 	// critical points (the synopses subsystem's compressed stream) instead
-	// of every gated report, so history rings and the shared models grow
+	// of every gated report, so histories and the shared models grow
 	// with critical points, not raw points. Setting it forces
 	// Config.Synopses.Enabled. Trade-off: coarser history lowers the
 	// effective model-selection rungs an entity reaches for the same
@@ -67,6 +70,7 @@ func (c ForecastConfig) withDefaults() ForecastConfig {
 	if c.KNNMaxPerEntity <= 0 {
 		c.KNNMaxPerEntity = 4096
 	}
+	c.KNNMaxPerEntity = max(c.KNNMaxPerEntity, 2*c.HistoryLen)
 	if c.MaxStale <= 0 {
 		c.MaxStale = 30 * time.Minute
 	}
@@ -113,17 +117,13 @@ type ForecastResult struct {
 	EventProb float64 `json:"eventProb"`
 }
 
-// entityTrack is one entity's warm serving state: a bounded ring of its
-// most recent gated reports plus the Markov bookkeeping.
+// entityTrack is one entity's Markov bookkeeping. Its history is the tail
+// of its stream-fed KNN trajectory (HistoryKNN.Recent): both are fed the
+// same reports and evicted together, so one copy serves both.
 type entityTrack struct {
-	ring    []model.Position // capacity cfg.HistoryLen, oldest first
-	prevSym int              // previous speed symbol, -1 before first report
-	runLen  int              // current matching-symbol run length
+	prevSym int // previous speed symbol, -1 before first report
+	runLen  int // current matching-symbol run length
 }
-
-// history returns the ring as a time-ordered slice (it already is one:
-// appends drop the head on overflow).
-func (t *entityTrack) history() []model.Position { return t.ring }
 
 // ForecastHub is the online forecasting subsystem: it taps the ingest
 // workers' gated report stream to keep warm per-entity kinematic history
@@ -191,23 +191,17 @@ func NewForecastHub(box geo.BBox, cfg ForecastConfig) *ForecastHub {
 // Config returns the hub's effective (defaulted) configuration.
 func (h *ForecastHub) Config() ForecastConfig { return h.cfg }
 
-// Observe feeds one gated report into the hub: the entity's history ring,
-// the route network, the KNN trajectory store and the Markov chain all
-// advance by one report.
+// Observe feeds one gated report into the hub: the route network, the KNN
+// trajectory store (and with it the entity's history) and the Markov chain
+// all advance by one report.
 func (h *ForecastHub) Observe(p model.Position) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	t := h.tracks[p.EntityID]
 	if t == nil {
-		t = &entityTrack{ring: make([]model.Position, 0, h.cfg.HistoryLen), prevSym: -1}
+		t = &entityTrack{prevSym: -1}
 		h.tracks[p.EntityID] = t
 	}
-	if len(t.ring) == h.cfg.HistoryLen {
-		copy(t.ring, t.ring[1:])
-		t.ring = t.ring[:h.cfg.HistoryLen-1]
-	}
-	t.ring = append(t.ring, p)
-
 	h.route.Observe(p)
 	h.knn.Observe(p, h.cfg.KNNMaxPerEntity)
 
@@ -234,8 +228,8 @@ func (h *ForecastHub) Observe(p model.Position) {
 
 // evictCheckEvery is how many observes separate stale-entity sweeps, and
 // evictAfterStale how many staleness windows an entity may sit silent
-// before its warm state (history ring, Markov run, stream-fed KNN
-// trajectory) is dropped — without this, entity churn on an unbounded feed
+// before its warm state (Markov run, stream-fed KNN trajectory and with it
+// the history) is dropped — without this, entity churn on an unbounded feed
 // grows the hub and its snapshots forever. Learned route-network cells are
 // kept: lanes outlive the vessels that taught them.
 const (
@@ -248,8 +242,8 @@ const (
 func (h *ForecastHub) evictStale() {
 	floor := h.newestTS - evictAfterStale*h.cfg.MaxStale.Milliseconds()
 	var stale []string
-	for id, t := range h.tracks {
-		if n := len(t.ring); n == 0 || t.ring[n-1].TS < floor {
+	for id := range h.tracks {
+		if last, ok := h.knn.Last(id); !ok || last.TS < floor {
 			stale = append(stale, id)
 		}
 	}
@@ -316,15 +310,19 @@ func (h *ForecastHub) Forecast(entity string, horizon time.Duration) (ForecastRe
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	t := h.tracks[entity]
-	if t == nil || len(t.ring) == 0 {
+	var hist []model.Position
+	if t != nil {
+		hist = h.knn.Recent(entity, h.cfg.HistoryLen, make([]model.Position, 0, h.cfg.HistoryLen))
+	}
+	if len(hist) == 0 {
 		return ForecastResult{}, fmt.Errorf("%w: %q", ErrNoHistory, entity)
 	}
-	return h.forecastLocked(entity, t, horizon), nil
+	return h.forecastLocked(entity, t, hist, horizon), nil
 }
 
-// forecastLocked computes one forecast under at least a read lock.
-func (h *ForecastHub) forecastLocked(entity string, t *entityTrack, horizon time.Duration) ForecastResult {
-	hist := t.history()
+// forecastLocked computes one forecast from the entity's non-empty history
+// under at least a read lock.
+func (h *ForecastHub) forecastLocked(entity string, t *entityTrack, hist []model.Position, horizon time.Duration) ForecastResult {
 	last := hist[len(hist)-1]
 	target := last.TS + horizon.Milliseconds()
 
@@ -383,20 +381,17 @@ func (h *ForecastHub) ForecastAll(horizon time.Duration) ([]ForecastResult, erro
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	// Stream time, not wall time: the daemon replays historical feeds too.
-	var newest int64
-	for _, t := range h.tracks {
-		if n := len(t.ring); n > 0 && t.ring[n-1].TS > newest {
-			newest = t.ring[n-1].TS
-		}
-	}
-	floor := newest - h.cfg.MaxStale.Milliseconds()
+	// The freshest report is always a held entity's: a sweep never finds it
+	// stale.
+	floor := h.newestTS - h.cfg.MaxStale.Milliseconds()
 	out := make([]ForecastResult, 0, len(h.tracks))
+	hist := make([]model.Position, 0, h.cfg.HistoryLen)
 	for id, t := range h.tracks {
-		n := len(t.ring)
-		if n == 0 || t.ring[n-1].TS < floor {
+		if last, ok := h.knn.Last(id); !ok || last.TS < floor {
 			continue
 		}
-		out = append(out, h.forecastLocked(id, t, horizon))
+		hist = h.knn.Recent(id, h.cfg.HistoryLen, hist[:0])
+		out = append(out, h.forecastLocked(id, t, hist, horizon))
 	}
 	return out, nil
 }
@@ -427,7 +422,9 @@ type forecastHubState struct {
 	Observed int64                       `json:"observed"`
 }
 
-// entityTrackState is one entity's serialised warm state.
+// entityTrackState is one entity's serialised warm state. History is the
+// entity's last HistoryLen reports, written for the shape of state.json;
+// recovery rebuilds it from the KNN trajectory, as the running hub does.
 type entityTrackState struct {
 	History model.PackedPositions `json:"history"`
 	PrevSym int                   `json:"prevSym"`
@@ -446,9 +443,11 @@ func (h *ForecastHub) exportState() forecastHubState {
 		Markov:   h.chain.ExportCounts(),
 		Observed: h.observed.Load(),
 	}
+	hist := make([]model.Position, 0, h.cfg.HistoryLen)
 	for id, t := range h.tracks {
+		hist = h.knn.Recent(id, h.cfg.HistoryLen, hist[:0])
 		st.Tracks[id] = entityTrackState{
-			History: model.PackPositions(t.ring),
+			History: model.PackPositions(hist),
 			PrevSym: t.prevSym,
 			RunLen:  t.runLen,
 		}
@@ -457,28 +456,24 @@ func (h *ForecastHub) exportState() forecastHubState {
 }
 
 // restoreState installs st (recovery path, before serving starts). State
-// that does not unpack is an error and leaves the hub as it was.
+// that does not unpack is an error and leaves the hub as it was. An
+// entity's history is the tail of its restored KNN trajectory; a track
+// without one has no history and is dropped.
 func (h *ForecastHub) restoreState(st forecastHubState) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if err := h.knn.RestoreState(st.KNN); err != nil {
+		return err
+	}
 	tracks := make(map[string]*entityTrack, len(st.Tracks))
 	var newest int64
 	for id, ts := range st.Tracks {
-		pts, err := model.DecodePositions(ts.History)
-		if err != nil {
-			return fmt.Errorf("forecast history of %q: %w", id, err)
+		last, ok := h.knn.Last(id)
+		if !ok {
+			continue
 		}
-		if len(pts) > h.cfg.HistoryLen {
-			pts = pts[len(pts)-h.cfg.HistoryLen:]
-		}
-		ring := append(make([]model.Position, 0, h.cfg.HistoryLen), pts...)
-		tracks[id] = &entityTrack{ring: ring, prevSym: ts.PrevSym, runLen: ts.RunLen}
-		if n := len(ring); n > 0 && ring[n-1].TS > newest {
-			newest = ring[n-1].TS
-		}
-	}
-	if err := h.knn.RestoreState(st.KNN); err != nil {
-		return err
+		tracks[id] = &entityTrack{prevSym: ts.PrevSym, runLen: ts.RunLen}
+		newest = max(newest, last.TS)
 	}
 	h.tracks, h.newestTS, h.sinceEvict = tracks, newest, 0
 	h.route.RestoreState(st.Route)

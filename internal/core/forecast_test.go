@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,8 +133,8 @@ func TestForecastMethodTagHonest(t *testing.T) {
 	}
 }
 
-// TestForecastHubHistoryRing checks that the per-entity ring stays bounded
-// and keeps the newest reports.
+// TestForecastHubHistoryRing checks that the per-entity history stays
+// bounded and keeps the newest reports.
 func TestForecastHubHistoryRing(t *testing.T) {
 	h := NewForecastHub(synth.MaritimeBox(), ForecastConfig{Enabled: true, HistoryLen: 8})
 	track := straightTrack("V1", 50, 10, 8)
@@ -294,4 +298,185 @@ func TestForecastRecoverWithTailReplay(t *testing.T) {
 			t.Errorf("forecast diverged after snapshot+tail recovery:\n got %+v\nwant %+v", af, bf)
 		}
 	}
+}
+
+// TestForecastReadsLastReports is the specification of an entity's
+// history: its last HistoryLen reports since the hub last admitted it. The
+// test keeps that slice itself, through KNN halvings and stale-entity
+// sweeps, and every forecast must be the ladder run over it — before and
+// after a snapshot round trip, which must also leave the route network's
+// section byte for byte as it was.
+func TestForecastReadsLastReports(t *testing.T) {
+	sc := synth.GenMaritime(synth.MaritimeConfig{
+		Seed: 11, Vessels: 20, Duration: 3 * time.Hour, GapProb: 0.6, Rendezvous: -1,
+	})
+	cfg := ForecastConfig{Enabled: true, HistoryLen: 16, KNNMaxPerEntity: 40, MaxStale: time.Minute}
+	h := NewForecastHub(sc.Box, cfg)
+	histLen := h.Config().HistoryLen
+	horizons := []time.Duration{time.Minute, 10 * time.Minute}
+
+	want := map[string][]model.Position{} // each admitted entity's last reports
+	since := map[string]int{}             // reports since admission
+	check := func(h *ForecastHub, when string) {
+		t.Helper()
+		if got := h.Entities(); got != len(want) {
+			t.Fatalf("%s: hub holds %d entities, the specification %d", when, got, len(want))
+		}
+		for id, hist := range want {
+			for _, hz := range horizons {
+				got, err := h.Forecast(id, hz)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", when, id, err)
+				}
+				h.mu.RLock()
+				spec := h.forecastLocked(id, h.tracks[id], hist, hz)
+				h.mu.RUnlock()
+				if got != spec {
+					t.Fatalf("%s: %s at %v:\n got %+v\nwant %+v", when, id, hz, got, spec)
+				}
+			}
+		}
+	}
+
+	var newest int64
+	observed, evicted, halved := 0, 0, false
+	for _, p := range sc.Positions {
+		if hist := want[p.EntityID]; len(hist) > 0 && p.TS < hist[len(hist)-1].TS {
+			continue // the noise gate's per-entity time order
+		}
+		h.Observe(p)
+		observed++
+		hist := append(want[p.EntityID], p)
+		if len(hist) > histLen {
+			hist = hist[len(hist)-histLen:]
+		}
+		want[p.EntityID] = hist
+		since[p.EntityID]++
+		halved = halved || since[p.EntityID] > h.Config().KNNMaxPerEntity
+		newest = max(newest, p.TS)
+		if observed%evictCheckEvery == 0 {
+			floor := newest - evictAfterStale*h.Config().MaxStale.Milliseconds()
+			for id, hist := range want {
+				if hist[len(hist)-1].TS < floor {
+					delete(want, id)
+					delete(since, id)
+					evicted++
+				}
+			}
+		}
+		if observed%3000 == 0 {
+			check(h, fmt.Sprintf("after %d reports", observed))
+		}
+	}
+	if !halved || evicted == 0 {
+		t.Fatalf("halved=%v evicted=%d: the world does not exercise the cap and the sweep", halved, evicted)
+	}
+	check(h, "at the end")
+
+	data, err := json.Marshal(h.exportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st forecastHubState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	h2 := NewForecastHub(sc.Box, cfg)
+	if err := h2.restoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	check(h2, "after restore")
+	for id := range want {
+		if *h2.tracks[id] != *h.tracks[id] {
+			t.Fatalf("%s: Markov state after restore %+v, want %+v", id, *h2.tracks[id], *h.tracks[id])
+		}
+		for _, hz := range horizons {
+			before, _ := h.Forecast(id, hz)
+			if after, _ := h2.Forecast(id, hz); after != before {
+				t.Fatalf("%s at %v after restore:\n got %+v\nwant %+v", id, hz, after, before)
+			}
+		}
+	}
+	before, _ := json.Marshal(st.Route)
+	after, _ := json.Marshal(h2.exportState().Route)
+	if !bytes.Equal(before, after) {
+		t.Error("the route section changed across restore → export")
+	}
+}
+
+// TestForecastHistorySurvivesHalving: a KNN trajectory halves when it
+// outgrows KNNMaxPerEntity, and the history is its tail, so the cap is
+// raised to twice the history: -forecast-history 3000 under the 4096
+// default would otherwise halve to 2 049 reports.
+func TestForecastHistorySurvivesHalving(t *testing.T) {
+	h := NewForecastHub(synth.MaritimeBox(), ForecastConfig{Enabled: true, HistoryLen: 3000})
+	if got := h.Config().KNNMaxPerEntity; got != 6000 {
+		t.Fatalf("KNNMaxPerEntity = %d, want 2 × HistoryLen = 6000", got)
+	}
+	for _, p := range straightTrack("V1", 5000, 10, 8) {
+		h.Observe(p)
+	}
+	res, err := h.Forecast("V1", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HistoryLen != 3000 {
+		t.Errorf("history len = %d, want 3000", res.HistoryLen)
+	}
+}
+
+// TestForecastHubBytesPerReport bounds the hub's resident heap per gated
+// report, on a few long tracks and on many short ones. Each report is held
+// once, as a pointer-free KNN point; a second copy, a per-entity
+// preallocation or a dense route grid each break one of the bounds.
+func TestForecastHubBytesPerReport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	for _, tc := range []struct {
+		entities, reports int
+		maxBytes          float64
+	}{
+		{50, 2000, 96},
+		{1000, 20, 180},
+	} {
+		perReport := hubBytesPerReport(tc.entities, tc.reports)
+		t.Logf("%d entities × %d reports: %.0f B/report", tc.entities, tc.reports, perReport)
+		if perReport > tc.maxBytes {
+			t.Errorf("%d entities × %d reports: %.0f B/report, want at most %.0f",
+				tc.entities, tc.reports, perReport, tc.maxBytes)
+		}
+	}
+}
+
+// hubBytesPerReport feeds a default hub entities moving tracks of reports
+// reports each, at 10 s cadence, and returns the live heap it holds per
+// report.
+func hubBytesPerReport(entities, reports int) float64 {
+	box := synth.MaritimeBox()
+	ids := make([]string, entities)
+	pts := make([]geo.Point, entities)
+	for v := range ids {
+		ids[v] = fmt.Sprintf("2370%05d", v)
+		f := float64(v) / float64(entities)
+		pts[v] = geo.Pt(box.MinLon+(0.1+0.8*f)*(box.MaxLon-box.MinLon), box.MinLat+(0.9-0.8*f)*(box.MaxLat-box.MinLat))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h := NewForecastHub(box, ForecastConfig{Enabled: true})
+	for i := 0; i < reports; i++ {
+		for v, id := range ids {
+			course := float64(v*37%360) + float64(i%60)
+			h.Observe(model.Position{
+				EntityID: id, TS: int64(i) * 10_000, Pt: pts[v],
+				SpeedMS: 6, CourseDeg: course, Status: model.StatusUnderway,
+			})
+			pts[v] = geo.Destination(pts[v], course, 60)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(h)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(entities*reports)
 }

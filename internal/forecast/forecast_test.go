@@ -396,10 +396,10 @@ func TestObserveHalvingMatchesReindex(t *testing.T) {
 			}
 			n := 0
 			if ti, ok := knn.live[id]; ok {
-				n = len(knn.trajs[ti].Points)
+				n = len(knn.trajs[ti].pts)
 			}
 			knn.Observe(p, maxPer)
-			if len(knn.trajs[knn.live[id]].Points) <= n {
+			if len(knn.trajs[knn.live[id]].pts) <= n {
 				halvings++
 			}
 		}
@@ -417,5 +417,91 @@ func TestObserveHalvingMatchesReindex(t *testing.T) {
 	}
 	if halvings < 30 {
 		t.Fatalf("only %d halvings: the test does not exercise the cap", halvings)
+	}
+}
+
+// TestRouteRestoreSkipsUntrainedEntries: a restored entry makes its cell
+// trained only when it lies in the grid and carries a count. A damaged
+// state.json must not turn an empty cell into a trained one, and export
+// returns exactly the entries that took, in (cell, sector) order.
+func TestRouteRestoreSkipsUntrainedEntries(t *testing.T) {
+	box := geo.NewBBox(22, 34, 30, 42)
+	const cols, rows = 4, 4
+	good := RouteCellState{Cell: 5, Sector: 2, SumSin: 3, SumCos: 0.5, SumSpd: 24, Count: 3}
+	cases := []struct {
+		name  string
+		entry RouteCellState
+		took  bool
+	}{
+		{"trained", good, true},
+		{"last cell, last sector", RouteCellState{Cell: cols*rows - 1, Sector: nSectors - 1, SumSpd: 8, Count: 1}, true},
+		{"zero count", RouteCellState{Cell: 6, Sector: 1, SumSin: 1, SumSpd: 5}, false},
+		{"negative count", RouteCellState{Cell: 6, Sector: 1, SumSin: 1, SumSpd: 5, Count: -4}, false},
+		{"negative cell", RouteCellState{Cell: -1, Sector: 0, Count: 3}, false},
+		{"cell past the grid", RouteCellState{Cell: cols * rows, Sector: 0, Count: 3}, false},
+		{"negative sector", RouteCellState{Cell: 6, Sector: -1, Count: 3}, false},
+		{"sector past the compass", RouteCellState{Cell: 6, Sector: nSectors, Count: 3}, false},
+	}
+	for _, tc := range cases {
+		rn := NewRouteNetwork(box, 1, 1)
+		rn.RestoreState(RouteNetworkState{Box: box, Cols: cols, Rows: rows, Cells: []RouteCellState{tc.entry}})
+		var want []RouteCellState
+		if tc.took {
+			want = []RouteCellState{tc.entry}
+		}
+		if got := rn.ExportState().Cells; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: export after restore = %+v, want %+v", tc.name, got, want)
+		}
+		if got := rn.TrainedCells(); got != len(want) {
+			t.Errorf("%s: TrainedCells = %d, want %d", tc.name, got, len(want))
+		}
+	}
+
+	// Every entry at once: the valid ones come back sorted by (cell, sector).
+	all := RouteNetworkState{Box: box, Cols: cols, Rows: rows}
+	var want []RouteCellState
+	for i := len(cases) - 1; i >= 0; i-- {
+		all.Cells = append(all.Cells, cases[i].entry)
+	}
+	for _, tc := range cases {
+		if tc.took {
+			want = append(want, tc.entry)
+		}
+	}
+	all.Cells = append(all.Cells, RouteCellState{Cell: 5, Sector: 0, SumCos: 4, SumSpd: 16, Count: 4})
+	want = append([]RouteCellState{all.Cells[len(all.Cells)-1]}, want...)
+	rn := NewRouteNetwork(box, 1, 1)
+	rn.RestoreState(all)
+	if got := rn.ExportState().Cells; !reflect.DeepEqual(got, want) {
+		t.Errorf("export after restore = %+v, want %+v", got, want)
+	}
+	if got := rn.TrainedCells(); got != 2 {
+		t.Errorf("TrainedCells = %d, want 2", got)
+	}
+}
+
+// TestKNNAtMatchesTrajectoryAt: a replayed future is interpolated over
+// knnPoints by the float operations model.Trajectory.At runs over
+// positions, so forecasts are bit for bit those of the positions. Targets
+// before, inside and after the span, on and between reports, across a
+// repeated timestamp.
+func TestKNNAtMatchesTrajectoryAt(t *testing.T) {
+	pts := turning(40, 10, 8, 0.7)
+	pts[20].TS = pts[19].TS // a duplicate report time
+	for i := range pts {
+		pts[i].Pt.Alt = float64(i%7) * 13.5
+	}
+	tr := &model.Trajectory{EntityID: "V", Points: pts}
+	knn := NewHistoryKNN(geo.NewBBox(22, 34, 30, 42), 8, 8)
+	knn.Train(tr)
+	kt := &knn.trajs[0]
+	for ts := pts[0].TS - 5000; ts <= pts[len(pts)-1].TS+5000; ts += 1250 {
+		want, _ := tr.At(ts)
+		got := kt.at(ts)
+		if math.Float64bits(got.Lon) != math.Float64bits(want.Pt.Lon) ||
+			math.Float64bits(got.Lat) != math.Float64bits(want.Pt.Lat) ||
+			math.Float64bits(got.Alt) != math.Float64bits(want.Pt.Alt) {
+			t.Fatalf("at(%d) = %+v, Trajectory.At = %+v", ts, got, want.Pt)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package forecast
 
 import (
+	"sort"
+
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 )
@@ -17,7 +19,7 @@ type HistoryKNN struct {
 	grid geo.Grid
 	// MaxCourseDiffDeg bounds the course mismatch for a candidate; default 30.
 	MaxCourseDiffDeg float64
-	trajs            []*model.Trajectory
+	trajs            []knnTraj
 	index            map[int][]knnRef // grid cell → candidate reports
 	// live maps an entity to its stream-fed trajectory (Observe); archival
 	// trajectories added with Train are not in this map.
@@ -30,6 +32,60 @@ type HistoryKNN struct {
 type knnRef struct {
 	traj int32
 	pt   int32
+}
+
+// knnTraj is one indexed trajectory. Its points hold no pointer, so the
+// collector never scans the reports a long-running hub keeps; the entity
+// and domain every point shares are stored once.
+type knnTraj struct {
+	entity string
+	domain model.Domain
+	pts    []knnPoint
+}
+
+// knnPoint is what the predictors read of a model.Position: 56 bytes
+// against its 88, and no string.
+type knnPoint struct {
+	TS                             int64
+	Pt                             geo.Point
+	SpeedMS, CourseDeg, VertRateMS float64
+}
+
+func pointOf(p *model.Position) knnPoint {
+	return knnPoint{TS: p.TS, Pt: p.Pt, SpeedMS: p.SpeedMS, CourseDeg: p.CourseDeg, VertRateMS: p.VertRateMS}
+}
+
+// position is point i as a report of the trajectory's entity. The status
+// is not kept: no predictor reads it.
+func (t *knnTraj) position(i int) model.Position {
+	p := &t.pts[i]
+	return model.Position{
+		EntityID: t.entity, Domain: t.domain, TS: p.TS, Pt: p.Pt,
+		SpeedMS: p.SpeedMS, CourseDeg: p.CourseDeg, VertRateMS: p.VertRateMS,
+	}
+}
+
+// end is the last timestamp; the trajectory is not empty.
+func (t *knnTraj) end() int64 { return t.pts[len(t.pts)-1].TS }
+
+// at is model.Trajectory.At's interpolated point at ts, computed by the
+// same float operations, so a replay predicts bit for bit as it did over
+// positions. The trajectory is not empty.
+func (t *knnTraj) at(ts int64) geo.Point {
+	pts := t.pts
+	n := len(pts)
+	if ts <= pts[0].TS {
+		return pts[0].Pt
+	}
+	if ts >= pts[n-1].TS {
+		return pts[n-1].Pt
+	}
+	i := sort.Search(n, func(i int) bool { return pts[i].TS >= ts })
+	a, b := &pts[i-1], &pts[i]
+	if b.TS == a.TS {
+		return a.Pt
+	}
+	return geo.Interpolate(a.Pt, b.Pt, float64(ts-a.TS)/float64(b.TS-a.TS))
 }
 
 // NewHistoryKNN returns an empty model over box with the given index
@@ -45,7 +101,11 @@ func NewHistoryKNN(box geo.BBox, cols, rows int) *HistoryKNN {
 // Train indexes archival trajectories. Only moving reports are indexed.
 func (k *HistoryKNN) Train(trajectories ...*model.Trajectory) {
 	for _, tr := range trajectories {
-		k.trajs = append(k.trajs, tr)
+		pts := make([]knnPoint, len(tr.Points))
+		for i := range tr.Points {
+			pts[i] = pointOf(&tr.Points[i])
+		}
+		k.trajs = append(k.trajs, knnTraj{entity: tr.EntityID, domain: tr.Domain, pts: pts})
 		k.indexTrajectory(int32(len(k.trajs) - 1))
 	}
 }
@@ -101,7 +161,8 @@ func (k *HistoryKNN) PredictModel(history []model.Position, ts int64) (geo.Point
 	var cands []cand
 	for _, c := range cells {
 		for _, ref := range k.index[c] {
-			p := k.trajs[ref.traj].Points[ref.pt]
+			tr := &k.trajs[ref.traj]
+			p := &tr.pts[ref.pt]
 			if p.SpeedMS < 2 { // drifting/fishing reports are not lane history
 				continue
 			}
@@ -109,7 +170,7 @@ func (k *HistoryKNN) PredictModel(history []model.Position, ts int64) (geo.Point
 			if cd > k.MaxCourseDiffDeg || cd < -k.MaxCourseDiffDeg {
 				continue
 			}
-			if p.TS+dtMS > k.trajs[ref.traj].End() {
+			if p.TS+dtMS > tr.end() {
 				continue
 			}
 			if cd < 0 {
@@ -138,16 +199,12 @@ func (k *HistoryKNN) PredictModel(history []model.Position, ts int64) (geo.Point
 	}
 	// Average the replayed displacements of the top candidates.
 	var sumLon, sumLat, sumAlt float64
-	n := 0
 	for _, c := range cands {
-		tr := k.trajs[c.ref.traj]
-		match := tr.Points[c.ref.pt]
-		future, ok := tr.At(match.TS + dtMS)
-		if !ok {
-			continue
-		}
-		brg := geo.Bearing(match.Pt, future.Pt)
-		dist := geo.Haversine(match.Pt, future.Pt)
+		tr := &k.trajs[c.ref.traj]
+		match := &tr.pts[c.ref.pt]
+		future := tr.at(match.TS + dtMS)
+		brg := geo.Bearing(match.Pt, future)
+		dist := geo.Haversine(match.Pt, future)
 		// Scale by the speed ratio so a faster/slower entity travels
 		// proportionally further/shorter along the same path.
 		if match.SpeedMS > 1 && last.SpeedMS > 1 {
@@ -163,11 +220,8 @@ func (k *HistoryKNN) PredictModel(history []model.Position, ts int64) (geo.Point
 		pt := geo.Destination(last.Pt, brg, dist)
 		sumLon += pt.Lon
 		sumLat += pt.Lat
-		sumAlt += last.Pt.Alt + (future.Pt.Alt - match.Pt.Alt)
-		n++
+		sumAlt += last.Pt.Alt + (future.Alt - match.Pt.Alt)
 	}
-	if n == 0 {
-		return geo.Point{}, false
-	}
+	n := len(cands)
 	return geo.Point{Lon: sumLon / float64(n), Lat: sumLat / float64(n), Alt: sumAlt / float64(n)}, true
 }

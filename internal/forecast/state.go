@@ -45,18 +45,23 @@ type RouteNetworkState struct {
 	Cells []RouteCellState `json:"cells"`
 }
 
-// ExportState captures the learned motion field.
+// ExportState captures the learned motion field, in ascending (cell,
+// sector) order.
 func (rn *RouteNetwork) ExportState() RouteNetworkState {
 	st := RouteNetworkState{Box: rn.grid.Box, Cols: rn.grid.Cols, Rows: rn.grid.Rows}
-	for cell, secs := range rn.counts {
-		for sec, cnt := range secs {
+	for cell, slot := range rn.slot {
+		if slot == 0 {
+			continue
+		}
+		c := &rn.cells[slot-1]
+		for sec, cnt := range c.counts {
 			if cnt == 0 {
 				continue
 			}
 			st.Cells = append(st.Cells, RouteCellState{
 				Cell: cell, Sector: sec,
-				SumSin: rn.sumSin[cell][sec], SumCos: rn.sumCos[cell][sec],
-				SumSpd: rn.sumSpd[cell][sec], Count: cnt,
+				SumSin: c.sumSin[sec], SumCos: c.sumCos[sec],
+				SumSpd: c.sumSpd[sec], Count: cnt,
 			})
 		}
 	}
@@ -65,29 +70,23 @@ func (rn *RouteNetwork) ExportState() RouteNetworkState {
 
 // RestoreState replaces the model with st (grid geometry included, so a
 // restored network predicts identically regardless of the receiver's
-// construction parameters).
+// construction parameters). Entries outside the grid, or with no count,
+// are skipped: they cannot make a cell trained.
 func (rn *RouteNetwork) RestoreState(st RouteNetworkState) {
 	g := geo.NewGrid(st.Box, st.Cols, st.Rows)
 	n := g.NumCells()
 	rn.grid = g
-	rn.sumSin = make([][nSectors]float64, n)
-	rn.sumCos = make([][nSectors]float64, n)
-	rn.sumSpd = make([][nSectors]float64, n)
-	rn.counts = make([][nSectors]int, n)
+	rn.slot = make([]int32, n)
+	rn.cells = nil
 	for _, c := range st.Cells {
-		if c.Cell < 0 || c.Cell >= n || c.Sector < 0 || c.Sector >= nSectors {
+		if c.Cell < 0 || c.Cell >= n || c.Sector < 0 || c.Sector >= nSectors || c.Count <= 0 {
 			continue
 		}
-		rn.sumSin[c.Cell][c.Sector] = c.SumSin
-		rn.sumCos[c.Cell][c.Sector] = c.SumCos
-		rn.sumSpd[c.Cell][c.Sector] = c.SumSpd
-		rn.counts[c.Cell][c.Sector] = c.Count
-	}
-	rn.trained = 0
-	for cell := range rn.counts {
-		if !rn.cellEmpty(cell) {
-			rn.trained++
-		}
+		rc := rn.cellFor(c.Cell)
+		rc.sumSin[c.Sector] = c.SumSin
+		rc.sumCos[c.Sector] = c.SumCos
+		rc.sumSpd[c.Sector] = c.SumSpd
+		rc.counts[c.Sector] = c.Count
 	}
 }
 
@@ -108,22 +107,47 @@ func (k *HistoryKNN) Observe(p model.Position, maxPerEntity int) {
 	ti, ok := k.live[p.EntityID]
 	if !ok {
 		ti = int32(len(k.trajs))
-		k.trajs = append(k.trajs, &model.Trajectory{EntityID: p.EntityID, Domain: p.Domain})
+		k.trajs = append(k.trajs, knnTraj{entity: p.EntityID, domain: p.Domain})
 		k.live[p.EntityID] = ti
 	}
-	tr := k.trajs[ti]
-	tr.Points = append(tr.Points, p)
-	if len(tr.Points) > maxPerEntity {
+	tr := &k.trajs[ti]
+	tr.pts = append(tr.pts, pointOf(&p))
+	if len(tr.pts) > maxPerEntity {
 		k.unindex(ti)
-		tr.Points = append([]model.Position(nil), tr.Points[len(tr.Points)/2:]...)
+		tr.pts = append([]knnPoint(nil), tr.pts[len(tr.pts)/2:]...)
 		k.indexTrajectory(ti)
 		return
 	}
 	if p.SpeedMS > 0.5 {
 		cell := k.grid.CellID(p.Pt)
-		k.index[cell] = append(k.index[cell], knnRef{traj: ti, pt: int32(len(tr.Points) - 1)})
+		k.index[cell] = append(k.index[cell], knnRef{traj: ti, pt: int32(len(tr.pts) - 1)})
 		k.indexed++
 	}
+}
+
+// Recent appends to dst the last n reports of the entity's stream-fed
+// trajectory, oldest first — the kinematic history the serving hub
+// forecasts from. The reports carry status 0: no predictor reads it.
+func (k *HistoryKNN) Recent(entity string, n int, dst []model.Position) []model.Position {
+	ti, ok := k.live[entity]
+	if !ok {
+		return dst
+	}
+	tr := &k.trajs[ti]
+	for i := max(len(tr.pts)-n, 0); i < len(tr.pts); i++ {
+		dst = append(dst, tr.position(i))
+	}
+	return dst
+}
+
+// Last returns the newest report of the entity's stream-fed trajectory.
+func (k *HistoryKNN) Last(entity string) (model.Position, bool) {
+	ti, ok := k.live[entity]
+	if !ok {
+		return model.Position{}, false
+	}
+	tr := &k.trajs[ti] // a live trajectory is never empty
+	return tr.position(len(tr.pts) - 1), true
 }
 
 // DropEntities removes the stream-fed trajectories of the given entities
@@ -142,7 +166,7 @@ func (k *HistoryKNN) DropEntities(ids []string) {
 	if !dropped {
 		return
 	}
-	trajs := make([]*model.Trajectory, 0, len(k.trajs))
+	trajs := make([]knnTraj, 0, len(k.trajs))
 	remap := make(map[int32]int32, len(k.trajs))
 	for ti, tr := range k.trajs {
 		if drop[int32(ti)] {
@@ -169,7 +193,8 @@ func (k *HistoryKNN) reindex() {
 
 // indexTrajectory adds the moving reports of trajectory ti to the index.
 func (k *HistoryKNN) indexTrajectory(ti int32) {
-	for i, p := range k.trajs[ti].Points {
+	for i := range k.trajs[ti].pts {
+		p := &k.trajs[ti].pts[i]
 		if p.SpeedMS <= 0.5 {
 			continue
 		}
@@ -184,7 +209,8 @@ func (k *HistoryKNN) indexTrajectory(ti int32) {
 // references in place.
 func (k *HistoryKNN) unindex(ti int32) {
 	done := make(map[int]bool)
-	for _, p := range k.trajs[ti].Points {
+	for i := range k.trajs[ti].pts {
+		p := &k.trajs[ti].pts[i]
 		cell := k.grid.CellID(p.Pt)
 		if p.SpeedMS <= 0.5 || done[cell] {
 			continue
@@ -207,7 +233,8 @@ func (k *HistoryKNN) unindex(ti int32) {
 
 // HistoryKNNState is the serialisable form of a HistoryKNN: the trajectories
 // themselves, one packed position sequence each (the index is derived and
-// rebuilt on restore). A trajectory's entity and domain are its points'.
+// rebuilt on restore). A trajectory's entity and domain are its points';
+// the points carry status 0.
 type HistoryKNNState struct {
 	Box              geo.BBox                `json:"box"`
 	Cols             int                     `json:"cols"`
@@ -216,17 +243,23 @@ type HistoryKNNState struct {
 	Trajectories     []model.PackedPositions `json:"trajectories"`
 }
 
-// ExportState captures the indexed trajectories, packing each straight from
-// the live points: the state of a long-running hub is millions of them, and
-// is exported while ingest waits.
+// ExportState captures the indexed trajectories, each packed through one
+// reused position buffer: the state of a long-running hub is millions of
+// points, and is exported while ingest waits.
 func (k *HistoryKNN) ExportState() HistoryKNNState {
 	st := HistoryKNNState{
 		Box: k.grid.Box, Cols: k.grid.Cols, Rows: k.grid.Rows,
 		MaxCourseDiffDeg: k.MaxCourseDiffDeg,
 		Trajectories:     make([]model.PackedPositions, 0, len(k.trajs)),
 	}
-	for _, tr := range k.trajs {
-		st.Trajectories = append(st.Trajectories, model.PackPositions(tr.Points))
+	var buf []model.Position
+	for ti := range k.trajs {
+		tr := &k.trajs[ti]
+		buf = buf[:0]
+		for i := range tr.pts {
+			buf = append(buf, tr.position(i))
+		}
+		st.Trajectories = append(st.Trajectories, model.PackPositions(buf))
 	}
 	return st
 }
@@ -235,20 +268,25 @@ func (k *HistoryKNN) ExportState() HistoryKNNState {
 // trajectory that does not unpack fails the restore and leaves the model as
 // it was.
 func (k *HistoryKNN) RestoreState(st HistoryKNNState) error {
-	trajs := make([]*model.Trajectory, 0, len(st.Trajectories))
+	trajs := make([]knnTraj, 0, len(st.Trajectories))
 	live := make(map[string]int32, len(st.Trajectories))
+	var buf []model.Position
 	for i, packed := range st.Trajectories {
-		pts, err := model.DecodePositions(packed)
-		if err != nil {
+		var err error
+		if buf, err = model.AppendDecodedPositions(buf[:0], packed); err != nil {
 			return fmt.Errorf("forecast: knn trajectory %d: %w", i, err)
 		}
-		if len(pts) == 0 {
+		if len(buf) == 0 {
 			continue
 		}
-		if id := pts[0].EntityID; id != "" {
-			live[id] = int32(len(trajs))
+		tr := knnTraj{entity: buf[0].EntityID, domain: buf[0].Domain, pts: make([]knnPoint, len(buf))}
+		for j := range buf {
+			tr.pts[j] = pointOf(&buf[j])
 		}
-		trajs = append(trajs, &model.Trajectory{EntityID: pts[0].EntityID, Domain: pts[0].Domain, Points: pts})
+		if tr.entity != "" {
+			live[tr.entity] = int32(len(trajs))
+		}
+		trajs = append(trajs, tr)
 	}
 	k.grid = geo.NewGrid(st.Box, st.Cols, st.Rows)
 	if st.MaxCourseDiffDeg > 0 {

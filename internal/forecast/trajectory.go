@@ -122,14 +122,18 @@ func (Kinematic) Predict(history []model.Position, ts int64) (geo.Point, bool) {
 // course. Cells/sectors without enough data fall back to the entity's own
 // course, degrading gracefully to dead reckoning off the network.
 type RouteNetwork struct {
-	grid   geo.Grid
-	sumSin [][nSectors]float64 // per-cell, per-sector circular course sums
-	sumCos [][nSectors]float64
-	sumSpd [][nSectors]float64
-	counts [][nSectors]int
-	// trained caches the number of cells with data in any sector, so
-	// TrainedCells is O(1) on the serving path.
-	trained int
+	grid geo.Grid
+	// slot maps a grid cell to 1 + its index in cells, 0 while untrained:
+	// a serving-resolution grid is mostly empty water.
+	slot  []int32
+	cells []routeCell
+}
+
+// routeCell is the learned motion of one trained cell, per course sector.
+type routeCell struct {
+	sumSin, sumCos [nSectors]float64 // circular course sums
+	sumSpd         [nSectors]float64
+	counts         [nSectors]int
 }
 
 // nSectors is the number of 45° course sectors per cell.
@@ -152,14 +156,7 @@ func sectorOf(courseDeg float64) int {
 // resolution (e.g. 128x128 for the Aegean).
 func NewRouteNetwork(box geo.BBox, cols, rows int) *RouteNetwork {
 	g := geo.NewGrid(box, cols, rows)
-	n := g.NumCells()
-	return &RouteNetwork{
-		grid:   g,
-		sumSin: make([][nSectors]float64, n),
-		sumCos: make([][nSectors]float64, n),
-		sumSpd: make([][nSectors]float64, n),
-		counts: make([][nSectors]int, n),
-	}
+	return &RouteNetwork{grid: g, slot: make([]int32, g.NumCells())}
 }
 
 // Train adds archival trajectories to the model. Only moving reports
@@ -177,44 +174,46 @@ func (rn *RouteNetwork) Train(trajectories ...*model.Trajectory) {
 
 // add accumulates one moving report into its cell sector.
 func (rn *RouteNetwork) add(p model.Position) {
-	cell := rn.grid.CellID(p.Pt)
+	c := rn.cellFor(rn.grid.CellID(p.Pt))
 	sec := sectorOf(p.CourseDeg)
-	if rn.counts[cell][sec] == 0 && rn.cellEmpty(cell) {
-		rn.trained++
-	}
 	rad := geo.Radians(p.CourseDeg)
-	rn.sumSin[cell][sec] += math.Sin(rad)
-	rn.sumCos[cell][sec] += math.Cos(rad)
-	rn.sumSpd[cell][sec] += p.SpeedMS
-	rn.counts[cell][sec]++
+	c.sumSin[sec] += math.Sin(rad)
+	c.sumCos[sec] += math.Cos(rad)
+	c.sumSpd[sec] += p.SpeedMS
+	c.counts[sec]++
 }
 
-// cellEmpty reports whether no sector of the cell carries data.
-func (rn *RouteNetwork) cellEmpty(cell int) bool {
-	for _, c := range rn.counts[cell] {
-		if c > 0 {
-			return false
-		}
+// cellFor returns the statistics of a grid cell, adding the cell to the
+// trained table on first use.
+func (rn *RouteNetwork) cellFor(cell int) *routeCell {
+	if rn.slot[cell] == 0 {
+		rn.cells = append(rn.cells, routeCell{})
+		rn.slot[cell] = int32(len(rn.cells))
 	}
-	return true
+	return &rn.cells[rn.slot[cell]-1]
 }
 
 // TrainedCells returns how many cells carry data in any sector.
-func (rn *RouteNetwork) TrainedCells() int { return rn.trained }
+func (rn *RouteNetwork) TrainedCells() int { return len(rn.cells) }
 
 // cellMotion returns the learned mean course/speed of the cell sector
 // matching the given course (also checking the two adjacent sectors, since
 // lane courses straddle sector boundaries).
 func (rn *RouteNetwork) cellMotion(cell int, courseDeg float64) (course, speed float64, ok bool) {
+	slot := rn.slot[cell]
+	if slot == 0 {
+		return 0, 0, false
+	}
+	rc := &rn.cells[slot-1]
 	base := sectorOf(courseDeg)
 	bestCount := 0
 	for _, d := range []int{0, 1, nSectors - 1} {
 		sec := (base + d) % nSectors
-		cnt := rn.counts[cell][sec]
+		cnt := rc.counts[sec]
 		if cnt < 3 || cnt <= bestCount {
 			continue
 		}
-		c := math.Mod(geo.Degrees(math.Atan2(rn.sumSin[cell][sec], rn.sumCos[cell][sec]))+360, 360)
+		c := math.Mod(geo.Degrees(math.Atan2(rc.sumSin[sec], rc.sumCos[sec]))+360, 360)
 		// Only trust the sector when its mean course is genuinely close to
 		// the entity's heading.
 		if diff := geo.AngleDiff(courseDeg, c); diff > 50 || diff < -50 {
@@ -222,7 +221,7 @@ func (rn *RouteNetwork) cellMotion(cell int, courseDeg float64) (course, speed f
 		}
 		bestCount = cnt
 		course = c
-		speed = rn.sumSpd[cell][sec] / float64(cnt)
+		speed = rc.sumSpd[sec] / float64(cnt)
 		ok = true
 	}
 	return course, speed, ok

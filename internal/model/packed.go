@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The packed form of a position sequence: what operator state (history
@@ -87,7 +88,13 @@ var errPackedTruncated = errors.New("model: packed positions: truncated")
 // from a count the input declares before the input is seen to be long enough
 // to hold it. The points of a run share one EntityID string.
 func DecodePositions(data []byte) ([]Position, error) {
-	var out []Position
+	return AppendDecodedPositions(nil, data)
+}
+
+// AppendDecodedPositions is DecodePositions appending to out, so a caller
+// that converts sequence after sequence decodes them all through one
+// buffer.
+func AppendDecodedPositions(out []Position, data []byte) ([]Position, error) {
 	for len(data) > 0 {
 		idLen, n := binary.Uvarint(data)
 		if n <= 0 || idLen > uint64(len(data)-n) {
@@ -113,9 +120,7 @@ func DecodePositions(data []byte) ([]Position, error) {
 		if count == 0 || count > uint64(len(data)/(1+tail)) {
 			return nil, errPackedTruncated
 		}
-		if out == nil {
-			out = make([]Position, 0, count)
-		}
+		out = slices.Grow(out, int(count))
 		var prev int64
 		for ; count > 0; count-- {
 			dt, n := binary.Varint(data)

@@ -149,8 +149,8 @@ func BenchmarkServerIngestTraced(b *testing.B) {
 }
 
 // BenchmarkServerIngestForecast is the serving path with the online
-// forecasting hub tapping every gated report (warm history ring + route
-// network + KNN + Markov updates). The acceptance bar for the forecasting
+// forecasting hub tapping every gated report (route network + KNN, whose
+// trajectories are also the warm history, + Markov updates). The acceptance bar for the forecasting
 // subsystem is < 15% regression against BenchmarkServerIngest.
 func BenchmarkServerIngestForecast(b *testing.B) {
 	batches := benchBatches(b)

@@ -171,8 +171,8 @@ func (s *Server) runForecastTicker(interval time.Duration) {
 				if err != nil {
 					continue
 				}
+				s.forecastPublished.Add(1) // before the frame, as for synopses
 				s.hub.publish(frame{event: "forecast", data: data})
-				s.forecastPublished.Add(1)
 			}
 		}
 	}

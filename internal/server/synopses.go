@@ -171,8 +171,10 @@ func (s *Server) runSynopsesTicker(interval time.Duration) {
 				if err != nil {
 					continue
 				}
-				s.hub.publish(frame{event: "synopsis", data: data})
+				// Counted first, so a subscriber that has the frame reads
+				// it in the counter too.
 				s.synopsesPublished.Add(1)
+				s.hub.publish(frame{event: "synopsis", data: data})
 			}
 		}
 	}
