@@ -1,8 +1,8 @@
-// Package interlink implements the data integration/interlinking component
-// of the datAcron architecture: "link discovery techniques for automatically
-// computing associations between data from heterogeneous sources" (§2).
-//
-// Two kinds of links are discovered:
+package main
+
+// The interlinking component of the datAcron architecture: "link discovery
+// techniques for automatically computing associations between data from
+// heterogeneous sources" (§2). Two kinds of links are discovered:
 //
 //   - identity links (owl:sameAs) between surveillance entities and external
 //     registry records, using lexical similarity over names plus numeric
@@ -10,10 +10,8 @@
 //   - spatiotemporal enrichment links between position reports and
 //     contextual observations (weather cells, areas of interest).
 //
-// Naive matching is O(n·m); Blocking reduces the candidate set (token
-// blocking for names, grid blocking for positions) at a small recall cost —
-// experiment E5 quantifies the trade.
-package interlink
+// Naive matching is O(n·m); blocking reduces the candidate set (token
+// blocking for names, grid blocking for positions) at a small recall cost.
 
 import (
 	"sort"
@@ -23,22 +21,22 @@ import (
 	"github.com/datacron-project/datacron/internal/geo"
 )
 
-// NameRecord is one record of a source keyed by a (possibly noisy) name.
-type NameRecord struct {
+// nameRecord is one record of a source keyed by a (possibly noisy) name.
+type nameRecord struct {
 	ID      string
 	Name    string
 	LengthM float64 // 0 when unknown
 }
 
-// Link is one discovered association with its similarity score.
-type Link struct {
+// link is one discovered association with its similarity score.
+type link struct {
 	A, B  string // record IDs from the two sources
 	Score float64
 }
 
-// Trigrams returns the padded character trigram set of a normalised string.
-func Trigrams(s string) map[string]struct{} {
-	s = Normalize(s)
+// trigrams returns the padded character trigram set of a normalised string.
+func trigrams(s string) map[string]struct{} {
+	s = normalize(s)
 	out := make(map[string]struct{})
 	if s == "" {
 		return out
@@ -50,9 +48,9 @@ func Trigrams(s string) map[string]struct{} {
 	return out
 }
 
-// Normalize upper-cases, strips punctuation and collapses whitespace; the
+// normalize upper-cases, strips punctuation and collapses whitespace; the
 // canonical form used by all lexical similarity in this package.
-func Normalize(s string) string {
+func normalize(s string) string {
 	var b strings.Builder
 	lastSpace := true
 	for _, r := range strings.ToUpper(s) {
@@ -70,8 +68,8 @@ func Normalize(s string) string {
 	return strings.TrimSpace(b.String())
 }
 
-// Jaccard returns |a∩b| / |a∪b| of two sets; 0 for two empty sets.
-func Jaccard(a, b map[string]struct{}) float64 {
+// jaccard returns |a∩b| / |a∪b| of two sets; 0 for two empty sets.
+func jaccard(a, b map[string]struct{}) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
@@ -88,22 +86,22 @@ func Jaccard(a, b map[string]struct{}) float64 {
 	return float64(inter) / float64(union)
 }
 
-// NameSimilarity scores two names by trigram Jaccard similarity.
-func NameSimilarity(a, b string) float64 {
-	return Jaccard(Trigrams(a), Trigrams(b))
+// nameSimilarity scores two names by trigram Jaccard similarity.
+func nameSimilarity(a, b string) float64 {
+	return jaccard(trigrams(a), trigrams(b))
 }
 
 // prepped caches a record's trigram set so the O(n·m) matchers tokenise
 // each name once instead of once per candidate pair.
 type prepped struct {
-	rec NameRecord
+	rec nameRecord
 	tri map[string]struct{}
 }
 
-func prepRecords(rs []NameRecord) []prepped {
+func prepRecords(rs []nameRecord) []prepped {
 	out := make([]prepped, len(rs))
 	for i, r := range rs {
-		out[i] = prepped{rec: r, tri: Trigrams(r.Name)}
+		out[i] = prepped{rec: r, tri: trigrams(r.Name)}
 	}
 	return out
 }
@@ -112,7 +110,7 @@ func prepRecords(rs []NameRecord) []prepped {
 // records carry a length: 0.9·name + 0.1·max(0, 1−|Δlength|/20m). The
 // blend lets static attributes break ties between equal names.
 func recordSimilarity(a, b prepped) float64 {
-	s := Jaccard(a.tri, b.tri)
+	s := jaccard(a.tri, b.tri)
 	if a.rec.LengthM > 0 && b.rec.LengthM > 0 {
 		diff := a.rec.LengthM - b.rec.LengthM
 		if diff < 0 {
@@ -127,15 +125,15 @@ func recordSimilarity(a, b prepped) float64 {
 	return s
 }
 
-// MatchConfig parameterises identity-link discovery.
-type MatchConfig struct {
+// matchConfig parameterises identity-link discovery.
+type matchConfig struct {
 	// Threshold is the minimum similarity for a link. Default 0.5.
 	Threshold float64
 	// Parallelism bounds concurrent workers. Default 4.
 	Parallelism int
 }
 
-func (c MatchConfig) withDefaults() MatchConfig {
+func (c matchConfig) withDefaults() matchConfig {
 	if c.Threshold == 0 {
 		c.Threshold = 0.5
 	}
@@ -145,19 +143,19 @@ func (c MatchConfig) withDefaults() MatchConfig {
 	return c
 }
 
-// MatchNaive compares every pair (the O(n·m) baseline) and keeps, for each
+// matchNaive compares every pair (the O(n·m) baseline) and keeps, for each
 // record of a, its best-scoring b above the threshold.
-func MatchNaive(a, b []NameRecord, cfg MatchConfig) []Link {
+func matchNaive(a, b []nameRecord, cfg matchConfig) []link {
 	cfg = cfg.withDefaults()
 	pa, pb := prepRecords(a), prepRecords(b)
-	links := make([]Link, 0, len(a))
+	links := make([]link, 0, len(a))
 	var mu sync.Mutex
 	parallelFor(len(a), cfg.Parallelism, func(i int) {
-		best := Link{Score: -1}
+		best := link{Score: -1}
 		for j := range pb {
 			s := recordSimilarity(pa[i], pb[j])
 			if s > best.Score {
-				best = Link{A: pa[i].rec.ID, B: pb[j].rec.ID, Score: s}
+				best = link{A: pa[i].rec.ID, B: pb[j].rec.ID, Score: s}
 			}
 		}
 		if best.Score >= cfg.Threshold {
@@ -170,24 +168,24 @@ func MatchNaive(a, b []NameRecord, cfg MatchConfig) []Link {
 	return links
 }
 
-// MatchBlocked uses token blocking: records sharing at least one name token
+// matchBlocked uses token blocking: records sharing at least one name token
 // are candidates. Complexity falls from n·m to the sum of block sizes.
-func MatchBlocked(a, b []NameRecord, cfg MatchConfig) []Link {
+func matchBlocked(a, b []nameRecord, cfg matchConfig) []link {
 	cfg = cfg.withDefaults()
 	pa, pb := prepRecords(a), prepRecords(b)
 	// Build token index over b.
 	blocks := make(map[string][]int)
 	for j, rb := range b {
-		for _, tok := range strings.Fields(Normalize(rb.Name)) {
+		for _, tok := range strings.Fields(normalize(rb.Name)) {
 			blocks[tok] = append(blocks[tok], j)
 		}
 	}
-	links := make([]Link, 0, len(a))
+	links := make([]link, 0, len(a))
 	var mu sync.Mutex
 	parallelFor(len(a), cfg.Parallelism, func(i int) {
 		seen := map[int]struct{}{}
-		best := Link{Score: -1}
-		for _, tok := range strings.Fields(Normalize(pa[i].rec.Name)) {
+		best := link{Score: -1}
+		for _, tok := range strings.Fields(normalize(pa[i].rec.Name)) {
 			for _, j := range blocks[tok] {
 				if _, dup := seen[j]; dup {
 					continue
@@ -195,7 +193,7 @@ func MatchBlocked(a, b []NameRecord, cfg MatchConfig) []Link {
 				seen[j] = struct{}{}
 				s := recordSimilarity(pa[i], pb[j])
 				if s > best.Score {
-					best = Link{A: pa[i].rec.ID, B: pb[j].rec.ID, Score: s}
+					best = link{A: pa[i].rec.ID, B: pb[j].rec.ID, Score: s}
 				}
 			}
 		}
@@ -210,7 +208,7 @@ func MatchBlocked(a, b []NameRecord, cfg MatchConfig) []Link {
 }
 
 // sortLinks orders links deterministically by A then B.
-func sortLinks(links []Link) {
+func sortLinks(links []link) {
 	sort.Slice(links, func(i, j int) bool {
 		if links[i].A != links[j].A {
 			return links[i].A < links[j].A
@@ -248,12 +246,12 @@ func parallelFor(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Truth maps record id (source A) to its true counterpart id (source B).
-type Truth map[string]string
+// groundTruth maps record id (source A) to its true counterpart id (source B).
+type groundTruth map[string]string
 
 // Score compares discovered links against ground truth and returns
 // precision, recall and F1.
-func Score(links []Link, truth Truth) (precision, recall, f1 float64) {
+func score(links []link, truth groundTruth) (precision, recall, f1 float64) {
 	if len(links) == 0 || len(truth) == 0 {
 		return 0, 0, 0
 	}
@@ -272,16 +270,16 @@ func Score(links []Link, truth Truth) (precision, recall, f1 float64) {
 	return precision, recall, f1
 }
 
-// SpatialRecord is one record of a source keyed by position and time, for
+// spatialRecord is one record of a source keyed by position and time, for
 // enrichment links (e.g. position ↔ weather cell).
-type SpatialRecord struct {
+type spatialRecord struct {
 	ID string
 	Pt geo.Point
 	TS int64
 }
 
-// SpatialLinkConfig parameterises spatiotemporal link discovery.
-type SpatialLinkConfig struct {
+// spatialLinkConfig parameterises spatiotemporal link discovery.
+type spatialLinkConfig struct {
 	// MaxDistM links records closer than this. Default 10 km.
 	MaxDistM float64
 	// MaxDeltaTMS links records within this time distance. Default 30 min.
@@ -290,7 +288,7 @@ type SpatialLinkConfig struct {
 	GridCellDeg float64
 }
 
-func (c SpatialLinkConfig) withDefaults() SpatialLinkConfig {
+func (c spatialLinkConfig) withDefaults() spatialLinkConfig {
 	if c.MaxDistM == 0 {
 		c.MaxDistM = 10_000
 	}
@@ -306,14 +304,14 @@ func (c SpatialLinkConfig) withDefaults() SpatialLinkConfig {
 // LinkSpatial links each record of a to its nearest record of b within the
 // config limits, using grid blocking over b. Records with no candidate get
 // no link.
-func LinkSpatial(a, b []SpatialRecord, box geo.BBox, cfg SpatialLinkConfig) []Link {
+func linkSpatial(a, b []spatialRecord, box geo.BBox, cfg spatialLinkConfig) []link {
 	cfg = cfg.withDefaults()
 	grid := geo.NewGridCellSize(box, cfg.GridCellDeg)
 	cells := make(map[int][]int)
 	for j, rb := range b {
 		cells[grid.CellID(rb.Pt)] = append(cells[grid.CellID(rb.Pt)], j)
 	}
-	var links []Link
+	var links []link
 	for _, ra := range a {
 		cell := grid.CellID(ra.Pt)
 		bestJ, bestD := -1, cfg.MaxDistM
@@ -335,7 +333,7 @@ func LinkSpatial(a, b []SpatialRecord, box geo.BBox, cfg SpatialLinkConfig) []Li
 			}
 		}
 		if bestJ >= 0 {
-			links = append(links, Link{A: ra.ID, B: b[bestJ].ID, Score: 1 - bestD/cfg.MaxDistM})
+			links = append(links, link{A: ra.ID, B: b[bestJ].ID, Score: 1 - bestD/cfg.MaxDistM})
 		}
 	}
 	sortLinks(links)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/datacron-project/datacron/internal/interlink"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -20,42 +19,42 @@ func main() {
 	fmt.Printf("sources: %d AIS entities vs %d registry records (noisy names)\n",
 		len(sc.Entities), len(registry))
 
-	var a, b []interlink.NameRecord
-	truth := interlink.Truth{}
+	var a, b []nameRecord
+	truth := groundTruth{}
 	for _, e := range sc.Entities {
-		a = append(a, interlink.NameRecord{ID: e.ID, Name: e.Name, LengthM: e.LengthM})
+		a = append(a, nameRecord{ID: e.ID, Name: e.Name, LengthM: e.LengthM})
 	}
 	for _, r := range registry {
-		b = append(b, interlink.NameRecord{ID: r.RegID, Name: r.Name, LengthM: r.LengthM})
+		b = append(b, nameRecord{ID: r.RegID, Name: r.Name, LengthM: r.LengthM})
 		truth[r.TruthID] = r.RegID
 	}
 
 	for _, mode := range []struct {
 		name  string
-		match func([]interlink.NameRecord, []interlink.NameRecord, interlink.MatchConfig) []interlink.Link
+		match func([]nameRecord, []nameRecord, matchConfig) []link
 	}{
-		{"naive O(n*m)", interlink.MatchNaive},
-		{"token-blocked", interlink.MatchBlocked},
+		{"naive O(n*m)", matchNaive},
+		{"token-blocked", matchBlocked},
 	} {
 		start := time.Now()
-		links := mode.match(a, b, interlink.MatchConfig{})
-		p, r, f1 := interlink.Score(links, truth)
+		links := mode.match(a, b, matchConfig{})
+		p, r, f1 := score(links, truth)
 		fmt.Printf("%-14s %6d links  precision=%.3f recall=%.3f f1=%.3f  in %v\n",
 			mode.name, len(links), p, r, f1, time.Since(start))
 	}
 
 	// Enrichment: link a sample of positions to weather observations.
 	weather := synth.GenWeather(sc.Box, 16, 12, time.UnixMilli(sc.Positions[0].TS).UTC(), time.Hour)
-	var pos, wx []interlink.SpatialRecord
+	var pos, wx []spatialRecord
 	for i, p := range sc.Positions {
 		if i%500 == 0 {
-			pos = append(pos, interlink.SpatialRecord{ID: fmt.Sprintf("pos-%d", i), Pt: p.Pt, TS: p.TS})
+			pos = append(pos, spatialRecord{ID: fmt.Sprintf("pos-%d", i), Pt: p.Pt, TS: p.TS})
 		}
 	}
 	for i, w := range weather {
-		wx = append(wx, interlink.SpatialRecord{ID: fmt.Sprintf("wx-%d", i), Pt: w.Center, TS: w.TS})
+		wx = append(wx, spatialRecord{ID: fmt.Sprintf("wx-%d", i), Pt: w.Center, TS: w.TS})
 	}
-	links := interlink.LinkSpatial(pos, wx, sc.Box, interlink.SpatialLinkConfig{MaxDistM: 50000})
+	links := linkSpatial(pos, wx, sc.Box, spatialLinkConfig{MaxDistM: 50000})
 	fmt.Printf("\nenrichment: %d/%d position samples linked to weather cells\n", len(links), len(pos))
 	for i, l := range links {
 		if i == 5 {

@@ -362,3 +362,27 @@ func TestDecodeLineRejectsFragments(t *testing.T) {
 		t.Error("DecodeLine must reject fragments")
 	}
 }
+
+func BenchmarkAISDecodePosition(b *testing.B) {
+	msg := PositionReport{MsgType: 1, MMSI: 237000001, Lon: 23.5, Lat: 37.5, SOG: 12, COG: 90, Heading: 90, Second: 30}
+	payload, fill, err := msg.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	line := ToSentences(payload, fill, 0, "A")[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeLine(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAISEncodePosition(b *testing.B) {
+	msg := PositionReport{MsgType: 1, MMSI: 237000001, Lon: 23.5, Lat: 37.5, SOG: 12, COG: 90, Heading: 90, Second: 30}
+	for i := 0; i < b.N; i++ {
+		if _, _, err := msg.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -37,3 +37,12 @@ func BenchmarkSuiteDense(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pos")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/pos")
 }
+
+func BenchmarkCERProcess(b *testing.B) {
+	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 5, Vessels: 50, Duration: 30 * time.Minute})
+	suite := NewMaritimeSuite(sc.Box, sc.Areas)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		suite.Process(sc.Positions[i%len(sc.Positions)])
+	}
+}

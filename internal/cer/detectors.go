@@ -132,7 +132,7 @@ func HoldingPattern(minDur time.Duration) Pattern {
 }
 
 // MaritimeSuiteConfig tunes the maritime detector thresholds; the zero
-// value yields the operational defaults used throughout the experiments.
+// value yields the operational defaults the pipeline and tests use.
 type MaritimeSuiteConfig struct {
 	// LoiterMinDur is the sustained-drift duration for loitering.
 	// Default 20 minutes.

@@ -231,14 +231,19 @@ func TestParallelDurableRecovery(t *testing.T) {
 		}
 	}
 	// Snapshot mid-stream: the backlog still draining, the second half's
-	// submitters appending.
-	submit(sc.WireTimed[half:])
+	// submitters appending. The scheduler may let both finish before the
+	// cut, so the last lines go in only after the snapshot, and the tail
+	// replay never comes out empty by chance.
+	tail := len(sc.WireTimed) - 500
+	submit(sc.WireTimed[half:tail])
 	release()
 	_, snapErr := p1.WriteSnapshot(dataDir, ing, log)
 	wg.Wait()
 	if snapErr != nil {
 		t.Fatal(snapErr)
 	}
+	submit(sc.WireTimed[tail:])
+	wg.Wait()
 	if !ing.Quiesce(30 * time.Second) {
 		t.Fatal("ingest did not drain")
 	}

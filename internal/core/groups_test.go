@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/datacron-project/datacron/internal/ais"
 	"github.com/datacron-project/datacron/internal/model"
@@ -60,38 +61,69 @@ func ingestWorkers(t testing.TB, p *Pipeline, workers int, lines []synth.TimedLi
 // The synchronous driver kept for the benchmark (IngestLine) and the
 // Ingestor at 1, 2 and 4 workers run one world through the same key groups,
 // so they must agree on the store, the exported operator state, the
-// counters and the detections. The world's events are all per-entity, so
-// none of these depends on how workers interleave entities.
+// counters and the detections. The durable world is primed with its areas,
+// and its events are all per-entity, so none of these depends on how
+// workers interleave entities. The stream worlds carry the claim that the
+// in-situ operators run "directly on the data streams" (§2): 60 vessels
+// for 30 min, seed 102 and three held-out seeds, primed with entities only
+// (no areas, so no CER); every line is processed, and the gate and filter
+// keep some reports but not all.
 func TestIngestPathsAgree(t *testing.T) {
-	sc := durableWorld(t)
-	ref := newPrimed(sc)
-	var refEvs []model.Event
-	for _, tl := range sc.WireTimed {
-		evs, err := ref.IngestLine(tl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refEvs = append(refEvs, evs...)
+	type world struct {
+		name  string
+		sc    *synth.Scenario
+		areas bool
 	}
-	wantNT, wantState, wantEvs := exportNT(t, ref), operatorState(t, ref), eventMultiset(refEvs)
-	if len(wantEvs) == 0 {
-		t.Fatal("the world produced no events; the test is vacuous")
+	worlds := []world{{"durable", durableWorld(t), true}}
+	for _, seed := range []int64{102, 1102, 2102, 3102} {
+		sc := synth.GenMaritime(synth.MaritimeConfig{Seed: seed, Vessels: 60, Duration: 30 * time.Minute})
+		worlds = append(worlds, world{fmt.Sprintf("stream seed %d", seed), sc, false})
 	}
-	for _, workers := range []int{1, 2, 4} {
-		p := newPrimed(sc)
-		evs := eventMultiset(ingestWorkers(t, p, workers, sc.WireTimed))
-		if got, want := p.Stats.Snapshot(), ref.Stats.Snapshot(); got != want {
-			t.Errorf("%d workers: counters %+v, IngestLine %+v", workers, got, want)
-		}
-		if !bytes.Equal(exportNT(t, p), wantNT) {
-			t.Errorf("%d workers: N-Triples export differs from IngestLine's", workers)
-		}
-		if !bytes.Equal(operatorState(t, p), wantState) {
-			t.Errorf("%d workers: exported operator state differs from IngestLine's", workers)
-		}
-		if !slices.Equal(evs, wantEvs) {
-			t.Errorf("%d workers: %d detections, IngestLine %d; the multisets differ", workers, len(evs), len(wantEvs))
-		}
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			primed := func() *Pipeline {
+				if w.areas {
+					return newPrimed(w.sc)
+				}
+				p := New(Config{Domain: model.Maritime})
+				p.InstallEntities(w.sc.Entities)
+				return p
+			}
+			ref := primed()
+			var refEvs []model.Event
+			for _, tl := range w.sc.WireTimed {
+				evs, err := ref.IngestLine(tl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refEvs = append(refEvs, evs...)
+			}
+			wantNT, wantState, wantEvs := exportNT(t, ref), operatorState(t, ref), eventMultiset(refEvs)
+			if w.areas && len(wantEvs) == 0 {
+				t.Fatalf("%s: the world produced no events; the test is vacuous", w.name)
+			}
+			s := ref.Stats.Snapshot()
+			t.Logf("%s: %d lines, %d decoded, %d gated, %d kept", w.name, s.Lines, s.Decoded, s.Gated, s.Kept)
+			if s.Lines != int64(len(w.sc.WireTimed)) || s.Kept <= 0 || s.Kept >= s.Lines {
+				t.Errorf("%s: %d of %d lines processed, %d kept", w.name, s.Lines, len(w.sc.WireTimed), s.Kept)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				p := primed()
+				evs := eventMultiset(ingestWorkers(t, p, workers, w.sc.WireTimed))
+				if got, want := p.Stats.Snapshot(), ref.Stats.Snapshot(); got != want {
+					t.Errorf("%s, %d workers: counters %+v, IngestLine %+v", w.name, workers, got, want)
+				}
+				if !bytes.Equal(exportNT(t, p), wantNT) {
+					t.Errorf("%s, %d workers: N-Triples export differs from IngestLine's", w.name, workers)
+				}
+				if !bytes.Equal(operatorState(t, p), wantState) {
+					t.Errorf("%s, %d workers: exported operator state differs from IngestLine's", w.name, workers)
+				}
+				if !slices.Equal(evs, wantEvs) {
+					t.Errorf("%s, %d workers: %d detections, IngestLine %d; the multisets differ", w.name, workers, len(evs), len(wantEvs))
+				}
+			}
+		})
 	}
 }
 

@@ -39,16 +39,10 @@ type Config struct {
 	Box geo.BBox
 	// Shards is the parallel store's shard count. Default 4.
 	Shards int
-	// Partitioner overrides the default (Hilbert over Box, order 7).
-	Partitioner partition.Partitioner
 	// Compression configures the in-situ threshold filter; zero value uses
 	// insitu.DefaultThreshold. Set DisableCompression to bypass.
 	Compression        insitu.ThresholdConfig
 	DisableCompression bool
-	// MaxSpeedMS configures the noise gate (default per domain).
-	MaxSpeedMS float64
-	// HotspotGrid is the density analytics resolution. Default 48x48.
-	HotspotGridCols, HotspotGridRows int
 	// StrictWire makes IngestLine return decode errors. The pipeline
 	// otherwise behaves like a production receiver: malformed lines are
 	// counted (Stats.BadLines) and skipped, because real feeds contain
@@ -81,24 +75,8 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.Partitioner == nil {
-		c.Partitioner = partition.NewHilbert(c.Box, 7, c.Shards)
-	}
 	if c.Compression == (insitu.ThresholdConfig{}) {
 		c.Compression = insitu.DefaultThreshold()
-	}
-	if c.MaxSpeedMS == 0 {
-		if c.Domain == model.Aviation {
-			c.MaxSpeedMS = 350
-		} else {
-			c.MaxSpeedMS = 40
-		}
-	}
-	if c.HotspotGridCols <= 0 {
-		c.HotspotGridCols = 48
-	}
-	if c.HotspotGridRows <= 0 {
-		c.HotspotGridRows = 48
 	}
 	if c.Forecast.SynopsisHistory {
 		c.Synopses.Enabled = true
@@ -242,19 +220,35 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
+// The store partitions by a Hilbert curve of hilbertOrder over the world
+// box, and the density analytics count on a hotspotGrid × hotspotGrid grid.
+const (
+	hilbertOrder = 7
+	hotspotGrid  = 48
+)
+
+// maxSpeedMS is the noise gate's limit for a domain: a report implying a
+// faster move from the entity's last one is noise.
+func maxSpeedMS(d model.Domain) float64 {
+	if d == model.Aviation {
+		return 350
+	}
+	return 40
+}
+
 // New returns a pipeline with the given config.
 func New(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
 		cfg:      cfg,
-		Store:    store.NewSharded(cfg.Partitioner, cfg.Box),
+		Store:    store.NewSharded(partition.NewHilbert(cfg.Box, hilbertOrder, cfg.Shards), cfg.Box),
 		entities: make(map[string]bool),
-		Density:  hotspot.NewDensityGrid(geo.NewGrid(cfg.Box, cfg.HotspotGridCols, cfg.HotspotGridRows)),
+		Density:  hotspot.NewDensityGrid(geo.NewGrid(cfg.Box, hotspotGrid, hotspotGrid)),
 	}
 	p.Engine = query.NewEngine(p.Store)
 	for i := range p.groups {
 		p.groups[i] = group{
-			gate:    insitu.NewNoiseGate(cfg.MaxSpeedMS),
+			gate:    insitu.NewNoiseGate(maxSpeedMS(cfg.Domain)),
 			filter:  insitu.NewThresholdFilter(cfg.Compression),
 			asm:     ais.NewAssembler(),
 			tracker: adsb.NewTracker(),
@@ -604,7 +598,7 @@ func shipTypeName(code uint8) string {
 	}
 }
 
-// Report renders the pipeline statistics for the CLI and experiments.
+// Report renders the pipeline statistics for the CLIs and examples.
 func (p *Pipeline) Report() string {
 	s := &p.Stats
 	snap := s.Snapshot()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +25,20 @@ func runScenario(p *Pipeline, sc *synth.Scenario) []model.Event {
 	p.InstallEntities(sc.Entities)
 	return p.Ingest(sc.WireTimed)
 }
+
+// latencyP99 primes a pipeline of sc's domain with sc's world, ingests its
+// wire stream and returns the per-report p99 latency, wire line to CER.
+func latencyP99(sc *synth.Scenario) time.Duration {
+	p := New(Config{Domain: sc.Domain})
+	runScenario(p, sc)
+	return p.Stats.Latency.Percentile(99)
+}
+
+// The end-to-end claim, a "coherent Big Data solution" (§2) under
+// "operational latency requirements (i.e. in ms)" (§4), is checked in each
+// domain on the world it was first measured on (seed 112) and three
+// held-out seeds: per-report p99 latency within 100 ms.
+var latencySeeds = []int64{112, 1112, 2112, 3112}
 
 func TestMaritimeEndToEnd(t *testing.T) {
 	sc := maritimeScenario(t)
@@ -69,6 +84,17 @@ func TestMaritimeEndToEnd(t *testing.T) {
 	if !strings.Contains(p.Report(), "ratio=") {
 		t.Error("report malformed")
 	}
+
+	for _, seed := range latencySeeds {
+		t.Run(fmt.Sprintf("latency seed %d", seed), func(t *testing.T) {
+			p99 := latencyP99(synth.GenMaritime(synth.MaritimeConfig{
+				Seed: seed, Vessels: 30, Duration: time.Hour, Rendezvous: 2, Loiterers: 2,
+			}))
+			if p99 > 100*time.Millisecond {
+				t.Errorf("seed %d: p99 per-report latency %v exceeds 100ms", seed, p99)
+			}
+		})
+	}
 }
 
 func TestAviationEndToEnd(t *testing.T) {
@@ -92,6 +118,15 @@ func TestAviationEndToEnd(t *testing.T) {
 	}
 	if len(res.Rows) == 0 {
 		t.Error("no high-altitude nodes stored")
+	}
+
+	for _, seed := range latencySeeds {
+		t.Run(fmt.Sprintf("latency seed %d", seed), func(t *testing.T) {
+			p99 := latencyP99(synth.GenAviation(synth.AviationConfig{Seed: seed, Flights: 15, Duration: time.Hour}))
+			if p99 > 100*time.Millisecond {
+				t.Errorf("seed %d: p99 per-report latency %v exceeds 100ms", seed, p99)
+			}
+		})
 	}
 }
 

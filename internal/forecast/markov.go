@@ -41,16 +41,6 @@ func NewMarkovChain(n int) *MarkovChain {
 	return &MarkovChain{n: n, counts: c}
 }
 
-// TrainSequence adds one symbol sequence.
-func (mc *MarkovChain) TrainSequence(syms []int) {
-	for i := 1; i < len(syms); i++ {
-		a, b := syms[i-1], syms[i]
-		if a >= 0 && a < mc.n && b >= 0 && b < mc.n {
-			mc.counts[a][b]++
-		}
-	}
-}
-
 // Prob returns P(next=b | cur=a) with add-one smoothing.
 func (mc *MarkovChain) Prob(a, b int) float64 {
 	if a < 0 || a >= mc.n || b < 0 || b >= mc.n {

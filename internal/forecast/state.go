@@ -8,8 +8,8 @@ import (
 )
 
 // This file adds the incremental-update and export/restore surface that the
-// online serving layer (core.ForecastHub) needs: every model that the batch
-// experiments train from archival trajectories can also be grown one report
+// online serving layer (core.ForecastHub) needs: every model that batch
+// training builds from archival trajectories can also be grown one report
 // at a time from the live stream, and its learned state can be serialised
 // into a pipeline snapshot and restored after a crash. None of these
 // methods lock — the hub serialises updates and guards reads; snapshots are
@@ -316,9 +316,8 @@ func (mc *MarkovChain) RestoreCounts(counts [][]float64) {
 	}
 }
 
-// ObserveTransition adds one observed symbol transition — the incremental
-// counterpart of TrainSequence for a live stream where the caller tracks
-// each entity's previous symbol.
+// ObserveTransition adds one observed symbol transition, for a live stream
+// where the caller tracks each entity's previous symbol.
 func (mc *MarkovChain) ObserveTransition(from, to int) {
 	if from >= 0 && from < mc.n && to >= 0 && to < mc.n {
 		mc.counts[from][to]++

@@ -3,7 +3,7 @@
 // trajectories in the challenging Maritime (2D space) and Aviation (3D
 // space) domains" and "forecasting of complex events and patterns" (§1).
 //
-// Trajectory prediction offers three models compared in experiment E6:
+// Trajectory prediction offers three models:
 //
 //   - DeadReckoning: constant speed and course from the last report — the
 //     surveillance baseline.
@@ -18,7 +18,7 @@
 // completes within a horizon given the current partial-match state.
 //
 // Every model is usable both batch-trained (Train over archival
-// trajectories, experiment E6) and online (state.go: Observe grows a model
+// trajectories; claim E6, DESIGN.md §4) and online (state.go: Observe grows a model
 // one live report at a time, ExportState/RestoreState round-trip it
 // through pipeline snapshots). The serving layer's core.ForecastHub feeds
 // the online surface from the live ingest stream (DESIGN.md §9).

@@ -132,57 +132,6 @@ func Interpolate(a, b Point, f float64) Point {
 // Midpoint returns the point halfway between a and b along the great circle.
 func Midpoint(a, b Point) Point { return Interpolate(a, b, 0.5) }
 
-// CrossTrackDist returns the perpendicular distance in metres from p to the
-// great-circle path through a and b. The sign is positive when p lies to the
-// right of the path direction a→b.
-func CrossTrackDist(p, a, b Point) float64 {
-	d13 := Haversine(a, p) / EarthRadiusM
-	brg13 := Radians(Bearing(a, p))
-	brg12 := Radians(Bearing(a, b))
-	return math.Asin(math.Sin(d13)*math.Sin(brg13-brg12)) * EarthRadiusM
-}
-
-// AlongTrackDist returns the distance from a to the projection of p onto the
-// great-circle path a→b, in metres.
-func AlongTrackDist(p, a, b Point) float64 {
-	d13 := Haversine(a, p) / EarthRadiusM
-	xt := CrossTrackDist(p, a, b) / EarthRadiusM
-	cosD13 := math.Cos(d13)
-	cosXT := math.Cos(xt)
-	if cosXT == 0 {
-		return 0
-	}
-	v := cosD13 / cosXT
-	if v > 1 {
-		v = 1
-	} else if v < -1 {
-		v = -1
-	}
-	return math.Acos(v) * EarthRadiusM
-}
-
-// SegmentDist returns the minimum distance in metres from p to the great-
-// circle segment ab (not the infinite great circle): if the projection of p
-// falls outside the segment the distance to the nearer endpoint is returned.
-func SegmentDist(p, a, b Point) float64 {
-	segLen := Haversine(a, b)
-	if segLen == 0 {
-		return Haversine(p, a)
-	}
-	along := AlongTrackDist(p, a, b)
-	// Behind a?
-	brgAB := Bearing(a, b)
-	brgAP := Bearing(a, p)
-	diff := math.Abs(math.Mod(brgAP-brgAB+540, 360) - 180)
-	if diff > 90 {
-		return Haversine(p, a)
-	}
-	if along > segLen {
-		return Haversine(p, b)
-	}
-	return math.Abs(CrossTrackDist(p, a, b))
-}
-
 // AngleDiff returns the smallest signed difference b-a between two headings
 // in degrees, in (-180, 180].
 func AngleDiff(a, b float64) float64 {

@@ -142,44 +142,6 @@ func TestInterpolate(t *testing.T) {
 	}
 }
 
-func TestCrossTrackDist(t *testing.T) {
-	a, b := Pt(0, 0), Pt(1, 0) // equator segment heading east
-	p := Pt(0.5, 0.1)          // north of the path → left of direction → negative sign
-	d := CrossTrackDist(p, a, b)
-	if d >= 0 {
-		t.Errorf("expected negative (left of path), got %f", d)
-	}
-	if !almostEq(math.Abs(d), 11119.5, 50) {
-		t.Errorf("cross-track magnitude = %f, want ≈11119.5", math.Abs(d))
-	}
-}
-
-func TestSegmentDist(t *testing.T) {
-	a, b := Pt(0, 0), Pt(1, 0)
-	tests := []struct {
-		name string
-		p    Point
-		want float64
-		tol  float64
-	}{
-		{"perpendicular above middle", Pt(0.5, 0.1), 11119.5, 60},
-		{"beyond end", Pt(1.5, 0), Haversine(Pt(1.5, 0), b), 1},
-		{"before start", Pt(-0.5, 0), Haversine(Pt(-0.5, 0), a), 1},
-		{"on segment", Pt(0.25, 0), 0, 1},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := SegmentDist(tc.p, a, b)
-			if !almostEq(got, tc.want, tc.tol) {
-				t.Errorf("SegmentDist = %f, want %f ± %f", got, tc.want, tc.tol)
-			}
-		})
-	}
-	if d := SegmentDist(Pt(0.3, 0.2), a, a); !almostEq(d, Haversine(Pt(0.3, 0.2), a), 1e-9) {
-		t.Error("degenerate segment should fall back to point distance")
-	}
-}
-
 func TestAngleDiff(t *testing.T) {
 	tests := []struct{ a, b, want float64 }{
 		{0, 90, 90},
@@ -239,5 +201,12 @@ func TestUnitConversions(t *testing.T) {
 	}
 	if !almostEq(ToNauticalMiles(NauticalMiles(3)), 3, 1e-12) {
 		t.Error("nm round trip")
+	}
+}
+
+func BenchmarkHaversine(b *testing.B) {
+	a, c := Pt(23.6, 37.9), Pt(25.1, 35.3)
+	for i := 0; i < b.N; i++ {
+		_ = Haversine(a, c)
 	}
 }

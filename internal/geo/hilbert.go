@@ -3,7 +3,7 @@ package geo
 // Hilbert space-filling curve utilities. The spatial RDF partitioners map a
 // point to a cell of a 2^order × 2^order grid and then to its Hilbert index;
 // contiguous Hilbert ranges are assigned to shards, which preserves spatial
-// locality far better than row-major cell ids (see experiment E3).
+// locality far better than row-major cell ids (claim E3, DESIGN.md §4).
 
 // HilbertCurve maps between (x, y) cell coordinates and the one-dimensional
 // Hilbert index for a square grid of side 2^Order.

@@ -106,7 +106,7 @@ func TestHilbertPointIndex(t *testing.T) {
 func TestHilbertLocalityBeatsRowMajor(t *testing.T) {
 	// For vertical neighbour cells (x,y)→(x,y+1) the row-major index jump is
 	// always `side`; the Hilbert curve's mean jump must be smaller. This is
-	// the property the spatial partitioner relies on (experiment E3).
+	// the property the spatial partitioner relies on (claim E3).
 	h := NewHilbertCurve(8)
 	side := h.Side()
 	var sum, n float64

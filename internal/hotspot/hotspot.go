@@ -30,12 +30,6 @@ func (d *DensityGrid) Add(p geo.Point) {
 	d.total++
 }
 
-// AddWeighted counts a weighted observation.
-func (d *DensityGrid) AddWeighted(p geo.Point, w float64) {
-	d.Counts[d.Grid.CellID(p)] += w
-	d.total += w
-}
-
 // Total returns the accumulated weight.
 func (d *DensityGrid) Total() float64 { return d.total }
 

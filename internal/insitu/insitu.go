@@ -1,19 +1,15 @@
 // Package insitu implements the paper's "in-situ processing" layer: primitive
 // operators applied directly on surveillance streams that "compress and
 // integrate data at high rates of data compression without affecting the
-// quality of analytics" (datAcron §2). Experiment E1 quantifies that claim.
+// quality of analytics" (datAcron §2); TestCompressionOnSyntheticWorld
+// holds that claim (E1, DESIGN.md §4).
 //
-// Three compressors are provided, all per-entity:
+// Two operators are provided, both per-entity:
 //
 //   - NoiseGate: drops kinematically impossible reports (GPS outliers).
 //   - ThresholdFilter: online dead-reckoning compression — a report is kept
 //     only when it deviates from the position extrapolated from the last
 //     kept report, turns, changes speed, or too much time has elapsed.
-//   - SQUISH (see squish.go): online bounded-buffer compression minimising
-//     synchronised Euclidean distance (SED).
-//
-// Offline reference algorithms (Douglas-Peucker, TD-TR) live in offline.go
-// for the E1 ablation, and error metrics in error.go.
 package insitu
 
 import (
@@ -22,7 +18,7 @@ import (
 )
 
 // NoiseGate drops positions whose implied speed from the previously accepted
-// position exceeds MaxSpeedMS. It is the first primitive operator applied on
+// position exceeds its speed limit. It is the first primitive operator applied on
 // the raw stream. The zero value is not ready; use NewNoiseGate.
 type NoiseGate struct {
 	maxSpeedMS float64

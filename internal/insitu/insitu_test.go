@@ -1,10 +1,12 @@
 package insitu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"github.com/datacron-project/datacron/internal/cer"
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/synth"
@@ -161,140 +163,6 @@ func TestDeadReckon(t *testing.T) {
 	}
 }
 
-func TestDouglasPeuckerStraightLine(t *testing.T) {
-	pts := straightLine("V", 50, 10, 8)
-	out := DouglasPeucker(pts, 10)
-	if len(out) != 2 {
-		t.Errorf("straight line should compress to endpoints, got %d", len(out))
-	}
-	if out[0].TS != pts[0].TS || out[len(out)-1].TS != pts[len(pts)-1].TS {
-		t.Error("endpoints not preserved")
-	}
-}
-
-func TestDouglasPeuckerKeepsCorner(t *testing.T) {
-	// L-shaped path: east then north.
-	east := straightLine("V", 20, 10, 8)
-	corner := east[len(east)-1]
-	var pts []model.Position
-	pts = append(pts, east...)
-	p := corner.Pt
-	for i := 1; i <= 20; i++ {
-		p = geo.Destination(p, 0, 80)
-		pts = append(pts, model.Position{
-			EntityID: "V", TS: corner.TS + int64(i*10)*1000, Pt: p, SpeedMS: 8, CourseDeg: 0,
-		})
-	}
-	out := DouglasPeucker(pts, 10)
-	if len(out) != 3 {
-		t.Fatalf("L-path should keep 3 points, got %d", len(out))
-	}
-	if out[1].TS != corner.TS {
-		t.Errorf("corner not kept: kept ts %d, want %d", out[1].TS, corner.TS)
-	}
-}
-
-func TestTDTRKeepsSpeedChangeDPDoesNot(t *testing.T) {
-	// Path: straight east, but the mover stops halfway for 10 minutes.
-	// Spatially it is a perfect line (DP compresses to 2 points); the
-	// time-ratio variant must keep the stop.
-	var pts []model.Position
-	p := geo.Pt(23, 37.5)
-	ts := int64(0)
-	for i := 0; i < 20; i++ {
-		pts = append(pts, model.Position{EntityID: "V", TS: ts, Pt: p, SpeedMS: 8, CourseDeg: 90})
-		p = geo.Destination(p, 90, 80)
-		ts += 10000
-	}
-	for i := 0; i < 60; i++ { // stopped
-		pts = append(pts, model.Position{EntityID: "V", TS: ts, Pt: p, SpeedMS: 0, CourseDeg: 90})
-		ts += 10000
-	}
-	for i := 0; i < 20; i++ {
-		p = geo.Destination(p, 90, 80)
-		pts = append(pts, model.Position{EntityID: "V", TS: ts, Pt: p, SpeedMS: 8, CourseDeg: 90})
-		ts += 10000
-	}
-	dp := DouglasPeucker(pts, 30)
-	tdtr := TDTR(pts, 30)
-	if len(dp) > 4 {
-		t.Errorf("DP should erase the stop: kept %d", len(dp))
-	}
-	if len(tdtr) <= len(dp) {
-		t.Errorf("TD-TR must keep the stop: dp=%d tdtr=%d", len(dp), len(tdtr))
-	}
-	// And the TD-TR reconstruction error must be far smaller.
-	dpErr := CompressionError(pts, dp)
-	tdtrErr := CompressionError(pts, tdtr)
-	if tdtrErr.MaxM >= dpErr.MaxM {
-		t.Errorf("TD-TR max err %f should beat DP %f", tdtrErr.MaxM, dpErr.MaxM)
-	}
-}
-
-func TestSQUISHBoundedBuffer(t *testing.T) {
-	pts := straightLine("V", 200, 10, 8)
-	out := CompressSQUISH(pts, 20)
-	if len(out) != 20 {
-		t.Errorf("buffer bound violated: %d", len(out))
-	}
-	// Time order preserved.
-	for i := 1; i < len(out); i++ {
-		if out[i].TS <= out[i-1].TS {
-			t.Fatal("SQUISH output out of order")
-		}
-	}
-	// Endpoints survive.
-	if out[0].TS != pts[0].TS || out[len(out)-1].TS != pts[len(pts)-1].TS {
-		t.Error("endpoints evicted")
-	}
-}
-
-func TestSQUISHPreservesShapeBetterThanUniform(t *testing.T) {
-	// Zig-zag path: SQUISH at capacity k must reconstruct better than naive
-	// uniform sampling at the same k.
-	var pts []model.Position
-	p := geo.Pt(23, 37.5)
-	ts := int64(0)
-	dir := 45.0
-	for leg := 0; leg < 10; leg++ {
-		for i := 0; i < 20; i++ {
-			pts = append(pts, model.Position{EntityID: "V", TS: ts, Pt: p, SpeedMS: 8, CourseDeg: dir})
-			p = geo.Destination(p, dir, 80)
-			ts += 10000
-		}
-		dir = 180 - dir // zig
-	}
-	k := 25
-	squish := CompressSQUISH(pts, k)
-	uniform := make([]model.Position, 0, k)
-	for i := 0; i < k; i++ {
-		uniform = append(uniform, pts[i*len(pts)/k])
-	}
-	uniform[k-1] = pts[len(pts)-1]
-	es := CompressionError(pts, squish)
-	eu := CompressionError(pts, uniform)
-	if es.MeanM >= eu.MeanM {
-		t.Errorf("SQUISH mean err %.1f should beat uniform %.1f", es.MeanM, eu.MeanM)
-	}
-}
-
-func TestCompressionErrorZeroForIdentity(t *testing.T) {
-	pts := straightLine("V", 50, 10, 8)
-	e := CompressionError(pts, pts)
-	if e.MeanM > 1e-6 || e.MaxM > 1e-6 {
-		t.Errorf("identity compression should have zero error: %+v", e)
-	}
-	if e.Points != len(pts) {
-		t.Errorf("Points = %d", e.Points)
-	}
-	if (CompressionError(nil, pts) != ErrorStats{}) {
-		t.Error("empty original should be zero stats")
-	}
-	if (CompressionError(pts, nil) != ErrorStats{}) {
-		t.Error("empty compressed should be zero stats")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(100, 10) != 10 {
 		t.Error("Ratio(100,10)")
@@ -304,53 +172,148 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	agg := Aggregate([]ErrorStats{
-		{MeanM: 10, MaxM: 50, P95M: 30, Points: 100},
-		{MeanM: 20, MaxM: 80, P95M: 60, Points: 300},
-	})
-	if math.Abs(agg.MeanM-17.5) > 1e-9 {
-		t.Errorf("MeanM = %f", agg.MeanM)
+// groupByEntity splits a time-ordered stream into per-entity sequences.
+func groupByEntity(ps []model.Position) map[string][]model.Position {
+	out := make(map[string][]model.Position)
+	for _, p := range ps {
+		out[p.EntityID] = append(out[p.EntityID], p)
 	}
-	if agg.MaxM != 80 || agg.P95M != 60 || agg.Points != 400 {
-		t.Errorf("agg = %+v", agg)
+	return out
+}
+
+// meanSED is the mean synchronised Euclidean distance between each
+// entity's original reports and the kept ones interpolated at the same
+// instants, over every original report the kept ones span.
+func meanSED(original, kept map[string][]model.Position) float64 {
+	var sum float64
+	var n int
+	for id, orig := range original {
+		k := model.Trajectory{Points: kept[id]}
+		for _, p := range orig {
+			if q, ok := k.At(p.TS); ok {
+				sum += math.Hypot(geo.Haversine(p.Pt, q.Pt), q.Pt.Alt-p.Pt.Alt)
+				n++
+			}
+		}
 	}
-	if (Aggregate(nil) != ErrorStats{}) {
-		t.Error("empty aggregate")
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// keep runs a stream through one threshold filter and returns what it keeps.
+func keep(ps []model.Position, cfg ThresholdConfig) []model.Position {
+	f := NewThresholdFilter(cfg)
+	var kept []model.Position
+	for _, p := range ps {
+		if f.Keep(p) {
+			kept = append(kept, p)
+		}
+	}
+	return kept
+}
+
+// cerF1 runs the maritime CER suite over a stream and scores its
+// loitering and rendezvous detections against the scripted ones. The
+// pairing clock is widened to 2 min, since a compressed stream reports
+// less often.
+func cerF1(sc *synth.Scenario, ps []model.Position) float64 {
+	suite := cer.NewMaritimeSuite(sc.Box, sc.Areas)
+	suite.Pairer.MaxDeltaT = 2 * time.Minute
+	var detected []model.Event
+	for _, p := range ps {
+		detected = append(detected, suite.Process(p)...)
+	}
+	truth := append(sc.EventsOfType("loitering"), sc.EventsOfType("rendezvous")...)
+	_, _, f1 := synth.ScoreDetections(truth, detected)
+	return f1
+}
+
+// The SED yardstick reads zero for a stream kept whole, on a straight line
+// and on a synthetic world, and zero when either side is empty.
+func TestCompressionErrorZeroForIdentity(t *testing.T) {
+	line := map[string][]model.Position{"V": straightLine("V", 50, 10, 8)}
+	if sed := meanSED(line, line); sed > 1e-6 {
+		t.Errorf("identity compression of a straight line has mean SED %f m, want 0", sed)
+	}
+	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 5, Vessels: 8, Duration: time.Hour})
+	byEntity := groupByEntity(sc.Positions)
+	if sed := meanSED(byEntity, byEntity); sed > 1e-6 {
+		t.Errorf("mean SED of the stream against itself = %f m, want 0", sed)
+	}
+	if sed := meanSED(nil, line); sed != 0 {
+		t.Errorf("empty original: mean SED %f m, want 0", sed)
+	}
+	if sed := meanSED(line, nil); sed != 0 {
+		t.Errorf("empty kept: mean SED %f m, want 0", sed)
 	}
 }
 
-// End-to-end on synthetic data: the paper's central in-situ claim is that
-// high compression leaves analytics quality intact; here we check the error
-// stays bounded at a decent ratio on realistic trajectories.
+// The in-situ compression claim: "high rates of data compression without
+// affecting the quality of analytics" (§2). On an 8-vessel world the
+// default thresholds keep a mean ratio ≥ 2 at a mean SED ≤ 200 m. On the
+// 20-vessel world with scripted loitering and rendezvous the sweep was
+// first measured on (seed 101) and on three held-out seeds, a looser
+// threshold compresses more and errs more, and CER on the 50 m stream
+// keeps its F1 within 0.15 of the raw stream's.
 func TestCompressionOnSyntheticWorld(t *testing.T) {
 	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 5, Vessels: 8, Duration: time.Hour})
-	byEntity := model.GroupByEntity(sc.Positions)
-	var ratios []float64
-	var stats []ErrorStats
-	for _, tr := range byEntity {
-		f := NewThresholdFilter(DefaultThreshold())
-		var kept []model.Position
-		for _, p := range tr.Points {
-			if f.Keep(p) {
-				kept = append(kept, p)
-			}
-		}
-		ratios = append(ratios, Ratio(len(tr.Points), len(kept)))
-		stats = append(stats, CompressionError(tr.Points, kept))
-	}
+	byEntity := groupByEntity(sc.Positions)
+	kept := map[string][]model.Position{}
 	var meanRatio float64
-	for _, r := range ratios {
-		meanRatio += r
+	for id, ps := range byEntity {
+		kept[id] = keep(ps, DefaultThreshold())
+		meanRatio += Ratio(len(ps), len(kept[id]))
 	}
-	meanRatio /= float64(len(ratios))
-	agg := Aggregate(stats)
+	meanRatio /= float64(len(byEntity))
 	if meanRatio < 2 {
 		t.Errorf("mean compression ratio %.1f too low for realistic traffic", meanRatio)
 	}
 	// GPS noise is ~15m; reconstruction error should stay within a couple
 	// hundred metres at default thresholds.
-	if agg.MeanM > 200 {
-		t.Errorf("mean SED %.1fm too high", agg.MeanM)
+	if sed := meanSED(byEntity, kept); sed > 200 {
+		t.Errorf("mean SED %.1fm too high", sed)
+	}
+
+	for _, seed := range []int64{101, 1101, 2101, 3101} {
+		t.Run(fmt.Sprintf("seed %d", seed), func(t *testing.T) { compressionSweep(t, seed) })
+	}
+}
+
+// compressionSweep checks the threshold sweep and CER fidelity on the
+// 20-vessel world of one seed.
+func compressionSweep(t *testing.T, seed int64) {
+	sc := synth.GenMaritime(synth.MaritimeConfig{
+		Seed: seed, Vessels: 20, Duration: time.Hour,
+		Rendezvous: 3, Loiterers: 3, GapProb: 1e-9, OutlierProb: 1e-9,
+	})
+	// The heartbeat stays at 60 s so the pair analytics keep seeing
+	// both vessels.
+	threshold := func(distM float64) []model.Position {
+		return keep(sc.Positions, ThresholdConfig{DistM: distM, CourseDeg: 8, SpeedMS: 1, MaxGapMS: 60_000})
+	}
+	k25, k400 := threshold(25), threshold(400)
+	r25, r400 := Ratio(len(sc.Positions), len(k25)), Ratio(len(sc.Positions), len(k400))
+	if r25 < 1.5 || r400 <= r25 {
+		t.Errorf("seed %d: ratio %.2f at 25 m, %.2f at 400 m; want ≥ 1.5 and growing", seed, r25, r400)
+	}
+	all := groupByEntity(sc.Positions)
+	if e25, e400 := meanSED(all, groupByEntity(k25)), meanSED(all, groupByEntity(k400)); e400 <= e25 {
+		t.Errorf("seed %d: mean SED %.1f m at 25 m, %.1f m at 400 m; want it to grow", seed, e25, e400)
+	}
+	base, f50 := cerF1(sc, sc.Positions), cerF1(sc, threshold(50))
+	t.Logf("seed %d: ratio %.2f..%.2f, CER F1 %.2f raw, %.2f at 50 m", seed, r25, r400, base, f50)
+	if base < 0.9 || f50 < base-0.15 {
+		t.Errorf("seed %d: CER F1 %.2f raw, %.2f at 50 m; want ≥ 0.9 and within 0.15", seed, base, f50)
+	}
+}
+
+func BenchmarkThresholdFilter(b *testing.B) {
+	f := NewThresholdFilter(DefaultThreshold())
+	pts := straightLine("V", 1000, 10, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Keep(pts[i%len(pts)])
 	}
 }

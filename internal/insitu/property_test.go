@@ -1,6 +1,6 @@
 package insitu
 
-// Property-based tests of the compression algorithms' formal guarantees.
+// Property-based tests of the threshold filter.
 
 import (
 	"math/rand"
@@ -30,78 +30,6 @@ func randomTrack(seed int64, n int) []model.Position {
 		pt = geo.Destination(pt, course, speed*10)
 	}
 	return pts
-}
-
-// isSubsequence verifies compressed points appear in the original in order.
-func isSubsequence(orig, sub []model.Position) bool {
-	j := 0
-	for i := 0; i < len(orig) && j < len(sub); i++ {
-		if orig[i].TS == sub[j].TS && orig[i].Pt == sub[j].Pt {
-			j++
-		}
-	}
-	return j == len(sub)
-}
-
-func TestDouglasPeuckerGuarantees(t *testing.T) {
-	const eps = 100.0
-	for seed := int64(0); seed < 20; seed++ {
-		orig := randomTrack(seed, 200)
-		out := DouglasPeucker(orig, eps)
-		// Endpoints preserved.
-		if out[0].TS != orig[0].TS || out[len(out)-1].TS != orig[len(orig)-1].TS {
-			t.Fatalf("seed %d: endpoints lost", seed)
-		}
-		// Output is an ordered subsequence of the input.
-		if !isSubsequence(orig, out) {
-			t.Fatalf("seed %d: output is not a subsequence", seed)
-		}
-		// Formal guarantee: every original point lies within eps of the
-		// kept polyline (geometric deviation bound).
-		for _, p := range orig {
-			min := 1e18
-			for i := 1; i < len(out); i++ {
-				if d := geo.SegmentDist(p.Pt, out[i-1].Pt, out[i].Pt); d < min {
-					min = d
-				}
-			}
-			if min > eps+1 { // 1m numerical slack
-				t.Fatalf("seed %d: point deviates %.1fm > eps", seed, min)
-			}
-		}
-	}
-}
-
-func TestTDTRGuarantees(t *testing.T) {
-	const eps = 100.0
-	for seed := int64(20); seed < 40; seed++ {
-		orig := randomTrack(seed, 200)
-		out := TDTR(orig, eps)
-		if !isSubsequence(orig, out) {
-			t.Fatalf("seed %d: output is not a subsequence", seed)
-		}
-		// Formal guarantee: the synchronised Euclidean deviation at every
-		// original timestamp is at most eps.
-		stats := CompressionError(orig, out)
-		if stats.MaxM > eps+1 {
-			t.Fatalf("seed %d: max SED %.1fm > eps", seed, stats.MaxM)
-		}
-	}
-}
-
-func TestSQUISHNeverExceedsCapacityProperty(t *testing.T) {
-	for seed := int64(40); seed < 50; seed++ {
-		orig := randomTrack(seed, 300)
-		for _, capacity := range []int{2, 5, 20, 100} {
-			out := CompressSQUISH(orig, capacity)
-			if len(out) > capacity {
-				t.Fatalf("seed %d cap %d: kept %d", seed, capacity, len(out))
-			}
-			if !isSubsequence(orig, out) {
-				t.Fatalf("seed %d: not a subsequence", seed)
-			}
-		}
-	}
 }
 
 func TestThresholdFilterMonotoneInThreshold(t *testing.T) {

@@ -87,24 +87,6 @@ func mkTraj(ts ...int64) *Trajectory {
 	return tr
 }
 
-func TestTrajectorySortDedup(t *testing.T) {
-	tr := mkTraj(300, 100, 200, 100)
-	tr.Sort()
-	for i := 1; i < tr.Len(); i++ {
-		if tr.Points[i].TS < tr.Points[i-1].TS {
-			t.Fatal("not sorted")
-		}
-	}
-	tr.Dedup()
-	if tr.Len() != 3 {
-		t.Errorf("Dedup left %d points, want 3", tr.Len())
-	}
-	// Dedup keeps first occurrence: the point with TS=100 that sorted first.
-	empty := &Trajectory{}
-	empty.Sort()
-	empty.Dedup() // must not panic
-}
-
 func TestTrajectoryAt(t *testing.T) {
 	tr := &Trajectory{EntityID: "V1", Points: []Position{
 		{TS: 0, Pt: geo.Pt(20, 37), SpeedMS: 5, CourseDeg: 90},
@@ -194,20 +176,6 @@ func TestTrajectoryResample(t *testing.T) {
 	}
 	if tr.Resample(0).Len() != 0 {
 		t.Error("non-positive step should yield empty")
-	}
-}
-
-func TestGroupByEntity(t *testing.T) {
-	positions := []Position{
-		{EntityID: "A", TS: 2000}, {EntityID: "B", TS: 500}, {EntityID: "A", TS: 1000},
-	}
-	m := GroupByEntity(positions)
-	if len(m) != 2 {
-		t.Fatalf("got %d entities", len(m))
-	}
-	a := m["A"]
-	if a.Len() != 2 || a.Points[0].TS != 1000 {
-		t.Errorf("A not sorted: %v", a.Points)
 	}
 }
 

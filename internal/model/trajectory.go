@@ -8,7 +8,7 @@ import (
 )
 
 // Trajectory is the time-ordered sequence of positions of one entity.
-// Methods never mutate the receiver unless the name says so (Sort, Dedup).
+// Methods never mutate the receiver.
 type Trajectory struct {
 	EntityID string
 	Domain   Domain
@@ -17,27 +17,6 @@ type Trajectory struct {
 
 // Len returns the number of points.
 func (t *Trajectory) Len() int { return len(t.Points) }
-
-// Sort orders points by timestamp (stable, so equal-timestamp duplicates
-// keep their arrival order for Dedup).
-func (t *Trajectory) Sort() {
-	sort.SliceStable(t.Points, func(i, j int) bool { return t.Points[i].TS < t.Points[j].TS })
-}
-
-// Dedup removes points with duplicate timestamps, keeping the first of each
-// run. The trajectory must already be sorted.
-func (t *Trajectory) Dedup() {
-	if len(t.Points) < 2 {
-		return
-	}
-	out := t.Points[:1]
-	for _, p := range t.Points[1:] {
-		if p.TS != out[len(out)-1].TS {
-			out = append(out, p)
-		}
-	}
-	t.Points = out
-}
 
 // Start returns the first timestamp, or 0 when empty.
 func (t *Trajectory) Start() int64 {
@@ -135,24 +114,6 @@ func (t *Trajectory) Resample(step time.Duration) *Trajectory {
 	for ts := t.Start(); ts <= t.End(); ts += stepMS {
 		p, _ := t.At(ts)
 		out.Points = append(out.Points, p)
-	}
-	return out
-}
-
-// GroupByEntity splits a flat position slice into per-entity trajectories,
-// sorted by time. The input order is not assumed.
-func GroupByEntity(positions []Position) map[string]*Trajectory {
-	out := make(map[string]*Trajectory)
-	for _, p := range positions {
-		tr, ok := out[p.EntityID]
-		if !ok {
-			tr = &Trajectory{EntityID: p.EntityID, Domain: p.Domain}
-			out[p.EntityID] = tr
-		}
-		tr.Points = append(tr.Points, p)
-	}
-	for _, tr := range out {
-		tr.Sort()
 	}
 	return out
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// maxLatencySamples bounds the histogram's reservoir. Batch experiments
+// maxLatencySamples bounds the histogram's reservoir. Batch runs
 // (≤ millions of samples) fit comfortably; the long-running serving daemon
 // observes on every ingested line, so memory must not grow with uptime.
 const maxLatencySamples = 1 << 16

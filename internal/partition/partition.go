@@ -1,7 +1,8 @@
 // Package partition implements the "sophisticated RDF partitioning
 // algorithms" (datAcron §2) that decide which shard of the parallel RDF
 // store holds each spatiotemporally-anchored graph fragment. Four
-// strategies are provided and compared in experiment E3:
+// strategies are provided, compared by TestPartitionersOnSyntheticWorld
+// (claim E3, DESIGN.md §4):
 //
 //   - Hash: uniform balance, but a range query must visit every shard.
 //   - Grid: round-robin assignment of grid cells; prunes by bounding box.
@@ -239,32 +240,4 @@ func (t *Temporal) Candidates(_ geo.BBox, fromTS, toTS int64) []int {
 		out = append(out, s)
 	}
 	return out
-}
-
-// BalanceFactor summarises load balance: max shard load over mean load
-// (1.0 = perfect). Empty counts return 0.
-func BalanceFactor(counts []int) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var sum, max int
-	for _, c := range counts {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(counts))
-	return float64(max) / mean
-}
-
-// PruningRate is the fraction of shards skipped for a query: 1 - visited/n.
-func PruningRate(visited, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return 1 - float64(visited)/float64(n)
 }

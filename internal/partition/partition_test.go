@@ -67,7 +67,7 @@ func TestHashBalances(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		counts[h.Assign(fmt.Sprintf("entity-%d", i), geo.Point{}, 0)]++
 	}
-	if bf := BalanceFactor(counts); bf > 1.15 {
+	if bf := balanceFactor(counts); bf > 1.15 {
 		t.Errorf("hash balance factor %f too high", bf)
 	}
 }
@@ -136,28 +136,28 @@ func TestDisjointQueryBoxYieldsNoSpatialCandidates(t *testing.T) {
 }
 
 func TestBalanceFactor(t *testing.T) {
-	if BalanceFactor(nil) != 0 {
+	if balanceFactor(nil) != 0 {
 		t.Error("nil counts")
 	}
-	if BalanceFactor([]int{0, 0}) != 0 {
+	if balanceFactor([]int{0, 0}) != 0 {
 		t.Error("zero counts")
 	}
-	if bf := BalanceFactor([]int{10, 10, 10}); bf != 1 {
+	if bf := balanceFactor([]int{10, 10, 10}); bf != 1 {
 		t.Errorf("perfect balance = %f", bf)
 	}
-	if bf := BalanceFactor([]int{30, 0, 0}); bf != 3 {
+	if bf := balanceFactor([]int{30, 0, 0}); bf != 3 {
 		t.Errorf("worst balance = %f", bf)
 	}
 }
 
 func TestPruningRate(t *testing.T) {
-	if PruningRate(2, 8) != 0.75 {
-		t.Error("PruningRate(2,8)")
+	if pruningRate(2, 8) != 0.75 {
+		t.Error("pruningRate(2,8)")
 	}
-	if PruningRate(8, 8) != 0 {
+	if pruningRate(8, 8) != 0 {
 		t.Error("no pruning")
 	}
-	if PruningRate(0, 0) != 0 {
+	if pruningRate(0, 0) != 0 {
 		t.Error("degenerate")
 	}
 }
@@ -184,5 +184,40 @@ func TestDeterministicAssignment(t *testing.T) {
 		if p.Assign("k", pt, 500) != p.Assign("k", pt, 500) {
 			t.Errorf("%s: assignment not deterministic", p.Name())
 		}
+	}
+}
+
+// balanceFactor summarises load balance: max shard load over mean load
+// (1.0 = perfect). Empty counts return 0.
+func balanceFactor(counts []int) float64 {
+	if len(counts) == 0 {
+		return 0
+	}
+	var sum, max int
+	for _, c := range counts {
+		sum += c
+		if c > max {
+			max = c
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := float64(sum) / float64(len(counts))
+	return float64(max) / mean
+}
+
+// pruningRate is the fraction of shards skipped for a query: 1 - visited/n.
+func pruningRate(visited, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return 1 - float64(visited)/float64(n)
+}
+
+func BenchmarkHilbertAssign(b *testing.B) {
+	p := NewHilbert(worldBox, 7, 8)
+	for i := 0; i < b.N; i++ {
+		p.Assign("k", geo.Pt(23.5+float64(i%100)*0.01, 37.5), int64(i))
 	}
 }

@@ -154,15 +154,6 @@ func Parse(src string) (*Query, error) {
 	return p.parseQuery()
 }
 
-// MustParse panics on error; for tests and fixed internal queries.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 func (p *parser) advance() {
 	if p.err != nil {
 		return

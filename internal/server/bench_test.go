@@ -133,8 +133,8 @@ func BenchmarkServerIngestBinary(b *testing.B) {
 // BenchmarkServerIngestTraced is the serving path with sampled stage
 // tracing at the default 1:64 rate — the daemon's out-of-the-box
 // configuration. The acceptance bar for the observability layer is < 5%
-// regression against BenchmarkServerIngest (E15 measures the same pair
-// through the ingestor directly).
+// regression against BenchmarkServerIngest: this pair is where the bar is
+// read.
 func BenchmarkServerIngestTraced(b *testing.B) {
 	batches := benchBatches(b)
 	p := core.New(core.Config{

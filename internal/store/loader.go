@@ -1,8 +1,6 @@
 package store
 
 import (
-	"cmp"
-
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/onto"
 )
@@ -25,12 +23,4 @@ func (s *Sharded) AddEntity(e model.Entity) error {
 func (s *Sharded) AddEvent(ev model.Event) error {
 	node := onto.EventIRI(ev.Type, ev.Entity, ev.StartTS)
 	return s.AddAnchored(node.Value, ev.Where, ev.StartTS, node, onto.EventTriples(ev))
-}
-
-// LoadPositions bulk-loads position reports, returning the first error.
-func (s *Sharded) LoadPositions(ps []model.Position) (err error) {
-	for _, p := range ps {
-		err = cmp.Or(err, s.AddPositionRecord(p))
-	}
-	return err
 }

@@ -137,7 +137,7 @@ func (s *Sharded) Len() int {
 }
 
 // ShardLoads returns the number of anchored fragments per shard (all
-// tiers), the load measure used by E3's balance metric.
+// tiers).
 func (s *Sharded) ShardLoads() []int {
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
@@ -239,7 +239,7 @@ type RangeResult struct {
 
 // RangeQuery returns the anchored nodes within box and [fromTS, toTS],
 // evaluating candidate shards in parallel. visited reports how many shards
-// were consulted (the pruning measure of E3).
+// were consulted.
 func (s *Sharded) RangeQuery(box geo.BBox, fromTS, toTS int64) (results []RangeResult, visited int) {
 	results, visited, _ = s.RangeQueryN(box, fromTS, toTS, 0)
 	return results, visited

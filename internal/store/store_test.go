@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -150,7 +151,8 @@ func TestShardLoadsAndBalance(t *testing.T) {
 	if total != 4000 {
 		t.Errorf("total anchors = %d", total)
 	}
-	if bf := partition.BalanceFactor(loads); bf > 1.5 {
+	// Balance: the fullest shard holds at most 1.5× the mean load.
+	if bf := float64(slices.Max(loads)) * float64(len(loads)) / float64(total); bf > 1.5 {
 		t.Errorf("hash balance factor = %f", bf)
 	}
 }
@@ -224,12 +226,46 @@ func TestLoadScenarioEndToEnd(t *testing.T) {
 	for _, e := range sc.Entities {
 		s.AddEntity(e)
 	}
-	s.LoadPositions(sc.Positions)
+	for _, p := range sc.Positions {
+		if err := s.AddPositionRecord(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if s.Len() == 0 {
 		t.Fatal("nothing loaded")
 	}
 	results, _ := s.RangeQuery(sc.Box, 0, 1<<60)
 	if len(results) != len(sc.Positions) {
 		t.Errorf("anchors = %d, want %d", len(results), len(sc.Positions))
+	}
+}
+
+// benchPosition is the i-th report of a 500-vessel grid sweep.
+func benchPosition(i int) model.Position {
+	return model.Position{
+		EntityID: fmt.Sprintf("V%d", i%500), TS: int64(i) * 1000,
+		Pt:      geo.Pt(22.5+float64(i%700)*0.005, 35.0+float64(i%600)*0.005),
+		SpeedMS: 8, CourseDeg: 90,
+	}
+}
+
+func BenchmarkStoreInsertPosition(b *testing.B) {
+	s := NewSharded(partition.NewHilbert(box, 7, 8), box)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AddPositionRecord(benchPosition(i))
+	}
+}
+
+func BenchmarkRangeQuery(b *testing.B) {
+	s := NewSharded(partition.NewHilbert(box, 7, 8), box)
+	for i := 0; i < 50_000; i++ {
+		s.AddPositionRecord(benchPosition(i))
+	}
+	q := geo.NewBBox(24, 36, 24.5, 36.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RangeQuery(q, 0, 1<<60)
 	}
 }

@@ -11,7 +11,7 @@
 // The Detector is a deterministic per-entity state machine: feed it the
 // entity's gated reports in stream order and it emits zero or more
 // CriticalPoints per report. Determinism matters beyond reproducible
-// experiments — the durability protocol replays the WAL tail through the
+// tests — the durability protocol replays the WAL tail through the
 // same detector states, so a recovered synopsis must equal the
 // uninterrupted one bit for bit.
 package synopses
@@ -271,18 +271,4 @@ func (d *Detector) Observe(p model.Position, out []CriticalPoint) []CriticalPoin
 
 	d.st.Last = p
 	return out
-}
-
-// Reconstruct rebuilds an approximate trajectory from a synopsis: the
-// critical points in time order, deduplicated, as a model.Trajectory whose
-// At() interpolation stands in for the dropped raw points. This is the
-// fidelity half of the compression/quality trade-off E14 measures.
-func Reconstruct(entity string, domain model.Domain, points []CriticalPoint) *model.Trajectory {
-	tr := &model.Trajectory{EntityID: entity, Domain: domain}
-	for _, cp := range points {
-		tr.Points = append(tr.Points, cp.Pos)
-	}
-	tr.Sort()
-	tr.Dedup()
-	return tr
 }

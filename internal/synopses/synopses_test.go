@@ -272,20 +272,6 @@ func TestOutOfOrderAndDuplicateTimestamps(t *testing.T) {
 	}
 }
 
-// TestReconstruct: critical points in arbitrary order rebuild a sorted,
-// deduplicated trajectory.
-func TestReconstruct(t *testing.T) {
-	cps := []CriticalPoint{
-		{Kind: Turn, Pos: model.Position{EntityID: "V", TS: 3000, Pt: geo.Pt(24.1, 37.5)}},
-		{Kind: Stop, Pos: model.Position{EntityID: "V", TS: 1000, Pt: geo.Pt(24.0, 37.5)}},
-		{Kind: SpeedChange, Pos: model.Position{EntityID: "V", TS: 3000, Pt: geo.Pt(24.1, 37.5)}},
-	}
-	tr := Reconstruct("V", model.Maritime, cps)
-	if tr.Len() != 2 || tr.Points[0].TS != 1000 || tr.Points[1].TS != 3000 {
-		t.Fatalf("reconstructed %d points: %+v", tr.Len(), tr.Points)
-	}
-}
-
 // TestConfigDefaults: zero fields fall back per domain; explicit overrides
 // survive.
 func TestConfigDefaults(t *testing.T) {

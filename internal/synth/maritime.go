@@ -295,7 +295,7 @@ func buildMaritimeScripts(cfg MaritimeConfig, r rng, sc *Scenario) []vesselScrip
 			// pair follows the same S-curved corridor (as real lanes bend
 			// around islands) with a small per-vessel jitter. This shared
 			// structure is what the route-network forecaster learns from
-			// archival data (experiment E6).
+			// archival data (claim E6, DESIGN.md §4).
 			wps := slices.Clone(laneTable()[[2]string{prev.Name, to.Name}])
 			for i := range wps {
 				wps[i] = r.jitterPoint(wps[i], 1200)

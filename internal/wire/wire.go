@@ -1,7 +1,7 @@
 // Package wire implements the length-prefixed binary batch frame that
 // POST /ingest accepts alongside the newline-delimited text format — the
 // compact batch wire format the datAcron edge/cloud split presumes: edge
-// agents (and the datacron-bench driver) frame many timestamped wire lines
+// agents (and the benchmark driver under bench/) frame many timestamped wire lines
 // into one CRC-checked, varint-delta-coded blob, and the serving daemon
 // decodes it without a single per-record allocation.
 //
