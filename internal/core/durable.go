@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -172,11 +173,40 @@ type pipelineState struct {
 	// Forecast carries the online forecasting hub (nil when the pipeline
 	// runs without it; a snapshot with forecast state restored into a
 	// pipeline without a hub is silently ignored, and vice versa — the WAL
-	// tail replay then rebuilds what it can).
+	// tail replay then rebuilds what it can). A snapshot writes it from the
+	// hub itself (writeState), so the hub's state is never copied whole.
 	Forecast *forecastHubState `json:"forecast,omitempty"`
 	// Synopses carries the trajectory-synopses hub, with the same
 	// nil-tolerant semantics as Forecast.
 	Synopses *synopsisHubState `json:"synopses,omitempty"`
+}
+
+// exportState captures the state of the quiescent pipeline but its forecast
+// hub, which writeState writes from the hub itself.
+func (p *Pipeline) exportState() pipelineState {
+	fs, applied := p.exportGroups()
+	st := pipelineState{
+		Counters: p.Stats.Snapshot(),
+		Front:    fs,
+		Density:  append([]float64(nil), p.Density.Counts...),
+		Applied:  applied,
+	}
+	p.entityMu.Lock()
+	st.Entities = make([]string, 0, len(p.entities))
+	for id := range p.entities {
+		st.Entities = append(st.Entities, id)
+	}
+	p.entityMu.Unlock()
+	slices.Sort(st.Entities)
+	if p.Suite != nil {
+		ss := p.Suite.ExportState()
+		st.Suite = &ss
+	}
+	if p.SynopsisHub != nil {
+		ss := p.SynopsisHub.exportState()
+		st.Synopses = &ss
+	}
+	return st
 }
 
 // SnapshotInfo describes a completed snapshot.
@@ -229,7 +259,6 @@ func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (S
 		}
 		ing.snapGate.Unlock()
 	}
-	fs, applied := p.exportGroups()
 
 	// Serialise everything under the barrier, then release before the
 	// rename (the files are final; only the directory swap remains).
@@ -240,32 +269,8 @@ func (p *Pipeline) WriteSnapshot(dataDir string, ing *Ingestor, log *wal.Log) (S
 		if err != nil {
 			return err
 		}
-		st := pipelineState{
-			Counters: p.Stats.Snapshot(),
-			Front:    fs,
-			Density:  append([]float64(nil), p.Density.Counts...),
-			Applied:  applied,
-		}
-		p.entityMu.Lock()
-		st.Entities = make([]string, 0, len(p.entities))
-		for id := range p.entities {
-			st.Entities = append(st.Entities, id)
-		}
-		p.entityMu.Unlock()
-		slices.Sort(st.Entities)
-		if p.Suite != nil {
-			ss := p.Suite.ExportState()
-			st.Suite = &ss
-		}
-		if p.ForecastHub != nil {
-			fs := p.ForecastHub.exportState()
-			st.Forecast = &fs
-		}
-		if p.SynopsisHub != nil {
-			ss := p.SynopsisHub.exportState()
-			st.Synopses = &ss
-		}
-		if err := writeJSON(filepath.Join(tmp, "state.json"), st); err != nil {
+		st := p.exportState()
+		if err := writeState(filepath.Join(tmp, "state.json"), &st, p.ForecastHub); err != nil {
 			return err
 		}
 		return writeJSON(filepath.Join(tmp, "MANIFEST.json"), manifest{
@@ -430,6 +435,86 @@ func writeJSON(path string, v any) error {
 		err = cerr
 	}
 	return err
+}
+
+// writeState writes st to path as json.NewEncoder(f).Encode(st) would,
+// with the forecast section, which st leaves out, written by hub (nil for
+// none): a field at a time through one buffered writer, so that no buffer
+// holds more than one section, and the bulk of the file, the KNN
+// trajectories, one trajectory.
+func writeState(path string, st *pipelineState, hub *ForecastHub) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	s := &jsonStream{w: bufio.NewWriterSize(f, 64<<10)}
+	s.begin()
+	s.field("counters", st.Counters)
+	s.field("entities", st.Entities)
+	s.field("front", st.Front)
+	if st.Suite != nil {
+		s.field("suite", st.Suite)
+	}
+	s.field("density", st.Density)
+	s.field("applied", st.Applied)
+	if hub != nil {
+		s.key("forecast")
+		hub.writeState(s)
+	}
+	if st.Synopses != nil {
+		s.field("synopses", st.Synopses)
+	}
+	s.end()
+	s.w.WriteByte('\n')
+	s.fail(s.w.Flush())
+	s.fail(f.Close())
+	return s.err
+}
+
+// jsonStream writes JSON objects as encoding/json writes structs — fields
+// in order, no whitespace — a field at a time. Write errors stick to w;
+// err keeps the first other one.
+type jsonStream struct {
+	w     *bufio.Writer
+	comma bool // the open object has a field already
+	err   error
+}
+
+// begin opens an object.
+func (s *jsonStream) begin() {
+	s.w.WriteByte('{')
+	s.comma = false
+}
+
+// end closes the open object.
+func (s *jsonStream) end() {
+	s.w.WriteByte('}')
+	s.comma = true
+}
+
+// key starts a field; its value is written next.
+func (s *jsonStream) key(name string) {
+	if s.comma {
+		s.w.WriteByte(',')
+	}
+	s.comma = true
+	s.w.WriteByte('"')
+	s.w.WriteString(name) // a Go identifier's JSON tag: nothing to escape
+	s.w.WriteString(`":`)
+}
+
+// field writes a field with v's encoding/json encoding.
+func (s *jsonStream) field(name string, v any) {
+	s.key(name)
+	data, err := json.Marshal(v)
+	s.fail(err)
+	s.w.Write(data)
+}
+
+func (s *jsonStream) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
 }
 
 // readJSON reads path into v.

@@ -431,28 +431,36 @@ type entityTrackState struct {
 	RunLen  int                   `json:"runLen"`
 }
 
-// exportState captures the hub under the snapshot barrier (callers hold the
-// barrier; the hub lock still guards against concurrent HTTP reads).
-func (h *ForecastHub) exportState() forecastHubState {
+// writeState writes the hub's forecastHubState as encoding/json encodes
+// it, the KNN trajectories streamed one at a time. Callers hold the
+// snapshot barrier; the hub lock still guards against concurrent HTTP reads.
+func (h *ForecastHub) writeState(s *jsonStream) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	st := forecastHubState{
-		Tracks:   make(map[string]entityTrackState, len(h.tracks)),
-		Route:    h.route.ExportState(),
-		KNN:      h.knn.ExportState(),
-		Markov:   h.chain.ExportCounts(),
-		Observed: h.observed.Load(),
-	}
+	s.begin()
+	s.field("tracks", h.trackStates())
+	s.field("route", h.route.ExportState())
+	s.key("knn")
+	s.fail(h.knn.WriteState(s.w))
+	s.field("markov", h.chain.ExportCounts())
+	s.field("observed", h.observed.Load())
+	s.end()
+}
+
+// trackStates captures every entity's warm state; the caller holds the hub
+// lock.
+func (h *ForecastHub) trackStates() map[string]entityTrackState {
+	tracks := make(map[string]entityTrackState, len(h.tracks))
 	hist := make([]model.Position, 0, h.cfg.HistoryLen)
 	for id, t := range h.tracks {
 		hist = h.knn.Recent(id, h.cfg.HistoryLen, hist[:0])
-		st.Tracks[id] = entityTrackState{
+		tracks[id] = entityTrackState{
 			History: model.PackPositions(hist),
 			PrevSym: t.prevSym,
 			RunLen:  t.runLen,
 		}
 	}
-	return st
+	return tracks
 }
 
 // restoreState installs st (recovery path, before serving starts). State

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -430,6 +431,9 @@ func TestForecastReadsLastReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if streamed := hubStateJSON(t, h); !bytes.Equal(streamed, data) {
+		t.Fatalf("the streamed hub state (%d bytes) differs from encoding/json's (%d bytes)", len(streamed), len(data))
+	}
 	var st forecastHubState
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
@@ -455,6 +459,32 @@ func TestForecastReadsLastReports(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Error("the route section changed across restore → export")
 	}
+}
+
+// exportState is the hub's forecastHubState as a value, the form a
+// snapshot reads and writeState streams.
+func (h *ForecastHub) exportState() forecastHubState {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return forecastHubState{
+		Tracks:   h.trackStates(),
+		Route:    h.route.ExportState(),
+		KNN:      h.knn.ExportState(),
+		Markov:   h.chain.ExportCounts(),
+		Observed: h.observed.Load(),
+	}
+}
+
+// hubStateJSON returns what writeState writes for h.
+func hubStateJSON(t *testing.T, h *ForecastHub) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	s := &jsonStream{w: bufio.NewWriter(&buf)}
+	h.writeState(s)
+	if s.fail(s.w.Flush()); s.err != nil {
+		t.Fatal(s.err)
+	}
+	return buf.Bytes()
 }
 
 // TestForecastHistorySurvivesHalving: a KNN trajectory halves when it

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -265,7 +266,50 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	wrote := treeBytes(t, info.Dir)
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("snapshot of %d lines: wrote %d bytes (%d a line), allocated %d", 12000, wrote, wrote/12000, allocated)
-	if allocated > 4*wrote {
-		t.Errorf("one snapshot allocated %d bytes to write %d: over 4×", allocated, wrote)
+	if allocated > 2*wrote {
+		t.Errorf("one snapshot allocated %d bytes to write %d: over 2×", allocated, wrote)
+	}
+}
+
+// TestStateJSONIsStreamedByteForByte: writeState streams state.json a
+// section at a time; the file is byte for byte what encoding/json writes
+// for the same pipelineState — on an empty pipeline, on the sparse world
+// (forecast and synopses hubs, CER) and on a maritime world whose CER
+// suite holds loitering and gap state.
+func TestStateJSONIsStreamedByteForByte(t *testing.T) {
+	sparse, _, _, _ := sparseWorld(t, 3000)
+	sc := durableWorld(t)
+	withCER := New(fullConfig)
+	withCER.InstallAreas(sc.Areas)
+	withCER.InstallEntities(sc.Entities)
+	ing := withCER.NewIngestor(IngestorConfig{Workers: 2})
+	feed(t, ing, nil, sc.WireTimed)
+	ing.Close()
+	for name, p := range map[string]*Pipeline{"empty": New(fullConfig), "sparse": sparse, "maritime with CER": withCER} {
+		st := p.exportState()
+		path := filepath.Join(t.TempDir(), "state.json")
+		if err := writeState(path, &st, p.ForecastHub); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := p.ForecastHub.exportState()
+		st.Forecast = &fs
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			i := 0
+			for i < min(len(got), want.Len()) && got[i] == want.Bytes()[i] {
+				i++
+			}
+			t.Errorf("%s: streamed state.json (%d bytes) departs from encoding/json's (%d bytes) at byte %d: %.40q", name, len(got), want.Len(), i, got[i:])
+		}
+		if name != "empty" && (st.Suite == nil || len(fs.KNN.Trajectories) == 0 || len(st.Synopses.Entities) == 0) {
+			t.Errorf("%s: the world leaves a section empty", name)
+		}
 	}
 }

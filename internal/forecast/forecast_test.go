@@ -1,6 +1,9 @@
 package forecast
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -636,6 +639,49 @@ func TestRouteRestoreSkipsUntrainedEntries(t *testing.T) {
 	if got := rn.TrainedCells(); got != 2 {
 		t.Errorf("TrainedCells = %d, want 2", got)
 	}
+}
+
+// TestKNNWriteStateIsEncodingJSON: WriteState streams the trajectories one
+// at a time; its bytes are encoding/json's of ExportState, for a model
+// with none, and for an archival trajectory beside live ones in three
+// domains, and the bytes restore to the same state.
+func TestKNNWriteStateIsEncodingJSON(t *testing.T) {
+	box := geo.NewBBox(22, 34, 30, 42)
+	knn := NewHistoryKNN(box, 48, 48)
+	check := func(what string) {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := knn.WriteState(w); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		want, err := json.Marshal(knn.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: WriteState wrote\n%.200s\nencoding/json\n%.200s", what, buf.Bytes(), want)
+		}
+		var st HistoryKNNState
+		back := NewHistoryKNN(box, 1, 1)
+		if err := json.Unmarshal(buf.Bytes(), &st); err != nil || back.RestoreState(st) != nil {
+			t.Fatalf("%s: the bytes do not restore: %v", what, err)
+		}
+		if !reflect.DeepEqual(back.ExportState(), knn.ExportState()) {
+			t.Fatalf("%s: the restored model exports another state", what)
+		}
+	}
+	check("empty")
+	knn.Train(&model.Trajectory{EntityID: "archive", Points: turning(300, 10, 8, 0.05)})
+	for i := 0; i < 200; i++ {
+		for e, d := range []model.Domain{model.Maritime, model.Aviation, model.Maritime} {
+			knn.Observe(model.Position{
+				EntityID: fmt.Sprint("E", e), Domain: d, TS: int64(i) * 10_000, CourseDeg: 90,
+				Pt: geo.Point{Lon: 24 + 0.004*float64(i) + 0.02*float64(e), Lat: 37, Alt: float64(e * i)}, SpeedMS: float64(e + 1),
+			}, 64)
+		}
+	}
+	check("archive and live")
 }
 
 // TestKNNAtMatchesTrajectoryAt: a replayed future is interpolated over

@@ -65,6 +65,14 @@ func (t *knnTraj) position(i int) model.Position {
 	}
 }
 
+// positions appends the trajectory's points to dst as positions.
+func (t *knnTraj) positions(dst []model.Position) []model.Position {
+	for i := range t.pts {
+		dst = append(dst, t.position(i))
+	}
+	return dst
+}
+
 // end is the last timestamp; the trajectory is not empty.
 func (t *knnTraj) end() int64 { return t.pts[len(t.pts)-1].TS }
 

@@ -1,6 +1,9 @@
 package forecast
 
 import (
+	"bufio"
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 
 	"github.com/datacron-project/datacron/internal/geo"
@@ -243,25 +246,53 @@ type HistoryKNNState struct {
 	Trajectories     []model.PackedPositions `json:"trajectories"`
 }
 
-// ExportState captures the indexed trajectories, each packed through one
-// reused position buffer: the state of a long-running hub is millions of
-// points, and is exported while ingest waits.
+// ExportState captures the indexed trajectories, the whole state in memory.
+// A snapshot streams it with WriteState instead.
 func (k *HistoryKNN) ExportState() HistoryKNNState {
-	st := HistoryKNNState{
-		Box: k.grid.Box, Cols: k.grid.Cols, Rows: k.grid.Rows,
-		MaxCourseDiffDeg: k.MaxCourseDiffDeg,
-		Trajectories:     make([]model.PackedPositions, 0, len(k.trajs)),
-	}
+	st := k.stateHead()
+	st.Trajectories = make([]model.PackedPositions, 0, len(k.trajs))
 	var buf []model.Position
 	for ti := range k.trajs {
-		tr := &k.trajs[ti]
-		buf = buf[:0]
-		for i := range tr.pts {
-			buf = append(buf, tr.position(i))
-		}
+		buf = k.trajs[ti].positions(buf[:0])
 		st.Trajectories = append(st.Trajectories, model.PackPositions(buf))
 	}
 	return st
+}
+
+// stateHead is the state with an empty list of trajectories.
+func (k *HistoryKNN) stateHead() HistoryKNNState {
+	return HistoryKNNState{
+		Box: k.grid.Box, Cols: k.grid.Cols, Rows: k.grid.Rows,
+		MaxCourseDiffDeg: k.MaxCourseDiffDeg,
+		Trajectories:     []model.PackedPositions{},
+	}
+}
+
+// WriteState writes ExportState's encoding/json bytes to w, packing the
+// trajectories one at a time through reused buffers: the state of a
+// long-running hub is millions of points, and is written while ingest
+// waits. Write errors stick to w, for its Flush to report.
+func (k *HistoryKNN) WriteState(w *bufio.Writer) error {
+	head, err := json.Marshal(k.stateHead())
+	if err != nil {
+		return err
+	}
+	// Trajectories is the last field, so head ends in its empty list: `[]}`.
+	w.Write(head[:len(head)-2])
+	var pts []model.Position
+	var packed, quoted []byte
+	for ti := range k.trajs {
+		pts = k.trajs[ti].positions(pts[:0])
+		packed = model.AppendPositions(packed[:0], pts)
+		quoted = quoted[:0]
+		if ti > 0 {
+			quoted = append(quoted, ',')
+		}
+		quoted = append(base64.StdEncoding.AppendEncode(append(quoted, '"'), packed), '"')
+		w.Write(quoted)
+	}
+	w.WriteString("]}")
+	return nil
 }
 
 // RestoreState replaces the model with st and rebuilds the index. A

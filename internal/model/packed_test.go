@@ -99,7 +99,12 @@ func TestPackedPositionsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedPositionsShareTheEntityAndStaySmall bounds a packed point's
+// bytes and a decode's allocations: the slice and the one entity string.
 func TestPackedPositionsShareTheEntityAndStaySmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
 	var pts []Position
 	for i := 0; i < 1000; i++ {
 		pts = append(pts, Position{

@@ -153,7 +153,7 @@ type joins struct{ merge, probe int }
 // match is width consecutive ids in a flat arena, 0 = unbound; two arenas
 // ping-pong between pattern steps, so a step allocates nothing per match.
 // What a pattern reads and binds depends only on those before it.
-func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, matches int, ran joins) {
+func (c *compiled) evalShard(tiers []rdf.Graph, dict rdf.TermTable) (out []rdf.ID, matches int, ran joins) {
 	if c.empty {
 		return nil, 0, ran
 	}
@@ -248,7 +248,7 @@ func (c *compiled) evalShard(tiers []rdf.Graph, dict []rdf.Term) (out []rdf.ID, 
 			kept := next[:0]
 			for i := 0; i < len(next); i += w {
 				for k, s := range sf.slots {
-					args[k] = dict[next[i+s]-1]
+					args[k] = dict.At(next[i+s])
 				}
 				if sf.f.Eval(args) {
 					kept = append(kept, next[i:i+w]...)

@@ -26,8 +26,8 @@ import (
 // len(ids) up they are aggregate results, kept as numbers until a surviving
 // row needs the term.
 type values struct {
-	dict []rdf.Term // rdf.Dictionary.Terms layout: dict[id-1]
-	ids  []rdf.ID   // 0 = unbound, the zero Term
+	dict rdf.TermTable
+	ids  []rdf.ID // 0 = unbound, the zero Term
 	cols []valueCol
 	aggs []aggValue
 }
@@ -62,18 +62,10 @@ func (v *values) addAgg(a aggValue) uint32 {
 	return uint32(len(v.ids) + len(v.aggs) - 1)
 }
 
-// termOf is Dictionary.Decode over the lock-free view; id 0 is the zero Term.
-func termOf(dict []rdf.Term, id rdf.ID) rdf.Term {
-	if id == 0 {
-		return rdf.Term{}
-	}
-	return dict[id-1]
-}
-
 // term materialises the value behind a cell.
 func (v *values) term(c uint32) rdf.Term {
 	if int(c) < len(v.ids) {
-		return termOf(v.dict, v.ids[c])
+		return v.dict.At(v.ids[c])
 	}
 	switch a := v.aggs[int(c)-len(v.ids)]; a.kind {
 	case 'l':
@@ -107,7 +99,7 @@ func (v *values) numbers(col *valueCol) []parsed {
 	if col.nums == nil {
 		col.nums = make([]parsed, col.to-col.from)
 		for i, id := range v.ids[col.from:col.to] {
-			col.nums[i].f, col.nums[i].ok = termOf(v.dict, id).Float()
+			col.nums[i].f, col.nums[i].ok = v.dict.At(id).Float()
 		}
 	}
 	return col.nums
@@ -181,14 +173,14 @@ func (v *values) compare(a, b uint32) int {
 // and returns each input id's position in the result. A radix sort orders
 // the 8-byte windows cut just past the prefix the column shares; only a run
 // of equal windows compares renderings, then ids.
-func rankTerms(dict []rdf.Term, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) {
+func rankTerms(dict rdf.TermTable, ids []rdf.ID) (sorted []rdf.ID, ranks []uint32) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
 	buf := make([]byte, 0, 64*len(ids)) // every rendering, back to back: one buffer, no string per value
 	end := make([]int, len(ids)+1)
 	for i, id := range ids {
-		buf = termOf(dict, id).AppendString(buf)
+		buf = dict.At(id).AppendString(buf)
 		end[i+1] = len(buf)
 	}
 	str := func(i uint32) []byte { return buf[end[i]:end[i+1]] }
@@ -331,8 +323,7 @@ func (r *relation) sortedBy(cols []int, rendered int) []int32 {
 // column holds a value that may render like another (not plain in
 // Dictionary.Terms, or unbound): such twins become the first one's cell.
 func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bool) relation {
-	dict, plain := d.Terms()
-	w := len(cols)
+	dict, w := d.Terms(), len(cols)
 	vals := &values{dict: dict, cols: make([]valueCol, w)}
 	rel := relation{cols: cols, n: min(n, 1), vals: vals}
 	if w == 0 {
@@ -349,7 +340,7 @@ func mergeIDs(cols []string, rows []rdf.ID, n int, d *rdf.Dictionary, ordered bo
 		for j, k := range keys {
 			if id := rdf.ID(k >> 32); j == 0 || id != last {
 				ids, last = append(ids, id), id
-				twin = twin || id == 0 || !plain[id-1]
+				twin = twin || id == 0 || !dict.Plain(id)
 			} else if col == 0 && slices.Equal(rows[int(uint32(k))*w+1:][:w-1], rows[prev+1:][:w-1]) {
 				continue // a repeat of the last row
 			}

@@ -176,9 +176,10 @@ func cellsOf(res *Result) [][]string {
 // ends before, inside or past the 8-byte window rankTerms keys on, and up to
 // eleven bytes from an alphabet of quotes, backslashes, newlines, NUL and
 // bytes that end a rendering. The ids are the terms in an order drawn from
-// the rest, now and then with 0, the unbound cell. Up to 96 terms: a column
-// under 48 values takes rdf.RadixSort's insertion sort, a longer one its passes.
-func rankInput(data []byte) (dict []rdf.Term, ids []rdf.ID) {
+// the rest, now and then with 0, the unbound cell; a term drawn twice is
+// one id. Up to 96 terms: a column under 48 values takes rdf.RadixSort's
+// insertion sort, a longer one its passes.
+func rankInput(data []byte) (dict rdf.TermTable, ids []rdf.ID) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -189,7 +190,8 @@ func rankInput(data []byte) (dict []rdf.Term, ids []rdf.ID) {
 	}
 	prefixes := []string{"", "x", "abcdefg", "abcdefgh", "abcdefghi", "http://example.org/shared/", `a"b\c`}
 	const alphabet = "ab\"\\\n\x00@^<>x\xff"
-	for len(data) > 0 && len(dict) < 96 {
+	d := rdf.NewDictionary()
+	for len(data) > 0 && d.Len() < 96 {
 		kind, prefix, size := next(), next(), next()
 		var value strings.Builder
 		value.WriteString(prefixes[prefix%len(prefixes)])
@@ -197,11 +199,13 @@ func rankInput(data []byte) (dict []rdf.Term, ids []rdf.ID) {
 			value.WriteByte(alphabet[next()%len(alphabet)])
 		}
 		v := value.String()
-		dict = append(dict, []rdf.Term{
+		id, _ := d.Encode([]rdf.Term{
 			rdf.NewIRI(v), rdf.NewBlank(v), rdf.NewLiteral(v), rdf.NewTyped(v, rdf.XSDString), rdf.NewTyped(v, rdf.XSDDouble),
 			{Kind: rdf.Literal, Value: v, Lang: "en"}, {Kind: rdf.Literal, Value: v, Lang: "en", Datatype: rdf.XSDLong},
 		}[kind%7])
-		ids = append(ids, rdf.ID(len(dict)))
+		if int(id) > len(ids) {
+			ids = append(ids, id)
+		}
 	}
 	for i := len(ids) - 1; i > 0; i-- {
 		j := next() % (i + 1)
@@ -210,7 +214,7 @@ func rankInput(data []byte) (dict []rdf.Term, ids []rdf.ID) {
 	if next()%5 == 1 {
 		ids = append(ids, 0)
 	}
-	return dict, ids
+	return d.Terms(), ids
 }
 
 // FuzzRankTerms holds rankTerms — a radix sort of 8-byte windows past the
@@ -237,7 +241,7 @@ func FuzzRankTerms(f *testing.F) {
 		for i := range order {
 			order[i] = i
 		}
-		render := func(i int) string { return termOf(dict, ids[i]).String() }
+		render := func(i int) string { return dict.At(ids[i]).String() }
 		slices.SortFunc(order, func(a, b int) int { return cmp.Or(strings.Compare(render(a), render(b)), cmp.Compare(ids[a], ids[b])) })
 		var wantSorted []rdf.ID
 		wantRanks := make([]uint32, len(ids))
@@ -248,7 +252,7 @@ func FuzzRankTerms(f *testing.F) {
 			wantRanks[o] = uint32(len(wantSorted) - 1)
 		}
 		if !slices.Equal(sorted, wantSorted) || !slices.Equal(ranks, wantRanks) {
-			t.Fatalf("rankTerms over %q:\n got %v %v\nwant %v %v", dict, sorted, ranks, wantSorted, wantRanks)
+			t.Fatalf("rankTerms over %q:\n got %v %v\nwant %v %v", data, sorted, ranks, wantSorted, wantRanks)
 		}
 	})
 }

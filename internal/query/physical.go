@@ -176,8 +176,8 @@ func (e *Engine) scan(q *Query, ordered bool) (rel relation, shardsVisited int, 
 	var parts [][]rdf.ID
 	n := 0
 	e.st.EachShardView(candidates, cmp.Or(e.Parallelism, len(candidates)), func(i int, v *rdf.View) {
-		dict, _ := v.Dict().Terms() // one lock per shard evaluation, none per decoded cell
-		local, matches, shard := c.evalShard(v.Parts(), dict)
+		// One lock per shard evaluation, none per decoded cell.
+		local, matches, shard := c.evalShard(v.Parts(), v.Dict().Terms())
 		mu.Lock()
 		defer mu.Unlock()
 		parts = append(parts, local)

@@ -53,9 +53,9 @@ func specRun(e *Engine, q *Query) (*Result, error) {
 // slot is its first), the zero term while unbound.
 func specJoin(v *rdf.View, q *Query, vars []string) [][]rdf.Term {
 	var triples [][3]rdf.Term
-	dict, _ := v.Dict().Terms() // id i is dict[i-1]
+	dict := v.Dict().Terms()
 	v.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
-		triples = append(triples, [3]rdf.Term{dict[t.S-1], dict[t.P-1], dict[t.O-1]})
+		triples = append(triples, [3]rdf.Term{dict.At(t.S), dict.At(t.P), dict.At(t.O)})
 		return true
 	})
 	bindings := [][]rdf.Term{make([]rdf.Term, len(vars))}

@@ -7,14 +7,15 @@ import (
 )
 
 // TestDictionaryTermsIsAStableView pins what the query evaluator relies on:
-// the slice Terms returns decodes every id interned before the call, without
-// a lock, while other goroutines keep interning (run under -race).
+// the view Terms returns decodes every id interned before the call, without
+// a lock, while other goroutines keep interning (run under -race) — into the
+// chunk the view's last records sit in, and past it.
 func TestDictionaryTermsIsAStableView(t *testing.T) {
 	d := NewDictionary()
 	for i := 0; i < 100; i++ {
 		d.Encode(NewLong(int64(i)))
 	}
-	view, plain := d.Terms()
+	view := d.Terms()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -26,25 +27,24 @@ func TestDictionaryTermsIsAStableView(t *testing.T) {
 		}(w)
 	}
 	for round := 0; round < 50; round++ {
-		for i, term := range view {
-			if want := NewLong(int64(i)); term != want {
-				t.Fatalf("view[%d] = %v, want %v", i, term, want)
+		for id := ID(1); int(id) <= view.Len(); id++ {
+			if want := NewLong(int64(id - 1)); view.At(id) != want || !view.Plain(id) {
+				t.Fatalf("view.At(%d) = %v (plain %v), want %v", id, view.At(id), view.Plain(id), want)
 			}
 		}
 	}
 	wg.Wait()
-	if len(view) != 100 || d.Len() != 100+4*2000 {
-		t.Fatalf("view has %d terms, dictionary %d", len(view), d.Len())
+	if view.Len() != 100 || d.Len() != 100+4*2000 {
+		t.Fatalf("view has %d terms, dictionary %d", view.Len(), d.Len())
 	}
-	later, laterPlain := d.Terms()
-	for id := ID(1); int(id) <= len(later); id++ {
-		if want, _ := d.Decode(id); later[id-1] != want || laterPlain[id-1] != want.PlainRendering() {
-			t.Fatalf("Terms()[%d] = %v (plain %v), Decode = %v", id-1, later[id-1], laterPlain[id-1], want)
+	later := d.Terms()
+	for id := ID(1); int(id) <= later.Len(); id++ {
+		if want, _ := d.Decode(id); later.At(id) != want || later.Plain(id) != want.PlainRendering() {
+			t.Fatalf("Terms().At(%d) = %v (plain %v), Decode = %v", id, later.At(id), later.Plain(id), want)
 		}
 	}
-	// The views cannot be grown into the dictionary's own storage.
-	if cap(view) != len(view) || len(plain) != len(view) || cap(plain) != len(plain) {
-		t.Fatalf("view has spare capacity %d, flags %d of capacity %d", cap(view)-len(view), len(plain), cap(plain))
+	if later.At(Wildcard) != (Term{}) {
+		t.Fatalf("At(Wildcard) = %v, want the zero Term", later.At(Wildcard))
 	}
 }
 

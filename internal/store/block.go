@@ -151,17 +151,26 @@ func canonicalTerm(t rdf.Term) rdf.Term {
 	return t
 }
 
-// cmpTerm orders terms on the (kind, value, datatype, lang) of their
-// canonical spellings. Kind and value, which a canonical spelling keeps,
-// nearly always decide.
-func cmpTerm(a, b *rdf.Term) int {
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
+// termKey is a dictionary id beside the kind and value of its term, which a
+// canonical spelling keeps and which nearly always decide the term-table
+// order.
+type termKey struct {
+	id    rdf.ID
+	kind  rdf.Kind
+	value string
+}
+
+// cmpTerm orders the terms of a and b, ids of terms, on the (kind, value,
+// datatype, lang) of their canonical spellings. Only a tie on kind and
+// value reads the terms' datatypes and languages.
+func cmpTerm(terms *rdf.TermTable, a, b termKey) int {
+	if a.kind != b.kind {
+		return int(a.kind) - int(b.kind)
 	}
-	if c := strings.Compare(a.Value, b.Value); c != 0 {
+	if c := strings.Compare(a.value, b.value); c != 0 {
 		return c
 	}
-	ca, cb := canonicalTerm(*a), canonicalTerm(*b)
+	ca, cb := canonicalTerm(terms.At(a.id)), canonicalTerm(terms.At(b.id))
 	if c := strings.Compare(ca.Datatype, cb.Datatype); c != 0 {
 		return c
 	}
@@ -185,7 +194,8 @@ type blockWriter struct {
 	// local maps a dictionary id to 1 + its index in the block's term table.
 	// It is as long as the dictionary and all zero between blocks.
 	local []uint32
-	ids   []rdf.ID     // the block's distinct ids, then sorted into term-table order
+	ids   []rdf.ID     // the block's distinct ids
+	keys  []termKey    // the block's ids with their terms' sort keys, in term-table order
 	tri   []rdf.Triple // the block's triples, renumbered to term-table indexes
 	buf   []byte       // encoded bytes not yet handed to the writer
 	crc   uint32
@@ -208,9 +218,9 @@ func (w *blockWriter) emit(bw *bufio.Writer, force bool) {
 // segment's id, 0 for mutable tiers; histogram adds the per-predicate triple
 // counts a segment file records.
 func (w *blockWriter) writeBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entries []anchor, histogram bool) error {
-	terms, _ := w.dict.Terms()
-	if len(w.local) <= len(terms) {
-		w.local = make([]uint32, len(terms)+1)
+	terms := w.dict.Terms()
+	if len(w.local) <= terms.Len() {
+		w.local = make([]uint32, terms.Len()+1)
 	}
 	w.ids, w.tri = w.ids[:0], slices.Grow(w.tri[:0], g.Len())
 	defer func() { // leave local all zero for the next block
@@ -220,7 +230,7 @@ func (w *blockWriter) writeBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entri
 	}()
 	missing := -1 // an id the dictionary does not hold, if the tier has one
 	see := func(id rdf.ID) {
-		if id == 0 || int(id) > len(terms) {
+		if id == 0 || int(id) > terms.Len() {
 			missing = int(id)
 		} else if w.local[id] == 0 {
 			w.local[id] = 1
@@ -243,13 +253,18 @@ func (w *blockWriter) writeBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entri
 
 	// The term table: distinct canonical terms in order. Ids whose terms
 	// have one canonical spelling share an index.
-	slices.SortFunc(w.ids, func(a, b rdf.ID) int { return cmpTerm(&terms[a-1], &terms[b-1]) })
+	w.keys = w.keys[:0]
+	for _, id := range w.ids {
+		t := terms.At(id)
+		w.keys = append(w.keys, termKey{id, t.Kind, t.Value})
+	}
+	slices.SortFunc(w.keys, func(a, b termKey) int { return cmpTerm(&terms, a, b) })
 	nTerms := uint32(0)
-	for i, id := range w.ids {
-		if i == 0 || cmpTerm(&terms[id-1], &terms[w.ids[i-1]-1]) != 0 {
+	for i := range w.keys {
+		if i == 0 || cmpTerm(&terms, w.keys[i], w.keys[i-1]) != 0 {
 			nTerms++
 		}
-		w.local[id] = nTerms
+		w.local[w.keys[i].id] = nTerms
 	}
 	for i, t := range w.tri {
 		w.tri[i] = rdf.Triple{S: rdf.ID(w.local[t.S] - 1), P: rdf.ID(w.local[t.P] - 1), O: rdf.ID(w.local[t.O] - 1)}
@@ -279,9 +294,9 @@ func (w *blockWriter) writeBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entri
 		uint64(minTS), uint64(maxTS),
 		math.Float64bits(box.MinLon), math.Float64bits(box.MinLat), math.Float64bits(box.MaxLon), math.Float64bits(box.MaxLat),
 	})
-	for i, id := range w.ids {
-		if i == 0 || w.local[id] != w.local[w.ids[i-1]] {
-			t := canonicalTerm(terms[id-1])
+	for i, k := range w.keys {
+		if i == 0 || w.local[k.id] != w.local[w.keys[i-1].id] {
+			t := canonicalTerm(terms.At(k.id))
 			w.buf = appendRecord(w.buf, blockLayout.term, []uint64{uint64(t.Kind)}, t.Value, t.Datatype, t.Lang)
 			w.emit(bw, false)
 		}
