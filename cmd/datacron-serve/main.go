@@ -22,12 +22,11 @@
 //
 // Online trajectory synopses (-synopses, on by default) compress the gated
 // stream into per-entity critical points (stop, turn, speed change, gap
-// start/end — thresholds flag- and domain-configurable): GET /synopses/{id}
-// serves one entity's synopsis, GET /synopses/batch the fleet summary with
-// the raw-vs-critical compression statistics, and -synopses-interval
-// streams newly detected points as "synopsis" SSE frames. Synopsis state is
-// part of snapshots and survives kill -9. -forecast-synopsis-history feeds
-// the forecast hub from the compressed stream instead of the raw one.
+// start/end — at the domain's thresholds): GET /synopses/{id} serves one
+// entity's synopsis, GET /synopses/batch the fleet summary with the
+// raw-vs-critical compression statistics, and -synopses-interval streams
+// newly detected points as "synopsis" SSE frames. Synopsis state is part of
+// snapshots and survives kill -9.
 //
 // Observability (see OPERATIONS.md "Observability"): logs are structured
 // (log/slog, -log-level / -log-format json), every request carries an
@@ -87,7 +86,6 @@ import (
 	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/server"
 	"github.com/datacron-project/datacron/internal/store"
-	"github.com/datacron-project/datacron/internal/synopses"
 	"github.com/datacron-project/datacron/internal/synth"
 	"github.com/datacron-project/datacron/internal/wal"
 )
@@ -97,55 +95,47 @@ import (
 // ready.
 var processStart = time.Now()
 
+// The flags are package-level so that a test can hold them against
+// OPERATIONS.md's flag reference.
+var (
+	addr    = flag.String("addr", ":8080", "listen address")
+	domain  = flag.String("domain", "maritime", "maritime or aviation")
+	shards  = flag.Int("shards", 4, "store shard count")
+	workers = flag.Int("workers", 0, "ingest worker goroutines (0 = GOMAXPROCS)")
+	queue   = flag.Int("queue", 8192, "per-worker ingest queue bound (full = HTTP 429)")
+	prime   = flag.Bool("prime", true, "pre-install the generator's areas and entities")
+	seed    = flag.Int64("seed", 42, "world seed used when priming (match datacron-gen)")
+	vessels = flag.Int("vessels", 50, "world vessel count when priming (maritime)")
+	flights = flag.Int("flights", 40, "world flight count when priming (aviation)")
+	dataDir = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty = in-memory only")
+
+	clusterOn = flag.Bool("cluster", false, "cluster mode: own a consistent-hash slice of the entity space, forward and scatter-gather the rest (see -peers, -advertise)")
+	peers     = flag.String("peers", "", "comma-separated static member addresses (host:port), including this node")
+	advertise = flag.String("advertise", "", "this node's address as peers reach it (default: -addr when it carries a host)")
+	vnodes    = flag.Int("vnodes", 0, "consistent-hash virtual nodes per member (0 = default)")
+
+	fsync = flag.Bool("fsync", false, "fsync the WAL on every commit: survives power loss, not just kill -9 (default flushes to the OS, which a process crash cannot lose)")
+	segMB = flag.Int64("segment-mb", 64, "WAL segment roll size in MiB")
+
+	logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
+	logFormat = flag.String("log-format", "text", "log format: text or json")
+	debugAddr = flag.String("debug-addr", "", "separate pprof/debug listen address (empty = off); never expose publicly")
+	traceEv   = flag.Int("trace-sample", obs.DefaultSampleEvery, "trace every Nth ingest line through the pipeline stages (GET /debug/trace; 0 = tracing off)")
+	slowQuery = flag.Duration("slow-query", obs.DefaultSlowQuery, "log queries at or over this duration with their plan facts (GET /debug/slowlog; negative = off)")
+
+	sealTriples = flag.Int("seal-triples", 250_000, "seal a shard head into an immutable segment once it holds this many triples (0 = no size trigger)")
+	sealAfter   = flag.Duration("seal-after", 0, "seal a shard head once its oldest anchor is this much older than the stream clock (0 = no age trigger)")
+	retention   = flag.Duration("retention", 0, "drop sealed segments whose newest anchor is older than the stream clock minus this window (0 = keep forever)")
+	maintainEv  = flag.Duration("maintain-interval", 15*time.Second, "background tier-maintenance cadence (0 = only POST /seal maintains)")
+
+	fcast         = flag.Bool("forecast", true, "online forecasting: serve GET /forecast and /forecast/batch")
+	fcastInterval = flag.Duration("forecast-interval", 0, "publish SSE \"forecast\" frames for all live entities at this interval (0 = off)")
+
+	synOn       = flag.Bool("synopses", true, "online trajectory synopses: serve GET /synopses/{id} and /synopses/batch")
+	synInterval = flag.Duration("synopses-interval", 0, "publish SSE \"synopsis\" frames for newly detected critical points at this interval (0 = off)")
+)
+
 func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		domain  = flag.String("domain", "maritime", "maritime or aviation")
-		shards  = flag.Int("shards", 4, "store shard count")
-		workers = flag.Int("workers", 0, "ingest worker goroutines (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", 8192, "per-worker ingest queue bound (full = HTTP 429)")
-		prime   = flag.Bool("prime", true, "pre-install the generator's areas and entities")
-		seed    = flag.Int64("seed", 42, "world seed used when priming (match datacron-gen)")
-		vessels = flag.Int("vessels", 50, "world vessel count when priming (maritime)")
-		flights = flag.Int("flights", 40, "world flight count when priming (aviation)")
-		dataDir = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty = in-memory only")
-
-		clusterOn = flag.Bool("cluster", false, "cluster mode: own a consistent-hash slice of the entity space, forward and scatter-gather the rest (see -peers, -advertise)")
-		peers     = flag.String("peers", "", "comma-separated static member addresses (host:port), including this node")
-		advertise = flag.String("advertise", "", "this node's address as peers reach it (default: -addr when it carries a host)")
-		vnodes    = flag.Int("vnodes", 0, "consistent-hash virtual nodes per member (0 = default)")
-
-		fsync = flag.Bool("fsync", false, "fsync the WAL on every commit: survives power loss, not just kill -9 (default flushes to the OS, which a process crash cannot lose)")
-		segMB = flag.Int64("segment-mb", 64, "WAL segment roll size in MiB")
-
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-		debugAddr = flag.String("debug-addr", "", "separate pprof/debug listen address (empty = off); never expose publicly")
-		traceEv   = flag.Int("trace-sample", obs.DefaultSampleEvery, "trace every Nth ingest line through the pipeline stages (GET /debug/trace; 0 = tracing off)")
-		traceRing = flag.Int("trace-ring", obs.DefaultTraceRing, "bounded span ring size for GET /debug/trace")
-		slowQuery = flag.Duration("slow-query", obs.DefaultSlowQuery, "log queries at or over this duration with their plan facts (GET /debug/slowlog; negative = off)")
-
-		sealTriples = flag.Int("seal-triples", 250_000, "seal a shard head into an immutable segment once it holds this many triples (0 = no size trigger)")
-		sealAfter   = flag.Duration("seal-after", 0, "seal a shard head once its oldest anchor is this much older than the stream clock (0 = no age trigger)")
-		retention   = flag.Duration("retention", 0, "drop sealed segments whose newest anchor is older than the stream clock minus this window (0 = keep forever)")
-		maintainEv  = flag.Duration("maintain-interval", 15*time.Second, "background tier-maintenance cadence (0 = only POST /seal maintains)")
-
-		fcast         = flag.Bool("forecast", true, "online forecasting: serve GET /forecast and /forecast/batch")
-		fcastGrid     = flag.Int("forecast-grid", 96, "route-network/KNN grid resolution (cells per side)")
-		fcastHistory  = flag.Int("forecast-history", 32, "per-entity kinematic history the predictors read (reports)")
-		fcastHorizon  = flag.Duration("forecast-horizon", time.Hour, "maximum accepted forecast horizon")
-		fcastInterval = flag.Duration("forecast-interval", 0, "publish SSE \"forecast\" frames for all live entities at this interval (0 = off)")
-		fcastSynopsis = flag.Bool("forecast-synopsis-history", false, "feed the forecast hub only critical points (model memory scales with the synopsis, not the raw stream)")
-
-		synOn       = flag.Bool("synopses", true, "online trajectory synopses: serve GET /synopses/{id} and /synopses/batch")
-		synRing     = flag.Int("synopses-ring", 512, "per-entity critical point ring (points)")
-		synStop     = flag.Float64("synopses-stop-speed", 0, "stop detection speed threshold in m/s (0 = domain default)")
-		synStopDur  = flag.Duration("synopses-stop-duration", 0, "sustained low speed before a stop point emits (0 = domain default)")
-		synTurn     = flag.Float64("synopses-turn-deg", 0, "cumulative course change that emits a turn point (0 = domain default)")
-		synSpeed    = flag.Float64("synopses-speed-frac", 0, "fractional speed change that emits a speed-change point (0 = domain default)")
-		synGap      = flag.Duration("synopses-gap", 0, "report silence that emits gap-start/gap-end points (0 = domain default)")
-		synInterval = flag.Duration("synopses-interval", 0, "publish SSE \"synopsis\" frames for newly detected critical points at this interval (0 = off)")
-	)
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -161,31 +151,11 @@ func main() {
 		fatal("unknown domain", fmt.Errorf("%q (want maritime or aviation)", *domain))
 	}
 	p := core.New(core.Config{
-		Domain: dom, Shards: *shards,
-		Trace: obs.TraceConfig{
-			Enabled:     *traceEv > 0,
-			SampleEvery: *traceEv,
-			RingSize:    *traceRing,
-		},
-		Forecast: core.ForecastConfig{
-			Enabled:         *fcast,
-			GridCols:        *fcastGrid,
-			GridRows:        *fcastGrid,
-			HistoryLen:      *fcastHistory,
-			MaxHorizon:      *fcastHorizon,
-			SynopsisHistory: *fcastSynopsis,
-		},
-		Synopses: core.SynopsesConfig{
-			Enabled: *synOn,
-			RingLen: *synRing,
-			Thresholds: synopses.Config{
-				StopSpeedMS:     *synStop,
-				StopMinDuration: *synStopDur,
-				TurnDeg:         *synTurn,
-				SpeedDeltaFrac:  *synSpeed,
-				GapDuration:     *synGap,
-			},
-		},
+		Domain:   dom,
+		Shards:   *shards,
+		Trace:    obs.TraceConfig{SampleEvery: *traceEv},
+		Forecast: core.ForecastConfig{Enabled: *fcast},
+		Synopses: core.SynopsesConfig{Enabled: *synOn},
 	})
 
 	// Bind the listener before the (possibly long) recovery replay so probes

@@ -219,11 +219,7 @@ func (ing *Ingestor) processBatch(w *worker, batch []*[]queued) {
 	for _, recs := range batch {
 		for _, rec := range *recs {
 			g := &ing.p.groups[rec.group]
-			// Errors are already counted in Stats.BadLines; the parallel
-			// path never runs strict (a daemon must survive malformed
-			// input).
-			e, _ := ing.p.ingest(w.front, g, rec.TimedLine)
-			evs = append(evs, e...)
+			evs = append(evs, ing.p.ingest(w.front, g, rec.TimedLine)...)
 			if rec.lsn != 0 {
 				logged++
 				w.key = ing.p.AppendRoutingKey(w.key[:0], rec.Line)

@@ -23,13 +23,6 @@ type ForecastConfig struct {
 	// extrapolates. They are the tail of the entity's KNN trajectory, not a
 	// second copy.
 	HistoryLen int
-	// GridCols/GridRows set the shared route-network and KNN index
-	// resolution over the world box (default 96x96).
-	GridCols, GridRows int
-	// MaxHorizon caps requested forecast horizons (default 1h); longer
-	// requests are rejected, not clamped, so clients never mistake a
-	// truncated forecast for the one they asked for.
-	MaxHorizon time.Duration
 	// KNNMaxPerEntity bounds each entity's stream-fed KNN trajectory
 	// (default 4096 points; exceeding it drops the oldest half). It is
 	// raised to 2 × HistoryLen, so a halving keeps the full history.
@@ -43,29 +36,20 @@ type ForecastConfig struct {
 	KinematicMinHistory int
 	RouteMinHistory     int
 	KNNMinHistory       int
-
-	// SynopsisHistory feeds the hub only the reports that produced
-	// critical points (the synopses subsystem's compressed stream) instead
-	// of every gated report, so histories and the shared models grow
-	// with critical points, not raw points. Setting it forces
-	// Config.Synopses.Enabled. Trade-off: coarser history lowers the
-	// effective model-selection rungs an entity reaches for the same
-	// traffic, in exchange for an order of magnitude less warm state.
-	SynopsisHistory bool
 }
+
+// The shared route-network and KNN index cover the world box with a
+// forecastGrid × forecastGrid grid, and forecasts reach at most maxHorizon
+// ahead: longer requests are rejected, not clamped, so clients never
+// mistake a truncated forecast for the one they asked for.
+const (
+	forecastGrid = 96
+	maxHorizon   = time.Hour
+)
 
 func (c ForecastConfig) withDefaults() ForecastConfig {
 	if c.HistoryLen <= 1 {
 		c.HistoryLen = 32
-	}
-	if c.GridCols <= 0 {
-		c.GridCols = 96
-	}
-	if c.GridRows <= 0 {
-		c.GridRows = 96
-	}
-	if c.MaxHorizon <= 0 {
-		c.MaxHorizon = time.Hour
 	}
 	if c.KNNMaxPerEntity <= 0 {
 		c.KNNMaxPerEntity = 4096
@@ -175,8 +159,8 @@ func NewForecastHub(box geo.BBox, cfg ForecastConfig) *ForecastHub {
 		cfg:    cfg,
 		box:    box,
 		tracks: make(map[string]*entityTrack),
-		route:  forecast.NewRouteNetwork(box, cfg.GridCols, cfg.GridRows),
-		knn:    forecast.NewHistoryKNN(box, cfg.GridCols, cfg.GridRows),
+		route:  forecast.NewRouteNetwork(box, forecastGrid, forecastGrid),
+		knn:    forecast.NewHistoryKNN(box, forecastGrid, forecastGrid),
 		chain:  chain,
 		symFn:  symFn,
 		pf: &forecast.PatternForecaster{
@@ -296,7 +280,7 @@ func (h *ForecastHub) predict(method string, hist []model.Position, ts int64) (g
 // seen (or whose reports were all gated away).
 var ErrNoHistory = fmt.Errorf("core: forecast: no history for entity")
 
-// ErrHorizon reports a horizon outside (0, MaxHorizon].
+// ErrHorizon reports a horizon outside (0, maxHorizon].
 var ErrHorizon = fmt.Errorf("core: forecast: horizon out of range")
 
 // Forecast predicts entity's location horizon after its last report. The
@@ -304,8 +288,8 @@ var ErrHorizon = fmt.Errorf("core: forecast: horizon out of range")
 // falls down the ladder, so the result is always method-tagged with the
 // model that actually produced it.
 func (h *ForecastHub) Forecast(entity string, horizon time.Duration) (ForecastResult, error) {
-	if horizon <= 0 || horizon > h.cfg.MaxHorizon {
-		return ForecastResult{}, fmt.Errorf("%w: %v (max %v)", ErrHorizon, horizon, h.cfg.MaxHorizon)
+	if horizon <= 0 || horizon > maxHorizon {
+		return ForecastResult{}, fmt.Errorf("%w: %v (max %v)", ErrHorizon, horizon, maxHorizon)
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -375,8 +359,8 @@ func (h *ForecastHub) forecastLocked(entity string, t *entityTrack, hist []model
 // the freshest report anywhere) at the given horizon — the batch feed for
 // hotspot-style consumers. Results are unordered.
 func (h *ForecastHub) ForecastAll(horizon time.Duration) ([]ForecastResult, error) {
-	if horizon <= 0 || horizon > h.cfg.MaxHorizon {
-		return nil, fmt.Errorf("%w: %v (max %v)", ErrHorizon, horizon, h.cfg.MaxHorizon)
+	if horizon <= 0 || horizon > maxHorizon {
+		return nil, fmt.Errorf("%w: %v (max %v)", ErrHorizon, horizon, maxHorizon)
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -422,13 +406,13 @@ type forecastHubState struct {
 	Observed int64                       `json:"observed"`
 }
 
-// entityTrackState is one entity's serialised warm state. History is the
-// entity's last HistoryLen reports, written for the shape of state.json;
-// recovery rebuilds it from the KNN trajectory, as the running hub does.
+// entityTrackState is one entity's serialised Markov bookkeeping; its
+// history is the tail of its KNN trajectory, restored with the KNN state.
+// A state.json that still carries a track "history" field decodes the same:
+// encoding/json skips the unknown field.
 type entityTrackState struct {
-	History model.PackedPositions `json:"history"`
-	PrevSym int                   `json:"prevSym"`
-	RunLen  int                   `json:"runLen"`
+	PrevSym int `json:"prevSym"`
+	RunLen  int `json:"runLen"`
 }
 
 // writeState writes the hub's forecastHubState as encoding/json encodes
@@ -451,14 +435,8 @@ func (h *ForecastHub) writeState(s *jsonStream) {
 // lock.
 func (h *ForecastHub) trackStates() map[string]entityTrackState {
 	tracks := make(map[string]entityTrackState, len(h.tracks))
-	hist := make([]model.Position, 0, h.cfg.HistoryLen)
 	for id, t := range h.tracks {
-		hist = h.knn.Recent(id, h.cfg.HistoryLen, hist[:0])
-		tracks[id] = entityTrackState{
-			History: model.PackPositions(hist),
-			PrevSym: t.prevSym,
-			RunLen:  t.runLen,
-		}
+		tracks[id] = entityTrackState{PrevSym: t.prevSym, RunLen: t.runLen}
 	}
 	return tracks
 }

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -156,7 +159,7 @@ func TestForecastHubStraightTrack(t *testing.T) {
 	if _, err := h.Forecast("V1", 0); err == nil {
 		t.Error("zero horizon must error")
 	}
-	if _, err := h.Forecast("V1", h.Config().MaxHorizon+time.Second); err == nil {
+	if _, err := h.Forecast("V1", maxHorizon+time.Second); err == nil {
 		t.Error("beyond-cap horizon must error")
 	}
 }
@@ -235,7 +238,7 @@ func TestForecastSnapshotRoundTrip(t *testing.T) {
 	sc := synth.GenMaritime(synth.MaritimeConfig{
 		Seed: 7, Vessels: 8, Duration: time.Hour, Rendezvous: -1,
 	})
-	cfg := Config{Domain: model.Maritime, Forecast: ForecastConfig{Enabled: true, GridCols: 64, GridRows: 64}}
+	cfg := Config{Domain: model.Maritime, Forecast: ForecastConfig{Enabled: true}}
 	dataDir := t.TempDir()
 	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
 	if err != nil {
@@ -296,6 +299,65 @@ func TestForecastSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("forecast diverged after recovery:\n got %+v\nwant %+v", af, bf)
 		}
 	}
+
+	// A state.json that still carries each track's packed history, as
+	// snapshots written before the field went did, recovers to the same hub.
+	addTrackHistory(t, dataDir, p.ForecastHub)
+	p3 := New(cfg)
+	p3.InstallAreas(sc.Areas)
+	p3.InstallEntities(sc.Entities)
+	if _, err := p3.Recover(dataDir); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p3.ForecastHub.exportState(), p2.ForecastHub.exportState()) {
+		t.Error("a state.json with track histories recovers to a different hub")
+	}
+}
+
+// addTrackHistory rewrites the newest snapshot's state.json so that every
+// forecast track carries "history", its entity's last HistoryLen reports
+// packed as they once were.
+func addTrackHistory(t *testing.T, dataDir string, h *ForecastHub) {
+	t.Helper()
+	dir, _, ok := latestSnapshot(SnapshotsDir(dataDir))
+	if !ok {
+		t.Fatal("no snapshot")
+	}
+	path := filepath.Join(dir, "state.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]json.RawMessage
+	var fs map[string]json.RawMessage
+	var tracks map[string]map[string]any
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(st["forecast"], &fs); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(fs["tracks"], &tracks); err != nil {
+		t.Fatal(err)
+	}
+	if len(tracks) == 0 {
+		t.Fatal("no forecast tracks in state.json")
+	}
+	for id, tr := range tracks {
+		tr["history"] = model.PackPositions(h.knn.Recent(id, h.cfg.HistoryLen, nil))
+	}
+	mustRaw := func(v any) json.RawMessage {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fs["tracks"] = mustRaw(tracks)
+	st["forecast"] = mustRaw(fs)
+	if err := os.WriteFile(path, mustRaw(st), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestForecastRecoverWithTailReplay proves the replay path rebuilds hub
@@ -305,7 +367,7 @@ func TestForecastRecoverWithTailReplay(t *testing.T) {
 	sc := synth.GenMaritime(synth.MaritimeConfig{
 		Seed: 8, Vessels: 6, Duration: time.Hour, Rendezvous: -1,
 	})
-	cfg := Config{Domain: model.Maritime, Forecast: ForecastConfig{Enabled: true, GridCols: 64, GridRows: 64}}
+	cfg := Config{Domain: model.Maritime, Forecast: ForecastConfig{Enabled: true}}
 	dataDir := t.TempDir()
 	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
 	if err != nil {
@@ -489,7 +551,7 @@ func hubStateJSON(t *testing.T, h *ForecastHub) []byte {
 
 // TestForecastHistorySurvivesHalving: a KNN trajectory halves when it
 // outgrows KNNMaxPerEntity, and the history is its tail, so the cap is
-// raised to twice the history: -forecast-history 3000 under the 4096
+// raised to twice the history: a HistoryLen of 3000 under the 4096
 // default would otherwise halve to 2 049 reports.
 func TestForecastHistorySurvivesHalving(t *testing.T) {
 	h := NewForecastHub(synth.MaritimeBox(), ForecastConfig{Enabled: true, HistoryLen: 3000})

@@ -33,55 +33,21 @@ import (
 
 // Config parameterises a pipeline.
 type Config struct {
-	// Domain selects maritime or aviation ingestion.
+	// Domain selects maritime or aviation ingestion, and with it the world
+	// bounding box and the synopsis thresholds.
 	Domain model.Domain
-	// Box is the world bounding box (defaults per domain).
-	Box geo.BBox
 	// Shards is the parallel store's shard count. Default 4.
 	Shards int
-	// Compression configures the in-situ threshold filter; zero value uses
-	// insitu.DefaultThreshold. Set DisableCompression to bypass.
-	Compression        insitu.ThresholdConfig
-	DisableCompression bool
-	// StrictWire makes IngestLine return decode errors. The pipeline
-	// otherwise behaves like a production receiver: malformed lines are
-	// counted (Stats.BadLines) and skipped, because real feeds contain
-	// truncated and corrupted sentences; an Ingestor never runs strict.
-	StrictWire bool
 	// Forecast configures the online forecasting subsystem; the zero value
 	// leaves it off and Pipeline.ForecastHub nil.
 	Forecast ForecastConfig
 	// Synopses configures the online trajectory-synopses subsystem; the
-	// zero value leaves it off and Pipeline.SynopsisHub nil. It is forced
-	// on when Forecast.SynopsisHistory is set (the forecast hub then needs
-	// the critical point stream to exist).
+	// zero value leaves it off and Pipeline.SynopsisHub nil.
 	Synopses SynopsesConfig
 	// Trace configures sampled per-stage ingest tracing (Pipeline.Tracer);
-	// the zero value leaves it off. Unsampled lines pay one atomic
+	// a zero SampleEvery leaves it off. Unsampled lines pay one atomic
 	// increment.
 	Trace obs.TraceConfig
-}
-
-func (c Config) withDefaults() Config {
-	if c.Box.IsEmpty() || c.Box == (geo.BBox{}) {
-		// Default to the synthetic world boxes so generator and pipeline
-		// agree on the spatial frame without re-spelling coordinates.
-		if c.Domain == model.Aviation {
-			c.Box = synth.AviationBox()
-		} else {
-			c.Box = synth.MaritimeBox()
-		}
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.Compression == (insitu.ThresholdConfig{}) {
-		c.Compression = insitu.DefaultThreshold()
-	}
-	if c.Forecast.SynopsisHistory {
-		c.Synopses.Enabled = true
-	}
-	return c
 }
 
 // Pipeline is a running datAcron instance.
@@ -107,7 +73,7 @@ type Pipeline struct {
 	// the same gated report stream, with compression accounting.
 	SynopsisHub *SynopsisHub
 	// Tracer records sampled per-stage spans of the ingest pipeline (nil
-	// unless Config.Trace.Enabled); /debug/trace serves its ring.
+	// unless Config.Trace.SampleEvery > 0); /debug/trace serves its ring.
 	Tracer *obs.Tracer
 	// Watermark tracks stream time (max observed event timestamp) across
 	// every ingested line, so operators can see the daemon fall behind its
@@ -175,7 +141,7 @@ func (f *front) entityID(mmsi uint32) string {
 // Stats carries pipeline counters and latency histograms.
 type Stats struct {
 	Lines      int64
-	BadLines   int64 // malformed wire lines (skipped unless StrictWire)
+	BadLines   int64 // malformed wire lines (counted and skipped)
 	Decoded    int64
 	Gated      int64 // dropped by noise gate
 	Kept       int64 // survived compression (stored)
@@ -238,30 +204,30 @@ func maxSpeedMS(d model.Domain) float64 {
 
 // New returns a pipeline with the given config.
 func New(cfg Config) *Pipeline {
-	cfg = cfg.withDefaults()
-	p := &Pipeline{
-		cfg:      cfg,
-		Store:    store.NewSharded(partition.NewHilbert(cfg.Box, hilbertOrder, cfg.Shards), cfg.Box),
-		entities: make(map[string]bool),
-		Density:  hotspot.NewDensityGrid(geo.NewGrid(cfg.Box, hotspotGrid, hotspotGrid)),
+	if cfg.Shards <= 0 {
+		cfg.Shards = 4
 	}
+	p := &Pipeline{cfg: cfg, entities: make(map[string]bool)}
+	box := p.WorldBox()
+	p.Store = store.NewSharded(partition.NewHilbert(box, hilbertOrder, cfg.Shards), box)
+	p.Density = hotspot.NewDensityGrid(geo.NewGrid(box, hotspotGrid, hotspotGrid))
 	p.Engine = query.NewEngine(p.Store)
 	for i := range p.groups {
 		p.groups[i] = group{
 			gate:    insitu.NewNoiseGate(maxSpeedMS(cfg.Domain)),
-			filter:  insitu.NewThresholdFilter(cfg.Compression),
+			filter:  insitu.NewThresholdFilter(insitu.DefaultThreshold()),
 			asm:     ais.NewAssembler(),
 			tracker: adsb.NewTracker(),
 			applied: make(map[string]uint64),
 		}
 	}
 	if cfg.Forecast.Enabled {
-		p.ForecastHub = NewForecastHub(cfg.Box, cfg.Forecast)
+		p.ForecastHub = NewForecastHub(box, cfg.Forecast)
 	}
 	if cfg.Synopses.Enabled {
 		p.SynopsisHub = NewSynopsisHub(cfg.Domain, cfg.Synopses)
 	}
-	if cfg.Trace.Enabled {
+	if cfg.Trace.SampleEvery > 0 {
 		p.Tracer = obs.NewTracer(cfg.Trace)
 	}
 	p.Stats.Latency = obs.NewLatencyHist()
@@ -270,8 +236,15 @@ func New(cfg Config) *Pipeline {
 	return p
 }
 
-// WorldBox returns the configured world bounding box.
-func (p *Pipeline) WorldBox() geo.BBox { return p.cfg.Box }
+// WorldBox returns the domain's world bounding box: the synthetic world's,
+// so generator and pipeline agree on the spatial frame without re-spelling
+// coordinates.
+func (p *Pipeline) WorldBox() geo.BBox {
+	if p.cfg.Domain == model.Aviation {
+		return synth.AviationBox()
+	}
+	return synth.MaritimeBox()
+}
 
 // Domain returns the configured domain.
 func (p *Pipeline) Domain() model.Domain { return p.cfg.Domain }
@@ -282,7 +255,7 @@ func (p *Pipeline) InstallAreas(areas map[string]*geo.Polygon) {
 	for name, poly := range areas {
 		p.Store.AddGlobal(onto.AreaTriples(name, poly))
 	}
-	p.Suite = cer.NewMaritimeSuite(p.cfg.Box, areas)
+	p.Suite = cer.NewMaritimeSuite(p.WorldBox(), areas)
 }
 
 // InstallEntities registers static entity data (from AIS message 5 the
@@ -307,28 +280,30 @@ func (p *Pipeline) InstallEntities(entities []model.Entity) {
 const latSampleEvery = 16
 
 // IngestLine runs one line synchronously through its key group, flushing
-// its store writes, and returns the complex events it caused; under
-// StrictWire a malformed line is an error. It is kept only for
-// bench/trace.go's in-process layer replay (ROADMAP item 8 deletes it; the
-// internal/server goldens also take their reference run from it): programs
-// and tests ingest through NewIngestor. It must not run concurrently with
-// itself or an Ingestor.
+// its store writes, and returns the complex events it caused; a malformed
+// line is counted (Stats.BadLines) and skipped, so the error is always nil.
+// It is kept only for bench/trace.go's in-process layer replay (ROADMAP
+// item 8 deletes it; the internal/server goldens also take their reference
+// run from it): programs and tests ingest through NewIngestor. It must not
+// run concurrently with itself or an Ingestor.
 func (p *Pipeline) IngestLine(tl synth.TimedLine) ([]model.Event, error) {
 	if p.drv == nil {
 		p.drv = p.newFront()
 	}
-	evs, err := p.ingest(p.drv, &p.groups[groupOf(p.AppendRoutingKey(nil, tl.Line))], tl)
+	evs := p.ingest(p.drv, &p.groups[groupOf(p.AppendRoutingKey(nil, tl.Line))], tl)
 	if unstored, _ := p.drv.bw.Flush(); unstored > 0 {
 		atomic.AddInt64(&p.Stats.Unstored, int64(unstored))
 	}
-	return evs, err
+	return evs, nil
 }
 
 // ingest runs the full architecture over one wire line with the given
 // worker scratch and the key group of the line's routing key. Goroutines
 // may call ingest concurrently as long as each uses its own front and no
-// two use one group.
-func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) ([]model.Event, error) {
+// two use one group. A malformed line is counted (Stats.BadLines) and
+// skipped, like a production receiver: real feeds contain truncated and
+// corrupted sentences.
+func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) []model.Event {
 	// One clock read per line; the latency histograms sample 1 in
 	// latSampleEvery lines (per front, so replay determinism of the
 	// counters is untouched) — on single-core hosts the clock reads were a
@@ -357,17 +332,14 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) ([]model.Event
 		lt.End("error")
 		lt.Finish("bad-line")
 		atomic.AddInt64(&p.Stats.BadLines, 1)
-		if p.cfg.StrictWire {
-			return nil, err
-		}
-		return nil, nil
+		return nil
 	}
 	if !ok {
 		// Multi-sentence fragment, static message, or a track still fusing:
 		// consumed, but no position report came out.
 		lt.End("no-position")
 		lt.Finish("no-position")
-		return nil, nil
+		return nil
 	}
 	lt.End("")
 	lt.SetEntity(pos.EntityID)
@@ -379,37 +351,29 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) ([]model.Event
 		lt.End("gated")
 		lt.Finish("gated")
 		atomic.AddInt64(&p.Stats.Gated, 1)
-		return nil, nil
+		return nil
 	}
 	lt.End("")
 	// Online synopses and forecasting tap the gated stream (post-tracker,
 	// pre-compression: suppressed reports still carry kinematic evidence).
 	// The hubs do their own locking; because this runs inside the worker's
-	// per-line critical section, the snapshot barrier quiesces both. The
-	// synopsis tap runs first so the forecast hub's synopsis-history mode
-	// can consume only the reports that produced critical points — model
-	// memory then scales with critical points, not raw points.
-	critical := 0
+	// per-line critical section, the snapshot barrier quiesces both.
 	if p.SynopsisHub != nil {
 		lt.Begin(obs.StageSynopsis)
-		critical = p.SynopsisHub.Observe(pos)
-		if critical > 0 {
+		if p.SynopsisHub.Observe(pos) > 0 {
 			lt.End("critical-point")
 		} else {
 			lt.End("")
 		}
 	}
 	if p.ForecastHub != nil {
-		if !p.cfg.Forecast.SynopsisHistory || critical > 0 {
-			lt.Begin(obs.StageForecast)
-			p.ForecastHub.Observe(pos)
-			lt.End("")
-		}
+		lt.Begin(obs.StageForecast)
+		p.ForecastHub.Observe(pos)
+		lt.End("")
 	}
 	lt.Begin(obs.StageCompress)
-	stored := true
-	if !p.cfg.DisableCompression && !g.filter.Keep(pos) {
-		stored = false
+	stored := g.filter.Keep(pos)
+	if !stored {
 		atomic.AddInt64(&p.Stats.Suppressed, 1)
 		lt.End("suppressed")
 	} else {
@@ -475,7 +439,7 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) ([]model.Event
 	if sampled {
 		p.Stats.Latency.Observe(time.Since(t0))
 	}
-	return events, nil
+	return events
 }
 
 // decodeAIS decodes one AIVDM line; multi-sentence messages return ok=false

@@ -130,29 +130,6 @@ func TestAviationEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCompressionDisabledStoresEverything(t *testing.T) {
-	sc := synth.GenMaritime(synth.MaritimeConfig{Seed: 3, Vessels: 6, Duration: 20 * time.Minute, OutlierProb: 1e-12, GapProb: 1e-12})
-	p := New(Config{Domain: model.Maritime, DisableCompression: true})
-	runScenario(p, sc)
-	if p.Stats.Suppressed != 0 {
-		t.Errorf("suppressed %d with compression disabled", p.Stats.Suppressed)
-	}
-	if p.Stats.Kept != p.Stats.Decoded-p.Stats.Gated {
-		t.Errorf("kept %d != decoded-gated %d", p.Stats.Kept, p.Stats.Decoded-p.Stats.Gated)
-	}
-}
-
-func TestIngestLineErrorsStrict(t *testing.T) {
-	p := New(Config{Domain: model.Maritime, StrictWire: true})
-	if _, err := p.IngestLine(synth.TimedLine{TS: 0, Line: "garbage"}); err == nil {
-		t.Error("garbage line must error in strict mode")
-	}
-	pa := New(Config{Domain: model.Aviation, StrictWire: true})
-	if _, err := pa.IngestLine(synth.TimedLine{TS: 0, Line: "MSG,bad"}); err == nil {
-		t.Error("garbage SBS line must error in strict mode")
-	}
-}
-
 func TestIngestLineLenientByDefault(t *testing.T) {
 	p := New(Config{Domain: model.Maritime})
 	if _, err := p.IngestLine(synth.TimedLine{TS: 0, Line: "garbage"}); err != nil {

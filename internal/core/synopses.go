@@ -12,14 +12,12 @@ import (
 
 // SynopsesConfig parameterises the online trajectory synopses subsystem.
 // The zero value is disabled; set Enabled and leave the rest zero for
-// domain-default thresholds and serving-default bounds.
+// serving-default bounds. The detection thresholds are the domain's
+// (synopses.ForDomain).
 type SynopsesConfig struct {
 	// Enabled switches the subsystem on: the pipeline then feeds every
 	// gated report into the SynopsisHub.
 	Enabled bool
-	// Thresholds are the detection thresholds; zero fields fall back to
-	// the domain defaults (synopses.DefaultMaritime / DefaultAviation).
-	Thresholds synopses.Config
 	// RingLen bounds each entity's synopsis ring (critical points, default
 	// 512); exceeding it drops the oldest point (counted per entity).
 	RingLen int
@@ -29,8 +27,7 @@ type SynopsesConfig struct {
 	MaxStale time.Duration
 }
 
-func (c SynopsesConfig) withDefaults(d model.Domain) SynopsesConfig {
-	c.Thresholds = c.Thresholds.WithDefaults(d)
+func (c SynopsesConfig) withDefaults() SynopsesConfig {
 	if c.RingLen <= 0 {
 		c.RingLen = 512
 	}
@@ -66,8 +63,8 @@ const pendingCap = 8192
 // deterministic in stream order — so a kill -9 + WAL tail replay rebuilds
 // bit-identical synopses.
 type SynopsisHub struct {
-	cfg    SynopsesConfig
-	domain model.Domain
+	cfg        SynopsesConfig
+	thresholds synopses.Config
 
 	mu       sync.RWMutex
 	entities map[string]*entitySynopsis
@@ -100,25 +97,21 @@ type SynopsisHub struct {
 // NewSynopsisHub builds a hub for the given domain.
 func NewSynopsisHub(domain model.Domain, cfg SynopsesConfig) *SynopsisHub {
 	return &SynopsisHub{
-		cfg:      cfg.withDefaults(domain),
-		domain:   domain,
-		entities: make(map[string]*entitySynopsis),
+		cfg:        cfg.withDefaults(),
+		thresholds: synopses.ForDomain(domain),
+		entities:   make(map[string]*entitySynopsis),
 	}
 }
 
-// Config returns the hub's effective (defaulted) configuration.
-func (h *SynopsisHub) Config() SynopsesConfig { return h.cfg }
-
 // Observe feeds one gated report through the entity's detector and returns
-// how many critical points it emitted (0 for the common cruising case).
-// The returned count lets the pipeline route synopsis-fed consumers (the
-// forecast hub's synopsis-history mode) without retaining the points.
+// how many critical points it emitted (0 for the common cruising case); the
+// pipeline's stage trace reports it.
 func (h *SynopsisHub) Observe(p model.Position) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	es := h.entities[p.EntityID]
 	if es == nil {
-		es = &entitySynopsis{det: synopses.NewDetector(h.cfg.Thresholds)}
+		es = &entitySynopsis{det: synopses.NewDetector(h.thresholds)}
 		h.entities[p.EntityID] = es
 	}
 	h.scratch = es.det.Observe(p, h.scratch[:0])
@@ -350,7 +343,7 @@ func (h *SynopsisHub) restoreState(st synopsisHubState) {
 	h.entities = make(map[string]*entitySynopsis, len(st.Entities))
 	h.newestTS, h.sinceEvict = 0, 0
 	for id, es := range st.Entities {
-		det := synopses.NewDetector(h.cfg.Thresholds)
+		det := synopses.NewDetector(h.thresholds)
 		det.Restore(es.Detector)
 		ring := es.Ring
 		if len(ring) > h.cfg.RingLen {

@@ -286,42 +286,6 @@ func TestSynopsisStaleEviction(t *testing.T) {
 	}
 }
 
-// TestSynopsisFedForecastHistory: with Forecast.SynopsisHistory the
-// forecast hub consumes only critical-point reports — its warm state scales
-// with the synopsis, not the raw stream — and synopses are forced on.
-func TestSynopsisFedForecastHistory(t *testing.T) {
-	sc := synopsesWorld(t)
-
-	full := New(Config{Domain: model.Maritime, Forecast: ForecastConfig{Enabled: true}})
-	full.InstallAreas(sc.Areas)
-	full.InstallEntities(sc.Entities)
-	ingestAll(t, full, sc)
-
-	fed := New(Config{Domain: model.Maritime, Forecast: ForecastConfig{Enabled: true, SynopsisHistory: true}})
-	if fed.SynopsisHub == nil {
-		t.Fatal("SynopsisHistory must force the synopses subsystem on")
-	}
-	fed.InstallAreas(sc.Areas)
-	fed.InstallEntities(sc.Entities)
-	ingestAll(t, fed, sc)
-
-	fullObs, fedObs := full.ForecastHub.Observed(), fed.ForecastHub.Observed()
-	if fedObs == 0 {
-		t.Fatal("synopsis-fed forecast hub observed nothing")
-	}
-	if fedObs*2 > fullObs {
-		t.Errorf("synopsis-fed hub observed %d of %d raw reports — not compressed", fedObs, fullObs)
-	}
-	// The fed hub must still be able to forecast a live entity.
-	all, err := fed.ForecastHub.ForecastAll(10 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) == 0 {
-		t.Error("no forecastable entities in synopsis-fed mode")
-	}
-}
-
 // TestSynopsisDurableRecovery: serial logged ingest with a mid-stream
 // snapshot, crash, recover + tail replay — the recovered hub must export
 // bit-identical state to the uninterrupted run.

@@ -71,26 +71,22 @@ type Span struct {
 	DurationUS int64 `json:"durationUs"`
 }
 
-// TraceConfig parameterises a Tracer. The zero value of the numeric fields
-// takes its default.
+// TraceConfig parameterises a Tracer.
 type TraceConfig struct {
-	// Enabled is read by embedders (core.Config) to decide whether to
-	// construct a Tracer at all; NewTracer itself ignores it.
-	Enabled bool
-	// SampleEvery traces one line in every SampleEvery (default 64).
-	// 1 traces everything.
+	// SampleEvery traces one line in every SampleEvery; 1 traces
+	// everything. An embedder (core.Config) builds a Tracer only when it is
+	// positive.
 	SampleEvery int
 	// RingSize bounds the span ring served by /debug/trace (default 4096
 	// spans; old spans are overwritten).
 	RingSize int
 }
 
-// DefaultSampleEvery is the tracing sample rate when none is configured:
-// one line in 64.
+// DefaultSampleEvery is the daemon's tracing sample rate: one line in 64.
 const DefaultSampleEvery = 64
 
-// DefaultTraceRing is the default span-ring capacity.
-const DefaultTraceRing = 4096
+// defaultTraceRing is the span-ring capacity when RingSize is not set.
+const defaultTraceRing = 4096
 
 // Tracer samples ingest lines and records per-stage spans into a bounded
 // ring, feeding per-stage latency histograms. The unsampled path costs one
@@ -110,13 +106,10 @@ type Tracer struct {
 	hists [numStages]*LatencyHist
 }
 
-// NewTracer returns a running tracer.
+// NewTracer returns a running tracer; cfg.SampleEvery must be positive.
 func NewTracer(cfg TraceConfig) *Tracer {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = DefaultSampleEvery
-	}
 	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultTraceRing
+		cfg.RingSize = defaultTraceRing
 	}
 	t := &Tracer{
 		every: uint64(cfg.SampleEvery),

@@ -139,7 +139,7 @@ func BenchmarkServerIngestTraced(b *testing.B) {
 	batches := benchBatches(b)
 	p := core.New(core.Config{
 		Domain: model.Maritime,
-		Trace:  obs.TraceConfig{Enabled: true},
+		Trace:  obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery},
 	})
 	p.InstallAreas(benchWorld.sc.Areas)
 	p.InstallEntities(benchWorld.sc.Entities)

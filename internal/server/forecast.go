@@ -82,8 +82,7 @@ func (s *Server) hubOr503(w http.ResponseWriter) *core.ForecastHub {
 // handleForecast is GET /forecast?entity=&horizon=: the predicted future
 // location of one entity (point + uncertainty radius, method-tagged per the
 // fallback ladder dead-reckoning → kinematic → route/KNN). Horizon defaults
-// to 10m and is capped by the hub's MaxHorizon (400 beyond it); an unknown
-// entity is 404.
+// to 10m and is capped at 1h (400 beyond it); an unknown entity is 404.
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	fh := s.hubOr503(w)
 	if fh == nil {

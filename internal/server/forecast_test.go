@@ -55,7 +55,7 @@ func forecastWorld(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	p := core.New(core.Config{
 		Domain:   model.Maritime,
-		Forecast: core.ForecastConfig{Enabled: true, GridCols: 64, GridRows: 64},
+		Forecast: core.ForecastConfig{Enabled: true},
 	})
 	cfg.Pipeline = p
 	srv := New(cfg)
@@ -209,7 +209,7 @@ func TestServerForecastKillRecover(t *testing.T) {
 	dataDir := t.TempDir()
 	pipeCfg := core.Config{
 		Domain:   model.Maritime,
-		Forecast: core.ForecastConfig{Enabled: true, GridCols: 64, GridRows: 64},
+		Forecast: core.ForecastConfig{Enabled: true},
 	}
 	boot := func() (*core.Pipeline, *Server, string, func()) {
 		p := core.New(pipeCfg)

@@ -32,6 +32,10 @@ type hub struct {
 	published atomic.Int64
 }
 
+// subscriberBuffer is each /events subscriber's frame buffer: a slow
+// subscriber drops frames rather than stall ingest.
+const subscriberBuffer = 64
+
 func newHub(buf int) *hub {
 	return &hub{subs: make(map[int]chan frame), buf: buf}
 }

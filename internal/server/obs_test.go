@@ -31,7 +31,7 @@ func tracedWorld(t testing.TB, cfg Config) (*synth.Scenario, *Server, *httptest.
 	})
 	p := core.New(core.Config{
 		Domain:   model.Maritime,
-		Trace:    obs.TraceConfig{Enabled: true, SampleEvery: 1},
+		Trace:    obs.TraceConfig{SampleEvery: 1},
 		Forecast: core.ForecastConfig{Enabled: true},
 		Synopses: core.SynopsesConfig{Enabled: true},
 	})

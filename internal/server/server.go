@@ -72,9 +72,6 @@ type Config struct {
 	// QueueLen bounds each ingest worker's queue (default 1024); a full
 	// queue surfaces as HTTP 429.
 	QueueLen int
-	// SubscriberBuffer is the per-subscriber event buffer (default 64);
-	// slow subscribers drop events rather than stall ingest.
-	SubscriberBuffer int
 
 	// WAL, when non-nil, makes ingest durable: every accepted line is
 	// appended to the log and the batch is group-committed before the
@@ -170,13 +167,10 @@ type Server struct {
 // New builds the serving layer over cfg.Pipeline and starts the ingest
 // workers.
 func New(cfg Config) *Server {
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = 64
-	}
 	s := &Server{
 		cfg:       cfg,
 		p:         cfg.Pipeline,
-		hub:       newHub(cfg.SubscriberBuffer),
+		hub:       newHub(subscriberBuffer),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		wal:       cfg.WAL,

@@ -58,9 +58,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Config holds the detection thresholds. The zero value of any field falls
-// back to its domain default (see DefaultMaritime / DefaultAviation), so a
-// daemon flag only overrides what the operator actually set.
+// Config holds the detection thresholds; a pipeline uses its domain's
+// (ForDomain).
 type Config struct {
 	// StopSpeedMS is the speed under which an entity is a stop candidate;
 	// a candidate sustained for StopMinDuration emits one Stop point per
@@ -116,30 +115,6 @@ func ForDomain(d model.Domain) Config {
 	return DefaultMaritime()
 }
 
-// WithDefaults fills zero fields from the domain defaults.
-func (c Config) WithDefaults(d model.Domain) Config {
-	def := ForDomain(d)
-	if c.StopSpeedMS <= 0 {
-		c.StopSpeedMS = def.StopSpeedMS
-	}
-	if c.StopMinDuration <= 0 {
-		c.StopMinDuration = def.StopMinDuration
-	}
-	if c.TurnDeg <= 0 {
-		c.TurnDeg = def.TurnDeg
-	}
-	if c.SpeedDeltaFrac <= 0 {
-		c.SpeedDeltaFrac = def.SpeedDeltaFrac
-	}
-	if c.SpeedFloorMS <= 0 {
-		c.SpeedFloorMS = def.SpeedFloorMS
-	}
-	if c.GapDuration <= 0 {
-		c.GapDuration = def.GapDuration
-	}
-	return c
-}
-
 // CriticalPoint is one synopsis point: the report that triggered it plus
 // the kind-specific annotation.
 type CriticalPoint struct {
@@ -175,8 +150,7 @@ type Detector struct {
 	st  DetectorState
 }
 
-// NewDetector returns a detector with the given (already defaulted)
-// thresholds.
+// NewDetector returns a detector with the given thresholds.
 func NewDetector(cfg Config) *Detector {
 	return &Detector{cfg: cfg, st: DetectorState{StopSince: -1}}
 }

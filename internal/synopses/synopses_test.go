@@ -272,19 +272,11 @@ func TestOutOfOrderAndDuplicateTimestamps(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults: zero fields fall back per domain; explicit overrides
-// survive.
+// TestConfigDefaults: each domain gets its own thresholds, and every kind
+// has a wire name.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{TurnDeg: 42}.WithDefaults(model.Maritime)
-	if c.TurnDeg != 42 {
-		t.Errorf("override lost: TurnDeg = %v", c.TurnDeg)
-	}
-	if c.StopSpeedMS != DefaultMaritime().StopSpeedMS || c.GapDuration != DefaultMaritime().GapDuration {
-		t.Errorf("maritime defaults not applied: %+v", c)
-	}
-	a := Config{}.WithDefaults(model.Aviation)
-	if a != DefaultAviation() {
-		t.Errorf("aviation defaults = %+v", a)
+	if ForDomain(model.Maritime) != DefaultMaritime() || ForDomain(model.Aviation) != DefaultAviation() {
+		t.Errorf("ForDomain = %+v / %+v", ForDomain(model.Maritime), ForDomain(model.Aviation))
 	}
 	for k := Stop; k < kindCount; k++ {
 		if k.String() == "unknown" {
