@@ -572,7 +572,9 @@ func TestForecastHistorySurvivesHalving(t *testing.T) {
 
 // TestForecastHubBytesPerReport bounds the hub's resident heap per gated
 // report, on a few long tracks and on many short ones. Each report is held
-// once, as a pointer-free KNN point; a second copy, a per-entity
+// once, as a 40-byte pointer-free KNN point, and a vessel's consecutive
+// reports in one cell share an index entry; a second copy, an altitude
+// column for vessels, an index entry per report, a per-entity
 // preallocation or a dense route grid each break one of the bounds.
 func TestForecastHubBytesPerReport(t *testing.T) {
 	if raceEnabled {
@@ -582,8 +584,8 @@ func TestForecastHubBytesPerReport(t *testing.T) {
 		entities, reports int
 		maxBytes          float64
 	}{
-		{50, 2000, 96},
-		{1000, 20, 180},
+		{50, 2000, 60},
+		{1000, 20, 100},
 	} {
 		perReport := hubBytesPerReport(tc.entities, tc.reports)
 		t.Logf("%d entities × %d reports: %.0f B/report", tc.entities, tc.reports, perReport)

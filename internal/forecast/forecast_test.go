@@ -527,18 +527,25 @@ func TestEventForecastOnSyntheticWorld(t *testing.T) {
 }
 
 // Halving a stream-fed trajectory re-indexes that trajectory alone; the
-// index it leaves must hold, cell by cell, the references a full reindex
-// of the same trajectories builds. Three entities share cells with an
+// index it leaves must hold, cell by cell, the references (its runs
+// expanded to one per report) a full reindex of the same trajectories
+// builds. Three entities share cells with an
 // archival trajectory, mix moving and stationary reports, and cross a small
 // cap many times.
 func TestObserveHalvingMatchesReindex(t *testing.T) {
 	box := geo.NewBBox(22, 34, 30, 42)
 	knn := NewHistoryKNN(box, 48, 48)
 	knn.Train(&model.Trajectory{EntityID: "archive", Points: turning(300, 10, 8, 0.05)})
-	sorted := func(index map[int][]knnRef) map[int][]knnRef {
+	type knnRef struct{ traj, pt int32 }
+	sorted := func(index map[int][]knnRun) map[int][]knnRef {
 		out := make(map[int][]knnRef, len(index))
-		for cell, refs := range index {
-			refs = append([]knnRef(nil), refs...)
+		for cell, runs := range index {
+			var refs []knnRef
+			for _, r := range runs {
+				for i := r.pt; i < r.pt+r.n; i++ {
+					refs = append(refs, knnRef{r.traj, i})
+				}
+			}
 			sort.Slice(refs, func(i, j int) bool {
 				return refs[i].traj < refs[j].traj || refs[i].traj == refs[j].traj && refs[i].pt < refs[j].pt
 			})

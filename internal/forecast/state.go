@@ -95,11 +95,11 @@ func (rn *RouteNetwork) RestoreState(st RouteNetworkState) {
 
 // Observe appends one live report to the entity's stream-fed trajectory and
 // indexes it — the incremental counterpart of Train. The per-entity live
-// trajectory is append-only (index refs stay valid); when it exceeds
-// maxPerEntity points the oldest half is dropped and that trajectory alone
-// re-indexed, bounding memory on an unbounded stream at a cost that does
-// not grow with the number of entities. Reports must arrive in
-// per-entity time order (the ingest workers guarantee this).
+// trajectory is append-only (index runs stay valid); when it would exceed
+// maxPerEntity points the oldest half is dropped, in place, and that
+// trajectory alone re-indexed, bounding memory on an unbounded stream at a
+// cost that does not grow with the number of entities. Reports must arrive
+// in per-entity time order (the ingest workers guarantee this).
 func (k *HistoryKNN) Observe(p model.Position, maxPerEntity int) {
 	if maxPerEntity <= 0 {
 		maxPerEntity = 4096
@@ -110,21 +110,24 @@ func (k *HistoryKNN) Observe(p model.Position, maxPerEntity int) {
 	ti, ok := k.live[p.EntityID]
 	if !ok {
 		ti = int32(len(k.trajs))
-		k.trajs = append(k.trajs, knnTraj{entity: p.EntityID, domain: p.Domain})
+		k.trajs = append(k.trajs, knnTraj{entity: p.EntityID, domain: p.Domain, lastCell: -1})
 		k.live[p.EntityID] = ti
 	}
 	tr := &k.trajs[ti]
-	tr.pts = append(tr.pts, pointOf(&p))
-	if len(tr.pts) > maxPerEntity {
+	if len(tr.pts) >= maxPerEntity {
+		// Keep the newest half of the trajectory with p appended: the
+		// array that holds maxPerEntity points is never outgrown.
 		k.unindex(ti)
-		tr.pts = append([]knnPoint(nil), tr.pts[len(tr.pts)/2:]...)
+		drop := (len(tr.pts) + 1) / 2
+		tr.pts = tr.pts[:copy(tr.pts, tr.pts[drop:])]
+		if tr.alt != nil {
+			tr.alt = tr.alt[:copy(tr.alt, tr.alt[drop:])]
+		}
 		k.indexTrajectory(ti)
-		return
 	}
+	tr.push(&p)
 	if p.SpeedMS > 0.5 {
-		cell := k.grid.CellID(p.Pt)
-		k.index[cell] = append(k.index[cell], knnRef{traj: ti, pt: int32(len(tr.pts) - 1)})
-		k.indexed++
+		k.indexPoint(ti, int32(len(tr.pts)-1), k.grid.CellID(p.Pt))
 	}
 }
 
@@ -187,7 +190,7 @@ func (k *HistoryKNN) DropEntities(ids []string) {
 
 // reindex rebuilds the spatial index from the current trajectories.
 func (k *HistoryKNN) reindex() {
-	k.index = make(map[int][]knnRef)
+	k.index = make(map[int][]knnRun)
 	k.indexed = 0
 	for ti := range k.trajs {
 		k.indexTrajectory(int32(ti))
@@ -196,37 +199,54 @@ func (k *HistoryKNN) reindex() {
 
 // indexTrajectory adds the moving reports of trajectory ti to the index.
 func (k *HistoryKNN) indexTrajectory(ti int32) {
-	for i := range k.trajs[ti].pts {
-		p := &k.trajs[ti].pts[i]
-		if p.SpeedMS <= 0.5 {
-			continue
+	tr := &k.trajs[ti]
+	tr.lastCell = -1
+	for i := range tr.pts {
+		if p := &tr.pts[i]; p.SpeedMS > 0.5 {
+			k.indexPoint(ti, int32(i), k.grid.CellID(geo.Pt(p.Lon, p.Lat)))
 		}
-		cell := k.grid.CellID(p.Pt)
-		k.index[cell] = append(k.index[cell], knnRef{traj: ti, pt: int32(i)})
-		k.indexed++
 	}
 }
 
-// unindex removes trajectory ti's references from the cells its moving
-// points lie in, each cell filtered once, leaving every other trajectory's
-// references in place.
+// indexPoint indexes report i of trajectory ti in cell. It extends the
+// trajectory's newest run when that run lies in the same cell and ends
+// just before i; otherwise it starts a run.
+func (k *HistoryKNN) indexPoint(ti, i int32, cell int) {
+	k.indexed++
+	tr := &k.trajs[ti]
+	runs := k.index[cell]
+	if cell == tr.lastCell && int(tr.lastRun) < len(runs) {
+		if r := &runs[tr.lastRun]; r.traj == ti && r.pt+r.n == i {
+			r.n++
+			return
+		}
+	}
+	tr.lastCell, tr.lastRun = cell, int32(len(runs))
+	k.index[cell] = append(runs, knnRun{traj: ti, pt: i, n: 1})
+}
+
+// unindex removes trajectory ti's runs from the cells its moving points
+// lie in, each cell filtered once, leaving every other trajectory's runs
+// in place.
 func (k *HistoryKNN) unindex(ti int32) {
 	done := make(map[int]bool)
 	for i := range k.trajs[ti].pts {
 		p := &k.trajs[ti].pts[i]
-		cell := k.grid.CellID(p.Pt)
+		cell := k.grid.CellID(geo.Pt(p.Lon, p.Lat))
 		if p.SpeedMS <= 0.5 || done[cell] {
 			continue
 		}
 		done[cell] = true
-		refs := k.index[cell]
-		kept := refs[:0]
-		for _, r := range refs {
+		runs := k.index[cell]
+		kept := runs[:0]
+		for _, r := range runs {
 			if r.traj != ti {
 				kept = append(kept, r)
+			} else {
+				k.indexed -= int(r.n)
 			}
 		}
-		if k.indexed -= len(refs) - len(kept); len(kept) == 0 {
+		if len(kept) == 0 {
 			delete(k.index, cell)
 		} else {
 			k.index[cell] = kept
@@ -310,9 +330,9 @@ func (k *HistoryKNN) RestoreState(st HistoryKNNState) error {
 		if len(buf) == 0 {
 			continue
 		}
-		tr := knnTraj{entity: buf[0].EntityID, domain: buf[0].Domain, pts: make([]knnPoint, len(buf))}
+		tr := knnTraj{entity: buf[0].EntityID, domain: buf[0].Domain, pts: make([]knnPoint, 0, len(buf))}
 		for j := range buf {
-			tr.pts[j] = pointOf(&buf[j])
+			tr.push(&buf[j])
 		}
 		if tr.entity != "" {
 			live[tr.entity] = int32(len(trajs))
