@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,9 +18,9 @@ import (
 // scripted rendezvous (Rendezvous: -1 disables the default pairs): all of
 // its complex events are per-entity and thus arrival-order-independent, so
 // a recovered pipeline must match an uninterrupted one exactly. Pair-based
-// events (rendezvous) are inherently sensitive to cross-entity arrival
-// order in the parallel path — replay determinism for them holds between
-// replays of the same log, which TestReplayDeterminism covers.
+// events (rendezvous) are sensitive to cross-entity arrival order in the
+// parallel path; recovery replays the log in one order, so two recoveries
+// of one image agree, which server.FuzzCrashEquivalence checks.
 func durableWorld(t testing.TB) *synth.Scenario {
 	t.Helper()
 	return synth.GenMaritime(synth.MaritimeConfig{
@@ -132,51 +131,49 @@ func TestSerialDurableRecovery(t *testing.T) {
 	}
 }
 
-// TestReplayDeterminism replays the same log twice through fresh pipelines
-// and requires byte-identical results — the foundation the golden tests
-// stand on.
-func TestReplayDeterminism(t *testing.T) {
-	sc := durableWorld(t)
+// loggedSession feeds sc's first n lines through a one-worker Ingestor,
+// each logged to a fresh data directory, and returns the directory and the
+// pipeline that ran the session.
+func loggedSession(t *testing.T, sc *synth.Scenario, n int) (string, *Pipeline) {
+	t.Helper()
 	dataDir := t.TempDir()
 	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := newPrimed(sc)
-	ing := p0.NewIngestor(IngestorConfig{Workers: 1})
-	feed(t, ing, log, sc.WireTimed)
+	p := newPrimed(sc)
+	ing := p.NewIngestor(IngestorConfig{Workers: 1})
+	feed(t, ing, log, sc.WireTimed[:n])
 	ing.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dataDir, p
+}
 
+// TestReplayDeterminism replays one log twice through fresh pipelines;
+// each replay must equal the session that wrote the log, byte for byte.
+func TestReplayDeterminism(t *testing.T) {
+	sc := durableWorld(t)
+	dataDir, p0 := loggedSession(t, sc, len(sc.WireTimed))
 	prime := func(p *Pipeline) {
 		p.InstallAreas(sc.Areas)
 		p.InstallEntities(sc.Entities)
 	}
-	pa, rsa, err := Replay(dataDir, Config{Domain: model.Maritime}, prime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, rsb, err := Replay(dataDir, Config{Domain: model.Maritime}, prime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsa.Replayed != int64(len(sc.WireTimed)) || rsa.Replayed != rsb.Replayed {
-		t.Fatalf("replayed %d / %d, want %d", rsa.Replayed, rsb.Replayed, len(sc.WireTimed))
-	}
-	if pa.Stats.Snapshot() != pb.Stats.Snapshot() {
-		t.Errorf("two replays disagree on counters: %+v vs %+v", pa.Stats.Snapshot(), pb.Stats.Snapshot())
-	}
-	if !bytes.Equal(exportNT(t, pa), exportNT(t, pb)) {
-		t.Error("two replays of the same log produced different stores")
-	}
-	// And both match the original session.
-	if pa.Stats.Snapshot() != p0.Stats.Snapshot() {
-		t.Errorf("replay counters %+v, original %+v", pa.Stats.Snapshot(), p0.Stats.Snapshot())
-	}
-	if !bytes.Equal(exportNT(t, pa), exportNT(t, p0)) {
-		t.Error("replay store differs from the original session")
+	for i := range 2 {
+		p, rs, err := Replay(dataDir, Config{Domain: model.Maritime}, prime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Replayed != int64(len(sc.WireTimed)) {
+			t.Errorf("replay %d: replayed %d lines, want %d", i, rs.Replayed, len(sc.WireTimed))
+		}
+		if p.Stats.Snapshot() != p0.Stats.Snapshot() {
+			t.Errorf("replay %d: counters %+v, original %+v", i, p.Stats.Snapshot(), p0.Stats.Snapshot())
+		}
+		if !bytes.Equal(exportNT(t, p), exportNT(t, p0)) {
+			t.Errorf("replay %d: store differs from the original session", i)
+		}
 	}
 }
 
@@ -278,55 +275,34 @@ func TestParallelDurableRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoverTornTail simulates kill -9 mid-write: the final WAL record is
-// cut in half. Recovery must keep everything before it and report the torn
-// bytes.
+// TestRecoverTornTail cuts the last WAL record short, as a kill -9
+// mid-write does: recovery keeps everything before it and reports the
+// torn bytes as a tail, not as mid-log corruption.
 func TestRecoverTornTail(t *testing.T) {
 	sc := durableWorld(t)
-	dataDir := t.TempDir()
-	log, err := wal.Open(WALDir(dataDir), wal.Options{NoSync: true})
+	const n = 2000
+	dataDir, _ := loggedSession(t, sc, n)
+	segs, err := filepath.Glob(filepath.Join(WALDir(dataDir), "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment: %v", err)
+	}
+	last := segs[len(segs)-1]
+	st, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := newPrimed(sc)
-	n := 2000
-	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
-	feed(t, ing, log, sc.WireTimed[:n])
-	ing.Close()
-	if err := log.Close(); err != nil {
+	if err := os.Truncate(last, st.Size()-7); err != nil {
 		t.Fatal(err)
 	}
-
-	// Tear the tail: chop 7 bytes off the last segment.
-	segs, err := os.ReadDir(WALDir(dataDir))
+	p := newPrimed(sc)
+	rs, err := p.Recover(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := segs[len(segs)-1].Name()
-	if !strings.HasSuffix(last, ".seg") {
-		t.Fatalf("unexpected entry %q", last)
+	if rs.TailTruncatedBytes == 0 || rs.CorruptStopped {
+		t.Errorf("torn tail not reported as one: %+v", rs)
 	}
-	path := filepath.Join(WALDir(dataDir), last)
-	st, _ := os.Stat(path)
-	if err := os.Truncate(path, st.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	p2 := newPrimed(sc)
-	rs, err := p2.Recover(dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.TailTruncatedBytes == 0 {
-		t.Error("torn tail not reported")
-	}
-	if rs.CorruptStopped {
-		t.Error("torn tail misclassified as mid-log corruption")
-	}
-	if rs.Replayed != int64(n-1) {
-		t.Errorf("replayed %d lines, want %d (all but the torn record)", rs.Replayed, n-1)
-	}
-	if got := p2.Stats.Snapshot().Lines; got != int64(n-1) {
-		t.Errorf("recovered lines = %d, want %d", got, n-1)
+	if rs.Replayed != n-1 || p.Stats.Snapshot().Lines != n-1 {
+		t.Errorf("replayed %d, recovered %d lines; want %d (all but the torn record)", rs.Replayed, p.Stats.Snapshot().Lines, n-1)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/synth"
-	"github.com/datacron-project/datacron/internal/wal"
 )
 
 // straightWire encodes a constant-velocity AIS track (heading east from
@@ -198,66 +197,5 @@ func TestServerForecastSSE(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no forecast frame within 5s")
 		}
-	}
-}
-
-// TestServerForecastKillRecover is the serving-layer durability acceptance:
-// ingest a track durably, snapshot, kill -9 (abandon the server), restart
-// on the same data dir, and the recovered daemon must forecast the entity
-// identically — without receiving a single new report.
-func TestServerForecastKillRecover(t *testing.T) {
-	dataDir := t.TempDir()
-	pipeCfg := core.Config{
-		Domain:   model.Maritime,
-		Forecast: core.ForecastConfig{Enabled: true},
-	}
-	boot := func() (*core.Pipeline, *Server, string, func()) {
-		p := core.New(pipeCfg)
-		rs, err := p.Recover(dataDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := wal.Open(core.WALDir(dataDir), wal.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := New(Config{Pipeline: p, Workers: 2, QueueLen: 1 << 14, WAL: l, DataDir: dataDir, Recovery: &rs})
-		h := httptest.NewServer(srv.Handler())
-		return p, srv, h.URL, func() { h.Close(); srv.Close(); l.Close() }
-	}
-
-	p1, _, url1, kill1 := boot()
-	lines, _ := straightWire(t, 237000003, geo.Pt(23.8, 37.9), 40, 10, 8.0)
-	ir := postIngest(t, http.DefaultClient, url1, wireBody(lines), true)
-	if ir.Rejected != 0 {
-		t.Fatalf("rejected %d lines", ir.Rejected)
-	}
-	var before ForecastJSON
-	if status := getJSON(t, url1+"/forecast?entity=237000003&horizon=10m", &before); status != http.StatusOK {
-		t.Fatalf("pre-kill forecast status = %d", status)
-	}
-	// Snapshot, then kill without draining.
-	resp, err := http.Post(url1+"/snapshot", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot status = %d", resp.StatusCode)
-	}
-	obsBefore := p1.ForecastHub.Observed()
-	kill1()
-
-	_, srv2, url2, kill2 := boot()
-	defer kill2()
-	if got := srv2.p.ForecastHub.Observed(); got != obsBefore {
-		t.Errorf("recovered hub observed = %d, want %d", got, obsBefore)
-	}
-	var after ForecastJSON
-	if status := getJSON(t, url2+"/forecast?entity=237000003&horizon=10m", &after); status != http.StatusOK {
-		t.Fatalf("post-recovery forecast status = %d", status)
-	}
-	if after != before {
-		t.Errorf("forecast diverged across kill -9:\n got %+v\nwant %+v", after, before)
 	}
 }

@@ -139,57 +139,3 @@ func TestServerIngestBinaryBadFrame(t *testing.T) {
 		}
 	}
 }
-
-// Kill -9 recovery of binary-frame ingest must be bit-identical to an
-// uninterrupted run — the PR-2 durability guarantee extended to the new
-// wire format. Mirrors TestServerKillRecoverGolden with frame bodies.
-func TestServerIngestBinaryKillRecoverGolden(t *testing.T) {
-	cfg := Config{Workers: 4, QueueLen: 1 << 16}
-	sc := goldenWorld(t)
-	dataDir := t.TempDir()
-	_, _, srv1, ts1 := durableWorldServer(t, sc, dataDir, cfg)
-
-	const batch = 4000
-	snapAt := len(sc.WireTimed) / 2
-	accepted := 0
-	for i := 0; i < len(sc.WireTimed); i += batch {
-		end := i + batch
-		if end > len(sc.WireTimed) {
-			end = len(sc.WireTimed)
-		}
-		ir, status := postFrames(t, ts1.Client(), ts1.URL, frameBody(sc.WireTimed[i:end]), false)
-		if status != http.StatusAccepted || ir.Rejected != 0 {
-			t.Fatalf("batch at %d: status %d, %+v", i, status, ir)
-		}
-		accepted += ir.Accepted
-		if i <= snapAt && snapAt < end {
-			resp, err := ts1.Client().Post(ts1.URL+"/snapshot", "", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("snapshot failed: %d", resp.StatusCode)
-			}
-		}
-	}
-	if accepted != len(sc.WireTimed) {
-		t.Fatalf("accepted %d of %d records", accepted, len(sc.WireTimed))
-	}
-	// Kill -9: abandon the server with acked records still queued.
-	ts1.Close()
-	t.Logf("killed with %d acked records still in queues", srv1.Ingestor().Pending())
-
-	p2, _, _, _ := durableWorldServer(t, sc, dataDir, cfg)
-	ref := referenceRun(t, sc)
-	if got, want := p2.Stats.Snapshot(), ref.Stats.Snapshot(); got != want {
-		t.Errorf("recovered counters = %+v, want %+v", got, want)
-	}
-	if got, want := exportNT(t, p2), exportNT(t, ref); !bytes.Equal(got, want) {
-		t.Errorf("recovered store dump differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
-	}
-	if got, want := fixedQuery(t, p2), fixedQuery(t, ref); got != want {
-		t.Errorf("fixed query differs after recovery")
-	}
-}

@@ -421,17 +421,7 @@ func TestIngestAcceptedCounter(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
-		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, "datacron_ingest_accepted_total "); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatalf("datacron_ingest_accepted_total %q: %v", v, err)
-				}
-				return n
-			}
-		}
-		t.Fatal("/metrics has no datacron_ingest_accepted_total")
-		return 0
+		return int(metricValue(t, body, "datacron_ingest_accepted_total"))
 	}
 	if got := accepted(); got != 0 {
 		t.Fatalf("before any ingest: %d, want 0", got)

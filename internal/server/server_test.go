@@ -325,7 +325,7 @@ func TestServerConcurrentIngestQuery(t *testing.T) {
 			snap.Lines, srv.Ingestor().Rejected(), got, len(sc.WireTimed))
 	}
 	world := srv.p.WorldBox()
-	results, _ := srv.p.Store.RangeQuery(world.Buffer(1), 0, 1<<62)
+	results, _, _ := srv.p.Store.RangeQueryN(world.Buffer(1), 0, 1<<62, 0)
 	if want := int(snap.Kept + snap.Detections); len(results) != want {
 		t.Errorf("range count = %d, want kept+detections = %d", len(results), want)
 	}

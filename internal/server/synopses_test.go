@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,6 @@ import (
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
 	"github.com/datacron-project/datacron/internal/synth"
-	"github.com/datacron-project/datacron/internal/wal"
 )
 
 // manoeuvreWire encodes an AIS track with the critical points the detector
@@ -236,28 +234,6 @@ func TestServerSynopsisSSE(t *testing.T) {
 	}
 }
 
-// synopsesDurableServer builds a primed synopses-enabled pipeline + durable
-// server over dataDir.
-func synopsesDurableServer(t testing.TB, sc *synth.Scenario, dataDir string, cfg Config) (*core.Pipeline, *Server, *httptest.Server) {
-	t.Helper()
-	p := core.New(core.Config{Synopses: core.SynopsesConfig{Enabled: true}})
-	p.InstallAreas(sc.Areas)
-	p.InstallEntities(sc.Entities)
-	rs, err := p.Recover(dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := wal.Open(core.WALDir(dataDir), wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pipeline, cfg.WAL, cfg.DataDir, cfg.Recovery = p, l, dataDir, &rs
-	srv := New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close(); l.Close() })
-	return p, srv, ts
-}
-
 // getBody fetches url and returns status + raw body bytes.
 func getBody(t testing.TB, url string) (int, []byte) {
 	t.Helper()
@@ -271,78 +247,4 @@ func getBody(t testing.TB, url string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body
-}
-
-// TestServerSynopsesKillRecoverGolden is the durability acceptance for the
-// synopses subsystem: ingest through the durable HTTP path with a
-// mid-stream snapshot, kill -9 with lines still queued, restart on the
-// same data dir — and require byte-identical /synopses responses between
-// the recovered daemon and a server over an uninterrupted reference run.
-func TestServerSynopsesKillRecoverGolden(t *testing.T) {
-	sc := goldenWorld(t)
-	dataDir := t.TempDir()
-	_, srv1, ts1 := synopsesDurableServer(t, sc, dataDir, Config{Workers: 4, QueueLen: 1 << 16})
-
-	const batch = 4000
-	snapAt := len(sc.WireTimed) / 2
-	for i := 0; i < len(sc.WireTimed); i += batch {
-		end := i + batch
-		if end > len(sc.WireTimed) {
-			end = len(sc.WireTimed)
-		}
-		if ir := postIngest(t, ts1.Client(), ts1.URL, wireBody(sc.WireTimed[i:end]), false); ir.Rejected != 0 {
-			t.Fatalf("rejected %d lines with an oversized queue", ir.Rejected)
-		}
-		if i <= snapAt && snapAt < end {
-			resp, err := ts1.Client().Post(ts1.URL+"/snapshot", "", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("snapshot status = %d", resp.StatusCode)
-			}
-		}
-	}
-	// Kill -9: abandon with queues still draining.
-	ts1.Close()
-	t.Logf("killed with %d acked lines still in queues", srv1.Ingestor().Pending())
-
-	// Restart on the same data dir; build the uninterrupted reference and
-	// serve it, so both sides answer over the identical HTTP path.
-	_, _, ts2 := synopsesDurableServer(t, sc, dataDir, Config{Workers: 4, QueueLen: 1 << 16})
-
-	ref := core.New(core.Config{Synopses: core.SynopsesConfig{Enabled: true}})
-	ref.InstallAreas(sc.Areas)
-	ref.InstallEntities(sc.Entities)
-	for _, tl := range sc.WireTimed {
-		if _, err := ref.IngestLine(tl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refSrv := New(Config{Pipeline: ref, Workers: 1, QueueLen: 64})
-	refTS := httptest.NewServer(refSrv.Handler())
-	defer func() { refTS.Close(); refSrv.Close() }()
-
-	stA, batchA := getBody(t, ts2.URL+"/synopses/batch")
-	stB, batchB := getBody(t, refTS.URL+"/synopses/batch")
-	if stA != http.StatusOK || stB != http.StatusOK {
-		t.Fatalf("batch statuses %d / %d", stA, stB)
-	}
-	if string(batchA) != string(batchB) {
-		t.Errorf("/synopses/batch diverges after kill -9 + restart:\n%s\nwant:\n%s", batchA, batchB)
-	}
-	for _, e := range sc.Entities {
-		url := fmt.Sprintf("/synopses/%s", e.ID)
-		stA, bodyA := getBody(t, ts2.URL+url)
-		stB, bodyB := getBody(t, refTS.URL+url)
-		if stA != stB {
-			t.Errorf("%s: status %d vs %d", url, stA, stB)
-			continue
-		}
-		if string(bodyA) != string(bodyB) {
-			t.Errorf("%s diverges after kill -9 + restart (%d vs %d bytes)", url, len(bodyA), len(bodyB))
-		}
-	}
 }

@@ -97,7 +97,7 @@ func serialiseAll(t *testing.T, s *Sharded) map[string][]byte {
 // order-independent form.
 func rangeKeys(t *testing.T, s *Sharded) []string {
 	t.Helper()
-	res, _ := s.RangeQuery(geo.BBox{MinLon: 20, MinLat: 35, MaxLon: 28, MaxLat: 40}, 0, 1<<62)
+	res, _, _ := s.RangeQueryN(geo.BBox{MinLon: 20, MinLat: 35, MaxLon: 28, MaxLat: 40}, 0, 1<<62, 0)
 	keys := make([]string, 0, len(res))
 	for _, r := range res {
 		term, ok := s.Dict().Decode(r.Node)

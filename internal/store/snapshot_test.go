@@ -57,8 +57,8 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Range queries agree exactly.
-	res1, _ := src.RangeQuery(box, 0, 1<<62)
-	res2, _ := dst.RangeQuery(box, 0, 1<<62)
+	res1, _, _ := src.RangeQueryN(box, 0, 1<<62, 0)
+	res2, _, _ := dst.RangeQueryN(box, 0, 1<<62, 0)
 	if len(res1) != len(res2) {
 		t.Errorf("range results: src %d, restored %d", len(res1), len(res2))
 	}

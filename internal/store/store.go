@@ -237,20 +237,13 @@ type RangeResult struct {
 	Shard int
 }
 
-// RangeQuery returns the anchored nodes within box and [fromTS, toTS],
-// evaluating candidate shards in parallel. visited reports how many shards
-// were consulted.
-func (s *Sharded) RangeQuery(box geo.BBox, fromTS, toTS int64) (results []RangeResult, visited int) {
-	results, visited, _ = s.RangeQueryN(box, fromTS, toTS, 0)
-	return results, visited
-}
-
-// RangeQueryN is RangeQuery with a result bound: when limit > 0, each
-// shard stops scanning after limit+1 hits and at most limit results are
-// returned, with truncated reporting whether more matches exist. This
-// bounds both the work and the allocation of a query, which is what lets
-// the serving layer expose range queries to untrusted clients. limit <= 0
-// returns everything.
+// RangeQueryN returns the anchored nodes within box and [fromTS, toTS],
+// evaluating candidate shards in parallel; visited reports how many shards
+// were consulted. When limit > 0, each shard stops scanning after limit+1
+// hits and at most limit results are returned, with truncated reporting
+// whether more matches exist. This bounds both the work and the allocation
+// of a query, which is what lets the serving layer expose range queries to
+// untrusted clients. limit <= 0 returns everything.
 func (s *Sharded) RangeQueryN(box geo.BBox, fromTS, toTS int64, limit int) (results []RangeResult, visited int, truncated bool) {
 	cands := s.part.Candidates(box, fromTS, toTS)
 	visited = len(cands)

@@ -43,7 +43,7 @@ func TestAddAndRangeQuery(t *testing.T) {
 			}
 			// Query a sub-box over all time.
 			qbox := geo.NewBBox(24, 36, 26, 38)
-			results, visited := s.RangeQuery(qbox, 0, 1_000_000)
+			results, visited, _ := s.RangeQueryN(qbox, 0, 1_000_000, 0)
 			if visited == 0 || visited > 4 {
 				t.Errorf("visited = %d", visited)
 			}
@@ -77,7 +77,7 @@ func TestRangeQueryTimeFilter(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.AddPositionRecord(posAt("V1", 25, 37, int64(i)*1000))
 	}
-	results, _ := s.RangeQuery(box, 10_000, 19_999)
+	results, _, _ := s.RangeQueryN(box, 10_000, 19_999, 0)
 	if len(results) != 10 {
 		t.Errorf("time-filtered hits = %d, want 10", len(results))
 	}
@@ -90,7 +90,7 @@ func TestRangeQueryTimeFilter(t *testing.T) {
 
 func TestRangeQueryEmptyAndDisjoint(t *testing.T) {
 	s := NewSharded(partition.NewHilbert(box, 6, 4), box)
-	results, visited := s.RangeQuery(geo.NewBBox(100, 0, 110, 10), 0, 1)
+	results, visited, _ := s.RangeQueryN(geo.NewBBox(100, 0, 110, 10), 0, 1, 0)
 	if len(results) != 0 {
 		t.Error("hits for disjoint box")
 	}
@@ -170,7 +170,7 @@ func TestConcurrentLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	results, _ := s.RangeQuery(box, 0, 1<<60)
+	results, _, _ := s.RangeQueryN(box, 0, 1<<60, 0)
 	if len(results) != 2000 {
 		t.Errorf("hits after concurrent load = %d, want 2000", len(results))
 	}
@@ -210,7 +210,7 @@ func TestAddEventAnchored(t *testing.T) {
 	s := NewSharded(partition.NewGrid(geo.NewGrid(box, 8, 8), 4), box)
 	ev := model.Event{Type: "loitering", Entity: "V1", StartTS: 1000, EndTS: 2000, Where: geo.Pt(25, 37)}
 	s.AddEvent(ev)
-	results, _ := s.RangeQuery(geo.NewBBox(24.9, 36.9, 25.1, 37.1), 0, 10_000)
+	results, _, _ := s.RangeQueryN(geo.NewBBox(24.9, 36.9, 25.1, 37.1), 0, 10_000, 0)
 	if len(results) != 1 {
 		t.Fatalf("event anchor hits = %d", len(results))
 	}
@@ -234,7 +234,7 @@ func TestLoadScenarioEndToEnd(t *testing.T) {
 	if s.Len() == 0 {
 		t.Fatal("nothing loaded")
 	}
-	results, _ := s.RangeQuery(sc.Box, 0, 1<<60)
+	results, _, _ := s.RangeQueryN(sc.Box, 0, 1<<60, 0)
 	if len(results) != len(sc.Positions) {
 		t.Errorf("anchors = %d, want %d", len(results), len(sc.Positions))
 	}
@@ -266,6 +266,6 @@ func BenchmarkRangeQuery(b *testing.B) {
 	q := geo.NewBBox(24, 36, 24.5, 36.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RangeQuery(q, 0, 1<<60)
+		s.RangeQueryN(q, 0, 1<<60, 0)
 	}
 }

@@ -30,7 +30,7 @@ func exportString(t *testing.T, s *Sharded) string {
 func TestSealPreservesContent(t *testing.T) {
 	s := buildTestStore(t)
 	before := exportString(t, s)
-	rangeBefore, _ := s.RangeQuery(geo.NewBBox(20, 35, 28, 40), 0, 1<<62)
+	rangeBefore, _, _ := s.RangeQueryN(geo.NewBBox(20, 35, 28, 40), 0, 1<<62, 0)
 	lenBefore := s.Len()
 
 	st := s.Maintain(TierPolicy{}, true) // force-seal every head
@@ -50,7 +50,7 @@ func TestSealPreservesContent(t *testing.T) {
 	if s.Len() != lenBefore {
 		t.Errorf("Len changed across seal: %d vs %d", s.Len(), lenBefore)
 	}
-	rangeAfter, _ := s.RangeQuery(geo.NewBBox(20, 35, 28, 40), 0, 1<<62)
+	rangeAfter, _, _ := s.RangeQueryN(geo.NewBBox(20, 35, 28, 40), 0, 1<<62, 0)
 	if len(rangeAfter) != len(rangeBefore) {
 		t.Errorf("range hits changed across seal: %d vs %d", len(rangeAfter), len(rangeBefore))
 	}
@@ -127,11 +127,11 @@ func TestRetentionBoundsStore(t *testing.T) {
 		t.Errorf("no plateau: mid=%d last=%d (probes %v)", mid, last, lens)
 	}
 	// Old data is gone, fresh data answers.
-	old, _ := s.RangeQuery(box, 0, 1_000_000)
+	old, _, _ := s.RangeQueryN(box, 0, 1_000_000, 0)
 	if len(old) != 0 {
 		t.Errorf("aged-out anchors still answer: %d", len(old))
 	}
-	fresh, _ := s.RangeQuery(box, 4_900_000, 5_000_000)
+	fresh, _, _ := s.RangeQueryN(box, 4_900_000, 5_000_000, 0)
 	if len(fresh) == 0 {
 		t.Error("fresh anchors lost")
 	}
@@ -190,8 +190,8 @@ func TestTieredSnapshotRoundTripAndReuse(t *testing.T) {
 	if got, want := dst.ShardLoads(), src.ShardLoads(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("shard loads differ: %v vs %v", got, want)
 	}
-	r1, _ := src.RangeQuery(box, 0, 1<<62)
-	r2, _ := dst.RangeQuery(box, 0, 1<<62)
+	r1, _, _ := src.RangeQueryN(box, 0, 1<<62, 0)
+	r2, _, _ := dst.RangeQueryN(box, 0, 1<<62, 0)
 	if len(r1) != len(r2) {
 		t.Errorf("range results differ: %d vs %d", len(r1), len(r2))
 	}
