@@ -24,8 +24,8 @@
 // stream into per-entity critical points (stop, turn, speed change, gap
 // start/end — at the domain's thresholds): GET /synopses/{id} serves one
 // entity's synopsis, GET /synopses/batch the fleet summary with the
-// raw-vs-critical compression statistics, and -synopses-interval streams
-// newly detected points as "synopsis" SSE frames. Synopsis state is part of
+// raw-vs-critical compression statistics, and GET /events streams newly
+// detected points as "synopsis" SSE frames. Synopsis state is part of
 // snapshots and survives kill -9.
 //
 // Observability (see OPERATIONS.md "Observability"): logs are structured
@@ -131,8 +131,7 @@ var (
 	fcast         = flag.Bool("forecast", true, "online forecasting: serve GET /forecast and /forecast/batch")
 	fcastInterval = flag.Duration("forecast-interval", 0, "publish SSE \"forecast\" frames for all live entities at this interval (0 = off)")
 
-	synOn       = flag.Bool("synopses", true, "online trajectory synopses: serve GET /synopses/{id} and /synopses/batch")
-	synInterval = flag.Duration("synopses-interval", 0, "publish SSE \"synopsis\" frames for newly detected critical points at this interval (0 = off)")
+	synOn = flag.Bool("synopses", true, "online trajectory synopses: serve GET /synopses/{id} and /synopses/batch")
 )
 
 func main() {
@@ -262,7 +261,6 @@ func main() {
 			}
 		},
 		ForecastInterval: *fcastInterval,
-		SynopsesInterval: *synInterval,
 		Tier: store.TierPolicy{
 			SealTriples: *sealTriples,
 			SealAfter:   *sealAfter,

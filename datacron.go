@@ -17,6 +17,7 @@ import (
 
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -33,14 +34,16 @@ type Config = core.Config
 // Scenario is a generated synthetic world with ground truth.
 type Scenario = synth.Scenario
 
-// NewMaritimePipeline returns a pipeline configured for vessel traffic.
+// NewMaritimePipeline returns a pipeline configured for vessel traffic,
+// tracing one line in obs.DefaultSampleEvery like the daemon.
 func NewMaritimePipeline() *Pipeline {
-	return core.New(core.Config{Domain: model.Maritime})
+	return core.New(core.Config{Domain: model.Maritime, Trace: obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery}})
 }
 
-// NewAviationPipeline returns a pipeline configured for flight traffic.
+// NewAviationPipeline returns a pipeline configured for flight traffic,
+// tracing like NewMaritimePipeline.
 func NewAviationPipeline() *Pipeline {
-	return core.New(core.Config{Domain: model.Aviation})
+	return core.New(core.Config{Domain: model.Aviation, Trace: obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery}})
 }
 
 // NewPipeline returns a pipeline with a custom configuration.

@@ -14,6 +14,7 @@ import (
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/hotspot"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -24,7 +25,7 @@ func main() {
 	fmt.Printf("aviation world: %d flights, %d SBS messages\n",
 		len(sc.Entities), len(sc.WireLines))
 
-	pipeline := core.New(core.Config{Domain: model.Aviation})
+	pipeline := core.New(core.Config{Domain: model.Aviation, Trace: obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery}})
 	pipeline.InstallAreas(sc.Areas)
 	pipeline.InstallEntities(sc.Entities)
 	pipeline.Ingest(sc.WireTimed)

@@ -16,6 +16,7 @@ import (
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/forecast"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -27,7 +28,7 @@ func main() {
 	fmt.Printf("Aegean world: %d vessels, %d reports, %d scripted events\n",
 		len(sc.Entities), len(sc.Positions), len(sc.Events))
 
-	pipeline := core.New(core.Config{Domain: model.Maritime})
+	pipeline := core.New(core.Config{Domain: model.Maritime, Trace: obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery}})
 	pipeline.InstallAreas(sc.Areas)
 	pipeline.InstallEntities(sc.Entities)
 	detected := pipeline.Ingest(sc.WireTimed)

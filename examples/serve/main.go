@@ -20,6 +20,7 @@ import (
 	"github.com/datacron-project/datacron/internal/ais"
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/obs"
 	"github.com/datacron-project/datacron/internal/server"
 	"github.com/datacron-project/datacron/internal/synth"
 )
@@ -31,7 +32,7 @@ func main() {
 	sc := synth.GenMaritime(synth.MaritimeConfig{
 		Seed: 7, Vessels: 30, Duration: 2 * time.Hour, Loiterers: 2, Rendezvous: 1,
 	})
-	p := core.New(core.Config{Domain: model.Maritime, Shards: 8})
+	p := core.New(core.Config{Domain: model.Maritime, Shards: 8, Trace: obs.TraceConfig{SampleEvery: obs.DefaultSampleEvery}})
 	p.InstallAreas(sc.Areas)
 	p.InstallEntities(sc.Entities)
 

@@ -20,7 +20,7 @@ import (
 // every candidate sorted, every pair in range built, the never-read closing
 // speed and its unbounded prev map included. The differential tests below
 // pin the production stage to it, now that the dead output is deleted and
-// through every later stage of its rebuild (ROADMAP item 1).
+// through every later stage of its rebuild (ROADMAP item 3 (i)).
 type oraclePairEvent struct {
 	Key      string
 	A, B     string

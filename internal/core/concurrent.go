@@ -12,6 +12,7 @@ import (
 	"github.com/datacron-project/datacron/internal/ais"
 	"github.com/datacron-project/datacron/internal/insitu"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/synopses"
 	"github.com/datacron-project/datacron/internal/synth"
 	"github.com/datacron-project/datacron/internal/wal"
 )
@@ -64,7 +65,7 @@ type Ingestor struct {
 	p        *Pipeline
 	workers  []*worker
 	wg       sync.WaitGroup
-	onEvents func([]model.Event)
+	onEvents func([]model.Event, []synopses.CriticalPoint)
 	// drain is the per-wakeup batch size: a worker pulls up to drain queued
 	// lines and processes them under one snapshot critical section.
 	drain int
@@ -135,8 +136,11 @@ type IngestorConfig struct {
 	// watermark, one store flush). <= 0 uses DefaultBatchDrain; 1 restores
 	// line-at-a-time processing.
 	BatchDrain int
-	// OnEvents receives detected event batches from worker goroutines.
-	OnEvents func([]model.Event)
+	// OnEvents receives, from worker goroutines, what each drained batch
+	// emitted: its complex events and its critical points. It is called
+	// only for a batch that emitted either; the points slice is the
+	// worker's scratch, valid until the call returns.
+	OnEvents func([]model.Event, []synopses.CriticalPoint)
 }
 
 // NewIngestor starts the worker goroutines. Close must be called to stop
@@ -208,16 +212,19 @@ func (ing *Ingestor) run(w *worker) {
 
 // processBatch runs a drained batch through the pipeline under one hold of
 // the worker's snapshot lock, flushes the worker's store batch writer, and
-// retires the batch's logged LSNs with one FIFO cut. Detected events are
-// delivered once per batch, outside the lock; the last thing a batch does is
-// leave inflight, waking Quiesce callers if it was the last one in flight.
+// retires the batch's logged LSNs with one FIFO cut. Detected events and
+// critical points are delivered once per batch, outside the lock, and the
+// watermark is noted once, with the batch's newest line timestamp; the last
+// thing a batch does is leave inflight, waking Quiesce callers if it was
+// the last one in flight.
 func (ing *Ingestor) processBatch(w *worker, batch []*[]queued) {
 	var evs []model.Event
-	var total int64
+	var total, newest int64
 	logged := 0
 	w.snapMu.Lock()
 	for _, recs := range batch {
 		for _, rec := range *recs {
+			newest = max(newest, rec.TS)
 			g := &ing.p.groups[rec.group]
 			evs = append(evs, ing.p.ingest(w.front, g, rec.TimedLine)...)
 			if rec.lsn != 0 {
@@ -254,11 +261,13 @@ func (ing *Ingestor) processBatch(w *worker, batch []*[]queued) {
 		recsPool.Put(recs)
 	}
 	w.reserved.Add(-total)
+	ing.p.Watermark.Note(newest)
 	// Events go out before the batch leaves inflight: a Quiesce that wakes
 	// on this batch returns after its detections were delivered, not before.
-	if len(evs) > 0 && ing.onEvents != nil {
-		ing.onEvents(evs)
+	if points := w.front.points; (len(evs) > 0 || len(points) > 0) && ing.onEvents != nil {
+		ing.onEvents(evs, points)
 	}
+	w.front.points = w.front.points[:0]
 	if ing.inflight.Add(-total) == 0 {
 		ing.idleMu.Lock()
 		if ing.idle != nil {
@@ -463,7 +472,7 @@ func (ing *Ingestor) feed(log *wal.Log, lines []synth.TimedLine, lsns []uint64) 
 // returns the complex events they caused, in line order.
 func (p *Pipeline) Ingest(lines []synth.TimedLine) []model.Event {
 	var evs []model.Event
-	ing := p.NewIngestor(IngestorConfig{Workers: 1, OnEvents: func(e []model.Event) { evs = append(evs, e...) }})
+	ing := p.NewIngestor(IngestorConfig{Workers: 1, OnEvents: func(e []model.Event, _ []synopses.CriticalPoint) { evs = append(evs, e...) }})
 	_ = ing.Feed(nil, lines) // unlogged, so only a closed ingestor fails
 	ing.Close()
 	return evs

@@ -17,6 +17,7 @@ import (
 	"github.com/datacron-project/datacron/internal/ais"
 	"github.com/datacron-project/datacron/internal/cer"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/synopses"
 	"github.com/datacron-project/datacron/internal/synth"
 	"github.com/datacron-project/datacron/internal/wal"
 )
@@ -735,7 +736,7 @@ const replayChunk = 1024
 // a one-worker Ingestor, in log order and under the record's own LSN, so
 // the groups' applied offsets advance as live ingest advances them.
 func (p *Pipeline) replayLog(dataDir string, from uint64, skip map[string]uint64, rs *RecoveryStats) (wal.ScanStats, error) {
-	ing := p.NewIngestor(IngestorConfig{Workers: 1, OnEvents: func(evs []model.Event) { rs.Events += int64(len(evs)) }})
+	ing := p.NewIngestor(IngestorConfig{Workers: 1, OnEvents: func(evs []model.Event, _ []synopses.CriticalPoint) { rs.Events += int64(len(evs)) }})
 	defer ing.Close()
 	var lines []synth.TimedLine
 	var lsns []uint64

@@ -11,6 +11,7 @@ import (
 
 	"github.com/datacron-project/datacron/internal/ais"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/synopses"
 	"github.com/datacron-project/datacron/internal/synth"
 	"github.com/datacron-project/datacron/internal/wal"
 )
@@ -48,7 +49,7 @@ func ingestWorkers(t testing.TB, p *Pipeline, workers int, lines []synth.TimedLi
 	t.Helper()
 	var mu sync.Mutex
 	var evs []model.Event
-	ing := p.NewIngestor(IngestorConfig{Workers: workers, QueueLen: 1 << 16, OnEvents: func(e []model.Event) {
+	ing := p.NewIngestor(IngestorConfig{Workers: workers, QueueLen: 1 << 16, OnEvents: func(e []model.Event, _ []synopses.CriticalPoint) {
 		mu.Lock()
 		evs = append(evs, e...)
 		mu.Unlock()

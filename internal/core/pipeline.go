@@ -2,11 +2,11 @@
 // wire-format ingestion (AIS/SBS decoding), in-situ processing (noise gate +
 // online compression), transformation to RDF, interlinking, storage in the
 // parallel spatiotemporal RDF store, complex event recognition, the density
-// analytics, and online mobility forecasting (ForecastHub) — with per-stage
-// latency accounting against the paper's millisecond operational
-// requirement (§4). The durability protocol (WriteSnapshot/Recover/Replay,
-// DESIGN.md §8) makes the whole pipeline — forecast state included —
-// survive kill -9.
+// analytics, and online mobility forecasting (ForecastHub) — with sampled
+// per-stage tracing (Pipeline.Tracer) against the paper's millisecond
+// operational requirement (§4). The durability protocol
+// (WriteSnapshot/Recover/Replay, DESIGN.md §8) makes the whole pipeline —
+// forecast state included — survive kill -9.
 package core
 
 import (
@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/datacron-project/datacron/internal/adsb"
 	"github.com/datacron-project/datacron/internal/ais"
@@ -28,6 +27,7 @@ import (
 	"github.com/datacron-project/datacron/internal/partition"
 	"github.com/datacron-project/datacron/internal/query"
 	"github.com/datacron-project/datacron/internal/store"
+	"github.com/datacron-project/datacron/internal/synopses"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -44,9 +44,9 @@ type Config struct {
 	// Synopses configures the online trajectory-synopses subsystem; the
 	// zero value leaves it off and Pipeline.SynopsisHub nil.
 	Synopses SynopsesConfig
-	// Trace configures sampled per-stage ingest tracing (Pipeline.Tracer);
-	// a zero SampleEvery leaves it off. Unsampled lines pay one atomic
-	// increment.
+	// Trace configures sampled per-stage ingest tracing (Pipeline.Tracer),
+	// the pipeline's one ingest clock; a zero SampleEvery leaves it off.
+	// Unsampled lines pay one atomic increment and no clock read.
 	Trace obs.TraceConfig
 }
 
@@ -99,15 +99,15 @@ type Pipeline struct {
 	// with parallelism 1.
 	analyticsMu sync.Mutex
 
-	// Stats accumulates counters and per-stage latency. Counters are
-	// updated atomically; read them with Snapshot when ingest may be in
-	// flight.
+	// Stats accumulates the ingest counters. They are updated atomically;
+	// read them with Snapshot when ingest may be in flight.
 	Stats Stats
 }
 
-// front is one ingest worker's scratch: its store batch writer and decode
-// buffers. It holds no operator state (that lives in the key groups), so a
-// worker may own any set of groups.
+// front is one ingest worker's scratch: its store batch writer, decode
+// buffers and the critical points of the batch in hand. It holds no
+// operator state (that lives in the key groups), so a worker may own any
+// set of groups.
 type front struct {
 	// bw stages kept position reports per destination shard; the worker
 	// flushes it once per drained batch inside its snapshot critical
@@ -118,9 +118,9 @@ type front struct {
 	// ids caches the zero-padded entity-ID string per MMSI, so the decode
 	// hot path formats each entity's ID once instead of per report.
 	ids map[uint32]string
-	// tick drives the 1-in-latSampleEvery latency sampling of ingest;
-	// per-front, so no atomics.
-	tick uint32
+	// points collects the critical points the batch's lines emit; they
+	// leave with the batch's events (processBatch) and the slice is reused.
+	points []synopses.CriticalPoint
 }
 
 func (p *Pipeline) newFront() *front {
@@ -138,7 +138,7 @@ func (f *front) entityID(mmsi uint32) string {
 	return id
 }
 
-// Stats carries pipeline counters and latency histograms.
+// Stats carries the pipeline counters; per-stage latency is the tracer's.
 type Stats struct {
 	Lines      int64
 	BadLines   int64 // malformed wire lines (counted and skipped)
@@ -151,14 +151,6 @@ type Stats struct {
 	// dictionary is full (rdf.ErrDictionaryFull). Process-lifetime: it is
 	// not part of StatsSnapshot, so snapshots do not carry it.
 	Unstored int64
-
-	// Latency is the wall-clock time from wire line to full processing of
-	// one report (decode+gate+compress+transform+store+CER), sampled for
-	// every report.
-	Latency *obs.LatencyHist
-	// StoreLatency and CERLatency break the budget down.
-	StoreLatency *obs.LatencyHist
-	CERLatency   *obs.LatencyHist
 }
 
 // CompressionRatio returns decoded/kept.
@@ -230,9 +222,6 @@ func New(cfg Config) *Pipeline {
 	if cfg.Trace.SampleEvery > 0 {
 		p.Tracer = obs.NewTracer(cfg.Trace)
 	}
-	p.Stats.Latency = obs.NewLatencyHist()
-	p.Stats.StoreLatency = obs.NewLatencyHist()
-	p.Stats.CERLatency = obs.NewLatencyHist()
 	return p
 }
 
@@ -274,11 +263,6 @@ func (p *Pipeline) InstallEntities(entities []model.Entity) {
 	p.entityMu.Unlock()
 }
 
-// latSampleEvery is the per-front sampling period of the ingest latency
-// histograms (total / store / CER). Counters stay exact; only the
-// clock-read-heavy timing observations are sampled.
-const latSampleEvery = 16
-
 // IngestLine runs one line synchronously through its key group, flushing
 // its store writes, and returns the complex events it caused; a malformed
 // line is counted (Stats.BadLines) and skipped, so the error is always nil.
@@ -290,7 +274,9 @@ func (p *Pipeline) IngestLine(tl synth.TimedLine) ([]model.Event, error) {
 	if p.drv == nil {
 		p.drv = p.newFront()
 	}
+	p.Watermark.Note(tl.TS)
 	evs := p.ingest(p.drv, &p.groups[groupOf(p.AppendRoutingKey(nil, tl.Line))], tl)
+	p.drv.points = p.drv.points[:0]
 	if unstored, _ := p.drv.bw.Flush(); unstored > 0 {
 		atomic.AddInt64(&p.Stats.Unstored, int64(unstored))
 	}
@@ -298,25 +284,19 @@ func (p *Pipeline) IngestLine(tl synth.TimedLine) ([]model.Event, error) {
 }
 
 // ingest runs the full architecture over one wire line with the given
-// worker scratch and the key group of the line's routing key. Goroutines
-// may call ingest concurrently as long as each uses its own front and no
-// two use one group. A malformed line is counted (Stats.BadLines) and
-// skipped, like a production receiver: real feeds contain truncated and
-// corrupted sentences.
+// worker scratch and the key group of the line's routing key; the critical
+// points it emits are appended to f.points. Goroutines may call ingest
+// concurrently as long as each uses its own front and no two use one
+// group. A malformed line is counted (Stats.BadLines) and skipped, like a
+// production receiver: real feeds contain truncated and corrupted
+// sentences. The caller notes the line's timestamp on the watermark.
 func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) []model.Event {
-	// One clock read per line; the latency histograms sample 1 in
-	// latSampleEvery lines (per front, so replay determinism of the
-	// counters is untouched) — on single-core hosts the clock reads were a
-	// measurable share of the per-line budget.
-	f.tick++
-	sampled := f.tick%latSampleEvery == 0
-	t0 := time.Now()
 	atomic.AddInt64(&p.Stats.Lines, 1)
-	p.Watermark.NoteAt(tl.TS, t0.UnixMilli())
-	// Sampled stage tracing: lt is nil for unsampled lines (the common
-	// case) and every method is a nil-safe no-op then, so the hot path
-	// pays one atomic increment. Outcome strings on always-taken branches
-	// must be constants — anything computed belongs under `if lt != nil`.
+	// Sampled stage tracing, the one clock of the ingest path: lt is nil
+	// for unsampled lines (the common case) and every method is a nil-safe
+	// no-op then, so the hot path pays one atomic increment and reads no
+	// clock. Outcome strings on always-taken branches must be constants —
+	// anything computed belongs under `if lt != nil`.
 	lt := p.Tracer.StartLine()
 	var pos model.Position
 	var ok bool
@@ -360,7 +340,8 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) []model.Event 
 	// per-line critical section, the snapshot barrier quiesces both.
 	if p.SynopsisHub != nil {
 		lt.Begin(obs.StageSynopsis)
-		if p.SynopsisHub.Observe(pos) > 0 {
+		n := len(f.points)
+		if f.points = p.SynopsisHub.observe(pos, f.points); len(f.points) > n {
 			lt.End("critical-point")
 		} else {
 			lt.End("")
@@ -384,18 +365,12 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) []model.Event 
 	// that is the point of in-situ compression). The sharded store does its
 	// own per-shard locking, so fronts write in parallel.
 	// The report is staged in the front's batch writer (the flush happens
-	// once per drained batch, so StoreLatency measures the staging append;
-	// OPERATIONS.md documents the shift).
+	// once per drained batch, so the store stage measures the staging
+	// append; OPERATIONS.md documents the shift).
 	if stored {
 		atomic.AddInt64(&p.Stats.Kept, 1)
 		lt.Begin(obs.StageStore)
-		if sampled {
-			st0 := time.Now()
-			f.bw.AddPosition(pos)
-			p.Stats.StoreLatency.Observe(time.Since(st0))
-		} else {
-			f.bw.AddPosition(pos)
-		}
+		f.bw.AddPosition(pos)
 		lt.End("")
 	}
 
@@ -406,13 +381,7 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) []model.Event 
 	p.Density.Add(pos.Pt)
 	var events []model.Event
 	if p.Suite != nil {
-		if sampled {
-			ct0 := time.Now()
-			events = p.Suite.Process(pos)
-			p.Stats.CERLatency.Observe(time.Since(ct0))
-		} else {
-			events = p.Suite.Process(pos)
-		}
+		events = p.Suite.Process(pos)
 	}
 	p.analyticsMu.Unlock()
 	if len(events) > 0 {
@@ -435,9 +404,6 @@ func (p *Pipeline) ingest(f *front, g *group, tl synth.TimedLine) []model.Event 
 			overall = "stored"
 		}
 		lt.Finish(overall)
-	}
-	if sampled {
-		p.Stats.Latency.Observe(time.Since(t0))
 	}
 	return events
 }
@@ -562,14 +528,17 @@ func shipTypeName(code uint8) string {
 	}
 }
 
-// Report renders the pipeline statistics for the CLIs and examples.
+// Report renders the pipeline statistics for the CLIs and examples: the
+// counters and, with tracing on, the sampled line, store and cer latency.
 func (p *Pipeline) Report() string {
-	s := &p.Stats
-	snap := s.Snapshot()
+	snap := p.Stats.Snapshot()
 	ratio := insitu.Ratio(int(snap.Decoded-snap.Gated), int(snap.Kept))
-	return fmt.Sprintf(
-		"lines=%d bad=%d decoded=%d gated=%d stored=%d suppressed=%d ratio=%.1f:1 detections=%d\n"+
-			"latency: total %s | store %s | cer %s",
-		snap.Lines, snap.BadLines, snap.Decoded, snap.Gated, snap.Kept, snap.Suppressed, ratio, snap.Detections,
-		s.Latency.Summary(), s.StoreLatency.Summary(), s.CERLatency.Summary())
+	out := fmt.Sprintf(
+		"lines=%d bad=%d decoded=%d gated=%d stored=%d suppressed=%d ratio=%.1f:1 detections=%d",
+		snap.Lines, snap.BadLines, snap.Decoded, snap.Gated, snap.Kept, snap.Suppressed, ratio, snap.Detections)
+	if t := p.Tracer; t != nil {
+		out += fmt.Sprintf("\nlatency: line %s | store %s | cer %s",
+			t.StageHist(obs.StageLine).Summary(), t.StageHist(obs.StageStore).Summary(), t.StageHist(obs.StageCER).Summary())
+	}
+	return out
 }

@@ -45,18 +45,14 @@ type entitySynopsis struct {
 	evicted int64                    // critical points dropped off the ring
 }
 
-// pendingCap bounds the SSE fan-out queue: critical points detected since
-// the last drain. Overflow drops the oldest (counted) — fan-out is
-// observability, it must never hold ingest memory hostage.
-const pendingCap = 8192
-
 // SynopsisHub is the online trajectory-synopses subsystem: it taps the
 // ingest workers' gated report stream (exactly like ForecastHub — inside
 // the worker's per-line critical section, so the PR-2 snapshot barrier
 // quiesces it) and maintains per-entity critical point synopses with
-// compression accounting. All methods are safe for concurrent use; Observe
-// is called from ingest workers while Synopsis/Summaries/Stats serve HTTP
-// reads.
+// compression accounting. All methods are safe for concurrent use; ingest
+// workers observe while Synopsis/Summaries/Stats serve HTTP reads. The hub
+// queues nothing for consumers: the critical points a line emits go back
+// to its worker, which hands them on with the batch's events.
 //
 // Snapshot discipline: detector state, rings and counters are exported
 // under the snapshot barrier and restored by Recover, and the detector is
@@ -79,19 +75,6 @@ type SynopsisHub struct {
 	// counts observes since the last stale-entity sweep.
 	newestTS   int64
 	sinceEvict int
-
-	// pending queues critical points for the SSE ticker; pendingDropped
-	// counts overflow. Nothing is queued until EnableFanout (no consumer —
-	// the default daemon config — must not pay queue maintenance on the
-	// ingest hot path). Fan-out state is not snapshotted (like latency
-	// histograms, it is observability, not data).
-	fanout         bool
-	pending        []synopses.CriticalPoint
-	pendingDropped int64
-
-	// scratch is reused across Observe calls (serialised by mu) so steady
-	// cruising — the common, zero-emission case — allocates nothing.
-	scratch []synopses.CriticalPoint
 }
 
 // NewSynopsisHub builds a hub for the given domain.
@@ -104,9 +87,13 @@ func NewSynopsisHub(domain model.Domain, cfg SynopsesConfig) *SynopsisHub {
 }
 
 // Observe feeds one gated report through the entity's detector and returns
-// how many critical points it emitted (0 for the common cruising case); the
-// pipeline's stage trace reports it.
-func (h *SynopsisHub) Observe(p model.Position) int {
+// how many critical points it emitted (0 for the common cruising case).
+func (h *SynopsisHub) Observe(p model.Position) int { return len(h.observe(p, nil)) }
+
+// observe is Observe for the ingest path: it appends the emitted critical
+// points to dst, the worker's scratch, so steady cruising — the common,
+// zero-emission case — allocates nothing.
+func (h *SynopsisHub) observe(p model.Position, dst []synopses.CriticalPoint) []synopses.CriticalPoint {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	es := h.entities[p.EntityID]
@@ -114,9 +101,10 @@ func (h *SynopsisHub) Observe(p model.Position) int {
 		es = &entitySynopsis{det: synopses.NewDetector(h.thresholds)}
 		h.entities[p.EntityID] = es
 	}
-	h.scratch = es.det.Observe(p, h.scratch[:0])
+	n := len(dst)
+	dst = es.det.Observe(p, dst)
 	h.observed++
-	for _, cp := range h.scratch {
+	for _, cp := range dst[n:] {
 		h.critical++
 		h.byKind[cp.Kind]++
 		if len(es.ring) == h.cfg.RingLen {
@@ -125,16 +113,6 @@ func (h *SynopsisHub) Observe(p model.Position) int {
 			es.evicted++
 		}
 		es.ring = append(es.ring, cp)
-		if h.fanout {
-			if len(h.pending) >= pendingCap {
-				// Drop the oldest quarter in one move (amortised O(1) per
-				// point) rather than shifting the whole queue per append.
-				drop := pendingCap / 4
-				h.pending = h.pending[:copy(h.pending, h.pending[drop:])]
-				h.pendingDropped += int64(drop)
-			}
-			h.pending = append(h.pending, cp)
-		}
 	}
 	if p.TS > h.newestTS {
 		h.newestTS = p.TS
@@ -144,7 +122,7 @@ func (h *SynopsisHub) Observe(p model.Position) int {
 		h.sinceEvict = 0
 		h.evictStale()
 	}
-	return len(h.scratch)
+	return dst
 }
 
 // evictStale drops entities whose last report is older than evictAfterStale
@@ -235,8 +213,6 @@ type SynopsisStats struct {
 	Critical int64
 	ByKind   [synopses.KindCount]int64
 	Entities int
-	// PendingDropped counts SSE fan-out overflow.
-	PendingDropped int64
 }
 
 // Ratio returns the lifetime compression ratio raw : critical. With no
@@ -254,11 +230,10 @@ func (h *SynopsisHub) Stats() SynopsisStats {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return SynopsisStats{
-		Observed:       h.observed,
-		Critical:       h.critical,
-		ByKind:         h.byKind,
-		Entities:       len(h.entities),
-		PendingDropped: h.pendingDropped,
+		Observed: h.observed,
+		Critical: h.critical,
+		ByKind:   h.byKind,
+		Entities: len(h.entities),
 	}
 }
 
@@ -276,31 +251,7 @@ func (h *SynopsisHub) Observed() int64 {
 	return h.observed
 }
 
-// EnableFanout switches on the SSE pending queue. Call it before serving
-// starts (the server does, when a synopses interval is configured); with
-// fan-out off, Observe skips queue maintenance entirely.
-func (h *SynopsisHub) EnableFanout() {
-	h.mu.Lock()
-	h.fanout = true
-	h.mu.Unlock()
-}
-
-// DrainPending removes and returns the critical points queued for SSE
-// fan-out since the last drain (in detection order).
-func (h *SynopsisHub) DrainPending() []synopses.CriticalPoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.pending) == 0 {
-		return nil
-	}
-	out := h.pending
-	h.pending = nil
-	return out
-}
-
 // synopsisHubState is the hub's serialisable form for pipeline snapshots.
-// The SSE pending queue is deliberately absent: fan-out frames are
-// observability, not recoverable data.
 type synopsisHubState struct {
 	Entities map[string]entitySynopsisState `json:"entities"`
 	Observed int64                          `json:"observed"`
@@ -365,5 +316,4 @@ func (h *SynopsisHub) restoreState(st synopsisHubState) {
 	h.observed, h.critical = st.Observed, st.Critical
 	h.byKind = [synopses.KindCount]int64{}
 	copy(h.byKind[:], st.ByKind)
-	h.pending, h.pendingDropped = nil, 0
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,35 +213,47 @@ func TestSynopsisRingBound(t *testing.T) {
 	}
 }
 
-// TestSynopsisFanoutGating: the SSE pending queue only accumulates once a
-// drainer exists (EnableFanout) — a daemon without a synopses interval must
-// not pay queue maintenance on the ingest path — and the compression ratio
-// reads observed:1 while no critical point has been detected (a low ratio
-// must mean weak compression, never perfect compression).
+// TestSynopsisFanoutGating: critical points leave with their batch through
+// the Ingestor's one callback — every point the hub records reaches it
+// exactly once, in each entity's ring order, at 1 and 4 workers — and the
+// compression ratio reads observed:1 while no critical point has been
+// detected (a low ratio must mean weak compression, never perfect
+// compression).
 func TestSynopsisFanoutGating(t *testing.T) {
-	hub := NewSynopsisHub(model.Maritime, SynopsesConfig{Enabled: true})
-	critical := func(i int) {
-		speed := 5.0
-		if i%2 == 1 {
-			speed = 15.0
+	sc := synopsesWorld(t)
+	for _, workers := range []int{1, 4} {
+		p := New(Config{Domain: model.Maritime, Synopses: SynopsesConfig{Enabled: true, RingLen: 1 << 16}})
+		var mu sync.Mutex
+		got := map[string][]synopses.CriticalPoint{}
+		ing := p.NewIngestor(IngestorConfig{Workers: workers, QueueLen: 1 << 16, OnEvents: func(_ []model.Event, cps []synopses.CriticalPoint) {
+			mu.Lock()
+			for _, cp := range cps {
+				got[cp.Pos.EntityID] = append(got[cp.Pos.EntityID], cp)
+			}
+			mu.Unlock()
+		}})
+		feed(t, ing, nil, sc.WireTimed)
+		ing.Close()
+		st := p.SynopsisHub.Stats()
+		if st.Critical == 0 {
+			t.Fatal("stream produced no critical points; test is vacuous")
 		}
-		hub.Observe(model.Position{EntityID: "V", TS: int64(i+1) * 10_000, SpeedMS: speed, CourseDeg: 90})
-	}
-	for i := 0; i < 10; i++ {
-		critical(i)
-	}
-	if st := hub.Stats(); st.Critical == 0 {
-		t.Fatal("track produced no critical points; test is vacuous")
-	}
-	if got := hub.DrainPending(); got != nil {
-		t.Errorf("pending queued %d points with fan-out disabled", len(got))
-	}
-	hub.EnableFanout()
-	for i := 10; i < 20; i++ {
-		critical(i)
-	}
-	if got := hub.DrainPending(); len(got) == 0 {
-		t.Error("no pending points after EnableFanout")
+		for _, es := range p.SynopsisHub.Summaries() {
+			full, err := p.SynopsisHub.Synopsis(es.Entity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[es.Entity], full.Points) {
+				t.Errorf("%d workers, entity %s: callback got %d points, ring holds %d", workers, es.Entity, len(got[es.Entity]), len(full.Points))
+			}
+		}
+		delivered := 0
+		for _, cps := range got {
+			delivered += len(cps)
+		}
+		if int64(delivered) != st.Critical {
+			t.Errorf("%d workers: callback got %d points, hub detected %d", workers, delivered, st.Critical)
+		}
 	}
 
 	// Ratio semantics at zero critical points: a steadily cruising entity

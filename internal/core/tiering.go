@@ -6,17 +6,13 @@ import (
 
 // MaintainStore applies the tier policy to the sharded store — sealing
 // oversized or aged heads into immutable segments and dropping sealed
-// segments outside the retention window. With a live Ingestor the pass
-// runs under its barrier, the same quiescence point snapshots use, so
-// every wire line is either fully reflected in the tier layout or not at
-// all (and no seal can interleave with a half-applied line). With ing ==
-// nil the pipeline must be externally quiescent (the serial ingest path).
-// force seals every non-empty head regardless of thresholds (the POST
-// /seal admin action).
+// segments outside the retention window. The pass runs under ing's
+// barrier, the same quiescence point snapshots use, so every wire line is
+// either fully reflected in the tier layout or not at all (and no seal can
+// interleave with a half-applied line). force seals every non-empty head
+// regardless of thresholds (the POST /seal admin action).
 func (p *Pipeline) MaintainStore(ing *Ingestor, pol store.TierPolicy, force bool) store.MaintainStats {
-	if ing != nil {
-		release := ing.Barrier()
-		defer release()
-	}
+	release := ing.Barrier()
+	defer release()
 	return p.Store.Maintain(pol, force)
 }

@@ -127,7 +127,7 @@ func TestTieredDurableRecovery(t *testing.T) {
 	if p2.Store.MaxAnchorTS() == 0 {
 		t.Fatal("stream clock lost across recovery")
 	}
-	if st := p2.MaintainStore(nil, store.TierPolicy{Retention: time.Millisecond}, false); st.Dropped == 0 {
+	if st := p2.Store.Maintain(store.TierPolicy{Retention: time.Millisecond}, false); st.Dropped == 0 {
 		t.Error("retention on the recovered store dropped nothing")
 	}
 
@@ -415,7 +415,7 @@ func TestRecoverySweepsStaleSegmentCache(t *testing.T) {
 	ing := p1.NewIngestor(IngestorConfig{Workers: 1})
 	feed(t, ing, log, sc.WireTimed[:len(sc.WireTimed)/2])
 	ing.Close()
-	p1.MaintainStore(nil, store.TierPolicy{}, true)
+	p1.Store.Maintain(store.TierPolicy{}, true)
 	if _, err := idleSnapshot(p1, dataDir, log); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRecoverySweepsStaleSegmentCache(t *testing.T) {
 	ing = p2.NewIngestor(IngestorConfig{Workers: 1})
 	feed(t, ing, log2, sc.WireTimed[len(sc.WireTimed)/2:])
 	ing.Close()
-	p2.MaintainStore(nil, store.TierPolicy{}, true)
+	p2.Store.Maintain(store.TierPolicy{}, true)
 	if _, err := idleSnapshot(p2, dataDir, log2); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestSnapshotGCSweepsRetiredSegments(t *testing.T) {
 		ing.Close()
 	}
 	ingest(0, third)
-	p.MaintainStore(nil, store.TierPolicy{}, true)
+	p.Store.Maintain(store.TierPolicy{}, true)
 	if _, err := idleSnapshot(p, dataDir, log); err != nil {
 		t.Fatal(err)
 	}
@@ -506,11 +506,11 @@ func TestSnapshotGCSweepsRetiredSegments(t *testing.T) {
 	}
 
 	ingest(third, 2*third)
-	p.MaintainStore(nil, store.TierPolicy{}, true)
+	p.Store.Maintain(store.TierPolicy{}, true)
 	// Retention drops the first generation (older than the last third).
 	streamSpan := p.Store.MaxAnchorTS()
 	_ = streamSpan
-	st := p.MaintainStore(nil, store.TierPolicy{Retention: 20 * time.Minute}, false)
+	st := p.Store.Maintain(store.TierPolicy{Retention: 20 * time.Minute}, false)
 	if st.Dropped == 0 {
 		t.Fatal("retention dropped nothing; widen the test windows")
 	}

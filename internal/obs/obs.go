@@ -42,14 +42,9 @@ type Watermark struct {
 	wallMS   atomic.Int64 // wall-clock (unix ms) of the last Note
 }
 
-// Note records one line's event timestamp (unix ms).
+// Note records the newest event timestamp (unix ms) of what was just
+// ingested — a line, or a drained batch — at one wall-clock read.
 func (w *Watermark) Note(tsMS int64) {
-	w.NoteAt(tsMS, time.Now().UnixMilli())
-}
-
-// NoteAt is Note with the wall clock supplied by the caller, for hot paths
-// that already hold a fresh reading.
-func (w *Watermark) NoteAt(tsMS, wallMS int64) {
 	for {
 		cur := w.streamMS.Load()
 		if tsMS <= cur {
@@ -59,7 +54,7 @@ func (w *Watermark) NoteAt(tsMS, wallMS int64) {
 			break
 		}
 	}
-	w.wallMS.Store(wallMS)
+	w.wallMS.Store(time.Now().UnixMilli())
 }
 
 // StreamMS returns the stream-time watermark (unix ms), 0 before any Note.

@@ -80,7 +80,7 @@ func TestScanPatternConditionalBounds(t *testing.T) {
 				}
 			}
 		})
-		full := answer(tc.filters, func(fn func(rdf.Triple) bool) { seg.FindID(rdf.Wildcard, p, rdf.Wildcard, fn) })
+		full := answer(tc.filters, rdf.Match(seg, rdf.Wildcard, p, rdf.Wildcard))
 		if scanned != tc.scanned {
 			t.Errorf("%v: the bounded scan streamed %d rows, want %d", tc.filters, scanned, tc.scanned)
 		}

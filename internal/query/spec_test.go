@@ -54,10 +54,9 @@ func specRun(e *Engine, q *Query) (*Result, error) {
 func specJoin(v *rdf.View, q *Query, vars []string) [][]rdf.Term {
 	var triples [][3]rdf.Term
 	dict := v.Dict().Terms()
-	v.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
+	for t := range rdf.Match(v, rdf.Wildcard, rdf.Wildcard, rdf.Wildcard) {
 		triples = append(triples, [3]rdf.Term{dict.At(t.S), dict.At(t.P), dict.At(t.O)})
-		return true
-	})
+	}
 	bindings := [][]rdf.Term{make([]rdf.Term, len(vars))}
 	for i, tp := range q.Patterns {
 		slot := [3]int{slices.Index(vars, tp.S.Var), slices.Index(vars, tp.P.Var), slices.Index(vars, tp.O.Var)}

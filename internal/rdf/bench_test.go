@@ -45,10 +45,9 @@ func BenchmarkSegmentFind(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			n := 0
 			for i := 0; i < b.N; i++ {
-				bc.g.FindID(ID(i%50+1), Wildcard, Wildcard, func(Triple) bool {
+				for range Match(bc.g, ID(i%50+1), Wildcard, Wildcard) {
 					n++
-					return true
-				})
+				}
 			}
 		})
 	}

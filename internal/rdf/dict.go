@@ -15,7 +15,7 @@ import (
 // in patterns and never identifies a term.
 type ID uint32
 
-// Wildcard matches any term in FindID patterns.
+// Wildcard matches any term in Runs and Match patterns.
 const Wildcard ID = 0
 
 // maxID is the last id a dictionary mints. It is a variable only so that a

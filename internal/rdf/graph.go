@@ -1,15 +1,15 @@
 package rdf
 
+import "iter"
+
 // Graph is the read interface shared by the Head (mutable head and global
 // tiers), the immutable Segment (sealed tier) and the View that merges
 // them. The query layer evaluates against Graph, so it is oblivious to how
 // a shard tiers its data.
 type Graph interface {
-	// FindID streams triples matching the pattern (Wildcard = any) to fn;
-	// fn returning false stops iteration early.
-	FindID(s, p, o ID, fn func(Triple) bool)
 	// Runs appends to dst the non-empty index runs holding the triples
-	// FindID streams, in the same order, to be read in place.
+	// that match the pattern (Wildcard = any), to be read in place: a run's
+	// triples in order, Run.Keeps deciding each. Match walks them.
 	Runs(s, p, o ID, dst []Run) []Run
 	// Dict returns the dictionary the graph's IDs are encoded against.
 	Dict() *Dictionary
@@ -73,26 +73,21 @@ func (v *View) Runs(s, p, o ID, dst []Run) []Run {
 	return dst
 }
 
-// FindID implements Graph, preserving early-stop across parts.
-func (v *View) FindID(s, p, o ID, fn func(Triple) bool) {
-	stopped := false
-	wrap := func(t Triple) bool {
-		if !fn(t) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for _, g := range v.parts {
-		g.FindID(s, p, o, wrap)
-		if stopped {
-			return
+// Match yields the triples of g matching (s, p, o), Wildcard = any: g's
+// runs in order, each triple its run keeps. Breaking out of the loop stops
+// the scan.
+func Match(g Graph, s, p, o ID) iter.Seq[Triple] {
+	return func(yield func(Triple) bool) {
+		for _, r := range g.Runs(s, p, o, nil) {
+			if !r.each(yield) {
+				return
+			}
 		}
 	}
 }
 
-// Find is the Term-level convenience over g.FindID; nil pattern slots match
-// anything.
+// Find is the Term-level convenience over Match; nil pattern slots match
+// anything, and fn returning false stops the scan.
 func Find(g Graph, s, p, o *Term, fn func(s, p, o Term) bool) {
 	dict := g.Dict()
 	enc := func(t *Term) (ID, bool) {
@@ -114,10 +109,12 @@ func Find(g Graph, s, p, o *Term, fn func(s, p, o Term) bool) {
 	if !ok {
 		return
 	}
-	g.FindID(sid, pid, oid, func(t Triple) bool {
+	for t := range Match(g, sid, pid, oid) {
 		ts, _ := dict.Decode(t.S)
 		tp, _ := dict.Decode(t.P)
 		to, _ := dict.Decode(t.O)
-		return fn(ts, tp, to)
-	})
+		if !fn(ts, tp, to) {
+			return
+		}
+	}
 }

@@ -114,15 +114,6 @@ func (h *Head) Runs(s, p, o ID, dst []Run) []Run {
 	return dst
 }
 
-// FindID implements Graph, run by run.
-func (h *Head) FindID(s, p, o ID, fn func(Triple) bool) {
-	for _, r := range h.runs {
-		if !r.Run(s, p, o).each(fn) {
-			return
-		}
-	}
-}
-
 // Seal merges the runs into one and returns it as a sealed segment, numeric
 // columns built. The head is spent: the caller replaces it.
 func (h *Head) Seal() *Segment {

@@ -69,10 +69,10 @@ func checkHead(t *testing.T, h *Head, ns naiveSet, absent ID) {
 				o = tr.O
 			}
 			var got []Triple
-			h.FindID(s, p, o, func(t Triple) bool { got = append(got, t); return true })
+			got = slices.AppendSeq(got, Match(h, s, p, o))
 			slices.SortFunc(got, cmpSPO)
 			if want := ns.find(s, p, o); !slices.Equal(got, want) {
-				t.Fatalf("FindID(%d, %d, %d) = %v, want %v", s, p, o, got, want)
+				t.Fatalf("Match(%d, %d, %d) = %v, want %v", s, p, o, got, want)
 			}
 		}
 	}
@@ -131,7 +131,11 @@ func TestHeadFindStopsAcrossRuns(t *testing.T) {
 	}
 	for _, pat := range [][3]ID{{0, 0, 0}, {0, 1, 0}, {0, 0, 2}} {
 		n := 0
-		h.FindID(pat[0], pat[1], pat[2], func(Triple) bool { n++; return n < 30 })
+		for range Match(h, pat[0], pat[1], pat[2]) {
+			if n++; n == 30 {
+				break
+			}
+		}
 		if n != 30 {
 			t.Errorf("pattern %v: early stop visited %d", pat, n)
 		}
@@ -149,7 +153,9 @@ func TestHeadSealIsOneSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.FindID(Wildcard, Wildcard, Wildcard, func(t Triple) bool { ns[t] = true; return true })
+	for t := range Match(h, Wildcard, Wildcard, Wildcard) {
+		ns[t] = true
+	}
 	seg := h.Seal()
 	if seg.Len() != len(ns) {
 		t.Fatalf("sealed %d triples, head held %d", seg.Len(), len(ns))
@@ -160,15 +166,11 @@ func TestHeadSealIsOneSegment(t *testing.T) {
 		}
 	}
 	p, _ := h.Dict().Lookup(NewIRI("http://x/v"))
-	n := 0
-	seg.NumericRange(p, math.Inf(-1), math.Inf(1), func(Triple) bool { n++; return true })
-	if n != 50 {
+	if n := seg.NumericRun(p, math.Inf(-1), math.Inf(1)).Len(); n != 50 {
 		t.Errorf("the sealed segment's numeric column holds %d, want 50", n)
 	}
-	n = 0
-	seg.NumericRange(p, 10, 19, func(Triple) bool { n++; return true })
-	if n != 10 {
-		t.Errorf("NumericRange over the sealed head found %d, want 10", n)
+	if n := seg.NumericRun(p, 10, 19).Len(); n != 10 {
+		t.Errorf("NumericRun over the sealed head found %d, want 10", n)
 	}
 }
 

@@ -15,13 +15,12 @@ import (
 func WriteNTriples(w io.Writer, g Graph) error {
 	dict := g.Dict()
 	lines := make([]string, 0, g.Len())
-	g.FindID(Wildcard, Wildcard, Wildcard, func(t Triple) bool {
+	for t := range Match(g, Wildcard, Wildcard, Wildcard) {
 		s, _ := dict.Decode(t.S)
 		p, _ := dict.Decode(t.P)
 		o, _ := dict.Decode(t.O)
 		lines = append(lines, fmt.Sprintf("%s %s %s .\n", s, p, o))
-		return true
-	})
+	}
 	sort.Strings(lines)
 	bw := bufio.NewWriter(w)
 	for i, line := range lines {

@@ -3,6 +3,7 @@ package rdf
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -125,11 +126,9 @@ func mkStore() *Head {
 	return st
 }
 
-// all lists a graph's triples in FindID order.
+// all lists a graph's triples in Match order.
 func all(g Graph) []Triple {
-	var out []Triple
-	g.FindID(Wildcard, Wildcard, Wildcard, func(t Triple) bool { out = append(out, t); return true })
-	return out
+	return slices.Collect(Match(g, Wildcard, Wildcard, Wildcard))
 }
 
 func TestStoreFindPatterns(t *testing.T) {
@@ -189,10 +188,11 @@ func TestStoreDuplicatesIgnored(t *testing.T) {
 func TestStoreEarlyStop(t *testing.T) {
 	st := mkStore()
 	n := 0
-	st.FindID(Wildcard, Wildcard, Wildcard, func(Triple) bool {
-		n++
-		return n < 2
-	})
+	for range Match(st, Wildcard, Wildcard, Wildcard) {
+		if n++; n == 2 {
+			break
+		}
+	}
 	if n != 2 {
 		t.Errorf("early stop failed: %d", n)
 	}
@@ -315,7 +315,9 @@ func TestSharedDictionaryAcrossStores(t *testing.T) {
 		t.Fatal("shared dict missing term")
 	}
 	n := 0
-	b.FindID(idX, Wildcard, Wildcard, func(Triple) bool { n++; return true })
+	for range Match(b, idX, Wildcard, Wildcard) {
+		n++
+	}
 	if n != 1 {
 		t.Errorf("store b matches = %d", n)
 	}

@@ -20,7 +20,7 @@ import (
 // bound slots, so iteration walks exactly the matching block instead of
 // testing every triple from lo until the first mismatch. Predicates whose
 // objects are numeric literals additionally get a value-sorted column at
-// seal time (see NumericRange), turning spatiotemporal FILTER ranges into
+// seal time (see NumericRun), turning spatiotemporal FILTER ranges into
 // binary searches.
 type Segment struct {
 	dict *Dictionary
@@ -262,10 +262,6 @@ func (g *Segment) Runs(s, p, o ID, dst []Run) []Run {
 	return dst
 }
 
-// FindID implements Graph block-at-a-time: it walks exactly the run of the
-// bound slots.
-func (g *Segment) FindID(s, p, o ID, fn func(Triple) bool) { g.Run(s, p, o).each(fn) }
-
 // spoBounds resolves the SPO run of the prefix (s[, p[, o]]). With p
 // unbound, O is only sorted within each (S, P) group, so a bound o cannot
 // tighten the run and is reported back as a residual per-triple filter.
@@ -327,27 +323,20 @@ func gallop(lo, n int, past func(i int) bool) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return past(lo + i) })
 }
 
-// NumericRange streams the triples with predicate p whose object is a
-// numeric literal with value in [lo, hi] to fn, in ascending value order
-// (ties in SPO order); fn returning false stops early. It walks NumericRun.
-//
-// The column holds exactly the triples of p whose object parses as a number
-// other than NaN, so a caller substituting NumericRange for a full
-// FindID(⋆, p, ⋆) scan silently drops the other objects: only do so when
-// every dropped row would be discarded anyway — i.e. when a numeric FILTER
-// on the object's variable rejects such bindings (the query engine's
-// bounds pushdown guarantees this).
-func (g *Segment) NumericRange(p ID, lo, hi float64, fn func(Triple) bool) {
-	g.NumericRun(p, lo, hi).each(fn)
-}
-
-// NumericCount returns how many triples NumericRange(p, lo, hi) streams, by
-// two binary searches: the query planner's estimate of a pushed-down scan.
+// NumericCount returns how many triples NumericRun(p, lo, hi) holds, by two
+// binary searches: the query planner's estimate of a pushed-down scan.
 func (g *Segment) NumericCount(p ID, lo, hi float64) int { return g.NumericRun(p, lo, hi).Len() }
 
 // NumericRun resolves the run of p's numeric column whose values lie in
-// [lo, hi]: the triples NumericRange streams, by two binary searches over
-// the value-sorted column sealed with the segment.
+// [lo, hi], in ascending value order (ties in SPO order), by two binary
+// searches over the value-sorted column sealed with the segment.
+//
+// The column holds exactly the triples of p whose object parses as a number
+// other than NaN, so a caller substituting NumericRun for a full (⋆, p, ⋆)
+// scan silently drops the other objects: only do so when every dropped row
+// would be discarded anyway — i.e. when a numeric FILTER on the object's
+// variable rejects such bindings (the query engine's bounds pushdown
+// guarantees this).
 func (g *Segment) NumericRun(p ID, lo, hi float64) Run {
 	col := g.num[p]
 	i := sort.SearchFloat64s(col.val, lo)

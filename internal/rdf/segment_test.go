@@ -25,10 +25,7 @@ func randomTriples(n int, seed int64) []Triple {
 
 func collect(g Graph, s, p, o ID) []Triple {
 	var out []Triple
-	g.FindID(s, p, o, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
+	out = slices.AppendSeq(out, Match(g, s, p, o))
 	slices.SortFunc(out, cmpSPO)
 	return out
 }
@@ -153,7 +150,7 @@ func TestSegmentNumericRange(t *testing.T) {
 		want := brute(p, lo, hi)
 		got := map[Triple]bool{}
 		prev := math.Inf(-1)
-		seg.NumericRange(p, lo, hi, func(tr Triple) bool {
+		seg.NumericRun(p, lo, hi).each(func(tr Triple) bool {
 			if got[tr] {
 				t.Fatalf("trial %d: duplicate triple %v", trial, tr)
 			}
@@ -176,7 +173,7 @@ func TestSegmentNumericRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	seg.NumericRange(enc(NewIRI("e:p0")), math.Inf(-1), math.Inf(1), func(Triple) bool {
+	seg.NumericRun(enc(NewIRI("e:p0")), math.Inf(-1), math.Inf(1)).each(func(Triple) bool {
 		n++
 		return n < 5
 	})
@@ -189,10 +186,11 @@ func TestSegmentEarlyStop(t *testing.T) {
 	dict := NewDictionary()
 	seg := NewSegment(dict, randomTriples(500, 3))
 	n := 0
-	seg.FindID(Wildcard, Wildcard, Wildcard, func(Triple) bool {
-		n++
-		return n < 10
-	})
+	for range Match(seg, Wildcard, Wildcard, Wildcard) {
+		if n++; n == 10 {
+			break
+		}
+	}
 	if n != 10 {
 		t.Errorf("early stop visited %d", n)
 	}
@@ -224,25 +222,24 @@ func TestViewMergesParts(t *testing.T) {
 	// The union dedups; the view may see a triple in two parts. Compare as
 	// sets.
 	seen := map[Triple]bool{}
-	v.FindID(Wildcard, Wildcard, Wildcard, func(tr Triple) bool {
+	for tr := range Match(v, Wildcard, Wildcard, Wildcard) {
 		seen[tr] = true
-		return true
-	})
+	}
 	if len(seen) != union.Len() {
 		t.Fatalf("view distinct triples %d, union %d", len(seen), union.Len())
 	}
-	union.FindID(Wildcard, Wildcard, Wildcard, func(tr Triple) bool {
+	for tr := range Match(union, Wildcard, Wildcard, Wildcard) {
 		if !seen[tr] {
 			t.Fatalf("union triple %v missing from view", tr)
 		}
-		return true
-	})
+	}
 	// Early stop crosses part boundaries.
 	n := 0
-	v.FindID(Wildcard, Wildcard, Wildcard, func(Triple) bool {
-		n++
-		return n < 600 // beyond segA's 500
-	})
+	for range Match(v, Wildcard, Wildcard, Wildcard) {
+		if n++; n == 600 { // beyond segA's 500
+			break
+		}
+	}
 	if n != 600 {
 		t.Errorf("early stop across parts visited %d", n)
 	}
@@ -265,7 +262,9 @@ func TestStoreHasIDAndSortedLists(t *testing.T) {
 	}
 	has := func(s, p, o ID) bool {
 		n := 0
-		st.FindID(s, p, o, func(Triple) bool { n++; return true })
+		for range Match(st, s, p, o) {
+			n++
+		}
 		return n == 1
 	}
 	if st.Len() != 5 {
@@ -273,10 +272,9 @@ func TestStoreHasIDAndSortedLists(t *testing.T) {
 	}
 	for _, r := range st.runs {
 		var got []ID
-		r.FindID(1, 2, Wildcard, func(t Triple) bool {
+		for t := range Match(r, 1, 2, Wildcard) {
 			got = append(got, t.O)
-			return true
-		})
+		}
 		if !slices.IsSorted(got) {
 			t.Errorf("objects not sorted: %v", got)
 		}
@@ -300,7 +298,7 @@ func TestStoreHasIDAndSortedLists(t *testing.T) {
 // the naive set: a head of several runs, a sealed segment, and a view over a
 // head and a segment splitting the triples between them, for every pattern
 // shape probed from every triple and from ids nothing holds. The runs are
-// never empty and yield the triples in FindID's order.
+// never empty and yield the triples in Match's order.
 func TestRunsMatchSet(t *testing.T) {
 	dict := NewDictionary()
 	triples := randomTriples(2000, 11)
@@ -341,9 +339,9 @@ func TestRunsMatchSet(t *testing.T) {
 					}
 				}
 				var found []Triple
-				g.FindID(s, p, o, func(tr Triple) bool { found = append(found, tr); return true })
+				found = slices.AppendSeq(found, Match(g, s, p, o))
 				if !slices.Equal(got, found) {
-					t.Fatalf("%s: runs of (%d, %d, %d) yield %v, FindID %v", name, s, p, o, got, found)
+					t.Fatalf("%s: runs of (%d, %d, %d) yield %v, Match %v", name, s, p, o, got, found)
 				}
 				slices.SortFunc(got, cmpSPO)
 				// The view's parts split the triples with duplicates: one

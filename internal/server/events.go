@@ -31,8 +31,9 @@ func toEventJSON(ev model.Event) eventJSON {
 }
 
 // handleEvents streams the hub's SSE frames: one "event: <type>" +
-// "data: <json>" frame per recognised complex event (class = CER type) or
-// per published forecast (class "forecast"), with periodic comment
+// "data: <json>" frame per recognised complex event (class = CER type),
+// per critical point (class "synopsis") or per published forecast (class
+// "forecast"), with periodic comment
 // heartbeats so intermediaries keep the connection alive. The stream ends
 // when the client disconnects or the server closes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/synopses"
 )
 
 // frame is one server-sent event: an event class name plus its JSON
@@ -15,10 +16,10 @@ type frame struct {
 	data  []byte
 }
 
-// hub fans SSE frames — recognised complex events and forecast updates —
-// out to subscribers. Publishing never blocks: a subscriber whose buffer is
-// full loses the frame (counted in dropped), so a stalled client cannot
-// backpressure the ingest workers.
+// hub fans SSE frames — recognised complex events, critical points and
+// forecast updates — out to subscribers. Publishing never blocks: a
+// subscriber whose buffer is full loses the frame (counted in dropped), so
+// a stalled client cannot backpressure the ingest workers.
 type hub struct {
 	mu     sync.Mutex
 	subs   map[int]chan frame
@@ -28,8 +29,9 @@ type hub struct {
 
 	dropped atomic.Int64
 	// published counts frames fanned out (once per frame, not per
-	// subscriber).
+	// subscriber); synopses counts the "synopsis" frames among them.
 	published atomic.Int64
+	synopses  atomic.Int64
 }
 
 // subscriberBuffer is each /events subscriber's frame buffer: a slow
@@ -40,21 +42,29 @@ func newHub(buf int) *hub {
 	return &hub{subs: make(map[int]chan frame), buf: buf}
 }
 
-// publishEvents delivers a batch of recognised complex events; each event's
-// SSE class is its CER type. With no subscribers the marshalling is
-// skipped entirely — this runs on the ingest workers' event callback, and
-// a headless deployment should not pay JSON cost per detection.
-func (h *hub) publishEvents(evs []model.Event) {
+// publishBatch delivers what one ingest batch emitted: each recognised
+// complex event as a frame of its CER type, then each critical point as a
+// "synopsis" frame. With no subscribers the frames are counted but never
+// built — this runs on the ingest workers' batch callback, and a headless
+// deployment should not pay JSON cost per detection.
+func (h *hub) publishBatch(evs []model.Event, cps []synopses.CriticalPoint) {
+	h.synopses.Add(int64(len(cps)))
 	if h.subscribers() == 0 {
-		h.published.Add(int64(len(evs)))
+		h.published.Add(int64(len(evs) + len(cps)))
 		return
 	}
 	for _, ev := range evs {
-		data, err := json.Marshal(toEventJSON(ev))
-		if err != nil {
-			continue
-		}
-		h.publish(frame{event: ev.Type, data: data})
+		h.publishJSON(ev.Type, toEventJSON(ev))
+	}
+	for _, cp := range cps {
+		h.publishJSON("synopsis", toSynopsisPointJSON(cp, true))
+	}
+}
+
+// publishJSON marshals v and publishes it as one frame of the given class.
+func (h *hub) publishJSON(event string, v any) {
+	if data, err := json.Marshal(v); err == nil {
+		h.publish(frame{event: event, data: data})
 	}
 }
 

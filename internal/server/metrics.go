@@ -99,13 +99,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Gauge("datacron_ingest_lag_seconds", "Wall clock minus the stream-time watermark.", float64(s.p.Watermark.LagMS(now))/1000)
 	mw.Gauge("datacron_ingest_idle_seconds", "Seconds since the last ingested line.", float64(s.p.Watermark.IdleMS(now))/1000)
 
-	// End-to-end ingest latency, sampled 1 line in 16 per worker
-	// (core's latSampleEvery).
-	addQuantiles(mw.Vec("gauge", "datacron_ingest_latency_seconds",
-		"End-to-end per-line pipeline latency quantiles (sampled: 1 line in 16 per worker)."),
-		s.p.Stats.Latency, "path", "/ingest")
-
-	// Per-stage latency from the sampled tracer.
+	// Per-stage latency from the sampled tracer, the one ingest clock; the
+	// "line" stage is the end-to-end per-line latency.
 	if tr := s.p.Tracer; tr != nil {
 		stageVec := mw.Vec("gauge", "datacron_stage_latency_seconds",
 			"Sampled per-stage pipeline latency quantiles (see /debug/trace).")
@@ -146,8 +141,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := sh.Stats()
 		mw.Counter("datacron_synopses_observed_total", "Gated reports consumed by the synopsis hub.", st.Observed)
 		mw.Counter("datacron_synopses_critical_total", "Critical points detected (lifetime).", st.Critical)
-		mw.Counter("datacron_synopses_sse_published_total", "synopsis SSE frames published by the ticker.", s.synopsesPublished.Load())
-		mw.Counter("datacron_synopses_sse_dropped_total", "Critical points dropped off the bounded fan-out queue.", st.PendingDropped)
+		mw.Counter("datacron_synopses_sse_published_total", "synopsis SSE frames published, one per critical point.", s.hub.synopses.Load())
 		mw.Gauge("datacron_synopses_entities", "Entities with synopsis state.", float64(st.Entities))
 		mw.Gauge("datacron_synopses_compression_ratio", "Observed : critical — the volume-reduction scoreboard.", st.Ratio())
 		kindVec := mw.Vec("counter", "datacron_synopses_critical_kind_total", "Critical points by kind.")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -204,11 +205,17 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// floatParam parses a coordinate bound: ±Inf is an open bound, NaN no
+// bound at all (it would pick shards by NaN cell coordinates).
 func floatParam(s string, def float64) (float64, error) {
 	if s == "" {
 		return def, nil
 	}
-	return strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && math.IsNaN(v) {
+		err = fmt.Errorf("%q is not a number", s)
+	}
+	return v, err
 }
 
 func intParam(s string, def int64) (int64, error) {

@@ -12,8 +12,9 @@
 //	                 group-committed before the batch is acknowledged.
 //	POST /query    — stSPARQL-lite query, JSON result.
 //	GET  /range    — spatiotemporal range query over the anchored nodes.
-//	GET  /events   — server-sent event stream of recognised complex events
-//	                 and (when forecasting is on) "forecast" frames.
+//	GET  /events   — server-sent event stream of recognised complex events,
+//	                 critical points ("synopsis" frames, when synopses are
+//	                 on) and (with a forecast interval) "forecast" frames.
 //	GET  /forecast — predicted future location of one entity: point +
 //	                 uncertainty radius, method-tagged (online forecasting).
 //	GET  /forecast/batch — forecasts for every live entity.
@@ -89,11 +90,6 @@ type Config struct {
 	// each 10 minutes ahead (forecastSSEHorizon).
 	ForecastInterval time.Duration
 
-	// SynopsesInterval, when > 0 and the pipeline has a SynopsisHub,
-	// drains newly detected critical points every interval and publishes
-	// each as an SSE "synopsis" frame.
-	SynopsesInterval time.Duration
-
 	// Tier is the store's seal/retention policy; POST /seal applies it on
 	// demand (force-sealing every non-empty head) and the background
 	// maintenance pass applies it periodically.
@@ -156,12 +152,12 @@ type Server struct {
 	endpoints *obs.EndpointStats
 	slowLog   *obs.SlowLog
 
-	// SSE ticker lifecycle + fan-out counters (forecast + synopsis).
+	// Ticker lifecycle (forecast SSE, tier maintenance) and the forecast
+	// fan-out counter.
 	stopTicker        chan struct{}
 	closeOnce         sync.Once
 	tickerWG          sync.WaitGroup
 	forecastPublished atomic.Int64
-	synopsesPublished atomic.Int64
 }
 
 // New builds the serving layer over cfg.Pipeline and starts the ingest
@@ -187,7 +183,7 @@ func New(cfg Config) *Server {
 	s.ing = s.p.NewIngestor(core.IngestorConfig{
 		Workers:  cfg.Workers,
 		QueueLen: cfg.QueueLen,
-		OnEvents: s.hub.publishEvents,
+		OnEvents: s.hub.publishBatch,
 	})
 	s.handle("POST /ingest", "/ingest", s.handleIngest)
 	s.handle("POST /query", "/query", s.handleQuery)
@@ -208,13 +204,6 @@ func New(cfg Config) *Server {
 	if cfg.ForecastInterval > 0 && s.p.ForecastHub != nil {
 		s.tickerWG.Add(1)
 		go s.runForecastTicker(cfg.ForecastInterval)
-	}
-	if cfg.SynopsesInterval > 0 && s.p.SynopsisHub != nil {
-		// Queueing for SSE fan-out only happens once a drainer exists;
-		// without an interval the ingest path skips it entirely.
-		s.p.SynopsisHub.EnableFanout()
-		s.tickerWG.Add(1)
-		go s.runSynopsesTicker(cfg.SynopsesInterval)
 	}
 	if cfg.MaintainInterval > 0 && cfg.Tier.Active() {
 		s.tickerWG.Add(1)

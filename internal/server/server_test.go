@@ -182,6 +182,25 @@ func TestServerRoundTrip(t *testing.T) {
 	if !rl.Truncated || len(rl.Hits) != 1 || rl.Count != 1 {
 		t.Errorf("limit=1 not honoured: truncated=%v hits=%d count=%d", rl.Truncated, len(rl.Hits), rl.Count)
 	}
+	// A NaN bound is no bound: 400, not an empty answer from the shards NaN
+	// cell coordinates pick. ±Inf stays an open bound.
+	for _, q := range []string{"minlon=NaN", "maxlat=nan", "minlat=NaN&maxlon=NaN"} {
+		if code, body := getBody(t, ts.URL+"/range?"+q); code != http.StatusBadRequest {
+			t.Errorf("/range?%s = %d %s, want 400", q, code, body)
+		}
+	}
+	rresp, err = ts.Client().Get(ts.URL + "/range?minlon=-Inf&minlat=-Inf&maxlon=%2BInf&maxlat=%2BInf&limit=100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ri rangeResponse
+	if err := json.NewDecoder(rresp.Body).Decode(&ri); err != nil {
+		t.Fatal(err)
+	}
+	rresp.Body.Close()
+	if ri.Count != rr.Count {
+		t.Errorf("infinite bounds count = %d, want the padded world's %d", ri.Count, rr.Count)
+	}
 
 	// Events path: the scripted loitering must have been fanned out.
 	sawLoitering := false
@@ -386,7 +405,7 @@ func TestHubSlowSubscriber(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		h.publishEvents(evs) // must not block even though nobody reads
+		h.publishBatch(evs, nil) // must not block even though nobody reads
 		close(done)
 	}()
 	select {

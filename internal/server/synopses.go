@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/synopses"
@@ -145,37 +143,4 @@ func (s *Server) handleSynopsesBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Count = len(resp.Entities)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// runSynopsesTicker drains the hub's critical point queue every interval
-// and publishes each point as an SSE "synopsis" frame on /events — the
-// live compressed view of the stream, sharing the subscriber fan-out with
-// CER events and forecasts. The queue is drained even with no subscribers
-// (it is bounded either way; draining keeps frames fresh for the first
-// subscriber rather than replaying minutes of backlog).
-func (s *Server) runSynopsesTicker(interval time.Duration) {
-	defer s.tickerWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopTicker:
-			return
-		case <-t.C:
-			points := s.p.SynopsisHub.DrainPending()
-			if len(points) == 0 || s.hub.subscribers() == 0 {
-				continue
-			}
-			for _, cp := range points {
-				data, err := json.Marshal(toSynopsisPointJSON(cp, true))
-				if err != nil {
-					continue
-				}
-				// Counted first, so a subscriber that has the frame reads
-				// it in the counter too.
-				s.synopsesPublished.Add(1)
-				s.hub.publish(frame{event: "synopsis", data: data})
-			}
-		}
-	}
 }

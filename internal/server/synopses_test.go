@@ -13,6 +13,7 @@ import (
 	"github.com/datacron-project/datacron/internal/core"
 	"github.com/datacron-project/datacron/internal/geo"
 	"github.com/datacron-project/datacron/internal/model"
+	"github.com/datacron-project/datacron/internal/synopses"
 	"github.com/datacron-project/datacron/internal/synth"
 )
 
@@ -197,10 +198,24 @@ func sseListenRaw(t testing.TB, url string) (<-chan [2]string, func()) {
 	return out, func() { resp.Body.Close() }
 }
 
-// TestServerSynopsisSSE: with a synopses interval configured, newly
-// detected critical points arrive as "synopsis" SSE frames.
+// TestServerSynopsisSSE: newly detected critical points leave with their
+// ingest batch and arrive at an /events subscriber as "synopsis" frames, with
+// nothing to configure; while nobody subscribes, a batch's points are
+// counted but no frame is built.
 func TestServerSynopsisSSE(t *testing.T) {
-	srv, ts := synopsesWorld(t, Config{Workers: 2, QueueLen: 1 << 14, SynopsesInterval: 20 * time.Millisecond})
+	srv, ts := synopsesWorld(t, Config{Workers: 2, QueueLen: 1 << 14})
+	cps := []synopses.CriticalPoint{{Kind: synopses.Turn, Pos: model.Position{EntityID: "237000001"}}}
+	if allocs := testing.AllocsPerRun(100, func() { srv.hub.publishBatch(nil, cps) }); allocs != 0 {
+		t.Errorf("a synopsis batch with no subscriber allocates %.0f times: its frames were built", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { srv.hub.publishBatch(nil, nil) }); allocs != 0 {
+		t.Errorf("an empty batch allocates %.0f times", allocs)
+	}
+	counted := srv.hub.synopses.Load()
+	if counted != 101 {
+		t.Errorf("synopsis frames counted without a subscriber = %d, want 101", counted)
+	}
+
 	frames, stop := sseListenRaw(t, ts)
 	defer stop()
 	deadline := time.Now().Add(2 * time.Second)
@@ -229,7 +244,7 @@ func TestServerSynopsisSSE(t *testing.T) {
 			t.Fatal("no synopsis SSE frame within 5s")
 		}
 	}
-	if srv.synopsesPublished.Load() == 0 {
+	if srv.hub.synopses.Load() == counted {
 		t.Error("published counter did not advance")
 	}
 }

@@ -237,13 +237,12 @@ func (w *blockWriter) writeBlock(bw *bufio.Writer, id uint64, g rdf.Graph, entri
 			w.ids = append(w.ids, id)
 		}
 	}
-	g.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
+	for t := range rdf.Match(g, rdf.Wildcard, rdf.Wildcard, rdf.Wildcard) {
 		see(t.S)
 		see(t.P)
 		see(t.O)
 		w.tri = append(w.tri, t)
-		return true
-	})
+	}
 	for _, e := range entries {
 		see(e.node)
 	}

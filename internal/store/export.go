@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/datacron-project/datacron/internal/rdf"
 )
@@ -16,10 +17,7 @@ func (s *Sharded) ExportNT(w io.Writer) error {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		v := sh.viewLocked()
-		v.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
-			all = append(all, t)
-			return true
-		})
+		all = slices.AppendSeq(all, rdf.Match(v, rdf.Wildcard, rdf.Wildcard, rdf.Wildcard))
 		sh.mu.RUnlock()
 	}
 	union := rdf.NewHead(s.dict)

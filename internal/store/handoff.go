@@ -178,14 +178,13 @@ func (s *Sharded) dropShard(sh *Shard, drop func(nodeIRI string) bool) (fragment
 	// (non-anchored subjects) stay.
 	without := func(g rdf.Graph, idx anchorIndex, dropped map[rdf.ID]bool) ([]rdf.Triple, anchorIndex) {
 		var kept []rdf.Triple
-		g.FindID(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.Triple) bool {
+		for t := range rdf.Match(g, rdf.Wildcard, rdf.Wildcard, rdf.Wildcard) {
 			if dropped[t.S] {
 				triples++
 			} else {
 				kept = append(kept, t)
 			}
-			return true
-		})
+		}
 		keptIdx := idx.without(dropped)
 		fragments += len(idx.entries) - len(keptIdx.entries)
 		return kept, keptIdx

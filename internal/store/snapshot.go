@@ -279,9 +279,10 @@ func readShardBlock(dir string, i int, sink blockSink) error {
 
 // holds reports whether g holds t.
 func holds(g rdf.Graph, t rdf.Triple) bool {
-	found := false
-	g.FindID(t.S, t.P, t.O, func(rdf.Triple) bool { found = true; return false })
-	return found
+	for range rdf.Match(g, t.S, t.P, t.O) {
+		return true
+	}
+	return false
 }
 
 // SegmentFiles returns the file names of every sealed segment currently
